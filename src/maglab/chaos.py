@@ -158,7 +158,6 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
         return orb[ring]
 
     params = [i / 8.0 for i in range(9)]
-    pts = [p + sign * 0.0 * v]
     pts = []
     total = 0.0
     truncated = False

@@ -1,6 +1,6 @@
 """Scenario-driven command line: configure, run pipelines, emit reports.
 
-    maglab run --config scenario.json [--out DIR] [--seed N] [--workers N]
+    maglab run --config scenario.json [--out DIR] [--seed N]
     maglab simulate|orbits|classify|twist|franks-verify|entropy|critical-value
            --config scenario.json ...
 
@@ -42,7 +42,6 @@ def build_parser():
                            else "full pipeline")
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -60,8 +59,6 @@ def main(argv=None):
         return 2
     if args.seed is not None:
         scenario.random_seed = args.seed
-    if args.workers is not None:
-        scenario.workers = args.workers
     only = None if args.command == "run" else args.command
     try:
         code, reports = run_scenario(scenario, only_stage=only, out_dir=args.out)

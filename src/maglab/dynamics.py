@@ -79,7 +79,7 @@ def _chart_rhs(surface, field, chart, c):
     return rhs
 
 
-def _chart_rhs_variational(surface, field, chart, c, kmag_extra=None):
+def _chart_rhs_variational(surface, field, chart, c):
     """RHS of the coupled (trajectory, X, drift-row) system, 10 components."""
     metric_of = surface.charts[chart].metric
     wrap = surface.kind == "torus"
@@ -100,8 +100,6 @@ def _chart_rhs_variational(surface, field, chart, c, kmag_extra=None):
         else:
             g1, g2 = md.christoffel_quadratic(vx, vy)
         kmag = 2.0 * c * md.curvature + f * f + fx * vy - fy * vx
-        if kmag_extra is not None:
-            kmag += kmag_extra(t)
         return (
             vx,
             vy,
@@ -200,26 +198,6 @@ class Trajectory:
         t1 = self.t_reach
         return [t1 * i / (n - 1) for i in range(n)]
 
-    def ode_residual(self, field, t):
-        """|interpolant derivative - RHS| at time t (dense-output quality probe)."""
-        tau = self.sign * t
-        seg = self._segment_at(tau)
-        local = seg.sol.t0 + (tau - seg.t_start)
-        y = seg.sol.eval(local)
-        dy = seg.sol.eval_derivative(local)
-        rhs = self._rhs_for(field, seg.chart)
-        f = rhs(local, y)
-        return max(abs(a - b) for a, b in zip(dy, f))
-
-    def _rhs_for(self, field, chart):
-        if self.dim == 4:
-            base = _chart_rhs(self.surface, field, chart, self.c)
-        else:
-            base = _chart_rhs_variational(self.surface, field, chart, self.c)
-        if self.sign < 0:
-            return lambda t, y: tuple(-v for v in base(t, y))
-        return base
-
 
 class VariationalPath:
     """Fundamental matrix X(t) of the reduced variational system plus drift row."""
@@ -246,8 +224,7 @@ class VariationalPath:
         return self._traj.t_reach
 
 
-def _run_flow(surface, field, state, t_final, options, dim, observer=None,
-              kmag_extra=None):
+def _run_flow(surface, field, state, t_final, options, dim, observer=None):
     if t_final == 0.0:
         raise ValueError("t_final must be nonzero")
     c = phase_energy(surface, state)
@@ -273,9 +250,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None,
         if dim == 4:
             base = _chart_rhs(surface, field, chart, c)
         else:
-            if kmag_extra is not None and sign < 0:
-                raise ValueError("kmag_extra is only supported forward in time")
-            base = _chart_rhs_variational(surface, field, chart, c, kmag_extra)
+            base = _chart_rhs_variational(surface, field, chart, c)
         rhs = base if sign > 0 else (lambda t, yy: tuple(-v for v in base(t, yy)))
         post = _renormalizer(surface, chart, c)
 
@@ -361,17 +336,15 @@ def flow(surface, field, state, t_final, options=None, observer=None):
 
 
 def flow_with_variation(surface, field, state, t_final, options=None,
-                        observer=None, kmag_extra=None):
+                        observer=None):
     """Trajectory plus the fundamental matrix of the reduced variational system.
 
-    The 2x2 system and the flow share one step controller.  `kmag_extra(t)`
-    adds a time-dependent shift to the magnetic curvature (used by the
-    perturbation response machinery, where the core trajectory is unchanged).
+    The 2x2 system and the flow share one step controller.
     Returns (Trajectory, VariationalPath).
     """
     options = options or IntegratorOptions()
     traj = _run_flow(surface, field, state, t_final, options, dim=10,
-                     observer=observer, kmag_extra=kmag_extra)
+                     observer=observer)
     return traj, VariationalPath(traj)
 
 

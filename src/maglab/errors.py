@@ -17,6 +17,10 @@ class StiffnessError(MaglabError):
     """Adaptive step size underflowed; the problem looks stiff."""
 
 
+class NonFiniteError(MaglabError):
+    """The integrated state or its error estimate became NaN."""
+
+
 class NoReturnError(MaglabError):
     """Trajectory did not come back to the section within max_time."""
 

@@ -18,10 +18,12 @@ injectivity window, this module builds:
     of the lower bound |Z| >= |A| / (2 k1^3), and a Newton-based check that
     S covers a ball of radius delta1 / (2 k1^3) around S(0).
 
-Responses are integrated with a deterministic fixed-step RK4 across the
-(narrow) support window of the profiles, composed with cached base
-propagators outside it, so S is a smooth function of (a, b, c) evaluated
-consistently down to machine precision; the constants delta1 and delta are
+Responses are integrated with one deterministic fixed-step RK4 routine
+across the (narrow) support window of the profiles, composed with cached
+base propagators outside it, so S is a smooth function of (a, b, c)
+evaluated consistently down to machine precision.  `set_window` samples
+the base K_mag once on the RK4 stage grid; responses and their coefficient
+callbacks read K_mag from that cache.  The constants delta1 and delta are
 tiny because k3 and k5 scale like inverse powers of the window width, and
 resolving the ball test relies on that smoothness.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -95,15 +98,9 @@ class TubularChart:
         states = [trajectory.state(t) for t in ts]
         self._ts = ts
         self._pos = np.array([[s.x, s.y] for s in states])
-        self._vel = np.array([[s.vx, s.vy] for s in states])
         self._f0 = np.array([
             field.value(surface, self.chart_id, *surface.wrap_position(s.x, s.y))
             for s in states
-        ])
-        grads = [field.gradient(surface, self.chart_id,
-                                *surface.wrap_position(s.x, s.y)) for s in states]
-        self._f0dot = np.array([
-            g[0] * s.vx + g[1] * s.vy for g, s in zip(grads, states)
         ])
         self.field = field
 
@@ -419,19 +416,27 @@ class FranksKit:
         return self._vp.matrix(t)
 
     def set_window(self, t_a, t_b):
-        """Fix the support window for fixed-step response integration."""
+        """Fix the support window and sample the base K_mag for responses.
+
+        The RK4 steps use K_mag on the uniform half-step grid (`k`); the
+        coefficient callbacks get K_mag at the stage times t0, t0 + h/2,
+        t0 + h of each step (`stage_t`, `stage_k`).
+        """
         t_a = max(0.0, t_a)
         t_b = min(self.T, t_b)
         n = self.n_window_steps
-        ts = np.linspace(t_a, t_b, 2 * n + 1)
-        kmag = np.array([self.kmag_base(t) for t in ts])
-        X_a = self.base_matrix(t_a)
-        X_T = self.base_matrix(self.T)
-        X_b = self.base_matrix(t_b)
-        X_after = X_T @ np.linalg.inv(X_b)
+        h = (t_b - t_a) / n
+        ts = np.linspace(t_a, t_b, 2 * n + 1).tolist()
+        kgrid = [self.kmag_base(t) for t in ts]
+        k = [kgrid[j] for i in range(0, 2 * n, 2) for j in (i, i + 1, i + 2)]
+        stage_t = [t for t0 in ts[:-1:2] for t in (t0, t0 + 0.5 * h, t0 + h)]
+        # each step's first stage time is a grid point
+        stage_k = [self.kmag_base(t) if j % 3 else k[j]
+                   for j, t in enumerate(stage_t)]
         self._window = {
-            "t_a": t_a, "t_b": t_b, "n": n, "h": (t_b - t_a) / n,
-            "ts": ts, "kmag": kmag, "X_a": X_a, "X_after": X_after,
+            "h": h, "k": k, "stage_t": stage_t, "stage_k": stage_k,
+            "X_a": self.base_matrix(t_a),
+            "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
         }
 
     def _require_window(self):
@@ -439,87 +444,79 @@ class FranksKit:
             raise RuntimeError("set_window must be called before responses")
         return self._window
 
-    def response(self, shift=None):
-        """X(T) of the variational system with K_mag - shift(t) in the window.
+    def _rk4(self, k, b=None):
+        """Fixed-step RK4 across the window for X' = [[0, 1], [-K, 0]] X.
 
-        shift(t, kmag_base_value) -> float; None means the base field.  The
-        window is crossed with fixed-step RK4 (deterministic and smooth in
-        the perturbation parameters); outside it the cached base propagators
-        are used.
+        k holds K at the three stage times of each step.  Given b (same
+        layout), also integrates Y' = [[0, 1], [-K, 0]] Y + [[0, 0], [b, 0]] X
+        from Y = 0 and returns X_after Y(t_b); otherwise X_after X(t_b).
         """
         w = self._require_window()
-        n, h, ts, km_arr = w["n"], w["h"], w["ts"], w["kmag"]
-        km = km_arr.tolist()
-        tlist = ts.tolist()
-        a, b = w["X_a"][0, 0], w["X_a"][0, 1]
-        c_, d = w["X_a"][1, 0], w["X_a"][1, 1]
+        h = w["h"]
         h2 = 0.5 * h
         h6 = h / 6.0
-        for i in range(n):
-            t0 = tlist[2 * i]
-            k0v, k1v, k2v = km[2 * i], km[2 * i + 1], km[2 * i + 2]
-            if shift is not None:
-                k0v -= shift(t0, k0v)
-                k1v -= shift(t0 + h2, k1v)
-                k2v -= shift(t0 + h, k2v)
-            # stage 1
-            a1, b1 = c_, d
-            c1, d1 = -k0v * a, -k0v * b
-            # stage 2
-            xa, xb = a + h2 * a1, b + h2 * b1
-            xc, xd = c_ + h2 * c1, d + h2 * d1
-            a2, b2 = xc, xd
-            c2, d2 = -k1v * xa, -k1v * xb
-            # stage 3
-            xa, xb = a + h2 * a2, b + h2 * b2
-            xc, xd = c_ + h2 * c2, d + h2 * d2
-            a3, b3 = xc, xd
-            c3, d3 = -k1v * xa, -k1v * xb
-            # stage 4
-            xa, xb = a + h * a3, b + h * b3
-            xc, xd = c_ + h * c3, d + h * d3
-            a4, b4 = xc, xd
-            c4, d4 = -k2v * xa, -k2v * xb
-            a += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-            b += h6 * (b1 + 2.0 * (b2 + b3) + b4)
-            c_ += h6 * (c1 + 2.0 * (c2 + c3) + c4)
-            d += h6 * (d1 + 2.0 * (d2 + d3) + d4)
-        return w["X_after"] @ np.array([[a, b], [c_, d]])
+        x11, x12, x21, x22 = w["X_a"].ravel().tolist()
+        y11 = y12 = y21 = y22 = 0.0
+        bs = zip(b[0::3], b[1::3], b[2::3]) if b is not None else repeat(None)
+        for k0, k1, k2, bb in zip(k[0::3], k[1::3], k[2::3], bs):
+            # (a_s, b_s; c_s, d_s) is X' at stage s, m_s the first row of the
+            # stage state; X's first row has derivative (a_1, b_1) = (x21, x22)
+            c1, d1 = -k0 * x11, -k0 * x12
+            a2, b2 = x21 + h2 * c1, x22 + h2 * d1
+            m2a, m2b = x11 + h2 * x21, x12 + h2 * x22
+            c2, d2 = -k1 * m2a, -k1 * m2b
+            a3, b3 = x21 + h2 * c2, x22 + h2 * d2
+            m3a, m3b = x11 + h2 * a2, x12 + h2 * b2
+            c3, d3 = -k1 * m3a, -k1 * m3b
+            a4, b4 = x21 + h * c3, x22 + h * d3
+            m4a, m4b = x11 + h * a3, x12 + h * b3
+            c4, d4 = -k2 * m4a, -k2 * m4b
+            if bb is not None:
+                # Y stages, named alike: n_s is the stage state and
+                # (e_s c, e_s d) the second row of Y' at stage s
+                q0, q1, q2 = bb
+                e1c, e1d = q0 * x11 - k0 * y11, q0 * x12 - k0 * y12
+                n2a, n2b = y11 + h2 * y21, y12 + h2 * y22
+                n2c, n2d = y21 + h2 * e1c, y22 + h2 * e1d
+                e2c, e2d = q1 * m2a - k1 * n2a, q1 * m2b - k1 * n2b
+                n3a, n3b = y11 + h2 * n2c, y12 + h2 * n2d
+                n3c, n3d = y21 + h2 * e2c, y22 + h2 * e2d
+                e3c, e3d = q1 * m3a - k1 * n3a, q1 * m3b - k1 * n3b
+                n4a, n4b = y11 + h * n3c, y12 + h * n3d
+                n4c, n4d = y21 + h * e3c, y22 + h * e3d
+                e4c, e4d = q2 * m4a - k2 * n4a, q2 * m4b - k2 * n4b
+                y11 += h6 * (y21 + 2.0 * (n2c + n3c) + n4c)
+                y12 += h6 * (y22 + 2.0 * (n2d + n3d) + n4d)
+                y21 += h6 * (e1c + 2.0 * (e2c + e3c) + e4c)
+                y22 += h6 * (e1d + 2.0 * (e2d + e3d) + e4d)
+            x11 += h6 * (x21 + 2.0 * (a2 + a3) + a4)
+            x12 += h6 * (x22 + 2.0 * (b2 + b3) + b4)
+            x21 += h6 * (c1 + 2.0 * (c2 + c3) + c4)
+            x22 += h6 * (d1 + 2.0 * (d2 + d3) + d4)
+        if b is not None:
+            return w["X_after"] @ np.array([[y11, y12], [y21, y22]])
+        return w["X_after"] @ np.array([[x11, x12], [x21, x22]])
+
+    def response(self, shift=None):
+        """X(T) of the variational system with K_mag - shift(t, km) in the window.
+
+        km is the base K_mag at t, read from the window grid; None means the
+        base field.  The window is crossed with fixed-step RK4 (deterministic
+        and smooth in the perturbation parameters); outside it the cached
+        base propagators are used.
+        """
+        w = self._require_window()
+        k = w["k"]
+        if shift is not None:
+            k = [kb - shift(t, km)
+                 for kb, t, km in zip(k, w["stage_t"], w["stage_k"])]
+        return self._rk4(k)
 
     def response_derivative(self, bdir):
-        """Z(T) = X(T) int X^{-1} [[0,0],[bdir,0]] X dt via the coupled system."""
+        """Z(T) = X(T) int X^{-1} [[0,0],[bdir(t, km),0]] X dt; km as in response."""
         w = self._require_window()
-        n, h, ts, km_arr = w["n"], w["h"], w["ts"], w["kmag"]
-        km = km_arr.tolist()
-        tlist = ts.tolist()
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        X = [w["X_a"][0, 0], w["X_a"][0, 1], w["X_a"][1, 0], w["X_a"][1, 1]]
-        Y = [0.0, 0.0, 0.0, 0.0]
-
-        def rhs(km_v, bv, M, N):
-            return (
-                (M[2], M[3], -km_v * M[0], -km_v * M[1]),
-                (N[2], N[3], bv * M[0] - km_v * N[0], bv * M[1] - km_v * N[1]),
-            )
-
-        for i in range(n):
-            t0 = tlist[2 * i]
-            k0v, k1v, k2v = km[2 * i], km[2 * i + 1], km[2 * i + 2]
-            b0, b1v, b2v = bdir(t0), bdir(t0 + h2), bdir(t0 + h)
-            a1, e1 = rhs(k0v, b0, X, Y)
-            a2, e2 = rhs(k1v, b1v,
-                         [X[j] + h2 * a1[j] for j in range(4)],
-                         [Y[j] + h2 * e1[j] for j in range(4)])
-            a3, e3 = rhs(k1v, b1v,
-                         [X[j] + h2 * a2[j] for j in range(4)],
-                         [Y[j] + h2 * e2[j] for j in range(4)])
-            a4, e4 = rhs(k2v, b2v,
-                         [X[j] + h * a3[j] for j in range(4)],
-                         [Y[j] + h * e3[j] for j in range(4)])
-            X = [X[j] + h6 * (a1[j] + 2.0 * (a2[j] + a3[j]) + a4[j]) for j in range(4)]
-            Y = [Y[j] + h6 * (e1[j] + 2.0 * (e2[j] + e3[j]) + e4[j]) for j in range(4)]
-        return w["X_after"] @ np.array([[Y[0], Y[1]], [Y[2], Y[3]]])
+        return self._rk4(w["k"], [bdir(t, km)
+                                  for t, km in zip(w["stage_t"], w["stage_k"])])
 
 
 def build_franks_kit(surface, field, state, T, eps0=0.02, options=None):
@@ -652,9 +649,11 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     consts_stub = _ProfileBundle(delta_p, Delta_p, alpha)
     k6 = 0.0
     tgrid = np.linspace(max(0.0, sup_lo - 2 * lam), min(T, sup_hi + 2 * lam), n_grid)
+    kgrid = [kit.kmag_base(t) for t in tgrid]
     for dirn in _unit_directions():
         A = PerturbA(delta1 * dirn[0], delta1 * dirn[1], delta1 * dirn[2])
-        vals = np.array([_beta_A(t, A, consts_stub, kit.kmag_base) for t in tgrid])
+        vals = np.array([_beta_A(t, A, consts_stub, km)
+                         for t, km in zip(tgrid, kgrid)])
         dt = tgrid[1] - tgrid[0]
         deriv = np.gradient(vals, dt)
         k6 = max(k6, (np.max(np.abs(vals)) + np.max(np.abs(deriv))) / delta1)
@@ -710,8 +709,11 @@ def _expm1_over_delta(y, delta):
     return math.expm1(y) / delta
 
 
-def _beta_A(t, A: PerturbA, consts, kmag_of_t):
-    """beta_A(t) = alpha (delta a + delta' b) + (K0 + Delta''/2Delta)(e^{-alpha Delta c}-1)."""
+def _beta_A(t, A: PerturbA, consts, kmag):
+    """beta_A(t) = alpha (delta a + delta' b) + (K0 + Delta''/2Delta)(e^{-alpha Delta c}-1).
+
+    kmag is the base K_mag (K0) at t.
+    """
     al = consts.alpha.value(t)
     d = consts.delta_profile
     D = consts.Delta_profile
@@ -719,17 +721,17 @@ def _beta_A(t, A: PerturbA, consts, kmag_of_t):
     Dv = D.value(t)
     y = -al * Dv * A.c
     em1 = math.expm1(y) if abs(y) >= 1e-6 else y * (1.0 + 0.5 * y * (1.0 + y / 3.0))
-    out += kmag_of_t(t) * em1 + 0.5 * D.d2(t) * _expm1_over_delta(y, Dv)
+    out += kmag * em1 + 0.5 * D.d2(t) * _expm1_over_delta(y, Dv)
     return out
 
 
-def _del_b(t, A: PerturbA, consts, kmag_of_t):
-    """Directional derivative of beta_A at A = 0."""
+def _del_b(t, A: PerturbA, consts, kmag):
+    """Directional derivative of beta_A at A = 0 (kmag: base K_mag at t)."""
     al = consts.alpha.value(t)
     d = consts.delta_profile
     D = consts.Delta_profile
     return al * (d.value(t) * A.a + d.d1(t) * A.b
-                 - (D.value(t) * kmag_of_t(t) + 0.5 * D.d2(t)) * A.c)
+                 - (D.value(t) * kmag + 0.5 * D.d2(t)) * A.c)
 
 
 # -- perturbations and responses -----------------------------------------------------
@@ -742,10 +744,8 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     """
     if A.norm() >= consts.delta1:
         raise ValueError(f"|A| = {A.norm():.3e} >= delta1 = {consts.delta1:.3e}")
-    kmag = kit.kmag_base
-
     def beta(t):
-        return _beta_A(t, A, consts, kmag)
+        return _beta_A(t, A, consts, kit.kmag_base(t))
 
     hfd = 1e-9 * max(consts.lam_window, 1e-3)
 
@@ -790,9 +790,9 @@ def franks_response(kit: FranksKit, beta=None):
     return kit.response(lambda t, km: beta(t))
 
 
-def variational_response(kit: FranksKit, bdir, quad_check=False):
+def variational_response(kit: FranksKit, bdir):
     """Z(T) for a direction b(t) with support inside the window."""
-    return kit.response_derivative(bdir)
+    return kit.response_derivative(lambda t, km: bdir(t))
 
 
 # -- verification ----------------------------------------------------------------------
@@ -818,12 +818,11 @@ def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count=20,
     Raises CotaViolationError if any margin drops below 1.
     """
     rng = np.random.default_rng(seed)
-    kmag = kit.kmag_base
     margins = []
     worst = math.inf
     for _ in range(sample_count):
         A = PerturbA.random_unit(rng)
-        Z = kit.response_derivative(lambda t: _del_b(t, A, consts, kmag))
+        Z = kit.response_derivative(lambda t, km: _del_b(t, A, consts, km))
         margin = float(np.linalg.norm(Z, 2) * 2.0 * consts.k1**3 / A.norm())
         margins.append(margin)
         if margin < worst:
@@ -833,9 +832,9 @@ def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count=20,
                 f"response bound violated: margin {margin:.6f}", direction=A)
     # linearity of the first variation: Z(2A) = 2 Z(A)
     A = PerturbA.random_unit(rng)
-    Z1 = kit.response_derivative(lambda t: _del_b(t, A, consts, kmag))
+    Z1 = kit.response_derivative(lambda t, km: _del_b(t, A, consts, km))
     A2 = PerturbA(2 * A.a, 2 * A.b, 2 * A.c)
-    Z2 = kit.response_derivative(lambda t: _del_b(t, A2, consts, kmag))
+    Z2 = kit.response_derivative(lambda t, km: _del_b(t, A2, consts, km))
     lin = float(np.linalg.norm(Z2 - 2.0 * Z1, 2) / max(np.linalg.norm(Z2, 2), 1e-30))
     return CotaReport(margins, worst, lin, sample_count)
 
@@ -884,11 +883,9 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
     must end with residual <= newton_tol, |A| <= delta1, and |A| within the
     covering bound 2 k1^3 dist(target, S0).
     """
-    kmag = kit.kmag_base
-
     def S_of(Avec):
         A = PerturbA(*Avec)
-        return kit.response(lambda t, km: _beta_A(t, A, consts, kmag))
+        return kit.response(lambda t, km: _beta_A(t, A, consts, km))
 
     S0 = S_of((0.0, 0.0, 0.0))
     floor = 32.0 * np.finfo(float).eps * np.linalg.norm(S0, "fro")

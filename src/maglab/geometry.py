@@ -201,12 +201,6 @@ class Surface:
         wy = -b * vx + a * vy
         return PhasePoint(self.other_chart(state.chart), u, v, wx, wy)
 
-    def needs_switch(self, state: PhasePoint) -> bool:
-        if self.kind != "sphere":
-            return False
-        r2 = state.x * state.x + state.y * state.y
-        return r2 > _SphereChart.R_SWITCH**2
-
     def to_chart(self, state: PhasePoint, chart: int):
         """Convert a phase point into the requested chart, or None if impossible."""
         if state.chart == chart:

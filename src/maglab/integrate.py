@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import StiffnessError
+from .errors import NonFiniteError, StiffnessError
 
 __all__ = ["DenseStep", "Solution", "integrate"]
 
@@ -181,7 +181,8 @@ def integrate(
     post_step(t, y) -> y may project the accepted state (e.g. back onto an
     energy level).  observer(dense_step) may return False to stop early (the
     step is kept); it sees each accepted step after projection of y1.
-    Returns a Solution; raises StiffnessError on step-size underflow.
+    Returns a Solution; raises StiffnessError on step-size underflow and
+    NonFiniteError when the error estimate is NaN.
     """
     if t_final <= t0:
         raise ValueError("integrate requires t_final > t0; reverse the field instead")
@@ -220,7 +221,9 @@ def integrate(
             h * sum(_E[j] * ks[j][c] for j in range(7)) for c in range(len(y))
         )
         enorm = _error_norm(err, y, y1, rtol, atol)
-        if enorm > 1.0:
+        if not enorm <= 1.0:
+            if math.isnan(enorm):
+                raise NonFiniteError(f"NaN in the step from t={t:.6g} (h={h:.3g})")
             n_rej += 1
             h *= max(0.2, 0.9 * enorm ** (-0.2))
             continue

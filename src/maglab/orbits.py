@@ -155,16 +155,14 @@ def make_section(surface, field, anchor_state, half_width=0.2) -> Section:
 class _CrossingMonitor:
     """Scans accepted integration steps for section-line crossings."""
 
-    def __init__(self, section, sign, t_skip=0.0):
+    def __init__(self, section, t_skip=0.0):
         self.section = section
-        self.sign = sign  # +1 forward flow, -1 time-reversed integration
         self.t_skip = t_skip
         self.prev_t = 0.0
         self.prev_l = None
         self.armed = False
         self.hits = []
         self.want = 1
-        self._frames = []
 
     def _state_of(self, chart, step, tau):
         y = step.eval(tau)
@@ -248,7 +246,7 @@ def first_return(section, coords, field=None, max_time=50.0, backward=False,
     options = options or IntegratorOptions()
     state = section.embed(*coords)
     sign = -1 if backward else 1
-    monitor = _CrossingMonitor(section, sign, t_skip=t_skip)
+    monitor = _CrossingMonitor(section, t_skip=t_skip)
     flow(section.surface, field, state, sign * max_time, options,
          observer=lambda chart, step, off: monitor(chart, step, off))
     if not monitor.hits:

@@ -55,6 +55,13 @@ def _check_keys(obj, allowed, where):
                           f"allowed: {sorted(allowed)}")
 
 
+def _number(value, where, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def _build_surface(cfg):
     _check_keys(cfg, {"kind", "params"}, "surface")
     kind = cfg.get("kind")
@@ -114,7 +121,7 @@ _STAGE_KEYS = {
 }
 
 _TOP_KEYS = {"surface", "field", "energy", "seeds", "pipeline", "out_dir",
-             "seed", "workers", "integrator"}
+             "seed", "integrator"}
 
 
 class Scenario:
@@ -122,11 +129,10 @@ class Scenario:
         _check_keys(cfg, _TOP_KEYS, path)
         self.surface = _build_surface(cfg.get("surface", {"kind": "torus"}))
         self.field = _build_field(cfg.get("field", {"kind": "constant"}))
-        self.c = float(cfg.get("energy", 0.5))
-        if self.c <= 0:
+        self.c = _number(cfg.get("energy", 0.5), "energy")
+        if not self.c > 0:
             raise ConfigError("energy must be positive")
-        self.random_seed = int(cfg.get("seed", 0))
-        self.workers = int(cfg.get("workers", 1))
+        self.random_seed = _number(cfg.get("seed", 0), "seed", int)
         self.out_dir = cfg.get("out_dir", "maglab_out")
         icfg = cfg.get("integrator", {})
         _check_keys(icfg, {"rel_tol", "abs_tol", "max_step"}, "integrator")
@@ -134,9 +140,10 @@ class Scenario:
         self.seeds = []
         for i, s in enumerate(cfg.get("seeds", [])):
             _check_keys(s, {"chart", "x", "y", "vx", "vy"}, f"seeds[{i}]")
-            self.seeds.append(PhasePoint(int(s.get("chart", 0)), float(s["x"]),
-                                         float(s["y"]), float(s["vx"]),
-                                         float(s["vy"])))
+            self.seeds.append(PhasePoint(
+                _number(s.get("chart", 0), f"seeds[{i}].chart", int),
+                *(_number(s.get(k), f"seeds[{i}].{k}")
+                  for k in ("x", "y", "vx", "vy"))))
         self.pipeline = []
         for i, st in enumerate(cfg.get("pipeline", [])):
             kind = st.get("stage")
@@ -241,32 +248,13 @@ def _stage_orbits(sc, st, ctx):
     orbits = []
     failures = []
 
-    def shoot(seed):
-        return find_closed_orbit(sc.surface, sc.field, sc.c, seed, tol=tol,
-                                 options=sc.options, max_time=max_time,
-                                 class_tol=class_tol, half_width=half_width)
-
-    # searches are independent; fold results in seed order for determinism
-    results = []
-    if sc.workers > 1 and len(sc.seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=sc.workers) as pool:
-            futures = [pool.submit(shoot, seed) for seed in sc.seeds]
-            for i, fut in enumerate(futures):
-                try:
-                    results.append((i, fut.result(), None))
-                except MaglabError as exc:
-                    results.append((i, None, str(exc)))
-    else:
-        for i, seed in enumerate(sc.seeds):
-            try:
-                results.append((i, shoot(seed), None))
-            except MaglabError as exc:
-                results.append((i, None, str(exc)))
-    for i, orb, err in results:
-        if err is not None:
-            failures.append({"seed_index": i, "error": err})
+    for i, seed in enumerate(sc.seeds):
+        try:
+            orb = find_closed_orbit(sc.surface, sc.field, sc.c, seed, tol=tol,
+                                    options=sc.options, max_time=max_time,
+                                    class_tol=class_tol, half_width=half_width)
+        except MaglabError as exc:
+            failures.append({"seed_index": i, "error": str(exc)})
             continue
         if not db.is_duplicate(orb, sc.surface):
             db.add(orb)
@@ -298,12 +286,21 @@ def _stage_classify(sc, st, ctx):
     return {"stage": "classify", "orbits": entries}
 
 
+def _orbit_at(orbits, idx):
+    """orbits[idx]; an index past the orbits found is a stage failure."""
+    try:
+        return orbits[idx]
+    except IndexError:
+        raise MaglabError(f"orbit_index {idx} out of range: {len(orbits)} "
+                          f"orbit(s) found") from None
+
+
 def _stage_twist(sc, st, ctx):
     orbits = ctx.get("orbits")
     if not orbits:
         raise ConfigError("twist stage requires found orbits")
     idx = st.get("orbit_index")
-    cands = [orbits[idx]] if idx is not None else [
+    cands = [_orbit_at(orbits, idx)] if idx is not None else [
         o for o in orbits if o.floquet_class == "elliptic"]
     if not cands:
         raise MaglabError("no elliptic orbit available for the twist stage")
@@ -343,7 +340,7 @@ def _stage_franks(sc, st, ctx):
     idx = st.get("orbit_index")
     orb = None
     if idx is not None:
-        orb = orbits[idx]
+        orb = _orbit_at(orbits, idx)
     else:
         for o in orbits:
             if o.floquet_class == "hyperbolic":
@@ -398,7 +395,7 @@ def _entropy_oracle(sc, st, ctx):
     if not orbits:
         raise ConfigError("entropy stage needs an injected map or orbits")
     idx = st.get("orbit_index", 0)
-    orb = orbits[idx]
+    orb = _orbit_at(orbits, idx)
     if orb.floquet_class != "hyperbolic":
         raise MaglabError("entropy from flow needs a hyperbolic orbit")
     rmap = SectionReturnMap(orb.section, sc.field, options=sc.options)

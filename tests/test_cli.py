@@ -42,6 +42,34 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def _torus_config(tmp_path, **changes):
+    cfg = json.loads(open(scenario_path("torus_geodesic.json")).read())
+    cfg["out_dir"] = str(tmp_path / "o")
+    cfg.update(changes)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_cli_seed_without_x_is_config_error(tmp_path):
+    path = _torus_config(tmp_path, seeds=[{"chart": 0, "y": 0.0, "vx": 1.0,
+                                           "vy": 0.0}])
+    assert main(["run", "--config", path]) == 2
+
+
+def test_cli_nonnumeric_energy_is_config_error(tmp_path):
+    path = _torus_config(tmp_path, energy="abc")
+    assert main(["run", "--config", path]) == 2
+
+
+def test_cli_missing_orbit_index_keeps_partial_reports(tmp_path):
+    path = _torus_config(tmp_path, pipeline=[
+        {"stage": "orbits", "tol": 1e-10},
+        {"stage": "twist", "orbit_index": 5}])
+    assert main(["run", "--config", path]) == 3
+    assert os.listdir(tmp_path / "o") == ["orbits.json"]
+
+
 def test_cli_missing_stage(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"surface": {"kind": "torus"},

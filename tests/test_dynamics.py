@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maglab.errors import StiffnessError
+from maglab.errors import NonFiniteError, StiffnessError
 from maglab.geometry import PhasePoint, energy, sphere
 from maglab.field import MagneticField, ConstantField, ZonalSphereField
 from maglab.dynamics import (
@@ -159,6 +159,12 @@ def test_stiffness_detection():
     with pytest.raises(StiffnessError):
         integrate(lambda t, y: (y[0] * y[0],), 0.0, (1.0,), 2.0,
                   rtol=1e-8, atol=1e-10)
+
+
+def test_nan_rhs_raises():
+    """An RHS that turns NaN mid-run must not end as a finished solution."""
+    with pytest.raises(NonFiniteError):
+        integrate(lambda t, y: (math.nan if t > 0.5 else 1.0,), 0.0, (0.0,), 1.0)
 
 
 def test_dense_output_precision():

@@ -187,8 +187,8 @@ def test_response_linearity(hyper_setup):
     rng = np.random.default_rng(3)
     A1 = PerturbA.random_unit(rng)
     A2 = PerturbA.random_unit(rng)
-    b1 = lambda t: _del_b(t, A1, consts, kit.kmag_base)
-    b2 = lambda t: _del_b(t, A2, consts, kit.kmag_base)
+    b1 = lambda t: _del_b(t, A1, consts, kit.kmag_base(t))
+    b2 = lambda t: _del_b(t, A2, consts, kit.kmag_base(t))
     b12 = lambda t: b1(t) + b2(t)
     Z1 = variational_response(kit, b1)
     Z2 = variational_response(kit, b2)
@@ -220,13 +220,24 @@ def test_response_fd_cross_check_cut_direction(hyper_setup):
     A = PerturbA(0.6, 0.0, 0.3)
     n = A.norm()
     A = PerturbA(A.a / n, A.b / n, A.c / n)
-    bdir = lambda t: _del_b(t, A, consts, kit.kmag_base)
+    bdir = lambda t: _del_b(t, A, consts, kit.kmag_base(t))
     Z = variational_response(kit, bdir)
     s = 1e-12
     S0 = kit.response(None)
     S1 = kit.response(lambda t, km: s * bdir(t))
     fd = (S1 - S0) / s
     assert np.abs(fd - Z).max() <= 1e-2 * max(1.0, np.abs(Z).max())
+
+
+def test_callbacks_see_base_kmag_at_stage_times(hyper_setup):
+    """response_derivative hands each callback the base K_mag at its time."""
+    _, _, kit, _ = hyper_setup
+    seen = []
+    Z = kit.response_derivative(lambda t, km: seen.append((t, km)) or 0.0)
+    assert np.abs(Z).max() == 0.0
+    assert len(seen) == 3 * kit.n_window_steps
+    for t, km in seen[::997] + seen[-2:]:
+        assert km == kit.kmag_base(t)
 
 
 def test_franks_response_matches_variational(hyper_setup, torus, sin_field,
@@ -305,7 +316,7 @@ def test_verify_cota(hyper_setup):
 def test_cota_zero_direction_trivial(hyper_setup):
     _, _, kit, consts = hyper_setup
     Z = variational_response(kit, lambda t: _del_b(t, PerturbA(0, 0, 0), consts,
-                                                   kit.kmag_base))
+                                                   kit.kmag_base(t)))
     assert np.linalg.norm(Z, 2) == 0.0  # 0 >= 0 trivially
 
 
