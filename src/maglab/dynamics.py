@@ -54,7 +54,7 @@ class IntegratorOptions:
         )
 
 
-def _chart_rhs(surface, field, chart, c):
+def _chart_rhs(surface, field, chart):
     """RHS of the trajectory ODE in one chart (state = (x, y, vx, vy))."""
     metric_of = surface.charts[chart].metric
     wrap = surface.kind == "torus"
@@ -68,7 +68,7 @@ def _chart_rhs(surface, field, chart, c):
         else:
             xm, ym = x, yy
         md = metric_of(xm, ym)
-        f = fval(surface, chart, xm, ym)
+        f = fval(chart, xm, ym)
         if md.lam_x == 0.0 and md.lam_y == 0.0:
             g1 = 0.0
             g2 = 0.0
@@ -93,7 +93,7 @@ def _chart_rhs_variational(surface, field, chart, c):
         else:
             xm, ym = x, yy
         md = metric_of(xm, ym)
-        f, (fx, fy) = feval(surface, chart, xm, ym)
+        f, (fx, fy) = feval(chart, xm, ym)
         if md.lam_x == 0.0 and md.lam_y == 0.0:
             g1 = 0.0
             g2 = 0.0
@@ -200,7 +200,7 @@ class Trajectory:
 
 
 class VariationalPath:
-    """Fundamental matrix X(t) of the reduced variational system plus drift row."""
+    """X(t) of the reduced variational system (the drift row only steers steps)."""
 
     def __init__(self, trajectory):
         if trajectory.dim != 10:
@@ -210,10 +210,6 @@ class VariationalPath:
     def matrix(self, t):
         _, y = self._traj.raw(t)
         return np.array([[y[4], y[5]], [y[6], y[7]]])
-
-    def drift_row(self, t):
-        _, y = self._traj.raw(t)
-        return np.array([y[8], y[9]])
 
     def det_defect(self, n=64):
         ts = self._traj.times(n)
@@ -248,7 +244,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
 
     while t_done < horizon - 1e-14:
         if dim == 4:
-            base = _chart_rhs(surface, field, chart, c)
+            base = _chart_rhs(surface, field, chart)
         else:
             base = _chart_rhs_variational(surface, field, chart, c)
         rhs = base if sign > 0 else (lambda t, yy: tuple(-v for v in base(t, yy)))
@@ -271,6 +267,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
                         hi = mid
                 stop_reason["exit_time"] = _offset + lo
                 return False
+            # the one definition of the sphere switch radius (chart radius 2)
             if sphere and x * x + yy * yy > 4.0:
                 stop_reason["kind"] = "switch"
                 return False
@@ -357,30 +354,23 @@ def magnetic_curvature(surface, field, trajectory, t):
 def magnetic_curvature_at(surface, field, state, c):
     xm, ym = surface.wrap_position(state.x, state.y)
     md = surface.metric_at(state.chart, xm, ym)
-    f, (fx, fy) = field.eval(surface, state.chart, xm, ym)
+    f, (fx, fy) = field.eval(state.chart, xm, ym)
     return 2.0 * c * md.curvature + f * f + fx * state.vy - fy * state.vx
 
 
-def injectivity_time(surface, field, c, denominator="2c"):
+def injectivity_time(surface, field, c):
     """Lower bound K(c, f) = min{1/(|f|_C0 + 1)^2, i(M,g)/(2c)}.
 
-    Any closed orbit must have minimal period at least K, since the projected
-    trajectory is injective on [0, K).  (The source statement says "period at
-    most K"; injectivity forces the opposite reading, which is what this
-    bound reports.)  `denominator="sqrt2c"` switches the second argument to
-    i(M,g)/sqrt(2c) in case time rather than length units are wanted.
+    |f|_C0 is `field.c0_norm`: the closed-form sup-norm bound of the field
+    with a 1% margin, not a sample.  Any closed orbit must have minimal
+    period at least K, since the projected trajectory is injective on
+    [0, K).  (The source statement says "period at most K"; injectivity
+    forces the opposite reading, which is what this bound reports.)
     """
     if c <= 0:
         raise ValueError("energy must be positive")
-    fmax = field.c0_norm(surface)
-    first = 1.0 / (fmax + 1.0) ** 2
-    if denominator == "2c":
-        second = surface.injectivity_radius / (2.0 * c)
-    elif denominator == "sqrt2c":
-        second = surface.injectivity_radius / math.sqrt(2.0 * c)
-    else:
-        raise ValueError("denominator must be '2c' or 'sqrt2c'")
-    return min(first, second)
+    first = 1.0 / (field.c0_norm(surface) + 1.0) ** 2
+    return min(first, surface.injectivity_radius / (2.0 * c))
 
 
 # -- independent finite-difference check of the variational flow -------------
@@ -412,12 +402,12 @@ def _frame_coords(surface, field, base: PhasePoint, other: PhasePoint, c):
     ycoord = lam2 * (dx[0] * u[0] + dx[1] * u[1]) / two_c
     gam = _conformal_gamma(md, dx, v)
     dvc = (other.vx - base.vx + gam[0], other.vy - base.vy + gam[1])
-    fval = field.value(surface, base.chart, *surface.wrap_position(base.x, base.y))
+    fval = field.value(base.chart, *surface.wrap_position(base.x, base.y))
     ydot = lam2 * (dvc[0] * u[0] + dvc[1] * u[1]) / two_c - xdrift * fval
     return (xdrift, ycoord, ydot)
 
 
-def _offset_state(surface, field, state: PhasePoint, c, h, direction):
+def _offset_state(surface, state: PhasePoint, c, h, direction):
     """State offset h e1 (direction=0, horizontal) or h e2 (=1, vertical)."""
     md = surface.metric_at(state.chart, *surface.wrap_position(state.x, state.y))
     u = (-state.vy, state.vx)
@@ -449,8 +439,8 @@ def fd_monodromy(surface, field, state, T, h=1e-5, options=None):
     base_end = flow(surface, field, state, T, options).end_state()
     cols = []
     for direction in (0, 1):
-        plus = _offset_state(surface, field, state, c, h, direction)
-        minus = _offset_state(surface, field, state, c, -h, direction)
+        plus = _offset_state(surface, state, c, h, direction)
+        minus = _offset_state(surface, state, c, -h, direction)
         end_p = flow(surface, field, plus, T, options).end_state()
         end_m = flow(surface, field, minus, T, options).end_state()
         _, yp, dp = _frame_coords(surface, field, base_end, end_p, c)

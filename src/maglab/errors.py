@@ -49,5 +49,9 @@ class DataInconsistencyError(MaglabError):
     """Numerical data contradicts a structural constraint (e.g. period vs. injectivity time)."""
 
 
+class BracketError(MaglabError, ValueError):
+    """A search range does not bracket the sought value."""
+
+
 class ConfigError(MaglabError):
     """Scenario configuration failed validation."""

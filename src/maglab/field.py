@@ -1,7 +1,9 @@
 """Magnetic intensity functions f with Omega = f * (area form).
 
-A MagneticField is a base intensity with analytic chart gradients plus an
-ordered list of localized tubular perturbations added pointwise.  On a closed
+A MagneticField is a base intensity plus an ordered list of localized
+tubular perturbations added pointwise.  Every field evaluates through
+`value(chart, x, y)` and `eval(chart, x, y) -> (f, (fx, fy))` and bounds
+itself by the closed form `sup_norm(surface)`.  On a closed
 surface, f * Omega_0 is exact iff the total integral of f vanishes; localized
 perturbations are built so their surface integral is exactly zero and they
 vanish identically on the core curve of their tube.
@@ -63,11 +65,14 @@ class ConstantField:
     def __init__(self, value):
         self.const = float(value)
 
-    def value(self, surface, chart, x, y):
+    def value(self, chart, x, y):
         return self.const
 
-    def gradient(self, surface, chart, x, y):
-        return (0.0, 0.0)
+    def eval(self, chart, x, y):
+        return (self.const, (0.0, 0.0))
+
+    def sup_norm(self, surface):
+        return abs(self.const)
 
     def describe(self):
         return {"kind": "constant", "value": self.const}
@@ -84,12 +89,18 @@ class SinusoidalTorusField:
     def _arg(self, x, y):
         return 2.0 * math.pi * (self.k[0] * x + self.k[1] * y) + self.phase
 
-    def value(self, surface, chart, x, y):
+    def value(self, chart, x, y):
         return self.amplitude * math.sin(self._arg(x, y))
 
-    def gradient(self, surface, chart, x, y):
-        s = 2.0 * math.pi * self.amplitude * math.cos(self._arg(x, y))
-        return (s * self.k[0], s * self.k[1])
+    def eval(self, chart, x, y):
+        arg = self._arg(x, y)
+        s = 2.0 * math.pi * self.amplitude * math.cos(arg)
+        return (self.amplitude * math.sin(arg), (s * self.k[0], s * self.k[1]))
+
+    def sup_norm(self, surface):
+        if self.k == (0, 0):
+            return abs(self.amplitude * math.sin(self.phase))
+        return abs(self.amplitude)
 
     def describe(self):
         return {"kind": "sinusoidal", "amplitude": self.amplitude,
@@ -108,14 +119,19 @@ class ZonalSphereField:
     def _signed(self, chart):
         return self.amplitude if chart == 0 else -self.amplitude
 
-    def value(self, surface, chart, x, y):
+    def value(self, chart, x, y):
         r2 = x * x + y * y
         return self._signed(chart) * (1.0 - r2) / (1.0 + r2)
 
-    def gradient(self, surface, chart, x, y):
+    def eval(self, chart, x, y):
         r2 = x * x + y * y
-        s = self._signed(chart) * (-4.0) / (1.0 + r2) ** 2
-        return (s * x, s * y)
+        a = self._signed(chart)
+        s = a * (-4.0) / (1.0 + r2) ** 2
+        return (a * (1.0 - r2) / (1.0 + r2), (s * x, s * y))
+
+    def sup_norm(self, surface):
+        """|A|, attained at the chart origin (a pole)."""
+        return abs(self.amplitude)
 
     def describe(self):
         return {"kind": "zonal", "amplitude": self.amplitude}
@@ -127,26 +143,36 @@ class PolynomialField:
     def __init__(self, coeffs):
         self.coeffs = [[float(c) for c in row] for row in coeffs]
 
-    def value(self, surface, chart, x, y):
-        total = 0.0
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0.0:
-                    total += c * x**i * y**j
-        return total
+    def value(self, chart, x, y):
+        return self.eval(chart, x, y)[0]
 
-    def gradient(self, surface, chart, x, y):
+    def eval(self, chart, x, y):
+        total = 0.0
         fx = 0.0
         fy = 0.0
         for i, row in enumerate(self.coeffs):
             for j, c in enumerate(row):
                 if c == 0.0:
                     continue
+                total += c * x**i * y**j
                 if i > 0:
                     fx += i * c * x ** (i - 1) * y**j
                 if j > 0:
                     fy += j * c * x**i * y ** (j - 1)
-        return (fx, fy)
+        return (total, (fx, fy))
+
+    def sup_norm(self, surface):
+        """sum |c_ij| rho^(i+j), a bound over the chart box |x|, |y| <= rho.
+
+        rho is 1 on the torus and sphere charts and the disk radius on the
+        planar chart.
+        """
+        rho = surface.charts[0].radius if surface.kind == "planar" else 1.0
+        total = 0.0
+        for i, row in enumerate(self.coeffs):
+            for j, c in enumerate(row):
+                total += abs(c) * rho**i * rho**j
+        return total
 
     def describe(self):
         return {"kind": "polynomial", "coeffs": self.coeffs}
@@ -197,8 +223,8 @@ class PerturbationField:
     def c1_report(self):
         return C1NormReport(self.b_c0, self.b_c1, self.eps0)
 
-    def norm_bound(self):
-        """Conservative sup bound used when grid sampling could miss the tube."""
+    def sup_norm(self, surface):
+        """sup |h| <= eps0 max|a| |b|_C0 / min omega."""
         # max |a| = a(1/6) for the template; omega >= omega_min on the tube
         amax = bump_a(1.0 / 6.0)
         return self.eps0 * amax * self.b_c0 / self.tube.omega_min()
@@ -219,7 +245,7 @@ class PerturbationField:
         hu = (ap * b - a * b * wu * inv) * inv
         return (h, ht, hu)
 
-    def value(self, surface, chart, x, y):
+    def value(self, chart, x, y):
         if chart != self.chart:
             return 0.0
         loc = self.tube.invert(x, y)
@@ -231,7 +257,7 @@ class PerturbationField:
             return 0.0
         return self.eval_tube(t, u)[0]
 
-    def eval(self, surface, chart, x, y):
+    def eval(self, chart, x, y):
         """(h, chart gradient of h)."""
         if chart != self.chart:
             return (0.0, (0.0, 0.0))
@@ -264,27 +290,17 @@ class MagneticField:
     def __init__(self, base, perturbations=()):
         self.base = base
         self.perturbations = tuple(perturbations)
-        self._c0_cache = {}
 
-    def value(self, surface, chart, x, y):
-        f = self.base.value(surface, chart, x, y)
+    def value(self, chart, x, y):
+        f = self.base.value(chart, x, y)
         for p in self.perturbations:
-            f += p.value(surface, chart, x, y)
+            f += p.value(chart, x, y)
         return f
 
-    def gradient(self, surface, chart, x, y):
-        gx, gy = self.base.gradient(surface, chart, x, y)
+    def eval(self, chart, x, y):
+        f, (gx, gy) = self.base.eval(chart, x, y)
         for p in self.perturbations:
-            _, (px, py) = p.eval(surface, chart, x, y)
-            gx += px
-            gy += py
-        return (gx, gy)
-
-    def eval(self, surface, chart, x, y):
-        f = self.base.value(surface, chart, x, y)
-        gx, gy = self.base.gradient(surface, chart, x, y)
-        for p in self.perturbations:
-            h, (px, py) = p.eval(surface, chart, x, y)
+            h, (px, py) = p.eval(chart, x, y)
             f += h
             gx += px
             gy += py
@@ -293,43 +309,20 @@ class MagneticField:
     def with_perturbation(self, p):
         return MagneticField(self.base, self.perturbations + (p,))
 
-    def c0_norm(self, surface, n=512):
-        """sup |f| estimated on an n x n grid per chart, inflated by 1%."""
-        key = (id(surface), n)
-        if key in self._c0_cache:
-            return self._c0_cache[key]
-        best = 0.0
-        for chart in range(len(surface.charts)):
-            xs, ys = _chart_sample_grid(surface, chart, n)
-            for x, y in zip(xs, ys):
-                best = max(best, abs(self.base.value(surface, chart, x, y)))
+    def sup_norm(self, surface):
+        """Closed-form bound on sup |f|: the sum of the parts' bounds."""
+        best = self.base.sup_norm(surface)
         for p in self.perturbations:
-            best += p.norm_bound()
-        best *= 1.01
-        self._c0_cache[key] = best
+            best += p.sup_norm(surface)
         return best
+
+    def c0_norm(self, surface):
+        """|f|_C0 for the injectivity time: sup_norm inflated by 1%."""
+        return 1.01 * self.sup_norm(surface)
 
     def describe(self):
         return {"base": self.base.describe(),
                 "perturbations": [p.describe() for p in self.perturbations]}
-
-
-def _chart_sample_grid(surface, chart, n):
-    if surface.kind == "torus":
-        g = np.linspace(0.0, 1.0, n, endpoint=False)
-    elif surface.kind == "sphere":
-        g = np.linspace(-1.0, 1.0, n)
-    else:  # planar
-        r = surface.charts[chart].radius
-        g = np.linspace(-r, r, n)
-    xs, ys = np.meshgrid(g, g)
-    xs = xs.ravel()
-    ys = ys.ravel()
-    if surface.kind == "planar":
-        r = surface.charts[chart].radius
-        mask = xs * xs + ys * ys < r * r
-        xs, ys = xs[mask], ys[mask]
-    return xs, ys
 
 
 # -- exactness -----------------------------------------------------------------
@@ -395,8 +388,7 @@ def is_exact(field, surface, tol=1e-9, panels=64, brute=False):
         target = field
     else:
         target = MagneticField(field.base) if isinstance(field, MagneticField) else field
-    integral = surface_integral(surface, lambda ch, x, y: target.value(surface, ch, x, y),
-                                panels=panels)
+    integral = surface_integral(surface, target.value, panels=panels)
     return ExactnessReport(integral, abs(integral) <= tol, tol)
 
 

@@ -99,7 +99,7 @@ class TubularChart:
         self._ts = ts
         self._pos = np.array([[s.x, s.y] for s in states])
         self._f0 = np.array([
-            field.value(surface, self.chart_id, *surface.wrap_position(s.x, s.y))
+            field.value(self.chart_id, *surface.wrap_position(s.x, s.y))
             for s in states
         ])
         self.field = field
@@ -112,14 +112,8 @@ class TubularChart:
 
     def core_f(self, t):
         st = self.traj.state(t)
-        return self.field.value(self.surface, self.chart_id,
+        return self.field.value(self.chart_id,
                                 *self.surface.wrap_position(st.x, st.y))
-
-    def core_fdot(self, t):
-        st = self.traj.state(t)
-        g = self.field.gradient(self.surface, self.chart_id,
-                                *self.surface.wrap_position(st.x, st.y))
-        return g[0] * st.vx + g[1] * st.vy
 
     # chart maps -----------------------------------------------------------
 
@@ -137,8 +131,10 @@ class TubularChart:
 
     def omega(self, t, u):
         """Relative area density and its (t, u) partials."""
-        f0 = self.core_f(t)
-        return (1.0 - u * f0, -u * self.core_fdot(t), -f0)
+        st = self.traj.state(t)
+        f0, (gx, gy) = self.field.eval(self.chart_id,
+                                       *self.surface.wrap_position(st.x, st.y))
+        return (1.0 - u * f0, -u * (gx * st.vx + gy * st.vy), -f0)
 
     def omega_min(self):
         m = 1.0 - 0.5 * self.eps0 * float(np.max(np.abs(self._f0)))
@@ -186,28 +182,30 @@ class TubularChart:
 
         Compares chart distances against tubular-coordinate distances:
         distinct parameter pairs whose images nearly coincide flag an
-        overlap (wrap collisions on the torus included).
+        overlap (wrap collisions on the torus included).  The pairwise
+        distances are formed 100 rows at a time to bound memory.
         """
         ts = np.linspace(0.0, self.T, nt)
         us = np.linspace(-0.999 * self.eps0, 0.999 * self.eps0, nu)
         pts = np.array([self.psi(t, u) for t in ts for u in us])
         speed = math.sqrt(2.0 * self.c)
         tub = np.array([[t * speed, u] for t in ts for u in us])
-        d = pts[:, None, :] - pts[None, :, :]
-        if self.surface.kind == "torus":
-            d = d - np.round(d)
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-        dt = tub[:, None, :] - tub[None, :, :]
-        tub_dist = np.sqrt(np.einsum("ijk,ijk->ij", dt, dt))
         grid_h = max(self.T * speed / (nt - 1), 2.0 * self.eps0 / (nu - 1))
-        mask = tub_dist > 4.0 * grid_h
-        if not mask.any():
-            return {"injective": True, "min_ratio": float("inf")}
-        ratio = float((dist[mask] / tub_dist[mask]).min())
+        ratio = math.inf
+        for i in range(0, len(pts), 100):
+            d = pts[i:i + 100, None, :] - pts[None, :, :]
+            if self.surface.kind == "torus":
+                d = d - np.round(d)
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+            dt = tub[i:i + 100, None, :] - tub[None, :, :]
+            tub_dist = np.sqrt(np.einsum("ijk,ijk->ij", dt, dt))
+            mask = tub_dist > 4.0 * grid_h
+            if mask.any():
+                ratio = min(ratio, float((dist[mask] / tub_dist[mask]).min()))
         return {"injective": ratio > 0.3, "min_ratio": ratio}
 
 
-def build_tubular_chart(surface, field, state, T, eps0, c=None, options=None,
+def build_tubular_chart(surface, field, state, T, eps0, options=None,
                         eps_min=1e-5):
     """Tubular chart around the orbit segment through `state` of length T.
 
@@ -526,16 +524,28 @@ def build_franks_kit(surface, field, state, T, eps0=0.02, options=None):
 # -- constants computation ----------------------------------------------------------
 
 
-def _kmag_c0_norm(surface, field, c, n_pos=96, n_dir=24):
-    """Certified-ish sup of |K_mag| over the energy level by sampling."""
-    from .field import _chart_sample_grid
+def _chart_sample_grid(surface, chart, n):
+    """n x n grid on the chart box (on the planar chart, its points in the disk)."""
+    if surface.kind == "torus":
+        g = np.linspace(0.0, 1.0, n, endpoint=False)
+    else:
+        r = surface.charts[chart].radius if surface.kind == "planar" else 1.0
+        g = np.linspace(-r, r, n)
+    xs, ys = (a.ravel() for a in np.meshgrid(g, g))
+    if surface.kind == "planar":
+        inside = xs * xs + ys * ys < r * r
+        xs, ys = xs[inside], ys[inside]
+    return xs, ys
 
+
+def _kmag_c0_norm(surface, field, c, n_pos=96):
+    """Sup of |K_mag| over the energy level, sampled on an n_pos^2 grid per chart."""
     best = 0.0
     for chart in range(len(surface.charts)):
         xs, ys = _chart_sample_grid(surface, chart, n_pos)
         for x, y in zip(xs, ys):
             md = surface.metric_at(chart, *surface.wrap_position(x, y))
-            f, (fx, fy) = field.eval(surface, chart, *surface.wrap_position(x, y))
+            f, (fx, fy) = field.eval(chart, *surface.wrap_position(x, y))
             speed = math.sqrt(2.0 * c) / md.lam
             base = 2.0 * c * md.curvature + f * f
             amp = speed * math.hypot(fx, fy)
@@ -700,15 +710,6 @@ def _unit_directions():
     return dirs
 
 
-def _expm1_over_delta(y, delta):
-    """expm1(y)/delta with y = -alpha*delta*c, stable as delta -> 0."""
-    if delta == 0.0:
-        return 0.0
-    if abs(y) < 1e-6:
-        return (y * (1.0 + 0.5 * y * (1.0 + y / 3.0))) / delta
-    return math.expm1(y) / delta
-
-
 def _beta_A(t, A: PerturbA, consts, kmag):
     """beta_A(t) = alpha (delta a + delta' b) + (K0 + Delta''/2Delta)(e^{-alpha Delta c}-1).
 
@@ -721,7 +722,8 @@ def _beta_A(t, A: PerturbA, consts, kmag):
     Dv = D.value(t)
     y = -al * Dv * A.c
     em1 = math.expm1(y) if abs(y) >= 1e-6 else y * (1.0 + 0.5 * y * (1.0 + y / 3.0))
-    out += kmag * em1 + 0.5 * D.d2(t) * _expm1_over_delta(y, Dv)
+    # em1 / Dv stays finite as Dv -> 0 since y = -al * Dv * c
+    out += kmag * em1 + 0.5 * D.d2(t) * (em1 / Dv if Dv != 0.0 else 0.0)
     return out
 
 

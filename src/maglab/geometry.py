@@ -109,8 +109,6 @@ class _FlatChart:
 class _SphereChart:
     """Stereographic chart of the round sphere, lam = 2R/(1+|z|^2)."""
 
-    #: switch to the companion chart beyond this chart radius
-    R_SWITCH = 2.0
     #: hard validity limit for evaluations
     R_MAX = 8.0
 

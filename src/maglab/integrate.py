@@ -5,7 +5,7 @@ need machinery solve_ivp does not expose: a per-step projection hook (energy
 renormalization), step-by-step observation for section-event detection on the
 dense interpolant, and mid-integration state surgery for chart switching.
 
-State vectors are plain tuples of floats; dimensions are small (4 or 11) and
+State vectors are plain tuples of floats; dimensions are small (4 or 10) and
 tuple arithmetic beats numpy at this size.
 """
 

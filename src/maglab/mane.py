@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import UnsupportedSurfaceError
+from .errors import BracketError, UnsupportedSurfaceError
 from .dynamics import flow, IntegratorOptions
 
 __all__ = [
@@ -98,7 +98,7 @@ class LagrangianSpec:
         g = np.linspace(0.0, 1.0, n, endpoint=False)
         X, Y = np.meshgrid(g, g)
         mine = self.induced_intensity(X.ravel(), Y.ravel())
-        theirs = np.array([field.value(self.surface, 0, x, y)
+        theirs = np.array([field.value(0, x, y)
                            for x, y in zip(X.ravel(), Y.ravel())])
         return float(np.max(np.abs(mine - theirs)))
 
@@ -302,10 +302,10 @@ def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4
     found_lo = _negative_loop_search(lagrangian, lo, rng, modes, restarts,
                                      maxiter, n_nodes)
     if found_lo is None:
-        raise ValueError(f"k_range does not bracket: no negative loop at k={lo}")
+        raise BracketError(f"k_range does not bracket: no negative loop at k={lo}")
     if _negative_loop_search(lagrangian, hi, rng, modes, restarts, maxiter,
                              n_nodes) is not None:
-        raise ValueError(f"k_range does not bracket: negative loop found at k={hi}")
+        raise BracketError(f"k_range does not bracket: negative loop found at k={hi}")
     witness, w_action = found_lo
     evals = 2
     while hi - lo > bisection_tol:

@@ -58,7 +58,7 @@ def _check_keys(obj, allowed, where):
 def _number(value, where, kind=float):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
 
 
@@ -120,6 +120,14 @@ _STAGE_KEYS = {
                        "maxiter", "modes"},
 }
 
+# scalar numeric stage keys (same type in every stage), converted at load
+_STAGE_NUMBERS = dict.fromkeys(
+    ("t_final", "tol", "max_time", "half_width", "class_tol", "fd_scale", "eps0",
+     "eps_c1", "arclength", "angle_tol", "bisection_tol"), float)
+_STAGE_NUMBERS.update(dict.fromkeys(
+    ("n_samples", "orbit_index", "n_iter", "cota_samples", "targets",
+     "segments", "k_max", "restarts", "maxiter", "modes"), int))
+
 _TOP_KEYS = {"surface", "field", "energy", "seeds", "pipeline", "out_dir",
              "seed", "integrator"}
 
@@ -149,8 +157,13 @@ class Scenario:
             kind = st.get("stage")
             if kind not in _STAGE_KEYS:
                 raise ConfigError(f"unknown stage {kind!r} in pipeline[{i}]")
-            _check_keys(st, _STAGE_KEYS[kind], f"pipeline[{i}] ({kind})")
-            self.pipeline.append(dict(st))
+            where = f"pipeline[{i}] ({kind})"
+            _check_keys(st, _STAGE_KEYS[kind], where)
+            st = dict(st)
+            for key, num in _STAGE_NUMBERS.items():
+                if key in st:
+                    st[key] = _number(st[key], f"{where}.{key}", num)
+            self.pipeline.append(st)
         self.cfg = cfg
 
 

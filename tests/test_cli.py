@@ -70,6 +70,25 @@ def test_cli_missing_orbit_index_keeps_partial_reports(tmp_path):
     assert os.listdir(tmp_path / "o") == ["orbits.json"]
 
 
+@pytest.mark.parametrize("pipeline", [
+    [{"stage": "orbits", "tol": "abc"}],
+    [{"stage": "orbits"}, {"stage": "twist", "orbit_index": "a"}],
+], ids=["tol", "orbit_index"])
+def test_cli_nonnumeric_stage_parameter_is_config_error(tmp_path, pipeline):
+    path = _torus_config(tmp_path, pipeline=pipeline)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()  # rejected before any stage ran
+
+
+def test_cli_unbracketed_critical_value_keeps_partial_reports(tmp_path):
+    path = _torus_config(tmp_path, pipeline=[
+        {"stage": "orbits", "tol": 1e-10},
+        {"stage": "critical-value", "k_range": [0.1, 1.0], "restarts": 2,
+         "maxiter": 50}])
+    assert main(["run", "--config", path]) == 3
+    assert os.listdir(tmp_path / "o") == ["orbits.json"]
+
+
 def test_cli_missing_stage(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"surface": {"kind": "torus"},

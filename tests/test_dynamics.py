@@ -88,9 +88,6 @@ def test_injectivity_time_values(torus, disk, zero_field, minus_one_field):
     assert got <= 0.25
     # doubling c halves the injectivity-radius argument
     assert injectivity_time(torus, zero_field, 1.0) == 0.25
-    # the configurable speed-scaling variant
-    assert injectivity_time(torus, zero_field, 0.5, denominator="sqrt2c") == \
-        pytest.approx(min(1.0, 0.5))
 
 
 def test_flow_composition(torus, sin_field, tight_options):
@@ -123,7 +120,7 @@ def test_ode_residual_at_midpoints(torus, sin_field):
     rtol, atol = 1e-10, 1e-12
     opts = IntegratorOptions(rel_tol=rtol, abs_tol=atol)
     traj = flow(torus, sin_field, PhasePoint(0, 0.1, 0.2, 0.6, 0.8), 5.0, opts)
-    rhs = _chart_rhs(torus, sin_field, 0, traj.c)
+    rhs = _chart_rhs(torus, sin_field, 0)
     worst = 0.0
     for step in traj.segments[0].sol.steps[1:40]:
         tmid = 0.5 * (step.t0 + step.t1)

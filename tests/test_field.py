@@ -1,14 +1,18 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+from hypothesis import example, given, settings, strategies as st
 
 from maglab.errors import UnsupportedSurfaceError
 from maglab.field import (
     C1NormReport,
     ConstantField,
     MagneticField,
+    PolynomialField,
     SinusoidalTorusField,
     ZonalSphereField,
     bump_a,
@@ -16,24 +20,24 @@ from maglab.field import (
     is_exact,
     add_perturbation,
 )
-from maglab.geometry import PhasePoint
+from maglab.geometry import PhasePoint, flat_torus, planar_chart, sphere
 from maglab.franks import build_franks_kit, compute_constants, build_GA, PerturbA
 from maglab.orbits import find_closed_orbit
 
 
 def test_eval_constant(disk):
     fld = MagneticField(ConstantField(-1.0))
-    f, g = fld.eval(disk, 0, 0.3, -0.8)
+    f, g = fld.eval(0, 0.3, -0.8)
     assert f == -1.0 and g == (0.0, 0.0)
 
 
 def test_eval_zero(torus, zero_field):
-    f, g = zero_field.eval(torus, 0, 0.1, 0.9)
+    f, g = zero_field.eval(0, 0.1, 0.9)
     assert f == 0.0 and g == (0.0, 0.0)
 
 
 def test_eval_sinusoidal(torus, sin_field):
-    f, g = sin_field.eval(torus, 0, 0.25, 0.0)
+    f, g = sin_field.eval(0, 0.25, 0.0)
     assert f == pytest.approx(1.0, abs=1e-15)
     assert g[0] == pytest.approx(0.0, abs=1e-12)
     assert g[1] == 0.0
@@ -42,8 +46,8 @@ def test_eval_sinusoidal(torus, sin_field):
 def test_sin_gradient_fd(torus, sin_field):
     h = 1e-6
     for x, y in [(0.1, 0.2), (0.7, 0.4)]:
-        fx = (sin_field.value(torus, 0, x + h, y) - sin_field.value(torus, 0, x - h, y)) / (2 * h)
-        g = sin_field.gradient(torus, 0, x, y)
+        fx = (sin_field.value(0, x + h, y) - sin_field.value(0, x - h, y)) / (2 * h)
+        g = sin_field.eval(0, x, y)[1]
         assert g[0] == pytest.approx(fx, abs=1e-7)
 
 
@@ -86,9 +90,63 @@ def test_zonal_chart_agreement(unit_sphere):
         x, y = rng.uniform(0.6, 1.4, 2)
         st = PhasePoint(0, x, y, 0.0, 0.0)
         st2 = unit_sphere.transition(st)
-        v1 = fld.value(unit_sphere, 0, st.x, st.y)
-        v2 = fld.value(unit_sphere, 1, st2.x, st2.y)
+        v1 = fld.value(0, st.x, st.y)
+        v2 = fld.value(1, st2.x, st2.y)
         assert abs(v1 - v2) <= 1e-8
+
+
+# -- closed-form sup norms (property tests) ----------------------------------
+
+amplitudes = st.floats(-10.0, 10.0)
+unit = st.floats(0.0, 1.0, exclude_max=True)
+box = st.floats(-1.0, 1.0)
+coeffs = st.lists(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+                  min_size=1, max_size=4)
+# (surface, chart box half-width rho); the torus box is [0, 1)^2
+SURFACES = [(flat_torus(), 1.0), (sphere(1.0), 1.0), (planar_chart(3.0), 3.0)]
+
+
+def base_fields():
+    sin = st.builds(SinusoidalTorusField, amplitudes,
+                    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    st.floats(-7.0, 7.0))
+    return st.one_of(st.builds(ConstantField, amplitudes), sin,
+                     st.builds(ZonalSphereField, amplitudes),
+                     st.builds(PolynomialField, coeffs))
+
+
+@settings(deadline=None)
+@given(base_fields(), st.sampled_from(SURFACES), st.integers(0, 1), box, box)
+@example(SinusoidalTorusField(1.5, (0, 0), 0.7), SURFACES[0], 0, 0.3, 0.6)
+def test_value_within_sup_norm(fld, surf, chart, x, y):
+    surface, rho = surf
+    chart = min(chart, len(surface.charts) - 1)
+    if surface.kind == "torus":
+        x, y = abs(x) % 1.0, abs(y) % 1.0
+    else:
+        x, y = rho * x, rho * y
+    assert abs(fld.value(chart, x, y)) <= fld.sup_norm(surface)
+
+
+@settings(deadline=None)
+@given(amplitudes, st.integers(0, 1))
+def test_zonal_sup_norm_attained_at_pole(a, chart):
+    fld = ZonalSphereField(a)
+    assert abs(fld.value(chart, 0.0, 0.0)) == fld.sup_norm(sphere(1.0))
+
+
+@settings(deadline=None)
+@given(amplitudes, unit)
+def test_sin_sup_norm_attained(a, y):
+    fld = SinusoidalTorusField(a, (1, 0))
+    assert abs(fld.value(0, 0.25, y)) == fld.sup_norm(flat_torus())
+
+
+@settings(deadline=None)
+@given(base_fields(), st.integers(0, 1), box, box)
+def test_eval_value_bitwise(fld, chart, x, y):
+    assert struct.pack("<d", fld.eval(chart, x, y)[0]) == \
+        struct.pack("<d", fld.value(chart, x, y))
 
 
 # -- bump template conditions -------------------------------------------------
@@ -129,7 +187,7 @@ def test_zero_perturbation_leaves_field(torus, torus_kit):
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = rng.uniform(0, 1, 2)
-        assert f2.value(torus, 0, x, y) == kit.field.value(torus, 0, x, y)
+        assert f2.value(0, x, y) == kit.field.value(0, x, y)
 
 
 def test_perturbation_vanishes_on_core(torus, torus_kit):
@@ -139,7 +197,7 @@ def test_perturbation_vanishes_on_core(torus, torus_kit):
     for t in np.linspace(0.0, kit.T, 200):
         st = kit.traj.state(t)
         x, y = torus.wrap_position(st.x, st.y)
-        assert f2.value(torus, 0, x, y) == kit.field.value(torus, 0, x, y)
+        assert f2.value(0, x, y) == kit.field.value(0, x, y)
 
 
 def test_perturbation_zero_integral_brute(torus, torus_kit):

@@ -17,6 +17,7 @@ from maglab.dynamics import (
 from maglab.orbits import find_closed_orbit, phase_distance
 from maglab.franks import (
     PerturbA,
+    TubularChart,
     build_GA,
     build_franks_kit,
     build_tubular_chart,
@@ -84,6 +85,34 @@ def test_tubular_chart_autoshrink(torus, zero_field):
     chart, _ = build_tubular_chart(torus, zero_field, st, 0.45, 0.9)
     assert chart.eps0 < 0.9
     assert chart.injectivity_report()["injective"]
+
+
+def _dense_min_ratio(chart, nt=100, nu=20):
+    """injectivity_report's min_ratio from full pairwise distance matrices."""
+    ts = np.linspace(0.0, chart.T, nt)
+    us = np.linspace(-0.999 * chart.eps0, 0.999 * chart.eps0, nu)
+    pts = np.array([chart.psi(t, u) for t in ts for u in us])
+    speed = math.sqrt(2.0 * chart.c)
+    tub = np.array([[t * speed, u] for t in ts for u in us])
+    d = pts[:, None, :] - pts[None, :, :]
+    d = d - np.round(d)  # torus charts
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+    dt = tub[:, None, :] - tub[None, :, :]
+    tub_dist = np.sqrt(np.einsum("ijk,ijk->ij", dt, dt))
+    grid_h = max(chart.T * speed / (nt - 1), 2.0 * chart.eps0 / (nu - 1))
+    mask = tub_dist > 4.0 * grid_h
+    return float((dist[mask] / tub_dist[mask]).min())
+
+
+def test_injectivity_report_matches_dense(hyper_setup, torus, zero_field):
+    """The blockwise minimum equals the dense one bit for bit."""
+    st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
+    traj = flow(torus, zero_field, st, 0.45)
+    wide = TubularChart(torus, zero_field, traj, 0.45, 0.9)
+    for chart, injective in ((hyper_setup[2].chart, True), (wide, False)):
+        rep = chart.injectivity_report()
+        assert rep["injective"] is injective
+        assert rep["min_ratio"] == _dense_min_ratio(chart)
 
 
 def test_tubular_chart_needs_flat_chart(unit_sphere, zero_field):
