@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,7 +158,6 @@ class Trajectory:
     n_accepted: int = 0
     n_rejected: int = 0
     n_fev: int = 0
-    max_energy_drift: float = 0.0
     dim: int = 4
 
     exit_time: float = None
@@ -197,6 +197,20 @@ class Trajectory:
     def times(self, n):
         t1 = self.t_reach
         return [t1 * i / (n - 1) for i in range(n)]
+
+    @cached_property
+    def max_energy_drift(self):
+        """Largest |E - c| over a grid of up to 200 times, computed on first use.
+
+        States outside the chart domain (after a planar exit) are skipped.
+        """
+        drift = 0.0
+        for t in self.times(min(200, 2 * self.n_accepted + 2)):
+            try:
+                drift = max(drift, abs(phase_energy(self.surface, self.state(t)) - self.c))
+            except ChartDomainError:
+                pass
+        return drift
 
 
 class VariationalPath:
@@ -310,14 +324,6 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
         elif sol.status == "max_steps":
             break
 
-    # energy drift over a sample grid (exited states are skipped)
-    drift = 0.0
-    for t in traj.times(min(200, 2 * traj.n_accepted + 2)):
-        try:
-            drift = max(drift, abs(phase_energy(surface, traj.state(t)) - c))
-        except ChartDomainError:
-            pass
-    traj.max_energy_drift = drift
     return traj
 
 

@@ -5,8 +5,12 @@ need machinery solve_ivp does not expose: a per-step projection hook (energy
 renormalization), step-by-step observation for section-event detection on the
 dense interpolant, and mid-integration state surgery for chart switching.
 
-State vectors are plain tuples of floats; dimensions are small (4 or 10) and
-tuple arithmetic beats numpy at this size.
+State vectors are plain tuples of floats of any length (the flows use 4 and
+10 components); tuple arithmetic beats numpy at this size.  The tables `_A`,
+`_B`, `_E` and `_P` are the one source of the coefficients.  The stages, the
+solution, the error estimate and the interpolant coefficients are written
+out term by term over them, one comprehension per quantity, with the terms in
+the tables' order and the terms with a zero coefficient left out.
 """
 
 from __future__ import annotations
@@ -50,9 +54,25 @@ _P = (
     (0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144),
 )
 
+# The entries above as module constants for the straight-line code, named by
+# stage (1-7) and, for P, by the power of theta (1-4).  b2, e2, the k2 row of
+# P and the theta^1 entries of the k3..k7 rows are zero; their terms are left
+# out, which changes no finite result (x + 0.0 * k == x).
+_C2, _C3, _C4, _C5, _C6 = _C[1:]
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (
+    _A61, _A62, _A63, _A64, _A65) = _A[1:]
+_B1, _B3, _B4, _B5, _B6 = _B[:1] + _B[2:]
+_E1, _E3, _E4, _E5, _E6, _E7 = _E[:1] + _E[2:]
+_P11, _P12, _P13, _P14 = _P[0]
+(_P32, _P33, _P34), (_P42, _P43, _P44), (_P52, _P53, _P54), (_P62, _P63, _P64), (
+    _P72, _P73, _P74) = (row[1:] for row in _P[2:])
+
 
 class DenseStep:
-    """One accepted step with its quartic interpolant."""
+    """One accepted step with its quartic interpolant.
+
+    ks holds the seven stage derivatives k1..k7 of the step.
+    """
 
     __slots__ = ("t0", "t1", "h", "y0", "y1", "_d")
 
@@ -62,30 +82,36 @@ class DenseStep:
         self.t1 = t0 + h
         self.y0 = y0
         self.y1 = y1
-        n = len(y0)
-        # d[c][j] = sum_i P[i][j] * ks[i][c]
-        self._d = tuple(
-            tuple(sum(_P[i][j] * ks[i][c] for i in range(7)) for j in range(4))
-            for c in range(n)
-        )
+        k1, _, k3, k4, k5, k6, k7 = ks
+        # d[c][j] = sum_i P[i][j] * ks[i][c]; a..g: component c of k1..k7
+        self._d = tuple([
+            (_P11 * a,
+             _P12 * a + _P32 * c + _P42 * d + _P52 * e + _P62 * f + _P72 * g,
+             _P13 * a + _P33 * c + _P43 * d + _P53 * e + _P63 * f + _P73 * g,
+             _P14 * a + _P34 * c + _P44 * d + _P54 * e + _P64 * f + _P74 * g)
+            for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
+        ])
 
     def eval(self, t):
         th = (t - self.t0) / self.h
         th2 = th * th
-        p = (th, th2, th2 * th, th2 * th2)
+        th3 = th2 * th
+        th4 = th2 * th2
         h = self.h
-        return tuple(
-            y + h * (d[0] * p[0] + d[1] * p[1] + d[2] * p[2] + d[3] * p[3])
-            for y, d in zip(self.y0, self._d)
-        )
+        return tuple([
+            y + h * (d1 * th + d2 * th2 + d3 * th3 + d4 * th4)
+            for y, (d1, d2, d3, d4) in zip(self.y0, self._d)
+        ])
 
     def eval_derivative(self, t):
         th = (t - self.t0) / self.h
         th2 = th * th
-        q = (1.0, 2.0 * th, 3.0 * th2, 4.0 * th2 * th)
-        return tuple(
-            d[0] * q[0] + d[1] * q[1] + d[2] * q[2] + d[3] * q[3] for d in self._d
-        )
+        q2 = 2.0 * th
+        q3 = 3.0 * th2
+        q4 = 4.0 * th2 * th
+        return tuple([
+            d1 + d2 * q2 + d3 * q3 + d4 * q4 for d1, d2, d3, d4 in self._d
+        ])
 
 
 class Solution:
@@ -125,23 +151,29 @@ class Solution:
                 hi = mid
         return steps[lo]
 
-    def eval(self, t):
+    def _clamp(self, t):
+        """t clamped into [t0, t_end]; ValueError beyond a 1e-12 relative slack."""
         if not self.steps:
             raise ValueError("empty solution")
         eps = 1e-12 * max(1.0, abs(self.t_end))
         if t < self.t0 - eps or t > self.t_end + eps:
             raise ValueError(f"t={t} outside [{self.t0}, {self.t_end}]")
-        return self._locate(t).eval(min(max(t, self.t0), self.t_end))
+        return min(max(t, self.t0), self.t_end)
+
+    def eval(self, t):
+        t = self._clamp(t)
+        return self._locate(t).eval(t)
 
     def eval_derivative(self, t):
+        t = self._clamp(t)
         return self._locate(t).eval_derivative(t)
 
 
 def _error_norm(err, y0, y1, rtol, atol):
     acc = 0.0
     for e, a, b in zip(err, y0, y1):
-        sc = atol + rtol * max(abs(a), abs(b))
-        r = e / sc
+        a, b = abs(a), abs(b)
+        r = e / (atol + rtol * (b if b > a else a))  # max(a, b), NaN included
         acc += r * r
     return math.sqrt(acc / len(err))
 
@@ -188,15 +220,14 @@ def integrate(
         raise ValueError("integrate requires t_final > t0; reverse the field instead")
     y = tuple(y0)
     t = t0
-    f = rhs(t, y)
+    k1 = rhs(t, y)
     nfev = 1
-    h = first_step if first_step is not None else _initial_step(rhs, t0, y, f, rtol, atol, t_final)
+    h = first_step if first_step is not None else _initial_step(rhs, t0, y, k1, rtol, atol, t_final)
     h = min(h, max_step, t_final - t0)
     steps = []
     n_rej = 0
     status = "finished"
     hmin = 1e-14 * max(abs(t0), abs(t_final), 1.0)
-    ks = [None] * 7
     while t < t_final:
         if len(steps) >= max_steps:
             status = "max_steps"
@@ -204,22 +235,27 @@ def integrate(
         if h < hmin:
             raise StiffnessError(f"step size underflow at t={t:.6g} (h={h:.3g})")
         h = min(h, t_final - t)
-        ks[0] = f
-        for i in range(1, 6):
-            ai = _A[i]
-            yi = tuple(
-                y[c] + h * sum(ai[j] * ks[j][c] for j in range(i))
-                for c in range(len(y))
-            )
-            ks[i] = rhs(t + _C[i] * h, yi)
-        y1 = tuple(
-            y[c] + h * sum(_B[j] * ks[j][c] for j in range(6)) for c in range(len(y))
-        )
-        ks[6] = rhs(t + h, y1)
+        # z: a component of y; a..g: the same component of k1..k7
+        k2 = rhs(t + _C2 * h, tuple([z + h * (_A21 * a) for z, a in zip(y, k1)]))
+        k3 = rhs(t + _C3 * h, tuple([
+            z + h * (_A31 * a + _A32 * b) for z, a, b in zip(y, k1, k2)]))
+        k4 = rhs(t + _C4 * h, tuple([
+            z + h * (_A41 * a + _A42 * b + _A43 * c)
+            for z, a, b, c in zip(y, k1, k2, k3)]))
+        k5 = rhs(t + _C5 * h, tuple([
+            z + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for z, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+        k6 = rhs(t + _C6 * h, tuple([
+            z + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for z, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+        y1 = tuple([
+            z + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+            for z, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)])
+        k7 = rhs(t + h, y1)
         nfev += 6
-        err = tuple(
-            h * sum(_E[j] * ks[j][c] for j in range(7)) for c in range(len(y))
-        )
+        err = [
+            h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+            for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
         enorm = _error_norm(err, y, y1, rtol, atol)
         if not enorm <= 1.0:
             if math.isnan(enorm):
@@ -227,7 +263,7 @@ def integrate(
             n_rej += 1
             h *= max(0.2, 0.9 * enorm ** (-0.2))
             continue
-        step = DenseStep(t, h, y, y1, tuple(ks))
+        step = DenseStep(t, h, y, y1, (k1, k2, k3, k4, k5, k6, k7))
         t = step.t1
         if post_step is not None:
             y1p = post_step(t, y1)
@@ -235,7 +271,7 @@ def integrate(
                 y1 = tuple(y1p)
                 step.y1 = y1
         steps.append(step)
-        f = rhs(t, y1)
+        k1 = rhs(t, y1)
         nfev += 1
         y = y1
         if observer is not None and observer(step) is False:

@@ -56,10 +56,16 @@ def _check_keys(obj, allowed, where):
 
 
 def _number(value, where, kind=float):
+    """value converted by kind (float or int); a boolean, a non-number and,
+    for int, a non-integral float are ConfigErrors."""
+    msg = f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+    if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(msg)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+        raise ConfigError(msg) from None
 
 
 def _build_surface(cfg):

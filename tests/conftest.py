@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from maglab.geometry import flat_torus, planar_chart, sphere, PhasePoint
 from maglab.field import (
@@ -10,6 +11,11 @@ from maglab.field import (
     ZonalSphereField,
 )
 from maglab.dynamics import IntegratorOptions
+
+# Example run times vary with machine load, so no example has a deadline;
+# example counts stay at hypothesis' defaults.
+settings.register_profile("maglab", deadline=None)
+settings.load_profile("maglab")
 
 
 @pytest.fixture(scope="session")

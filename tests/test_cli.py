@@ -80,6 +80,17 @@ def test_cli_nonnumeric_stage_parameter_is_config_error(tmp_path, pipeline):
     assert not (tmp_path / "o").exists()  # rejected before any stage ran
 
 
+@pytest.mark.parametrize("changes", [
+    {"seed": 2.7},
+    {"seed": True},
+    {"pipeline": [{"stage": "orbits"}, {"stage": "twist", "orbit_index": 1.5}]},
+], ids=["seed_fraction", "seed_bool", "orbit_index_fraction"])
+def test_cli_non_integer_int_key_is_config_error(tmp_path, changes):
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_unbracketed_critical_value_keeps_partial_reports(tmp_path):
     path = _torus_config(tmp_path, pipeline=[
         {"stage": "orbits", "tol": 1e-10},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maglab.errors import UnsupportedSurfaceError
 from maglab.field import (
@@ -115,7 +115,6 @@ def base_fields():
                      st.builds(PolynomialField, coeffs))
 
 
-@settings(deadline=None)
 @given(base_fields(), st.sampled_from(SURFACES), st.integers(0, 1), box, box)
 @example(SinusoidalTorusField(1.5, (0, 0), 0.7), SURFACES[0], 0, 0.3, 0.6)
 def test_value_within_sup_norm(fld, surf, chart, x, y):
@@ -128,21 +127,18 @@ def test_value_within_sup_norm(fld, surf, chart, x, y):
     assert abs(fld.value(chart, x, y)) <= fld.sup_norm(surface)
 
 
-@settings(deadline=None)
 @given(amplitudes, st.integers(0, 1))
 def test_zonal_sup_norm_attained_at_pole(a, chart):
     fld = ZonalSphereField(a)
     assert abs(fld.value(chart, 0.0, 0.0)) == fld.sup_norm(sphere(1.0))
 
 
-@settings(deadline=None)
 @given(amplitudes, unit)
 def test_sin_sup_norm_attained(a, y):
     fld = SinusoidalTorusField(a, (1, 0))
     assert abs(fld.value(0, 0.25, y)) == fld.sup_norm(flat_torus())
 
 
-@settings(deadline=None)
 @given(base_fields(), st.integers(0, 1), box, box)
 def test_eval_value_bitwise(fld, chart, x, y):
     assert struct.pack("<d", fld.eval(chart, x, y)[0]) == \

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maglab.errors import ChartDomainError
 from maglab.geometry import (
@@ -117,6 +118,26 @@ def test_sphere_transition_consistency(unit_sphere):
         st3 = unit_sphere.transition(st2)
         assert st3.x == pytest.approx(st.x, abs=1e-12)
         assert st3.vy == pytest.approx(st.vy, rel=1e-10)
+
+
+def _polar(r, phi):
+    return r * math.cos(phi), r * math.sin(phi)
+
+
+@given(st.sampled_from([0.5, 1.0, 2.5]), st.integers(0, 1),
+       st.floats(0.25, 4.0, exclude_min=True, exclude_max=True),
+       st.floats(1e-3, 1e3), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
+def test_sphere_transition_involution_preserves_energy(radius, chart, r, speed, phi, psi):
+    s = sphere(radius)
+    st0 = PhasePoint(chart, *_polar(r, phi), *_polar(speed, psi))
+    st1 = s.transition(st0)
+    st2 = s.transition(st1)
+    assert (st1.chart, st2.chart) == (1 - chart, chart)
+    assert math.hypot(st2.x - st0.x, st2.y - st0.y) <= 1e-12 * math.hypot(st0.x, st0.y)
+    assert math.hypot(st2.vx - st0.vx, st2.vy - st0.vy) <= \
+        1e-12 * math.hypot(st0.vx, st0.vy)
+    e0 = energy(s, st0)
+    assert abs(energy(s, st1) - e0) <= 1e-12 * e0
 
 
 def test_torus_wrapping(torus):

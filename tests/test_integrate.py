@@ -1,0 +1,136 @@
+"""The DP5(4) stepper against a reference step written from the tableau.
+
+The reference forms every stage, the solution, the error estimate and the
+interpolant coefficients as sums over the tables `_A`, `_B`, `_E` and `_P`,
+zero entries included.  `integrate` must reproduce it bit for bit.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, strategies as st
+
+from maglab.integrate import (
+    _A, _B, _C, _E, _P, _error_norm, _initial_step, integrate,
+)
+
+
+def _fold(terms):
+    """Left-to-right sum starting from integer 0.
+
+    This is how builtins.sum adds floats up to Python 3.11; from 3.12 it
+    compensates float sums, so it is not used as the reference here.
+    """
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+def reference_step(rhs, t, y, h):
+    """One DP5(4) step: (y1, err, dense coefficients d[c][j])."""
+    n = len(y)
+    ks = [rhs(t, y)]
+    for i in range(1, 6):
+        yi = tuple(y[c] + h * _fold(_A[i][j] * ks[j][c] for j in range(i))
+                   for c in range(n))
+        ks.append(rhs(t + _C[i] * h, yi))
+    y1 = tuple(y[c] + h * _fold(_B[j] * ks[j][c] for j in range(6))
+               for c in range(n))
+    ks.append(rhs(t + h, y1))
+    err = tuple(h * _fold(_E[j] * ks[j][c] for j in range(7)) for c in range(n))
+    d = tuple(tuple(_fold(_P[i][j] * ks[i][c] for i in range(7)) for j in range(4))
+              for c in range(n))
+    return y1, err, d
+
+
+def reference_eval(t0, h, y0, d, t):
+    th = (t - t0) / h
+    th2 = th * th
+    p = (th, th2, th2 * th, th2 * th2)
+    return tuple(y + h * (dc[0] * p[0] + dc[1] * p[1] + dc[2] * p[2] + dc[3] * p[3])
+                 for y, dc in zip(y0, d))
+
+
+def reference_run(rhs, t0, y0, t_final, rtol, atol):
+    """Accepted step end times and the final state under integrate's controller."""
+    y, t = tuple(y0), t0
+    h = _initial_step(rhs, t0, y, rhs(t, y), rtol, atol, t_final)
+    h = min(h, t_final - t0)
+    times = []
+    while t < t_final:
+        h = min(h, t_final - t)
+        y1, err, _ = reference_step(rhs, t, y, h)
+        enorm = _error_norm(err, y, y1, rtol, atol)
+        if not enorm <= 1.0:
+            h *= max(0.2, 0.9 * enorm ** (-0.2))
+            continue
+        t = t + h
+        times.append(t)
+        y = y1
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
+        h = h * factor
+    return times, y
+
+
+def linear_rhs(m):
+    n = len(m)
+    return lambda t, y: tuple(_fold(m[r][c] * y[c] for c in range(n)) for r in range(n))
+
+
+def nonlinear_rhs(t, y):
+    n = len(y)
+    return tuple(math.sin(t + y[(c + 1) % n]) - 0.3 * y[c] * y[c - 1]
+                 for c in range(n))
+
+
+coord = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def systems(draw):
+    """(rhs, y0) for a linear or nonlinear system in dimension 1, 4 or 10."""
+    n = draw(st.sampled_from([1, 4, 10]))
+    y0 = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        row = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        return linear_rhs(draw(st.lists(row, min_size=n, max_size=n))), y0
+    return nonlinear_rhs, y0
+
+
+@given(systems(), st.floats(-3.0, 3.0), st.floats(1e-3, 0.2),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_single_step_matches_reference(system, t0, h, thetas):
+    rhs, y0 = system
+    # loose tolerances so the one step is accepted
+    sol = integrate(rhs, t0, y0, t0 + h, rtol=1.0, atol=1.0, first_step=h)
+    assert (sol.n_accepted, sol.n_rejected) == (1, 0)
+    h = min(h, (t0 + h) - t0)  # the step integrate takes to land on t_final
+    y1, _, d = reference_step(rhs, t0, y0, h)
+    step = sol.steps[0]
+    assert step.h == h
+    assert sol.y_end == y1
+    for th in thetas:
+        t = t0 + th * h
+        assert step.eval(t) == reference_eval(t0, h, y0, d, t)
+
+
+@given(systems(), st.floats(0.0, 1.0))
+def test_adaptive_run_matches_reference(system, t0):
+    rhs, y0 = system
+    rtol, atol = 1e-8, 1e-10
+    sol = integrate(rhs, t0, y0, t0 + 1.0, rtol=rtol, atol=atol)
+    times, y_end = reference_run(rhs, t0, y0, t0 + 1.0, rtol, atol)
+    assert [s.t1 for s in sol.steps] == times
+    assert sol.y_end == y_end
+
+
+def test_solution_eval_derivative_rejects_out_of_range():
+    sol = integrate(lambda t, y: (math.cos(t),), 0.0, (0.0,), 1.0)
+    with pytest.raises(ValueError):
+        sol.eval_derivative(sol.t_end + 1.0)
+    with pytest.raises(ValueError):
+        sol.eval_derivative(sol.t0 - 1.0)
+    # within the slack the time is clamped onto the end of the solution
+    assert sol.eval_derivative(sol.t_end * (1 + 1e-14)) == \
+        sol.eval_derivative(sol.t_end)
