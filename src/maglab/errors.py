@@ -55,3 +55,7 @@ class BracketError(MaglabError, ValueError):
 
 class ConfigError(MaglabError):
     """Scenario configuration failed validation."""
+
+
+class LedgerError(MaglabError, ValueError):
+    """A Franks ledger constraint cannot be met for the given segment."""

@@ -23,13 +23,21 @@ across the (narrow) support window of the profiles, composed with cached
 base propagators outside it, so S is a smooth function of (a, b, c)
 evaluated consistently down to machine precision.  `set_window` samples
 the base K_mag once on the RK4 stage grid; responses and their coefficient
-callbacks read K_mag from that cache.  The constants delta1 and delta are
-tiny because k3 and k5 scale like inverse powers of the window width, and
-resolving the ball test relies on that smoothness.
+callbacks read K_mag from that cache.  The profiles, beta_A and its first
+variation are numpy functions of an array of times: each response calls
+its coefficient callback once, with the window's stage times and the base
+K_mag there as two arrays, and the k6 and cota checks evaluate beta_A over
+whole grids the same way.  The constants delta1 and delta are tiny because
+k3 and k5 scale like inverse powers of the window width, and resolving the
+ball test relies on that smoothness.
+
+Ledger adjustments (lambda halvings, tube shrinks) are logged at INFO on
+the `maglab.franks` logger, surjectivity Newton residuals at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -39,6 +47,7 @@ import numpy as np
 from .errors import (
     CotaViolationError,
     DataInconsistencyError,
+    LedgerError,
     UnsupportedSurfaceError,
 )
 from .field import MagneticField, PerturbationField
@@ -67,6 +76,8 @@ __all__ = [
     "verify_ball_surjectivity",
     "segment_split",
 ]
+
+log = logging.getLogger("maglab.franks")
 
 
 # -- tubular charts ------------------------------------------------------------
@@ -182,23 +193,31 @@ class TubularChart:
 
         Compares chart distances against tubular-coordinate distances:
         distinct parameter pairs whose images nearly coincide flag an
-        overlap (wrap collisions on the torus included).  The pairwise
-        distances are formed 100 rows at a time to bound memory.
+        overlap (wrap collisions on the torus included).  The points are
+        psi's, formed from nt core states by broadcasting.  Both distance
+        matrices are symmetric (np.round is odd), so each block of 100 rows
+        is compared only with the columns from its first row on.
         """
         ts = np.linspace(0.0, self.T, nt)
         us = np.linspace(-0.999 * self.eps0, 0.999 * self.eps0, nu)
-        pts = np.array([self.psi(t, u) for t in ts for u in us])
+        p, v = (np.array(a) for a in zip(*(self._core(t) for t in ts)))
+        px = (p[:, 0, None] + us * -v[:, 1, None]).ravel()
+        py = (p[:, 1, None] + us * v[:, 0, None]).ravel()
         speed = math.sqrt(2.0 * self.c)
-        tub = np.array([[t * speed, u] for t in ts for u in us])
+        tx = np.repeat(ts * speed, nu)
+        ty = np.tile(us, nt)
         grid_h = max(self.T * speed / (nt - 1), 2.0 * self.eps0 / (nu - 1))
         ratio = math.inf
-        for i in range(0, len(pts), 100):
-            d = pts[i:i + 100, None, :] - pts[None, :, :]
+        for i in range(0, len(px), 100):
+            dx = px[i:i + 100, None] - px[None, i:]
+            dy = py[i:i + 100, None] - py[None, i:]
             if self.surface.kind == "torus":
-                d = d - np.round(d)
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-            dt = tub[i:i + 100, None, :] - tub[None, :, :]
-            tub_dist = np.sqrt(np.einsum("ijk,ijk->ij", dt, dt))
+                dx = dx - np.round(dx)
+                dy = dy - np.round(dy)
+            dist = np.sqrt(dx * dx + dy * dy)
+            ex = tx[i:i + 100, None] - tx[None, i:]
+            ey = ty[i:i + 100, None] - ty[None, i:]
+            tub_dist = np.sqrt(ex * ex + ey * ey)
             mask = tub_dist > 4.0 * grid_h
             if mask.any():
                 ratio = min(ratio, float((dist[mask] / tub_dist[mask]).min()))
@@ -221,16 +240,17 @@ def build_tubular_chart(surface, field, state, T, eps0, options=None,
     traj = flow(surface, fld, state, T, options)
     K = injectivity_time(surface, fld, traj.c)
     if T > K * (1.0 + 1e-9):
-        raise ValueError(f"segment length {T} exceeds injectivity time {K}")
+        raise LedgerError(f"segment length {T} exceeds injectivity time {K}")
     width = eps0
     while width >= eps_min:
         chart = TubularChart(surface, fld, traj, T, width)
         rep = chart.injectivity_report()
         if rep["injective"]:
-            chart.autoshrunk = width != eps0
             return chart, traj
+        log.info("tube of width %.6g not injective (min_ratio %.6g); halving",
+                 width, rep["min_ratio"])
         width *= 0.5
-    raise ValueError(f"no injective tube above width {eps_min}")
+    raise LedgerError(f"no injective tube above width {eps_min}")
 
 
 # -- bump profiles --------------------------------------------------------------
@@ -242,31 +262,35 @@ _PHI_D2_MAX = 8.0 * _PHI_C
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Unit-mass bump phi((t - center)/half)/half with phi = C (1-u^2)^4."""
+    """Unit-mass bump phi((t - center)/half)/half with phi = C (1-u^2)^4.
+
+    value, d1 and d2 take a time or an array of times; they vanish for
+    |u| >= 1.
+    """
 
     center: float
     half: float
 
+    def _w(self, t):
+        """(u, 1 - u^2, inside) with u zeroed outside the support."""
+        u = (np.asarray(t, dtype=float) - self.center) / self.half
+        inside = np.abs(u) < 1.0
+        u = np.where(inside, u, 0.0)
+        return u, 1.0 - u * u, inside
+
     def value(self, t):
-        u = (t - self.center) / self.half
-        if abs(u) >= 1.0:
-            return 0.0
-        w = 1.0 - u * u
-        return _PHI_C * w**4 / self.half
+        u, w, inside = self._w(t)
+        return np.where(inside, _PHI_C * w**4 / self.half, 0.0)
 
     def d1(self, t):
-        u = (t - self.center) / self.half
-        if abs(u) >= 1.0:
-            return 0.0
-        w = 1.0 - u * u
-        return -8.0 * _PHI_C * u * w**3 / self.half**2
+        u, w, inside = self._w(t)
+        return np.where(inside, -8.0 * _PHI_C * u * w**3 / self.half**2, 0.0)
 
     def d2(self, t):
-        u = (t - self.center) / self.half
-        if abs(u) >= 1.0:
-            return 0.0
-        w = 1.0 - u * u
-        return -8.0 * _PHI_C * w * w * (1.0 - 7.0 * u * u) / self.half**3
+        u, w, inside = self._w(t)
+        return np.where(inside,
+                        -8.0 * _PHI_C * w * w * (1.0 - 7.0 * u * u) / self.half**3,
+                        0.0)
 
     @property
     def support(self):
@@ -286,10 +310,12 @@ class BumpProfile:
 
 
 def _smoothstep(u):
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
+    """C^2 step of a number or an array: 0 for u <= 0, 1 for u >= 1.
+
+    The polynomial is exactly 0 at u = 0 and 1 at u = 1, so clipping u
+    gives both constant pieces.
+    """
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
@@ -297,7 +323,8 @@ class AlphaProfile:
     """Smoothed indicator of [0, T] minus small windows; values in [0, 1].
 
     Each window (a, b) is excluded with C^2 transitions of width w on both
-    sides; the exact excluded mass is sum (b - a) + w per window.
+    sides; the exact excluded mass is sum (b - a) + w per window.  value
+    takes a time or an array of times.
     """
 
     def __init__(self, T, windows, w):
@@ -306,12 +333,12 @@ class AlphaProfile:
         self.w = w
 
     def value(self, t):
-        out = 1.0
+        out = np.ones_like(t, dtype=float)
         for a, b in self.windows:
-            if a - self.w < t < b + self.w:
-                rise = _smoothstep((t - (a - self.w)) / self.w)
-                fall = _smoothstep(((b + self.w) - t) / self.w)
-                out *= 1.0 - min(rise, fall)
+            # outside (a - w, b + w) one step is 0, so the factor is exactly 1
+            rise = _smoothstep((t - (a - self.w)) / self.w)
+            fall = _smoothstep(((b + self.w) - t) / self.w)
+            out = out * (1.0 - np.minimum(rise, fall))
         return out
 
     def deviation_mass(self):
@@ -418,7 +445,8 @@ class FranksKit:
 
         The RK4 steps use K_mag on the uniform half-step grid (`k`); the
         coefficient callbacks get K_mag at the stage times t0, t0 + h/2,
-        t0 + h of each step (`stage_t`, `stage_k`).
+        t0 + h of each step (`stage_t`, `stage_k`, float64 arrays of length
+        3n).
         """
         t_a = max(0.0, t_a)
         t_b = min(self.T, t_b)
@@ -432,7 +460,8 @@ class FranksKit:
         stage_k = [self.kmag_base(t) if j % 3 else k[j]
                    for j, t in enumerate(stage_t)]
         self._window = {
-            "h": h, "k": k, "stage_t": stage_t, "stage_k": stage_k,
+            "h": h, "k": k, "stage_t": np.array(stage_t),
+            "stage_k": np.array(stage_k),
             "X_a": self.base_matrix(t_a),
             "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
         }
@@ -498,23 +527,27 @@ class FranksKit:
     def response(self, shift=None):
         """X(T) of the variational system with K_mag - shift(t, km) in the window.
 
-        km is the base K_mag at t, read from the window grid; None means the
-        base field.  The window is crossed with fixed-step RK4 (deterministic
-        and smooth in the perturbation parameters); outside it the cached
-        base propagators are used.
+        shift is called once, with the window's 3n RK4 stage times t and the
+        base K_mag km there (two float64 arrays), and returns the shift at
+        those times as an array of the same length; None means the base
+        field.  The window is crossed with fixed-step RK4 (deterministic and
+        smooth in the perturbation parameters); outside it the cached base
+        propagators are used.
         """
         w = self._require_window()
         k = w["k"]
         if shift is not None:
-            k = [kb - shift(t, km)
-                 for kb, t, km in zip(k, w["stage_t"], w["stage_k"])]
+            k = (k - shift(w["stage_t"], w["stage_k"])).tolist()
         return self._rk4(k)
 
     def response_derivative(self, bdir):
-        """Z(T) = X(T) int X^{-1} [[0,0],[bdir(t, km),0]] X dt; km as in response."""
+        """Z(T) = X(T) int X^{-1} [[0,0],[bdir(t, km),0]] X dt.
+
+        bdir is called once with the stage arrays (t, km), as shift in
+        response, and returns the direction at those times as an array.
+        """
         w = self._require_window()
-        return self._rk4(w["k"], [bdir(t, km)
-                                  for t, km in zip(w["stage_t"], w["stage_k"])])
+        return self._rk4(w["k"], bdir(w["stage_t"], w["stage_k"]).tolist())
 
 
 def build_franks_kit(surface, field, state, T, eps0=0.02, options=None):
@@ -563,7 +596,7 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     surface, field, c, T = kit.surface, kit.field, kit.c, kit.T
     k0 = injectivity_time(surface, field, c)
     if not (k0 / 2.0 < T <= k0 * (1.0 + 1e-12)):
-        raise ValueError(f"segment length T={T} outside (K/2, K] = ({k0/2}, {k0}]")
+        raise LedgerError(f"segment length T={T} outside (K/2, K] = ({k0/2}, {k0}]")
 
     # k1 over [0, T] from the cached fundamental matrix, inflated by 1%
     ts = np.linspace(0.0, T, 2048)
@@ -598,9 +631,11 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     k2 = k2_of(lam)
     while k2 >= bound_k2:
         lam *= 0.5
+        log.info("lambda %.6g -> %.6g: k2 = %.6g >= 1/(16 k1^3) = %.6g",
+                 2.0 * lam, lam, k2, bound_k2)
         k2 = k2_of(lam)
         if lam < 1e-12:
-            raise ValueError("lambda underflow while enforcing k2 < 1/(16 k1^3)")
+            raise LedgerError("lambda underflow while enforcing k2 < 1/(16 k1^3)")
 
     half = 0.49 * lam
     delta_p = BumpProfile(k0 / 2.0 - 0.5 * lam, half)
@@ -652,18 +687,17 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
             hi = mid
     delta1 = 0.5 * lo
     if delta1 <= 0.0:
-        raise ValueError("no admissible delta1; enlarge eps_c1")
+        raise LedgerError("no admissible delta1; enlarge eps_c1")
     k5 = k5_of(delta1)
 
     # k6 at scale delta1 (the |A| <= 1 version overflows identically)
     consts_stub = _ProfileBundle(delta_p, Delta_p, alpha)
     k6 = 0.0
     tgrid = np.linspace(max(0.0, sup_lo - 2 * lam), min(T, sup_hi + 2 * lam), n_grid)
-    kgrid = [kit.kmag_base(t) for t in tgrid]
+    kgrid = np.array([kit.kmag_base(t) for t in tgrid])
     for dirn in _unit_directions():
         A = PerturbA(delta1 * dirn[0], delta1 * dirn[1], delta1 * dirn[2])
-        vals = np.array([_beta_A(t, A, consts_stub, km)
-                         for t, km in zip(tgrid, kgrid)])
+        vals = _beta_A(tgrid, A, consts_stub, kgrid)
         dt = tgrid[1] - tgrid[0]
         deriv = np.gradient(vals, dt)
         k6 = max(k6, (np.max(np.abs(vals)) + np.max(np.abs(deriv))) / delta1)
@@ -713,7 +747,7 @@ def _unit_directions():
 def _beta_A(t, A: PerturbA, consts, kmag):
     """beta_A(t) = alpha (delta a + delta' b) + (K0 + Delta''/2Delta)(e^{-alpha Delta c}-1).
 
-    kmag is the base K_mag (K0) at t.
+    t and kmag, the base K_mag (K0) at t, are numbers or arrays of one shape.
     """
     al = consts.alpha.value(t)
     d = consts.delta_profile
@@ -721,14 +755,16 @@ def _beta_A(t, A: PerturbA, consts, kmag):
     out = al * (d.value(t) * A.a + d.d1(t) * A.b)
     Dv = D.value(t)
     y = -al * Dv * A.c
-    em1 = math.expm1(y) if abs(y) >= 1e-6 else y * (1.0 + 0.5 * y * (1.0 + y / 3.0))
+    em1 = np.where(np.abs(y) >= 1e-6, np.expm1(y),
+                   y * (1.0 + 0.5 * y * (1.0 + y / 3.0)))
     # em1 / Dv stays finite as Dv -> 0 since y = -al * Dv * c
-    out += kmag * em1 + 0.5 * D.d2(t) * (em1 / Dv if Dv != 0.0 else 0.0)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(Dv != 0.0, em1 / Dv, 0.0)
+    return out + (kmag * em1 + 0.5 * D.d2(t) * ratio)
 
 
 def _del_b(t, A: PerturbA, consts, kmag):
-    """Directional derivative of beta_A at A = 0 (kmag: base K_mag at t)."""
+    """Directional derivative of beta_A at A = 0 (t, kmag as in _beta_A)."""
     al = consts.alpha.value(t)
     d = consts.delta_profile
     D = consts.Delta_profile
@@ -742,12 +778,16 @@ def _del_b(t, A: PerturbA, consts, kmag):
 def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     """The perturbation G(A) - f0 as a PerturbationField plus its profile.
 
-    Requires |A| < delta1.  Returns (perturbed_field, perturbation, beta).
+    Requires |A| < delta1.  Returns (perturbed_field, perturbation, beta);
+    beta takes a time, as PerturbationField calls it, or an array of times,
+    as franks_response does.
     """
     if A.norm() >= consts.delta1:
         raise ValueError(f"|A| = {A.norm():.3e} >= delta1 = {consts.delta1:.3e}")
+    kmag = np.vectorize(kit.kmag_base, otypes=[float])
+
     def beta(t):
-        return _beta_A(t, A, consts, kit.kmag_base(t))
+        return _beta_A(t, A, consts, kmag(t))[()]  # [()]: a number for a time
 
     hfd = 1e-9 * max(consts.lam_window, 1e-3)
 
@@ -757,8 +797,8 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     lo = consts.delta_profile.support[0] - 10.0 * consts.alpha.w
     hi = consts.Delta_profile.support[1] + 10.0 * consts.alpha.w
     ts = np.linspace(lo, hi, 4001)
-    vals = np.array([beta(t) for t in ts])
-    ders = np.array([beta_d(t) for t in ts])
+    vals = beta(ts)
+    ders = beta_d(ts)
     b_c0 = 1.01 * float(np.max(np.abs(vals)))
     b_c1 = b_c0 + 1.01 * float(np.max(np.abs(ders)))
     # narrow the bump to the ledger's eps0 if the chart is wider
@@ -785,7 +825,8 @@ def franks_response(kit: FranksKit, beta=None):
     """S_{T,theta}: monodromy over [0, T] for the field f0 + a_eps(u) beta(t).
 
     The core is unchanged (the perturbation vanishes there); its only effect
-    on the transversal linearization is K_mag -> K_mag - beta(t).
+    on the transversal linearization is K_mag -> K_mag - beta(t).  beta maps
+    the array of window stage times to an array.
     """
     if beta is None:
         return kit.response(None)
@@ -793,7 +834,10 @@ def franks_response(kit: FranksKit, beta=None):
 
 
 def variational_response(kit: FranksKit, bdir):
-    """Z(T) for a direction b(t) with support inside the window."""
+    """Z(T) for a direction b(t) with support inside the window.
+
+    bdir maps the array of window stage times to an array.
+    """
     return kit.response_derivative(lambda t, km: bdir(t))
 
 
@@ -930,10 +974,13 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
         dist = float(np.linalg.norm(tgt - S0, "fro"))
         stop = max(1e-3 * dist, floor)
         A = np.zeros(3)
-        for _ in range(max_iter):
+        for step_no in range(max_iter):
             S = S_of(A)
             res = (S - tgt).ravel()
-            if np.linalg.norm(res) <= stop:
+            res_norm = np.linalg.norm(res)
+            log.debug("surjectivity target %d, iterate %d: residual %.3e "
+                      "(stop %.3e)", it, step_no, res_norm, stop)
+            if res_norm <= stop:
                 break
             J = np.empty((4, 3))
             for j in range(3):
@@ -1039,6 +1086,8 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
                     break
             if clear:
                 break
+            log.info("segment %d: tube patch of width %.6g within 1.5 width "
+                     "of segment %d's core; halving", i, width, j)
             width *= 0.5
         chart.eps0 = min(chart.eps0, width)
         charts.append(chart)

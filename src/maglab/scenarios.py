@@ -169,6 +169,10 @@ class Scenario:
             for key, num in _STAGE_NUMBERS.items():
                 if key in st:
                     st[key] = _number(st[key], f"{where}.{key}", num)
+            for key in ("eps0", "eps_c1"):  # Franks ledger widths
+                if key in st and not st[key] > 0:
+                    raise ConfigError(f"{where}.{key} must be positive, "
+                                      f"got {st[key]!r}")
             self.pipeline.append(st)
         self.cfg = cfg
 

@@ -100,6 +100,32 @@ def test_cli_unbracketed_critical_value_keeps_partial_reports(tmp_path):
     assert os.listdir(tmp_path / "o") == ["orbits.json"]
 
 
+def _franks_config(tmp_path, **stage_changes):
+    cfg = json.loads(open(scenario_path("franks_verify.json")).read())
+    cfg["out_dir"] = str(tmp_path / "o")
+    cfg["seed"] = 1
+    cfg["pipeline"][1].update({"cota_samples": 2, "targets": 1}, **stage_changes)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("changes", [{"eps_c1": 1e-300}, {"eps0": 1e-7}],
+                         ids=["no_delta1", "no_injective_tube"])
+def test_cli_franks_ledger_failure_keeps_partial_reports(tmp_path, changes):
+    path = _franks_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 3
+    assert os.listdir(tmp_path / "o") == ["orbits.json"]
+
+
+@pytest.mark.parametrize("changes", [{"eps0": 0}, {"eps_c1": -0.1}],
+                         ids=["eps0_zero", "eps_c1_negative"])
+def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
+    path = _franks_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_stage(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"surface": {"kind": "torus"},

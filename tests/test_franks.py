@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from maglab.errors import DataInconsistencyError, UnsupportedSurfaceError
@@ -27,7 +29,9 @@ from maglab.franks import (
     variational_response,
     verify_ball_surjectivity,
     verify_cota,
+    _beta_A,
     _del_b,
+    _smoothstep,
 )
 
 
@@ -79,12 +83,17 @@ def test_tubular_chart_core_roundtrip(hyper_setup, torus):
             assert loc[1] == pytest.approx(u, abs=1e-9)
 
 
-def test_tubular_chart_autoshrink(torus, zero_field):
+def test_tubular_chart_autoshrink(torus, zero_field, caplog):
     """A width beyond the wrap separation must shrink automatically."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
-    chart, _ = build_tubular_chart(torus, zero_field, st, 0.45, 0.9)
+    with caplog.at_level(logging.INFO, logger="maglab.franks"):
+        chart, _ = build_tubular_chart(torus, zero_field, st, 0.45, 0.9)
     assert chart.eps0 < 0.9
     assert chart.injectivity_report()["injective"]
+    shrinks = [r.getMessage() for r in caplog.records
+               if r.name == "maglab.franks" and "not injective" in r.getMessage()]
+    assert len(shrinks) == round(math.log2(0.9 / chart.eps0))
+    assert shrinks[0].startswith("tube of width 0.9 ")
 
 
 def _dense_min_ratio(chart, nt=100, nu=20):
@@ -188,7 +197,7 @@ def test_constants_on_two_segments(hyper_setup, torus, sin_field):
 
 def test_zero_direction_zero_response(hyper_setup):
     _, _, kit, _ = hyper_setup
-    Z = variational_response(kit, lambda t: 0.0)
+    Z = variational_response(kit, lambda t: np.zeros_like(t))
     assert np.abs(Z).max() == 0.0
 
 
@@ -216,12 +225,12 @@ def test_response_linearity(hyper_setup):
     rng = np.random.default_rng(3)
     A1 = PerturbA.random_unit(rng)
     A2 = PerturbA.random_unit(rng)
-    b1 = lambda t: _del_b(t, A1, consts, kit.kmag_base(t))
-    b2 = lambda t: _del_b(t, A2, consts, kit.kmag_base(t))
-    b12 = lambda t: b1(t) + b2(t)
-    Z1 = variational_response(kit, b1)
-    Z2 = variational_response(kit, b2)
-    Z12 = variational_response(kit, b12)
+    b1 = lambda t, km: _del_b(t, A1, consts, km)
+    b2 = lambda t, km: _del_b(t, A2, consts, km)
+    b12 = lambda t, km: b1(t, km) + b2(t, km)
+    Z1 = kit.response_derivative(b1)
+    Z2 = kit.response_derivative(b2)
+    Z12 = kit.response_derivative(b12)
     assert np.abs(Z12 - (Z1 + Z2)).max() <= 1e-9 * max(1.0, np.abs(Z12).max())
 
 
@@ -249,24 +258,163 @@ def test_response_fd_cross_check_cut_direction(hyper_setup):
     A = PerturbA(0.6, 0.0, 0.3)
     n = A.norm()
     A = PerturbA(A.a / n, A.b / n, A.c / n)
-    bdir = lambda t: _del_b(t, A, consts, kit.kmag_base(t))
-    Z = variational_response(kit, bdir)
+    bdir = lambda t, km: _del_b(t, A, consts, km)
+    Z = kit.response_derivative(bdir)
     s = 1e-12
     S0 = kit.response(None)
-    S1 = kit.response(lambda t, km: s * bdir(t))
+    S1 = kit.response(lambda t, km: s * bdir(t, km))
     fd = (S1 - S0) / s
     assert np.abs(fd - Z).max() <= 1e-2 * max(1.0, np.abs(Z).max())
 
 
 def test_callbacks_see_base_kmag_at_stage_times(hyper_setup):
-    """response_derivative hands each callback the base K_mag at its time."""
+    """Each response calls its callback once, with the stage times and the
+    base K_mag there as arrays of length 3 n."""
     _, _, kit, _ = hyper_setup
-    seen = []
-    Z = kit.response_derivative(lambda t, km: seen.append((t, km)) or 0.0)
+    n = 3 * kit.n_window_steps
+    for respond in (kit.response, kit.response_derivative):
+        seen = []
+
+        def record(t, km):
+            seen.append((t, km))
+            return np.zeros_like(t)
+
+        respond(record)
+        assert len(seen) == 1
+        t, km = seen[0]
+        assert t.shape == km.shape == (n,)
+        assert t.dtype == km.dtype == np.float64
+        for i in list(range(0, n, 997)) + [n - 2, n - 1]:
+            assert km[i] == kit.kmag_base(t[i])
+    Z = kit.response_derivative(lambda t, km: np.zeros_like(t))
     assert np.abs(Z).max() == 0.0
-    assert len(seen) == 3 * kit.n_window_steps
-    for t, km in seen[::997] + seen[-2:]:
-        assert km == kit.kmag_base(t)
+
+
+# -- array profiles and beta_A against the scalar formulas ---------------------
+#
+# The references below evaluate one time at a time with math, as the profiles
+# and beta_A were first written; the array code must reproduce them term for
+# term (numpy's vectorised pow may differ from libm's in the last bit).
+
+_REF_PHI_C = 315.0 / 256.0
+
+
+def _ref_bump(prof, t, order):
+    u = (t - prof.center) / prof.half
+    if abs(u) >= 1.0:
+        return 0.0
+    w = 1.0 - u * u
+    if order == 0:
+        return _REF_PHI_C * w**4 / prof.half
+    if order == 1:
+        return -8.0 * _REF_PHI_C * u * w**3 / prof.half**2
+    return -8.0 * _REF_PHI_C * w * w * (1.0 - 7.0 * u * u) / prof.half**3
+
+
+def _ref_smoothstep(u):
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+
+
+def _ref_alpha(alpha, t):
+    out = 1.0
+    for a, b in alpha.windows:
+        if a - alpha.w < t < b + alpha.w:
+            rise = _ref_smoothstep((t - (a - alpha.w)) / alpha.w)
+            fall = _ref_smoothstep(((b + alpha.w) - t) / alpha.w)
+            out *= 1.0 - min(rise, fall)
+    return out
+
+
+def _ref_profiles(consts, t):
+    """(alpha, delta, delta', Delta, Delta'') at one time."""
+    d, D = consts.delta_profile, consts.Delta_profile
+    return (_ref_alpha(consts.alpha, t), _ref_bump(d, t, 0), _ref_bump(d, t, 1),
+            _ref_bump(D, t, 0), _ref_bump(D, t, 2))
+
+
+def _ref_beta_terms(al, dv, dd1, Dv, Dd2, A, kmag):
+    """beta_A at one time from the profile values there."""
+    out = al * (dv * A.a + dd1 * A.b)
+    y = -al * Dv * A.c
+    em1 = math.expm1(y) if abs(y) >= 1e-6 else y * (1.0 + 0.5 * y * (1.0 + y / 3.0))
+    out += kmag * em1 + 0.5 * Dd2 * (em1 / Dv if Dv != 0.0 else 0.0)
+    return out
+
+
+def _ref_del_b(al, dv, dd1, Dv, Dd2, A, kmag):
+    return al * (dv * A.a + dd1 * A.b - (Dv * kmag + 0.5 * Dd2) * A.c)
+
+
+def _oracle_times(consts, fracs):
+    """A grid over the window (both sides of every support), the support
+    and alpha-window edges with their neighbours, and the drawn times."""
+    lo = consts.delta_profile.support[0] - 0.1 * consts.lam_window
+    hi = consts.Delta_profile.support[1] + 0.1 * consts.lam_window
+    ts = list(np.linspace(lo, hi, 257)) + [lo + f * (hi - lo) for f in fracs]
+    for prof in (consts.delta_profile, consts.Delta_profile):
+        for e in prof.support:
+            ts += [np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)]
+    w = consts.alpha.w
+    for a, b in consts.alpha.windows:
+        ts += list(np.linspace(a - w, b + w, 17))
+    return np.array(ts)
+
+
+@given(st.lists(st.floats(0.0, 1.0), max_size=64))
+def test_array_profiles_match_scalar_formulas(hyper_setup, fracs):
+    _, _, _, consts = hyper_setup
+    t = _oracle_times(consts, fracs)
+    for prof in (consts.delta_profile, consts.Delta_profile):
+        for order, fn in enumerate((prof.value, prof.d1, prof.d2)):
+            want = np.array([_ref_bump(prof, s, order) for s in t.tolist()])
+            got = fn(t)
+            assert got.shape == t.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.all(got[want == 0.0] == 0.0)  # the support cut is exact
+    want = [_ref_alpha(consts.alpha, s) for s in t.tolist()]
+    assert np.array_equal(consts.alpha.value(t), want)
+    u = np.concatenate((np.linspace(-0.5, 1.5, 201), fracs))
+    assert np.array_equal(_smoothstep(u), [_ref_smoothstep(x) for x in u.tolist()])
+
+
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(0.0, 1.0),
+       st.booleans(), st.floats(0.0, 7.0), st.lists(st.floats(0.0, 1.0), max_size=64))
+@example((1.0, 1.0, 1.0), 1.0, False, 0.0, [])
+@example((0.0, 0.0, 0.0), 1.0, False, 0.0, [])
+@example((0.0, 0.0, -1.0), 1.0, True, 3.5, [])  # max |y| about 2e-6
+@example((0.0, 0.0, 1.0), 1.0, True, 6.0, [])
+def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
+                                             c_exp, fracs):
+    """A with |A| up to delta1, or c-only with |c| up to 1e7 delta1 so that
+    |y| = |alpha Delta c| lies on both sides of the series cut 1e-6."""
+    _, _, kit, consts = hyper_setup
+    if c_only:
+        A = PerturbA(0.0, 0.0, math.copysign(consts.delta1 * 10.0**c_exp, vec[2]))
+    else:
+        n = PerturbA(*vec).norm()
+        k = scale * consts.delta1 / n if n > 0.0 else 0.0
+        A = PerturbA(k * vec[0], k * vec[1], k * vec[2])
+    t = _oracle_times(consts, fracs)
+    km = np.array([kit.kmag_base(s) for s in t.tolist()])
+    refs = [_ref_profiles(consts, s) for s in t.tolist()]
+    got = _beta_A(t, A, consts, km)
+    for arr, ref in ((got, _ref_beta_terms), (_del_b(t, A, consts, km), _ref_del_b)):
+        want = np.array([ref(*p, A, k) for p, k in zip(refs, km.tolist())])
+        assert arr.shape == t.shape
+        assert np.abs(arr - want).max() <= 1e-13 * np.abs(want).max()
+    # from the array profiles' own values, the series branch is reproduced
+    # bit for bit (expm1 itself may differ in the last bit between libraries)
+    prof = [p(t) for p in (consts.alpha.value, consts.delta_profile.value,
+                           consts.delta_profile.d1, consts.Delta_profile.value,
+                           consts.Delta_profile.d2)]
+    exact = np.array([_ref_beta_terms(*p, A, k)
+                      for p, k in zip(zip(*(a.tolist() for a in prof)), km.tolist())])
+    series = np.abs(-prof[0] * prof[3] * A.c) < 1e-6
+    assert np.array_equal(got[series], exact[series])
 
 
 def test_franks_response_matches_variational(hyper_setup, torus, sin_field,
@@ -276,6 +424,16 @@ def test_franks_response_matches_variational(hyper_setup, torus, sin_field,
     _, vp = flow_with_variation(torus, sin_field, kit.state0, kit.T,
                                 tight_options)
     assert np.abs(S0 - vp.matrix(kit.T)).max() <= 1e-9
+
+
+def test_franks_response_takes_build_GA_beta(hyper_setup):
+    """build_GA's beta evaluates the window's stage times as one array."""
+    _, _, kit, consts = hyper_setup
+    A = PerturbA(0.5 * consts.delta1, 0.3 * consts.delta1, 0.2 * consts.delta1)
+    _, _, beta = build_GA(kit, consts, A)
+    S = franks_response(kit, beta)
+    assert np.array_equal(S, kit.response(lambda t, km: _beta_A(t, A, consts, km)))
+    assert not np.array_equal(S, franks_response(kit))
 
 
 def test_kmag_shift_pointwise(hyper_setup, torus, sin_field):
@@ -344,8 +502,8 @@ def test_verify_cota(hyper_setup):
 
 def test_cota_zero_direction_trivial(hyper_setup):
     _, _, kit, consts = hyper_setup
-    Z = variational_response(kit, lambda t: _del_b(t, PerturbA(0, 0, 0), consts,
-                                                   kit.kmag_base(t)))
+    Z = kit.response_derivative(lambda t, km: _del_b(t, PerturbA(0, 0, 0),
+                                                     consts, km))
     assert np.linalg.norm(Z, 2) == 0.0  # 0 >= 0 trivially
 
 
