@@ -13,6 +13,12 @@ transversal linearization is governed by the magnetic curvature
 through the planar system d/dt (y, y') = [[0, 1], [-K_mag, 0]] (y, y'),
 whose fundamental matrix X(t) is the linearized return data, plus the
 decoupled drift x' = f y along the flow direction.
+
+The right-hand sides read the chart through two calls, `lam(x, y)` and
+`log_grad(x, y)` = (lam_x/lam, lam_y/lam), plus the chart's constant
+`curvature`, and write Gamma^k(v, v) inline from the log-gradient; the full
+`MetricData` (`Surface.metric_at`) is left to curvature, K_mag and the
+finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ class IntegratorOptions:
 
 def _chart_rhs(surface, field, chart):
     """RHS of the trajectory ODE in one chart (state = (x, y, vx, vy))."""
-    metric_of = surface.charts[chart].metric
+    log_grad = surface.charts[chart].log_grad
     wrap = surface.kind == "torus"
     fval = field.value
 
@@ -68,13 +74,15 @@ def _chart_rhs(surface, field, chart):
             ym = yy - math.floor(yy)
         else:
             xm, ym = x, yy
-        md = metric_of(xm, ym)
+        lx, ly = log_grad(xm, ym)
         f = fval(chart, xm, ym)
-        if md.lam_x == 0.0 and md.lam_y == 0.0:
+        # Gamma^k_ij v^i v^j, the quadratic term of the geodesic equation
+        if lx == 0.0 and ly == 0.0:
             g1 = 0.0
             g2 = 0.0
         else:
-            g1, g2 = md.christoffel_quadratic(vx, vy)
+            g1 = lx * (vx * vx - vy * vy) + 2.0 * ly * vx * vy
+            g2 = ly * (vy * vy - vx * vx) + 2.0 * lx * vx * vy
         return (vx, vy, -g1 - f * vy, -g2 + f * vx)
 
     return rhs
@@ -82,7 +90,9 @@ def _chart_rhs(surface, field, chart):
 
 def _chart_rhs_variational(surface, field, chart, c):
     """RHS of the coupled (trajectory, X, drift-row) system, 10 components."""
-    metric_of = surface.charts[chart].metric
+    ch = surface.charts[chart]
+    log_grad = ch.log_grad
+    curvature = ch.curvature
     wrap = surface.kind == "torus"
     feval = field.eval
 
@@ -93,14 +103,15 @@ def _chart_rhs_variational(surface, field, chart, c):
             ym = yy - math.floor(yy)
         else:
             xm, ym = x, yy
-        md = metric_of(xm, ym)
+        lx, ly = log_grad(xm, ym)
         f, (fx, fy) = feval(chart, xm, ym)
-        if md.lam_x == 0.0 and md.lam_y == 0.0:
+        if lx == 0.0 and ly == 0.0:
             g1 = 0.0
             g2 = 0.0
         else:
-            g1, g2 = md.christoffel_quadratic(vx, vy)
-        kmag = 2.0 * c * md.curvature + f * f + fx * vy - fy * vx
+            g1 = lx * (vx * vx - vy * vy) + 2.0 * ly * vx * vy
+            g2 = ly * (vy * vy - vx * vx) + 2.0 * lx * vx * vy
+        kmag = 2.0 * c * curvature + f * f + fx * vy - fy * vx
         return (
             vx,
             vy,
@@ -119,7 +130,7 @@ def _chart_rhs_variational(surface, field, chart, c):
 
 def _renormalizer(surface, chart, c):
     """Per-step projection of the speed onto the energy level E = c."""
-    metric_of = surface.charts[chart].metric
+    lam_of = surface.charts[chart].lam
     wrap = surface.kind == "torus"
     target = math.sqrt(2.0 * c)
 
@@ -128,8 +139,7 @@ def _renormalizer(surface, chart, c):
         if wrap:
             x -= math.floor(x)
             yy -= math.floor(yy)
-        lam = metric_of(x, yy).lam
-        sp = lam * math.hypot(vx, vy)
+        sp = lam_of(x, yy) * math.hypot(vx, vy)
         if sp == 0.0:
             return y
         s = target / sp
@@ -274,8 +284,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
                 lo, hi = step.t0, step.t1
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    ym = step.eval(mid)
-                    if surface.contains(_chart, ym[0], ym[1]):
+                    if surface.contains(_chart, *step.eval_position(mid)):
                         lo = mid
                     else:
                         hi = mid

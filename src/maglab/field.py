@@ -355,7 +355,7 @@ def surface_integral(surface, func, panels=64):
         total = 0.0
         for x, w1 in zip(xs, wx):
             for y, w2 in zip(xs, wx):
-                lam = surface.charts[0].metric(x, y).lam
+                lam = surface.charts[0].lam(x, y)
                 total += w1 * w2 * func(0, x, y) * lam * lam
         return total
     if surface.kind == "sphere":
@@ -370,7 +370,7 @@ def surface_integral(surface, func, panels=64):
                 for th in ths:
                     x = r * math.cos(th)
                     y = r * math.sin(th)
-                    lam = surface.charts[chart].metric(x, y).lam
+                    lam = surface.charts[chart].lam(x, y)
                     total += w1 * wth * r * func(chart, x, y) * lam * lam
         return total
     raise UnsupportedSurfaceError("surface integral needs a compact surface")

@@ -6,7 +6,10 @@ plain Euclidean rotation, the Gaussian curvature is
 
     K = -(Delta log lam) / lam^2,
 
-and the Christoffel symbols are first partials of log lam.  Built-in
+and the Christoffel symbols are first partials of log lam.  Each chart
+answers `lam(x, y)` and `log_grad(x, y)` = (lam_x/lam, lam_y/lam), the two
+quantities the flow's right-hand side reads, with the same operations as the
+full `metric(x, y)` (a `MetricData`, for curvature and the tests).  Built-in
 surfaces: the flat torus R^2/Z^2 (single periodic chart), the round sphere
 of radius R (two stereographic charts with lam = 2R/(1+|z|^2), transition
 w = 1/z), and a planar chart (flat disk, used for the constant-intensity
@@ -82,16 +85,11 @@ class MetricData:
             for k in range(2)
         )
 
-    def christoffel_quadratic(self, vx, vy):
-        """Gamma^k_{ij} v^i v^j, the quadratic term of the geodesic equation."""
-        lx, ly = self.log_grad
-        g1 = lx * (vx * vx - vy * vy) + 2.0 * ly * vx * vy
-        g2 = ly * (vy * vy - vx * vx) + 2.0 * lx * vx * vy
-        return (g1, g2)
-
 
 class _FlatChart:
     """lam == 1 chart, optionally periodic (torus) or a bounded disk."""
+
+    curvature = 0.0
 
     def __init__(self, periodic=False, radius=None):
         self.periodic = periodic
@@ -99,6 +97,12 @@ class _FlatChart:
 
     def metric(self, x, y):
         return MetricData(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def lam(self, x, y):
+        return 1.0
+
+    def log_grad(self, x, y):
+        return (0.0, 0.0)
 
     def contains(self, x, y):
         if self.periodic or self.radius is None:
@@ -114,6 +118,7 @@ class _SphereChart:
 
     def __init__(self, radius):
         self.radius = radius
+        self.curvature = 1.0 / (radius * radius)
 
     def metric(self, x, y):
         R = self.radius
@@ -124,7 +129,18 @@ class _SphereChart:
         lam_xx = -4.0 * R / (s * s) + 16.0 * R * x * x / (s * s * s)
         lam_yy = -4.0 * R / (s * s) + 16.0 * R * y * y / (s * s * s)
         lam_xy = 16.0 * R * x * y / (s * s * s)
-        return MetricData(lam, lam_x, lam_y, lam_xx, lam_xy, lam_yy, 1.0 / (R * R))
+        return MetricData(lam, lam_x, lam_y, lam_xx, lam_xy, lam_yy, self.curvature)
+
+    def lam(self, x, y):
+        return 2.0 * self.radius / (1.0 + x * x + y * y)
+
+    def log_grad(self, x, y):
+        """(lam_x / lam, lam_y / lam), each factor formed as in `metric`."""
+        R = self.radius
+        s = 1.0 + x * x + y * y
+        lam = 2.0 * R / s
+        ss = s * s
+        return (-4.0 * R * x / ss / lam, -4.0 * R * y / ss / lam)
 
     def contains(self, x, y):
         return x * x + y * y < self.R_MAX * self.R_MAX
@@ -152,9 +168,6 @@ class Surface:
         if self.kind == "torus":
             x, y = self.wrap_position(x, y)
         return ch.metric(x, y)
-
-    def lam(self, chart, x, y):
-        return self.metric_at(chart, x, y).lam
 
     def _chart(self, chart):
         try:
@@ -199,19 +212,31 @@ class Surface:
         wy = -b * vx + a * vy
         return PhasePoint(self.other_chart(state.chart), u, v, wx, wy)
 
+    def position_to_chart(self, chart_from, x, y, chart):
+        """A chart point's (x, y) in the requested chart, or None if impossible.
+
+        The position half of `to_chart`, with the same operations and checks.
+        """
+        if chart_from == chart:
+            return (x, y)
+        if self.kind != "sphere":
+            return None
+        r2 = x * x + y * y
+        if r2 < 1e-12:
+            return None
+        u = x / r2
+        v = -y / r2
+        if not self._chart(chart).contains(u, v):
+            return None
+        return (u, v)
+
     def to_chart(self, state: PhasePoint, chart: int):
         """Convert a phase point into the requested chart, or None if impossible."""
         if state.chart == chart:
             return state
-        if self.kind != "sphere":
+        if self.position_to_chart(state.chart, state.x, state.y, chart) is None:
             return None
-        r2 = state.x * state.x + state.y * state.y
-        if r2 < 1e-12:
-            return None
-        out = self.transition(state)
-        if not self._chart(chart).contains(out.x, out.y):
-            return None
-        return out
+        return self.transition(state)
 
     def contains(self, chart, x, y):
         return self._chart(chart).contains(x, y)

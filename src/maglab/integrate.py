@@ -6,7 +6,10 @@ renormalization), step-by-step observation for section-event detection on the
 dense interpolant, and mid-integration state surgery for chart switching.
 
 State vectors are plain tuples of floats of any length (the flows use 4 and
-10 components); tuple arithmetic beats numpy at this size.  The tables `_A`,
+10 components); tuple arithmetic beats numpy at this size.  A `DenseStep`
+evaluates its interpolant with `eval(t)` (all components) or
+`eval_position(t)` (components 0 and 1 only, the same operations), which is
+what the section-crossing monitor samples.  The tables `_A`,
 `_B`, `_E` and `_P` are the one source of the coefficients.  The stages, the
 solution, the error estimate and the interpolant coefficients are written
 out term by term over them, one comprehension per quantity, with the terms in
@@ -102,6 +105,17 @@ class DenseStep:
             y + h * (d1 * th + d2 * th2 + d3 * th3 + d4 * th4)
             for y, (d1, d2, d3, d4) in zip(self.y0, self._d)
         ])
+
+    def eval_position(self, t):
+        """Components 0 and 1 of `eval(t)`, from the same operations."""
+        th = (t - self.t0) / self.h
+        th2 = th * th
+        th3 = th2 * th
+        th4 = th2 * th2
+        h = self.h
+        (a1, a2, a3, a4), (b1, b2, b3, b4) = self._d[0], self._d[1]
+        return (self.y0[0] + h * (a1 * th + a2 * th2 + a3 * th3 + a4 * th4),
+                self.y0[1] + h * (b1 * th + b2 * th2 + b3 * th3 + b4 * th4))
 
     def eval_derivative(self, t):
         th = (t - self.t0) / self.h

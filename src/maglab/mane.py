@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BracketError, UnsupportedSurfaceError
 from .dynamics import flow, IntegratorOptions
@@ -236,6 +235,10 @@ def _at_optimal_period(loop, length, k, t_cap=1e4):
 def _negative_loop_search(lag, k, rng, modes=8, restarts=20, maxiter=250,
                           n_nodes=256):
     """A loop with A_{L+k} < 0, or None.  Deterministic given the rng state."""
+    # imported here, not at the top, to keep scipy.optimize (about half a
+    # second) off the start-up of every run that brackets no Mane value
+    from scipy.optimize import minimize
+
     # rest points: action k * T
     if k < 0.0:
         loop = CircleLoop((0.5, 0.5), 0.0, 1.0)

@@ -18,11 +18,11 @@ normal-form invariants unchanged.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoReturnError, NewtonDivergenceError, ContinuationLostError
 from .geometry import PhasePoint, energy as phase_energy
@@ -41,6 +41,8 @@ __all__ = [
     "phase_distance",
     "seed_grid",
 ]
+
+log = logging.getLogger("maglab.orbits")
 
 
 def rescale_to_energy(surface, state: PhasePoint, c) -> PhasePoint:
@@ -124,12 +126,17 @@ class Section:
 
     def offset_normal(self, state: PhasePoint):
         """Signed chart-normal offset from the section curve (the event function)."""
-        if state.chart != self.anchor.chart:
-            conv = self.surface.to_chart(state, self.anchor.chart)
-            if conv is None:
+        return self.offset_at(state.chart, state.x, state.y)
+
+    def offset_at(self, chart, x, y):
+        """`offset_normal` of a position in `chart`; None outside the window."""
+        anchor = self.anchor
+        if chart != anchor.chart:
+            pos = self.surface.position_to_chart(chart, x, y, anchor.chart)
+            if pos is None:
                 return None
-            state = conv
-        dx, dy = self.surface.wrap_diff(state.x - self.anchor.x, state.y - self.anchor.y)
+            x, y = pos
+        dx, dy = self.surface.wrap_diff(x - anchor.x, y - anchor.y)
         if dx * dx + dy * dy > 0.35 * 0.35 and self.surface.kind == "torus":
             return None
         return dx * self.normal_e[0] + dy * self.normal_e[1]
@@ -169,16 +176,17 @@ class _CrossingMonitor:
         return PhasePoint(chart, y[0], y[1], y[2], y[3])
 
     def __call__(self, chart, step, offset):
-        sec = self.section
+        offset_at = self.section.offset_at
+        position = step.eval_position
+        t0, h = step.t0, step.h
         # subsample so consecutive samples move < ~0.08 chart units
         speed = math.hypot(step.y1[2], step.y1[3])
-        n = max(3, min(256, int(step.h * speed / 0.08) + 1))
+        n = max(3, min(256, int(h * speed / 0.08) + 1))
         for k in range(1, n + 1):
-            frac = k / n
-            tau = step.t0 + frac * step.h
+            tau = t0 + k / n * h
             t_glob = offset + tau
-            st = self._state_of(chart, step, tau)
-            l = sec.offset_normal(st)
+            x, y = position(tau)
+            l = offset_at(chart, x, y)
             if l is None:
                 self.prev_l = None
                 self.armed = False
@@ -212,7 +220,8 @@ class _CrossingMonitor:
             else:
                 step, chart, tau = step_a, chart_a, step_a.t0 + (t_glob - (ta - (tau_a - step_a.t0)))
             tau = min(max(tau, step.t0), step.t1)
-            v = sec.offset_normal(self._state_of(chart, step, tau))
+            x, y = step.eval_position(tau)
+            v = sec.offset_at(chart, x, y)
             return v if v is not None else math.nan
 
         la, lb = ell(ta), ell(tb)
@@ -223,7 +232,7 @@ class _CrossingMonitor:
         elif lb == 0.0:
             t_star = tb
         else:
-            t_star = brentq(ell, ta, tb, xtol=1e-13, rtol=8.9e-16)
+            t_star = _brent(ell, ta, tb, xtol=1e-13, rtol=8.9e-16)
         # state at the crossing
         if t_star >= tb - (tau_b - step_b.t0):
             st = self._state_of(chart_b, step_b, step_b.t0 + (t_star - (tb - (tau_b - step_b.t0))))
@@ -232,6 +241,76 @@ class _CrossingMonitor:
         if not sec.crossing_ok(st):
             return None
         return (t_star, st)
+
+
+def _brent(f, xa, xb, xtol, rtol):
+    """Root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    A transcription of scipy's `brentq` (its brentq.c, after R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): the same
+    bisection, secant and inverse quadratic steps in the same order and the
+    same xtol + rtol*|x| stopping test, so the roots agree bit for bit.  As
+    there, a NaN value of f raises ValueError and running out of brentq's
+    default 100 iterations raises RuntimeError.
+    """
+
+    def fval(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre = fval(xpre)
+    fcur = fval(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # in C the step is then inf or nan, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fval(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
 def first_return(section, coords, field=None, max_time=50.0, backward=False,
@@ -367,6 +446,8 @@ def _minimal_period(surface, field, state, T, tol, options):
         end = flow(surface, field, state, cand, options).end_state()
         if phase_distance(surface, state, end) <= 100.0 * tol:
             best = cand
+            log.info("transit time %.12g covers the orbit %d times; period %.12g",
+                     T, k, cand)
             break
     return best
 
@@ -389,16 +470,19 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
     suspect = False
     fd_h = max(1e-7, 1e-6 * half_width)
     converged = False
-    for _ in range(max_iters):
+    for it in range(max_iters):
         w = rmap(z)
         r = float(np.linalg.norm(w - z))
         if r <= tol:
+            log.debug("newton iterate %d: residual %.3e, converged", it, r)
             converged = True
             break
         J = rmap.jacobian(z, fd_h)
         A = J - np.eye(2)
         det = abs(np.linalg.det(A))
         if det < 1e-10:
+            log.debug("newton iterate %d: residual %.3e, |det(J - I)| %.3e",
+                      it, r, det)
             suspect = True
             break
         dz = np.linalg.solve(A, -(w - z))
@@ -407,6 +491,8 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
         n = np.linalg.norm(dz)
         if n > lim:
             dz *= lim / n
+        log.debug("newton iterate %d: residual %.3e, |dz| %.3e, |det(J - I)| %.3e",
+                  it, r, min(n, lim), det)
         z = z + dz
     w = rmap(z)
     transit = rmap.last_transit
@@ -421,6 +507,10 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
     M = vp.matrix(T)
     residual = phase_distance(surface, state, traj.end_state())
     cls, eig = classify(M, class_tol)
+    if suspect:
+        log.info("orbit of period %.12g marked parabolic-suspect: "
+                 "|det(J - I)| = %.3e < 1e-10 (class from the trace: %s)",
+                 T, det, cls)
     if suspect and cls != "parabolic":
         cls = "parabolic"
         eig = EigenData("parabolic")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +215,14 @@ def test_disk_scenario_reports(tmp_path):
     assert rows[0] == ["t", "x", "y", "vx", "vy", "E"]
     energies = [float(r[5]) for r in rows[1:]]
     assert max(abs(e - 0.5) for e in energies) <= 1e-9
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """scipy.optimize costs about half a second of start-up; only the Mane
+    loop search imports it, when it runs."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import maglab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

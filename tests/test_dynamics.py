@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from maglab.errors import NonFiniteError, StiffnessError
-from maglab.geometry import PhasePoint, energy, sphere
-from maglab.field import MagneticField, ConstantField, ZonalSphereField
+from maglab.geometry import PhasePoint, energy, flat_torus, planar_chart, sphere
+from maglab.field import (
+    MagneticField,
+    ConstantField,
+    PolynomialField,
+    SinusoidalTorusField,
+    ZonalSphereField,
+)
 from maglab.dynamics import (
     IntegratorOptions,
+    _chart_rhs,
+    _chart_rhs_variational,
+    _renormalizer,
     fd_monodromy,
     flow,
     flow_with_variation,
@@ -172,3 +182,88 @@ def test_dense_output_precision():
     # derivative of the interpolant tracks the RHS
     for t in np.linspace(0.1, 9.9, 100):
         assert sol.eval_derivative(t)[0] == pytest.approx(math.cos(t), abs=1e-7)
+
+
+# -- the fused chart RHS against the MetricData formula ---------------------------
+
+_RHS_CASES = {
+    "torus": (flat_torus(), MagneticField(SinusoidalTorusField(1.3, k=(1, 2), phase=0.4))),
+    "planar": (planar_chart(), MagneticField(PolynomialField([[0.3, -0.5], [1.2, 0.0, 0.7]]))),
+    "sphere 0.5": (sphere(0.5), MagneticField(ZonalSphereField(1.6))),
+    "sphere 1": (sphere(1.0), MagneticField(ZonalSphereField(-0.7))),
+    "sphere 2.5": (sphere(2.5), MagneticField(ZonalSphereField(2.2))),
+}
+
+
+def _ref_chart_point(surface, x, y):
+    if surface.kind == "torus":
+        return x - math.floor(x), y - math.floor(y)
+    return x, y
+
+
+def _ref_gamma(md, vx, vy):
+    """Gamma^k_ij v^i v^j from a full MetricData, zero where grad lam is."""
+    if md.lam_x == 0.0 and md.lam_y == 0.0:
+        return 0.0, 0.0
+    lx, ly = md.log_grad
+    g1 = lx * (vx * vx - vy * vy) + 2.0 * ly * vx * vy
+    g2 = ly * (vy * vy - vx * vx) + 2.0 * lx * vx * vy
+    return g1, g2
+
+
+def _ref_rhs(surface, field, chart, y):
+    x, yy, vx, vy = y
+    xm, ym = _ref_chart_point(surface, x, yy)
+    md = surface.charts[chart].metric(xm, ym)
+    f = field.value(chart, xm, ym)
+    g1, g2 = _ref_gamma(md, vx, vy)
+    return (vx, vy, -g1 - f * vy, -g2 + f * vx)
+
+
+def _ref_rhs_variational(surface, field, chart, c, y):
+    x, yy, vx, vy, x11, x12, x21, x22, _, _ = y
+    xm, ym = _ref_chart_point(surface, x, yy)
+    md = surface.charts[chart].metric(xm, ym)
+    f, (fx, fy) = field.eval(chart, xm, ym)
+    g1, g2 = _ref_gamma(md, vx, vy)
+    kmag = 2.0 * c * md.curvature + f * f + fx * vy - fy * vx
+    return (vx, vy, -g1 - f * vy, -g2 + f * vx, x21, x22,
+            -kmag * x11, -kmag * x12, f * x11, f * x12)
+
+
+def _ref_renormalize(surface, chart, c, y):
+    xm, ym = _ref_chart_point(surface, y[0], y[1])
+    lam = surface.charts[chart].metric(xm, ym).lam
+    sp = lam * math.hypot(y[2], y[3])
+    if sp == 0.0:
+        return y
+    s = math.sqrt(2.0 * c) / sp
+    return (y[0], y[1], y[2] * s, y[3] * s) + tuple(y[4:])
+
+
+@st.composite
+def chart_states(draw):
+    """(surface, field, chart, 10-component state) inside a chart domain."""
+    name = draw(st.sampled_from(sorted(_RHS_CASES)))
+    surface, field = _RHS_CASES[name]
+    chart = draw(st.sampled_from(range(len(surface.charts))))
+    box = {"torus": 3.0, "planar": 2.0}.get(surface.kind, 2.5)
+    pos = st.floats(-box, box)
+    comp = st.floats(-3.0, 3.0)
+    y = (draw(pos), draw(pos)) + tuple(draw(comp) for _ in range(8))
+    return surface, field, chart, y
+
+
+@given(chart_states(), st.floats(0.05, 4.0))
+@example((_RHS_CASES["sphere 1"] + (1, (0.0, 0.3, 0.8, -0.4) + (1.0,) * 6)), 0.5)
+def test_fused_rhs_matches_metric_formula(case, c):
+    """The chart RHS, its variational twin and the projection read lam and
+    log_grad; each agrees exactly with the formula over a full MetricData."""
+    surface, field, chart, y = case
+    assert _chart_rhs(surface, field, chart)(0.0, y[:4]) == \
+        _ref_rhs(surface, field, chart, y[:4])
+    assert _chart_rhs_variational(surface, field, chart, c)(0.0, y) == \
+        _ref_rhs_variational(surface, field, chart, c, y)
+    post = _renormalizer(surface, chart, c)
+    assert post(0.0, y[:4]) == _ref_renormalize(surface, chart, c, y[:4])
+    assert post(0.0, y) == _ref_renormalize(surface, chart, c, y)

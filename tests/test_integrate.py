@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maglab.integrate import (
-    _A, _B, _C, _E, _P, _error_norm, _initial_step, integrate,
+    _A, _B, _C, _E, _P, DenseStep, _error_norm, _initial_step, integrate,
 )
 
 
@@ -134,3 +134,18 @@ def test_solution_eval_derivative_rejects_out_of_range():
     # within the slack the time is clamped onto the end of the solution
     assert sol.eval_derivative(sol.t_end * (1 + 1e-14)) == \
         sol.eval_derivative(sol.t_end)
+
+
+@given(st.integers(2, 10).flatmap(lambda n: st.tuples(
+    st.lists(coord, min_size=n, max_size=n),
+    st.lists(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n),
+             min_size=7, max_size=7))),
+    st.floats(-3.0, 3.0), st.floats(1e-3, 0.5),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_eval_position_is_eval_prefix(data, t0, h, thetas):
+    """eval_position(t) is eval(t)[:2], bit for bit, on any step."""
+    y0, ks = data
+    step = DenseStep(t0, h, tuple(y0), tuple(y0), tuple(tuple(k) for k in ks))
+    for th in thetas + [0.0, 1.0]:
+        t = t0 + th * h
+        assert step.eval_position(t) == step.eval(t)[:2]

@@ -1,16 +1,26 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
+from scipy.optimize import brentq
 
 from maglab.errors import ContinuationLostError, NoReturnError
-from maglab.geometry import PhasePoint, energy
-from maglab.field import MagneticField, ConstantField, SinusoidalTorusField
+from maglab.geometry import PhasePoint, energy, flat_torus, planar_chart, sphere
+from maglab.field import (
+    MagneticField,
+    ConstantField,
+    SinusoidalTorusField,
+    ZonalSphereField,
+)
 from maglab.dynamics import IntegratorOptions, flow
 from maglab.orbits import (
     OrbitDatabase,
     SectionReturnMap,
+    _brent,
+    _minimal_period,
     classify,
     continue_orbit,
     find_closed_orbit,
@@ -150,6 +160,24 @@ def test_minimal_period_detection(torus, zero_field):
     assert orb.period == pytest.approx(1.0, abs=1e-10)
 
 
+def test_orbit_search_logs_period_division_and_suspect(torus, zero_field, caplog):
+    """Both orbit adjustments are logged at INFO on maglab.orbits: a transit
+    time covering the flat torus line orbit three times, and the singular
+    I - DP of that orbit (a shear) seen from a seed tilted by 1e-9."""
+    line = PhasePoint(0, 0.5, 0.5, 1.0, 0.0)
+    with caplog.at_level(logging.INFO, logger="maglab.orbits"):
+        period = _minimal_period(torus, zero_field, line, 3.0, 1e-10,
+                                 IntegratorOptions())
+        orb = find_closed_orbit(torus, zero_field, 0.5,
+                                PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "maglab.orbits" and r.levelno == logging.INFO]
+    assert period == 1.0
+    assert any("covers the orbit 3 times; period 1" in m for m in lines), lines
+    assert orb.parabolic_suspect
+    assert any("parabolic-suspect" in m for m in lines), lines
+
+
 def test_continue_orbit_same_field(torus, sin_field):
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
@@ -220,3 +248,96 @@ def test_seed_grid(torus):
     assert len(seeds) == 12
     for s in seeds:
         assert energy(torus, s) == pytest.approx(0.5, abs=1e-14)
+
+
+# -- the raw-float section offset against the PhasePoint path ---------------------
+
+_OFFSET_SURFACES = {
+    "torus": (flat_torus(), MagneticField(SinusoidalTorusField(1.0))),
+    "planar": (planar_chart(), MagneticField(ConstantField(-1.0))),
+    "sphere 0.5": (sphere(0.5), MagneticField(ZonalSphereField(1.6))),
+    "sphere 1": (sphere(1.0), MagneticField(ZonalSphereField(1.6))),
+    "sphere 2.5": (sphere(2.5), MagneticField(ZonalSphereField(1.6))),
+}
+
+
+def _ref_offset(sec, state):
+    """The section's offset through the full phase-point chart transition."""
+    surface, anchor = sec.surface, sec.anchor
+    if state.chart != anchor.chart:
+        if surface.kind != "sphere" or state.x * state.x + state.y * state.y < 1e-12:
+            return None
+        state = surface.transition(state)
+        if not surface.contains(anchor.chart, state.x, state.y):
+            return None
+    dx, dy = surface.wrap_diff(state.x - anchor.x, state.y - anchor.y)
+    if dx * dx + dy * dy > 0.35 * 0.35 and surface.kind == "torus":
+        return None
+    return dx * sec.normal_e[0] + dy * sec.normal_e[1]
+
+
+def _sections():
+    """A section at a random anchor of a random surface."""
+    return st.tuples(st.sampled_from(sorted(_OFFSET_SURFACES)), st.integers(0, 1),
+                     st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+                     st.floats(0.0, 2.0 * math.pi))
+
+
+# positions spread over the chart, clustered near the anchor and near the origin
+_coord = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-5, 1e-5))
+
+
+@given(_sections(), st.integers(0, 1), _coord, _coord, st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0))
+@example(("sphere 1", 0, 0.3, 0.0, 1.0), 1, 0.0, 0.0, 0.5, 0.0)  # at the origin
+@example(("sphere 1", 0, 0.3, 0.0, 1.0), 1, 1e-7, 0.0, 0.5, 0.0)  # near the origin
+@example(("sphere 1", 0, 0.3, 0.0, 1.0), 1, 2e-6, 0.0, 0.5, 0.0)  # maps past R_MAX
+@example(("sphere 1", 1, 0.3, 0.0, 1.0), 0, 3.0, 0.5, 0.5, 0.0)  # off the anchor chart
+@example(("torus", 0, 0.1, 0.2, 1.0), 0, 0.5, 0.2, 0.5, 0.0)  # outside the 0.35 window
+@example(("torus", 0, 0.1, 0.2, 1.0), 0, 0.455, 0.2, 0.5, 0.0)  # just outside it
+@example(("torus", 0, 0.1, 0.2, 1.0), 0, 1.05, 1.1, 0.5, 0.0)  # a lattice image
+def test_offset_at_matches_phase_point_path(sec_args, chart, x, y, vx, vy):
+    name, anchor_chart, ax, ay, angle = sec_args
+    surface, field = _OFFSET_SURFACES[name]
+    anchor_chart %= len(surface.charts)
+    chart %= len(surface.charts)
+    anchor = PhasePoint(anchor_chart, ax, ay, math.cos(angle), math.sin(angle))
+    sec = make_section(surface, field, anchor)
+    state = PhasePoint(chart, x, y, vx, vy)
+    want = _ref_offset(sec, state)
+    assert sec.offset_at(chart, x, y) == want
+    assert sec.offset_normal(state) == want
+
+
+# -- the Brent root finder against scipy's brentq ------------------------------------
+
+
+def _horner(coeffs):
+    def p(x):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+    return p
+
+
+@given(st.integers(3, 4).flatmap(
+    lambda deg: st.lists(st.floats(-10.0, 10.0), min_size=deg + 1, max_size=deg + 1)),
+    st.floats(-5.0, 5.0), st.floats(1e-3, 10.0))
+@example([1.0, 0.0, -2.0, 1.0], -2.0, 4.0)
+@example([1.0, -0.5, -3.0, 1.0, 0.2], -1.0, 3.0)
+@example([1.0, 0.0, 0.0, 0.0], -0.25, 1.0)  # x^3: 100 iterations do not reach xtol
+@example([0.0, 5.4e-143, 5.4e-143, 0.0], -1.5, 1.0)  # underflow: a zero divisor
+def test_brent_matches_brentq(coeffs, a, width):
+    """Same root, bit for bit, at the crossing monitor's tolerances, and the
+    same RuntimeError where brentq runs out of iterations."""
+    f = _horner(coeffs)
+    b = a + width
+    assume(f(a) * f(b) < 0.0)
+    try:
+        want = brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            _brent(f, a, b, xtol=1e-13, rtol=8.9e-16)
+        return
+    assert _brent(f, a, b, xtol=1e-13, rtol=8.9e-16) == want
