@@ -7,10 +7,18 @@ code paths.  A verified transversal homoclinic crossing plus a sampled
 Conley-Moser crossing pattern yields a symbolic factor with N symbols under
 k iterates, hence the topological-entropy lower bound log(N) / (k * T_ret)
 per unit time (T_ret = 1 for plain maps).
+
+`certify_horseshoe` follows one orbit per sampled fiber: within a call each
+(rectangle, fiber) keeps the images of its points, extended one oracle call
+per point and iterate as larger k are read, so the k-th image costs one call
+on the stored (k-1)-th image rather than k calls from the fiber.  A point
+whose oracle call raises stays failed for every larger k.  For a flow's
+`SectionReturnMap` each saved call is a saved section return.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -18,6 +26,8 @@ import numpy as np
 
 from .errors import NoReturnError
 from .normalform import fd_jacobian
+
+log = logging.getLogger("maglab.chaos")
 
 __all__ = [
     "ManifoldBranch",
@@ -199,6 +209,9 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
         truncated = True
 
     points = np.array(pts) if pts else np.zeros((0, 2))
+    log.info("%s branch (sign %+d) at (%.6g, %.6g): %d points, arclength %.6g%s",
+             side, sign, p[0], p[1], len(points), total,
+             ", truncated by an oracle failure" if truncated else "")
     return ManifoldBranch(p, side, sign, points, total, lam, v,
                           truncated=truncated, tol=tol)
 
@@ -297,9 +310,16 @@ class Rectangle:
             + s * self.frame[:, 1][None, :]
 
     def coords(self, pts):
+        """Frame coordinates (u, s) of the rows of pts.
+
+        One 2x2 solve per row, broadcast over the rows: the same LAPACK call
+        per point as solving each row alone, so the coordinates do not depend
+        on how many points are solved together (a single multi-column solve
+        can differ in the last bit).
+        """
         d = pts - self.center[None, :]
-        sol = np.linalg.solve(self.frame, d.T)
-        return sol[0], sol[1]
+        sol = np.linalg.solve(self.frame, d[:, :, None])
+        return sol[:, 0, 0], sol[:, 1, 0]
 
 
 @dataclass
@@ -320,31 +340,54 @@ class EntropyReport:
         }
 
 
-def _fiber_crossings(oracle, rect_from, rect_to, k, s_val, n_samples, slack=1.0):
-    """Number of connected full traversals of rect_to by the k-image of one fiber."""
-    pts = rect_from.fiber(s_val, n_samples)
-    imgs = []
-    for z in pts:
-        w = np.asarray(z, dtype=float)
-        try:
-            for _ in range(k):
-                w = np.asarray(oracle(w), dtype=float)
-        except (ValueError, NoReturnError):
-            imgs.append(None)
-            continue
-        imgs.append(w)
+class _FiberOrbit:
+    """Images of one fiber's sample points under successive oracle calls.
+
+    images[j] holds the j-th images (row i for point i) and failed_at[i] is
+    the first iterate at which the oracle raised on point i, so point i is
+    alive at iterate k exactly when k < failed_at[i].  A failed point is
+    never passed to the oracle again.
+    """
+
+    def __init__(self, pts):
+        self.images = [np.asarray(pts, dtype=float)]
+        self.failed_at = np.full(len(pts), np.iinfo(np.int64).max)
+        self.calls = 0
+
+    def at(self, oracle, k):
+        """(images, alive mask) at iterate k, extending the orbit as needed."""
+        while len(self.images) <= k:
+            j = len(self.images)
+            prev = self.images[-1]
+            nxt = np.full_like(prev, np.nan)
+            for i in np.flatnonzero(self.failed_at >= j):
+                self.calls += 1
+                try:
+                    nxt[i] = np.asarray(oracle(prev[i]), dtype=float)
+                except (ValueError, NoReturnError):
+                    self.failed_at[i] = j
+            self.images.append(nxt)
+        return self.images[k], self.failed_at > k
+
+
+def _fiber_crossings(imgs, alive, rect_to):
+    """Number of connected full traversals of rect_to by one fiber image.
+
+    imgs are the image points in fiber order and alive marks the points the
+    oracle could map; a failed point breaks a run like a point outside.
+    """
+    tol = 1e-9 * max(rect_to.half_u, rect_to.half_s)
+    us = np.zeros(len(imgs))
+    ok = np.zeros(len(imgs), dtype=bool)
+    u, s = rect_to.coords(imgs[alive])
+    us[alive] = u
+    ok[alive] = np.abs(s) <= rect_to.half_s + tol
     runs = 0
     run_min = math.inf
     run_max = -math.inf
     inside = False
-    tol = 1e-9 * max(rect_to.half_u, rect_to.half_s)
-    for w in imgs:
-        ok = False
-        if w is not None:
-            u, s = rect_to.coords(w[None, :])
-            u, s = float(u[0]), float(s[0])
-            ok = abs(s) <= rect_to.half_s * slack + tol
-        if ok:
+    for u, hit in zip(us.tolist(), ok.tolist()):
+        if hit:
             if not inside:
                 inside = True
                 run_min, run_max = u, u
@@ -360,6 +403,31 @@ def _fiber_crossings(oracle, rect_from, rect_to, k, s_val, n_samples, slack=1.0)
     return runs
 
 
+class _FiberStore:
+    """The fiber orbits of one certify_horseshoe call, keyed by position.
+
+    A key is (candidate index, rectangle index, fiber index).
+    """
+
+    def __init__(self, oracle, n_fibers, n_samples):
+        self.oracle = oracle
+        self.n_fibers = n_fibers
+        self.n_samples = n_samples
+        self.orbits = {}
+
+    def fibers(self, c, r, rect, k):
+        """(images, alive) at iterate k for each fiber of rectangle r, lazily."""
+        for i, s in enumerate(np.linspace(-rect.half_s, rect.half_s, self.n_fibers)):
+            orb = self.orbits.get((c, r, i))
+            if orb is None:
+                orb = self.orbits[(c, r, i)] = _FiberOrbit(rect.fiber(s, self.n_samples))
+            yield orb.at(self.oracle, k)
+
+    @property
+    def calls(self):
+        return sum(orb.calls for orb in self.orbits.values())
+
+
 def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
                       n_fibers=9, n_samples=160, T_ret=1.0, fixed_point=None):
     """Sampled Conley-Moser crossing check yielding an entropy lower bound.
@@ -370,40 +438,53 @@ def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
     axes along the local invariant directions): counts connected full
     traversals of the box by its own image, N = minimum over fibers.
     The bound is log(N) / (k * T_ret); failure reports a zero bound.
+    Each fiber's orbit is computed once per call and read at every k.
     """
     if rectangles is None:
         if intersection is None:
             raise ValueError("need an intersection or explicit rectangles")
         rectangles = _default_rectangles(oracle, intersection, fixed_point)
+    candidates = rectangles if isinstance(rectangles[0], list) else [rectangles]
+    store = _FiberStore(oracle, n_fibers, n_samples)
     best = None
     for k in k_range:
-        for rects in rectangles if isinstance(rectangles[0], list) else [rectangles]:
-            n = _certify_with(oracle, rects, k, n_fibers, n_samples)
+        for c, rects in enumerate(candidates):
+            n = _certify_with(store, c, rects, k)
             if n >= 2:
                 bound = math.log(n) / (k * T_ret)
                 cand = {"N": n, "k": k, "T_ret": T_ret}
                 if best is None or bound > best[0]:
                     best = (bound, cand)
     if best is None:
+        log.info("no horseshoe certified over k in %s (%d oracle calls)",
+                 list(k_range), store.calls)
         return EntropyReport([] if intersection is None else [intersection],
                              {"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "no crossing")
+    log.info("horseshoe certified: N = %d, k = %d, bound %.12g (%d oracle calls)",
+             best[1]["N"], best[1]["k"], best[0], store.calls)
     return EntropyReport([] if intersection is None else [intersection],
                          best[1], best[0], "certified")
 
 
-def _certify_with(oracle, rects, k, n_fibers, n_samples):
+def _certify_with(store, c, rects, k):
     if len(rects) == 1:
         r = rects[0]
-        counts = []
-        for s in np.linspace(-r.half_s, r.half_s, n_fibers):
-            counts.append(_fiber_crossings(oracle, r, r, k, s, n_samples))
-        return min(counts) if counts else 0
+        counts = [_fiber_crossings(imgs, alive, r)
+                  for imgs, alive in store.fibers(c, 0, r, k)]
+        n = min(counts) if counts else 0
+        log.debug("k = %d, box %d (half %.6g x %.6g): minimum fiber count %d",
+                  k, c, r.half_u, r.half_s, n)
+        return n
     # multiple rectangles: require full crossing for every ordered pair
-    for ri in rects:
-        for rj in rects:
-            for s in np.linspace(-ri.half_s, ri.half_s, n_fibers):
-                if _fiber_crossings(oracle, ri, rj, k, s, n_samples) < 1:
+    for a, ri in enumerate(rects):
+        low = math.inf
+        for imgs, alive in store.fibers(c, a, ri, k):
+            for rj in rects:
+                low = min(low, _fiber_crossings(imgs, alive, rj))
+                if low < 1:
+                    log.debug("k = %d, rectangle %d: a fiber misses a rectangle", k, a)
                     return 0
+        log.debug("k = %d, rectangle %d: minimum fiber count %s", k, a, low)
     return len(rects)
 
 

@@ -7,10 +7,17 @@ loop with negative action; the upper end is heuristic ("no negative loop
 found up to the configured search effort"), matching the one-sided nature
 of the infimum.  Contractible loops are searched over circles, rounded
 rectangles and a Fourier parametrization descended with Nelder-Mead.
+
+`FourierLoop.sample` reads its nodes and cos/sin tables from a small cache
+keyed by (period, n, modes): the Nelder-Mead descent samples thousands of
+shapes with the same period, node count and mode count, and rebuilt the same
+tables for each.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -18,6 +25,8 @@ import numpy as np
 
 from .errors import BracketError, UnsupportedSurfaceError
 from .dynamics import flow, IntegratorOptions
+
+log = logging.getLogger("maglab.mane")
 
 __all__ = [
     "ConstantForm",
@@ -105,6 +114,18 @@ class LagrangianSpec:
 # -- loops -----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _fourier_tables(period, n, modes):
+    """Nodes t (n,) and cos, sin (modes, n) of FourierLoop.sample, read-only."""
+    t = np.arange(n) * (period / n)
+    ang = 2.0 * math.pi * np.outer(np.arange(1, modes + 1), t / period)
+    cos = np.cos(ang)
+    sin = np.sin(ang)
+    for a in (t, cos, sin):
+        a.setflags(write=False)
+    return t, cos, sin
+
+
 class FourierLoop:
     """Closed curve x(t) = c0 + sum_m a_m cos(2 pi m t/T) + b_m sin(2 pi m t/T)."""
 
@@ -115,11 +136,8 @@ class FourierLoop:
         self.modes = (self.coeffs.shape[1] - 1) // 2
 
     def sample(self, n):
-        t = np.arange(n) * (self.period / n)
         M = self.modes
-        ang = 2.0 * math.pi * np.outer(np.arange(1, M + 1), t / self.period)
-        cos = np.cos(ang)
-        sin = np.sin(ang)
+        t, cos, sin = _fourier_tables(self.period, n, M)
         pos = np.empty((2, n))
         vel = np.empty((2, n))
         w = 2.0 * math.pi / self.period
@@ -316,11 +334,15 @@ def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4
         hit = _negative_loop_search(lagrangian, mid, rng, modes, restarts,
                                     maxiter, n_nodes)
         evals += 1
+        log.debug("bisection step %d: k = %.12g, %s", evals, mid,
+                  "witness found" if hit is not None else "no witness")
         if hit is not None:
             lo = mid
             witness, w_action = hit
         else:
             hi = mid
+    log.info("critical value bracket [%.12g, %.12g] after %d searches "
+             "(witness action %.6g)", lo, hi, evals, w_action)
     effort = {"bisection_steps": evals, "restarts": restarts, "modes": modes,
               "maxiter": maxiter, "nodes": n_nodes, "seed": seed}
     return CriticalBracket(lo, hi, witness.describe(), w_action, effort)
@@ -328,7 +350,7 @@ def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4
 
 def verify_witness(lagrangian, bracket: CriticalBracket, n_nodes=512):
     """Re-evaluate the stored witness loop at c_lo; must be negative."""
-    w = bracket.witness_loop if hasattr(bracket, "witness_loop") else bracket.witness
+    w = bracket.witness
     if w["kind"] == "fourier":
         loop = FourierLoop(w["period"], np.array(w["coeffs"]))
     elif w["kind"] == "rounded_rectangle":

@@ -43,7 +43,7 @@ class TwistMap:
         c, s = math.cos(phi), math.sin(phi)
         return np.array([c * x + s * y, -s * x + c * y])
 
-    def jacobian(self, z, h=1e-7):
+    def jacobian(self, z):
         x, y = float(z[0]), float(z[1])
         r2 = x * x + y * y
         phi = self._angle(r2)
@@ -67,7 +67,7 @@ class LinearMap:
     def inverse(self, z):
         return self.Minv @ np.asarray(z, dtype=float)
 
-    def jacobian(self, z, h=None):
+    def jacobian(self, z):
         return self.M.copy()
 
 
@@ -94,7 +94,7 @@ class StandardMap:
         p = p1 - self.K / (2.0 * math.pi) * math.sin(2.0 * math.pi * x)
         return np.array([x, p])
 
-    def jacobian(self, z, h=None):
+    def jacobian(self, z):
         x = float(z[0])
         kc = self.K * math.cos(2.0 * math.pi * x)
         return np.array([[1.0 + kc, 1.0], [kc, 1.0]])
@@ -128,7 +128,7 @@ class HorseshoeMap:
             return np.array([s * x1, y1 / s])
         return np.array([s * (1.0 - x1), 1.0 - y1 / s])
 
-    def jacobian(self, z, h=None):
+    def jacobian(self, z):
         x, y = float(z[0]), float(z[1])
         s = self.s
         if y <= 1.0 / 3.0 + 1e-15:

@@ -43,6 +43,7 @@ from maglab.chaos import (
 )
 from maglab.maps import HorseshoeMap, StandardMap, TwistMap
 from maglab.mane import (
+    _fourier_tables,
     ConstantForm,
     LagrangianSpec,
     estimate_critical_value,
@@ -312,11 +313,13 @@ def test_c13_critical_value():
 
 def test_c14_determinism(tmp_path):
     names = ["torus_geodesic.json", "critical_value.json",
-             "horseshoe_entropy.json"]
+             "horseshoe_entropy.json", "standard_map_entropy.json"]
     total = 0
     for name in names:
         a = tmp_path / (name + ".a")
         b = tmp_path / (name + ".b")
+        # a cold run, then a warm one in the same process
+        _fourier_tables.cache_clear()
         run_scenario(load_scenario(scenario_path(name)), out_dir=str(a))
         run_scenario(load_scenario(scenario_path(name)), out_dir=str(b))
         for fn in sorted(os.listdir(a)):

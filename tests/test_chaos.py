@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from maglab.chaos import (
     Rectangle,
+    _default_rectangles,
+    _fiber_crossings,
+    _FiberStore,
     certify_horseshoe,
     detect_homoclinic,
     dominated_splitting_check,
@@ -124,6 +128,175 @@ def test_entropy_monotone_in_search(standard_branches):
     small = certify_horseshoe(sm, best, k_range=range(1, 12), fixed_point=(0.0, 0.0))
     large = certify_horseshoe(sm, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
     assert large.h_top_lower >= small.h_top_lower
+
+
+class _CountingMap:
+    """StandardMap(1.5) that counts its calls and raises where |x| > x_max."""
+
+    def __init__(self, x_max=math.inf):
+        self.sm = StandardMap(1.5)
+        self.x_max = x_max
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        if abs(z[0]) > self.x_max:
+            raise ValueError("left the strip")
+        return self.sm(z)
+
+    def jacobian(self, z):
+        return self.sm.jacobian(z)
+
+
+def _reference_image(oracle, z, k):
+    """k-th image iterated from the fiber point itself, None if a call raises."""
+    w = np.asarray(z, dtype=float)
+    try:
+        for _ in range(k):
+            w = np.asarray(oracle(w), dtype=float)
+    except ValueError:
+        return None
+    return w
+
+
+def _reference_crossings(oracle, rect, k, s, n_samples=160):
+    """Full traversals of rect by the k-image of fiber s, point by point.
+
+    Each point is iterated k times from the fiber and its box coordinates
+    are solved alone, as the certifier did before it kept fiber orbits.
+    """
+    tol = 1e-9 * max(rect.half_u, rect.half_s)
+    runs = 0
+    run_min = math.inf
+    run_max = -math.inf
+    inside = False
+    for z in rect.fiber(s, n_samples):
+        w = _reference_image(oracle, z, k)
+        ok = False
+        if w is not None:
+            u, sc = np.linalg.solve(rect.frame, (w - rect.center)[:, None])[:, 0]
+            ok = abs(sc) <= rect.half_s + tol
+        if ok:
+            if not inside:
+                inside = True
+                run_min, run_max = u, u
+            else:
+                run_min = min(run_min, u)
+                run_max = max(run_max, u)
+        else:
+            if inside and run_min <= -rect.half_u + tol and run_max >= rect.half_u - tol:
+                runs += 1
+            inside = False
+    if inside and run_min <= -rect.half_u + tol and run_max >= rect.half_u - tol:
+        runs += 1
+    return runs
+
+
+def test_rectangle_coords_independent_of_batch():
+    """Coordinates of many points equal, bit for bit, those solved one by one."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        rect = Rectangle(rng.standard_normal(2), 0.1, 0.2, rng.standard_normal((2, 2)))
+        pts = rng.standard_normal((160, 2))
+        u, s = rect.coords(pts)
+        for i, p in enumerate(pts):
+            ui, si = rect.coords(p[None, :])
+            want = np.linalg.solve(rect.frame, (p - rect.center)[:, None])[:, 0]
+            assert (u[i], s[i]) == (ui[0], si[0]) == tuple(want)
+
+
+@pytest.fixture(scope="module")
+def standard_boxes(standard_branches):
+    sm, wu, ws = standard_branches
+    best = max(detect_homoclinic(ws, wu, angle_tol=1e-3), key=lambda h: h.angle)
+    return best, _default_rectangles(sm, best, (0.0, 0.0))
+
+
+def test_certifier_one_oracle_call_per_point_and_iterate(standard_boxes):
+    """k = 1..20 costs 20 calls per sample point, not 1 + 2 + ... + 20."""
+    best, boxes = standard_boxes
+    oracle = _CountingMap()
+    rep = certify_horseshoe(oracle, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
+    assert oracle.calls == 3 * 9 * 160 * 20
+    assert rep.status == "certified"
+
+
+def test_certifier_counts_match_per_k_recompute(standard_boxes):
+    """Every (k, box, fiber) count equals iterating each point k times afresh."""
+    best, boxes = standard_boxes
+    sm = StandardMap(1.5)
+    store = _FiberStore(sm, 9, 160)
+    for k in range(1, 21):
+        for c, (box,) in enumerate(boxes):
+            got = [_fiber_crossings(imgs, alive, box)
+                   for imgs, alive in store.fibers(c, 0, box, k)]
+            want = [_reference_crossings(sm, box, k, s)
+                    for s in np.linspace(-box.half_s, box.half_s, 9)]
+            assert got == want, (k, c)
+
+
+def test_certifier_failed_points_stay_failed(standard_boxes):
+    """A point whose oracle call raised is absent at every later k, uncalled."""
+    best, boxes = standard_boxes
+    oracle = _CountingMap(x_max=1.5)
+    ref = _CountingMap(x_max=1.5)
+    k_max = 12
+    store = _FiberStore(oracle, 9, 160)
+    failures = set()
+    best_ref = None
+    for k in range(1, k_max + 1):
+        for c, (box,) in enumerate(boxes):
+            fibers = np.linspace(-box.half_s, box.half_s, 9)
+            counts = []
+            for (imgs, alive), s in zip(store.fibers(c, 0, box, k), fibers):
+                for i, z in enumerate(box.fiber(s, 160)):
+                    w = _reference_image(ref, z, k)
+                    assert alive[i] == (w is not None), (k, c, s, i)
+                    if w is None:
+                        failures.add(k)
+                    else:
+                        assert np.array_equal(imgs[i], w)
+                counts.append(_fiber_crossings(imgs, alive, box))
+                assert counts[-1] == _reference_crossings(ref, box, k, s)
+            if min(counts) >= 2:
+                bound = math.log(min(counts)) / k
+                if best_ref is None or bound > best_ref[0]:
+                    best_ref = (bound, min(counts), k)
+    assert len(failures) >= 5       # points fail at many different iterates
+    # one call per point and iterate up to its first failure, none after it
+    probe = _CountingMap(x_max=1.5)
+    for (box,) in boxes:
+        for s in np.linspace(-box.half_s, box.half_s, 9):
+            for z in box.fiber(s, 160):
+                _reference_image(probe, z, k_max)
+    expected_calls = probe.calls
+    assert oracle.calls == expected_calls
+    oracle.calls = 0
+    rep = certify_horseshoe(oracle, best, k_range=range(1, k_max + 1),
+                            fixed_point=(0.0, 0.0))
+    assert oracle.calls == expected_calls
+    if best_ref is None:
+        assert rep.status == "no crossing"
+    else:
+        assert (rep.h_top_lower, rep.horseshoe["N"], rep.horseshoe["k"]) == best_ref
+
+
+def test_chaos_logs(caplog):
+    hs = HorseshoeMap()
+    frame = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
+             Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
+    lin = LinearMap([[2.0, 0.0], [0.0, 0.5]])
+    with caplog.at_level(logging.INFO, logger="maglab.chaos"):
+        bu = grow_manifold(lin, (0, 0), "unstable", 1, 1.5, tol=1e-6)
+        certify_horseshoe(hs, rectangles=rects, k_range=(1,))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"unstable branch (sign +1) at (0, 0): {len(bu.points)} points, "
+        f"arclength {bu.arclength:.6g}",
+        # each of the 2 x 9 fibers maps its 160 points once
+        f"horseshoe certified: N = 2, k = 1, bound {math.log(2.0):.12g} "
+        f"(2880 oracle calls)",
+    ]
 
 
 def test_integrable_map_no_crossing():

@@ -387,6 +387,7 @@ def test_array_profiles_match_scalar_formulas(hyper_setup, fracs):
 @example((0.0, 0.0, 0.0), 1.0, False, 0.0, [])
 @example((0.0, 0.0, -1.0), 1.0, True, 3.5, [])  # max |y| about 2e-6
 @example((0.0, 0.0, 1.0), 1.0, True, 6.0, [])
+@example((0.0, 5e-324, 0.0), 1.0, False, 0.0, [])  # subnormal direction
 def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
                                              c_exp, fracs):
     """A with |A| up to delta1, or c-only with |c| up to 1e7 delta1 so that
@@ -395,9 +396,11 @@ def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
     if c_only:
         A = PerturbA(0.0, 0.0, math.copysign(consts.delta1 * 10.0**c_exp, vec[2]))
     else:
+        # divide by |vec| first: delta1 / |vec| overflows for a subnormal vec
         n = PerturbA(*vec).norm()
-        k = scale * consts.delta1 / n if n > 0.0 else 0.0
-        A = PerturbA(k * vec[0], k * vec[1], k * vec[2])
+        u = [x / n for x in vec] if n > 0.0 else [0.0, 0.0, 0.0]
+        k = scale * consts.delta1
+        A = PerturbA(k * u[0], k * u[1], k * u[2])
     t = _oracle_times(consts, fracs)
     km = np.array([kit.kmag_base(s) for s in t.tolist()])
     refs = [_ref_profiles(consts, s) for s in t.tolist()]

@@ -1,12 +1,15 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maglab.errors import UnsupportedSurfaceError
 from maglab.geometry import PhasePoint
 from maglab.field import MagneticField, ConstantField, SinusoidalTorusField
 from maglab.mane import (
+    _fourier_tables,
     CircleLoop,
     ConstantForm,
     FourierLoop,
@@ -28,6 +31,54 @@ def lag_zero(torus):
 @pytest.fixture(scope="module")
 def lag_sin(torus):
     return LagrangianSpec(torus, SinPrimitiveForm(1.0, (1, 0)))
+
+
+def _fresh_sample(period, coeffs, n):
+    """FourierLoop.sample's arithmetic with the tables built on the spot."""
+    t = np.arange(n) * (period / n)
+    M = (coeffs.shape[1] - 1) // 2
+    ang = 2.0 * math.pi * np.outer(np.arange(1, M + 1), t / period)
+    cos = np.cos(ang)
+    sin = np.sin(ang)
+    pos = np.empty((2, n))
+    vel = np.empty((2, n))
+    w = 2.0 * math.pi / period
+    for c in range(2):
+        a = coeffs[c, 1:M + 1]
+        b = coeffs[c, M + 1:]
+        pos[c] = coeffs[c, 0] + a @ cos + b @ sin
+        vel[c] = (-a * np.arange(1, M + 1)) @ sin * w + (b * np.arange(1, M + 1)) @ cos * w
+    return t, pos, vel
+
+
+@given(period=st.floats(1e-3, 1e4), n=st.integers(1, 700),
+       modes=st.integers(0, 12), seed=st.integers(0, 2**16))
+def test_cached_tables_match_fresh(period, n, modes, seed):
+    coeffs = np.random.default_rng(seed).standard_normal((2, 2 * modes + 1))
+    loop = FourierLoop(period, coeffs)
+    want = _fresh_sample(float(period), coeffs, n)
+    for _ in range(2):          # cold (or evicted) and then warm
+        got = loop.sample(n)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_cached_tables_read_only():
+    t, _, _ = FourierLoop(1.0, np.ones((2, 5))).sample(64)
+    _, cos, sin = _fourier_tables(1.0, 64, 2)
+    for arr in (t, cos, sin):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_loop_action_cold_and_warm(lag_sin):
+    loop = FourierLoop(0.8, 0.1 * np.random.default_rng(5).standard_normal((2, 17)))
+    _fourier_tables.cache_clear()
+    cold = loop_action(lag_sin, loop, 0.3)
+    hits = _fourier_tables.cache_info().hits
+    warm = loop_action(lag_sin, loop, 0.3)
+    assert _fourier_tables.cache_info().hits == hits + 1
+    assert cold == warm
 
 
 def test_lagrangian_torus_only(unit_sphere):
@@ -104,6 +155,19 @@ def test_bracket_closed_form(torus):
     assert br.c_hi - br.c_lo <= 2e-4
     assert br.witness_action < 0.0
     assert verify_witness(lag, br) < 0.0
+
+
+def test_bracket_logs(lag_zero, caplog):
+    with caplog.at_level(logging.DEBUG, logger="maglab.mane"):
+        br = estimate_critical_value(lag_zero, k_range=(-0.25, 1.0),
+                                     bisection_tol=1e-1, restarts=2, maxiter=50)
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert info == [f"critical value bracket [{br.c_lo:.12g}, {br.c_hi:.12g}] "
+                    f"after {br.effort['bisection_steps']} searches "
+                    f"(witness action {br.witness_action:.6g})"]
+    steps = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(steps) == br.effort["bisection_steps"] - 2
+    assert all("witness" in r.getMessage() for r in steps)
 
 
 def test_bracket_zero_form(lag_zero):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from maglab.errors import ContinuationLostError, NoReturnError
@@ -328,6 +328,9 @@ def _horner(coeffs):
 @example([1.0, -0.5, -3.0, 1.0, 0.2], -1.0, 3.0)
 @example([1.0, 0.0, 0.0, 0.0], -0.25, 1.0)  # x^3: 100 iterations do not reach xtol
 @example([0.0, 5.4e-143, 5.4e-143, 0.0], -1.5, 1.0)  # underflow: a zero divisor
+# only about one draw in five brackets a root; the assume() below keeps those,
+# and on some seeds that trips the generation-speed health check
+@settings(suppress_health_check=[HealthCheck.filter_too_much])
 def test_brent_matches_brentq(coeffs, a, width):
     """Same root, bit for bit, at the crossing monitor's tolerances, and the
     same RuntimeError where brentq runs out of iterations."""
