@@ -19,6 +19,11 @@ The right-hand sides read the chart through two calls, `lam(x, y)` and
 `curvature`, and write Gamma^k(v, v) inline from the log-gradient; the full
 `MetricData` (`Surface.metric_at`) is left to curvature, K_mag and the
 finite-difference oracle.
+
+A trajectory answers one time with `state`/`raw` and an array of times with
+`states`, whose entries are == to the scalar lookups; `VariationalPath` has
+`matrix` and `matrices` alike, and `magnetic_curvature` takes a time or an
+array of times.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import ChartDomainError
 from .geometry import PhasePoint, Surface, energy as phase_energy
-from .integrate import integrate
+from .integrate import clamp, integrate
 
 __all__ = [
     "Trajectory",
@@ -140,9 +145,12 @@ def _renormalizer(surface, chart, c):
             x -= math.floor(x)
             yy -= math.floor(yy)
         sp = lam_of(x, yy) * math.hypot(vx, vy)
+        # a zero or subnormal speed has no finite scale; the state is kept
         if sp == 0.0:
             return y
         s = target / sp
+        if not math.isfinite(s):
+            return y
         return (y[0], y[1], vx * s, vy * s) + tuple(y[4:])
 
     return post
@@ -201,6 +209,35 @@ class Trajectory:
         chart, y = self.raw(t)
         return PhasePoint(chart, y[0], y[1], y[2], y[3])
 
+    def states(self, ts, comps=(0, 1, 2, 3)):
+        """Charts and state components at an array of times.
+
+        Returns (charts, cols): an int array of charts and a list with one
+        float64 array per component in `comps`, each of ts's shape, whose
+        entries are == to those of `raw(t)`: the same range check (ValueError),
+        segment choice, clamp and step.
+        """
+        tau = self.sign * np.asarray(ts, dtype=float)
+        bad = (tau < -1e-12) | (tau > abs(self.t_reach) + 1e-9)
+        if bad.any():
+            raise ValueError(f"t={self.sign * tau[bad][0]} outside the integrated range")
+        segs = self.segments
+        # _segment_at: the first segment whose end (plus 1e-12) reaches tau
+        ends = [seg.t_start + (seg.sol.t_end - seg.sol.t0) + 1e-12 for seg in segs]
+        which = np.minimum(np.searchsorted(ends, tau, "left"), len(segs) - 1)
+        charts = np.empty(tau.shape, dtype=int)
+        cols = [np.empty(tau.shape) for _ in comps]
+        for k, seg in enumerate(segs):
+            at = which == k
+            if not at.any():
+                continue
+            sol = seg.sol
+            local = clamp(sol.t0 + (tau[at] - seg.t_start), sol.t0, sol.t_end)
+            charts[at] = seg.chart
+            for col, vals in zip(cols, sol.eval_many(local, comps)):
+                col[at] = vals
+        return charts, cols
+
     def end_state(self) -> PhasePoint:
         return self.state(self.t_reach)
 
@@ -234,6 +271,11 @@ class VariationalPath:
     def matrix(self, t):
         _, y = self._traj.raw(t)
         return np.array([[y[4], y[5]], [y[6], y[7]]])
+
+    def matrices(self, ts):
+        """X at an array of times, shape ts.shape + (2, 2); each == matrix(t)."""
+        _, cols = self._traj.states(ts, (4, 5, 6, 7))
+        return np.stack(cols, axis=-1).reshape(np.shape(ts) + (2, 2))
 
     def det_defect(self, n=64):
         ts = self._traj.times(n)
@@ -361,16 +403,36 @@ def flow_with_variation(surface, field, state, t_final, options=None,
 
 
 def magnetic_curvature(surface, field, trajectory, t):
-    """K_mag = 2cK - <grad f, i v> + f^2 at trajectory time t."""
-    st = trajectory.state(t)
-    return magnetic_curvature_at(surface, field, st, trajectory.c)
+    """K_mag = 2cK - <grad f, i v> + f^2 at trajectory time t.
+
+    t is a number, or an array of times: then the trajectory is read with one
+    `states` call and each chart's points are evaluated as arrays, with
+    entries == to the number's result.
+    """
+    c = trajectory.c
+    if np.ndim(t) == 0:
+        return magnetic_curvature_at(surface, field, trajectory.state(t), c)
+    charts, (x, y, vx, vy) = trajectory.states(t)
+    out = np.empty(charts.shape)
+    for chart in {seg.chart for seg in trajectory.segments}:
+        at = charts == chart
+        if not at.any():
+            continue
+        out[at] = _kmag(surface, field, chart, x[at], y[at], vx[at], vy[at], c)
+    return out
 
 
 def magnetic_curvature_at(surface, field, state, c):
-    xm, ym = surface.wrap_position(state.x, state.y)
-    md = surface.metric_at(state.chart, xm, ym)
-    f, (fx, fy) = field.eval(state.chart, xm, ym)
-    return 2.0 * c * md.curvature + f * f + fx * state.vy - fy * state.vx
+    return _kmag(surface, field, state.chart, state.x, state.y, state.vx,
+                 state.vy, c)
+
+
+def _kmag(surface, field, chart, x, y, vx, vy, c):
+    """K_mag at chart points: numbers, or arrays of one shape."""
+    xm, ym = surface.wrap_position(x, y)
+    md = surface.metric_at(chart, xm, ym)
+    f, (fx, fy) = field.eval(chart, xm, ym)
+    return 2.0 * c * md.curvature + f * f + fx * vy - fy * vx
 
 
 def injectivity_time(surface, field, c):

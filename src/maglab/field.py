@@ -14,6 +14,14 @@ The transversal bump template is
 
 which satisfies a(0) = 0, a'(0) = 1, supp a in [-1/2, 1/2], integral 0 (odd)
 and max(|a|, |a'|) = 1, and rescales as a_eps(u) = eps * a(u / eps).
+
+The base fields, the template and `PerturbationField.eval_tube` take numbers
+or arrays of points through one formula each: a function such as sin comes
+from math for a number and from numpy for an array, where the two agree bit
+for bit.  numpy's `**` does not agree with Python's float pow, so powers go
+through `_pow`, which applies Python's pow to each entry of an array.
+`PerturbationField.value`/`eval` loop over the points of an array, since
+locating a point in the tube is a per-point Newton solve.
 """
 
 from __future__ import annotations
@@ -41,21 +49,38 @@ __all__ = [
 ]
 
 
+# -- numbers or arrays ---------------------------------------------------------
+
+
+def _pow(x, n):
+    """x ** n, for an array with Python's float pow entry by entry."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**n for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**n
+
+
+def _full(x, v):
+    """v, as an array of x's shape when x is an array."""
+    return np.full(x.shape, v) if isinstance(x, np.ndarray) else v
+
+
 # -- transversal bump template ----------------------------------------------
 
 
+def _on_support(u, formula):
+    """formula(u) where |u| < 1/2 and 0 elsewhere, at a number or over an array."""
+    if isinstance(u, np.ndarray):
+        outside = np.abs(u) >= 0.5
+        return np.where(outside, 0.0, formula(np.where(outside, 0.0, u)))
+    return 0.0 if abs(u) >= 0.5 else formula(u)
+
+
 def bump_a(u):
-    if abs(u) >= 0.5:
-        return 0.0
-    w = 1.0 - 4.0 * u * u
-    return u * w**4
+    return _on_support(u, lambda v: v * _pow(1.0 - 4.0 * v * v, 4))
 
 
 def bump_a_deriv(u):
-    if abs(u) >= 0.5:
-        return 0.0
-    w = 1.0 - 4.0 * u * u
-    return w**3 * (1.0 - 36.0 * u * u)
+    return _on_support(u, lambda v: _pow(1.0 - 4.0 * v * v, 3) * (1.0 - 36.0 * v * v))
 
 
 # -- base intensities --------------------------------------------------------
@@ -66,10 +91,10 @@ class ConstantField:
         self.const = float(value)
 
     def value(self, chart, x, y):
-        return self.const
+        return _full(x, self.const)
 
     def eval(self, chart, x, y):
-        return (self.const, (0.0, 0.0))
+        return (_full(x, self.const), (_full(x, 0.0), _full(x, 0.0)))
 
     def sup_norm(self, surface):
         return abs(self.const)
@@ -89,13 +114,18 @@ class SinusoidalTorusField:
     def _arg(self, x, y):
         return 2.0 * math.pi * (self.k[0] * x + self.k[1] * y) + self.phase
 
+    # arg is a float (or a numpy float64, a float subclass) for numbers;
+    # numpy's sin and cos, which take arrays, agree with math's bit for bit
+
     def value(self, chart, x, y):
-        return self.amplitude * math.sin(self._arg(x, y))
+        arg = self._arg(x, y)
+        return self.amplitude * (math.sin if isinstance(arg, float) else np.sin)(arg)
 
     def eval(self, chart, x, y):
         arg = self._arg(x, y)
-        s = 2.0 * math.pi * self.amplitude * math.cos(arg)
-        return (self.amplitude * math.sin(arg), (s * self.k[0], s * self.k[1]))
+        lib = math if isinstance(arg, float) else np
+        s = 2.0 * math.pi * self.amplitude * lib.cos(arg)
+        return (self.amplitude * lib.sin(arg), (s * self.k[0], s * self.k[1]))
 
     def sup_norm(self, surface):
         if self.k == (0, 0):
@@ -126,7 +156,7 @@ class ZonalSphereField:
     def eval(self, chart, x, y):
         r2 = x * x + y * y
         a = self._signed(chart)
-        s = a * (-4.0) / (1.0 + r2) ** 2
+        s = a * (-4.0) / _pow(1.0 + r2, 2)
         return (a * (1.0 - r2) / (1.0 + r2), (s * x, s * y))
 
     def sup_norm(self, surface):
@@ -147,18 +177,18 @@ class PolynomialField:
         return self.eval(chart, x, y)[0]
 
     def eval(self, chart, x, y):
-        total = 0.0
-        fx = 0.0
-        fy = 0.0
+        total = _full(x, 0.0)
+        fx = _full(x, 0.0)
+        fy = _full(x, 0.0)
         for i, row in enumerate(self.coeffs):
             for j, c in enumerate(row):
                 if c == 0.0:
                     continue
-                total += c * x**i * y**j
+                total = total + c * _pow(x, i) * _pow(y, j)
                 if i > 0:
-                    fx += i * c * x ** (i - 1) * y**j
+                    fx = fx + i * c * _pow(x, i - 1) * _pow(y, j)
                 if j > 0:
-                    fy += j * c * x**i * y ** (j - 1)
+                    fy = fy + j * c * _pow(x, i) * _pow(y, j - 1)
         return (total, (fx, fy))
 
     def sup_norm(self, surface):
@@ -230,12 +260,25 @@ class PerturbationField:
         return self.eps0 * amax * self.b_c0 / self.tube.omega_min()
 
     def eval_tube(self, t, u):
-        """(h, dh/dt, dh/du) in tubular coordinates."""
+        """(h, dh/dt, dh/du) in tubular coordinates.
+
+        t and u are numbers, or arrays (broadcast together) for which the
+        three parts are arrays, each entry == to the numbers' result.
+        """
         eps = self.eps0
         a = eps * bump_a(u / eps)
-        if a == 0.0 and abs(u) >= 0.5 * eps:
-            return (0.0, 0.0, 0.0)
-        ap = bump_a_deriv(u / eps)
+        off = (a == 0.0) & (abs(u) >= 0.5 * eps)
+        if not isinstance(off, np.ndarray):
+            return (0.0, 0.0, 0.0) if off else self._tube_terms(t, u, a)
+        # the formula runs only where the bump is on; elsewhere all parts are 0
+        t, u, a, off = np.broadcast_arrays(t, u, a, off)
+        out = np.zeros((3,) + off.shape)
+        on = ~off
+        out[:, on] = self._tube_terms(t[on], u[on], a[on])
+        return tuple(out)
+
+    def _tube_terms(self, t, u, a):
+        ap = bump_a_deriv(u / self.eps0)
         b = self.b(t)
         bp = self.b_deriv(t)
         w, wt, wu = self.tube.omega(t, u)
@@ -246,6 +289,8 @@ class PerturbationField:
         return (h, ht, hu)
 
     def value(self, chart, x, y):
+        if isinstance(x, np.ndarray):
+            return _pointwise(lambda p, q: (self.value(chart, p, q),), x, y, 1)[0]
         if chart != self.chart:
             return 0.0
         loc = self.tube.invert(x, y)
@@ -259,6 +304,13 @@ class PerturbationField:
 
     def eval(self, chart, x, y):
         """(h, chart gradient of h)."""
+        if isinstance(x, np.ndarray):
+            def one(p, q):
+                h, (gx, gy) = self.eval(chart, p, q)
+                return (h, gx, gy)
+
+            h, gx, gy = _pointwise(one, x, y, 3)
+            return (h, (gx, gy))
         if chart != self.chart:
             return (0.0, (0.0, 0.0))
         loc = self.tube.invert(x, y)
@@ -281,6 +333,14 @@ class PerturbationField:
                 "support_t": list(self.support_t)}
 
 
+def _pointwise(fn, x, y, n):
+    """fn(x_i, y_i), a tuple of n numbers, at each point of arrays x and y;
+    returns n arrays of x's shape."""
+    rows = [fn(p, q) for p, q in zip(x.ravel().tolist(), y.ravel().tolist())]
+    cols = np.array(rows, dtype=float).reshape(len(rows), n).T
+    return [col.reshape(x.shape) for col in cols]
+
+
 # -- composite field -----------------------------------------------------------
 
 
@@ -294,16 +354,16 @@ class MagneticField:
     def value(self, chart, x, y):
         f = self.base.value(chart, x, y)
         for p in self.perturbations:
-            f += p.value(chart, x, y)
+            f = f + p.value(chart, x, y)
         return f
 
     def eval(self, chart, x, y):
         f, (gx, gy) = self.base.eval(chart, x, y)
         for p in self.perturbations:
             h, (px, py) = p.eval(chart, x, y)
-            f += h
-            gx += px
-            gy += py
+            f = f + h
+            gx = gx + px
+            gy = gy + py
         return (f, (gx, gy))
 
     def with_perturbation(self, p):

@@ -23,7 +23,9 @@ across the (narrow) support window of the profiles, composed with cached
 base propagators outside it, so S is a smooth function of (a, b, c)
 evaluated consistently down to machine precision.  `set_window` samples
 the base K_mag once on the RK4 stage grid; responses and their coefficient
-callbacks read K_mag from that cache.  The profiles, beta_A and its first
+callbacks read K_mag from that cache.  The base orbit, its fundamental
+matrix and K_mag are read over whole grids of times (`kmag_base` and
+`base_matrix` take an array), never one Python call per time.  The profiles, beta_A and its first
 variation are numpy functions of an array of times: each response calls
 its coefficient callback once, with the window's stage times and the base
 K_mag there as two arrays, and the k6 and cota checks evaluate beta_A over
@@ -56,8 +58,9 @@ from .dynamics import (
     flow,
     flow_with_variation,
     injectivity_time,
-    magnetic_curvature_at,
+    magnetic_curvature,
 )
+from .geometry import PhasePoint
 
 __all__ = [
     "TubularChart",
@@ -94,9 +97,9 @@ class TubularChart:
 
     def __init__(self, surface, field, trajectory, T, eps0, n_samples=1024):
         self.surface = surface
-        self.chart_id = trajectory.state(0.0).chart
-        md = surface.metric_at(self.chart_id, *surface.wrap_position(
-            trajectory.state(0.0).x, trajectory.state(0.0).y))
+        st0 = trajectory.state(0.0)
+        self.chart_id = st0.chart
+        md = surface.metric_at(self.chart_id, *surface.wrap_position(st0.x, st0.y))
         if md.lam_x != 0.0 or md.lam_y != 0.0:
             raise UnsupportedSurfaceError(
                 "tubular charts require a flat (constant-factor) chart")
@@ -106,20 +109,26 @@ class TubularChart:
         self.t_range = (0.0, T)
         self.c = trajectory.c
         ts = np.linspace(0.0, T, n_samples)
-        states = [trajectory.state(t) for t in ts]
+        _, (x, y) = trajectory.states(ts, (0, 1))
         self._ts = ts
-        self._pos = np.array([[s.x, s.y] for s in states])
-        self._f0 = np.array([
-            field.value(self.chart_id, *surface.wrap_position(s.x, s.y))
-            for s in states
-        ])
+        self._pos = np.column_stack((x, y))
+        self._f0 = field.value(self.chart_id, *surface.wrap_position(x, y))
         self.field = field
 
     # core data ------------------------------------------------------------
 
-    def _core(self, t):
+    def _core_state(self, t):
+        """(x, y, vx, vy) of the core at a time, or four arrays at an array
+        of times (read with one `states` call)."""
+        if isinstance(t, np.ndarray):
+            return tuple(self.traj.states(t)[1])
         st = self.traj.state(t)
-        return np.array([st.x, st.y]), np.array([st.vx, st.vy])
+        return st.x, st.y, st.vx, st.vy
+
+    def _core(self, t):
+        """Core position and velocity: 2-vectors, or (2, n) for n times."""
+        x, y, vx, vy = self._core_state(t)
+        return np.array([x, y]), np.array([vx, vy])
 
     def core_f(self, t):
         st = self.traj.state(t)
@@ -129,6 +138,7 @@ class TubularChart:
     # chart maps -----------------------------------------------------------
 
     def psi(self, t, u):
+        """psi(t, u): a 2-vector, or shape (2, n) for an array of n times."""
         p, v = self._core(t)
         return p + u * np.array([-v[1], v[0]])
 
@@ -141,11 +151,15 @@ class TubularChart:
         return (col_t[0], col_u[0]), (col_t[1], col_u[1])
 
     def omega(self, t, u):
-        """Relative area density and its (t, u) partials."""
-        st = self.traj.state(t)
+        """Relative area density and its (t, u) partials.
+
+        t is a time, or an array of times (u a number or an array of the
+        same shape); the core is then read with one `states` call.
+        """
+        x, y, vx, vy = self._core_state(t)
         f0, (gx, gy) = self.field.eval(self.chart_id,
-                                       *self.surface.wrap_position(st.x, st.y))
-        return (1.0 - u * f0, -u * (gx * st.vx + gy * st.vy), -f0)
+                                       *self.surface.wrap_position(x, y))
+        return (1.0 - u * f0, -u * (gx * vx + gy * vy), -f0)
 
     def omega_min(self):
         m = 1.0 - 0.5 * self.eps0 * float(np.max(np.abs(self._f0)))
@@ -200,9 +214,9 @@ class TubularChart:
         """
         ts = np.linspace(0.0, self.T, nt)
         us = np.linspace(-0.999 * self.eps0, 0.999 * self.eps0, nu)
-        p, v = (np.array(a) for a in zip(*(self._core(t) for t in ts)))
-        px = (p[:, 0, None] + us * -v[:, 1, None]).ravel()
-        py = (p[:, 1, None] + us * v[:, 0, None]).ravel()
+        x, y, vx, vy = self._core_state(ts)
+        px = (x[:, None] + us * -vy[:, None]).ravel()
+        py = (y[:, None] + us * vx[:, None]).ravel()
         speed = math.sqrt(2.0 * self.c)
         tx = np.repeat(ts * speed, nu)
         ty = np.tile(us, nt)
@@ -265,7 +279,9 @@ class BumpProfile:
     """Unit-mass bump phi((t - center)/half)/half with phi = C (1-u^2)^4.
 
     value, d1 and d2 take a time or an array of times; they vanish for
-    |u| >= 1.
+    |u| >= 1.  Powers of w go through the np.power ufunc: `**` on a numpy
+    scalar (what a time becomes here) takes another pow routine than the
+    array loop, and a time must give the bits an array gives.
     """
 
     center: float
@@ -280,11 +296,11 @@ class BumpProfile:
 
     def value(self, t):
         u, w, inside = self._w(t)
-        return np.where(inside, _PHI_C * w**4 / self.half, 0.0)
+        return np.where(inside, _PHI_C * np.power(w, 4) / self.half, 0.0)
 
     def d1(self, t):
         u, w, inside = self._w(t)
-        return np.where(inside, -8.0 * _PHI_C * u * w**3 / self.half**2, 0.0)
+        return np.where(inside, -8.0 * _PHI_C * u * np.power(w, 3) / self.half**2, 0.0)
 
     def d2(self, t):
         u, w, inside = self._w(t)
@@ -434,11 +450,15 @@ class FranksKit:
         self._window = None
 
     def kmag_base(self, t):
-        return magnetic_curvature_at(self.surface, self.field,
-                                     self.traj.state(t), self.c)
+        """Base K_mag along the segment at a time, or at an array of times
+        (one trajectory lookup and one field evaluation for the array)."""
+        return magnetic_curvature(self.surface, self.field, self.traj, t)
 
     def base_matrix(self, t):
-        return self._vp.matrix(t)
+        """X at a time (2x2), or at an array of times (shape t.shape + (2, 2))."""
+        if np.ndim(t) == 0:
+            return self._vp.matrix(t)
+        return self._vp.matrices(t)
 
     def set_window(self, t_a, t_b):
         """Fix the support window and sample the base K_mag for responses.
@@ -452,16 +472,18 @@ class FranksKit:
         t_b = min(self.T, t_b)
         n = self.n_window_steps
         h = (t_b - t_a) / n
-        ts = np.linspace(t_a, t_b, 2 * n + 1).tolist()
-        kgrid = [self.kmag_base(t) for t in ts]
-        k = [kgrid[j] for i in range(0, 2 * n, 2) for j in (i, i + 1, i + 2)]
-        stage_t = [t for t0 in ts[:-1:2] for t in (t0, t0 + 0.5 * h, t0 + h)]
-        # each step's first stage time is a grid point
-        stage_k = [self.kmag_base(t) if j % 3 else k[j]
-                   for j, t in enumerate(stage_t)]
+        ts = np.linspace(t_a, t_b, 2 * n + 1)
+        kgrid = self.kmag_base(ts)
+        # step i reads the grid points 2i, 2i + 1 and 2i + 2
+        k = np.column_stack((kgrid[0:-1:2], kgrid[1::2], kgrid[2::2]))
+        # each step's first stage time is a grid point; the other two are
+        # t0 + h/2 and t0 + h, which differ from the grid in the last bits
+        t0 = ts[:-1:2]
+        stage_t = np.column_stack((t0, t0 + 0.5 * h, t0 + h))
+        stage_k = np.column_stack((k[:, 0], self.kmag_base(stage_t[:, 1:])))
         self._window = {
-            "h": h, "k": k, "stage_t": np.array(stage_t),
-            "stage_k": np.array(stage_k),
+            "h": h, "k": k.ravel().tolist(), "stage_t": stage_t.ravel(),
+            "stage_k": stage_k.ravel(),
             "X_a": self.base_matrix(t_a),
             "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
         }
@@ -572,17 +594,20 @@ def _chart_sample_grid(surface, chart, n):
 
 
 def _kmag_c0_norm(surface, field, c, n_pos=96):
-    """Sup of |K_mag| over the energy level, sampled on an n_pos^2 grid per chart."""
+    """Sup of |K_mag| over the energy level, sampled on an n_pos^2 grid per chart.
+
+    Each chart's grid is evaluated as arrays; |grad f| takes math.hypot per
+    point, since np.hypot is not bit-equal to it.
+    """
     best = 0.0
     for chart in range(len(surface.charts)):
-        xs, ys = _chart_sample_grid(surface, chart, n_pos)
-        for x, y in zip(xs, ys):
-            md = surface.metric_at(chart, *surface.wrap_position(x, y))
-            f, (fx, fy) = field.eval(chart, *surface.wrap_position(x, y))
-            speed = math.sqrt(2.0 * c) / md.lam
-            base = 2.0 * c * md.curvature + f * f
-            amp = speed * math.hypot(fx, fy)
-            best = max(best, abs(base) + amp)
+        xs, ys = surface.wrap_position(*_chart_sample_grid(surface, chart, n_pos))
+        md = surface.metric_at(chart, xs, ys)
+        f, (fx, fy) = field.eval(chart, xs, ys)
+        speed = math.sqrt(2.0 * c) / md.lam
+        base = 2.0 * c * md.curvature + f * f
+        amp = speed * np.array(list(map(math.hypot, fx.tolist(), fy.tolist())))
+        best = max(best, float(np.max(np.abs(base) + amp)))
     return 1.01 * best
 
 
@@ -600,32 +625,27 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
 
     # k1 over [0, T] from the cached fundamental matrix, inflated by 1%
     ts = np.linspace(0.0, T, 2048)
-    norms = []
-    inv_norms = []
-    Cs = []
-    for t in ts:
-        X = kit.base_matrix(t)
-        norms.append(np.linalg.norm(X, 2))
-        inv_norms.append(np.linalg.norm(np.linalg.inv(X), 2))
-        Cs.append(max(1.0, abs(kit.kmag_base(t))))
-    k1 = 1.01 * max(max(norms), max(inv_norms))
+    Xs = kit.base_matrix(ts)
+    norms = np.linalg.norm(Xs, 2, axis=(1, 2))
+    inv_norms = np.linalg.norm(np.linalg.inv(Xs), 2, axis=(1, 2))
+    Cs = np.maximum(1.0, np.abs(kit.kmag_base(ts)))
+    k1 = 1.01 * max(norms.max(), inv_norms.max())
     k1 = max(k1, 1.0 + 1e-9)
 
     lam = lam0 if lam0 is not None else k0 / 16.0
     lam = min(lam, 0.45 * (T - k0 / 2.0), k0 / 8.0)
     kmag_c0 = _kmag_c0_norm(surface, field, c)
     bound_k2 = 1.0 / (16.0 * k1**3)
-    lip = 1.01 * max(Cs) * k1  # |X'| <= |C| |X|, also bounds (X^{-1})'
+    lip = 1.01 * Cs.max() * k1  # |X'| <= |C| |X|, also bounds (X^{-1})'
 
     def k2_of(lam_):
         """max |X(t) - X(k0/2)| over the window, sampled, inflated 5%."""
         Xc = kit.base_matrix(k0 / 2.0)
         Xc_inv = np.linalg.inv(Xc)
-        worst = 0.0
-        for t in np.linspace(k0 / 2.0 - lam_, k0 / 2.0 + lam_, 129):
-            X = kit.base_matrix(min(max(t, 0.0), T))
-            worst = max(worst, np.linalg.norm(X - Xc, 2),
-                        np.linalg.norm(np.linalg.inv(X) - Xc_inv, 2))
+        ts = np.linspace(k0 / 2.0 - lam_, k0 / 2.0 + lam_, 129)
+        Xs = kit.base_matrix(np.clip(ts, 0.0, T))
+        worst = max(0.0, np.linalg.norm(Xs - Xc, 2, axis=(1, 2)).max(),
+                    np.linalg.norm(np.linalg.inv(Xs) - Xc_inv, 2, axis=(1, 2)).max())
         return min(1.05 * worst + 1e-15, lam_ * lip)
 
     k2 = k2_of(lam)
@@ -694,7 +714,7 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     consts_stub = _ProfileBundle(delta_p, Delta_p, alpha)
     k6 = 0.0
     tgrid = np.linspace(max(0.0, sup_lo - 2 * lam), min(T, sup_hi + 2 * lam), n_grid)
-    kgrid = np.array([kit.kmag_base(t) for t in tgrid])
+    kgrid = kit.kmag_base(tgrid)
     for dirn in _unit_directions():
         A = PerturbA(delta1 * dirn[0], delta1 * dirn[1], delta1 * dirn[2])
         vals = _beta_A(tgrid, A, consts_stub, kgrid)
@@ -784,10 +804,8 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     """
     if A.norm() >= consts.delta1:
         raise ValueError(f"|A| = {A.norm():.3e} >= delta1 = {consts.delta1:.3e}")
-    kmag = np.vectorize(kit.kmag_base, otypes=[float])
-
     def beta(t):
-        return _beta_A(t, A, consts, kmag(t))[()]  # [()]: a number for a time
+        return _beta_A(t, A, consts, kit.kmag_base(t))[()]  # [()]: a number for a time
 
     hfd = 1e-9 * max(consts.lam_window, 1e-3)
 
@@ -1051,15 +1069,16 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
             f"t0 = {t0} not in (K/2, K] = ({K/2}, {K}]")
     traj, vp = flow_with_variation(surface, fld, orbit.initial_state, T_theta,
                                    options)
-    starts = [traj.state(i * t0) for i in range(n)]
+    charts, cols = traj.states(np.arange(n) * t0)
+    starts = [PhasePoint(*row) for row in zip(charts.tolist(), *(c.tolist() for c in cols))]
     # propagators between consecutive section times
-    mats = [vp.matrix(i * t0) for i in range(n + 1)]
+    mats = vp.matrices(np.arange(n + 1) * t0)
     responses = [mats[i + 1] @ np.linalg.inv(mats[i]) for i in range(n)]
 
     core_samples = []
     for i in range(n):
         ts = np.linspace(i * t0, (i + 1) * t0, 256)
-        core_samples.append(np.array([[traj.state(t).x, traj.state(t).y] for t in ts]))
+        core_samples.append(np.column_stack(traj.states(ts, (0, 1))[1]))
 
     charts = []
     for i in range(n):
@@ -1069,11 +1088,8 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
             chart, _ = build_tubular_chart(surface, fld, starts[i],
                                            min(t0, K), width, options=options)
             mid_lo, mid_hi = 0.3 * t0, 0.7 * t0
-            pts = []
-            for t in np.linspace(mid_lo, mid_hi, 64):
-                for u in (-0.5 * width, 0.5 * width):
-                    pts.append(chart.psi(t, u))
-            pts = np.array(pts)
+            pts = np.concatenate([chart.psi(np.linspace(mid_lo, mid_hi, 64), u).T
+                                  for u in (-0.5 * width, 0.5 * width)])
             clear = True
             for j in range(n):
                 if j == i:

@@ -9,7 +9,9 @@ plain Euclidean rotation, the Gaussian curvature is
 and the Christoffel symbols are first partials of log lam.  Each chart
 answers `lam(x, y)` and `log_grad(x, y)` = (lam_x/lam, lam_y/lam), the two
 quantities the flow's right-hand side reads, with the same operations as the
-full `metric(x, y)` (a `MetricData`, for curvature and the tests).  Built-in
+full `metric(x, y)` (a `MetricData`, for curvature and the tests).
+`metric_at`, `wrap_position` and the chart formulas also take arrays of
+points, elementwise with the same operations.  Built-in
 surfaces: the flat torus R^2/Z^2 (single periodic chart), the round sphere
 of radius R (two stereographic charts with lam = 2R/(1+|z|^2), transition
 w = 1/z), and a planar chart (flat disk, used for the constant-intensity
@@ -159,15 +161,24 @@ class Surface:
     # -- metric ------------------------------------------------------------
 
     def metric_at(self, chart, x, y):
-        """Metric data at a chart point; ChartDomainError outside the domain."""
+        """Metric data at a chart point, or at arrays of points (fields
+        elementwise); ChartDomainError if any point is outside the domain."""
         ch = self._chart(chart)
-        if not ch.contains(x, y):
-            raise ChartDomainError(
-                f"point ({x:.6g}, {y:.6g}) outside domain of chart {chart} of {self.kind}"
-            )
+        inside = ch.contains(x, y)
+        if getattr(inside, "ndim", 0):  # arrays: name the first point outside
+            outside = (~inside).ravel().nonzero()[0]
+            if outside.size:
+                i = outside[0]
+                raise self._outside(chart, x.flat[i], y.flat[i])
+        elif not inside:
+            raise self._outside(chart, x, y)
         if self.kind == "torus":
             x, y = self.wrap_position(x, y)
         return ch.metric(x, y)
+
+    def _outside(self, chart, x, y):
+        return ChartDomainError(
+            f"point ({x:.6g}, {y:.6g}) outside domain of chart {chart} of {self.kind}")
 
     def _chart(self, chart):
         try:
@@ -178,9 +189,15 @@ class Surface:
     # -- torus helpers -----------------------------------------------------
 
     def wrap_position(self, x, y):
-        """Fundamental-domain representative (identity off the torus)."""
+        """Fundamental-domain representative (identity off the torus).
+
+        x and y are numbers or numpy arrays; for arrays, floor division by
+        1.0 is numpy's exact floor, equal to math.floor entry by entry.
+        """
         if self.kind != "torus":
             return (x, y)
+        if getattr(x, "ndim", 0):
+            return (x - x // 1.0, y - y // 1.0)
         return (x - math.floor(x), y - math.floor(y))
 
     def wrap_diff(self, dx, dy):

@@ -9,7 +9,9 @@ State vectors are plain tuples of floats of any length (the flows use 4 and
 10 components); tuple arithmetic beats numpy at this size.  A `DenseStep`
 evaluates its interpolant with `eval(t)` (all components) or
 `eval_position(t)` (components 0 and 1 only, the same operations), which is
-what the section-crossing monitor samples.  The tables `_A`,
+what the section-crossing monitor samples.  `Solution.eval_many(ts, comps)`
+evaluates an array of times with the same operations, elementwise in
+float64, from flat per-step arrays built on its first call.  The tables `_A`,
 `_B`, `_E` and `_P` are the one source of the coefficients.  The stages, the
 solution, the error estimate and the interpolant coefficients are written
 out term by term over them, one comprehension per quantity, with the terms in
@@ -19,6 +21,8 @@ the tables' order and the terms with a zero coefficient left out.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NonFiniteError, StiffnessError
 
@@ -137,6 +141,7 @@ class Solution:
         self.n_accepted = len(steps)
         self.n_rejected = 0
         self.n_fev = 0
+        self._flat = None
 
     @property
     def t0(self):
@@ -166,10 +171,18 @@ class Solution:
         return steps[lo]
 
     def _clamp(self, t):
-        """t clamped into [t0, t_end]; ValueError beyond a 1e-12 relative slack."""
+        """t clamped into [t0, t_end]; ValueError beyond a 1e-12 relative slack.
+
+        t may be an array; then every entry is checked and clamped.
+        """
         if not self.steps:
             raise ValueError("empty solution")
         eps = 1e-12 * max(1.0, abs(self.t_end))
+        if isinstance(t, np.ndarray):
+            bad = (t < self.t0 - eps) | (t > self.t_end + eps)
+            if bad.any():
+                raise ValueError(f"t={t[bad][0]} outside [{self.t0}, {self.t_end}]")
+            return clamp(t, self.t0, self.t_end)
         if t < self.t0 - eps or t > self.t_end + eps:
             raise ValueError(f"t={t} outside [{self.t0}, {self.t_end}]")
         return min(max(t, self.t0), self.t_end)
@@ -181,6 +194,48 @@ class Solution:
     def eval_derivative(self, t):
         t = self._clamp(t)
         return self._locate(t).eval_derivative(t)
+
+    def eval_many(self, ts, comps):
+        """Components `comps` of the solution at an array of times.
+
+        Returns one float64 array per component, of ts's shape.  Each entry
+        is == to the matching component of `eval(t)`: the same clamp, the
+        same step (`_locate`'s rule, as one searchsorted) and `DenseStep.eval`'s
+        operations, applied elementwise.
+        """
+        t = self._clamp(np.asarray(ts, dtype=float))
+        t0s, t1s, hs, y0, d = self._flat_steps()
+        last = len(t0s) - 1
+        i = np.minimum(np.searchsorted(t1s, t, "left"), last)
+        i = np.where(t <= t1s[0], 0, np.where(t >= t0s[last], last, i))
+        h = hs[i]
+        th = (t - t0s[i]) / h
+        th2 = th * th
+        th3 = th2 * th
+        th4 = th2 * th2
+        return [y0[c][i] + h * (d[c][0][i] * th + d[c][1][i] * th2
+                                + d[c][2][i] * th3 + d[c][3][i] * th4)
+                for c in comps]
+
+    def _flat_steps(self):
+        """(t0, t1, h, y0, d) of all steps as arrays; y0[c] and d[c][j] are
+        component c's start values and theta^(j+1) coefficients per step."""
+        if self._flat is None:
+            steps = self.steps
+            self._flat = (
+                np.array([s.t0 for s in steps]),
+                np.array([s.t1 for s in steps]),
+                np.array([s.h for s in steps]),
+                np.array([s.y0 for s in steps]).T.copy(),
+                np.array([s._d for s in steps]).transpose(1, 2, 0).copy(),
+            )
+        return self._flat
+
+
+def clamp(t, lo, hi):
+    """min(max(t, lo), hi) elementwise, with Python's choice on ties and NaN."""
+    t = np.where(lo > t, lo, t)
+    return np.where(hi < t, hi, t)
 
 
 def _error_norm(err, y0, y1, rtol, atol):

@@ -238,6 +238,8 @@ def _ref_renormalize(surface, chart, c, y):
     if sp == 0.0:
         return y
     s = math.sqrt(2.0 * c) / sp
+    if not math.isfinite(s):  # a subnormal speed: the state is kept
+        return y
     return (y[0], y[1], y[2] * s, y[3] * s) + tuple(y[4:])
 
 
@@ -255,10 +257,9 @@ def chart_states(draw):
 
 
 def _same(a, b):
-    """Exactly equal tuples, where a NaN matches a NaN in the same place
-    (a subnormal speed overflows the projection's scale on both paths)."""
-    return np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float),
-                          equal_nan=True)
+    """Exactly equal tuples of finite numbers."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    return np.isfinite(a).all() and np.array_equal(a, b)
 
 
 @given(chart_states(), st.floats(0.05, 4.0))
@@ -275,3 +276,90 @@ def test_fused_rhs_matches_metric_formula(case, c):
     post = _renormalizer(surface, chart, c)
     assert _same(post(0.0, y[:4]), _ref_renormalize(surface, chart, c, y[:4]))
     assert _same(post(0.0, y), _ref_renormalize(surface, chart, c, y))
+
+
+def test_renormalizer_keeps_a_subnormal_speed():
+    """The scale target / speed overflows for a subnormal speed; the
+    projection then returns the state unchanged, as for a zero speed."""
+    torus = flat_torus()
+    post = _renormalizer(torus, 0, 1.0)
+    for y in ((0.0, 0.0, 0.0, 2.2e-311), (0.3, 0.1, 5e-324, 0.0),
+              (0.0, 0.0, 0.0, 0.0) + (1.0,) * 6):
+        assert post(0.0, y) == y
+    assert post(0.0, (0.0, 0.0, 0.0, 1e-300)) == (0.0, 0.0, 0.0, math.sqrt(2.0))
+
+
+# -- lookups over arrays of times against one time at a time ------------------
+
+
+@pytest.fixture(scope="module")
+def lookup_cases(torus, unit_sphere, sin_field):
+    """(surface, field, trajectory, variational path) per case: a forward and
+    a backward torus flow, and a sphere flow through several chart switches."""
+    seed = PhasePoint(0, 0.3, 0.1, 0.8, 0.6)
+    zonal = MagneticField(ZonalSphereField(0.3))
+    lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
+    sphere_seed = PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / lam)
+    cases = {
+        "torus": (torus, sin_field, seed, 3.0),
+        "backward": (torus, sin_field, seed, -2.0),
+        "sphere": (unit_sphere, zonal, sphere_seed, 9.0),
+    }
+    out = {}
+    for name, (surface, field, state, T) in cases.items():
+        out[name] = (surface, field) + flow_with_variation(surface, field, state, T)
+    assert len(out["sphere"][2].segments) > 2
+    assert out["backward"][2].sign == -1
+    return out
+
+
+def _lookup_times(traj, fracs):
+    """0 and t_reach, the same within their slack, every step start and end
+    in trajectory time, and the drawn fractions of t_reach."""
+    s, end = traj.sign, traj.t_reach
+    ts = [0.0, end, -s * 5e-13, end + s * 5e-10]
+    for seg in traj.segments:
+        for step in seg.sol.steps:
+            ts += [s * (seg.t_start + (t - seg.sol.t0)) for t in (step.t0, step.t1)]
+    return np.array(ts + [f * end for f in fracs])
+
+
+cases = st.sampled_from(["torus", "backward", "sphere"])
+
+
+@given(cases, st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_states_match_scalar_lookups(lookup_cases, name, fracs):
+    """states/matrices/magnetic_curvature over an array are == to raw,
+    matrix and magnetic_curvature at each time, in the array's shape."""
+    surface, field, traj, vp = lookup_cases[name]
+    ts = _lookup_times(traj, fracs)
+    raws = [traj.raw(t) for t in ts.tolist()]
+    charts, cols = traj.states(ts, range(10))
+    assert charts.tolist() == [c for c, _ in raws]
+    for k, col in enumerate(cols):
+        assert col.tolist() == [y[k] for _, y in raws]
+    mats = vp.matrices(ts)
+    assert mats.shape == ts.shape + (2, 2)
+    assert all(np.array_equal(m, vp.matrix(t)) for m, t in zip(mats, ts.tolist()))
+    km = magnetic_curvature(surface, field, traj, ts)
+    assert km.tolist() == [magnetic_curvature(surface, field, traj, t)
+                           for t in ts.tolist()]
+    early = np.array([0.0, 1e-3]) * traj.t_reach  # within the first chart
+    assert magnetic_curvature(surface, field, traj, early).tolist() == \
+        [magnetic_curvature(surface, field, traj, t) for t in early.tolist()]
+    grid = ts[:len(ts) // 2 * 2].reshape(-1, 2)
+    _, (vy,) = traj.states(grid, (3,))
+    assert vy.shape == grid.shape and vy.ravel().tolist() == cols[3][:grid.size].tolist()
+
+
+@given(cases, st.floats(1e-6, 10.0), st.booleans())
+def test_states_reject_times_outside_range(lookup_cases, name, excess, after):
+    _, _, traj, vp = lookup_cases[name]
+    s, end = traj.sign, traj.t_reach
+    t = end + s * excess * abs(end) if after else -s * excess
+    with pytest.raises(ValueError):
+        traj.raw(t)
+    with pytest.raises(ValueError):
+        traj.states(np.array([0.0, t, end]))
+    with pytest.raises(ValueError):
+        vp.matrices(np.array([t]))

@@ -145,6 +145,47 @@ def test_eval_value_bitwise(fld, chart, x, y):
         struct.pack("<d", fld.value(chart, x, y))
 
 
+# -- arrays of points against one point at a time -----------------------------
+
+points = st.lists(st.tuples(box, box), min_size=1, max_size=24)
+
+
+def _xy(pts, shape):
+    x, y = (np.array([p[i] for p in pts]) for i in (0, 1))
+    return x.reshape(shape), y.reshape(shape)
+
+
+@given(base_fields(), st.integers(0, 1), points, st.booleans())
+@example(PolynomialField([[0.0, 0.0, 1.7], [0.0, -0.3], [2.2, 0.0, 0.0, 1.1]]), 0,
+         [(0.7, -0.3), (-1.0, 1.0), (0.0, 0.0), (0.123, 0.987)], False)
+@example(ZonalSphereField(1.6), 1, [(0.3, 0.4), (-0.9, 0.2), (0.0, 0.0)], True)
+@example(ConstantField(0.0), 0, [(0.5, 0.5)], True)
+def test_array_eval_matches_scalar(fld, chart, pts, column):
+    """value and eval over arrays of points are == to the pointwise calls,
+    for every base field and the composite field over it, in the array's
+    shape (a flat array or a column)."""
+    x, y = _xy(pts, (len(pts), 1) if column else (len(pts),))
+    xs, ys = x.ravel().tolist(), y.ravel().tolist()
+    for f in (fld, MagneticField(fld)):
+        v = f.value(chart, x, y)
+        g, (gx, gy) = f.eval(chart, x, y)
+        for arr in (v, g, gx, gy):
+            assert isinstance(arr, np.ndarray) and arr.shape == x.shape
+        want = [f.eval(chart, a, b) for a, b in zip(xs, ys)]
+        assert v.ravel().tolist() == [f.value(chart, a, b) for a, b in zip(xs, ys)]
+        assert g.ravel().tolist() == [w[0] for w in want]
+        assert gx.ravel().tolist() == [w[1][0] for w in want]
+        assert gy.ravel().tolist() == [w[1][1] for w in want]
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
+@example([0.5, -0.5, 0.4999999999, 0.0, 1.0 / 6.0, -0.25])
+def test_array_bump_template_matches_scalar(us):
+    u = np.array(us)
+    assert bump_a(u).tolist() == [bump_a(v) for v in us]
+    assert bump_a_deriv(u).tolist() == [bump_a_deriv(v) for v in us]
+
+
 # -- bump template conditions -------------------------------------------------
 
 
@@ -215,12 +256,53 @@ def test_c1_norm_report_bound(torus, torus_kit):
     lo, hi = pert.support_t
     ts = np.linspace(lo, hi, 200)
     us = np.linspace(-0.5 * pert.eps0, 0.5 * pert.eps0, 200)
-    worst = 0.0
-    for t in ts:
-        for u in us:
-            h, ht, hu = pert.eval_tube(t, u)
-            worst = max(worst, abs(h) + abs(ht) + abs(hu))
+    # the 200 x 200 grid in one call (test_array_eval_tube_matches_scalar
+    # ties the arrays to the pointwise values)
+    h, ht, hu = pert.eval_tube(np.repeat(ts, 200), np.tile(us, 200))
+    worst = float(np.max(np.abs(h) + np.abs(ht) + np.abs(hu)))
     assert worst <= rep.bound * (1.0 + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def torus_pert(torus_kit):
+    kit, consts = torus_kit
+    A = PerturbA(0.4 * consts.delta1, -0.3 * consts.delta1, 0.2 * consts.delta1)
+    return build_GA(kit, consts, A)[1]
+
+
+@given(st.lists(st.tuples(unit, st.floats(-1.0, 1.0)), min_size=1, max_size=40))
+@example([(0.0, 0.5), (0.5, -0.5), (0.5, 0.0), (0.3, 0.4999999999), (0.7, 0.9)])
+def test_array_eval_tube_matches_scalar(torus_pert, draws):
+    """eval_tube over arrays of (t, u) is == to the pointwise calls, with
+    |u| on both sides of the bump's edge eps0/2."""
+    pert = torus_pert
+    lo, hi = pert.support_t
+    t = np.array([lo + f * (hi - lo) for f, _ in draws])
+    u = np.array([s * pert.eps0 for _, s in draws])
+    got = pert.eval_tube(t, u)
+    want = [pert.eval_tube(a, b) for a, b in zip(t.tolist(), u.tolist())]
+    for k in range(3):
+        assert got[k].tolist() == [w[k] for w in want]
+
+
+def test_perturbation_array_eval_matches_scalar(torus_kit, torus_pert):
+    """The perturbation's value/eval loop over the points of an array."""
+    kit, _ = torus_kit
+    pert = torus_pert
+    rng = np.random.default_rng(3)
+    ts = rng.uniform(*pert.support_t, 40)
+    cores = [kit.traj.state(t) for t in ts]
+    x = np.array([s.x - s.vy * d for s, d in zip(cores, rng.uniform(-1, 1, 40) * pert.eps0)])
+    y = np.array([s.y + s.vx * d for s, d in zip(cores, rng.uniform(-1, 1, 40) * pert.eps0)])
+    x, y = np.mod(x, 1.0), np.mod(y, 1.0)
+    for chart in (0, 1):
+        g, (gx, gy) = pert.eval(chart, x, y)
+        want = [pert.eval(chart, a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert g.tolist() == [w[0] for w in want]
+        assert gx.tolist() == [w[1][0] for w in want]
+        assert gy.tolist() == [w[1][1] for w in want]
+        assert pert.value(chart, x, y).tolist() == [w[0] for w in want]
+    assert np.count_nonzero(g) == 0 and np.count_nonzero(pert.value(0, x, y)) > 0
 
 
 def test_add_perturbation_api(torus, torus_kit):

@@ -11,6 +11,7 @@ from maglab.geometry import PhasePoint, sphere
 from maglab.field import MagneticField, ConstantField, SinusoidalTorusField, is_exact
 from maglab.dynamics import (
     IntegratorOptions,
+    Trajectory,
     flow,
     flow_with_variation,
     injectivity_time,
@@ -418,6 +419,39 @@ def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
                       for p, k in zip(zip(*(a.tolist() for a in prof)), km.tolist())])
     series = np.abs(-prof[0] * prof[3] * A.c) < 1e-6
     assert np.array_equal(got[series], exact[series])
+
+
+@given(st.lists(st.floats(0.0, 1.0), max_size=64))
+def test_array_kmag_base_matches_scalar(hyper_setup, fracs):
+    """kmag_base over an array of times is == to kmag_base at each time: the
+    segment's ends, every step boundary of the base orbit and drawn times."""
+    _, _, kit, _ = hyper_setup
+    sol = kit.traj.segments[0].sol
+    ts = np.array([0.0, kit.T] + [s.t0 for s in sol.steps]
+                  + [f * kit.T for f in fracs])
+    km = kit.kmag_base(ts)
+    assert km.tolist() == [kit.kmag_base(t) for t in ts.tolist()]
+    assert kit.kmag_base(ts.reshape(1, -1)).tolist() == [km.tolist()]
+    Xs = kit.base_matrix(ts)
+    assert all(np.array_equal(X, kit.base_matrix(t)) for X, t in zip(Xs, ts.tolist()))
+
+
+def test_kit_and_ledger_read_the_base_orbit_by_arrays(hyper_setup, torus,
+                                                     sin_field, monkeypatch):
+    """build_franks_kit plus compute_constants read the base orbit through
+    array lookups; scalar Trajectory.state/raw calls stay below a small
+    ceiling (one call per time made tens of thousands)."""
+    orb, split, _, _ = hyper_setup
+    calls = []
+    for name in ("state", "raw"):
+        def counted(self, t, _fn=getattr(Trajectory, name)):
+            calls.append(t)
+            return _fn(self, t)
+
+        monkeypatch.setattr(Trajectory, name, counted)
+    kit = build_franks_kit(torus, sin_field, orb.initial_state, split.t0)
+    compute_constants(kit)
+    assert len(calls) <= 200
 
 
 def test_franks_response_matches_variational(hyper_setup, torus, sin_field,

@@ -150,3 +150,30 @@ def test_invalid_surfaces():
         sphere(-1.0)
     with pytest.raises(ValueError):
         planar_chart(radius=0.0)
+
+
+@given(st.sampled_from([flat_torus(), sphere(0.7), planar_chart(3.0)]),
+       st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=30))
+def test_metric_at_over_arrays_matches_points(surface, pts):
+    """metric_at and wrap_position over arrays of points give, field by
+    field, == the values at each point (a constant field stays a number)."""
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    wx, wy = surface.wrap_position(x, y)
+    want_w = [surface.wrap_position(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert wx.tolist() == [w[0] for w in want_w]
+    assert wy.tolist() == [w[1] for w in want_w]
+    md = surface.metric_at(0, x, y)
+    for name in ("lam", "lam_x", "lam_y", "lam_xx", "lam_xy", "lam_yy", "curvature"):
+        want = [getattr(surface.metric_at(0, a, b), name)
+                for a, b in zip(x.tolist(), y.tolist())]
+        assert np.broadcast_to(getattr(md, name), x.shape).tolist() == want
+
+
+def test_metric_at_over_arrays_rejects_a_point_outside(disk):
+    x = np.array([0.0, 1.0, 3.5, 0.2])
+    y = np.zeros(4)
+    with pytest.raises(ChartDomainError, match="3.5"):
+        disk.metric_at(0, x, y)
+    assert disk.metric_at(0, x[:0], y[:0]).lam == 1.0  # no point, none outside

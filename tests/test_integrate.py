@@ -7,6 +7,7 @@ zero entries included.  `integrate` must reproduce it bit for bit.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -149,3 +150,24 @@ def test_eval_position_is_eval_prefix(data, t0, h, thetas):
     for th in thetas + [0.0, 1.0]:
         t = t0 + th * h
         assert step.eval_position(t) == step.eval(t)[:2]
+
+
+@given(systems(), st.lists(st.floats(-0.01, 1.01), max_size=30))
+def test_eval_many_matches_eval(system, fracs):
+    """eval_many over an array of times is == to eval at each time, step
+    ends and the clamp slack included; beyond the slack it raises alike."""
+    rhs, y0 = system
+    sol = integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10)
+    ts = [s.t0 for s in sol.steps] + [s.t1 for s in sol.steps]
+    ts += [sol.t_end * (1 + 1e-13), -1e-13] + fracs
+    eps = 1e-12 * max(1.0, abs(sol.t_end))
+    inside = [t for t in ts if sol.t0 - eps <= t <= sol.t_end + eps]
+    cols = sol.eval_many(np.array(inside), range(len(y0)))
+    want = [sol.eval(t) for t in inside]
+    for c, col in enumerate(cols):
+        assert col.tolist() == [w[c] for w in want]
+    for t in set(ts) - set(inside):
+        with pytest.raises(ValueError):
+            sol.eval(t)
+        with pytest.raises(ValueError):
+            sol.eval_many(np.array([0.5, t]), (0,))
