@@ -262,12 +262,12 @@ def _segment_intersections(A, B):
 
 
 def detect_homoclinic(branch_s: ManifoldBranch, branch_u: ManifoldBranch,
-                      angle_tol=1e-3, min_separation=1e-9):
+                      min_separation=1e-9):
     """Crossings of a stable with an unstable polyline, with crossing angles.
 
-    Returns all intersections sorted by unstable arclength; each knows
-    whether it counts as transversal at the given angle tolerance.  An empty
-    list is a valid outcome.
+    Returns all intersections sorted by unstable arclength; `transversal`
+    tells whether one counts as transversal at an angle tolerance.  An
+    empty list is a valid outcome.
     """
     segs_s = branch_s.segments()
     segs_u = branch_u.segments()
@@ -287,8 +287,6 @@ def detect_homoclinic(branch_s: ManifoldBranch, branch_u: ManifoldBranch,
         if dedup and abs(h.arclength_unstable - dedup[-1].arclength_unstable) < min_separation:
             continue
         dedup.append(h)
-    for h in dedup:
-        h.angle_tol = angle_tol
     return dedup
 
 

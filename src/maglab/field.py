@@ -227,14 +227,18 @@ class C1NormReport:
 class PerturbationField:
     """h(t, u) = a_eps(u) b(t) / omega(t, u) in tubular coordinates.
 
-    `tube` is a TubularChart (franks module).  Dividing by the relative area
-    density omega makes the chart integral of h dA exactly zero while keeping
-    h = 0 and dh/du = b(t) on the core (a(0) = 0 kills the omega correction
+    `tube` is a TubularChart (franks module); eps0, at most the tube's
+    width, scales the bump a_eps, while the tube keeps its own width for
+    inversion and its area bound.  Dividing by the relative area density
+    omega makes the chart integral of h dA exactly zero while keeping h = 0
+    and dh/du = b(t) on the core (a(0) = 0 kills the omega correction
     there).  b must be smooth with support inside the tube's time range.
     """
 
-    def __init__(self, tube, b, b_deriv, b_c0, b_c1, support_t=None, label=""):
+    def __init__(self, tube, eps0, b, b_deriv, b_c0, b_c1, support_t=None,
+                 label=""):
         self.tube = tube
+        self.eps0 = eps0
         self.b = b
         self.b_deriv = b_deriv
         self.b_c0 = float(b_c0)
@@ -245,10 +249,6 @@ class PerturbationField:
     @property
     def chart(self):
         return self.tube.chart_id
-
-    @property
-    def eps0(self):
-        return self.tube.eps0
 
     def c1_report(self):
         return C1NormReport(self.b_c0, self.b_c1, self.eps0)

@@ -3,9 +3,14 @@
 Given a base intensity f0 and an orbit segment of length T inside the
 injectivity window, this module builds:
 
+  * a closed orbit's cut into segments of length t0 in (K/2, K]
+    (`segment_split`), and each segment's tube, built once from one flow of
+    the segment and kept clear of the other segments' cores (`tube`);
   * a tubular chart psi(t, u) = gamma(t) + u * i gamma'(t) around the core
     (flat charts only, where the chart area density is the closed form
     2c (1 - u f0(gamma(t))) and exactness of the perturbations is exact);
+  * the kit (`FranksKit`), which wraps a given tube and adds the segment's
+    variational flow; `build_franks_kit` goes flow -> tube -> kit;
   * the constants ledger k0..k6, window width lambda, rho, the one-sided
     unit-mass bump profiles delta/Delta at k0/2, and the cutoff alpha, with
     every inequality they must satisfy checked and its slack recorded;
@@ -22,14 +27,11 @@ Responses are integrated with one deterministic fixed-step RK4 routine
 across the (narrow) support window of the profiles, composed with cached
 base propagators outside it, so S is a smooth function of (a, b, c)
 evaluated consistently down to machine precision.  `set_window` samples
-the base K_mag once on the RK4 stage grid; responses and their coefficient
-callbacks read K_mag from that cache.  The base orbit, its fundamental
-matrix and K_mag are read over whole grids of times (`kmag_base` and
-`base_matrix` take an array), never one Python call per time.  The profiles, beta_A and its first
-variation are numpy functions of an array of times: each response calls
+the base K_mag once on the RK4 stage grid.  The base orbit, its fundamental
+matrix, K_mag, the profiles, beta_A and its first variation are read over
+whole arrays of times, never one Python call per time: each response calls
 its coefficient callback once, with the window's stage times and the base
-K_mag there as two arrays, and the k6 and cota checks evaluate beta_A over
-whole grids the same way.  The constants delta1 and delta are tiny because
+K_mag there as two arrays.  The constants delta1 and delta are tiny because
 k3 and k5 scale like inverse powers of the window width, and resolving the
 ball test relies on that smoothness.
 
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from itertools import repeat
 
 import numpy as np
@@ -95,7 +98,7 @@ class TubularChart:
     core for any energy.
     """
 
-    def __init__(self, surface, field, trajectory, T, eps0, n_samples=1024):
+    def __init__(self, surface, field, trajectory, T, eps0):
         self.surface = surface
         st0 = trajectory.state(0.0)
         self.chart_id = st0.chart
@@ -108,7 +111,7 @@ class TubularChart:
         self.eps0 = eps0
         self.t_range = (0.0, T)
         self.c = trajectory.c
-        ts = np.linspace(0.0, T, n_samples)
+        ts = np.linspace(0.0, T, 1024)
         _, (x, y) = trajectory.states(ts, (0, 1))
         self._ts = ts
         self._pos = np.column_stack((x, y))
@@ -165,7 +168,7 @@ class TubularChart:
         m = 1.0 - 0.5 * self.eps0 * float(np.max(np.abs(self._f0)))
         return max(m, 1e-9)
 
-    def invert(self, x, y, tol=1e-12, max_iter=12):
+    def invert(self, x, y):
         """(t, u) with psi(t, u) = (x, y), or None outside the tube."""
         p = np.array([x, y])
         dpos = self._pos - p[None, :]
@@ -180,13 +183,13 @@ class TubularChart:
         t = float(self._ts[i0])
         u = 0.0
         resid = math.inf
-        for _ in range(max_iter):
+        for _ in range(12):
             p_c, v = self._core(t)
             w = np.array([-v[1], v[0]])
             f0 = self.core_f(t)
             r = p_c + u * w - p_adj
             resid = abs(r[0]) + abs(r[1])
-            if resid < tol:
+            if resid < 1e-12:
                 break
             jt = (1.0 - u * f0) * v
             det = jt[0] * w[1] - jt[1] * w[0]
@@ -202,16 +205,18 @@ class TubularChart:
             return None
         return (t, u)
 
-    def injectivity_report(self, nt=100, nu=20):
+    def injectivity_report(self):
         """Sampled injectivity of psi on (0, T) x (-eps0, eps0).
 
-        Compares chart distances against tubular-coordinate distances:
-        distinct parameter pairs whose images nearly coincide flag an
-        overlap (wrap collisions on the torus included).  The points are
-        psi's, formed from nt core states by broadcasting.  Both distance
-        matrices are symmetric (np.round is odd), so each block of 100 rows
-        is compared only with the columns from its first row on.
+        Compares chart distances against tubular-coordinate distances on a
+        100 x 20 (t, u) grid: distinct parameter pairs whose images nearly
+        coincide flag an overlap (wrap collisions on the torus included).
+        The points are psi's, formed from the 100 core states by
+        broadcasting.  Both distance matrices are symmetric (np.round is
+        odd), so each block of 100 rows is compared only with the columns
+        from its first row on.
         """
+        nt, nu = 100, 20
         ts = np.linspace(0.0, self.T, nt)
         us = np.linspace(-0.999 * self.eps0, 0.999 * self.eps0, nu)
         x, y, vx, vy = self._core_state(ts)
@@ -238,33 +243,39 @@ class TubularChart:
         return {"injective": ratio > 0.3, "min_ratio": ratio}
 
 
-def build_tubular_chart(surface, field, state, T, eps0, options=None,
-                        eps_min=1e-5):
+# a tube narrower than this is a ledger failure
+_EPS_MIN = 1e-5
+
+
+def _injective_tube(surface, field, traj, T, width):
+    """TubularChart over the flow `traj`, its width halved from `width`
+    until the sampled injectivity check passes."""
+    while width >= _EPS_MIN:
+        chart = TubularChart(surface, field, traj, T, width)
+        rep = chart.injectivity_report()
+        if rep["injective"]:
+            return chart
+        log.info("tube of width %.6g not injective (min_ratio %.6g); halving",
+                 width, rep["min_ratio"])
+        width *= 0.5
+    raise LedgerError(f"no injective tube above width {_EPS_MIN}")
+
+
+def build_tubular_chart(surface, field, state, T, eps0, options=None):
     """Tubular chart around the orbit segment through `state` of length T.
 
-    The segment must satisfy T <= K(c, f); the width is halved automatically
-    until the sampled injectivity check passes (failure below eps_min is an
-    error).  Returns (chart, trajectory).
+    Flows the segment once (4 components).  The segment must satisfy
+    T <= K(c, f); the width is halved from eps0 until the sampled
+    injectivity check passes (below 1e-5 that is a LedgerError).  Returns
+    (chart, trajectory).
     """
     options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-    if isinstance(field, MagneticField):
-        fld = field
-    else:
-        fld = MagneticField(field)
+    fld = field if isinstance(field, MagneticField) else MagneticField(field)
     traj = flow(surface, fld, state, T, options)
     K = injectivity_time(surface, fld, traj.c)
     if T > K * (1.0 + 1e-9):
         raise LedgerError(f"segment length {T} exceeds injectivity time {K}")
-    width = eps0
-    while width >= eps_min:
-        chart = TubularChart(surface, fld, traj, T, width)
-        rep = chart.injectivity_report()
-        if rep["injective"]:
-            return chart, traj
-        log.info("tube of width %.6g not injective (min_ratio %.6g); halving",
-                 width, rep["min_ratio"])
-        width *= 0.5
-    raise LedgerError(f"no injective tube above width {eps_min}")
+    return _injective_tube(surface, fld, traj, T, eps0), traj
 
 
 # -- bump profiles --------------------------------------------------------------
@@ -388,7 +399,7 @@ class FranksConstants:
     checks: dict
 
     def ledger(self):
-        out = {
+        return {
             "k0": self.k0, "T": self.T, "lambda": self.lam_window,
             "k1": self.k1, "k2": self.k2, "k3": self.k3, "rho": self.rho,
             "kmag_c0": self.kmag_c0, "log_k5_full": self.log_k5_full,
@@ -396,9 +407,8 @@ class FranksConstants:
             "eps_c1": self.eps_c1, "eps0": self.eps0,
             "delta1": self.delta1, "delta": self.delta,
             "alpha_mass": self.alpha.deviation_mass(),
+            "checks": dict(self.checks),
         }
-        out["checks"] = {k: v for k, v in self.checks.items()}
-        return out
 
     def all_inequalities_hold(self):
         return all(v >= 0.0 for v in self.checks.values())
@@ -430,23 +440,27 @@ class PerturbA:
 
 
 class FranksKit:
-    """Cached segment data plus deterministic response integration."""
+    """Cached segment data plus deterministic response integration.
 
-    def __init__(self, surface, field, state, T, eps0=0.02, options=None,
-                 n_window_steps=4096):
-        self.surface = surface
-        self.field = field if isinstance(field, MagneticField) else MagneticField(field)
-        self.T = T
-        self.options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-        self.chart, self.traj = build_tubular_chart(surface, self.field, state,
-                                                    T, eps0, options=self.options)
+    Wraps a given tubular chart: its segment, flow and width are the kit's.
+    The kit adds the segment's variational flow over [0, T].
+    """
+
+    #: fixed RK4 steps across the support window
+    n_window_steps = 4096
+
+    def __init__(self, chart, options=None):
+        self.chart = chart
+        self.surface = chart.surface
+        self.field = chart.field
+        self.traj = chart.traj
+        self.T = chart.T
+        self.eps0 = chart.eps0
         self.state0 = self.traj.state(0.0)
         self.c = self.traj.c
-        self.eps0 = self.chart.eps0
-        self.n_window_steps = n_window_steps
-        # base variational data over [0, T]
-        _, vp = flow_with_variation(surface, self.field, self.state0, T, self.options)
-        self._vp = vp
+        options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
+        _, self._vp = flow_with_variation(self.surface, self.field, self.state0,
+                                          self.T, options)
         self._window = None
 
     def kmag_base(self, t):
@@ -573,7 +587,9 @@ class FranksKit:
 
 
 def build_franks_kit(surface, field, state, T, eps0=0.02, options=None):
-    return FranksKit(surface, field, state, T, eps0, options)
+    """Kit for the segment through `state` of length T: flow, tube, kit."""
+    chart, _ = build_tubular_chart(surface, field, state, T, eps0, options)
+    return FranksKit(chart, options)
 
 
 # -- constants computation ----------------------------------------------------------
@@ -593,15 +609,15 @@ def _chart_sample_grid(surface, chart, n):
     return xs, ys
 
 
-def _kmag_c0_norm(surface, field, c, n_pos=96):
-    """Sup of |K_mag| over the energy level, sampled on an n_pos^2 grid per chart.
+def _kmag_c0_norm(surface, field, c):
+    """Sup of |K_mag| over the energy level, sampled on a 96^2 grid per chart.
 
     Each chart's grid is evaluated as arrays; |grad f| takes math.hypot per
     point, since np.hypot is not bit-equal to it.
     """
     best = 0.0
     for chart in range(len(surface.charts)):
-        xs, ys = surface.wrap_position(*_chart_sample_grid(surface, chart, n_pos))
+        xs, ys = surface.wrap_position(*_chart_sample_grid(surface, chart, 96))
         md = surface.metric_at(chart, xs, ys)
         f, (fx, fy) = field.eval(chart, xs, ys)
         speed = math.sqrt(2.0 * c) / md.lam
@@ -611,8 +627,7 @@ def _kmag_c0_norm(surface, field, c, n_pos=96):
     return 1.01 * best
 
 
-def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
-                      crossing_windows=(), n_grid=20001):
+def compute_constants(kit: FranksKit, eps_c1=0.1):
     """The constants ledger for one segment, with λ halved until admissible.
 
     Every ledger inequality is checked numerically and its slack recorded
@@ -632,8 +647,7 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     k1 = 1.01 * max(norms.max(), inv_norms.max())
     k1 = max(k1, 1.0 + 1e-9)
 
-    lam = lam0 if lam0 is not None else k0 / 16.0
-    lam = min(lam, 0.45 * (T - k0 / 2.0), k0 / 8.0)
+    lam = min(k0 / 16.0, 0.45 * (T - k0 / 2.0), k0 / 8.0)
     kmag_c0 = _kmag_c0_norm(surface, field, c)
     bound_k2 = 1.0 / (16.0 * k1**3)
     lip = 1.01 * Cs.max() * k1  # |X'| <= |C| |X|, also bounds (X^{-1})'
@@ -665,14 +679,12 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
                     + Delta_p.c0 * kmag_c0 + 0.5 * Delta_p.c0_d2)
     rho = 1.0 / (8.0 * k1 * k1 * k3)
 
-    # alpha: exclude the boundary points of supp(Delta) plus any crossing
-    # windows supplied by segment geometry, within half the rho budget
+    # alpha: exclude the two boundary points of supp(Delta), within half
+    # the rho budget
     sup_lo, sup_hi = Delta_p.support
-    n_win = 2 + len(crossing_windows)
-    w = min(rho / (8.0 * n_win), lam / 100.0)
+    w = min(rho / 16.0, lam / 100.0)
     w = max(w, 64.0 * np.spacing(k0))
     windows = [(sup_lo - w, sup_lo + w), (sup_hi - w, sup_hi + w)]
-    windows += [tuple(cw) for cw in crossing_windows]
     alpha = AlphaProfile(T, windows, w)
     mass = alpha.deviation_mass()
     if mass > rho:
@@ -711,9 +723,10 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     k5 = k5_of(delta1)
 
     # k6 at scale delta1 (the |A| <= 1 version overflows identically)
-    consts_stub = _ProfileBundle(delta_p, Delta_p, alpha)
+    consts_stub = SimpleNamespace(delta_profile=delta_p, Delta_profile=Delta_p,
+                                  alpha=alpha)
     k6 = 0.0
-    tgrid = np.linspace(max(0.0, sup_lo - 2 * lam), min(T, sup_hi + 2 * lam), n_grid)
+    tgrid = np.linspace(max(0.0, sup_lo - 2 * lam), min(T, sup_hi + 2 * lam), 20001)
     kgrid = kit.kmag_base(tgrid)
     for dirn in _unit_directions():
         A = PerturbA(delta1 * dirn[0], delta1 * dirn[1], delta1 * dirn[2])
@@ -745,13 +758,6 @@ def compute_constants(kit: FranksKit, lam0=None, eps_c1=0.1,
     kit.set_window(delta_p.support[0] - 0.02 * lam,
                    Delta_p.support[1] + 0.02 * lam)
     return consts
-
-
-@dataclass
-class _ProfileBundle:
-    delta_profile: BumpProfile
-    Delta_profile: BumpProfile
-    alpha: AlphaProfile
 
 
 def _unit_directions():
@@ -819,24 +825,10 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     ders = beta_d(ts)
     b_c0 = 1.01 * float(np.max(np.abs(vals)))
     b_c1 = b_c0 + 1.01 * float(np.max(np.abs(ders)))
-    # narrow the bump to the ledger's eps0 if the chart is wider
-    tube = kit.chart
-    if consts.eps0 < tube.eps0:
-        tube = _NarrowChart(tube, consts.eps0)
-    pert = PerturbationField(tube, beta, beta_d, b_c0, b_c1,
-                            support_t=(lo, hi), label="G(A)")
+    # the bump takes the ledger's width; the tube keeps its own for inversion
+    pert = PerturbationField(kit.chart, min(consts.eps0, kit.chart.eps0), beta,
+                             beta_d, b_c0, b_c1, support_t=(lo, hi), label="G(A)")
     return kit.field.with_perturbation(pert), pert, beta
-
-
-class _NarrowChart:
-    """View of a tubular chart with a smaller width."""
-
-    def __init__(self, chart, eps0):
-        self._chart = chart
-        self.eps0 = eps0
-
-    def __getattr__(self, name):
-        return getattr(self._chart, name)
 
 
 def franks_response(kit: FranksKit, beta=None):
@@ -870,9 +862,7 @@ class CotaReport:
     samples: int
 
     def as_dict(self):
-        return {"samples": self.samples, "margins": self.margins,
-                "min_margin": self.min_margin,
-                "linearity_defect": self.linearity_defect}
+        return asdict(self)
 
 
 def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count=20,
@@ -925,27 +915,21 @@ class SurjectivityReport:
     details: list
 
     def as_dict(self):
-        return {"targets": self.targets, "solved": self.solved,
-                "max_residual": self.max_residual,
-                "max_A_norm": self.max_A_norm,
-                "gene_bound_ok": self.gene_bound_ok,
-                "details": self.details}
+        return asdict(self)
 
 
 def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
-                             targets=None, n_targets=8, radius_factor=0.5,
-                             newton_tol=1e-6, max_iter=30, mode="sphere",
-                             seed=0):
+                             n_targets=8, mode="sphere", seed=0):
     """Newton inversion of A -> S(G(A)) for targets near S0 = S(f0).
 
     mode="sphere": targets S0 exp(s D) on the delta/2 sphere (coordinate and
     mixed directions of the traceless algebra).  mode="forward": targets
     generated as S(G(A0)) for known A0 with |A0| = delta1/2; the report then
-    also carries the recovery error |A - A0|.  Newton stops at residual
-    max(1e-3 * dist(target, S0), few ulps), so the inversion genuinely runs
-    whenever the target is numerically distinguishable from S0; each solve
-    must end with residual <= newton_tol, |A| <= delta1, and |A| within the
-    covering bound 2 k1^3 dist(target, S0).
+    also carries the recovery error |A - A0|.  Newton (at most 30 iterates)
+    stops at residual max(1e-3 * dist(target, S0), few ulps), so the
+    inversion genuinely runs whenever the target is numerically
+    distinguishable from S0; each solve must end with residual <= 1e-6,
+    |A| <= delta1, and |A| within the covering bound 2 k1^3 dist(target, S0).
     """
     def S_of(Avec):
         A = PerturbA(*Avec)
@@ -953,34 +937,33 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
 
     S0 = S_of((0.0, 0.0, 0.0))
     floor = 32.0 * np.finfo(float).eps * np.linalg.norm(S0, "fro")
-    r = radius_factor * consts.delta
+    r = 0.5 * consts.delta
+    targets = []
     known = None
-    if targets is None:
-        targets = []
-        if mode == "forward":
-            known = []
-            rng = np.random.default_rng(seed)
-            for _ in range(n_targets):
-                A0 = PerturbA.random_unit(rng)
-                s = 0.5 * consts.delta1
-                A0 = np.array([s * A0.a, s * A0.b, s * A0.c])
-                targets.append(S_of(A0))
-                known.append(A0)
-        else:
-            dirs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                    (0, 0, 1), (0, 0, -1), (1, 1, 1), (-1, 1, -1)][:n_targets]
-            for d in dirs:
-                D = PerturbA(*d).matrix()
-                D = D / np.linalg.norm(D, "fro")
-                lo, hi = 0.0, 10.0 * r
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    tgt = S0 @ _sl2_exp(mid * D)
-                    if np.linalg.norm(tgt - S0, "fro") < r:
-                        lo = mid
-                    else:
-                        hi = mid
-                targets.append(S0 @ _sl2_exp(0.5 * (lo + hi) * D))
+    if mode == "forward":
+        known = []
+        rng = np.random.default_rng(seed)
+        for _ in range(n_targets):
+            A0 = PerturbA.random_unit(rng)
+            s = 0.5 * consts.delta1
+            A0 = np.array([s * A0.a, s * A0.b, s * A0.c])
+            targets.append(S_of(A0))
+            known.append(A0)
+    else:
+        dirs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                (0, 0, 1), (0, 0, -1), (1, 1, 1), (-1, 1, -1)][:n_targets]
+        for d in dirs:
+            D = PerturbA(*d).matrix()
+            D = D / np.linalg.norm(D, "fro")
+            lo, hi = 0.0, 10.0 * r
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                tgt = S0 @ _sl2_exp(mid * D)
+                if np.linalg.norm(tgt - S0, "fro") < r:
+                    lo = mid
+                else:
+                    hi = mid
+            targets.append(S0 @ _sl2_exp(0.5 * (lo + hi) * D))
 
     details = []
     max_res = 0.0
@@ -992,7 +975,7 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
         dist = float(np.linalg.norm(tgt - S0, "fro"))
         stop = max(1e-3 * dist, floor)
         A = np.zeros(3)
-        for step_no in range(max_iter):
+        for step_no in range(30):
             S = S_of(A)
             res = (S - tgt).ravel()
             res_norm = np.linalg.norm(res)
@@ -1014,7 +997,7 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
         S = S_of(A)
         resid = float(np.linalg.norm(S - tgt, "fro"))
         a_norm = PerturbA(*A).norm()
-        ok = resid <= newton_tol and a_norm <= consts.delta1
+        ok = resid <= 1e-6 and a_norm <= consts.delta1
         bound = 2.0 * consts.k1**3 * dist * (1.0 + 1e-6) + 1e-30
         if a_norm > bound:
             gene_ok = False
@@ -1034,11 +1017,18 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
 
 @dataclass
 class SegmentSplit:
+    """A closed orbit cut into n segments of length t0: each segment's start
+    state, transversal propagator and core samples."""
+
     n: int
     t0: float
     start_states: list
-    charts: list
     responses: list
+    surface: object
+    field: MagneticField
+    eps0: float
+    options: IntegratorOptions
+    core_samples: list
 
     def product(self):
         out = np.eye(2)
@@ -1046,14 +1036,49 @@ class SegmentSplit:
             out = S @ out
         return out
 
+    def tube(self, i):
+        """Tubular chart of segment i, from one flow of the segment.
+
+        The width is halved from eps0 until the mid-segment patch (u =
+        +-width/2 over 0.3-0.7 t0) is 1.5 widths clear of every other
+        segment's core, then until the sampled injectivity check passes.
+        """
+        traj = flow(self.surface, self.field, self.start_states[i], self.t0,
+                    self.options)
+        x, y, vx, vy = traj.states(np.linspace(0.3 * self.t0, 0.7 * self.t0, 64))[1]
+        width = self.eps0
+        while True:
+            # patch points psi(t, u) = core + u * i core'
+            pts = np.concatenate([np.column_stack((x + u * -vy, y + u * vx))
+                                  for u in (-0.5 * width, 0.5 * width)])
+            j = next((j for j in range(self.n) if j != i and _min_distance(
+                self.surface, pts, self.core_samples[j]) < 1.5 * width), None)
+            if j is None:
+                return _injective_tube(self.surface, self.field, traj, self.t0, width)
+            log.info("segment %d: tube patch of width %.6g within 1.5 width "
+                     "of segment %d's core; halving", i, width, j)
+            width *= 0.5
+            if width < _EPS_MIN:
+                raise LedgerError(f"segment {i}: no tube clear of the other "
+                                  f"segments above width {_EPS_MIN}")
+
+
+def _min_distance(surface, pts, core):
+    """Least chart distance (torus: to the nearest image) between two point sets."""
+    d = pts[:, None, :] - core[None, :, :]
+    if surface.kind == "torus":
+        d = d - np.round(d)
+    return np.sqrt(np.einsum("ijk,ijk->ij", d, d)).min()
+
 
 def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
     """Cut a closed orbit into n segments of equal length t0 in (K/2, K].
 
-    n is the smallest count with t0 = T_theta / n <= K; per-segment tubular
-    charts are built with widths shrunk until their mid-segment support
-    regions avoid every other segment's core.  Also returns the per-segment
-    transversal propagators, whose ordered product is the full monodromy.
+    n is the smallest count with t0 = T_theta / n <= K.  One variational
+    flow of the orbit gives the segment starts, the per-segment transversal
+    propagators (whose ordered product is the full monodromy) and 256 core
+    samples per segment.  No tube is built here: `SegmentSplit.tube(i)`
+    builds segment i's tube, of width at most eps0, when it is needed.
     """
     options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
     fld = field if isinstance(field, MagneticField) else MagneticField(field)
@@ -1074,37 +1099,8 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
     # propagators between consecutive section times
     mats = vp.matrices(np.arange(n + 1) * t0)
     responses = [mats[i + 1] @ np.linalg.inv(mats[i]) for i in range(n)]
-
-    core_samples = []
-    for i in range(n):
-        ts = np.linspace(i * t0, (i + 1) * t0, 256)
-        core_samples.append(np.column_stack(traj.states(ts, (0, 1))[1]))
-
-    charts = []
-    for i in range(n):
-        width = eps0
-        chart = None
-        for _ in range(30):
-            chart, _ = build_tubular_chart(surface, fld, starts[i],
-                                           min(t0, K), width, options=options)
-            mid_lo, mid_hi = 0.3 * t0, 0.7 * t0
-            pts = np.concatenate([chart.psi(np.linspace(mid_lo, mid_hi, 64), u).T
-                                  for u in (-0.5 * width, 0.5 * width)])
-            clear = True
-            for j in range(n):
-                if j == i:
-                    continue
-                d = pts[:, None, :] - core_samples[j][None, :, :]
-                if surface.kind == "torus":
-                    d = d - np.round(d)
-                if np.sqrt(np.einsum("ijk,ijk->ij", d, d)).min() < 1.5 * width:
-                    clear = False
-                    break
-            if clear:
-                break
-            log.info("segment %d: tube patch of width %.6g within 1.5 width "
-                     "of segment %d's core; halving", i, width, j)
-            width *= 0.5
-        chart.eps0 = min(chart.eps0, width)
-        charts.append(chart)
-    return SegmentSplit(n, t0, starts, charts, responses)
+    core_samples = [
+        np.column_stack(traj.states(np.linspace(i * t0, (i + 1) * t0, 256), (0, 1))[1])
+        for i in range(n)]
+    return SegmentSplit(n, t0, starts, responses, surface, fld, eps0, options,
+                        core_samples)

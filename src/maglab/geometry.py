@@ -47,12 +47,6 @@ class PhasePoint:
     vx: float
     vy: float
 
-    def position(self):
-        return (self.x, self.y)
-
-    def velocity(self):
-        return (self.vx, self.vy)
-
 
 @dataclass(frozen=True)
 class MetricData:
@@ -61,31 +55,12 @@ class MetricData:
     lam: float
     lam_x: float
     lam_y: float
-    lam_xx: float
-    lam_xy: float
-    lam_yy: float
     curvature: float
 
     @property
     def log_grad(self):
         """(d/dx log lam, d/dy log lam) -- the Christoffel building blocks."""
         return (self.lam_x / self.lam, self.lam_y / self.lam)
-
-    def christoffels(self):
-        """Gamma[k][i][j] for g = lam^2 (dx^2+dy^2)."""
-        lx, ly = self.log_grad
-        d = ((1.0, 0.0), (0.0, 1.0))
-        grad = (lx, ly)
-        return tuple(
-            tuple(
-                tuple(
-                    d[i][k] * grad[j] + d[j][k] * grad[i] - d[i][j] * grad[k]
-                    for j in range(2)
-                )
-                for i in range(2)
-            )
-            for k in range(2)
-        )
 
 
 class _FlatChart:
@@ -98,7 +73,7 @@ class _FlatChart:
         self.radius = radius
 
     def metric(self, x, y):
-        return MetricData(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return MetricData(1.0, 0.0, 0.0, 0.0)
 
     def lam(self, x, y):
         return 1.0
@@ -128,10 +103,7 @@ class _SphereChart:
         lam = 2.0 * R / s
         lam_x = -4.0 * R * x / (s * s)
         lam_y = -4.0 * R * y / (s * s)
-        lam_xx = -4.0 * R / (s * s) + 16.0 * R * x * x / (s * s * s)
-        lam_yy = -4.0 * R / (s * s) + 16.0 * R * y * y / (s * s * s)
-        lam_xy = 16.0 * R * x * y / (s * s * s)
-        return MetricData(lam, lam_x, lam_y, lam_xx, lam_xy, lam_yy, self.curvature)
+        return MetricData(lam, lam_x, lam_y, self.curvature)
 
     def lam(self, x, y):
         return 2.0 * self.radius / (1.0 + x * x + y * y)
@@ -208,9 +180,6 @@ class Surface:
 
     # -- sphere chart transitions -------------------------------------------
 
-    def other_chart(self, chart):
-        return 1 - chart
-
     def transition(self, state: PhasePoint) -> PhasePoint:
         """Express a sphere phase point in the companion chart (w = 1/z)."""
         if self.kind != "sphere":
@@ -227,7 +196,7 @@ class Surface:
         # d(1/z) real Jacobian [[a, b], [-b, a]]
         wx = a * vx + b * vy
         wy = -b * vx + a * vy
-        return PhasePoint(self.other_chart(state.chart), u, v, wx, wy)
+        return PhasePoint(1 - state.chart, u, v, wx, wy)
 
     def position_to_chart(self, chart_from, x, y, chart):
         """A chart point's (x, y) in the requested chart, or None if impossible.

@@ -149,9 +149,6 @@ class FourierLoop:
             vel[c] = (-a * np.arange(1, M + 1)) @ sin * w + (b * np.arange(1, M + 1)) @ cos * w
         return t, pos, vel
 
-    def winding(self):
-        return (0, 0)
-
     def describe(self):
         return {"kind": "fourier", "period": self.period,
                 "coeffs": [list(map(float, row)) for row in self.coeffs]}
@@ -190,9 +187,6 @@ class RoundedRectangleLoop:
             self.B * self.q * (1.0 - np.tanh(self.q * su) ** 2) * cu * du / tq,
         ])
         return t, pos, vel
-
-    def winding(self):
-        return (0, 0)
 
     def describe(self):
         return {"kind": "rounded_rectangle", "center": list(self.center),

@@ -255,9 +255,6 @@ class TwistData:
     area_defect: float
     verdict: str
 
-    def q_member(self):
-        return self.verdict == "twist"
-
     def as_dict(self):
         return {
             "alpha": self.alpha,

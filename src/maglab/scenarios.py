@@ -29,7 +29,7 @@ from .dynamics import IntegratorOptions, flow, flow_with_variation, injectivity_
 from .orbits import OrbitDatabase, SectionReturnMap, find_closed_orbit
 from .normalform import birkhoff_beta, jet3, twist_by_rotation_number
 from .franks import (
-    build_franks_kit,
+    FranksKit,
     compute_constants,
     segment_split,
     verify_ball_surjectivity,
@@ -68,6 +68,27 @@ def _number(value, where, kind=float):
         raise ConfigError(msg) from None
 
 
+def _positive(value, where):
+    """value as a float; a non-number or a number <= 0 is a ConfigError."""
+    out = _number(value, where)
+    if not out > 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return out
+
+
+def _numbers(value, where, kind=float, sizes=None):
+    """value, a nonempty list, with each entry converted by kind (float, int,
+    or a (kind, sizes) pair for a list of lists); a non-list, a length
+    outside `sizes` or a bad entry is a ConfigError."""
+    if not isinstance(value, (list, tuple)) or not value or (
+            sizes is not None and len(value) not in sizes):
+        want = " or ".join(map(str, sizes)) if sizes else "one or more"
+        raise ConfigError(f"{where} must be a list of {want} entries, got {value!r}")
+    if isinstance(kind, tuple):
+        return [_numbers(v, f"{where}[{i}]", *kind) for i, v in enumerate(value)]
+    return [_number(v, f"{where}[{i}]", kind) for i, v in enumerate(value)]
+
+
 def _build_surface(cfg):
     _check_keys(cfg, {"kind", "params"}, "surface")
     kind = cfg.get("kind")
@@ -77,11 +98,13 @@ def _build_surface(cfg):
         return flat_torus()
     if kind == "sphere":
         _check_keys(params, {"radius"}, "surface.params")
-        return sphere(params.get("radius", 1.0))
+        return sphere(_positive(params.get("radius", 1.0), "surface.params.radius"))
     if kind == "planar":
         _check_keys(params, {"radius", "injectivity_radius"}, "surface.params")
-        return planar_chart(params.get("radius", 3.0),
-                            params.get("injectivity_radius", math.pi))
+        return planar_chart(
+            _positive(params.get("radius", 3.0), "surface.params.radius"),
+            _positive(params.get("injectivity_radius", math.pi),
+                      "surface.params.injectivity_radius"))
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
@@ -89,15 +112,18 @@ def _build_field(cfg):
     _check_keys(cfg, {"kind", "value", "amplitude", "k", "phase", "coeffs"}, "field")
     kind = cfg.get("kind")
     if kind == "constant":
-        return MagneticField(ConstantField(cfg.get("value", 0.0)))
+        return MagneticField(ConstantField(_number(cfg.get("value", 0.0), "field.value")))
     if kind == "sinusoidal":
-        return MagneticField(SinusoidalTorusField(cfg.get("amplitude", 1.0),
-                                                  tuple(cfg.get("k", (1, 0))),
-                                                  cfg.get("phase", 0.0)))
+        return MagneticField(SinusoidalTorusField(
+            _number(cfg.get("amplitude", 1.0), "field.amplitude"),
+            _numbers(cfg.get("k", (1, 0)), "field.k", int, (2,)),
+            _number(cfg.get("phase", 0.0), "field.phase")))
     if kind == "zonal":
-        return MagneticField(ZonalSphereField(cfg.get("amplitude", 1.0)))
+        return MagneticField(ZonalSphereField(
+            _number(cfg.get("amplitude", 1.0), "field.amplitude")))
     if kind == "polynomial":
-        return MagneticField(PolynomialField(cfg.get("coeffs", [[0.0]])))
+        return MagneticField(PolynomialField(
+            _numbers(cfg.get("coeffs", [[0.0]]), "field.coeffs", (float,))))
     raise ConfigError(f"unknown field kind {kind!r}")
 
 
@@ -105,11 +131,10 @@ def _build_eta(cfg):
     _check_keys(cfg, {"kind", "a", "amplitude", "k"}, "eta")
     kind = cfg.get("kind")
     if kind == "constant":
-        a = cfg.get("a", [0.0, 0.0])
-        return ConstantForm(a[0], a[1] if len(a) > 1 else 0.0)
+        return ConstantForm(*_numbers(cfg.get("a", [0.0, 0.0]), "eta.a", float, (1, 2)))
     if kind == "sin_primitive":
-        return SinPrimitiveForm(cfg.get("amplitude", 1.0),
-                                tuple(cfg.get("k", (1, 0))))
+        return SinPrimitiveForm(_number(cfg.get("amplitude", 1.0), "eta.amplitude"),
+                                _numbers(cfg.get("k", (1, 0)), "eta.k", int, (2,)))
     raise ConfigError(f"unknown eta kind {kind!r}")
 
 
@@ -121,7 +146,7 @@ _STAGE_KEYS = {
     "franks-verify": {"stage", "orbit_index", "eps0", "eps_c1", "cota_samples",
                       "targets", "segments"},
     "entropy": {"stage", "map", "orbit_index", "arclength", "tol", "angle_tol",
-                "k_max", "branch_signs", "fixed_points", "rectangles"},
+                "k_max", "branch_signs", "fixed_points"},
     "critical-value": {"stage", "eta", "k_range", "bisection_tol", "restarts",
                        "maxiter", "modes"},
 }
@@ -134,6 +159,17 @@ _STAGE_NUMBERS.update(dict.fromkeys(
     ("n_samples", "orbit_index", "n_iter", "cota_samples", "targets",
      "segments", "k_max", "restarts", "maxiter", "modes"), int))
 
+# list stage keys: (entry kind, allowed lengths, range rule given the number
+# of scenario seeds), converted at load
+_STAGE_LISTS = {
+    "seeds": (int, None, lambda v, n: all(0 <= i < n for i in v)),
+    "radii": (float, None, lambda v, n: min(v) > 0),
+    "k_range": (float, (2,), lambda v, n: v[0] < v[1]),
+    "fixed_points": ((float, (2,)), None, lambda v, n: True),
+    "branch_signs": (int, None, lambda v, n: set(v) <= {1, -1}),
+}
+
+
 _TOP_KEYS = {"surface", "field", "energy", "seeds", "pipeline", "out_dir",
              "seed", "integrator"}
 
@@ -143,14 +179,13 @@ class Scenario:
         _check_keys(cfg, _TOP_KEYS, path)
         self.surface = _build_surface(cfg.get("surface", {"kind": "torus"}))
         self.field = _build_field(cfg.get("field", {"kind": "constant"}))
-        self.c = _number(cfg.get("energy", 0.5), "energy")
-        if not self.c > 0:
-            raise ConfigError("energy must be positive")
+        self.c = _positive(cfg.get("energy", 0.5), "energy")
         self.random_seed = _number(cfg.get("seed", 0), "seed", int)
         self.out_dir = cfg.get("out_dir", "maglab_out")
         icfg = cfg.get("integrator", {})
         _check_keys(icfg, {"rel_tol", "abs_tol", "max_step"}, "integrator")
-        self.options = IntegratorOptions.from_config(icfg)
+        self.options = IntegratorOptions.from_config(
+            {k: _positive(v, f"integrator.{k}") for k, v in icfg.items()})
         self.seeds = []
         for i, s in enumerate(cfg.get("seeds", [])):
             _check_keys(s, {"chart", "x", "y", "vx", "vy"}, f"seeds[{i}]")
@@ -170,9 +205,18 @@ class Scenario:
                 if key in st:
                     st[key] = _number(st[key], f"{where}.{key}", num)
             for key in ("eps0", "eps_c1"):  # Franks ledger widths
-                if key in st and not st[key] > 0:
-                    raise ConfigError(f"{where}.{key} must be positive, "
-                                      f"got {st[key]!r}")
+                if key in st:
+                    st[key] = _positive(st[key], f"{where}.{key}")
+            for key, (entry, sizes, ok) in _STAGE_LISTS.items():
+                if key in st:
+                    st[key] = _numbers(st[key], f"{where}.{key}", entry, sizes)
+                    if not ok(st[key], len(self.seeds)):
+                        raise ConfigError(f"{where}.{key} out of range: {st[key]!r}")
+            for key in ("variational", "rotation_vectors"):
+                if not isinstance(st.get(key, False), bool):
+                    raise ConfigError(f"{where}.{key} must be true or false")
+            if "eta" in st:
+                _build_eta(st["eta"])
             self.pipeline.append(st)
         self.cfg = cfg
 
@@ -376,9 +420,7 @@ def _stage_franks(sc, st, ctx):
     constants = []
     kits = []
     for i in range(n_seg):
-        kit = build_franks_kit(sc.surface, sc.field, split.start_states[i],
-                               split.t0, eps0=float(st.get("eps0", 0.02)),
-                               options=sc.options)
+        kit = FranksKit(split.tube(i), sc.options)
         consts = compute_constants(kit, eps_c1=float(st.get("eps_c1", 0.1)))
         constants.append(consts.ledger())
         kits.append((kit, consts))
@@ -448,7 +490,7 @@ def _stage_entropy(sc, st, ctx):
         signs = st.get("branch_signs", [1, 1])
     wu = grow_manifold(oracle, fps[0], "unstable", signs[0], arclength, tol=tol)
     ws = grow_manifold(oracle, fps[-1], "stable", signs[-1], arclength, tol=tol)
-    hits = detect_homoclinic(ws, wu, angle_tol=angle_tol)
+    hits = detect_homoclinic(ws, wu)
     trans = [h for h in hits if h.angle >= angle_tol]
     rows = []
     for br, side in ((ws, "stable"), (wu, "unstable")):

@@ -263,7 +263,7 @@ def test_c11_chaos_harness():
     sm = StandardMap(1.5)
     wu = grow_manifold(sm, (0.0, 0.0), "unstable", 1, 2.5, tol=1e-4)
     ws = grow_manifold(sm, (1.0, 0.0), "stable", 1, 2.5, tol=1e-4)
-    hits = [h for h in detect_homoclinic(ws, wu, angle_tol=1e-3)
+    hits = [h for h in detect_homoclinic(ws, wu)
             if h.transversal(1e-3)]
     assert len(hits) >= 1
     best = max(hits, key=lambda h: h.angle)

@@ -57,7 +57,7 @@ def test_standard_map_homoclinic(standard_branches):
     sm, wu, ws = standard_branches
     assert wu.arclength >= 1.0 and not wu.truncated
     assert wu.invariance_defect(sm) <= 1e-3
-    hits = detect_homoclinic(ws, wu, angle_tol=1e-3)
+    hits = detect_homoclinic(ws, wu)
     trans = [h for h in hits if h.transversal(1e-3)]
     assert len(trans) >= 1
     assert max(h.angle for h in trans) > 1e-3
@@ -87,14 +87,14 @@ def test_refinement_convergence():
 def test_crossing_angles_frame_honest(standard_branches):
     """Rotating both polylines leaves crossing angles unchanged."""
     sm, wu, ws = standard_branches
-    hits = detect_homoclinic(ws, wu, angle_tol=1e-3)
+    hits = detect_homoclinic(ws, wu)
     th = 0.37
     R = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     wu2 = grow_manifold(sm, (0.0, 0.0), "unstable", 1, 2.5, tol=1e-4)
     ws2 = grow_manifold(sm, (1.0, 0.0), "stable", 1, 2.5, tol=1e-4)
     wu2.points = wu2.points @ R.T
     ws2.points = ws2.points @ R.T
-    hits2 = detect_homoclinic(ws2, wu2, angle_tol=1e-3)
+    hits2 = detect_homoclinic(ws2, wu2)
     assert len(hits) == len(hits2)
     for h1, h2 in zip(hits, hits2):
         assert abs(h1.angle - h2.angle) <= 1e-6
@@ -113,7 +113,7 @@ def test_horseshoe_exact_log2():
 
 def test_standard_map_horseshoe(standard_branches):
     sm, wu, ws = standard_branches
-    hits = detect_homoclinic(ws, wu, angle_tol=1e-3)
+    hits = detect_homoclinic(ws, wu)
     best = max(hits, key=lambda h: h.angle)
     rep = certify_horseshoe(sm, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
     assert rep.status == "certified"
@@ -123,7 +123,7 @@ def test_standard_map_horseshoe(standard_branches):
 
 def test_entropy_monotone_in_search(standard_branches):
     sm, wu, ws = standard_branches
-    hits = detect_homoclinic(ws, wu, angle_tol=1e-3)
+    hits = detect_homoclinic(ws, wu)
     best = max(hits, key=lambda h: h.angle)
     small = certify_horseshoe(sm, best, k_range=range(1, 12), fixed_point=(0.0, 0.0))
     large = certify_horseshoe(sm, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
@@ -208,7 +208,7 @@ def test_rectangle_coords_independent_of_batch():
 @pytest.fixture(scope="module")
 def standard_boxes(standard_branches):
     sm, wu, ws = standard_branches
-    best = max(detect_homoclinic(ws, wu, angle_tol=1e-3), key=lambda h: h.angle)
+    best = max(detect_homoclinic(ws, wu), key=lambda h: h.angle)
     return best, _default_rectangles(sm, best, (0.0, 0.0))
 
 

@@ -128,6 +128,42 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("changes", [
+    {"pipeline": [{"stage": "simulate", "seeds": [5]}]},
+    {"pipeline": [{"stage": "simulate", "seeds": ["a"]}]},
+    {"pipeline": [{"stage": "simulate", "seeds": 3}]},
+    {"pipeline": [{"stage": "simulate", "seeds": [-1]}]},
+    {"pipeline": [{"stage": "simulate", "variational": "no"}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "classify", "rotation_vectors": "no"}]},
+    {"pipeline": [{"stage": "critical-value", "k_range": [1]}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "twist", "orbit_index": 0, "radii": 0.01}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "fixed_points": [[0]]}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "branch_signs": [2, 1]}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "rectangles": []}]},
+    {"pipeline": [{"stage": "critical-value",
+                   "eta": {"kind": "constant", "a": "x"}}]},
+    {"field": {"kind": "constant", "value": "abc"}},
+    {"field": {"kind": "sinusoidal", "k": [1]}},
+    {"field": {"kind": "polynomial", "coeffs": 3}},
+    {"surface": {"kind": "sphere", "params": {"radius": "x"}}},
+    {"integrator": {"rel_tol": "x"}},
+], ids=["seeds_past_end", "seeds_string", "seeds_not_list", "seeds_negative",
+        "variational_string", "rotation_vectors_string", "k_range_short",
+        "radii_not_list", "fixed_point_short", "branch_sign_two",
+        "entropy_rectangles", "eta_a_string", "field_value_string",
+        "field_k_short", "coeffs_not_list", "sphere_radius_string",
+        "rel_tol_string"])
+def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()  # rejected before any stage ran
+
+
 def test_cli_missing_stage(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"surface": {"kind": "torus"},

@@ -18,6 +18,7 @@ from maglab.dynamics import (
     magnetic_curvature_at,
 )
 from maglab.orbits import find_closed_orbit, phase_distance
+from maglab.scenarios import Scenario, run_scenario
 from maglab.franks import (
     PerturbA,
     TubularChart,
@@ -602,12 +603,13 @@ def test_segment_product_is_monodromy(hyper_setup):
 def test_segment_supports_disjoint(hyper_setup, torus):
     """Mid-segment tube patches avoid every other segment's core."""
     orb, split, _, _ = hyper_setup
+    charts = [split.tube(i) for i in range(split.n)]
     cores = []
     for i in range(split.n):
         ts = np.linspace(i * split.t0, (i + 1) * split.t0, 128)
-        tr = flow(torus, split.charts[i].field, orb.initial_state, orb.period)
+        tr = flow(torus, charts[i].field, orb.initial_state, orb.period)
         cores.append(np.array([[tr.state(t).x, tr.state(t).y] for t in ts]))
-    for i, chart in enumerate(split.charts):
+    for i, chart in enumerate(charts):
         pts = []
         for t in np.linspace(0.35 * split.t0, 0.65 * split.t0, 32):
             for u in (-0.5 * chart.eps0, 0.5 * chart.eps0):
@@ -619,3 +621,57 @@ def test_segment_supports_disjoint(hyper_setup, torus):
             d = pts[:, None, :] - cores[j][None, :, :]
             d = d - np.round(d)
             assert np.sqrt(np.einsum("ijk,ijk->ij", d, d)).min() > 0.0
+
+
+def test_split_tube_matches_build_tubular_chart(hyper_setup, torus, sin_field):
+    """Where clearance does not bind, segment i's tube is the one
+    build_tubular_chart gives from its start state: same width, length and
+    core samples."""
+    _, split, _, _ = hyper_setup
+    for i in range(split.n):
+        tube = split.tube(i)
+        want, _ = build_tubular_chart(torus, sin_field, split.start_states[i],
+                                      split.t0, 0.02)
+        assert tube.eps0 == want.eps0 == 0.02
+        assert tube.T == want.T == split.t0
+        for name in ("_ts", "_pos", "_f0"):
+            assert np.array_equal(getattr(tube, name), getattr(want, name))
+
+
+def test_split_tube_halves_until_clear(hyper_setup, torus, sin_field, caplog):
+    """A width whose mid-segment patch comes within 1.5 widths of another
+    segment's core is halved until it clears."""
+    orb, _, _, _ = hyper_setup
+    split = segment_split(orb, torus, sin_field, 0.5, eps0=0.2)
+    with caplog.at_level(logging.INFO, logger="maglab.franks"):
+        tube = split.tube(0)
+    halvings = [r.getMessage() for r in caplog.records
+                if "within 1.5 width" in r.getMessage()]
+    assert halvings and halvings[0].startswith("segment 0: tube patch of width 0.2 ")
+    assert tube.eps0 == 0.2 / 2 ** len(halvings)
+
+
+def test_franks_stage_builds_one_tube_per_segment(tmp_path, monkeypatch):
+    """franks-verify builds exactly `segments` tubes, one per kit, and none
+    for the segments it does not verify."""
+    built = []
+    init = TubularChart.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TubularChart, "__init__", counted)
+    sc = Scenario({
+        "surface": {"kind": "torus"},
+        "field": {"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
+        "energy": 0.5, "seed": 1,
+        "seeds": [{"chart": 0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": -1.0}],
+        "pipeline": [
+            {"stage": "orbits", "tol": 1e-10},
+            {"stage": "franks-verify", "cota_samples": 2, "targets": 1,
+             "segments": 2, "eps0": 0.02, "eps_c1": 0.1}]})
+    code, reports = run_scenario(sc, out_dir=str(tmp_path))
+    assert code == 0
+    assert reports["franks-verify"]["segments"]["n"] > 2
+    assert len(built) == 2
