@@ -350,6 +350,10 @@ class MagneticField:
     def __init__(self, base, perturbations=()):
         self.base = base
         self.perturbations = tuple(perturbations)
+        if not self.perturbations:
+            # nothing to add: evaluate the base field without forwarding
+            self.value = base.value
+            self.eval = base.eval
 
     def value(self, chart, x, y):
         f = self.base.value(chart, x, y)

@@ -9,12 +9,16 @@ State vectors are plain tuples of floats of any length (the flows use 4 and
 10 components); tuple arithmetic beats numpy at this size.  A `DenseStep`
 evaluates its interpolant with `eval(t)` (all components) or
 `eval_position(t)` (components 0 and 1 only, the same operations), which is
-what the section-crossing monitor samples.  `Solution.eval_many(ts, comps)`
+what the section-crossing monitor samples.  The interpolant rows of
+components 0 and 1 are formed when the step is accepted; those of the other
+components (velocity, variational data) are formed by the first `eval`,
+`eval_derivative` or array lookup, from the same expressions, so most steps
+of a section return never form them.  `Solution.eval_many(ts, comps)`
 evaluates an array of times with the same operations, elementwise in
 float64, from flat per-step arrays built on its first call.  The tables `_A`,
 `_B`, `_E` and `_P` are the one source of the coefficients.  The stages, the
 solution, the error estimate and the interpolant coefficients are written
-out term by term over them, one comprehension per quantity, with the terms in
+out term by term over them, one expression per quantity, with the terms in
 the tables' order and the terms with a zero coefficient left out.
 """
 
@@ -75,13 +79,25 @@ _P11, _P12, _P13, _P14 = _P[0]
     _P72, _P73, _P74) = (row[1:] for row in _P[2:])
 
 
+def _row(a, c, d, e, f, g):
+    """Interpolant coefficients (theta^1..theta^4) of one component from that
+    component of k1 and k3..k7: d[j] = sum_i P[i][j] * k_i."""
+    return (_P11 * a,
+            _P12 * a + _P32 * c + _P42 * d + _P52 * e + _P62 * f + _P72 * g,
+            _P13 * a + _P33 * c + _P43 * d + _P53 * e + _P63 * f + _P73 * g,
+            _P14 * a + _P34 * c + _P44 * d + _P54 * e + _P64 * f + _P74 * g)
+
+
 class DenseStep:
     """One accepted step with its quartic interpolant.
 
-    ks holds the seven stage derivatives k1..k7 of the step.
+    ks holds the seven stage derivatives k1..k7 of the step.  The rows of
+    the position components 0 and 1 are formed here.  The rows of the other
+    components are formed on first use (`_rows`), from their components of
+    k1 and k3..k7, which the step keeps until then.
     """
 
-    __slots__ = ("t0", "t1", "h", "y0", "y1", "_d")
+    __slots__ = ("t0", "t1", "h", "y0", "y1", "_d", "_ks")
 
     def __init__(self, t0, h, y0, y1, ks):
         self.t0 = t0
@@ -90,14 +106,26 @@ class DenseStep:
         self.y0 = y0
         self.y1 = y1
         k1, _, k3, k4, k5, k6, k7 = ks
-        # d[c][j] = sum_i P[i][j] * ks[i][c]; a..g: component c of k1..k7
-        self._d = tuple([
-            (_P11 * a,
-             _P12 * a + _P32 * c + _P42 * d + _P52 * e + _P62 * f + _P72 * g,
-             _P13 * a + _P33 * c + _P43 * d + _P53 * e + _P63 * f + _P73 * g,
-             _P14 * a + _P34 * c + _P44 * d + _P54 * e + _P64 * f + _P74 * g)
-            for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
-        ])
+        self._d = tuple(map(_row, k1[:2], k3[:2], k4[:2], k5[:2], k6[:2], k7[:2]))
+        # None when there is no component past the position
+        self._ks = (k1[2:] + k3[2:] + k4[2:] + k5[2:] + k6[2:] + k7[2:]) or None
+
+    def _rows(self):
+        """d[c] for every component c: the position rows plus, formed on the
+        first call, the rest; the kept stage components are then dropped."""
+        ks = self._ks
+        if ks is not None:
+            m = len(ks) // 6
+            stages = (ks[i:i + m] for i in range(0, 6 * m, m))
+            self._d += tuple(map(_row, *stages))
+            self._ks = None
+        return self._d
+
+    def position_rows(self):
+        """(d[0], d[1]): the theta^1..theta^4 coefficients of components 0
+        and 1, so that component c at t0 + theta*h is
+        y0[c] + h * sum_j d[c][j-1] * theta^j."""
+        return self._d[0], self._d[1]
 
     def eval(self, t):
         th = (t - self.t0) / self.h
@@ -107,7 +135,7 @@ class DenseStep:
         h = self.h
         return tuple([
             y + h * (d1 * th + d2 * th2 + d3 * th3 + d4 * th4)
-            for y, (d1, d2, d3, d4) in zip(self.y0, self._d)
+            for y, (d1, d2, d3, d4) in zip(self.y0, self._rows())
         ])
 
     def eval_position(self, t):
@@ -128,7 +156,7 @@ class DenseStep:
         q3 = 3.0 * th2
         q4 = 4.0 * th2 * th
         return tuple([
-            d1 + d2 * q2 + d3 * q3 + d4 * q4 for d1, d2, d3, d4 in self._d
+            d1 + d2 * q2 + d3 * q3 + d4 * q4 for d1, d2, d3, d4 in self._rows()
         ])
 
 
@@ -227,7 +255,7 @@ class Solution:
                 np.array([s.t1 for s in steps]),
                 np.array([s.h for s in steps]),
                 np.array([s.y0 for s in steps]).T.copy(),
-                np.array([s._d for s in steps]).transpose(1, 2, 0).copy(),
+                np.array([s._rows() for s in steps]).transpose(1, 2, 0).copy(),
             )
         return self._flat
 

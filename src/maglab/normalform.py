@@ -98,15 +98,26 @@ def jet3(map_fn, center=(0.0, 0.0), fd_scale=1e-3):
     Coefficients come from cubic least squares on 5x5 central stencils at
     radii fd_scale and fd_scale/2; the scale-to-scale difference is the
     error estimate.  The center must be a fixed point to well below the
-    stencil scale.
+    stencil scale.  The map is called once per distinct point: the two
+    stencils share the 9 points center + {-fd_scale, 0, fd_scale}^2 (the
+    center among them, which the residual check also uses), so a jet costs
+    41 map calls, not 51.
     """
     center = np.asarray(center, dtype=float)
-    resid = float(np.linalg.norm(np.asarray(map_fn(center)) - center))
+    values = {}
+
+    def once(z):
+        key = z.tobytes()
+        if key not in values:
+            values[key] = map_fn(z)
+        return values[key]
+
+    resid = float(np.linalg.norm(np.asarray(once(center)) - center))
     if resid > 1e-3 * fd_scale:
         raise ValueError(
             f"fixed-point residual {resid:.3e} too large for stencil scale {fd_scale:.3e}")
-    fine = _fit_cubic(map_fn, center, fd_scale / 2.0)
-    coarse = _fit_cubic(map_fn, center, fd_scale)
+    fine = _fit_cubic(once, center, fd_scale / 2.0)
+    coarse = _fit_cubic(once, center, fd_scale)
     return Jet3(fine, np.abs(fine - coarse), fd_scale, resid, coarse)
 
 

@@ -44,6 +44,10 @@ __all__ = [
 
 log = logging.getLogger("maglab.orbits")
 
+# radius of the disk around the anchor (in the chart, after wrapping) outside
+# which a torus section offset is not defined: the section line is local
+_TORUS_WINDOW = 0.35
+
 
 def rescale_to_energy(surface, state: PhasePoint, c) -> PhasePoint:
     lam = surface.metric_at(state.chart, *surface.wrap_position(state.x, state.y)).lam
@@ -137,7 +141,8 @@ class Section:
                 return None
             x, y = pos
         dx, dy = self.surface.wrap_diff(x - anchor.x, y - anchor.y)
-        if dx * dx + dy * dy > 0.35 * 0.35 and self.surface.kind == "torus":
+        if self.surface.kind == "torus" and \
+                dx * dx + dy * dy > _TORUS_WINDOW * _TORUS_WINDOW:
             return None
         return dx * self.normal_e[0] + dy * self.normal_e[1]
 
@@ -160,7 +165,24 @@ def make_section(surface, field, anchor_state, half_width=0.2) -> Section:
 
 
 class _CrossingMonitor:
-    """Scans accepted integration steps for section-line crossings."""
+    """Scans accepted integration steps for section-line crossings.
+
+    Each step is sampled at n points (`__call__`) and a sign change of the
+    section offset between consecutive samples is refined on the
+    interpolant (`_refine`).  A step in the anchor chart that provably
+    holds no crossing is not sampled (`_skip`): along the step the offset
+    is l(theta) = l0 + h * sum_j e_j theta^j, e_j = (a_j, b_j) . normal_e,
+    with (a_j, b_j) the interpolant's position rows, so it stays within
+    |h| * sum_j |e_j| of l0.  When |l0| exceeds that by a margin of at
+    least 1e-9 (every sample would arm the monitor) plus a rounding slack,
+    and the last sample before the step cannot pair with the step's first
+    sample into a sign change (no previous sample, the monitor not armed,
+    or the same sign as l0), the step sets the state its last sample would
+    have set and skips the others.  On the torus this is done only when
+    the whole step is provably inside the offset window; a step provably
+    outside it sets the state of a sample outside.  Every other step is
+    sampled, so the hits are those of sampling every step.
+    """
 
     def __init__(self, section, t_skip=0.0):
         self.section = section
@@ -170,12 +192,19 @@ class _CrossingMonitor:
         self.armed = False
         self.hits = []
         self.want = 1
+        anchor = section.anchor
+        self._chart = anchor.chart
+        self._anchor_size = abs(anchor.x) + abs(anchor.y)
+        # the torus wraps offsets and has the window; the other surfaces neither
+        self._torus = section.surface.kind == "torus"
 
     def _state_of(self, chart, step, tau):
         y = step.eval(tau)
         return PhasePoint(chart, y[0], y[1], y[2], y[3])
 
     def __call__(self, chart, step, offset):
+        if chart == self._chart and self._skip(chart, step, offset):
+            return True
         offset_at = self.section.offset_at
         position = step.eval_position
         t0, h = step.t0, step.h
@@ -207,6 +236,48 @@ class _CrossingMonitor:
                         if len(self.hits) >= self.want:
                             return False
             self.prev_l, self.prev_t = l, (t_glob, chart, step, tau)
+        return True
+
+    def _skip(self, chart, step, offset):
+        """Whether a step in the anchor chart provably holds no crossing; if
+        so, the state is set as the sample loop would leave it."""
+        (a1, a2, a3, a4), (b1, b2, b3, b4) = step.position_rows()
+        section = self.section
+        n0, n1 = section.normal_e
+        x0, y0 = step.y0[0], step.y0[1]
+        h = abs(step.h)
+        # over theta in [0, 1] the position moves at most `move` and the
+        # offset at most `reach`
+        move = h * (math.hypot(a1, b1) + math.hypot(a2, b2)
+                    + math.hypot(a3, b3) + math.hypot(a4, b4))
+        reach = h * (abs(a1 * n0 + b1 * n1) + abs(a2 * n0 + b2 * n1)
+                     + abs(a3 * n0 + b3 * n1) + abs(a4 * n0 + b4 * n1))
+        # far above the rounding of one sample, which is a few ulps of these
+        margin = 1e-9 + 1e-12 * (abs(x0) + abs(y0) + self._anchor_size + move)
+        if self._torus:
+            anchor = section.anchor
+            dist = math.hypot(*section.surface.wrap_diff(x0 - anchor.x,
+                                                         y0 - anchor.y))
+            if dist - move > _TORUS_WINDOW + margin:
+                # every sample is outside the window
+                self.prev_l = None
+                self.armed = False
+                return True
+            if dist + move >= _TORUS_WINDOW - margin:
+                return False
+        # no window off the torus, and inside it on the torus: l0 is a number
+        l0 = section.offset_at(chart, x0, y0)
+        if abs(l0) <= reach + margin:
+            return False
+        prev = self.prev_l
+        if prev is not None and self.armed and (prev < 0.0) != (l0 < 0.0):
+            return False
+        # the last sample, k = n
+        tau = step.t0 + step.h
+        x, y = step.eval_position(tau)
+        self.prev_l = section.offset_at(chart, x, y)
+        self.prev_t = (offset + tau, chart, step, tau)
+        self.armed = True
         return True
 
     def _refine(self, rec_a, rec_b):
@@ -494,7 +565,10 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
         log.debug("newton iterate %d: residual %.3e, |dz| %.3e, |det(J - I)| %.3e",
                   it, r, min(n, lim), det)
         z = z + dz
-    w = rmap(z)
+    if not converged:
+        # after a suspect break the last return was a Jacobian column, and
+        # after the last iterate z has moved: return from z once more
+        w = rmap(z)
     transit = rmap.last_transit
     resid_map = float(np.linalg.norm(w - z))
     if not converged and not (suspect and resid_map <= 1e3 * tol):

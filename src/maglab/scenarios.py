@@ -49,10 +49,20 @@ __all__ = ["load_scenario", "run_scenario", "Scenario", "emit_plotdata"]
 
 
 def _check_keys(obj, allowed, where):
+    """obj must be a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; "
                           f"allowed: {sorted(allowed)}")
+
+
+def _list(value, where):
+    """value, which must be a list (a JSON array)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
 
 
 def _number(value, where, kind=float):
@@ -138,6 +148,17 @@ def _build_eta(cfg):
     raise ConfigError(f"unknown eta kind {kind!r}")
 
 
+def _build_map(cfg):
+    """The injected map of an entropy stage."""
+    _check_keys(cfg, {"kind", "K", "stretch"}, "entropy.map")
+    kind = cfg.get("kind")
+    if kind == "standard":
+        return StandardMap(_number(cfg.get("K", 1.5), "entropy.map.K"))
+    if kind == "horseshoe":
+        return HorseshoeMap(_positive(cfg.get("stretch", 3.0), "entropy.map.stretch"))
+    raise ConfigError(f"unknown injected map {kind!r}")
+
+
 _STAGE_KEYS = {
     "simulate": {"stage", "t_final", "n_samples", "variational", "seeds"},
     "orbits": {"stage", "tol", "max_time", "half_width", "class_tol"},
@@ -182,21 +203,25 @@ class Scenario:
         self.c = _positive(cfg.get("energy", 0.5), "energy")
         self.random_seed = _number(cfg.get("seed", 0), "seed", int)
         self.out_dir = cfg.get("out_dir", "maglab_out")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         icfg = cfg.get("integrator", {})
         _check_keys(icfg, {"rel_tol", "abs_tol", "max_step"}, "integrator")
         self.options = IntegratorOptions.from_config(
             {k: _positive(v, f"integrator.{k}") for k, v in icfg.items()})
         self.seeds = []
-        for i, s in enumerate(cfg.get("seeds", [])):
+        for i, s in enumerate(_list(cfg.get("seeds", []), "seeds")):
             _check_keys(s, {"chart", "x", "y", "vx", "vy"}, f"seeds[{i}]")
             self.seeds.append(PhasePoint(
                 _number(s.get("chart", 0), f"seeds[{i}].chart", int),
                 *(_number(s.get(k), f"seeds[{i}].{k}")
                   for k in ("x", "y", "vx", "vy"))))
         self.pipeline = []
-        for i, st in enumerate(cfg.get("pipeline", [])):
+        for i, st in enumerate(_list(cfg.get("pipeline", []), "pipeline")):
+            if not isinstance(st, dict):
+                raise ConfigError(f"pipeline[{i}] must be an object, got {st!r}")
             kind = st.get("stage")
-            if kind not in _STAGE_KEYS:
+            if not isinstance(kind, str) or kind not in _STAGE_KEYS:
                 raise ConfigError(f"unknown stage {kind!r} in pipeline[{i}]")
             where = f"pipeline[{i}] ({kind})"
             _check_keys(st, _STAGE_KEYS[kind], where)
@@ -217,6 +242,8 @@ class Scenario:
                     raise ConfigError(f"{where}.{key} must be true or false")
             if "eta" in st:
                 _build_eta(st["eta"])
+            if st.get("map") is not None:
+                _build_map(st["map"])
             self.pipeline.append(st)
         self.cfg = cfg
 
@@ -447,15 +474,8 @@ def _stage_franks(sc, st, ctx):
 
 
 def _entropy_oracle(sc, st, ctx):
-    mcfg = st.get("map")
-    if mcfg is not None:
-        _check_keys(mcfg, {"kind", "K", "stretch"}, "entropy.map")
-        kind = mcfg.get("kind")
-        if kind == "standard":
-            return StandardMap(mcfg.get("K", 1.5)), None
-        if kind == "horseshoe":
-            return HorseshoeMap(mcfg.get("stretch", 3.0)), None
-        raise ConfigError(f"unknown injected map {kind!r}")
+    if st.get("map") is not None:
+        return _build_map(st["map"]), None
     orbits = ctx.get("orbits")
     if not orbits:
         raise ConfigError("entropy stage needs an injected map or orbits")

@@ -164,6 +164,42 @@ def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
     assert not (tmp_path / "o").exists()  # rejected before any stage ran
 
 
+@pytest.mark.parametrize("changes", [
+    {"seeds": 3},
+    {"pipeline": 3},
+    {"surface": 3},
+    {"integrator": 3},
+    {"pipeline": [3]},
+    {"pipeline": [{"stage": ["x"]}]},
+    {"seeds": [3]},
+    {"surface": {"kind": "sphere", "params": 3}},
+    {"pipeline": [{"stage": "critical-value", "eta": 3}]},
+    {"out_dir": 3},
+], ids=["seeds_not_list", "pipeline_not_list", "surface_not_object",
+        "integrator_not_object", "stage_not_object", "stage_name_list",
+        "seed_not_object", "surface_params_not_object", "eta_not_object",
+        "out_dir_not_string"])
+def test_cli_malformed_config_shape_is_config_error(tmp_path, changes):
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("entropy_map", [
+    {"kind": "standard", "K": "x"},
+    3,
+    {"kind": "nope"},
+    {"kind": "horseshoe", "stretch": 0},
+], ids=["K_string", "map_not_object", "unknown_kind", "stretch_zero"])
+def test_cli_bad_entropy_map_rejected_at_load(tmp_path, entropy_map):
+    """The map is checked before the simulate stage in front of it runs."""
+    path = _torus_config(tmp_path, pipeline=[
+        {"stage": "simulate", "t_final": 0.1, "n_samples": 2},
+        {"stage": "entropy", "map": entropy_map}])
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_stage(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"surface": {"kind": "torus"},

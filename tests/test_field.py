@@ -316,3 +316,37 @@ def test_add_perturbation_api(torus, torus_kit):
 def test_c1_report_arithmetic():
     rep = C1NormReport(b_c0=1.0, b_c1=10.0, eps0=0.01)
     assert rep.bound == pytest.approx(2.1)
+
+
+class _Ramp:
+    """A stand-in perturbation, f = a x y, with value and eval only."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def value(self, chart, x, y):
+        return self.a * x * y
+
+    def eval(self, chart, x, y):
+        return (self.a * x * y, (self.a * y, self.a * x))
+
+
+def test_magnetic_field_sums_perturbations():
+    """A field with perturbations adds them to the base in order; one
+    without evaluates as its base, which it calls directly."""
+    base = SinusoidalTorusField(1.0, (1, 1), 0.2)
+    p1, p2 = _Ramp(0.3), _Ramp(-1.7)
+    fld = MagneticField(base, (p1, p2))
+    lone = MagneticField(base)
+    assert (lone.value, lone.eval) == (base.value, base.eval)
+    for x, y in [(0.1, 0.2), (0.7, -0.4), (0.35, 0.9)]:
+        want = base.value(0, x, y) + p1.value(0, x, y) + p2.value(0, x, y)
+        assert fld.value(0, x, y) == want
+        assert lone.with_perturbation(p1).with_perturbation(p2).value(0, x, y) == want
+        f, (gx, gy) = fld.eval(0, x, y)
+        parts = [base.eval(0, x, y), p1.eval(0, x, y), p2.eval(0, x, y)]
+        assert f == parts[0][0] + parts[1][0] + parts[2][0]
+        assert gx == parts[0][1][0] + parts[1][1][0] + parts[2][1][0]
+        assert gy == parts[0][1][1] + parts[1][1][1] + parts[2][1][1]
+        assert lone.value(0, x, y) == base.value(0, x, y)
+        assert lone.eval(0, x, y) == base.eval(0, x, y)

@@ -171,3 +171,42 @@ def test_eval_many_matches_eval(system, fracs):
             sol.eval(t)
         with pytest.raises(ValueError):
             sol.eval_many(np.array([0.5, t]), (0,))
+
+
+@given(systems(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       st.sampled_from(["eval", "eval_position", "eval_many"]))
+def test_rows_formed_on_use_agree_in_any_order(system, fracs, first):
+    """A step forms the rows of components 2 and up on first use: eval,
+    eval_derivative and eval_many are == whichever lookup ran first, and
+    eval_derivative is the reference interpolant's derivative."""
+    rhs, y0 = system
+    n = len(y0)
+
+    def run():
+        return integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10)
+
+    fresh, probed = run(), run()
+    ts = [s.t0 + f * s.h for s in fresh.steps for f in fracs]
+    if first == "eval":
+        for t in ts:
+            probed.eval(t)
+    elif first == "eval_position" and n >= 2:
+        for s in probed.steps:
+            for f in fracs:
+                s.eval_position(s.t0 + f * s.h)
+    elif first == "eval_many":
+        probed.eval_many(np.array(ts), range(n))
+    for sol in (fresh, probed):
+        assert [sol.eval(t) for t in ts] == [probed.eval(t) for t in ts]
+        assert [sol.eval_derivative(t) for t in ts] == \
+            [probed.eval_derivative(t) for t in ts]
+    many = [col.tolist() for col in fresh.eval_many(np.array(ts), range(n))]
+    assert many == [col.tolist() for col in probed.eval_many(np.array(ts), range(n))]
+    step = fresh.steps[0]
+    _, _, d = reference_step(rhs, step.t0, step.y0, step.h)
+    for f in fracs:
+        t = step.t0 + f * step.h
+        th = (t - step.t0) / step.h
+        q = (1.0, 2.0 * th, 3.0 * (th * th), 4.0 * (th * th) * th)
+        assert step.eval_derivative(t) == tuple(
+            dc[0] * q[0] + dc[1] * q[1] + dc[2] * q[2] + dc[3] * q[3] for dc in d)

@@ -6,6 +6,7 @@ import pytest
 from maglab.errors import ResonantJetError
 from maglab.maps import LinearMap, PolynomialMap, TwistMap
 from maglab.normalform import (
+    _fit_cubic,
     birkhoff_beta,
     elliptic_frame,
     jet3,
@@ -133,3 +134,43 @@ def test_jet_rejects_moving_center():
     tm = TwistMap(0.3, 2.0)
     with pytest.raises(ValueError):
         jet3(tm, (0.2, 0.1), fd_scale=1e-3)
+
+
+def _jet3_every_call(map_fn, center, fd_scale):
+    """jet3's coefficients, errors, residual and coarse fit with a map call
+    for every stencil entry: 1 + 25 + 25 calls."""
+    center = np.asarray(center, dtype=float)
+    resid = float(np.linalg.norm(np.asarray(map_fn(center)) - center))
+    fine = _fit_cubic(map_fn, center, fd_scale / 2.0)
+    coarse = _fit_cubic(map_fn, center, fd_scale)
+    return fine, np.abs(fine - coarse), resid, coarse
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.2, -0.1)])
+def test_jet3_calls_each_stencil_point_once(center):
+    """The two stencils share 9 points, the center among them: 41 calls at
+    41 distinct points, with the jet of making all 51 calls."""
+    tm = TwistMap(0.3, 2.0)
+    c = np.asarray(center)
+
+    def shifted(z):  # the twist map moved to a fixed point at `center`
+        return c + tm(np.asarray(z) - c)
+
+    seen, every = [], []
+
+    def recorded(z):
+        seen.append(np.asarray(z).tobytes())
+        return shifted(z)
+
+    def counted(z):
+        every.append(z)
+        return shifted(z)
+
+    J = jet3(recorded, center, fd_scale=5e-3)
+    fine, errors, resid, coarse = _jet3_every_call(counted, center, 5e-3)
+    assert len(seen) == len(set(seen)) == 41
+    assert len(every) == 51
+    assert np.array_equal(J.coeffs, fine)
+    assert np.array_equal(J.errors, errors)
+    assert J.fixed_point_residual == resid
+    assert np.array_equal(J.coarse_coeffs, coarse)

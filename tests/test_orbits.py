@@ -19,6 +19,7 @@ from maglab.dynamics import IntegratorOptions, flow
 from maglab.orbits import (
     OrbitDatabase,
     SectionReturnMap,
+    _CrossingMonitor,
     _brent,
     _minimal_period,
     classify,
@@ -176,6 +177,31 @@ def test_orbit_search_logs_period_division_and_suspect(torus, zero_field, caplog
     assert any("covers the orbit 3 times; period 1" in m for m in lines), lines
     assert orb.parabolic_suspect
     assert any("parabolic-suspect" in m for m in lines), lines
+
+
+def test_converged_search_reuses_its_last_return(torus, sin_field, monkeypatch):
+    """A converged search makes one return per Newton iterate plus 4 per
+    Jacobian, and no more: the transit time comes from the return at the
+    converged point, not from a repeat of it."""
+    import maglab.orbits as orbits
+
+    counts = {"returns": 0, "jacobians": 0}
+    real_return, real_jacobian = orbits.first_return, SectionReturnMap.jacobian
+
+    def counted_return(*args, **kwargs):
+        counts["returns"] += 1
+        return real_return(*args, **kwargs)
+
+    def counted_jacobian(self, *args, **kwargs):
+        counts["jacobians"] += 1
+        return real_jacobian(self, *args, **kwargs)
+
+    monkeypatch.setattr(orbits, "first_return", counted_return)
+    monkeypatch.setattr(SectionReturnMap, "jacobian", counted_jacobian)
+    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
+    assert orb.residual <= 1e-8 and not orb.parabolic_suspect
+    assert counts["jacobians"] >= 1
+    assert counts["returns"] == 5 * counts["jacobians"] + 1
 
 
 def test_continue_orbit_same_field(torus, sin_field):
@@ -344,3 +370,141 @@ def test_brent_matches_brentq(coeffs, a, width):
             _brent(f, a, b, xtol=1e-13, rtol=8.9e-16)
         return
     assert _brent(f, a, b, xtol=1e-13, rtol=8.9e-16) == want
+
+
+# -- the crossing monitor's skip against sampling every step ---------------------
+
+
+class _SampledMonitor(_CrossingMonitor):
+    """The crossing monitor with every step sampled: the reference for the skip.
+
+    It keeps collecting hits (no `want`), so that whole flows compare.
+    """
+
+    def __call__(self, chart, step, offset):
+        t0, h = step.t0, step.h
+        speed = math.hypot(step.y1[2], step.y1[3])
+        n = max(3, min(256, int(h * speed / 0.08) + 1))
+        for k in range(1, n + 1):
+            tau = t0 + k / n * h
+            rec = (offset + tau, chart, step, tau)
+            l = self.section.offset_at(chart, *step.eval_position(tau))
+            if l is None:
+                self.prev_l = None
+                self.armed = False
+                continue
+            if self.prev_l is None or not self.armed:
+                self.armed = abs(l) > 1e-9
+            elif (l == 0.0 or (self.prev_l < 0.0) != (l < 0.0)) and \
+                    abs(l - self.prev_l) < 0.3:
+                hit = self._refine(self.prev_t, rec)
+                if hit is not None and hit[0] > self.t_skip:
+                    self.hits.append(hit)
+            self.prev_l, self.prev_t = l, rec
+        return True
+
+
+class _CountingMonitor(_CrossingMonitor):
+    """The crossing monitor, counting the steps it skips."""
+
+    skipped = 0
+
+    def _skip(self, chart, step, offset):
+        skipped = super()._skip(chart, step, offset)
+        self.skipped += skipped
+        return skipped
+
+
+def _edge_start(anchor, r, phi, psi):
+    """A unit-speed torus state at distance r from the anchor."""
+    return PhasePoint(anchor.chart, anchor.x + r * math.cos(phi),
+                      anchor.y + r * math.sin(phi), math.cos(psi), math.sin(psi))
+
+
+@st.composite
+def _monitored_flows(draw):
+    """(section, legs, options): flows to monitor one after the other, each
+    leg a (start state, signed duration).
+
+    The first leg starts on the section (a forward or a backward return)
+    or, on the torus, near the edge of the 0.35 offset window around the
+    anchor.  A second leg, when drawn, starts off the section, so that the
+    monitor sees a jump in the offset between two steps.
+    """
+    name = draw(st.sampled_from(sorted(_OFFSET_SURFACES)))
+    surface, field = _OFFSET_SURFACES[name]
+    chart = draw(st.integers(0, len(surface.charts) - 1))
+    ax, ay = draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    anchor = PhasePoint(chart, ax, ay, math.cos(angle), math.sin(angle))
+    sec = make_section(surface, field, anchor)
+
+    def on_section():
+        return sec.embed(draw(st.floats(-0.1, 0.1)),
+                         draw(st.floats(-0.5, 0.5)) * math.sqrt(2.0 * sec.c))
+
+    def duration():
+        return draw(st.floats(1.0, 6.0)) * draw(st.sampled_from([1, -1]))
+
+    if surface.kind == "torus" and draw(st.booleans()):
+        first = _edge_start(anchor, draw(st.floats(0.3, 0.4)),
+                            draw(st.floats(0.0, 2.0 * math.pi)),
+                            draw(st.floats(0.0, 2.0 * math.pi)))
+    else:
+        first = on_section()
+    legs = [(first, duration())]
+    if draw(st.booleans()):
+        if surface.kind == "torus" and draw(st.booleans()):
+            second = _edge_start(anchor, draw(st.floats(0.3, 0.5)),
+                                 draw(st.floats(0.0, 2.0 * math.pi)),
+                                 draw(st.floats(0.0, 2.0 * math.pi)))
+        else:
+            p, d = on_section(), draw(st.floats(-0.2, 0.2))
+            n0, n1 = sec.normal_e
+            second = PhasePoint(p.chart, p.x + d * n0, p.y + d * n1, p.vx, p.vy)
+        legs.append((second, duration()))
+    options = IntegratorOptions(rel_tol=draw(st.sampled_from([1e-6, 1e-10])),
+                                abs_tol=1e-12, max_step=draw(st.sampled_from([0.05, math.inf])))
+    return sec, legs, options
+
+
+_TORUS_ANCHOR = PhasePoint(0, 0.0, 0.0, 1.0, 0.0)
+_DISK_ANCHOR = PhasePoint(0, 0.0, 0.0, 1.0, 0.0)
+
+
+@given(_monitored_flows())
+# a flow along the window's edge, tangent to it at the start
+@example((make_section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
+          [(_edge_start(_TORUS_ANCHOR, 0.35, 0.5 * math.pi, 0.0), 4.0)],
+          IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
+# a jump from inside the torus window to a short leg wholly outside it
+@example((make_section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
+          [(_TORUS_ANCHOR, 0.1),
+           (_edge_start(_TORUS_ANCHOR, 0.45, 0.5 * math.pi, 0.5 * math.pi), 0.05)],
+          IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
+# a jump across the section between two legs, at offsets 0.05 and -0.05: the
+# first step of the second leg, far from the section, holds a crossing with
+# the last sample of the first leg
+@example((make_section(*_OFFSET_SURFACES["planar"], _DISK_ANCHOR),
+          [(PhasePoint(0, -0.15, 0.0, 1.0, 0.0), 0.1),
+           (PhasePoint(0, 0.05, 0.0, 1.0, 0.0), 0.5)],
+          IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01)))
+def test_monitor_skip_matches_sampling(flow_args):
+    """The monitor finds the crossings of sampling every step, `==` in time
+    and state, and ends in the same state; and it skips some steps."""
+    sec, legs, options = flow_args
+    mon, ref = _CountingMonitor(sec), _SampledMonitor(sec)
+    mon.want = math.inf
+    base = 0.0
+    for start, duration in legs:
+        def both(chart, step, offset, base=base):
+            assert mon(chart, step, base + offset)
+            ref(chart, step, base + offset)
+
+        flow(sec.surface, sec.field, start, duration, options, observer=both)
+        # a gap in time between legs, so that a refinement across the jump
+        # evaluates each leg on its own side
+        base += abs(duration) + 1.0
+    assert mon.hits == ref.hits
+    assert (mon.prev_l, mon.armed, mon.prev_t) == (ref.prev_l, ref.armed, ref.prev_t)
+    assert mon.skipped > 0

@@ -1,0 +1,129 @@
+"""Run the same scenarios on two maglab source trees and diff what they write.
+
+    python3 tools/diff_reports.py BASE_SRC CHANGE_SRC
+
+BASE_SRC and CHANGE_SRC are source trees: a repository root (holding
+src/maglab) or its src directory.  Each tree runs
+`python -m maglab.cli run --config config.json --out out` on
+
+* the nine bundled scenarios (src/maglab/scenarios/*.json of that tree), and
+* the configs of the four benchmark workloads at seeds 1-3, generated by
+  perfbench/workloads.py of the repository this script sits in (imported,
+  never edited).
+
+Every run gets a fresh directory with the same relative paths on both sides,
+so a message naming a path reads the same.  The script compares the report
+files (names and bytes), stdout, stderr and the exit code of each run, prints
+one line per run and exits 1 on any difference, else 0.  Two runs go at a
+time (one on a single-CPU machine); that changes the wall time, not the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import filecmp
+import glob
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3)
+JOBS = min(2, os.cpu_count() or 1)
+
+
+def source_dir(tree):
+    """The directory to put on PYTHONPATH for a tree root or a src directory."""
+    tree = os.path.abspath(tree)
+    for cand in (os.path.join(tree, "src"), tree):
+        if os.path.isdir(os.path.join(cand, "maglab")):
+            return cand
+    raise SystemExit(f"no maglab package under {tree}")
+
+
+def _workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+def cases(src):
+    """(name, config dict) of every run, bundled scenarios first."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json"))):
+        with open(path) as fh:
+            out.append((os.path.basename(path)[:-5], json.load(fh)))
+    for name, (make, _) in sorted(_workloads().items()):
+        for seed in SEEDS:
+            for i, cfg in enumerate(make(seed)):
+                out.append((f"{name}_s{seed}_{i}", cfg))
+    return out
+
+
+def run_case(src, cfg, workdir):
+    """Run one config in workdir; returns (exit code, stdout, stderr)."""
+    os.makedirs(workdir)
+    with open(os.path.join(workdir, "config.json"), "w") as fh:
+        json.dump(cfg, fh)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MAGLAB_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "maglab.cli", "run", "--config", "config.json",
+         "--out", "out"],
+        cwd=workdir, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def compare(a, b):
+    """Differences between two run directories' report files."""
+    da, db = os.path.join(a, "out"), os.path.join(b, "out")
+    fa = sorted(os.listdir(da)) if os.path.isdir(da) else []
+    fb = sorted(os.listdir(db)) if os.path.isdir(db) else []
+    if fa != fb:
+        return [f"report files {fa} vs {fb}"]
+    _, mismatch, errors = filecmp.cmpfiles(da, db, fa, shallow=False)
+    return [f"{name} differs" for name in mismatch + errors]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base")
+    parser.add_argument("change")
+    args = parser.parse_args(argv)
+    srcs = {"base": source_dir(args.base), "change": source_dir(args.change)}
+    names = [n for n, _ in cases(srcs["base"])]
+    if names != [n for n, _ in cases(srcs["change"])]:
+        print("the two trees bundle different scenarios")
+        return 1
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="diff_reports_") as tmp, \
+            concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+        futures = {}
+        for side, src in srcs.items():
+            for name, cfg in cases(src):
+                futures[(name, side)] = pool.submit(
+                    run_case, src, cfg, os.path.join(tmp, side, name))
+        for name in names:
+            base = futures[(name, "base")].result()
+            change = futures[(name, "change")].result()
+            diffs = compare(os.path.join(tmp, "base", name),
+                            os.path.join(tmp, "change", name))
+            for label, x, y in zip(("exit code", "stdout", "stderr"), base, change):
+                if x != y:
+                    diffs.append(f"{label} differs" if label != "exit code"
+                                 else f"exit code {x} vs {y}")
+            failed += bool(diffs)
+            print(f"{name}: exit {base[0]}, "
+                  f"{'; '.join(diffs) if diffs else 'identical'}")
+    print(f"{failed} of {len(names)} runs differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
