@@ -176,10 +176,11 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
         while total < max_arclength and len(pts) < max_points:
             # refine this ring
             guard = 0
+            start = 0  # segments left of the last insertion passed and stay put
             while guard < 4000:
                 guard += 1
                 worst = None
-                for i in range(len(params) - 1):
+                for i in range(start, len(params) - 1):
                     a = point_at(params[i], ring)
                     b = point_at(params[i + 1], ring)
                     gap = float(np.linalg.norm(b - a))
@@ -195,6 +196,7 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
                 if worst is None:
                     break
                 params.insert(worst + 1, 0.5 * (params[worst] + params[worst + 1]))
+                start = worst
                 if len(params) > 4000:
                     break
             ring_pts = [point_at(t, ring) for t in params[:-1]]

@@ -17,7 +17,6 @@ normal-form invariants unchanged.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ __all__ = [
     "find_closed_orbit",
     "classify",
     "continue_orbit",
-    "OrbitDatabase",
     "phase_distance",
     "seed_grid",
 ]
@@ -604,42 +602,6 @@ def continue_orbit(orbit: ClosedOrbit, surface, new_field, tol=1e-10,
             f"continuation left the Newton basin: {exc}") from exc
     displacement = phase_distance(surface, orbit.initial_state, new.initial_state)
     return new, displacement
-
-
-# -- orbit database -------------------------------------------------------------
-
-
-class OrbitDatabase:
-    """Deterministically ordered collection of closed-orbit records."""
-
-    def __init__(self):
-        self.orbits = []
-
-    def add(self, orbit: ClosedOrbit, twist=None):
-        rec = orbit.record()
-        if twist is not None:
-            rec["twist"] = twist
-        self.orbits.append(rec)
-        self.orbits.sort(key=lambda r: (r["period"], r["trace"]))
-
-    def is_duplicate(self, orbit: ClosedOrbit, surface, atol=1e-6):
-        for rec in self.orbits:
-            if abs(rec["period"] - orbit.period) > atol:
-                continue
-            s = rec["initial_state"]
-            other = PhasePoint(s["chart"], s["x"], s["y"], s["vx"], s["vy"])
-            if phase_distance(surface, orbit.initial_state, other) < 1e-4:
-                return True
-        return False
-
-    def to_json(self):
-        return json.dumps({"orbits": self.orbits}, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        db = OrbitDatabase()
-        db.orbits = json.loads(text)["orbits"]
-        return db
 
 
 def seed_grid(surface, c, base_points, n_directions=8):

@@ -26,7 +26,8 @@ from .field import (
     ZonalSphereField,
 )
 from .dynamics import IntegratorOptions, flow, flow_with_variation, injectivity_time
-from .orbits import OrbitDatabase, SectionReturnMap, find_closed_orbit
+from .orbits import (SectionReturnMap, find_closed_orbit, phase_distance,
+                     rescale_to_energy)
 from .normalform import birkhoff_beta, jet3, twist_by_rotation_number
 from .franks import (
     FranksKit,
@@ -172,13 +173,21 @@ _STAGE_KEYS = {
                        "maxiter", "modes"},
 }
 
-# scalar numeric stage keys (same type in every stage), converted at load
-_STAGE_NUMBERS = dict.fromkeys(
-    ("t_final", "tol", "max_time", "half_width", "class_tol", "fd_scale", "eps0",
-     "eps_c1", "arclength", "angle_tol", "bisection_tol"), float)
-_STAGE_NUMBERS.update(dict.fromkeys(
-    ("n_samples", "orbit_index", "n_iter", "cota_samples", "targets",
-     "segments", "k_max", "restarts", "maxiter", "modes"), int))
+# scalar numeric stage keys (same type in every stage): (kind, range rule),
+# converted and checked at load
+_STAGE_NUMBERS = {
+    **dict.fromkeys(("tol", "max_time", "half_width", "arclength", "angle_tol"),
+                    (float, lambda v: True)),
+    "class_tol": (float, lambda v: v >= 0),
+    **dict.fromkeys(("cota_samples", "targets", "k_max", "restarts", "maxiter"),
+                    (int, lambda v: True)),
+    "orbit_index": (int, lambda v: v >= 0),
+    **dict.fromkeys(("fd_scale", "bisection_tol", "eps0", "eps_c1"),
+                    (float, lambda v: v > 0)),
+    **dict.fromkeys(("n_iter", "modes", "segments"), (int, lambda v: v >= 1)),
+    "t_final": (float, lambda v: v != 0),
+    "n_samples": (int, lambda v: v >= 2),
+}
 
 # list stage keys: (entry kind, allowed lengths, range rule given the number
 # of scenario seeds), converted at load
@@ -217,6 +226,7 @@ class Scenario:
                 *(_number(s.get(k), f"seeds[{i}].{k}")
                   for k in ("x", "y", "vx", "vy"))))
         self.pipeline = []
+        seen = set()
         for i, st in enumerate(_list(cfg.get("pipeline", []), "pipeline")):
             if not isinstance(st, dict):
                 raise ConfigError(f"pipeline[{i}] must be an object, got {st!r}")
@@ -226,12 +236,11 @@ class Scenario:
             where = f"pipeline[{i}] ({kind})"
             _check_keys(st, _STAGE_KEYS[kind], where)
             st = dict(st)
-            for key, num in _STAGE_NUMBERS.items():
+            for key, (num, ok) in _STAGE_NUMBERS.items():
                 if key in st:
                     st[key] = _number(st[key], f"{where}.{key}", num)
-            for key in ("eps0", "eps_c1"):  # Franks ledger widths
-                if key in st:
-                    st[key] = _positive(st[key], f"{where}.{key}")
+                    if not ok(st[key]):
+                        raise ConfigError(f"{where}.{key} out of range: {st[key]!r}")
             for key, (entry, sizes, ok) in _STAGE_LISTS.items():
                 if key in st:
                     st[key] = _numbers(st[key], f"{where}.{key}", entry, sizes)
@@ -243,7 +252,11 @@ class Scenario:
             if "eta" in st:
                 _build_eta(st["eta"])
             if st.get("map") is not None:
-                _build_map(st["map"])
+                _build_map(st["map"])  # an entropy stage with a map needs no orbits
+            elif any(d not in seen for d in _STAGE_DEPS[kind]):
+                raise ConfigError(f"{where} needs an earlier "
+                                  f"{' and '.join(_STAGE_DEPS[kind])} stage")
+            seen.add(kind)
             self.pipeline.append(st)
         self.cfg = cfg
 
@@ -298,7 +311,7 @@ def _stage_simulate(sc, st, ctx):
         seed_idx = list(range(len(sc.seeds)))
     chosen = [(i, sc.seeds[i]) for i in seed_idx]
     for i, seed in chosen:
-        seed = _rescale(sc, seed)
+        seed = rescale_to_energy(sc.surface, seed, sc.c)
         det_defect = None
         if variational:
             traj, vp = flow_with_variation(sc.surface, sc.field, seed, t_final,
@@ -323,22 +336,16 @@ def _stage_simulate(sc, st, ctx):
         if det_defect is not None:
             entry["max_det_defect"] = det_defect
         report["trajectories"].append(entry)
-    ctx["simulate"] = report
     return report
 
 
-def _rescale(sc, seed):
-    from .orbits import rescale_to_energy
-
-    return rescale_to_energy(sc.surface, seed, sc.c)
-
-
 def _stage_orbits(sc, st, ctx):
+    """The distinct closed orbits found from the seeds, in (period, trace)
+    order: orbits.json, classify.json and every orbit_index follow it."""
     tol = float(st.get("tol", 1e-10))
     max_time = float(st.get("max_time", 50.0))
     half_width = float(st.get("half_width", 0.2))
     class_tol = float(st.get("class_tol", 1e-6))
-    db = OrbitDatabase()
     orbits = []
     failures = []
 
@@ -350,25 +357,25 @@ def _stage_orbits(sc, st, ctx):
         except MaglabError as exc:
             failures.append({"seed_index": i, "error": str(exc)})
             continue
-        if not db.is_duplicate(orb, sc.surface):
-            db.add(orb)
+        found_before = any(abs(o.period - orb.period) <= 1e-6 and
+                           phase_distance(sc.surface, orb.initial_state,
+                                          o.initial_state) < 1e-4 for o in orbits)
+        if not found_before:
             orbits.append(orb)
-    ctx["orbit_db"] = db
+    orbits.sort(key=lambda o: (o.period, o.trace))
     ctx["orbits"] = orbits
-    report = {"stage": "orbits", "orbits": db.orbits, "failures": failures,
-              "injectivity_time": injectivity_time(sc.surface, sc.field, sc.c)}
-    return report
+    # the twist stage annotates these records in place
+    ctx["records"] = [o.record() for o in orbits]
+    return {"stage": "orbits", "orbits": ctx["records"], "failures": failures,
+            "injectivity_time": injectivity_time(sc.surface, sc.field, sc.c)}
 
 
 def _stage_classify(sc, st, ctx):
-    db = ctx.get("orbit_db")
-    if db is None:
-        raise ConfigError("classify stage requires an orbits stage first")
     want_rho = bool(st.get("rotation_vectors", sc.surface.kind == "torus"))
     entries = []
-    for rec, orb in zip(db.orbits, ctx["orbits"]):
-        e = {"period": rec["period"], "trace": rec["trace"],
-             "class": rec["class"]}
+    for orb in ctx["orbits"]:
+        e = {"period": orb.period, "trace": orb.trace,
+             "class": orb.floquet_class}
         if orb.floquet_class == "elliptic":
             e["alpha_label"] = orb.eigen.alpha
         if orb.floquet_class == "hyperbolic":
@@ -390,18 +397,16 @@ def _orbit_at(orbits, idx):
 
 
 def _stage_twist(sc, st, ctx):
-    orbits = ctx.get("orbits")
-    if not orbits:
-        raise ConfigError("twist stage requires found orbits")
+    orbits = ctx["orbits"]
     idx = st.get("orbit_index")
-    cands = [_orbit_at(orbits, idx)] if idx is not None else [
-        o for o in orbits if o.floquet_class == "elliptic"]
+    cands = [idx] if idx is not None else [
+        i for i, o in enumerate(orbits) if o.floquet_class == "elliptic"]
     if not cands:
         raise MaglabError("no elliptic orbit available for the twist stage")
     results = []
     rotation_rows = []
-    db = ctx.get("orbit_db")
-    for orb in cands:
+    for i in cands:
+        orb = _orbit_at(orbits, i)
         rmap = SectionReturnMap(orb.section, sc.field, options=sc.options)
         fd_scale = float(st.get("fd_scale", 1e-3 * orb.section.half_width))
         jet = jet3(rmap, (0.0, 0.0), fd_scale)
@@ -418,29 +423,18 @@ def _stage_twist(sc, st, ctx):
         })
         rotation_rows.extend([[r, rho] for r, rho in
                               zip(fit.radii, fit.rotation_numbers)])
-        if db is not None:
-            for rec in db.orbits:
-                if abs(rec["period"] - orb.period) < 1e-9:
-                    rec["twist"] = td.as_dict()
-        ctx["twist_annotated"] = True
+        ctx["records"][i]["twist"] = td.as_dict()
     return {"stage": "twist", "orbits": results,
             "rotation_samples": rotation_rows}
 
 
 def _stage_franks(sc, st, ctx):
-    orbits = ctx.get("orbits")
-    if not orbits:
-        raise ConfigError("franks-verify requires found orbits")
+    orbits = ctx["orbits"]
     idx = st.get("orbit_index")
-    orb = None
-    if idx is not None:
-        orb = _orbit_at(orbits, idx)
-    else:
-        for o in orbits:
-            if o.floquet_class == "hyperbolic":
-                orb = o
-                break
-        orb = orb or orbits[0]
+    if idx is None:  # the first hyperbolic orbit, else the first orbit
+        idx = next((i for i, o in enumerate(orbits)
+                    if o.floquet_class == "hyperbolic"), 0)
+    orb = _orbit_at(orbits, idx)
     split = segment_split(orb, sc.surface, sc.field, sc.c,
                           eps0=float(st.get("eps0", 0.02)), options=sc.options)
     n_seg = min(int(st.get("segments", 2)), split.n)
@@ -476,11 +470,7 @@ def _stage_franks(sc, st, ctx):
 def _entropy_oracle(sc, st, ctx):
     if st.get("map") is not None:
         return _build_map(st["map"]), None
-    orbits = ctx.get("orbits")
-    if not orbits:
-        raise ConfigError("entropy stage needs an injected map or orbits")
-    idx = st.get("orbit_index", 0)
-    orb = _orbit_at(orbits, idx)
+    orb = _orbit_at(ctx["orbits"], st.get("orbit_index", 0))
     if orb.floquet_class != "hyperbolic":
         raise MaglabError("entropy from flow needs a hyperbolic orbit")
     rmap = SectionReturnMap(orb.section, sc.field, options=sc.options)
@@ -605,7 +595,6 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
     (with partial reports written).
     """
     out = out_dir or scenario.out_dir
-    os.makedirs(out, exist_ok=True)
     stages = scenario.pipeline
     if only_stage is not None:
         deps = set(_STAGE_DEPS[only_stage])
@@ -613,6 +602,7 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
                   if st["stage"] == only_stage or st["stage"] in deps]
         if not any(st["stage"] == only_stage for st in stages):
             raise ConfigError(f"pipeline has no {only_stage!r} stage")
+    os.makedirs(out, exist_ok=True)
     ctx = {}
     reports = {}
     code = 0
@@ -630,10 +620,8 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
         if only_stage is not None and kind != only_stage:
             continue
         _write_stage(out, kind, rep)
-    # twist annotations land inside the orbit records; refresh that report
-    if ctx.get("twist_annotated") and "orbits" in reports and \
-            (only_stage is None or only_stage == "orbits"):
-        _write_stage(out, "orbits", reports["orbits"])
+        if kind == "twist" and only_stage is None:  # it annotated orbit records
+            _write_stage(out, "orbits", reports["orbits"])
     return code, reports
 
 

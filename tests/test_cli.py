@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +94,36 @@ def test_cli_non_integer_int_key_is_config_error(tmp_path, changes):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("stage", [
+    {"stage": "twist"},
+    {"stage": "franks-verify", "cota_samples": 2, "targets": 1},
+    {"stage": "entropy"},
+], ids=["twist", "franks-verify", "entropy"])
+def test_cli_no_orbit_found_keeps_partial_reports(tmp_path, stage):
+    """An orbits stage that finds nothing fails the stage that needs an orbit."""
+    path = _torus_config(tmp_path, pipeline=[
+        {"stage": "orbits", "max_time": 0.01}, stage])
+    assert main(["run", "--config", path]) == 3
+    assert os.listdir(tmp_path / "o") == ["orbits.json"]
+    orbits = json.loads((tmp_path / "o" / "orbits.json").read_text())
+    assert orbits["orbits"] == [] and len(orbits["failures"]) == 2
+
+
+@pytest.mark.parametrize("pipeline", [
+    [{"stage": "classify"}],
+    [{"stage": "critical-value", "restarts": 2, "maxiter": 50},
+     {"stage": "classify"}],
+    [{"stage": "twist", "orbit_index": 0}],
+    [{"stage": "simulate", "t_final": 0.1}, {"stage": "franks-verify"}],
+    [{"stage": "entropy"}, {"stage": "orbits"}],
+], ids=["classify", "classify_after_critical_value", "twist",
+        "franks_verify_after_simulate", "entropy_before_orbits"])
+def test_cli_stage_without_orbits_stage_is_config_error(tmp_path, pipeline):
+    path = _torus_config(tmp_path, pipeline=pipeline)
+    assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()  # rejected before any stage ran
+
+
 def test_cli_unbracketed_critical_value_keeps_partial_reports(tmp_path):
     path = _torus_config(tmp_path, pipeline=[
         {"stage": "orbits", "tol": 1e-10},
@@ -152,12 +183,24 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     {"field": {"kind": "polynomial", "coeffs": 3}},
     {"surface": {"kind": "sphere", "params": {"radius": "x"}}},
     {"integrator": {"rel_tol": "x"}},
+    {"pipeline": [{"stage": "orbits"}, {"stage": "twist", "n_iter": 0}]},
+    {"pipeline": [{"stage": "orbits"}, {"stage": "twist", "fd_scale": -0.002}]},
+    {"pipeline": [{"stage": "orbits"}, {"stage": "twist", "orbit_index": -1}]},
+    {"pipeline": [{"stage": "simulate", "n_samples": 1}]},
+    {"pipeline": [{"stage": "simulate", "t_final": 0}]},
+    {"pipeline": [{"stage": "critical-value", "modes": 0}]},
+    {"pipeline": [{"stage": "critical-value", "bisection_tol": 0}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "franks-verify", "segments": 0}]},
+    {"pipeline": [{"stage": "orbits", "class_tol": -1}]},
 ], ids=["seeds_past_end", "seeds_string", "seeds_not_list", "seeds_negative",
         "variational_string", "rotation_vectors_string", "k_range_short",
         "radii_not_list", "fixed_point_short", "branch_sign_two",
         "entropy_rectangles", "eta_a_string", "field_value_string",
         "field_k_short", "coeffs_not_list", "sphere_radius_string",
-        "rel_tol_string"])
+        "rel_tol_string", "n_iter_zero", "fd_scale_negative",
+        "orbit_index_negative", "n_samples_one", "t_final_zero", "modes_zero",
+        "bisection_tol_zero", "segments_zero", "class_tol_negative"])
 def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
     path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
@@ -226,6 +269,69 @@ def test_run_torus_geodesic(tmp_path):
     # classify stage adds torus rotation vectors
     assert reports["classify"]["orbits"][0]["rotation_vector"]["homology"] in (
         [1, 0], [0, 1])
+
+
+def _run_torus_hyperbolic(tmp_path, name, seeds_reversed=False, pipeline=None):
+    """Run the bundled torus_hyperbolic scenario without its simulate stage;
+    returns the output directory."""
+    cfg = json.loads(open(scenario_path("torus_hyperbolic.json")).read())
+    if seeds_reversed:
+        cfg["seeds"].reverse()
+    cfg["pipeline"] = pipeline or cfg["pipeline"][1:]
+    code, _ = run_scenario(Scenario(cfg), out_dir=str(tmp_path / name))
+    assert code == 0
+    return tmp_path / name
+
+
+def test_orbit_order_is_independent_of_seed_order(tmp_path):
+    """orbits.json and classify.json list the orbits by (period, trace)
+    whatever order the seeds that found them came in."""
+    a = _run_torus_hyperbolic(tmp_path, "a")
+    b = _run_torus_hyperbolic(tmp_path, "b", seeds_reversed=True)
+    for name in ("orbits.json", "classify.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    recs = json.loads((a / "orbits.json").read_text())["orbits"]
+    keys = [(r["period"], r["trace"]) for r in recs]
+    assert keys == sorted(keys) and len(keys) == 2
+
+
+@pytest.mark.parametrize("seeds_reversed", [False, True], ids=["seed_order", "reversed"])
+def test_classify_entries_describe_their_own_orbits(tmp_path, seeds_reversed):
+    out = _run_torus_hyperbolic(tmp_path, "o", seeds_reversed)
+    recs = json.loads((out / "orbits.json").read_text())["orbits"]
+    entries = json.loads((out / "classify.json").read_text())["orbits"]
+    assert sorted(r["class"] for r in recs) == ["elliptic", "hyperbolic"]
+    assert len(entries) == len(recs)
+    for rec, e in zip(recs, entries):
+        assert (e["period"], e["trace"], e["class"]) == (
+            rec["period"], rec["trace"], rec["class"])
+        assert ("eigenvalues" in e) == (e["class"] == "hyperbolic")
+        if "eigenvalues" in e:
+            assert sum(e["eigenvalues"]) == pytest.approx(e["trace"], rel=1e-12)
+        assert ("alpha_label" in e) == (e["class"] == "elliptic")
+        if "alpha_label" in e:
+            assert 2.0 * math.cos(2.0 * math.pi * e["alpha_label"]) == \
+                pytest.approx(e["trace"], rel=1e-12)
+        # the orbits run vertically: the winding follows the initial vy
+        hom = e["rotation_vector"]["homology"]
+        assert hom[0] == 0
+        assert math.copysign(1, hom[1]) == math.copysign(1, rec["initial_state"]["vy"])
+
+
+def test_twist_annotates_only_the_orbit_it_fitted(tmp_path):
+    """Both torus_hyperbolic orbits have period 1; only the fitted one
+    carries the twist data."""
+    recs = json.loads((_run_torus_hyperbolic(tmp_path, "a") / "orbits.json")
+                      .read_text())["orbits"]
+    idx = [r["class"] for r in recs].index("elliptic")
+    out = _run_torus_hyperbolic(tmp_path, "b", pipeline=[
+        {"stage": "orbits", "tol": 1e-10},
+        {"stage": "twist", "orbit_index": idx, "radii": [0.004, 0.008],
+         "n_iter": 5}])
+    recs = json.loads((out / "orbits.json").read_text())["orbits"]
+    twist = json.loads((out / "twist.json").read_text())["orbits"]
+    assert [i for i, r in enumerate(recs) if "twist" in r] == [idx]
+    assert recs[idx]["twist"] == twist[0]["jet"]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 
@@ -17,7 +16,6 @@ from maglab.field import (
 )
 from maglab.dynamics import IntegratorOptions, flow
 from maglab.orbits import (
-    OrbitDatabase,
     SectionReturnMap,
     _CrossingMonitor,
     _brent,
@@ -239,20 +237,6 @@ def test_continuation_displacement_scales(torus):
     r1 = math.log10(disps[0] / disps[1])
     r2 = math.log10(disps[1] / disps[2])
     assert 0.6 <= r1 <= 1.4 and 0.6 <= r2 <= 1.4
-
-
-def test_orbit_database_roundtrip(torus, sin_field):
-    db = OrbitDatabase()
-    for vy in (-1.0, 1.0):
-        orb = find_closed_orbit(torus, sin_field, 0.5,
-                                PhasePoint(0, 0.0, 0.0, 0.0, vy))
-        db.add(orb)
-    text = db.to_json()
-    db2 = OrbitDatabase.from_json(text)
-    assert db2.orbits == db.orbits
-    # deterministic ordering by (period, trace)
-    keys = [(o["period"], o["trace"]) for o in db.orbits]
-    assert keys == sorted(keys)
 
 
 def test_return_map_inverse(torus, sin_field, tight_options):

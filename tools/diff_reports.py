@@ -14,8 +14,10 @@ src/maglab) or its src directory.  Each tree runs
 Every run gets a fresh directory with the same relative paths on both sides,
 so a message naming a path reads the same.  The script compares the report
 files (names and bytes), stdout, stderr and the exit code of each run, prints
-one line per run and exits 1 on any difference, else 0.  Two runs go at a
-time (one on a single-CPU machine); that changes the wall time, not the output.
+one line per run and exits 1 on any difference, else 0.  Under a JSON report
+that differs it prints the first few JSON paths that differ, with the base
+and change values.  Two runs go at a time (one on a single-CPU machine); that
+changes the wall time, not the output.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 JOBS = min(2, os.cpu_count() or 1)
+SHOWN_PATHS = 5  # differing JSON paths printed per report
+_ABSENT = "<absent>"
 
 
 def source_dir(tree):
@@ -80,15 +84,45 @@ def run_case(src, cfg, workdir):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def json_diffs(a, b, path="$"):
+    """(path, base value, change value) at each leaf where two parsed JSON
+    documents differ; a key one side lacks reads as <absent>."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from json_diffs(a.get(key, _ABSENT), b.get(key, _ABSENT),
+                                  f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from json_diffs(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
+
+
+def _json_detail(fa, fb):
+    """Lines naming the first SHOWN_PATHS differing paths of two JSON files."""
+    with open(fa) as ha, open(fb) as hb:
+        diffs = list(json_diffs(json.load(ha), json.load(hb)))
+    lines = [f"    {path}: {x!r} -> {y!r}" for path, x, y in diffs[:SHOWN_PATHS]]
+    if len(diffs) > SHOWN_PATHS:
+        lines.append(f"    ... {len(diffs) - SHOWN_PATHS} more path(s)")
+    return lines
+
+
 def compare(a, b):
-    """Differences between two run directories' report files."""
+    """Differences between two run directories' report files: (one message per
+    file, detail lines for the JSON reports among them)."""
     da, db = os.path.join(a, "out"), os.path.join(b, "out")
     fa = sorted(os.listdir(da)) if os.path.isdir(da) else []
     fb = sorted(os.listdir(db)) if os.path.isdir(db) else []
     if fa != fb:
-        return [f"report files {fa} vs {fb}"]
+        return [f"report files {fa} vs {fb}"], []
     _, mismatch, errors = filecmp.cmpfiles(da, db, fa, shallow=False)
-    return [f"{name} differs" for name in mismatch + errors]
+    detail = []
+    for name in mismatch:
+        if name.endswith(".json"):
+            detail.append(f"  {name}:")
+            detail.extend(_json_detail(os.path.join(da, name), os.path.join(db, name)))
+    return [f"{name} differs" for name in mismatch + errors], detail
 
 
 def main(argv=None):
@@ -112,8 +146,8 @@ def main(argv=None):
         for name in names:
             base = futures[(name, "base")].result()
             change = futures[(name, "change")].result()
-            diffs = compare(os.path.join(tmp, "base", name),
-                            os.path.join(tmp, "change", name))
+            diffs, detail = compare(os.path.join(tmp, "base", name),
+                                    os.path.join(tmp, "change", name))
             for label, x, y in zip(("exit code", "stdout", "stderr"), base, change):
                 if x != y:
                     diffs.append(f"{label} differs" if label != "exit code"
@@ -121,6 +155,8 @@ def main(argv=None):
             failed += bool(diffs)
             print(f"{name}: exit {base[0]}, "
                   f"{'; '.join(diffs) if diffs else 'identical'}")
+            for line in detail:
+                print(line)
     print(f"{failed} of {len(names)} runs differ")
     return 1 if failed else 0
 
