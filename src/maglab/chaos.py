@@ -437,7 +437,8 @@ def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
     With a single rectangle (default: built at the homoclinic intersection,
     axes along the local invariant directions): counts connected full
     traversals of the box by its own image, N = minimum over fibers.
-    The bound is log(N) / (k * T_ret); failure reports a zero bound.
+    The bound is log(N) / (k * T_ret); when no k gives N >= 2 the report
+    has a zero bound and status "not certified".
     Each fiber's orbit is computed once per call and read at every k.
     """
     if rectangles is None:
@@ -459,7 +460,7 @@ def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
         log.info("no horseshoe certified over k in %s (%d oracle calls)",
                  list(k_range), store.calls)
         return EntropyReport([] if intersection is None else [intersection],
-                             {"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "no crossing")
+                             {"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "not certified")
     log.info("horseshoe certified: N = %d, k = %d, bound %.12g (%d oracle calls)",
              best[1]["N"], best[1]["k"], best[0], store.calls)
     return EntropyReport([] if intersection is None else [intersection],

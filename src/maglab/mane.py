@@ -8,10 +8,16 @@ found up to the configured search effort"), matching the one-sided nature
 of the infimum.  Contractible loops are searched over circles, rounded
 rectangles and a Fourier parametrization descended with Nelder-Mead.
 
-`FourierLoop.sample` reads its nodes and cos/sin tables from a small cache
-keyed by (period, n, modes): the Nelder-Mead descent samples thousands of
-shapes with the same period, node count and mode count, and rebuilt the same
-tables for each.  The cached arrays are read-only.
+The descent is `_nelder_mead`, a transcription of scipy 1.17.1's Nelder-Mead
+(`scipy.optimize.minimize(method="Nelder-Mead")`) reduced to the branch used
+here; its x and fun are == to scipy's (tests/test_mane.py), and maglab
+needs no scipy at run time.
+
+`FourierLoop.sample` reads its nodes, cos/sin tables and mode numbers from
+small caches keyed by (period, n, modes) and by modes: the Nelder-Mead descent
+samples thousands of shapes with the same period, node count and mode count,
+and rebuilt the same tables for each.  The cached arrays are read-only, as
+are the value arrays `ConstantForm.components` keeps per shape.
 """
 
 from __future__ import annotations
@@ -52,10 +58,18 @@ class ConstantForm:
     def __init__(self, a1, a2=0.0):
         self.a1 = float(a1)
         self.a2 = float(a2)
+        self._values = {}   # shape -> read-only (a1, a2) value arrays
 
     def components(self, xs, ys):
-        ones = np.ones_like(np.asarray(xs, dtype=float))
-        return self.a1 * ones, self.a2 * ones
+        shape = np.shape(xs)
+        values = self._values.get(shape)
+        if values is None:
+            ones = np.ones(shape)
+            values = (self.a1 * ones, self.a2 * ones)
+            for a in values:
+                a.setflags(write=False)
+            self._values[shape] = values
+        return values
 
     def curl(self, xs, ys):
         return np.zeros_like(np.asarray(xs, dtype=float))
@@ -126,6 +140,16 @@ def _fourier_tables(period, n, modes):
     return t, cos, sin
 
 
+@functools.lru_cache(maxsize=8)
+def _mode_numbers(modes):
+    """m = 1..modes and -m of FourierLoop.sample, read-only."""
+    m = np.arange(1, modes + 1)
+    neg_m = -m
+    for a in (m, neg_m):
+        a.setflags(write=False)
+    return m, neg_m
+
+
 class FourierLoop:
     """Closed curve x(t) = c0 + sum_m a_m cos(2 pi m t/T) + b_m sin(2 pi m t/T)."""
 
@@ -138,15 +162,20 @@ class FourierLoop:
     def sample(self, n):
         M = self.modes
         t, cos, sin = _fourier_tables(self.period, n, M)
+        m, neg_m = _mode_numbers(M)
+        w = 2.0 * math.pi / self.period
+        coeffs = self.coeffs
+        a = coeffs[:, 1:M + 1]
+        b = coeffs[:, M + 1:]
+        # elementwise, a * -m is -a * m bit for bit; v.dot(table) makes the
+        # same BLAS call as v @ table with less dispatch, one row at a time
+        am = a * neg_m
+        bm = b * m
         pos = np.empty((2, n))
         vel = np.empty((2, n))
-        w = 2.0 * math.pi / self.period
-        for c in range(2):
-            c0 = self.coeffs[c, 0]
-            a = self.coeffs[c, 1:M + 1]
-            b = self.coeffs[c, M + 1:]
-            pos[c] = c0 + a @ cos + b @ sin
-            vel[c] = (-a * np.arange(1, M + 1)) @ sin * w + (b * np.arange(1, M + 1)) @ cos * w
+        for c in (0, 1):
+            pos[c] = coeffs[c, 0] + a[c].dot(cos) + b[c].dot(sin)
+            vel[c] = am[c].dot(sin) * w + bm[c].dot(cos) * w
         return t, pos, vel
 
     def describe(self):
@@ -228,11 +257,11 @@ def _shape_functional(lag, loop, k, n_nodes):
     minimum value is the Maupertuis form above.  Negative value at the
     optimal speed is exactly a negative-action witness.
     """
-    _, pos, vel = loop.sample(n_nodes)
+    _, (x, y), (vx, vy) = loop.sample(n_nodes)
     dt = loop.period / n_nodes
-    length = float(np.sum(np.hypot(vel[0], vel[1])) * dt)
-    e1, e2 = lag.eta.components(pos[0], pos[1])
-    circ = float(np.sum(e1 * vel[0] + e2 * vel[1]) * dt)
+    length = float(np.hypot(vx, vy).sum() * dt)
+    e1, e2 = lag.eta.components(x, y)
+    circ = float((e1 * vx + e2 * vy).sum() * dt)
     return math.sqrt(2.0 * max(k, 0.0)) * length - circ, length
 
 
@@ -244,13 +273,82 @@ def _at_optimal_period(loop, length, k, t_cap=1e4):
     return out
 
 
+def _nelder_mead(func, x0, maxiter, xatol, fatol):
+    """Minimize func from x0 by Nelder-Mead; returns (x, fun, nit, nfev).
+
+    A transcription of scipy 1.17.1's `_minimize_neldermead`, the solver of
+    `scipy.optimize.minimize(method="Nelder-Mead", options={"maxiter",
+    "xatol", "fatol"})`, kept to that branch: no bounds, not adaptive, no
+    callback, the default initial simplex (nonzdelt 0.05, zdelt 0.00025) and
+    no evaluation budget, so only maxiter stops the search, counting from 1.
+    The coefficients rho = 1, chi = 2, psi = sigma = 0.5 are folded into the
+    literals below (1 * v == v), func gets a copy of each vertex, and the
+    simplex is re-sorted with argsort and take after every iteration, so x
+    and fun are == to scipy's, ties included.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.tile(x0, (N + 1, 1))
+    diag = np.arange(N)
+    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+
+    nfev = 0
+
+    def f(v):
+        nonlocal nfev
+        nfev += 1
+        return func(np.copy(v))
+
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    # scipy sorts twice here; argsort is not stable, so tied values could
+    # leave the second sort in another order than the first
+    for _ in range(2):
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:              # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:                           # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                           # shrink toward the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return sim[0], fsim.min(), iterations, nfev
+
+
 def _negative_loop_search(lag, k, rng, modes=8, restarts=20, maxiter=250,
                           n_nodes=256):
     """A loop with A_{L+k} < 0, or None.  Deterministic given the rng state."""
-    # imported here, not at the top, to keep scipy.optimize (about half a
-    # second) off the start-up of every run that brackets no Mane value
-    from scipy.optimize import minimize
-
     # rest points: action k * T
     if k < 0.0:
         loop = CircleLoop((0.5, 0.5), 0.0, 1.0)
@@ -293,10 +391,10 @@ def _negative_loop_search(lag, k, rng, modes=8, restarts=20, maxiter=250,
         coeffs0[0, 1] = amp
         coeffs0[1, modes + 1] = amp
         coeffs0[:, 1:] += 0.1 * amp * rng.standard_normal((2, 2 * modes))
-        res = minimize(objective, coeffs0.ravel(), method="Nelder-Mead",
-                       options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-13})
-        if res.fun < 0.0:
-            hit = realize(unpack(res.x))
+        x, fun, _, _ = _nelder_mead(objective, coeffs0.ravel(), maxiter,
+                                    xatol=1e-9, fatol=1e-13)
+        if fun < 0.0:
+            hit = realize(unpack(x))
             if hit is not None:
                 return hit
     return None

@@ -179,12 +179,13 @@ _STAGE_NUMBERS = {
     **dict.fromkeys(("tol", "max_time", "half_width", "arclength", "angle_tol"),
                     (float, lambda v: True)),
     "class_tol": (float, lambda v: v >= 0),
-    **dict.fromkeys(("cota_samples", "targets", "k_max", "restarts", "maxiter"),
-                    (int, lambda v: True)),
+    **dict.fromkeys(("cota_samples", "targets"), (int, lambda v: True)),
+    "restarts": (int, lambda v: v >= 0),
     "orbit_index": (int, lambda v: v >= 0),
     **dict.fromkeys(("fd_scale", "bisection_tol", "eps0", "eps_c1"),
                     (float, lambda v: v > 0)),
-    **dict.fromkeys(("n_iter", "modes", "segments"), (int, lambda v: v >= 1)),
+    **dict.fromkeys(("n_iter", "modes", "segments", "k_max", "maxiter"),
+                    (int, lambda v: v >= 1)),
     "t_final": (float, lambda v: v != 0),
     "n_samples": (int, lambda v: v >= 2),
 }
@@ -193,7 +194,7 @@ _STAGE_NUMBERS = {
 # of scenario seeds), converted at load
 _STAGE_LISTS = {
     "seeds": (int, None, lambda v, n: all(0 <= i < n for i in v)),
-    "radii": (float, None, lambda v, n: min(v) > 0),
+    "radii": (float, None, lambda v, n: min(v) > 0 and len(set(v)) >= 2),
     "k_range": (float, (2,), lambda v, n: v[0] < v[1]),
     "fixed_points": ((float, (2,)), None, lambda v, n: True),
     "branch_signs": (int, None, lambda v, n: set(v) <= {1, -1}),

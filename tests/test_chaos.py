@@ -276,7 +276,7 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
                             fixed_point=(0.0, 0.0))
     assert oracle.calls == expected_calls
     if best_ref is None:
-        assert rep.status == "no crossing"
+        assert rep.status == "not certified"
     else:
         assert (rep.h_top_lower, rep.horseshoe["N"], rep.horseshoe["k"]) == best_ref
 
@@ -300,7 +300,7 @@ def test_chaos_logs(caplog):
 
 
 def test_integrable_map_no_crossing():
-    """An integrable twist map certifies nothing: zero bound, no crossing."""
+    """An integrable twist map certifies nothing: zero bound, "not certified"."""
     tm = TwistMap(0.3, 2.0)
 
     class FakeHit:
@@ -309,7 +309,7 @@ def test_integrable_map_no_crossing():
 
     rep = certify_horseshoe(tm, FakeHit(), k_range=range(1, 8))
     assert rep.h_top_lower == 0.0
-    assert rep.status == "no crossing"
+    assert rep.status == "not certified"
 
 
 def test_dominated_splitting_synthetic():

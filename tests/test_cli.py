@@ -193,6 +193,15 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     {"pipeline": [{"stage": "orbits"},
                   {"stage": "franks-verify", "segments": 0}]},
     {"pipeline": [{"stage": "orbits", "class_tol": -1}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "twist", "orbit_index": 0, "radii": [0.004]}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "twist", "orbit_index": 0, "radii": [0.004, 0.004]}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "k_max": 0}]},
+    {"pipeline": [{"stage": "critical-value", "restarts": -1}]},
+    {"pipeline": [{"stage": "critical-value", "maxiter": 0}]},
+    {"pipeline": [{"stage": "critical-value", "maxiter": -3}]},
 ], ids=["seeds_past_end", "seeds_string", "seeds_not_list", "seeds_negative",
         "variational_string", "rotation_vectors_string", "k_range_short",
         "radii_not_list", "fixed_point_short", "branch_sign_two",
@@ -200,7 +209,9 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
         "field_k_short", "coeffs_not_list", "sphere_radius_string",
         "rel_tol_string", "n_iter_zero", "fd_scale_negative",
         "orbit_index_negative", "n_samples_one", "t_final_zero", "modes_zero",
-        "bisection_tol_zero", "segments_zero", "class_tol_negative"])
+        "bisection_tol_zero", "segments_zero", "class_tol_negative",
+        "radii_single", "radii_repeated", "k_max_zero", "restarts_negative",
+        "maxiter_zero", "maxiter_negative"])
 def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
     path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
@@ -396,11 +407,27 @@ def test_disk_scenario_reports(tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    """scipy.optimize costs about half a second of start-up; only the Mane
-    loop search imports it, when it runs."""
+    """scipy.optimize costs about half a second of start-up, and maglab
+    imports no scipy at all."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import maglab.cli, sys; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_critical_value_scenario_imports_no_scipy(tmp_path):
+    """The Mane search runs on the in-repo Nelder-Mead: a whole bundled
+    critical-value run, in a fresh interpreter, loads no scipy module."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "from maglab.scenarios import load_scenario, run_scenario\n"
+            f"sc = load_scenario({scenario_path('critical_value.json')!r})\n"
+            f"code, reports = run_scenario(sc, out_dir={str(tmp_path / 'out')!r})\n"
+            "assert code == 0 and 'critical-value' in reports, code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert os.listdir(tmp_path / "out") == ["critical_value.json"]

@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import minimize
 
 from maglab.errors import UnsupportedSurfaceError
 from maglab.geometry import PhasePoint
 from maglab.field import MagneticField, ConstantField, SinusoidalTorusField
 from maglab.mane import (
     _fourier_tables,
+    _mode_numbers,
+    _nelder_mead,
+    _shape_functional,
     CircleLoop,
     ConstantForm,
     FourierLoop,
@@ -64,9 +68,11 @@ def test_cached_tables_match_fresh(period, n, modes, seed):
 
 
 def test_cached_tables_read_only():
+    """Every caller gets the same cached arrays, so none may write to them."""
     t, _, _ = FourierLoop(1.0, np.ones((2, 5))).sample(64)
     _, cos, sin = _fourier_tables(1.0, 64, 2)
-    for arr in (t, cos, sin):
+    e1, e2 = ConstantForm(0.7, 0.1).components(t, t)
+    for arr in (t, cos, sin, *_mode_numbers(2), e1, e2):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -222,3 +228,65 @@ def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
                             max_time=20.0, options=tight_options)
     with pytest.raises(UnsupportedSurfaceError):
         rotation_vector(unit_sphere, zero_field, orb)
+
+
+# -- the Nelder-Mead transcription against scipy's ------------------------------------
+
+
+def _assert_matches_scipy(func, x0, maxiter):
+    """_nelder_mead and scipy's Nelder-Mead, on the options the loop search
+    passes, end on the same vertex, value, iteration and evaluation counts."""
+    x, fun, nit, nfev = _nelder_mead(func, x0, maxiter, xatol=1e-9, fatol=1e-13)
+    res = minimize(func, x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-13})
+    assert np.array_equal(x, res.x)
+    assert fun == res.fun
+    assert (nit, nfev) == (res.nit, res.nfev)
+
+
+def _quadratic(x):
+    w = np.arange(1.0, len(x) + 1.0)
+    return float(np.sum(w * (x - 0.3) ** 2))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _flat(x):
+    # every vertex ties, so each iteration shrinks and the sorts meet ties only
+    return 1.0
+
+
+@given(objective=st.sampled_from([_quadratic, _rosenbrock, _flat]),
+       dim=st.integers(2, 34), seed=st.integers(0, 2**32 - 1),
+       maxiter=st.sampled_from([1, 2, 5, 200]))
+def test_nelder_mead_matches_scipy(objective, dim, seed, maxiter):
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(dim)
+    x0[rng.random(dim) < 0.25] = 0.0    # zero entries take the zdelt step
+    _assert_matches_scipy(objective, x0, maxiter)
+
+
+@given(k=st.floats(0.0, 1.0), modes=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), maxiter=st.sampled_from([1, 2, 5, 200]),
+       sin_eta=st.booleans())
+def test_nelder_mead_matches_scipy_on_loop_functional(torus, k, modes, seed,
+                                                     maxiter, sin_eta):
+    """The speed-optimized loop functional from a start drawn as the loop
+    search draws its restarts."""
+    eta = SinPrimitiveForm(1.0, (1, 0)) if sin_eta else ConstantForm(0.7, 0.0)
+    lag = LagrangianSpec(torus, eta)
+
+    def objective(vec):
+        loop = FourierLoop(1.0, vec.reshape(2, 2 * modes + 1))
+        return _shape_functional(lag, loop, k, 256)[0]
+
+    rng = np.random.default_rng(seed)
+    coeffs0 = np.zeros((2, 2 * modes + 1))
+    coeffs0[:, 0] = rng.uniform(0.0, 1.0, 2)
+    amp = rng.uniform(0.02, 0.3)
+    coeffs0[0, 1] = amp
+    coeffs0[1, modes + 1] = amp
+    coeffs0[:, 1:] += 0.1 * amp * rng.standard_normal((2, 2 * modes))
+    _assert_matches_scipy(objective, coeffs0.ravel(), maxiter)
