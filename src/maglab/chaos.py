@@ -29,6 +29,13 @@ from .normalform import fd_jacobian
 
 log = logging.getLogger("maglab.chaos")
 
+_CLASS_TOL = 1e-6               # hyperbolic: |trace| > 2 + _CLASS_TOL
+_MAX_POINTS = 60000             # a branch stops growing at this many points
+_MIN_SEPARATION = 1e-9          # closer crossings (unstable arclength) are one
+_N_FIBERS, _N_SAMPLES = 9, 160  # fibers per box, sample points per fiber
+_BOX_SCALES = (0.05, 0.1, 0.2)  # half sides of the boxes at a crossing
+_POWERS = (2, 3)                # N of the N-fold dominated-splitting checks
+
 __all__ = [
     "ManifoldBranch",
     "grow_manifold",
@@ -48,9 +55,9 @@ def _oracle_jacobian(oracle, z):
     return fd_jacobian(oracle, z)
 
 
-def _hyperbolic_eigen(J, class_tol=1e-6):
+def _hyperbolic_eigen(J):
     tr = float(np.trace(J))
-    if abs(tr) <= 2.0 + class_tol:
+    if abs(tr) <= 2.0 + _CLASS_TOL:
         raise ValueError(f"fixed point is not hyperbolic (trace {tr:.6f})")
     w, V = np.linalg.eig(J)
     w = w.real
@@ -120,8 +127,7 @@ def _point_polyline_distance(p, pts):
 
 
 def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
-                  seed_eps=1e-7, spacing_max=0.05, max_points=60000,
-                  class_tol=1e-6):
+                  seed_eps=1e-7, spacing_max=0.05):
     """Adaptive polyline for one branch of W^s or W^u of a hyperbolic point.
 
     Fundamental-domain iteration: the seed chord [p + eps v, F(p + eps v)] is
@@ -135,7 +141,7 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
         raise ValueError("sign must be +1 or -1")
     p = np.asarray(fixed_point, dtype=float)
     J = _oracle_jacobian(oracle, p)
-    (lam_u, vu), (lam_s, vs) = _hyperbolic_eigen(J, class_tol)
+    (lam_u, vu), (lam_s, vs) = _hyperbolic_eigen(J)
     if side == "unstable":
         lam, v = lam_u, vu
         step = lambda z: np.asarray(oracle(z), dtype=float)
@@ -173,7 +179,7 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
     truncated = False
     ring = 0
     try:
-        while total < max_arclength and len(pts) < max_points:
+        while total < max_arclength and len(pts) < _MAX_POINTS:
             # refine this ring
             guard = 0
             start = 0  # segments left of the last insertion passed and stay put
@@ -263,8 +269,7 @@ def _segment_intersections(A, B):
     return out
 
 
-def detect_homoclinic(branch_s: ManifoldBranch, branch_u: ManifoldBranch,
-                      min_separation=1e-9):
+def detect_homoclinic(branch_s: ManifoldBranch, branch_u: ManifoldBranch):
     """Crossings of a stable with an unstable polyline, with crossing angles.
 
     Returns all intersections sorted by unstable arclength; `transversal`
@@ -286,7 +291,7 @@ def detect_homoclinic(branch_s: ManifoldBranch, branch_u: ManifoldBranch,
     # drop near-duplicates from adjacent segment pairs
     dedup = []
     for h in hits:
-        if dedup and abs(h.arclength_unstable - dedup[-1].arclength_unstable) < min_separation:
+        if dedup and abs(h.arclength_unstable - dedup[-1].arclength_unstable) < _MIN_SEPARATION:
             continue
         dedup.append(h)
     return dedup
@@ -409,18 +414,16 @@ class _FiberStore:
     A key is (candidate index, rectangle index, fiber index).
     """
 
-    def __init__(self, oracle, n_fibers, n_samples):
+    def __init__(self, oracle):
         self.oracle = oracle
-        self.n_fibers = n_fibers
-        self.n_samples = n_samples
         self.orbits = {}
 
     def fibers(self, c, r, rect, k):
         """(images, alive) at iterate k for each fiber of rectangle r, lazily."""
-        for i, s in enumerate(np.linspace(-rect.half_s, rect.half_s, self.n_fibers)):
+        for i, s in enumerate(np.linspace(-rect.half_s, rect.half_s, _N_FIBERS)):
             orb = self.orbits.get((c, r, i))
             if orb is None:
-                orb = self.orbits[(c, r, i)] = _FiberOrbit(rect.fiber(s, self.n_samples))
+                orb = self.orbits[(c, r, i)] = _FiberOrbit(rect.fiber(s, _N_SAMPLES))
             yield orb.at(self.oracle, k)
 
     @property
@@ -429,7 +432,7 @@ class _FiberStore:
 
 
 def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
-                      n_fibers=9, n_samples=160, T_ret=1.0, fixed_point=None):
+                      T_ret=1.0, fixed_point=None):
     """Sampled Conley-Moser crossing check yielding an entropy lower bound.
 
     With a list of rectangles: certifies that every k-iterate image of each
@@ -446,7 +449,7 @@ def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
             raise ValueError("need an intersection or explicit rectangles")
         rectangles = _default_rectangles(oracle, intersection, fixed_point)
     candidates = rectangles if isinstance(rectangles[0], list) else [rectangles]
-    store = _FiberStore(oracle, n_fibers, n_samples)
+    store = _FiberStore(oracle)
     best = None
     for k in k_range:
         for c, rects in enumerate(candidates):
@@ -489,7 +492,7 @@ def _certify_with(store, c, rects, k):
     return len(rects)
 
 
-def _default_rectangles(oracle, intersection, fixed_point, scales=(0.05, 0.1, 0.2)):
+def _default_rectangles(oracle, intersection, fixed_point):
     """Candidate single boxes at the crossing, axes along the local tangents."""
     q = np.asarray(intersection.point, dtype=float)
     # local tangents from the jacobian at the fixed point if available,
@@ -503,10 +506,7 @@ def _default_rectangles(oracle, intersection, fixed_point, scales=(0.05, 0.1, 0.
             frame = np.eye(2)
     else:
         frame = np.eye(2)
-    out = []
-    for sc in scales:
-        out.append([Rectangle(q, sc, sc, frame)])
-    return out
+    return [[Rectangle(q, sc, sc, frame)] for sc in _BOX_SCALES]
 
 
 # -- dominated splitting -----------------------------------------------------------
@@ -534,8 +534,7 @@ def _restricted_product(XT, e_s, e_u):
     return float(a * b)
 
 
-def dominated_splitting_check(orbit_entries, T, lambda_target, powers=(2, 3),
-                              propagate=None):
+def dominated_splitting_check(orbit_entries, T, lambda_target, propagate=None):
     """Contraction products |dP_T|E^s| * |dP_-T|E^u| over a family of orbits.
 
     Entries are dicts with keys `monodromy` (2x2 over one period) and
@@ -545,7 +544,7 @@ def dominated_splitting_check(orbit_entries, T, lambda_target, powers=(2, 3),
     powers of the T-products).
     """
     products = []
-    checks = {n: [] for n in powers}
+    checks = {n: [] for n in _POWERS}
     for entry in orbit_entries:
         M = np.asarray(entry["monodromy"], dtype=float)
         period = float(entry["period"])
@@ -564,7 +563,7 @@ def dominated_splitting_check(orbit_entries, T, lambda_target, powers=(2, 3),
             XT = np.linalg.matrix_power(M, n_int)
         prod = _restricted_product(XT, e_s, e_u)
         products.append(prod)
-        for n in powers:
+        for n in _POWERS:
             if propagate is not None:
                 XNT = np.asarray(propagate(entry, n * T), dtype=float)
             else:

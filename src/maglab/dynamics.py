@@ -56,15 +56,6 @@ class IntegratorOptions:
     abs_tol: float = 1e-12
     max_step: float = math.inf
 
-    @staticmethod
-    def from_config(cfg):
-        cfg = cfg or {}
-        return IntegratorOptions(
-            rel_tol=cfg.get("rel_tol", 1e-10),
-            abs_tol=cfg.get("abs_tol", 1e-12),
-            max_step=cfg.get("max_step", math.inf),
-        )
-
 
 def _chart_rhs(surface, field, chart):
     """RHS of the trajectory ODE in one chart (state = (x, y, vx, vy))."""
@@ -280,10 +271,6 @@ class VariationalPath:
     def det_defect(self, n=64):
         ts = self._traj.times(n)
         return max(abs(np.linalg.det(self.matrix(t)) - 1.0) for t in ts)
-
-    @property
-    def t_final(self):
-        return self._traj.t_reach
 
 
 def _run_flow(surface, field, state, t_final, options, dim, observer=None):
@@ -503,15 +490,16 @@ def _offset_state(surface, state: PhasePoint, c, h, direction):
     return PhasePoint(state.chart, x, y, vx * s, vy * s)
 
 
-def fd_monodromy(surface, field, state, T, h=1e-5, options=None):
+def fd_monodromy(surface, field, state, T, h=1e-5):
     """Central finite differences of the time-T flow map in the (e1, e2) frame.
 
     Independent oracle for X(T): perturbs the initial state along the frame
     (i v horizontal / i v vertical), projects back onto the energy level,
     flows, and reads off frame coordinates with the covariant velocity
-    correction.  Returns a 2x2 numpy array.
+    correction.  Each flow runs at rel_tol 1e-12, abs_tol 1e-13.  Returns a
+    2x2 numpy array.
     """
-    options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
+    options = IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
     c = phase_energy(surface, state)
     base_end = flow(surface, field, state, T, options).end_state()
     cols = []

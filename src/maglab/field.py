@@ -392,6 +392,9 @@ class MagneticField:
 # -- exactness -----------------------------------------------------------------
 
 
+_EXACT_TOL = 1e-9  # |total integral| up to which a field counts as exact
+
+
 @dataclass(frozen=True)
 class ExactnessReport:
     integral: float
@@ -399,8 +402,9 @@ class ExactnessReport:
     tol: float
 
 
-def _gl_panels(a, b, panels, order=3):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _gl_panels(a, b, panels):
+    """Three-point Gauss-Legendre nodes and weights on `panels` equal panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(3)
     edges = np.linspace(a, b, panels + 1)
     xs = []
     ws = []
@@ -440,8 +444,9 @@ def surface_integral(surface, func, panels=64):
     raise UnsupportedSurfaceError("surface integral needs a compact surface")
 
 
-def is_exact(field, surface, tol=1e-9, panels=64, brute=False):
-    """Whether [f Omega_0] = 0, i.e. the total integral of f vanishes.
+def is_exact(field, surface, panels=64, brute=False):
+    """Whether [f Omega_0] = 0, i.e. the total integral of f vanishes (to
+    _EXACT_TOL).
 
     Tubular perturbations integrate to zero by construction and are skipped
     unless brute=True, which forces pointwise evaluation of the full field.
@@ -453,7 +458,7 @@ def is_exact(field, surface, tol=1e-9, panels=64, brute=False):
     else:
         target = MagneticField(field.base) if isinstance(field, MagneticField) else field
     integral = surface_integral(surface, target.value, panels=panels)
-    return ExactnessReport(integral, abs(integral) <= tol, tol)
+    return ExactnessReport(integral, abs(integral) <= _EXACT_TOL, _EXACT_TOL)
 
 
 def add_perturbation(field, perturbation):

@@ -4,13 +4,14 @@ Given a base intensity f0 and an orbit segment of length T inside the
 injectivity window, this module builds:
 
   * a closed orbit's cut into segments of length t0 in (K/2, K]
-    (`segment_split`), and each segment's tube, built once from one flow of
-    the segment and kept clear of the other segments' cores (`tube`);
+    (`segment_split`), and each segment's tube, kept clear of the other
+    segments' cores (`tube`);
   * a tubular chart psi(t, u) = gamma(t) + u * i gamma'(t) around the core
     (flat charts only, where the chart area density is the closed form
-    2c (1 - u f0(gamma(t))) and exactness of the perturbations is exact);
-  * the kit (`FranksKit`), which wraps a given tube and adds the segment's
-    variational flow; `build_franks_kit` goes flow -> tube -> kit;
+    2c (1 - u f0(gamma(t))) and exactness of the perturbations is exact),
+    built from one variational flow of the segment (`build_tubular_chart`);
+  * the kit (`FranksKit`), which wraps a tube: the core, K_mag and the
+    fundamental matrix X all read the tube's one flow;
   * the constants ledger k0..k6, window width lambda, rho, the one-sided
     unit-mass bump profiles delta/Delta at k0/2, and the cutoff alpha, with
     every inequality they must satisfy checked and its slack recorded;
@@ -58,7 +59,7 @@ from .errors import (
 from .field import MagneticField, PerturbationField
 from .dynamics import (
     IntegratorOptions,
-    flow,
+    VariationalPath,
     flow_with_variation,
     injectivity_time,
     magnetic_curvature,
@@ -247,11 +248,23 @@ class TubularChart:
 _EPS_MIN = 1e-5
 
 
-def _injective_tube(surface, field, traj, T, width):
-    """TubularChart over the flow `traj`, its width halved from `width`
-    until the sampled injectivity check passes."""
+def build_tubular_chart(surface, field, state, T, eps0, options=None):
+    """Tubular chart around the orbit segment through `state` of length T.
+
+    Flows the segment once with its variational data (`chart.traj`, 10
+    components).  The segment must satisfy T <= K(c, f); the width is halved
+    from eps0 until the sampled injectivity check passes (below 1e-5 that is
+    a LedgerError).
+    """
+    options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
+    fld = field if isinstance(field, MagneticField) else MagneticField(field)
+    traj, _ = flow_with_variation(surface, fld, state, T, options)
+    K = injectivity_time(surface, fld, traj.c)
+    if T > K * (1.0 + 1e-9):
+        raise LedgerError(f"segment length {T} exceeds injectivity time {K}")
+    width = eps0
     while width >= _EPS_MIN:
-        chart = TubularChart(surface, field, traj, T, width)
+        chart = TubularChart(surface, fld, traj, T, width)
         rep = chart.injectivity_report()
         if rep["injective"]:
             return chart
@@ -259,23 +272,6 @@ def _injective_tube(surface, field, traj, T, width):
                  width, rep["min_ratio"])
         width *= 0.5
     raise LedgerError(f"no injective tube above width {_EPS_MIN}")
-
-
-def build_tubular_chart(surface, field, state, T, eps0, options=None):
-    """Tubular chart around the orbit segment through `state` of length T.
-
-    Flows the segment once (4 components).  The segment must satisfy
-    T <= K(c, f); the width is halved from eps0 until the sampled
-    injectivity check passes (below 1e-5 that is a LedgerError).  Returns
-    (chart, trajectory).
-    """
-    options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-    fld = field if isinstance(field, MagneticField) else MagneticField(field)
-    traj = flow(surface, fld, state, T, options)
-    K = injectivity_time(surface, fld, traj.c)
-    if T > K * (1.0 + 1e-9):
-        raise LedgerError(f"segment length {T} exceeds injectivity time {K}")
-    return _injective_tube(surface, fld, traj, T, eps0), traj
 
 
 # -- bump profiles --------------------------------------------------------------
@@ -442,25 +438,22 @@ class PerturbA:
 class FranksKit:
     """Cached segment data plus deterministic response integration.
 
-    Wraps a given tubular chart: its segment, flow and width are the kit's.
-    The kit adds the segment's variational flow over [0, T].
+    Wraps a tubular chart: its segment, width and variational flow are the
+    kit's, so the core, K_mag and X(t) come from one flow of the segment.
     """
 
     #: fixed RK4 steps across the support window
     n_window_steps = 4096
 
-    def __init__(self, chart, options=None):
+    def __init__(self, chart):
         self.chart = chart
         self.surface = chart.surface
         self.field = chart.field
         self.traj = chart.traj
         self.T = chart.T
         self.eps0 = chart.eps0
-        self.state0 = self.traj.state(0.0)
         self.c = self.traj.c
-        options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-        _, self._vp = flow_with_variation(self.surface, self.field, self.state0,
-                                          self.T, options)
+        self._vp = VariationalPath(self.traj)
         self._window = None
 
     def kmag_base(self, t):
@@ -586,10 +579,10 @@ class FranksKit:
         return self._rk4(w["k"], bdir(w["stage_t"], w["stage_k"]).tolist())
 
 
-def build_franks_kit(surface, field, state, T, eps0=0.02, options=None):
-    """Kit for the segment through `state` of length T: flow, tube, kit."""
-    chart, _ = build_tubular_chart(surface, field, state, T, eps0, options)
-    return FranksKit(chart, options)
+def build_franks_kit(surface, field, state, T):
+    """Kit for the segment through `state` of length T, on a tube of width
+    at most 0.02."""
+    return FranksKit(build_tubular_chart(surface, field, state, T, 0.02))
 
 
 # -- constants computation ----------------------------------------------------------
@@ -1018,7 +1011,7 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
 @dataclass
 class SegmentSplit:
     """A closed orbit cut into n segments of length t0: each segment's start
-    state, transversal propagator and core samples."""
+    state, transversal propagator, core samples and mid-patch samples."""
 
     n: int
     t0: float
@@ -1029,6 +1022,7 @@ class SegmentSplit:
     eps0: float
     options: IntegratorOptions
     core_samples: list
+    patch_samples: list
 
     def product(self):
         out = np.eye(2)
@@ -1037,15 +1031,13 @@ class SegmentSplit:
         return out
 
     def tube(self, i):
-        """Tubular chart of segment i, from one flow of the segment.
+        """Tubular chart of segment i (`build_tubular_chart`).
 
         The width is halved from eps0 until the mid-segment patch (u =
         +-width/2 over 0.3-0.7 t0) is 1.5 widths clear of every other
         segment's core, then until the sampled injectivity check passes.
         """
-        traj = flow(self.surface, self.field, self.start_states[i], self.t0,
-                    self.options)
-        x, y, vx, vy = traj.states(np.linspace(0.3 * self.t0, 0.7 * self.t0, 64))[1]
+        x, y, vx, vy = self.patch_samples[i]
         width = self.eps0
         while True:
             # patch points psi(t, u) = core + u * i core'
@@ -1054,7 +1046,9 @@ class SegmentSplit:
             j = next((j for j in range(self.n) if j != i and _min_distance(
                 self.surface, pts, self.core_samples[j]) < 1.5 * width), None)
             if j is None:
-                return _injective_tube(self.surface, self.field, traj, self.t0, width)
+                return build_tubular_chart(self.surface, self.field,
+                                           self.start_states[i], self.t0, width,
+                                           self.options)
             log.info("segment %d: tube patch of width %.6g within 1.5 width "
                      "of segment %d's core; halving", i, width, j)
             width *= 0.5
@@ -1076,9 +1070,11 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
 
     n is the smallest count with t0 = T_theta / n <= K.  One variational
     flow of the orbit gives the segment starts, the per-segment transversal
-    propagators (whose ordered product is the full monodromy) and 256 core
-    samples per segment.  No tube is built here: `SegmentSplit.tube(i)`
-    builds segment i's tube, of width at most eps0, when it is needed.
+    propagators (whose ordered product is the full monodromy), 256 core
+    samples per segment and each segment's mid-patch samples, (x, y, vx, vy)
+    at 64 times over 0.3-0.7 t0.  No tube is built here:
+    `SegmentSplit.tube(i)` builds segment i's tube, of width at most eps0,
+    when it is needed.
     """
     options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
     fld = field if isinstance(field, MagneticField) else MagneticField(field)
@@ -1102,5 +1098,7 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
     core_samples = [
         np.column_stack(traj.states(np.linspace(i * t0, (i + 1) * t0, 256), (0, 1))[1])
         for i in range(n)]
+    patch_samples = [
+        traj.states(i * t0 + np.linspace(0.3 * t0, 0.7 * t0, 64))[1] for i in range(n)]
     return SegmentSplit(n, t0, starts, responses, surface, fld, eps0, options,
-                        core_samples)
+                        core_samples, patch_samples)

@@ -32,6 +32,8 @@ from .errors import NonFiniteError, StiffnessError
 
 __all__ = ["DenseStep", "Solution", "integrate"]
 
+_MAX_STEPS = 10_000_000  # accepted steps before status "max_steps"
+
 # Dormand-Prince 5(4) tableau.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
 _A = (
@@ -303,7 +305,6 @@ def integrate(
     first_step=None,
     post_step=None,
     observer=None,
-    max_steps=10_000_000,
 ):
     """Integrate y' = rhs(t, y) from t0 to t_final (t_final > t0).
 
@@ -326,7 +327,7 @@ def integrate(
     status = "finished"
     hmin = 1e-14 * max(abs(t0), abs(t_final), 1.0)
     while t < t_final:
-        if len(steps) >= max_steps:
+        if len(steps) >= _MAX_STEPS:
             status = "max_steps"
             break
         if h < hmin:

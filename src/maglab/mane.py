@@ -34,6 +34,10 @@ from .dynamics import flow, IntegratorOptions
 
 log = logging.getLogger("maglab.mane")
 
+_SEARCH_NODES, _WITNESS_NODES = 256, 512  # quadrature nodes: search, witness
+_T_CAP = 1e4          # longest period of a witness loop
+_WINDING_TOL = 1e-6   # largest distance of a winding from an integer
+
 __all__ = [
     "ConstantForm",
     "SinPrimitiveForm",
@@ -116,8 +120,9 @@ class LagrangianSpec:
         """f with d eta = f * area form (lam = 1 on the flat torus)."""
         return self.eta.curl(xs, ys)
 
-    def field_consistency(self, field, n=64):
-        g = np.linspace(0.0, 1.0, n, endpoint=False)
+    def field_consistency(self, field):
+        """Largest |d eta - f| on a 64 x 64 grid."""
+        g = np.linspace(0.0, 1.0, 64, endpoint=False)
         X, Y = np.meshgrid(g, g)
         mine = self.induced_intensity(X.ravel(), Y.ravel())
         theirs = np.array([field.value(0, x, y)
@@ -223,7 +228,7 @@ class RoundedRectangleLoop:
                 "period": self.period}
 
 
-def loop_action(lagrangian: LagrangianSpec, loop, k, n_nodes=512):
+def loop_action(lagrangian: LagrangianSpec, loop, k, n_nodes=_WITNESS_NODES):
     """Quadrature of (L + k) over one loop period (trapezoid; spectral here)."""
     t, pos, vel = loop.sample(n_nodes)
     e1, e2 = lagrangian.eta.components(pos[0], pos[1])
@@ -265,12 +270,11 @@ def _shape_functional(lag, loop, k, n_nodes):
     return math.sqrt(2.0 * max(k, 0.0)) * length - circ, length
 
 
-def _at_optimal_period(loop, length, k, t_cap=1e4):
-    period = min(length / math.sqrt(2.0 * k), t_cap) if k > 0.0 else t_cap
+def _at_optimal_period(loop, length, k):
+    period = min(length / math.sqrt(2.0 * k), _T_CAP) if k > 0.0 else _T_CAP
     if isinstance(loop, FourierLoop):
         return FourierLoop(period, loop.coeffs)
-    out = RoundedRectangleLoop(loop.center, loop.A, loop.B, loop.q, period)
-    return out
+    return RoundedRectangleLoop(loop.center, loop.A, loop.B, loop.q, period)
 
 
 def _nelder_mead(func, x0, maxiter, xatol, fatol):
@@ -346,21 +350,20 @@ def _nelder_mead(func, x0, maxiter, xatol, fatol):
     return sim[0], fsim.min(), iterations, nfev
 
 
-def _negative_loop_search(lag, k, rng, modes=8, restarts=20, maxiter=250,
-                          n_nodes=256):
+def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
     """A loop with A_{L+k} < 0, or None.  Deterministic given the rng state."""
     # rest points: action k * T
     if k < 0.0:
         loop = CircleLoop((0.5, 0.5), 0.0, 1.0)
-        return loop, loop_action(lag, loop, k, n_nodes)
+        return loop, loop_action(lag, loop, k, _SEARCH_NODES)
 
     def realize(shape):
         """Turn a shape with negative speed-optimized action into a witness."""
-        val, length = _shape_functional(lag, shape, k, n_nodes)
+        val, length = _shape_functional(lag, shape, k, _SEARCH_NODES)
         if val >= 0.0 or length <= 0.0:
             return None
         loop = _at_optimal_period(shape, length, k)
-        a = loop_action(lag, loop, k, max(n_nodes, 512))
+        a = loop_action(lag, loop, k)
         return (loop, a) if a < 0.0 else None
 
     best = None
@@ -380,7 +383,7 @@ def _negative_loop_search(lag, k, rng, modes=8, restarts=20, maxiter=250,
         return FourierLoop(1.0, vec.reshape(2, 2 * modes + 1))
 
     def objective(vec):
-        val, _ = _shape_functional(lag, unpack(vec), k, n_nodes)
+        val, _ = _shape_functional(lag, unpack(vec), k, _SEARCH_NODES)
         return val
 
     for _ in range(restarts):
@@ -401,8 +404,7 @@ def _negative_loop_search(lag, k, rng, modes=8, restarts=20, maxiter=250,
 
 
 def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4,
-                            seed=0, modes=8, restarts=50, maxiter=250,
-                            n_nodes=256):
+                            seed=0, modes=8, restarts=50, maxiter=250):
     """Bisection bracket [c_lo, c_hi] for the strict critical value.
 
     A found negative-action loop at level k certifies k < c0 and becomes the
@@ -413,18 +415,18 @@ def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4
     lo, hi = float(k_range[0]), float(k_range[1])
     rng = np.random.default_rng(seed)
     found_lo = _negative_loop_search(lagrangian, lo, rng, modes, restarts,
-                                     maxiter, n_nodes)
+                                     maxiter)
     if found_lo is None:
         raise BracketError(f"k_range does not bracket: no negative loop at k={lo}")
-    if _negative_loop_search(lagrangian, hi, rng, modes, restarts, maxiter,
-                             n_nodes) is not None:
+    if _negative_loop_search(lagrangian, hi, rng, modes, restarts,
+                             maxiter) is not None:
         raise BracketError(f"k_range does not bracket: negative loop found at k={hi}")
     witness, w_action = found_lo
     evals = 2
     while hi - lo > bisection_tol:
         mid = 0.5 * (lo + hi)
         hit = _negative_loop_search(lagrangian, mid, rng, modes, restarts,
-                                    maxiter, n_nodes)
+                                    maxiter)
         evals += 1
         log.debug("bisection step %d: k = %.12g, %s", evals, mid,
                   "witness found" if hit is not None else "no witness")
@@ -436,11 +438,11 @@ def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4
     log.info("critical value bracket [%.12g, %.12g] after %d searches "
              "(witness action %.6g)", lo, hi, evals, w_action)
     effort = {"bisection_steps": evals, "restarts": restarts, "modes": modes,
-              "maxiter": maxiter, "nodes": n_nodes, "seed": seed}
+              "maxiter": maxiter, "nodes": _SEARCH_NODES, "seed": seed}
     return CriticalBracket(lo, hi, witness.describe(), w_action, effort)
 
 
-def verify_witness(lagrangian, bracket: CriticalBracket, n_nodes=512):
+def verify_witness(lagrangian, bracket: CriticalBracket):
     """Re-evaluate the stored witness loop at c_lo; must be negative."""
     w = bracket.witness
     if w["kind"] == "fourier":
@@ -450,7 +452,7 @@ def verify_witness(lagrangian, bracket: CriticalBracket, n_nodes=512):
                                     w["squareness"], w["period"])
     else:
         raise ValueError(f"unknown witness kind {w['kind']}")
-    return loop_action(lagrangian, loop, bracket.c_lo, n_nodes)
+    return loop_action(lagrangian, loop, bracket.c_lo)
 
 
 # -- rotation vectors ---------------------------------------------------------------
@@ -470,7 +472,7 @@ class RotationVector:
                 "rho": list(self.rho)}
 
 
-def rotation_vector(surface, field, orbit, options=None, tol=1e-6):
+def rotation_vector(surface, field, orbit, options=None):
     """Winding class over one minimal period divided by the period."""
     if surface.kind != "torus":
         raise UnsupportedSurfaceError("rotation vectors are defined on the torus")
@@ -481,6 +483,6 @@ def rotation_vector(surface, field, orbit, options=None, tol=1e-6):
     dx = s1.x - s0.x
     dy = s1.y - s0.y
     p, q = round(dx), round(dy)
-    if abs(dx - p) > tol or abs(dy - q) > tol:
+    if abs(dx - p) > _WINDING_TOL or abs(dy - q) > _WINDING_TOL:
         raise ValueError(f"winding not integral: ({dx}, {dy})")
     return RotationVector((int(p), int(q)), orbit.period)

@@ -40,6 +40,9 @@ _MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
               (3, 0), (2, 1), (1, 2), (0, 3)]
 _MONO_INDEX = {m: i for i, m in enumerate(_MONOMIALS)}
 
+_FD_H = 1e-6     # central-difference step of fd_jacobian
+_ESCAPE = 10.0   # normalized radius past which a fit iterate has escaped
+
 
 @dataclass
 class Jet3:
@@ -49,7 +52,7 @@ class Jet3:
     errors: np.ndarray        # same shape, scale-to-scale differences
     fd_scale: float
     fixed_point_residual: float
-    coarse_coeffs: np.ndarray = None
+    coarse_coeffs: np.ndarray  # the fit at the coarse scale
 
     def linear(self):
         c = self.coeffs
@@ -65,13 +68,13 @@ class Jet3:
         return self.coeffs[component, _MONO_INDEX[(i, j)]]
 
 
-def fd_jacobian(map_fn, z, h=1e-6):
+def fd_jacobian(map_fn, z):
     z = np.asarray(z, dtype=float)
     cols = []
     for j in range(2):
         e = np.zeros(2)
-        e[j] = h
-        cols.append((np.asarray(map_fn(z + e)) - np.asarray(map_fn(z - e))) / (2 * h))
+        e[j] = _FD_H
+        cols.append((np.asarray(map_fn(z + e)) - np.asarray(map_fn(z - e))) / (2 * _FD_H))
     return np.column_stack(cols)
 
 
@@ -166,7 +169,6 @@ def _compose(f, g):
 def _invert_jet(g):
     """Inverse of g = zeta + O(2) as a jet, by fixed-point iteration."""
     ident = {(1, 0): 1.0 + 0.0j}
-    h = {m: a for m, a in g.items()}
     higher = {m: a for m, a in g.items() if sum(m) >= 2}
     inv = dict(ident)
     for _ in range(4):
@@ -300,10 +302,10 @@ def _beta_from_coeffs(coeffs):
     c21 = f3.get((2, 1), 0.0)
     w = lam.conjugate() * c21
     alpha = (phi / (2.0 * math.pi)) % 1.0
-    return alpha, w.imag / (2.0 * math.pi), abs(w.real), lam
+    return alpha, w.imag / (2.0 * math.pi), abs(w.real)
 
 
-def birkhoff_beta(jet: Jet3, beta_tol=None):
+def birkhoff_beta(jet: Jet3):
     """Twist data from a cubic jet; raises ResonantJetError through order 4."""
     M = jet.linear()
     tr = float(np.trace(M))
@@ -315,16 +317,14 @@ def birkhoff_beta(jet: Jet3, beta_tol=None):
     if not all(flags.values()):
         bad = [n for n, ok in flags.items() if not ok]
         raise ResonantJetError(f"resonant eigenvalue: lambda^n = 1 for n in {bad}")
-    alpha, beta, defect, _ = _beta_from_coeffs(jet.coeffs)
+    alpha, beta, defect = _beta_from_coeffs(jet.coeffs)
     # error estimate: redo the normalization with the coarse-scale fit
     try:
-        src = jet.coarse_coeffs if jet.coarse_coeffs is not None else jet.coeffs + jet.errors
-        _, beta_coarse, _, _ = _beta_from_coeffs(src)
+        _, beta_coarse, _ = _beta_from_coeffs(jet.coarse_coeffs)
         beta_err = abs(beta - beta_coarse)
     except (ValueError, ZeroDivisionError):
         beta_err = float("nan")
-    tol = beta_tol if beta_tol is not None else 3.0 * beta_err
-    verdict = "twist" if (all(flags.values()) and abs(beta) > tol) else "no-twist"
+    verdict = "twist" if (all(flags.values()) and abs(beta) > 3.0 * beta_err) else "no-twist"
     return TwistData(alpha, beta, beta_err, flags, defect, verdict)
 
 
@@ -344,18 +344,16 @@ class TwistFit:
                 "radii": list(self.radii), "rotation_numbers": list(self.rotation_numbers)}
 
 
-def twist_by_rotation_number(map_fn, radii, n_iter=500, center=(0.0, 0.0),
-                             frame=None, escape=10.0):
-    """Fit alpha + beta r^2 (turns) to measured rotation numbers of iterates.
+def twist_by_rotation_number(map_fn, radii, n_iter=500):
+    """Fit alpha + beta r^2 (turns) to measured rotation numbers of iterates
+    about the fixed point at the origin.
 
     Points start on the normalized real axis at each radius; angles are
-    tracked in the det-1 frame where the linear part is a rotation, so the
-    fit shares coordinates with the jet normalization.
+    tracked in the det-1 frame where the linear part (`fd_jacobian`) is a
+    rotation, so the fit shares coordinates with the jet normalization.
     """
-    center = np.asarray(center, dtype=float)
-    if frame is None:
-        frame = fd_jacobian(map_fn, center)
-    B, phi = elliptic_frame(np.asarray(frame, dtype=float))
+    center = np.zeros(2)
+    B, phi = elliptic_frame(fd_jacobian(map_fn, center))
     Binv = np.linalg.inv(B)
     rot = cmath.exp(1j * phi)
     rhos = []
@@ -369,7 +367,7 @@ def twist_by_rotation_number(map_fn, radii, n_iter=500, center=(0.0, 0.0),
             z = np.asarray(map_fn(z), dtype=float)
             q = Binv @ (z - center)
             pq = complex(q[0], q[1])
-            if abs(pq) > escape:
+            if abs(pq) > _ESCAPE:
                 raise ValueError(f"iterates escaped (radius {abs(pq):.3g})")
             delta = cmath.phase(pq / (p * rot))
             total += phi + delta

@@ -45,6 +45,8 @@ log = logging.getLogger("maglab.orbits")
 # radius of the disk around the anchor (in the chart, after wrapping) outside
 # which a torus section offset is not defined: the section line is local
 _TORUS_WINDOW = 0.35
+_T_SKIP = 1e-9    # a crossing this soon after the start is the start itself
+_MAX_NEWTON = 25  # Newton iterates of find_closed_orbit
 
 
 def rescale_to_energy(surface, state: PhasePoint, c) -> PhasePoint:
@@ -182,9 +184,8 @@ class _CrossingMonitor:
     sampled, so the hits are those of sampling every step.
     """
 
-    def __init__(self, section, t_skip=0.0):
+    def __init__(self, section):
         self.section = section
-        self.t_skip = t_skip
         self.prev_t = 0.0
         self.prev_l = None
         self.armed = False
@@ -229,7 +230,7 @@ class _CrossingMonitor:
             if l == 0.0 or (self.prev_l < 0.0) != (l < 0.0):
                 if abs(l - self.prev_l) < 0.3:
                     hit = self._refine(self.prev_t, (t_glob, chart, step, tau))
-                    if hit is not None and hit[0] > self.t_skip:
+                    if hit is not None and hit[0] > _T_SKIP:
                         self.hits.append(hit)
                         if len(self.hits) >= self.want:
                             return False
@@ -383,7 +384,7 @@ def _brent(f, xa, xb, xtol, rtol):
 
 
 def first_return(section, coords, field=None, max_time=50.0, backward=False,
-                 options=None, t_skip=1e-9):
+                 options=None):
     """Next section crossing with matching orientation.
 
     Returns (coords', transit_time, state).  transit_time is positive also for
@@ -394,7 +395,7 @@ def first_return(section, coords, field=None, max_time=50.0, backward=False,
     options = options or IntegratorOptions()
     state = section.embed(*coords)
     sign = -1 if backward else 1
-    monitor = _CrossingMonitor(section, t_skip=t_skip)
+    monitor = _CrossingMonitor(section)
     flow(section.surface, field, state, sign * max_time, options,
          observer=lambda chart, step, off: monitor(chart, step, off))
     if not monitor.hits:
@@ -521,9 +522,8 @@ def _minimal_period(surface, field, state, T, tol, options):
     return best
 
 
-def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
-                      options=None, max_time=50.0, class_tol=1e-6,
-                      half_width=0.2):
+def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
+                      max_time=50.0, class_tol=1e-6, half_width=0.2):
     """Newton shooting on the first-return map from a seed state.
 
     The seed is projected onto the energy level c.  Raises
@@ -539,7 +539,7 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
     suspect = False
     fd_h = max(1e-7, 1e-6 * half_width)
     converged = False
-    for it in range(max_iters):
+    for it in range(_MAX_NEWTON):
         w = rmap(z)
         r = float(np.linalg.norm(w - z))
         if r <= tol:
@@ -591,12 +591,11 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, max_iters=25,
                        parabolic_suspect=suspect)
 
 
-def continue_orbit(orbit: ClosedOrbit, surface, new_field, tol=1e-10,
-                   options=None):
-    """Re-shoot the orbit under a C1-close field; reports the displacement."""
+def continue_orbit(orbit: ClosedOrbit, surface, new_field):
+    """Re-shoot the orbit under a C1-close field (find_closed_orbit's
+    defaults); reports the displacement."""
     try:
-        new = find_closed_orbit(surface, new_field, orbit.c,
-                                orbit.initial_state, tol=tol, options=options)
+        new = find_closed_orbit(surface, new_field, orbit.c, orbit.initial_state)
     except (NewtonDivergenceError, NoReturnError) as exc:
         raise ContinuationLostError(
             f"continuation left the Newton basin: {exc}") from exc

@@ -176,16 +176,16 @@ _STAGE_KEYS = {
 # scalar numeric stage keys (same type in every stage): (kind, range rule),
 # converted and checked at load
 _STAGE_NUMBERS = {
-    **dict.fromkeys(("tol", "max_time", "half_width", "arclength", "angle_tol"),
-                    (float, lambda v: True)),
-    "class_tol": (float, lambda v: v >= 0),
-    **dict.fromkeys(("cota_samples", "targets"), (int, lambda v: True)),
-    "restarts": (int, lambda v: v >= 0),
-    "orbit_index": (int, lambda v: v >= 0),
-    **dict.fromkeys(("fd_scale", "bisection_tol", "eps0", "eps_c1"),
+    **dict.fromkeys(("class_tol", "angle_tol"), (float, lambda v: v >= 0)),
+    **dict.fromkeys(("restarts", "orbit_index"), (int, lambda v: v >= 0)),
+    **dict.fromkeys(("tol", "max_time", "half_width", "arclength", "fd_scale",
+                     "bisection_tol", "eps0", "eps_c1"),
                     (float, lambda v: v > 0)),
-    **dict.fromkeys(("n_iter", "modes", "segments", "k_max", "maxiter"),
+    **dict.fromkeys(("n_iter", "modes", "segments", "k_max", "maxiter",
+                     "cota_samples"),
                     (int, lambda v: v >= 1)),
+    # the sphere mode of the surjectivity check has 8 target directions
+    "targets": (int, lambda v: 1 <= v <= 8),
     "t_final": (float, lambda v: v != 0),
     "n_samples": (int, lambda v: v >= 2),
 }
@@ -217,8 +217,8 @@ class Scenario:
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         icfg = cfg.get("integrator", {})
         _check_keys(icfg, {"rel_tol", "abs_tol", "max_step"}, "integrator")
-        self.options = IntegratorOptions.from_config(
-            {k: _positive(v, f"integrator.{k}") for k, v in icfg.items()})
+        self.options = IntegratorOptions(
+            **{k: _positive(v, f"integrator.{k}") for k, v in icfg.items()})
         self.seeds = []
         for i, s in enumerate(_list(cfg.get("seeds", []), "seeds")):
             _check_keys(s, {"chart", "x", "y", "vx", "vy"}, f"seeds[{i}]")
@@ -250,6 +250,9 @@ class Scenario:
             for key in ("variational", "rotation_vectors"):
                 if not isinstance(st.get(key, False), bool):
                     raise ConfigError(f"{where}.{key} must be true or false")
+            if st.get("rotation_vectors") and self.surface.kind != "torus":
+                raise ConfigError(f"{where}.rotation_vectors needs the torus, "
+                                  f"not a {self.surface.kind} surface")
             if "eta" in st:
                 _build_eta(st["eta"])
             if st.get("map") is not None:
@@ -381,7 +384,7 @@ def _stage_classify(sc, st, ctx):
             e["alpha_label"] = orb.eigen.alpha
         if orb.floquet_class == "hyperbolic":
             e["eigenvalues"] = list(orb.eigen.eigenvalues)
-        if want_rho and sc.surface.kind == "torus":
+        if want_rho:  # only on the torus (checked at load)
             rv = rotation_vector(sc.surface, sc.field, orb, sc.options)
             e["rotation_vector"] = rv.as_dict()
         entries.append(e)
@@ -442,7 +445,7 @@ def _stage_franks(sc, st, ctx):
     constants = []
     kits = []
     for i in range(n_seg):
-        kit = FranksKit(split.tube(i), sc.options)
+        kit = FranksKit(split.tube(i))
         consts = compute_constants(kit, eps_c1=float(st.get("eps_c1", 0.1)))
         constants.append(consts.ledger())
         kits.append((kit, consts))

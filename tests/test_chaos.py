@@ -225,7 +225,7 @@ def test_certifier_counts_match_per_k_recompute(standard_boxes):
     """Every (k, box, fiber) count equals iterating each point k times afresh."""
     best, boxes = standard_boxes
     sm = StandardMap(1.5)
-    store = _FiberStore(sm, 9, 160)
+    store = _FiberStore(sm)
     for k in range(1, 21):
         for c, (box,) in enumerate(boxes):
             got = [_fiber_crossings(imgs, alive, box)
@@ -241,7 +241,7 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
     oracle = _CountingMap(x_max=1.5)
     ref = _CountingMap(x_max=1.5)
     k_max = 12
-    store = _FiberStore(oracle, 9, 160)
+    store = _FiberStore(oracle)
     failures = set()
     best_ref = None
     for k in range(1, k_max + 1):

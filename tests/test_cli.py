@@ -202,6 +202,21 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     {"pipeline": [{"stage": "critical-value", "restarts": -1}]},
     {"pipeline": [{"stage": "critical-value", "maxiter": 0}]},
     {"pipeline": [{"stage": "critical-value", "maxiter": -3}]},
+    {"pipeline": [{"stage": "orbits", "max_time": 0}]},
+    {"pipeline": [{"stage": "orbits", "max_time": -50}]},
+    {"pipeline": [{"stage": "orbits", "tol": -1}]},
+    {"pipeline": [{"stage": "orbits", "half_width": -0.2}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "arclength": 0}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "angle_tol": -1e-3}]},
+    {"franks-verify": {"cota_samples": 0}},
+    {"franks-verify": {"targets": -3}},
+    {"franks-verify": {"targets": 0}},
+    {"franks-verify": {"targets": 12}},
+    {"surface": {"kind": "sphere"},
+     "pipeline": [{"stage": "orbits"},
+                  {"stage": "classify", "rotation_vectors": True}]},
 ], ids=["seeds_past_end", "seeds_string", "seeds_not_list", "seeds_negative",
         "variational_string", "rotation_vectors_string", "k_range_short",
         "radii_not_list", "fixed_point_short", "branch_sign_two",
@@ -211,9 +226,16 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
         "orbit_index_negative", "n_samples_one", "t_final_zero", "modes_zero",
         "bisection_tol_zero", "segments_zero", "class_tol_negative",
         "radii_single", "radii_repeated", "k_max_zero", "restarts_negative",
-        "maxiter_zero", "maxiter_negative"])
+        "maxiter_zero", "maxiter_negative", "max_time_zero",
+        "max_time_negative", "tol_negative", "half_width_negative",
+        "arclength_zero", "angle_tol_negative", "cota_samples_zero",
+        "targets_negative", "targets_zero", "targets_twelve",
+        "rotation_vectors_off_torus"])
 def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
-    path = _torus_config(tmp_path, **changes)
+    if "franks-verify" in changes:  # a change to the franks_verify.json stage
+        path = _franks_config(tmp_path, **changes["franks-verify"])
+    else:
+        path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
     assert not (tmp_path / "o").exists()  # rejected before any stage ran
 

@@ -53,8 +53,7 @@ def hyper_setup(torus, sin_field):
 def test_tubular_chart_disk_radial(disk, minus_one_field, disk_circle_seed):
     """On the unit-circle orbit the chart is psi(t, u) = (1 + u) * circle."""
     T = 0.2  # inside the injectivity window K = 1/4-ish
-    chart, traj = build_tubular_chart(disk, minus_one_field, disk_circle_seed,
-                                      T, 0.05)
+    chart = build_tubular_chart(disk, minus_one_field, disk_circle_seed, T, 0.05)
     for t in np.linspace(0.0, T, 7):
         for u in (-0.02, 0.0, 0.02):
             p = chart.psi(t, u)
@@ -65,7 +64,7 @@ def test_tubular_chart_disk_radial(disk, minus_one_field, disk_circle_seed):
 
 def test_tubular_chart_flat_segment(torus, zero_field):
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
-    chart, _ = build_tubular_chart(torus, zero_field, st, 0.4, 0.03)
+    chart = build_tubular_chart(torus, zero_field, st, 0.4, 0.03)
     for t in np.linspace(0.0, 0.4, 9):
         for u in (-0.01, 0.01):
             p = chart.psi(t, u)
@@ -89,7 +88,7 @@ def test_tubular_chart_autoshrink(torus, zero_field, caplog):
     """A width beyond the wrap separation must shrink automatically."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
     with caplog.at_level(logging.INFO, logger="maglab.franks"):
-        chart, _ = build_tubular_chart(torus, zero_field, st, 0.45, 0.9)
+        chart = build_tubular_chart(torus, zero_field, st, 0.45, 0.9)
     assert chart.eps0 < 0.9
     assert chart.injectivity_report()["injective"]
     shrinks = [r.getMessage() for r in caplog.records
@@ -459,7 +458,7 @@ def test_franks_response_matches_variational(hyper_setup, torus, sin_field,
                                              tight_options):
     _, _, kit, _ = hyper_setup
     S0 = franks_response(kit)
-    _, vp = flow_with_variation(torus, sin_field, kit.state0, kit.T,
+    _, vp = flow_with_variation(torus, sin_field, kit.traj.state(0.0), kit.T,
                                 tight_options)
     assert np.abs(S0 - vp.matrix(kit.T)).max() <= 1e-9
 
@@ -630,8 +629,8 @@ def test_split_tube_matches_build_tubular_chart(hyper_setup, torus, sin_field):
     _, split, _, _ = hyper_setup
     for i in range(split.n):
         tube = split.tube(i)
-        want, _ = build_tubular_chart(torus, sin_field, split.start_states[i],
-                                      split.t0, 0.02)
+        want = build_tubular_chart(torus, sin_field, split.start_states[i],
+                                   split.t0, 0.02)
         assert tube.eps0 == want.eps0 == 0.02
         assert tube.T == want.T == split.t0
         for name in ("_ts", "_pos", "_f0"):
@@ -653,7 +652,11 @@ def test_split_tube_halves_until_clear(hyper_setup, torus, sin_field, caplog):
 
 def test_franks_stage_builds_one_tube_per_segment(tmp_path, monkeypatch):
     """franks-verify builds exactly `segments` tubes, one per kit, and none
-    for the segments it does not verify."""
+    for the segments it does not verify.  Each segment is flown once: one
+    variational flow of the orbit in segment_split plus one per tube, no
+    4-component flow, and each kit's X(t) reads its tube's flow."""
+    from maglab import franks
+
     built = []
     init = TubularChart.__init__
 
@@ -661,7 +664,26 @@ def test_franks_stage_builds_one_tube_per_segment(tmp_path, monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
+    flows = []
+
+    def counting(kind, fn):
+        def run(*args, **kwargs):
+            flows.append(kind)
+            return fn(*args, **kwargs)
+        return run
+
+    kits = []
+    kit_init = franks.FranksKit.__init__
+
+    def kept(self, *args, **kwargs):
+        kits.append(self)
+        kit_init(self, *args, **kwargs)
+
     monkeypatch.setattr(TubularChart, "__init__", counted)
+    monkeypatch.setattr(franks.FranksKit, "__init__", kept)
+    monkeypatch.setattr(franks, "flow_with_variation",
+                        counting("variational", flow_with_variation))
+    monkeypatch.setattr(franks, "flow", counting("flow", flow), raising=False)
     sc = Scenario({
         "surface": {"kind": "torus"},
         "field": {"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
@@ -675,3 +697,7 @@ def test_franks_stage_builds_one_tube_per_segment(tmp_path, monkeypatch):
     assert code == 0
     assert reports["franks-verify"]["segments"]["n"] > 2
     assert len(built) == 2
+    assert flows == ["variational"] * 3
+    assert len(kits) == 2
+    for kit in kits:
+        assert kit._vp._traj is kit.chart.traj is kit.traj

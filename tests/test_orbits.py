@@ -18,6 +18,7 @@ from maglab.dynamics import IntegratorOptions, flow
 from maglab.orbits import (
     SectionReturnMap,
     _CrossingMonitor,
+    _T_SKIP,
     _brent,
     _minimal_period,
     classify,
@@ -382,7 +383,7 @@ class _SampledMonitor(_CrossingMonitor):
             elif (l == 0.0 or (self.prev_l < 0.0) != (l < 0.0)) and \
                     abs(l - self.prev_l) < 0.3:
                 hit = self._refine(self.prev_t, rec)
-                if hit is not None and hit[0] > self.t_skip:
+                if hit is not None and hit[0] > _T_SKIP:
                     self.hits.append(hit)
             self.prev_l, self.prev_t = l, rec
         return True
