@@ -276,6 +276,11 @@ class VariationalPath:
 def _run_flow(surface, field, state, t_final, options, dim, observer=None):
     if t_final == 0.0:
         raise ValueError("t_final must be nonzero")
+    # Python floats from here on: a numpy scalar in the state or the time
+    # would reach c, the horizon and every step, RHS and projection
+    state = PhasePoint(state.chart, float(state.x), float(state.y),
+                       float(state.vx), float(state.vy))
+    t_final = float(t_final)
     c = phase_energy(surface, state)
     if c <= 0.0:
         raise ValueError("initial state must have positive energy")

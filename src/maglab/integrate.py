@@ -6,7 +6,12 @@ renormalization), step-by-step observation for section-event detection on the
 dense interpolant, and mid-integration state surgery for chart switching.
 
 State vectors are plain tuples of floats of any length (the flows use 4 and
-10 components); tuple arithmetic beats numpy at this size.  A `DenseStep`
+10 components); tuple arithmetic beats numpy at this size.  The flows
+guarantee it at their two entry points: `dynamics._run_flow` converts the
+start state and the end time to Python floats, and `orbits.Section` its
+anchor and the (s, R) it embeds.  A numpy float64 scalar that got in would
+spread through every stage, step size and RHS evaluation, with the same
+bits at about twice the cost per step.  A `DenseStep`
 evaluates its interpolant with `eval(t)` (all components) or
 `eval_position(t)` (components 0 and 1 only, the same operations), which is
 what the section-crossing monitor samples.  The interpolant rows of

@@ -75,6 +75,9 @@ class Section:
     def __init__(self, surface, field, anchor: PhasePoint, half_width=0.2):
         self.surface = surface
         self.field = field
+        # Python floats, so that no numpy scalar reaches a return's flow
+        anchor = PhasePoint(anchor.chart, float(anchor.x), float(anchor.y),
+                            float(anchor.vx), float(anchor.vy))
         self.c = phase_energy(surface, anchor)
         if self.c <= 0:
             raise ValueError("anchor must have positive energy")
@@ -95,6 +98,7 @@ class Section:
 
     def embed(self, s, R) -> PhasePoint:
         """Phase point with section coordinates (s, R)."""
+        s, R = float(s), float(R)
         x = self.anchor.x + s * self.unit_e[0] / self.lam0
         y = self.anchor.y + s * self.unit_e[1] / self.lam0
         lam = self.surface.metric_at(self.anchor.chart, *self.surface.wrap_position(x, y)).lam
@@ -541,6 +545,8 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     converged = False
     for it in range(_MAX_NEWTON):
         w = rmap(z)
+        # the Jacobian's returns overwrite rmap.last_transit
+        transit = rmap.last_transit
         r = float(np.linalg.norm(w - z))
         if r <= tol:
             log.debug("newton iterate %d: residual %.3e, converged", it, r)
@@ -563,11 +569,10 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
         log.debug("newton iterate %d: residual %.3e, |dz| %.3e, |det(J - I)| %.3e",
                   it, r, min(n, lim), det)
         z = z + dz
-    if not converged:
-        # after a suspect break the last return was a Jacobian column, and
-        # after the last iterate z has moved: return from z once more
+    else:
+        # the last iterate moved z: return from z once more
         w = rmap(z)
-    transit = rmap.last_transit
+        transit = rmap.last_transit
     resid_map = float(np.linalg.norm(w - z))
     if not converged and not (suspect and resid_map <= 1e3 * tol):
         if resid_map > tol:

@@ -25,7 +25,7 @@ from maglab.dynamics import (
     magnetic_curvature,
 )
 from maglab.integrate import integrate
-from maglab.orbits import phase_distance
+from maglab.orbits import first_return, make_section, phase_distance
 
 
 def test_disk_traces_unit_circle(disk, minus_one_field, disk_circle_seed):
@@ -121,6 +121,49 @@ def test_planar_exit_truncates(disk, zero_field):
     assert abs(traj.t_reach) < 10.0
     st = traj.end_state()
     assert math.hypot(st.x, st.y) <= disk.charts[0].radius * 1.01
+
+
+def _steps(traj):
+    return [(seg.chart, step.t0, step.h, step.y1)
+            for seg in traj.segments for step in seg.sol.steps]
+
+
+@pytest.mark.parametrize("case", ["sphere", "torus"])
+def test_numpy_scalar_start_is_bit_neutral(case, unit_sphere, torus, zero_field,
+                                           sin_field):
+    """A flow started from numpy float64 components and end time takes the
+    steps, RHS evaluations and end state of the Python-float start, == for
+    ==: on the sphere across a chart switch, on the torus with variation."""
+    if case == "sphere":
+        lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
+        surface, field, comps, T = unit_sphere, zero_field, (0.1, 0.0, 0.0, 1.0 / lam), 4.0
+        run = flow
+    else:
+        surface, field, comps, T = torus, sin_field, (0.02, 0.3, 0.1, -0.9), 1.7
+        run = lambda *args: flow_with_variation(*args)[0]
+    ref = run(surface, field, PhasePoint(0, *comps), T)
+    got = run(surface, field, PhasePoint(0, *np.array(comps)), np.float64(T))
+    if case == "sphere":
+        assert len(ref.segments) > 1
+    else:
+        assert ref.dim == 10
+    assert _steps(got) == _steps(ref)
+    assert got.n_fev == ref.n_fev
+    assert got.end_state() == ref.end_state()
+
+
+def test_numpy_scalar_section_anchor_is_bit_neutral(unit_sphere, zero_field):
+    """A section through a numpy float64 anchor returns == coordinates and
+    transit time to those of the Python-float anchor (a return that passes
+    through the sphere's other chart)."""
+    lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
+    comps = (0.1, 0.0, 0.0, 1.0 / lam)
+    ref = first_return(make_section(unit_sphere, zero_field, PhasePoint(0, *comps)),
+                       (2e-3, -1e-3))
+    got = first_return(make_section(unit_sphere, zero_field,
+                                    PhasePoint(0, *np.array(comps))),
+                       (2e-3, -1e-3))
+    assert got[0] == ref[0] and got[1] == ref[1]
 
 
 def test_ode_residual_at_midpoints(torus, sin_field):

@@ -178,10 +178,8 @@ def test_orbit_search_logs_period_division_and_suspect(torus, zero_field, caplog
     assert any("parabolic-suspect" in m for m in lines), lines
 
 
-def test_converged_search_reuses_its_last_return(torus, sin_field, monkeypatch):
-    """A converged search makes one return per Newton iterate plus 4 per
-    Jacobian, and no more: the transit time comes from the return at the
-    converged point, not from a repeat of it."""
+def _count_search(monkeypatch, *args):
+    """find_closed_orbit(*args) with its section returns and Jacobians counted."""
     import maglab.orbits as orbits
 
     counts = {"returns": 0, "jacobians": 0}
@@ -197,10 +195,84 @@ def test_converged_search_reuses_its_last_return(torus, sin_field, monkeypatch):
 
     monkeypatch.setattr(orbits, "first_return", counted_return)
     monkeypatch.setattr(SectionReturnMap, "jacobian", counted_jacobian)
-    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
+    return find_closed_orbit(*args), counts
+
+
+def test_converged_search_reuses_its_last_return(torus, sin_field, monkeypatch):
+    """A converged search makes one return per Newton iterate plus 4 per
+    Jacobian, and no more: the transit time comes from the return at the
+    converged point, not from a repeat of it."""
+    orb, counts = _count_search(monkeypatch, torus, sin_field, 0.5,
+                                PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
     assert orb.residual <= 1e-8 and not orb.parabolic_suspect
     assert counts["jacobians"] >= 1
     assert counts["returns"] == 5 * counts["jacobians"] + 1
+
+
+def test_suspect_search_reuses_its_last_return(torus, zero_field, monkeypatch):
+    """A search that breaks on a singular I - DP makes 5 returns per Newton
+    iterate: the transit time comes from the return at the iterate, which
+    the break does not move, not from a repeat of it."""
+    orb, counts = _count_search(monkeypatch, torus, zero_field, 0.5,
+                                PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
+    assert orb.parabolic_suspect
+    assert orb.period == pytest.approx(1.0, abs=1e-10)
+    assert counts["jacobians"] >= 1
+    assert counts["returns"] == 5 * counts["jacobians"]
+
+
+@pytest.mark.parametrize("case", ["sphere", "torus", "disk"])
+def test_return_path_integrates_python_floats(case, unit_sphere, torus, disk,
+                                              zero_field, sin_field, minus_one_field,
+                                              monkeypatch):
+    """Shooting and a return from an ndarray point hand the integrator only
+    Python floats: the start time, the end time, the start state and every
+    accepted step's h and y1.  A numpy scalar would run each step in numpy
+    scalar arithmetic, with the same bits at about twice the cost."""
+    import maglab.dynamics as dynamics
+
+    seen = []
+    real_integrate = dynamics.integrate
+
+    def recorded(rhs, t0, y0, t_final, *args, **kwargs):
+        sol = real_integrate(rhs, t0, y0, t_final, *args, **kwargs)
+        seen.append((t0, t_final, tuple(y0), sol))
+        return sol
+
+    switches = []
+    real_transition = type(unit_sphere).transition
+
+    def counted_transition(self, state):
+        switches.append(state.chart)
+        return real_transition(self, state)
+
+    monkeypatch.setattr(dynamics, "integrate", recorded)
+    monkeypatch.setattr(type(unit_sphere), "transition", counted_transition)
+    if case == "sphere":
+        # a great circle leaves the chart of its seed
+        lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
+        surface, field, seed = unit_sphere, zero_field, (0, 0.1, 0.0, 0.0, 1.0 / lam)
+    elif case == "torus":
+        surface, field, seed = torus, sin_field, (0, 0.02, 0.3, 0.0, -1.0)
+    else:
+        surface, field, seed = disk, minus_one_field, (0, -1.0, 0.0, 1.0, 0.0)
+    orb = find_closed_orbit(surface, field, 0.5,
+                            PhasePoint(seed[0], *np.array(seed[1:])), max_time=20.0)
+    SectionReturnMap(orb.section)(np.array([2e-3, -1e-3]))
+
+    assert seen
+    if case == "sphere":
+        assert switches
+    if case == "torus":
+        assert any(len(y0) == 10 for _, _, y0, _ in seen)
+    for t0, t_final, y0, sol in seen:
+        assert type(t0) is float and type(t_final) is float
+        assert all(type(v) is float for v in y0)
+        for step in sol.steps:
+            assert type(step.h) is float
+            assert all(type(v) is float for v in step.y1)
+    for point in (orb.initial_state, orb.section.anchor):
+        assert all(type(v) is float for v in (point.x, point.y, point.vx, point.vy))
 
 
 def test_continue_orbit_same_field(torus, sin_field):
