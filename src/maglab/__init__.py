@@ -7,9 +7,8 @@ from .field import (MagneticField, ConstantField, SinusoidalTorusField,
                     is_exact, add_perturbation)
 from .dynamics import (flow, flow_with_variation, magnetic_curvature,
                        injectivity_time, fd_monodromy, IntegratorOptions)
-from .orbits import (Section, make_section, first_return, SectionReturnMap,
-                     ClosedOrbit, find_closed_orbit, classify, continue_orbit,
-                     seed_grid)
+from .orbits import (Section, first_return, SectionReturnMap, ClosedOrbit,
+                     find_closed_orbit, classify, continue_orbit, seed_grid)
 from .normalform import jet3, birkhoff_beta, twist_by_rotation_number, Jet3, TwistData
 from .franks import (build_tubular_chart, build_franks_kit, compute_constants,
                      build_GA, PerturbA, franks_response, variational_response,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoReturnError
-from .normalform import fd_jacobian
+from .maps import fd_jacobian
 
 log = logging.getLogger("maglab.chaos")
 

@@ -381,16 +381,14 @@ def flow(surface, field, state, t_final, options=None, observer=None):
     return _run_flow(surface, field, state, t_final, options, dim=4, observer=observer)
 
 
-def flow_with_variation(surface, field, state, t_final, options=None,
-                        observer=None):
+def flow_with_variation(surface, field, state, t_final, options=None):
     """Trajectory plus the fundamental matrix of the reduced variational system.
 
     The 2x2 system and the flow share one step controller.
     Returns (Trajectory, VariationalPath).
     """
     options = options or IntegratorOptions()
-    traj = _run_flow(surface, field, state, t_final, options, dim=10,
-                     observer=observer)
+    traj = _run_flow(surface, field, state, t_final, options, dim=10)
     return traj, VariationalPath(traj)
 
 

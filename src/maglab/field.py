@@ -99,9 +99,6 @@ class ConstantField:
     def sup_norm(self, surface):
         return abs(self.const)
 
-    def describe(self):
-        return {"kind": "constant", "value": self.const}
-
 
 class SinusoidalTorusField:
     """f = A sin(2 pi (kx x + ky y) + phase) on the torus chart."""
@@ -132,10 +129,6 @@ class SinusoidalTorusField:
             return abs(self.amplitude * math.sin(self.phase))
         return abs(self.amplitude)
 
-    def describe(self):
-        return {"kind": "sinusoidal", "amplitude": self.amplitude,
-                "k": list(self.k), "phase": self.phase}
-
 
 class ZonalSphereField:
     """Axially symmetric intensity A * (1-|z|^2)/(1+|z|^2) (the height function).
@@ -162,9 +155,6 @@ class ZonalSphereField:
     def sup_norm(self, surface):
         """|A|, attained at the chart origin (a pole)."""
         return abs(self.amplitude)
-
-    def describe(self):
-        return {"kind": "zonal", "amplitude": self.amplitude}
 
 
 class PolynomialField:
@@ -204,9 +194,6 @@ class PolynomialField:
                 total += abs(c) * rho**i * rho**j
         return total
 
-    def describe(self):
-        return {"kind": "polynomial", "coeffs": self.coeffs}
-
 
 # -- tubular perturbations ----------------------------------------------------
 
@@ -235,8 +222,7 @@ class PerturbationField:
     there).  b must be smooth with support inside the tube's time range.
     """
 
-    def __init__(self, tube, eps0, b, b_deriv, b_c0, b_c1, support_t=None,
-                 label=""):
+    def __init__(self, tube, eps0, b, b_deriv, b_c0, b_c1, support_t=None):
         self.tube = tube
         self.eps0 = eps0
         self.b = b
@@ -244,7 +230,6 @@ class PerturbationField:
         self.b_c0 = float(b_c0)
         self.b_c1 = float(b_c1)
         self.support_t = support_t or tube.t_range
-        self.label = label
 
     @property
     def chart(self):
@@ -328,10 +313,6 @@ class PerturbationField:
         gy = (-pu * ht + px * hu) / det
         return (h, (gx, gy))
 
-    def describe(self):
-        return {"kind": "tubular", "eps0": self.eps0, "label": self.label,
-                "support_t": list(self.support_t)}
-
 
 def _pointwise(fn, x, y, n):
     """fn(x_i, y_i), a tuple of n numbers, at each point of arrays x and y;
@@ -383,10 +364,6 @@ class MagneticField:
     def c0_norm(self, surface):
         """|f|_C0 for the injectivity time: sup_norm inflated by 1%."""
         return 1.01 * self.sup_norm(surface)
-
-    def describe(self):
-        return {"base": self.base.describe(),
-                "perturbations": [p.describe() for p in self.perturbations]}
 
 
 # -- exactness -----------------------------------------------------------------

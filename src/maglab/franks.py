@@ -65,6 +65,7 @@ from .dynamics import (
     magnetic_curvature,
 )
 from .geometry import PhasePoint
+from .maps import fd_jacobian
 
 __all__ = [
     "TubularChart",
@@ -820,7 +821,7 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     b_c1 = b_c0 + 1.01 * float(np.max(np.abs(ders)))
     # the bump takes the ledger's width; the tube keeps its own for inversion
     pert = PerturbationField(kit.chart, min(consts.eps0, kit.chart.eps0), beta,
-                             beta_d, b_c0, b_c1, support_t=(lo, hi), label="G(A)")
+                             beta_d, b_c0, b_c1, support_t=(lo, hi))
     return kit.field.with_perturbation(pert), pert, beta
 
 
@@ -976,11 +977,7 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
                       "(stop %.3e)", it, step_no, res_norm, stop)
             if res_norm <= stop:
                 break
-            J = np.empty((4, 3))
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = hA
-                J[:, j] = (S_of(A + e) - S_of(A - e)).ravel() / (2.0 * hA)
+            J = fd_jacobian(S_of, A, hA)
             step, *_ = np.linalg.lstsq(J, -res, rcond=None)
             n = np.linalg.norm(step)
             cap = 0.5 * consts.delta1

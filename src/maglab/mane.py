@@ -78,9 +78,6 @@ class ConstantForm:
     def curl(self, xs, ys):
         return np.zeros_like(np.asarray(xs, dtype=float))
 
-    def describe(self):
-        return {"kind": "constant", "a": [self.a1, self.a2]}
-
 
 class SinPrimitiveForm:
     """Primitive of the sinusoidal intensity: d eta = A sin(2 pi k.(x,y)) dx^dy."""
@@ -101,10 +98,6 @@ class SinPrimitiveForm:
         k1, k2 = self.k
         s = k1 * np.asarray(xs, dtype=float) + k2 * np.asarray(ys, dtype=float)
         return self.amplitude * np.sin(2.0 * math.pi * s)
-
-    def describe(self):
-        return {"kind": "sin_primitive", "amplitude": self.amplitude,
-                "k": list(self.k)}
 
 
 class LagrangianSpec:

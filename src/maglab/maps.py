@@ -4,6 +4,8 @@ All maps implement the oracle protocol used by the chaos and normal-form
 machinery: `map(z) -> z'`, plus `inverse(z)` and `jacobian(z)` where an
 analytic form exists.  Flows enter through the same protocol via
 SectionReturnMap, so synthetic maps and first-return maps share all code.
+An oracle without `jacobian` is differenced by `fd_jacobian`, the one
+finite-difference Jacobian of the package.
 """
 
 from __future__ import annotations
@@ -18,7 +20,21 @@ __all__ = [
     "StandardMap",
     "HorseshoeMap",
     "PolynomialMap",
+    "fd_jacobian",
 ]
+
+
+def fd_jacobian(map_fn, z, h=1e-6):
+    """Central-difference Jacobian of map_fn at z: column j is
+    (map_fn(z + h e_j) - map_fn(z - h e_j)) / 2h, flattened, for each entry
+    of z."""
+    z = np.asarray(z, dtype=float)
+    cols = []
+    for j in range(z.size):
+        e = np.zeros(z.size)
+        e[j] = h
+        cols.append((np.asarray(map_fn(z + e)) - np.asarray(map_fn(z - e))).ravel() / (2 * h))
+    return np.column_stack(cols)
 
 
 class TwistMap:

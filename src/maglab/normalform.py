@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonantJetError
+from .maps import fd_jacobian
 
 __all__ = [
     "Jet3",
@@ -32,7 +33,6 @@ __all__ = [
     "TwistFit",
     "twist_by_rotation_number",
     "elliptic_frame",
-    "fd_jacobian",
 ]
 
 # monomial order for real jets: exponents (i, j) of u^i v^j, total degree <= 3
@@ -40,7 +40,6 @@ _MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
               (3, 0), (2, 1), (1, 2), (0, 3)]
 _MONO_INDEX = {m: i for i, m in enumerate(_MONOMIALS)}
 
-_FD_H = 1e-6     # central-difference step of fd_jacobian
 _ESCAPE = 10.0   # normalized radius past which a fit iterate has escaped
 
 
@@ -66,16 +65,6 @@ class Jet3:
 
     def coefficient(self, component, i, j):
         return self.coeffs[component, _MONO_INDEX[(i, j)]]
-
-
-def fd_jacobian(map_fn, z):
-    z = np.asarray(z, dtype=float)
-    cols = []
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = _FD_H
-        cols.append((np.asarray(map_fn(z + e)) - np.asarray(map_fn(z - e))) / (2 * _FD_H))
-    return np.column_stack(cols)
 
 
 def _fit_cubic(map_fn, center, h):

@@ -26,10 +26,10 @@ import numpy as np
 from .errors import NoReturnError, NewtonDivergenceError, ContinuationLostError
 from .geometry import PhasePoint, energy as phase_energy
 from .dynamics import IntegratorOptions, flow, flow_with_variation
+from .maps import fd_jacobian
 
 __all__ = [
     "Section",
-    "make_section",
     "first_return",
     "SectionReturnMap",
     "ClosedOrbit",
@@ -132,12 +132,9 @@ class Section:
         R = lam * lam * (state.vx * self.unit_e[0] + state.vy * self.unit_e[1]) / self.lam0
         return (s, R)
 
-    def offset_normal(self, state: PhasePoint):
-        """Signed chart-normal offset from the section curve (the event function)."""
-        return self.offset_at(state.chart, state.x, state.y)
-
     def offset_at(self, chart, x, y):
-        """`offset_normal` of a position in `chart`; None outside the window."""
+        """Signed chart-normal offset of a position in `chart` from the
+        section curve (the event function); None outside the window."""
         anchor = self.anchor
         if chart != anchor.chart:
             pos = self.surface.position_to_chart(chart, x, y, anchor.chart)
@@ -163,11 +160,6 @@ class Section:
         return abs(s) <= 4.0 * self.half_width
 
 
-def make_section(surface, field, anchor_state, half_width=0.2) -> Section:
-    """Section through anchor_state; (0, 0) are the anchor's coordinates."""
-    return Section(surface, field, anchor_state, half_width)
-
-
 class _CrossingMonitor:
     """Scans accepted integration steps for section-line crossings.
 
@@ -180,12 +172,13 @@ class _CrossingMonitor:
     |h| * sum_j |e_j| of l0.  When |l0| exceeds that by a margin of at
     least 1e-9 (every sample would arm the monitor) plus a rounding slack,
     and the last sample before the step cannot pair with the step's first
-    sample into a sign change (no previous sample, the monitor not armed,
-    or the same sign as l0), the step sets the state its last sample would
-    have set and skips the others.  On the torus this is done only when
-    the whole step is provably inside the offset window; a step provably
-    outside it sets the state of a sample outside.  Every other step is
-    sampled, so the hits are those of sampling every step.
+    sample into a sign change (the monitor not armed, which it never is
+    without a previous sample, or the same sign as l0), the step sets the
+    state its last sample would have set and skips the others.  On the
+    torus this is done only when the whole step is provably inside the
+    offset window; a step provably outside it sets the state of a sample
+    outside.  Every other step is sampled, so the hits are those of
+    sampling every step.
     """
 
     def __init__(self, section):
@@ -223,21 +216,17 @@ class _CrossingMonitor:
                 self.prev_l = None
                 self.armed = False
                 continue
-            if self.prev_l is None:
-                self.prev_l, self.prev_t = l, (t_glob, chart, step, tau)
-                self.armed = abs(l) > 1e-9
-                continue
+            # every assignment keeps the monitor unarmed without a previous
+            # sample, so an armed monitor has one to pair with
             if not self.armed:
                 self.armed = abs(l) > 1e-9
-                self.prev_l, self.prev_t = l, (t_glob, chart, step, tau)
-                continue
-            if l == 0.0 or (self.prev_l < 0.0) != (l < 0.0):
-                if abs(l - self.prev_l) < 0.3:
-                    hit = self._refine(self.prev_t, (t_glob, chart, step, tau))
-                    if hit is not None and hit[0] > _T_SKIP:
-                        self.hits.append(hit)
-                        if len(self.hits) >= self.want:
-                            return False
+            elif (l == 0.0 or (self.prev_l < 0.0) != (l < 0.0)) and \
+                    abs(l - self.prev_l) < 0.3:
+                hit = self._refine(self.prev_t, (t_glob, chart, step, tau))
+                if hit is not None and hit[0] > _T_SKIP:
+                    self.hits.append(hit)
+                    if len(self.hits) >= self.want:
+                        return False
             self.prev_l, self.prev_t = l, (t_glob, chart, step, tau)
         return True
 
@@ -272,8 +261,7 @@ class _CrossingMonitor:
         l0 = section.offset_at(chart, x0, y0)
         if abs(l0) <= reach + margin:
             return False
-        prev = self.prev_l
-        if prev is not None and self.armed and (prev < 0.0) != (l0 < 0.0):
+        if self.armed and (self.prev_l < 0.0) != (l0 < 0.0):
             return False
         # the last sample, k = n
         tau = step.t0 + step.h
@@ -387,20 +375,18 @@ def _brent(f, xa, xb, xtol, rtol):
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
-def first_return(section, coords, field=None, max_time=50.0, backward=False,
-                 options=None):
-    """Next section crossing with matching orientation.
+def first_return(section, coords, max_time=50.0, backward=False, options=None):
+    """Next section crossing with matching orientation, in the section's field.
 
     Returns (coords', transit_time, state).  transit_time is positive also for
     backward returns (time until the *previous* crossing).  Raises
     NoReturnError when no vetted crossing occurs within max_time.
     """
-    field = field if field is not None else section.field
     options = options or IntegratorOptions()
     state = section.embed(*coords)
     sign = -1 if backward else 1
     monitor = _CrossingMonitor(section)
-    flow(section.surface, field, state, sign * max_time, options,
+    flow(section.surface, section.field, state, sign * max_time, options,
          observer=lambda chart, step, off: monitor(chart, step, off))
     if not monitor.hits:
         raise NoReturnError(
@@ -413,35 +399,20 @@ def first_return(section, coords, field=None, max_time=50.0, backward=False,
 class SectionReturnMap:
     """The first-return map as a planar map oracle (callable, invertible)."""
 
-    def __init__(self, section, field=None, max_time=50.0, options=None):
+    def __init__(self, section, max_time=50.0, options=None):
         self.section = section
-        self.field = field if field is not None else section.field
         self.max_time = max_time
         self.options = options or IntegratorOptions()
-        self.last_transit = None
 
     def __call__(self, z):
-        zc, transit, _ = first_return(self.section, tuple(z), self.field,
-                                      self.max_time, options=self.options)
-        self.last_transit = transit
+        zc, _, _ = first_return(self.section, tuple(z), self.max_time,
+                                options=self.options)
         return np.asarray(zc)
 
     def inverse(self, z):
-        zc, transit, _ = first_return(self.section, tuple(z), self.field,
-                                      self.max_time, backward=True,
-                                      options=self.options)
-        self.last_transit = transit
+        zc, _, _ = first_return(self.section, tuple(z), self.max_time,
+                                backward=True, options=self.options)
         return np.asarray(zc)
-
-    def jacobian(self, z, h=1e-7):
-        cols = []
-        for j in range(2):
-            zp = list(z)
-            zm = list(z)
-            zp[j] += h
-            zm[j] -= h
-            cols.append((self(zp) - self(zm)) / (2.0 * h))
-        return np.column_stack(cols)
 
 
 # -- closed orbits ------------------------------------------------------------
@@ -537,22 +508,21 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     """
     options = options or IntegratorOptions()
     seed = rescale_to_energy(surface, seed_state, c)
-    section = make_section(surface, field, seed, half_width)
-    rmap = SectionReturnMap(section, field, max_time, options)
+    section = Section(surface, field, seed, half_width)
+    rmap = SectionReturnMap(section, max_time, options)
     z = np.zeros(2)
     suspect = False
     fd_h = max(1e-7, 1e-6 * half_width)
     converged = False
     for it in range(_MAX_NEWTON):
-        w = rmap(z)
-        # the Jacobian's returns overwrite rmap.last_transit
-        transit = rmap.last_transit
+        zc, transit, _ = first_return(section, tuple(z), max_time, options=options)
+        w = np.asarray(zc)
         r = float(np.linalg.norm(w - z))
         if r <= tol:
             log.debug("newton iterate %d: residual %.3e, converged", it, r)
             converged = True
             break
-        J = rmap.jacobian(z, fd_h)
+        J = fd_jacobian(rmap, z, fd_h)
         A = J - np.eye(2)
         det = abs(np.linalg.det(A))
         if det < 1e-10:
@@ -571,8 +541,8 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
         z = z + dz
     else:
         # the last iterate moved z: return from z once more
-        w = rmap(z)
-        transit = rmap.last_transit
+        zc, transit, _ = first_return(section, tuple(z), max_time, options=options)
+        w = np.asarray(zc)
     resid_map = float(np.linalg.norm(w - z))
     if not converged and not (suspect and resid_map <= 1e3 * tol):
         if resid_map > tol:
@@ -591,7 +561,7 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     if suspect and cls != "parabolic":
         cls = "parabolic"
         eig = EigenData("parabolic")
-    orbit_section = make_section(surface, field, state, half_width)
+    orbit_section = Section(surface, field, state, half_width)
     return ClosedOrbit(state, T, M, cls, residual, c, eig, orbit_section,
                        parabolic_suspect=suspect)
 

@@ -235,6 +235,8 @@ class Scenario:
             if not isinstance(kind, str) or kind not in _STAGE_KEYS:
                 raise ConfigError(f"unknown stage {kind!r} in pipeline[{i}]")
             where = f"pipeline[{i}] ({kind})"
+            if kind in seen:  # its reports would overwrite the earlier stage's
+                raise ConfigError(f"{where} repeats an earlier {kind} stage")
             _check_keys(st, _STAGE_KEYS[kind], where)
             st = dict(st)
             for key, (num, ok) in _STAGE_NUMBERS.items():
@@ -411,7 +413,7 @@ def _stage_twist(sc, st, ctx):
     rotation_rows = []
     for i in cands:
         orb = _orbit_at(orbits, i)
-        rmap = SectionReturnMap(orb.section, sc.field, options=sc.options)
+        rmap = SectionReturnMap(orb.section, options=sc.options)
         fd_scale = float(st.get("fd_scale", 1e-3 * orb.section.half_width))
         jet = jet3(rmap, (0.0, 0.0), fd_scale)
         td = birkhoff_beta(jet)
@@ -477,7 +479,7 @@ def _entropy_oracle(sc, st, ctx):
     orb = _orbit_at(ctx["orbits"], st.get("orbit_index", 0))
     if orb.floquet_class != "hyperbolic":
         raise MaglabError("entropy from flow needs a hyperbolic orbit")
-    rmap = SectionReturnMap(orb.section, sc.field, options=sc.options)
+    rmap = SectionReturnMap(orb.section, options=sc.options)
     return rmap, orb
 
 

@@ -246,7 +246,7 @@ def test_c10_twist_cross_validation():
     orb = find_closed_orbit(sp, fld, 0.5, PhasePoint(0, 0.35, 0.0, 0.0, 1.0 / lam),
                             max_time=30.0, options=TIGHT)
     assert orb.floquet_class == "elliptic"
-    rmap = SectionReturnMap(orb.section, fld, options=TIGHT)
+    rmap = SectionReturnMap(orb.section, options=TIGHT)
     jet = jet3(rmap, (0.0, 0.0), fd_scale=2e-3)
     td_orbit = birkhoff_beta(jet)
     fit_orbit = twist_by_rotation_number(rmap, [0.005, 0.01, 0.015, 0.02],

@@ -371,7 +371,7 @@ def test_flow_return_map_as_oracle(torus, sin_field):
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0), options=opts)
-    rmap = SectionReturnMap(orb.section, sin_field, options=opts)
+    rmap = SectionReturnMap(orb.section, options=opts)
     wu = grow_manifold(rmap, (0.0, 0.0), "unstable", 1, 0.02, tol=5e-3,
                        seed_eps=1e-3, spacing_max=0.02)
     assert wu.arclength >= 0.02

@@ -251,10 +251,11 @@ def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
     {"surface": {"kind": "sphere", "params": 3}},
     {"pipeline": [{"stage": "critical-value", "eta": 3}]},
     {"out_dir": 3},
+    {"pipeline": [{"stage": "simulate"}, {"stage": "simulate"}]},
 ], ids=["seeds_not_list", "pipeline_not_list", "surface_not_object",
         "integrator_not_object", "stage_not_object", "stage_name_list",
         "seed_not_object", "surface_params_not_object", "eta_not_object",
-        "out_dir_not_string"])
+        "out_dir_not_string", "repeated_stage"])
 def test_cli_malformed_config_shape_is_config_error(tmp_path, changes):
     path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2

@@ -25,7 +25,7 @@ from maglab.dynamics import (
     magnetic_curvature,
 )
 from maglab.integrate import integrate
-from maglab.orbits import first_return, make_section, phase_distance
+from maglab.orbits import Section, first_return, phase_distance
 
 
 def test_disk_traces_unit_circle(disk, minus_one_field, disk_circle_seed):
@@ -158,10 +158,10 @@ def test_numpy_scalar_section_anchor_is_bit_neutral(unit_sphere, zero_field):
     through the sphere's other chart)."""
     lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
     comps = (0.1, 0.0, 0.0, 1.0 / lam)
-    ref = first_return(make_section(unit_sphere, zero_field, PhasePoint(0, *comps)),
+    ref = first_return(Section(unit_sphere, zero_field, PhasePoint(0, *comps)),
                        (2e-3, -1e-3))
-    got = first_return(make_section(unit_sphere, zero_field,
-                                    PhasePoint(0, *np.array(comps))),
+    got = first_return(Section(unit_sphere, zero_field,
+                               PhasePoint(0, *np.array(comps))),
                        (2e-3, -1e-3))
     assert got[0] == ref[0] and got[1] == ref[1]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maglab.errors import ResonantJetError
-from maglab.maps import LinearMap, PolynomialMap, TwistMap
+from maglab.maps import LinearMap, PolynomialMap, TwistMap, fd_jacobian
 from maglab.normalform import (
     _fit_cubic,
     birkhoff_beta,
@@ -174,3 +174,26 @@ def test_jet3_calls_each_stencil_point_once(center):
     assert np.array_equal(J.errors, errors)
     assert J.fixed_point_residual == resid
     assert np.array_equal(J.coarse_coeffs, coarse)
+
+
+def test_fd_jacobian_of_linear_map():
+    M = np.array([[2.0, 1.0], [1.0, 1.0]])
+    assert np.abs(fd_jacobian(LinearMap(M), (0.3, -0.2)) - M).max() <= 1e-9
+
+
+def test_fd_jacobian_of_matrix_valued_map():
+    """A map R^3 -> 2x2 gets one column per entry of z, each the flattened
+    central difference: == to the column loop written out here."""
+    def f(a):
+        x, y, w = a
+        return np.array([[math.exp(x) * y, x * w], [math.sin(y + w), x * x - w]])
+
+    A, h = np.array([0.1, -0.4, 0.25]), 1e-4
+    want = np.empty((4, 3))
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        want[:, j] = (f(A + e) - f(A - e)).ravel() / (2.0 * h)
+    got = fd_jacobian(f, A, h)
+    assert got.shape == (4, 3)
+    assert np.array_equal(got, want)

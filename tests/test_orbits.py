@@ -16,6 +16,7 @@ from maglab.field import (
 )
 from maglab.dynamics import IntegratorOptions, flow
 from maglab.orbits import (
+    Section,
     SectionReturnMap,
     _CrossingMonitor,
     _T_SKIP,
@@ -25,14 +26,13 @@ from maglab.orbits import (
     continue_orbit,
     find_closed_orbit,
     first_return,
-    make_section,
     phase_distance,
 )
 from maglab.franks import build_franks_kit, compute_constants, build_GA, PerturbA
 
 
 def test_section_frame_anchor(disk, minus_one_field, disk_seed):
-    sec = make_section(disk, minus_one_field, disk_seed)
+    sec = Section(disk, minus_one_field, disk_seed)
     # (0, 0) embeds to the anchor
     st = sec.embed(0.0, 0.0)
     assert phase_distance(disk, st, disk_seed) <= 1e-14
@@ -43,7 +43,7 @@ def test_section_frame_anchor(disk, minus_one_field, disk_seed):
 
 
 def test_section_energy_preserved(torus, sin_field):
-    sec = make_section(torus, sin_field, PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+    sec = Section(torus, sin_field, PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
     for s, R in [(0.05, 0.0), (-0.1, 0.2), (0.15, -0.3)]:
         st = sec.embed(s, R)
         assert energy(torus, st) == pytest.approx(0.5, abs=1e-14)
@@ -53,7 +53,7 @@ def test_section_energy_preserved(torus, sin_field):
 
 
 def test_first_return_disk_identity(disk, minus_one_field, disk_seed):
-    sec = make_section(disk, minus_one_field, disk_seed)
+    sec = Section(disk, minus_one_field, disk_seed)
     zc, transit, _ = first_return(sec, (0.0, 0.0))
     assert transit == pytest.approx(2.0 * math.pi, abs=1e-10)
     assert abs(zc[0]) <= 1e-9 and abs(zc[1]) <= 1e-9
@@ -64,7 +64,7 @@ def test_first_return_disk_identity(disk, minus_one_field, disk_seed):
 
 
 def test_first_return_torus_geodesic(torus, zero_field):
-    sec = make_section(torus, zero_field, PhasePoint(0, 0.4, 0.9, 1.0, 0.0))
+    sec = Section(torus, zero_field, PhasePoint(0, 0.4, 0.9, 1.0, 0.0))
     zc, transit, _ = first_return(sec, (0.0, 0.0))
     assert transit == pytest.approx(1.0, abs=1e-12)
     assert abs(zc[0]) <= 1e-12 and abs(zc[1]) <= 1e-12
@@ -72,7 +72,7 @@ def test_first_return_torus_geodesic(torus, zero_field):
 
 def test_no_return_error(disk, zero_field):
     # straight geodesics on the disk never come back
-    sec = make_section(disk, zero_field, PhasePoint(0, 0.0, 0.0, 1.0, 0.0))
+    sec = Section(disk, zero_field, PhasePoint(0, 0.0, 0.0, 1.0, 0.0))
     with pytest.raises(NoReturnError):
         first_return(sec, (0.0, 0.0), max_time=5.0)
 
@@ -141,7 +141,7 @@ def test_hyperbolic_torus_orbit(torus, sin_field):
     assert abs(np.linalg.det(orb.monodromy) - 1.0) <= 1e-8
     assert orb.residual <= 1e-10
     # first return of the fixed point stays put
-    zc, _, _ = first_return(orb.section, (0.0, 0.0), sin_field)
+    zc, _, _ = first_return(orb.section, (0.0, 0.0))
     assert abs(zc[0]) <= 1e-10 and abs(zc[1]) <= 1e-10
 
 
@@ -183,18 +183,18 @@ def _count_search(monkeypatch, *args):
     import maglab.orbits as orbits
 
     counts = {"returns": 0, "jacobians": 0}
-    real_return, real_jacobian = orbits.first_return, SectionReturnMap.jacobian
+    real_return, real_jacobian = orbits.first_return, orbits.fd_jacobian
 
     def counted_return(*args, **kwargs):
         counts["returns"] += 1
         return real_return(*args, **kwargs)
 
-    def counted_jacobian(self, *args, **kwargs):
+    def counted_jacobian(*args, **kwargs):
         counts["jacobians"] += 1
-        return real_jacobian(self, *args, **kwargs)
+        return real_jacobian(*args, **kwargs)
 
     monkeypatch.setattr(orbits, "first_return", counted_return)
-    monkeypatch.setattr(SectionReturnMap, "jacobian", counted_jacobian)
+    monkeypatch.setattr(orbits, "fd_jacobian", counted_jacobian)
     return find_closed_orbit(*args), counts
 
 
@@ -316,7 +316,7 @@ def test_return_map_inverse(torus, sin_field, tight_options):
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
                             options=tight_options)
-    rmap = SectionReturnMap(orb.section, sin_field, options=tight_options)
+    rmap = SectionReturnMap(orb.section, options=tight_options)
     z = np.array([0.02, -0.01])
     w = rmap(z)
     back = rmap.inverse(w)
@@ -385,11 +385,11 @@ def test_offset_at_matches_phase_point_path(sec_args, chart, x, y, vx, vy):
     anchor_chart %= len(surface.charts)
     chart %= len(surface.charts)
     anchor = PhasePoint(anchor_chart, ax, ay, math.cos(angle), math.sin(angle))
-    sec = make_section(surface, field, anchor)
+    sec = Section(surface, field, anchor)
     state = PhasePoint(chart, x, y, vx, vy)
     want = _ref_offset(sec, state)
     assert sec.offset_at(chart, x, y) == want
-    assert sec.offset_normal(state) == want
+    assert sec.offset_at(state.chart, state.x, state.y) == want
 
 
 # -- the Brent root finder against scipy's brentq ------------------------------------
@@ -494,7 +494,7 @@ def _monitored_flows(draw):
     ax, ay = draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))
     angle = draw(st.floats(0.0, 2.0 * math.pi))
     anchor = PhasePoint(chart, ax, ay, math.cos(angle), math.sin(angle))
-    sec = make_section(surface, field, anchor)
+    sec = Section(surface, field, anchor)
 
     def on_section():
         return sec.embed(draw(st.floats(-0.1, 0.1)),
@@ -531,18 +531,18 @@ _DISK_ANCHOR = PhasePoint(0, 0.0, 0.0, 1.0, 0.0)
 
 @given(_monitored_flows())
 # a flow along the window's edge, tangent to it at the start
-@example((make_section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
+@example((Section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
           [(_edge_start(_TORUS_ANCHOR, 0.35, 0.5 * math.pi, 0.0), 4.0)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
 # a jump from inside the torus window to a short leg wholly outside it
-@example((make_section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
+@example((Section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
           [(_TORUS_ANCHOR, 0.1),
            (_edge_start(_TORUS_ANCHOR, 0.45, 0.5 * math.pi, 0.5 * math.pi), 0.05)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
 # a jump across the section between two legs, at offsets 0.05 and -0.05: the
 # first step of the second leg, far from the section, holds a crossing with
 # the last sample of the first leg
-@example((make_section(*_OFFSET_SURFACES["planar"], _DISK_ANCHOR),
+@example((Section(*_OFFSET_SURFACES["planar"], _DISK_ANCHOR),
           [(PhasePoint(0, -0.15, 0.0, 1.0, 0.0), 0.1),
            (PhasePoint(0, 0.05, 0.0, 1.0, 0.0), 0.5)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01)))
