@@ -119,6 +119,27 @@ class TubularChart:
         self._pos = np.column_stack((x, y))
         self._f0 = field.value(self.chart_id, *surface.wrap_position(x, y))
         self.field = field
+        # invert accepts a point within this squared distance of a sample
+        self._accept2 = (2.0 * eps0) ** 2 + 0.01 * eps0
+        self._box = self._core_box()
+
+    def _core_box(self):
+        """(axis, mid, reach, scale) for each axis on which the core samples
+        can rule a point out: a point whose (on the torus, wrapped) distance
+        to mid exceeds reach is farther than the acceptance radius from every
+        sample on that axis alone.  mid and reach - radius are the centre
+        and half-width of the samples' coordinate range; on the torus an
+        axis whose range spans at least 1 - 2 * radius is left out, as no
+        point is that far from it.  scale sizes the rounding slack."""
+        radius = math.sqrt(self._accept2)
+        box = []
+        for axis in (0, 1):
+            lo, hi = float(self._pos[:, axis].min()), float(self._pos[:, axis].max())
+            if self.surface.kind == "torus" and hi - lo >= 1.0 - 2.0 * radius:
+                continue
+            scale = 1.0 + max(abs(lo), abs(hi))
+            box.append((axis, 0.5 * (lo + hi), 0.5 * (hi - lo) + radius, scale))
+        return tuple(box)
 
     # core data ------------------------------------------------------------
 
@@ -172,13 +193,26 @@ class TubularChart:
 
     def invert(self, x, y):
         """(t, u) with psi(t, u) = (x, y), or None outside the tube."""
+        torus = self.surface.kind == "torus"
+        # The box test rejects only points the nearest-sample test below
+        # rejects: such a point is farther than the acceptance radius from
+        # every sample on one axis, by a slack (1e-9 relative) far above the
+        # rounding of either computation.
+        for axis, mid, reach, scale in self._box:
+            v = x if axis == 0 else y
+            d = abs(v - mid)
+            if torus:
+                d %= 1.0  # exact; NaN for an infinite v, which never rejects
+                d = min(d, 1.0 - d)
+            if d > reach + 1e-9 * (scale + abs(v)):
+                return None
         p = np.array([x, y])
         dpos = self._pos - p[None, :]
-        if self.surface.kind == "torus":
+        if torus:
             dpos = dpos - np.round(dpos)
         d2 = np.einsum("ij,ij->i", dpos, dpos)
         i0 = int(np.argmin(d2))
-        if d2[i0] > (2.0 * self.eps0) ** 2 + 0.01 * self.eps0:
+        if d2[i0] > self._accept2:
             return None
         # work relative to the unwrapped core: shift p near the sample
         p_adj = self._pos[i0] - dpos[i0]

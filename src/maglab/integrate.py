@@ -20,15 +20,26 @@ components (velocity, variational data) are formed by the first `eval`,
 `eval_derivative` or array lookup, from the same expressions, so most steps
 of a section return never form them.  `Solution.eval_many(ts, comps)`
 evaluates an array of times with the same operations, elementwise in
-float64, from flat per-step arrays built on its first call.  The tables `_A`,
-`_B`, `_E` and `_P` are the one source of the coefficients.  The stages, the
-solution, the error estimate and the interpolant coefficients are written
-out term by term over them, one expression per quantity, with the terms in
-the tables' order and the terms with a zero coefficient left out.
+float64, from flat per-step arrays built on its first call.
+
+The trial step (the six new stages, the solution, the error estimate and its
+norm) is straight-line code generated per state dimension: `_step_source(n)`
+writes it out component by component from the tables `_C`, `_A`, `_B` and
+`_E`, and `_stepper(n)` compiles it on the first `integrate` call for that n
+and caches it.  Its source is registered in linecache under
+`<maglab dp54 step n=N>`, so tracebacks and profiles show its lines.  The
+interpolant rows are written out over `_P` in `_row`.  The tables `_C`, `_A`,
+`_B`, `_E` and `_P` are the one source of the coefficients: each expression
+has its terms in the tables' order, with the zero terms left out.  The
+reference step of tests/test_integrate.py, written as sums over the tables,
+is the oracle: `integrate` must match it bit for bit, in dimensions no flow
+uses too.  `_error_norm` is the norm as a loop, for `_initial_step`.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 
 import numpy as np
@@ -72,15 +83,10 @@ _P = (
     (0.0, 1.3824689317781436, -3.764937863556287, 2.382468931778144),
 )
 
-# The entries above as module constants for the straight-line code, named by
-# stage (1-7) and, for P, by the power of theta (1-4).  b2, e2, the k2 row of
-# P and the theta^1 entries of the k3..k7 rows are zero; their terms are left
-# out, which changes no finite result (x + 0.0 * k == x).
-_C2, _C3, _C4, _C5, _C6 = _C[1:]
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (
-    _A61, _A62, _A63, _A64, _A65) = _A[1:]
-_B1, _B3, _B4, _B5, _B6 = _B[:1] + _B[2:]
-_E1, _E3, _E4, _E5, _E6, _E7 = _E[:1] + _E[2:]
+# The entries of P as module constants for the interpolant rows, named by
+# stage (1-7) and power of theta (1-4).  The k2 row of P and the theta^1
+# entries of the k3..k7 rows are zero; their terms are left out, which
+# changes no finite result (x + 0.0 * k == x).
 _P11, _P12, _P13, _P14 = _P[0]
 (_P32, _P33, _P34), (_P42, _P43, _P44), (_P52, _P53, _P54), (_P62, _P63, _P64), (
     _P72, _P73, _P74) = (row[1:] for row in _P[2:])
@@ -113,7 +119,12 @@ class DenseStep:
         self.y0 = y0
         self.y1 = y1
         k1, _, k3, k4, k5, k6, k7 = ks
-        self._d = tuple(map(_row, k1[:2], k3[:2], k4[:2], k5[:2], k6[:2], k7[:2]))
+        if len(k1) < 2:  # a one-component state has one row and no rest
+            self._d = (_row(k1[0], k3[0], k4[0], k5[0], k6[0], k7[0]),)
+            self._ks = None
+            return
+        self._d = (_row(k1[0], k3[0], k4[0], k5[0], k6[0], k7[0]),
+                   _row(k1[1], k3[1], k4[1], k5[1], k6[1], k7[1]))
         # None when there is no component past the position
         self._ks = (k1[2:] + k3[2:] + k4[2:] + k5[2:] + k6[2:] + k7[2:]) or None
 
@@ -299,6 +310,62 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, t_final):
     return min(100.0 * h0, h1, abs(t_final - t0))
 
 
+def _step_source(n):
+    """Source of `step(rhs, t, h, y, k1, rtol, atol) -> (y1, ks, enorm)`, the
+    DP5(4) trial step for n-component states, written out per component.
+
+    Locals: z for y, a..g for k1..k7, s for a stage's argument and w for y1,
+    suffixed by the component.  Every stage argument, the solution and the
+    error estimate is its sum over `_C`/`_A`/`_B`/`_E` with the terms in
+    table order and the zero terms left out; the norm is `_error_norm`'s loop
+    unrolled.  Coefficients are float literals, which repr round-trips.
+    """
+    comps = range(n)
+
+    def names(k):
+        """k0, k1, ..., with the comma a one-element tuple needs."""
+        return ", ".join(f"{k}{c}" for c in comps) + ("," if n == 1 else "")
+
+    def combo(coefs, c):
+        return " + ".join(f"{x!r} * {k}{c}" for x, k in zip(coefs, "abcdefg")
+                          if x != 0.0)
+
+    lines = ["def step(rhs, t, h, y, k1, rtol, atol):",
+             f"    {names('z')} = y",
+             f"    {names('a')} = k1"]
+    for i in range(1, 6):
+        lines += [f"    s{c} = z{c} + h * ({combo(_A[i], c)})" for c in comps]
+        lines += [f"    k{i + 1} = rhs(t + {_C[i]!r} * h, ({names('s')}))",
+                  f"    {names('abcdefg'[i])} = k{i + 1}"]
+    lines += [f"    w{c} = z{c} + h * ({combo(_B, c)})" for c in comps]
+    lines += [f"    y1 = ({names('w')})",
+              "    k7 = rhs(t + h, y1)",
+              f"    {names('g')} = k7",
+              "    acc = 0.0"]
+    for c in comps:
+        lines += [f"    err = h * ({combo(_E, c)})",
+                  f"    p, q = abs(z{c}), abs(w{c})",
+                  "    r = err / (atol + rtol * (q if q > p else p))",  # max, NaN too
+                  "    acc += r * r"]
+    lines.append(f"    return y1, (k1, k2, k3, k4, k5, k6, k7), sqrt(acc / {n})")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _stepper(n):
+    """The compiled `_step_source(n)`, built on first use for each n.
+
+    Its source is registered in linecache under `<maglab dp54 step n=N>`,
+    so tracebacks and profiles show the generated lines.
+    """
+    source = _step_source(n)
+    filename = f"<maglab dp54 step n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["step"]
+
+
 def integrate(
     rhs,
     t0,
@@ -322,6 +389,7 @@ def integrate(
     if t_final <= t0:
         raise ValueError("integrate requires t_final > t0; reverse the field instead")
     y = tuple(y0)
+    step_fn = _stepper(len(y))
     t = t0
     k1 = rhs(t, y)
     nfev = 1
@@ -338,35 +406,15 @@ def integrate(
         if h < hmin:
             raise StiffnessError(f"step size underflow at t={t:.6g} (h={h:.3g})")
         h = min(h, t_final - t)
-        # z: a component of y; a..g: the same component of k1..k7
-        k2 = rhs(t + _C2 * h, tuple([z + h * (_A21 * a) for z, a in zip(y, k1)]))
-        k3 = rhs(t + _C3 * h, tuple([
-            z + h * (_A31 * a + _A32 * b) for z, a, b in zip(y, k1, k2)]))
-        k4 = rhs(t + _C4 * h, tuple([
-            z + h * (_A41 * a + _A42 * b + _A43 * c)
-            for z, a, b, c in zip(y, k1, k2, k3)]))
-        k5 = rhs(t + _C5 * h, tuple([
-            z + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-            for z, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-        k6 = rhs(t + _C6 * h, tuple([
-            z + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-            for z, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-        y1 = tuple([
-            z + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-            for z, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)])
-        k7 = rhs(t + h, y1)
+        y1, ks, enorm = step_fn(rhs, t, h, y, k1, rtol, atol)
         nfev += 6
-        err = [
-            h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-            for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
-        enorm = _error_norm(err, y, y1, rtol, atol)
         if not enorm <= 1.0:
             if math.isnan(enorm):
                 raise NonFiniteError(f"NaN in the step from t={t:.6g} (h={h:.3g})")
             n_rej += 1
             h *= max(0.2, 0.9 * enorm ** (-0.2))
             continue
-        step = DenseStep(t, h, y, y1, (k1, k2, k3, k4, k5, k6, k7))
+        step = DenseStep(t, h, y, y1, ks)
         t = step.t1
         if post_step is not None:
             y1p = post_step(t, y1)

@@ -211,10 +211,12 @@ def test_stiffness_detection():
                   rtol=1e-8, atol=1e-10)
 
 
-def test_nan_rhs_raises():
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_nan_rhs_raises(n):
     """An RHS that turns NaN mid-run must not end as a finished solution."""
     with pytest.raises(NonFiniteError):
-        integrate(lambda t, y: (math.nan if t > 0.5 else 1.0,), 0.0, (0.0,), 1.0)
+        integrate(lambda t, y: (1.0,) * (n - 1) + (math.nan if t > 0.5 else 1.0,),
+                  0.0, (0.0,) * n, 1.0)
 
 
 def test_dense_output_precision():

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 
@@ -136,6 +137,40 @@ def test_tubular_chart_rejects_long_segment(torus, zero_field):
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
     with pytest.raises(ValueError):
         build_tubular_chart(torus, zero_field, st, 0.9, 0.02)  # K = 1/2
+
+
+@pytest.fixture(scope="module")
+def box_tubes(hyper_setup, torus, zero_field, disk, minus_one_field, disk_circle_seed):
+    """Tubes whose core box can reject: the hyperbolic torus kit's, one
+    across both wrap lines of the torus (x from 0.8 to 1.2 at y = 0.98) and
+    one on the unit circle of the disk."""
+    across = PhasePoint(0, 0.8, 0.98, 1.0, 0.0)
+    return {
+        "torus kit": hyper_setup[2].chart,
+        "torus wrap": build_tubular_chart(torus, zero_field, across, 0.4, 0.03),
+        "disk": build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2, 0.05),
+    }
+
+
+_offset = st.tuples(st.sampled_from([0.0, 1e-3, 0.03, 0.3]), st.floats(-1.0, 1.0))
+
+
+@given(st.sampled_from(["torus kit", "torus wrap", "disk"]), st.floats(0.0, 1.0),
+       st.floats(-3.0, 3.0), _offset, _offset, st.integers(-1, 1), st.integers(-1, 1))
+@example("torus wrap", 0.5, 0.0, (0.0, 0.0), (0.0, 0.0), -1, -1)  # core mid, wrapped
+@example("torus wrap", 0.1, 2.0, (0.03, 1.0), (0.0, 0.0), 0, 0)   # beyond the edge
+def test_invert_box_test_matches_nearest_sample_search(
+        box_tubes, name, th, w, off_x, off_y, i, j):
+    """invert with the core-box test returns what the nearest-sample search
+    alone returns, near the tube, across its edge and across the wrap."""
+    chart = box_tubes[name]
+    assert chart._box  # the box test is live on every one of these tubes
+    plain = copy.copy(chart)
+    plain._box = ()
+    p = chart.psi(th * chart.T, w * chart.eps0)
+    x = float(p[0]) + off_x[0] * off_x[1] + i
+    y = float(p[1]) + off_y[0] * off_y[1] + j
+    assert chart.invert(x, y) == plain.invert(x, y)
 
 
 # -- constants ledger ----------------------------------------------------------

@@ -6,6 +6,7 @@ zero entries included.  `integrate` must reproduce it bit for bit.
 """
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -90,8 +91,8 @@ coord = st.floats(-2.0, 2.0)
 
 @st.composite
 def systems(draw):
-    """(rhs, y0) for a linear or nonlinear system in dimension 1, 4 or 10."""
-    n = draw(st.sampled_from([1, 4, 10]))
+    """(rhs, y0) for a linear or nonlinear system in dimension 1, 2, 4, 7 or 10."""
+    n = draw(st.sampled_from([1, 2, 4, 7, 10]))
     y0 = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
     if draw(st.booleans()):
         row = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
@@ -210,3 +211,18 @@ def test_rows_formed_on_use_agree_in_any_order(system, fracs, first):
         q = (1.0, 2.0 * th, 3.0 * (th * th), 4.0 * (th * th) * th)
         assert step.eval_derivative(t) == tuple(
             dc[0] * q[0] + dc[1] * q[1] + dc[2] * q[2] + dc[3] * q[3] for dc in d)
+
+
+def test_generated_step_shows_in_tracebacks():
+    """A failure inside the generated step names it and shows its line."""
+    def rhs(t, y):
+        if t > 0.0:
+            raise RuntimeError("stage")
+        return (1.0, 0.0, -1.0)
+
+    with pytest.raises(RuntimeError) as info:
+        integrate(rhs, 0.0, (0.0, 0.0, 0.0), 1.0, first_step=0.1)
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+              if f.filename == "<maglab dp54 step n=3>"]
+    assert len(frames) == 1
+    assert frames[0].line == "k2 = rhs(t + 0.2 * h, (s0, s1, s2))"

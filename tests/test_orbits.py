@@ -389,7 +389,6 @@ def test_offset_at_matches_phase_point_path(sec_args, chart, x, y, vx, vy):
     state = PhasePoint(chart, x, y, vx, vy)
     want = _ref_offset(sec, state)
     assert sec.offset_at(chart, x, y) == want
-    assert sec.offset_at(state.chart, state.x, state.y) == want
 
 
 # -- the Brent root finder against scipy's brentq ------------------------------------

@@ -62,3 +62,18 @@ def test_src_stats_counts_lines_and_defaulted_parameters(tmp_path, capsys):
     assert mod.stats(str(tmp_path / "src")) == (5, 4)
     assert mod.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"{tmp_path}: 5 lines, 4 defaulted parameters\n"
+
+
+def test_step_cost_prints_each_layer_with_its_counters(capsys):
+    mod = _tool("step_cost")
+    assert mod.main(["--reps", "1", ROOT]) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head == f"{ROOT}:"
+    assert [line.split()[0] for line in lines] == [
+        "rhs", "step", "stage", "DenseStep", "monitor", "return", "torus10"]
+    counts = {line.split()[0]: line[line.index("("):] for line in lines}
+    # the replayed integrate calls take the recorded return's steps
+    n_steps = counts["DenseStep"].split()[0][1:]
+    assert counts["step"].startswith(f"({n_steps} steps, 0 rejected")
+    assert counts["monitor"] == f"({n_steps} calls)"
+    assert counts["return"].startswith(f"(1 return, {n_steps} steps")
