@@ -1,9 +1,9 @@
 """Scenario-driven command line: configure, run pipelines, emit reports.
 
     maglab run --config scenario.json [--out DIR] [--seed N]
-    maglab simulate|orbits|classify|twist|franks-verify|entropy|critical-value
-           --config scenario.json ...
+    maglab STAGE --config scenario.json ...
 
+STAGE is a stage kind of `scenarios.STAGE_TABLE` (simulate, orbits, ...).
 Single-stage subcommands execute the matching pipeline entries (plus silent
 prerequisites such as orbit finding) and write only their own reports.  The
 environment variable MAGLAB_LOG sets the logging level (e.g. DEBUG, INFO).
@@ -17,27 +17,16 @@ import os
 import sys
 
 from .errors import ConfigError, MaglabError
-from .scenarios import load_scenario, run_scenario
+from .scenarios import STAGE_TABLE, load_scenario, run_scenario
 
 log = logging.getLogger("maglab")
-
-_SUBCOMMANDS = [
-    "simulate",
-    "orbits",
-    "classify",
-    "twist",
-    "franks-verify",
-    "entropy",
-    "critical-value",
-    "run",
-]
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="maglab",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in [*STAGE_TABLE, "run"]:
         p = sub.add_parser(name, help=f"{name} stage" if name != "run"
                            else "full pipeline")
         p.add_argument("--config", required=True, help="scenario JSON path")

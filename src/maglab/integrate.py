@@ -383,8 +383,9 @@ def integrate(
     post_step(t, y) -> y may project the accepted state (e.g. back onto an
     energy level).  observer(dense_step) may return False to stop early (the
     step is kept); it sees each accepted step after projection of y1.
-    Returns a Solution; raises StiffnessError on step-size underflow and
-    NonFiniteError when the error estimate is NaN.
+    Returns a Solution, whose n_fev counts every RHS evaluation (the
+    initial-step estimate's too); raises StiffnessError on step-size
+    underflow and NonFiniteError when the error estimate is NaN.
     """
     if t_final <= t0:
         raise ValueError("integrate requires t_final > t0; reverse the field instead")
@@ -392,7 +393,7 @@ def integrate(
     step_fn = _stepper(len(y))
     t = t0
     k1 = rhs(t, y)
-    nfev = 1
+    nfev = 1 if first_step is not None else 2  # with _initial_step's evaluation
     h = first_step if first_step is not None else _initial_step(rhs, t0, y, k1, rtol, atol, t_final)
     h = min(h, max_step, t_final - t0)
     steps = []
@@ -405,6 +406,9 @@ def integrate(
             break
         if h < hmin:
             raise StiffnessError(f"step size underflow at t={t:.6g} (h={h:.3g})")
+        if k1 is None:  # the start derivative, once per accepted step
+            k1 = rhs(t, y)
+            nfev += 1
         h = min(h, t_final - t)
         y1, ks, enorm = step_fn(rhs, t, h, y, k1, rtol, atol)
         nfev += 6
@@ -422,9 +426,8 @@ def integrate(
                 y1 = tuple(y1p)
                 step.y1 = y1
         steps.append(step)
-        k1 = rhs(t, y1)
-        nfev += 1
         y = y1
+        k1 = None  # the next step's, evaluated only if a step follows
         if observer is not None and observer(step) is False:
             status = "stopped"
             break

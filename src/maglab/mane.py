@@ -397,7 +397,7 @@ def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
 
 
 def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4,
-                            seed=0, modes=8, restarts=50, maxiter=250):
+                            seed=0, modes=8, *, restarts, maxiter):
     """Bisection bracket [c_lo, c_hi] for the strict critical value.
 
     A found negative-action loop at level k certifies k < c0 and becomes the

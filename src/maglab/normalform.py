@@ -84,7 +84,7 @@ def _fit_cubic(map_fn, center, h):
     return sol.T  # (2, 10)
 
 
-def jet3(map_fn, center=(0.0, 0.0), fd_scale=1e-3):
+def jet3(map_fn, center=(0.0, 0.0), *, fd_scale):
     """Cubic jet of a planar map at a (numerical) fixed point.
 
     Coefficients come from cubic least squares on 5x5 central stencils at
@@ -333,7 +333,7 @@ class TwistFit:
                 "radii": list(self.radii), "rotation_numbers": list(self.rotation_numbers)}
 
 
-def twist_by_rotation_number(map_fn, radii, n_iter=500):
+def twist_by_rotation_number(map_fn, radii, n_iter):
     """Fit alpha + beta r^2 (turns) to measured rotation numbers of iterates
     about the fixed point at the origin.
 

@@ -1,10 +1,14 @@
 """Scenario configuration, validation and pipeline stages.
 
 A scenario is a JSON document selecting a surface, a field, an energy level
-and an ordered list of pipeline stages with per-stage parameters.  Unknown
-keys anywhere are rejected (reproducibility beats convenience); all stage
-reports are plain dicts serialized with sorted keys so a fixed seed yields
-byte-identical output.
+and an ordered list of pipeline stages with per-stage parameters.  One table,
+`STAGE_TABLE`, gives each stage kind its function, report file, prerequisite
+stages and keys with their defaults.  The loader checks and converts the keys
+a config gives, builds `eta` and `map` into their objects and fills in the
+defaults, so every pipeline entry carries every key of its kind.  Unknown
+keys anywhere, an explicit null and a key the stage would leave unused are
+rejected (reproducibility beats convenience); all stage reports are plain
+dicts serialized with sorted keys so a fixed seed yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import json
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,7 +51,8 @@ from .mane import (
     rotation_vector,
 )
 
-__all__ = ["load_scenario", "run_scenario", "Scenario", "emit_plotdata"]
+__all__ = ["load_scenario", "run_scenario", "Scenario", "emit_plotdata",
+           "STAGE_TABLE"]
 
 
 def _check_keys(obj, allowed, where):
@@ -160,19 +166,6 @@ def _build_map(cfg):
     raise ConfigError(f"unknown injected map {kind!r}")
 
 
-_STAGE_KEYS = {
-    "simulate": {"stage", "t_final", "n_samples", "variational", "seeds"},
-    "orbits": {"stage", "tol", "max_time", "half_width", "class_tol"},
-    "classify": {"stage", "rotation_vectors"},
-    "twist": {"stage", "orbit_index", "fd_scale", "radii", "n_iter"},
-    "franks-verify": {"stage", "orbit_index", "eps0", "eps_c1", "cota_samples",
-                      "targets", "segments"},
-    "entropy": {"stage", "map", "orbit_index", "arclength", "tol", "angle_tol",
-                "k_max", "branch_signs", "fixed_points"},
-    "critical-value": {"stage", "eta", "k_range", "bisection_tol", "restarts",
-                       "maxiter", "modes"},
-}
-
 # scalar numeric stage keys (same type in every stage): (kind, range rule),
 # converted and checked at load
 _STAGE_NUMBERS = {
@@ -193,12 +186,43 @@ _STAGE_NUMBERS = {
 # list stage keys: (entry kind, allowed lengths, range rule given the number
 # of scenario seeds), converted at load
 _STAGE_LISTS = {
-    "seeds": (int, None, lambda v, n: all(0 <= i < n for i in v)),
+    "seeds": (int, None, lambda v, n: all(0 <= i < n for i in v) and
+              len(set(v)) == len(v)),
     "radii": (float, None, lambda v, n: min(v) > 0 and len(set(v)) >= 2),
     "k_range": (float, (2,), lambda v, n: v[0] < v[1]),
     "fixed_points": ((float, (2,)), None, lambda v, n: True),
     "branch_signs": (int, None, lambda v, n: set(v) <= {1, -1}),
 }
+
+# structured stage keys, built into their objects at load
+_STAGE_OBJECTS = {"eta": _build_eta, "map": _build_map}
+
+# entropy keys an injected map leaves unused, by map kind: the horseshoe's
+# certificate takes two fixed rectangles and grows no manifolds
+_MAP_UNUSED = {"standard": {"orbit_index"},
+               "horseshoe": {"orbit_index", "arclength", "tol", "angle_tol",
+                             "k_max", "fixed_points", "branch_signs"}}
+
+
+def _stage_value(key, value, where, n_seeds):
+    """A stage key's value, converted and checked by its key's rule."""
+    where = f"{where}.{key}"
+    if key in _STAGE_OBJECTS:
+        return _STAGE_OBJECTS[key](value)
+    if key in _STAGE_NUMBERS:
+        kind, ok = _STAGE_NUMBERS[key]
+        value = _number(value, where, kind)
+    elif key in _STAGE_LISTS:
+        entry, sizes, ok_n = _STAGE_LISTS[key]
+        value = _numbers(value, where, entry, sizes)
+        ok = lambda v: ok_n(v, n_seeds)
+    elif isinstance(value, bool):  # variational, rotation_vectors
+        return value
+    else:
+        raise ConfigError(f"{where} must be true or false")
+    if not ok(value):
+        raise ConfigError(f"{where} out of range: {value!r}")
+    return value
 
 
 _TOP_KEYS = {"surface", "field", "energy", "seeds", "pipeline", "out_dir",
@@ -232,38 +256,34 @@ class Scenario:
             if not isinstance(st, dict):
                 raise ConfigError(f"pipeline[{i}] must be an object, got {st!r}")
             kind = st.get("stage")
-            if not isinstance(kind, str) or kind not in _STAGE_KEYS:
+            stage = STAGE_TABLE.get(kind) if isinstance(kind, str) else None
+            if stage is None:
                 raise ConfigError(f"unknown stage {kind!r} in pipeline[{i}]")
             where = f"pipeline[{i}] ({kind})"
             if kind in seen:  # its reports would overwrite the earlier stage's
                 raise ConfigError(f"{where} repeats an earlier {kind} stage")
-            _check_keys(st, _STAGE_KEYS[kind], where)
-            st = dict(st)
-            for key, (num, ok) in _STAGE_NUMBERS.items():
-                if key in st:
-                    st[key] = _number(st[key], f"{where}.{key}", num)
-                    if not ok(st[key]):
-                        raise ConfigError(f"{where}.{key} out of range: {st[key]!r}")
-            for key, (entry, sizes, ok) in _STAGE_LISTS.items():
-                if key in st:
-                    st[key] = _numbers(st[key], f"{where}.{key}", entry, sizes)
-                    if not ok(st[key], len(self.seeds)):
-                        raise ConfigError(f"{where}.{key} out of range: {st[key]!r}")
-            for key in ("variational", "rotation_vectors"):
-                if not isinstance(st.get(key, False), bool):
-                    raise ConfigError(f"{where}.{key} must be true or false")
-            if st.get("rotation_vectors") and self.surface.kind != "torus":
+            _check_keys(st, {"stage", *stage.keys}, where)
+            entry = {"stage": kind}
+            for key, default in stage.keys.items():
+                value = st.get(key, default)
+                if value is not None:
+                    value = _stage_value(key, value, where, len(self.seeds))
+                elif key in st:
+                    raise ConfigError(f"{where}.{key} must not be null")
+                entry[key] = value
+            if entry.get("rotation_vectors") and self.surface.kind != "torus":
                 raise ConfigError(f"{where}.rotation_vectors needs the torus, "
                                   f"not a {self.surface.kind} surface")
-            if "eta" in st:
-                _build_eta(st["eta"])
-            if st.get("map") is not None:
-                _build_map(st["map"])  # an entropy stage with a map needs no orbits
-            elif any(d not in seen for d in _STAGE_DEPS[kind]):
+            if entry.get("map") is not None:  # an injected map needs no orbits
+                unused = sorted(_MAP_UNUSED[st["map"]["kind"]] & set(st))
+                if unused:
+                    raise ConfigError(f"{where} sets {unused}, which an injected "
+                                      f"{st['map']['kind']} map leaves unused")
+            elif any(d not in seen for d in stage.needs):
                 raise ConfigError(f"{where} needs an earlier "
-                                  f"{' and '.join(_STAGE_DEPS[kind])} stage")
+                                  f"{' and '.join(stage.needs)} stage")
             seen.add(kind)
-            self.pipeline.append(st)
+            self.pipeline.append(entry)
         self.cfg = cfg
 
 
@@ -308,25 +328,21 @@ def _plotdata_rows(report, kind):
 
 
 def _stage_simulate(sc, st, ctx):
-    t_final = float(st.get("t_final", 1.0))
-    n = int(st.get("n_samples", 400))
-    variational = bool(st.get("variational", True))
-    seed_idx = st.get("seeds")
-    report = {"trajectories": [], "stage": "simulate"}
+    seed_idx = st["seeds"]
     if seed_idx is None:
-        seed_idx = list(range(len(sc.seeds)))
-    chosen = [(i, sc.seeds[i]) for i in seed_idx]
-    for i, seed in chosen:
-        seed = rescale_to_energy(sc.surface, seed, sc.c)
+        seed_idx = range(len(sc.seeds))
+    report = {"trajectories": [], "stage": "simulate"}
+    for i in seed_idx:
+        seed = rescale_to_energy(sc.surface, sc.seeds[i], sc.c)
         det_defect = None
-        if variational:
-            traj, vp = flow_with_variation(sc.surface, sc.field, seed, t_final,
-                                           sc.options)
+        if st["variational"]:
+            traj, vp = flow_with_variation(sc.surface, sc.field, seed,
+                                           st["t_final"], sc.options)
             det_defect = vp.det_defect()
         else:
-            traj = flow(sc.surface, sc.field, seed, t_final, sc.options)
+            traj = flow(sc.surface, sc.field, seed, st["t_final"], sc.options)
         samples = []
-        for t in traj.times(n):
+        for t in traj.times(st["n_samples"]):
             stt = traj.state(t)
             samples.append([t, stt.x, stt.y, stt.vx, stt.vy,
                             phase_energy(sc.surface, stt)])
@@ -348,18 +364,14 @@ def _stage_simulate(sc, st, ctx):
 def _stage_orbits(sc, st, ctx):
     """The distinct closed orbits found from the seeds, in (period, trace)
     order: orbits.json, classify.json and every orbit_index follow it."""
-    tol = float(st.get("tol", 1e-10))
-    max_time = float(st.get("max_time", 50.0))
-    half_width = float(st.get("half_width", 0.2))
-    class_tol = float(st.get("class_tol", 1e-6))
     orbits = []
     failures = []
 
     for i, seed in enumerate(sc.seeds):
         try:
-            orb = find_closed_orbit(sc.surface, sc.field, sc.c, seed, tol=tol,
-                                    options=sc.options, max_time=max_time,
-                                    class_tol=class_tol, half_width=half_width)
+            orb = find_closed_orbit(sc.surface, sc.field, sc.c, seed, tol=st["tol"],
+                                    options=sc.options, max_time=st["max_time"],
+                                    class_tol=st["class_tol"], half_width=st["half_width"])
         except MaglabError as exc:
             failures.append({"seed_index": i, "error": str(exc)})
             continue
@@ -377,7 +389,9 @@ def _stage_orbits(sc, st, ctx):
 
 
 def _stage_classify(sc, st, ctx):
-    want_rho = bool(st.get("rotation_vectors", sc.surface.kind == "torus"))
+    want_rho = st["rotation_vectors"]
+    if want_rho is None:
+        want_rho = sc.surface.kind == "torus"
     entries = []
     for orb in ctx["orbits"]:
         e = {"period": orb.period, "trace": orb.trace,
@@ -404,7 +418,7 @@ def _orbit_at(orbits, idx):
 
 def _stage_twist(sc, st, ctx):
     orbits = ctx["orbits"]
-    idx = st.get("orbit_index")
+    idx = st["orbit_index"]
     cands = [idx] if idx is not None else [
         i for i, o in enumerate(orbits) if o.floquet_class == "elliptic"]
     if not cands:
@@ -414,11 +428,10 @@ def _stage_twist(sc, st, ctx):
     for i in cands:
         orb = _orbit_at(orbits, i)
         rmap = SectionReturnMap(orb.section, options=sc.options)
-        fd_scale = float(st.get("fd_scale", 1e-3 * orb.section.half_width))
-        jet = jet3(rmap, (0.0, 0.0), fd_scale)
+        fd_scale = st["fd_scale"] or 1e-3 * orb.section.half_width
+        jet = jet3(rmap, (0.0, 0.0), fd_scale=fd_scale)
         td = birkhoff_beta(jet)
-        radii = st.get("radii", [0.004, 0.008, 0.012, 0.016, 0.02])
-        fit = twist_by_rotation_number(rmap, radii, n_iter=int(st.get("n_iter", 300)))
+        fit = twist_by_rotation_number(rmap, st["radii"], n_iter=st["n_iter"])
         rel = abs(td.beta - fit.beta) / max(abs(fit.beta), 1e-300)
         results.append({
             "period": orb.period,
@@ -436,29 +449,27 @@ def _stage_twist(sc, st, ctx):
 
 def _stage_franks(sc, st, ctx):
     orbits = ctx["orbits"]
-    idx = st.get("orbit_index")
+    idx = st["orbit_index"]
     if idx is None:  # the first hyperbolic orbit, else the first orbit
         idx = next((i for i, o in enumerate(orbits)
                     if o.floquet_class == "hyperbolic"), 0)
     orb = _orbit_at(orbits, idx)
     split = segment_split(orb, sc.surface, sc.field, sc.c,
-                          eps0=float(st.get("eps0", 0.02)), options=sc.options)
-    n_seg = min(int(st.get("segments", 2)), split.n)
+                          eps0=st["eps0"], options=sc.options)
+    n_seg = min(st["segments"], split.n)
     constants = []
     kits = []
     for i in range(n_seg):
         kit = FranksKit(split.tube(i))
-        consts = compute_constants(kit, eps_c1=float(st.get("eps_c1", 0.1)))
+        consts = compute_constants(kit, eps_c1=st["eps_c1"])
         constants.append(consts.ledger())
         kits.append((kit, consts))
     kit, consts = kits[0]
-    cota = verify_cota(kit, consts, sample_count=int(st.get("cota_samples", 20)),
+    cota = verify_cota(kit, consts, sample_count=st["cota_samples"],
                        seed=sc.random_seed)
-    surj = verify_ball_surjectivity(kit, consts,
-                                    n_targets=int(st.get("targets", 8)),
+    surj = verify_ball_surjectivity(kit, consts, n_targets=st["targets"],
                                     mode="sphere")
-    fwd = verify_ball_surjectivity(kit, consts,
-                                   n_targets=min(4, int(st.get("targets", 8))),
+    fwd = verify_ball_surjectivity(kit, consts, n_targets=min(4, st["targets"]),
                                    mode="forward", seed=sc.random_seed)
     prod_defect = float(np.abs(split.product() - orb.monodromy).max())
     return {
@@ -474,9 +485,9 @@ def _stage_franks(sc, st, ctx):
 
 
 def _entropy_oracle(sc, st, ctx):
-    if st.get("map") is not None:
-        return _build_map(st["map"]), None
-    orb = _orbit_at(ctx["orbits"], st.get("orbit_index", 0))
+    if st["map"] is not None:
+        return st["map"], None
+    orb = _orbit_at(ctx["orbits"], st["orbit_index"] or 0)
     if orb.floquet_class != "hyperbolic":
         raise MaglabError("entropy from flow needs a hyperbolic orbit")
     rmap = SectionReturnMap(orb.section, options=sc.options)
@@ -485,10 +496,6 @@ def _entropy_oracle(sc, st, ctx):
 
 def _stage_entropy(sc, st, ctx):
     oracle, orb = _entropy_oracle(sc, st, ctx)
-    arclength = float(st.get("arclength", 2.5))
-    tol = float(st.get("tol", 1e-4))
-    angle_tol = float(st.get("angle_tol", 1e-3))
-    k_max = int(st.get("k_max", 20))
     if isinstance(oracle, HorseshoeMap):
         from .chaos import Rectangle
 
@@ -499,15 +506,15 @@ def _stage_entropy(sc, st, ctx):
         return {"stage": "entropy", **rep.as_dict(), "manifold_points": []}
     if orb is not None:
         # the closed orbit is the section map's fixed point at the origin
-        fps = st.get("fixed_points", [[0.0, 0.0], [0.0, 0.0]])
-        signs = st.get("branch_signs", [1, -1])
+        fps = st["fixed_points"] or [[0.0, 0.0], [0.0, 0.0]]
+        signs = st["branch_signs"] or [1, -1]
     else:
-        fps = st.get("fixed_points", [[0.0, 0.0], [1.0, 0.0]])
-        signs = st.get("branch_signs", [1, 1])
-    wu = grow_manifold(oracle, fps[0], "unstable", signs[0], arclength, tol=tol)
-    ws = grow_manifold(oracle, fps[-1], "stable", signs[-1], arclength, tol=tol)
+        fps = st["fixed_points"] or [[0.0, 0.0], [1.0, 0.0]]
+        signs = st["branch_signs"] or [1, 1]
+    wu = grow_manifold(oracle, fps[0], "unstable", signs[0], st["arclength"], tol=st["tol"])
+    ws = grow_manifold(oracle, fps[-1], "stable", signs[-1], st["arclength"], tol=st["tol"])
     hits = detect_homoclinic(ws, wu)
-    trans = [h for h in hits if h.angle >= angle_tol]
+    trans = [h for h in hits if h.angle >= st["angle_tol"]]
     rows = []
     for br, side in ((ws, "stable"), (wu, "unstable")):
         lens = np.concatenate([[0.0], np.cumsum(
@@ -522,7 +529,7 @@ def _stage_entropy(sc, st, ctx):
     T_ret = 1.0
     if orb is not None:
         T_ret = orb.period
-    rep = certify_horseshoe(oracle, best, k_range=range(1, k_max + 1),
+    rep = certify_horseshoe(oracle, best, k_range=range(1, st["k_max"] + 1),
                             T_ret=T_ret, fixed_point=fps[0])
     out = rep.as_dict()
     out["intersections"] = [{"point": list(h.point), "angle": h.angle}
@@ -531,49 +538,43 @@ def _stage_entropy(sc, st, ctx):
 
 
 def _stage_critical_value(sc, st, ctx):
-    eta = _build_eta(st.get("eta", {"kind": "constant", "a": [0.0, 0.0]}))
-    lag = LagrangianSpec(sc.surface, eta)
     br = estimate_critical_value(
-        lag,
-        k_range=tuple(st.get("k_range", (-0.25, 1.0))),
-        bisection_tol=float(st.get("bisection_tol", 1e-4)),
-        seed=sc.random_seed,
-        restarts=int(st.get("restarts", 12)),
-        maxiter=int(st.get("maxiter", 200)),
-        modes=int(st.get("modes", 8)),
-    )
+        LagrangianSpec(sc.surface, st["eta"]), k_range=st["k_range"],
+        bisection_tol=st["bisection_tol"], seed=sc.random_seed,
+        restarts=st["restarts"], maxiter=st["maxiter"], modes=st["modes"])
     return {"stage": "critical-value", **br.as_dict()}
 
 
-_STAGES = {
-    "simulate": _stage_simulate,
-    "orbits": _stage_orbits,
-    "classify": _stage_classify,
-    "twist": _stage_twist,
-    "franks-verify": _stage_franks,
-    "entropy": _stage_entropy,
-    "critical-value": _stage_critical_value,
+# a stage kind: its function, report file, prerequisite kinds and keys with
+# their defaults (None: the stage picks the value from the scenario or orbits)
+_Stage = namedtuple("_Stage", "run report needs keys")
+
+STAGE_TABLE = {
+    "simulate": _Stage(_stage_simulate, "simulate.json", (), {
+        "t_final": 1.0, "n_samples": 400, "variational": True, "seeds": None}),
+    "orbits": _Stage(_stage_orbits, "orbits.json", (), {
+        "tol": 1e-10, "max_time": 50.0, "half_width": 0.2, "class_tol": 1e-6}),
+    "classify": _Stage(_stage_classify, "classify.json", ("orbits",), {
+        "rotation_vectors": None}),
+    "twist": _Stage(_stage_twist, "twist.json", ("orbits",), {
+        "orbit_index": None, "fd_scale": None,
+        "radii": (0.004, 0.008, 0.012, 0.016, 0.02), "n_iter": 300}),
+    "franks-verify": _Stage(_stage_franks, "franks.json", ("orbits",), {
+        "orbit_index": None, "eps0": 0.02, "eps_c1": 0.1, "cota_samples": 20,
+        "targets": 8, "segments": 2}),
+    # with a map, the stage needs no orbits stage (checked at load)
+    "entropy": _Stage(_stage_entropy, "entropy.json", ("orbits",), {
+        "map": None, "orbit_index": None, "arclength": 2.5, "tol": 1e-4,
+        "angle_tol": 1e-3, "k_max": 20, "fixed_points": None,
+        "branch_signs": None}),
+    "critical-value": _Stage(_stage_critical_value, "critical_value.json", (), {
+        "eta": {"kind": "constant", "a": (0.0, 0.0)}, "k_range": (-0.25, 1.0),
+        "bisection_tol": 1e-4, "restarts": 12, "maxiter": 200, "modes": 8}),
 }
 
-_STAGE_DEPS = {
-    "simulate": (),
-    "orbits": (),
-    "classify": ("orbits",),
-    "twist": ("orbits",),
-    "franks-verify": ("orbits",),
-    "entropy": ("orbits",),
-    "critical-value": (),
-}
-
-_STAGE_FILES = {
-    "simulate": "simulate.json",
-    "orbits": "orbits.json",
-    "classify": "classify.json",
-    "twist": "twist.json",
-    "franks-verify": "franks.json",
-    "entropy": "entropy.json",
-    "critical-value": "critical_value.json",
-}
+# kind -> stage function: run_scenario calls through this dict, so a tracer
+# can wrap its entries
+_STAGES = {kind: stage.run for kind, stage in STAGE_TABLE.items()}
 
 
 def _json_ready(obj):
@@ -603,7 +604,7 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
     out = out_dir or scenario.out_dir
     stages = scenario.pipeline
     if only_stage is not None:
-        deps = set(_STAGE_DEPS[only_stage])
+        deps = set(STAGE_TABLE[only_stage].needs)
         stages = [st for st in scenario.pipeline
                   if st["stage"] == only_stage or st["stage"] in deps]
         if not any(st["stage"] == only_stage for st in stages):
@@ -633,7 +634,7 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
 
 def _write_stage(out, kind, rep):
     clean = _json_ready(rep)
-    path = os.path.join(out, _STAGE_FILES[kind])
+    path = os.path.join(out, STAGE_TABLE[kind].report)
     with open(path, "w") as fh:
         json.dump(clean, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from maglab.cli import main
+from maglab.cli import build_parser, main
 from maglab.errors import ConfigError
-from maglab.scenarios import Scenario, emit_plotdata, load_scenario, run_scenario
+from maglab.scenarios import (STAGE_TABLE, Scenario, emit_plotdata, load_scenario,
+                              run_scenario)
 
 
 def scenario_path(name):
@@ -217,6 +218,19 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     {"surface": {"kind": "sphere"},
      "pipeline": [{"stage": "orbits"},
                   {"stage": "classify", "rotation_vectors": True}]},
+    {"pipeline": [{"stage": "simulate", "seeds": [0, 0]}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "twist", "orbit_index": None}]},
+    {"pipeline": [{"stage": "orbits"}, {"stage": "entropy", "map": None}]},
+    {"pipeline": [{"stage": "orbits"},
+                  {"stage": "entropy", "map": {"kind": "standard"},
+                   "orbit_index": 0}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "horseshoe"},
+                   "orbit_index": 3, "arclength": 9.0, "k_max": 7}]},
+    *({"pipeline": [{"stage": "entropy", "map": {"kind": "horseshoe"}, key: value}]}
+      for key, value in (("arclength", 2.5), ("tol", 1e-4), ("angle_tol", 1e-3),
+                         ("k_max", 20), ("fixed_points", [[0.0, 0.0], [1.0, 0.0]]),
+                         ("branch_signs", [1, 1]))),
 ], ids=["seeds_past_end", "seeds_string", "seeds_not_list", "seeds_negative",
         "variational_string", "rotation_vectors_string", "k_range_short",
         "radii_not_list", "fixed_point_short", "branch_sign_two",
@@ -230,7 +244,10 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
         "max_time_negative", "tol_negative", "half_width_negative",
         "arclength_zero", "angle_tol_negative", "cota_samples_zero",
         "targets_negative", "targets_zero", "targets_twelve",
-        "rotation_vectors_off_torus"])
+        "rotation_vectors_off_torus", "seeds_repeated", "orbit_index_null",
+        "entropy_map_null", "map_with_orbit_index", "horseshoe_with_three_keys",
+        "horseshoe_arclength", "horseshoe_tol", "horseshoe_angle_tol",
+        "horseshoe_k_max", "horseshoe_fixed_points", "horseshoe_branch_signs"])
 def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
     if "franks-verify" in changes:  # a change to the franks_verify.json stage
         path = _franks_config(tmp_path, **changes["franks-verify"])
@@ -378,6 +395,57 @@ def test_determinism_byte_identical(tmp_path):
         fa = (tmp_path / "a" / name).read_bytes()
         fb = (tmp_path / "b" / name).read_bytes()
         assert fa == fb, name
+
+
+def test_subcommands_are_the_stage_kinds_plus_run():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == [*STAGE_TABLE, "run"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(scenario_path(""))
+                                  if n.endswith(".json")))
+def test_pipeline_entries_carry_every_declared_key(name):
+    for st in load_scenario(scenario_path(name)).pipeline:
+        assert set(st) == {"stage", *STAGE_TABLE[st["stage"]].keys}
+
+
+# per stage kind: (bundled scenario, pipeline whose last stage is that kind,
+# integrator settings); the loose tolerances keep the default twist fit short
+_DEFAULTS_CASES = {
+    "simulate": ("torus_geodesic.json", [{"stage": "simulate"}], None),
+    "orbits": ("torus_hyperbolic.json", [{"stage": "orbits"}], None),
+    "classify": ("torus_hyperbolic.json",
+                 [{"stage": "orbits"}, {"stage": "classify"}], None),
+    "twist": ("torus_hyperbolic.json", [{"stage": "orbits"}, {"stage": "twist"}],
+              {"rel_tol": 1e-8, "abs_tol": 1e-10}),
+    "franks-verify": ("franks_verify.json",
+                      [{"stage": "orbits"}, {"stage": "franks-verify"}], None),
+    "entropy": ("standard_map_entropy.json",
+                [{"stage": "entropy", "map": {"kind": "standard"}}], None),
+    "critical-value": ("critical_value.json", [{"stage": "critical-value"}], None),
+}
+
+
+@pytest.mark.parametrize("kind", list(STAGE_TABLE))
+def test_spelled_out_defaults_write_the_same_reports(tmp_path, kind):
+    """A stage that spells out every declared default other than None writes
+    the bytes of one that leaves them out."""
+    name, pipeline, integrator = _DEFAULTS_CASES[kind]
+    cfg = json.loads(open(scenario_path(name)).read())
+    if integrator is not None:
+        cfg["integrator"] = integrator
+    outs = []
+    for spelled in (False, True):
+        cfg["pipeline"] = [dict(st) for st in pipeline]
+        if spelled:
+            cfg["pipeline"][-1].update(
+                {k: v for k, v in STAGE_TABLE[kind].keys.items() if v is not None})
+        out = tmp_path / f"spelled_{spelled}"
+        code, _ = run_scenario(Scenario(json.loads(json.dumps(cfg))), out_dir=str(out))
+        assert code == 0
+        outs.append({f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+    assert outs[0] == outs[1]
+    assert STAGE_TABLE[kind].report in outs[0]
 
 
 def test_single_stage_subcommand(tmp_path):

@@ -226,3 +226,34 @@ def test_generated_step_shows_in_tracebacks():
               if f.filename == "<maglab dp54 step n=3>"]
     assert len(frames) == 1
     assert frames[0].line == "k2 = rhs(t + 0.2 * h, (s0, s1, s2))"
+
+
+@pytest.mark.parametrize("case", ["computed_first_step", "given_first_step",
+                                  "observer_stop", "rejected_steps"])
+def test_n_fev_counts_every_rhs_call(case):
+    """n_fev is the number of RHS calls, and each call feeds a step: one k1
+    at the start, one for the initial-step estimate when integrate computes
+    the first step, six per trial step and one k1 per accepted step that
+    another step follows."""
+    calls = []
+    osc = linear_rhs([[0.0, 1.0], [-1.0, 0.0]])
+
+    def rhs(t, y):
+        calls.append(t)
+        return osc(t, y)
+
+    kwargs = {"first_step": 0.05}
+    if case == "computed_first_step":
+        kwargs = {}
+    elif case == "observer_stop":
+        kwargs["observer"] = lambda step: step.t1 < 0.3
+    elif case == "rejected_steps":
+        kwargs["first_step"] = 1.0  # far above what rtol 1e-10 accepts
+    sol = integrate(rhs, 0.0, (1.0, 0.0), 2.0, **kwargs)
+    assert sol.n_fev == len(calls)
+    assert sol.status == ("stopped" if case == "observer_stop" else "finished")
+    if case == "rejected_steps":
+        assert sol.n_rejected > 0
+    computed = "first_step" not in kwargs
+    assert len(calls) == (1 + computed + 6 * (sol.n_accepted + sol.n_rejected)
+                          + sol.n_accepted - 1)

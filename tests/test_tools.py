@@ -1,3 +1,4 @@
+import glob
 import importlib.util
 import json
 import os
@@ -43,6 +44,38 @@ def test_compare_lists_the_first_differing_paths(tmp_path):
     assert detail[1] == "    $.v[0]: 0 -> 1"
     assert len(detail) == 2 + mod.SHOWN_PATHS
     assert detail[-1] == f"    ... {8 - mod.SHOWN_PATHS} more path(s)"
+
+
+def test_cases_run_each_bundled_stage_through_its_subcommand():
+    mod = _diff_reports()
+    src = os.path.join(ROOT, "src")
+    cases = mod.cases(src)
+    names = [name for name, _, _ in cases]
+    assert len(set(names)) == len(names)
+    bundled = sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json")))
+    want = []
+    for path in bundled:
+        name = os.path.basename(path)[:-5]
+        with open(path) as fh:
+            cfg = json.load(fh)
+        want.append((name, "run", cfg))
+        want += [(f"{name}.{st['stage']}", st["stage"], cfg) for st in cfg["pipeline"]]
+    assert cases[:len(want)] == want
+    # the benchmark workloads run whole pipelines only
+    assert {command for _, command, _ in cases[len(want):]} == {"run"}
+    assert len(cases) - len(want) == len(mod.SEEDS) * sum(
+        len(make(1)) for make, _ in mod._workloads().values())
+
+
+def test_run_case_runs_the_given_subcommand(tmp_path):
+    mod = _diff_reports()
+    with open(os.path.join(ROOT, "src", "maglab", "scenarios",
+                           "torus_geodesic.json")) as fh:
+        cfg = json.load(fh)
+    code, out, err = mod.run_case(os.path.join(ROOT, "src"), "orbits", cfg,
+                                  str(tmp_path / "w"))
+    assert (code, out, err) == (0, b"", b"")
+    assert os.listdir(tmp_path / "w" / "out") == ["orbits.json"]
 
 
 def test_src_stats_counts_lines_and_defaulted_parameters(tmp_path, capsys):

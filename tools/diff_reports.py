@@ -4,12 +4,15 @@
 
 BASE_SRC and CHANGE_SRC are source trees: a repository root (holding
 src/maglab) or its src directory.  Each tree runs
-`python -m maglab.cli run --config config.json --out out` on
+`python -m maglab.cli COMMAND --config config.json --out out` on
 
-* the nine bundled scenarios (src/maglab/scenarios/*.json of that tree), and
+* the nine bundled scenarios (src/maglab/scenarios/*.json of that tree),
+  each with COMMAND `run` and then, as run NAME.KIND, with the single-stage
+  subcommand of every stage KIND in its pipeline (which runs the stage's
+  prerequisites silently and writes only that stage's reports), and
 * the configs of the four benchmark workloads at seeds 1-3, generated by
   perfbench/workloads.py of the repository this script sits in (imported,
-  never edited).
+  never edited), with COMMAND `run`.
 
 Every run gets a fresh directory with the same relative paths on both sides,
 so a message naming a path reads the same.  The script compares the report
@@ -58,27 +61,33 @@ def _workloads():
 
 
 def cases(src):
-    """(name, config dict) of every run, bundled scenarios first."""
+    """(name, maglab subcommand, config dict) of every run, bundled
+    scenarios first, each followed by its single-stage runs."""
     out = []
     for path in sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json"))):
+        name = os.path.basename(path)[:-5]
         with open(path) as fh:
-            out.append((os.path.basename(path)[:-5], json.load(fh)))
+            cfg = json.load(fh)
+        out.append((name, "run", cfg))
+        out.extend((f"{name}.{st['stage']}", st["stage"], cfg)
+                   for st in cfg["pipeline"])
     for name, (make, _) in sorted(_workloads().items()):
         for seed in SEEDS:
             for i, cfg in enumerate(make(seed)):
-                out.append((f"{name}_s{seed}_{i}", cfg))
+                out.append((f"{name}_s{seed}_{i}", "run", cfg))
     return out
 
 
-def run_case(src, cfg, workdir):
-    """Run one config in workdir; returns (exit code, stdout, stderr)."""
+def run_case(src, command, cfg, workdir):
+    """Run one config through a maglab subcommand in workdir; returns
+    (exit code, stdout, stderr)."""
     os.makedirs(workdir)
     with open(os.path.join(workdir, "config.json"), "w") as fh:
         json.dump(cfg, fh)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("MAGLAB_LOG", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "maglab.cli", "run", "--config", "config.json",
+        [sys.executable, "-m", "maglab.cli", command, "--config", "config.json",
          "--out", "out"],
         cwd=workdir, env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
@@ -131,8 +140,8 @@ def main(argv=None):
     parser.add_argument("change")
     args = parser.parse_args(argv)
     srcs = {"base": source_dir(args.base), "change": source_dir(args.change)}
-    names = [n for n, _ in cases(srcs["base"])]
-    if names != [n for n, _ in cases(srcs["change"])]:
+    names = [n for n, _, _ in cases(srcs["base"])]
+    if names != [n for n, _, _ in cases(srcs["change"])]:
         print("the two trees bundle different scenarios")
         return 1
     failed = 0
@@ -140,9 +149,9 @@ def main(argv=None):
             concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         futures = {}
         for side, src in srcs.items():
-            for name, cfg in cases(src):
+            for name, command, cfg in cases(src):
                 futures[(name, side)] = pool.submit(
-                    run_case, src, cfg, os.path.join(tmp, side, name))
+                    run_case, src, command, cfg, os.path.join(tmp, side, name))
         for name in names:
             base = futures[(name, "base")].result()
             change = futures[(name, "change")].result()
