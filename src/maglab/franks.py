@@ -27,8 +27,10 @@ injectivity window, this module builds:
 Responses are integrated with one deterministic fixed-step RK4 routine
 across the (narrow) support window of the profiles, composed with cached
 base propagators outside it, so S is a smooth function of (a, b, c)
-evaluated consistently down to machine precision.  `set_window` samples
-the base K_mag once on the RK4 stage grid.  The base orbit, its fundamental
+evaluated consistently down to machine precision.  The RK4 steps are
+linear, and the window is their transfer matrices' ordered product, taken
+pairwise over arrays.  `set_window` samples the base K_mag once on the
+RK4 stage grid.  The base orbit, its fundamental
 matrix, K_mag, the profiles, beta_A and its first variation are read over
 whole arrays of times, never one Python call per time: each response calls
 its coefficient callback once, with the window's stage times and the base
@@ -46,7 +48,6 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
-from itertools import repeat
 
 import numpy as np
 
@@ -248,34 +249,45 @@ class TubularChart:
         100 x 20 (t, u) grid: distinct parameter pairs whose images nearly
         coincide flag an overlap (wrap collisions on the torus included).
         The points are psi's, formed from the 100 core states by
-        broadcasting.  Both distance matrices are symmetric (np.round is
-        odd), so each block of 100 rows is compared only with the columns
-        from its first row on.
+        broadcasting; a tubular distance is sqrt(et^2 + eu^2) from the
+        squared differences of the scaled times and of the u values, each
+        formed once.  Both distance matrices are symmetric (np.round is
+        odd), so each t-row of samples is compared only with the t-rows from
+        its own on (one row at a time: larger blocks run slower, out of
+        cache).
         """
         nt, nu = 100, 20
         ts = np.linspace(0.0, self.T, nt)
         us = np.linspace(-0.999 * self.eps0, 0.999 * self.eps0, nu)
         x, y, vx, vy = self._core_state(ts)
-        px = (x[:, None] + us * -vy[:, None]).ravel()
-        py = (y[:, None] + us * vx[:, None]).ravel()
+        px = x[:, None] + us * -vy[:, None]  # (t, u)
+        py = y[:, None] + us * vx[:, None]
         speed = math.sqrt(2.0 * self.c)
-        tx = np.repeat(ts * speed, nu)
-        ty = np.tile(us, nt)
+        et = ts * speed
+        et = et[:, None] - et[None, :]
+        eu = us[:, None] - us[None, :]
+        et2, eu2 = et * et, eu * eu
         grid_h = max(self.T * speed / (nt - 1), 2.0 * self.eps0 / (nu - 1))
+        torus = self.surface.kind == "torus"
         ratio = math.inf
-        for i in range(0, len(px), 100):
-            dx = px[i:i + 100, None] - px[None, i:]
-            dy = py[i:i + 100, None] - py[None, i:]
-            if self.surface.kind == "torus":
-                dx = dx - np.round(dx)
-                dy = dy - np.round(dy)
-            dist = np.sqrt(dx * dx + dy * dy)
-            ex = tx[i:i + 100, None] - tx[None, i:]
-            ey = ty[i:i + 100, None] - ty[None, i:]
-            tub_dist = np.sqrt(ex * ex + ey * ey)
+        for i in range(nt):
+            # axes: the row's u, then the columns' t and u
+            tub_dist = np.sqrt(et2[i, None, i:, None] + eu2[:, None, :])
             mask = tub_dist > 4.0 * grid_h
-            if mask.any():
-                ratio = min(ratio, float((dist[mask] / tub_dist[mask]).min()))
+            if not mask.any():
+                continue
+            dx = px[i, :, None, None] - px[None, i:]
+            dy = py[i, :, None, None] - py[None, i:]
+            if torus:
+                dx -= np.round(dx)
+                dy -= np.round(dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            dist = np.sqrt(dx, out=dx)
+            dy.fill(math.inf)
+            np.divide(dist, tub_dist, out=dy, where=mask)
+            ratio = min(ratio, float(dy.min()))
         return {"injective": ratio > 0.3, "min_ratio": ratio}
 
 
@@ -467,6 +479,107 @@ class PerturbA:
         return PerturbA(v[0] / n, v[1] / n, v[2] / n)
 
 
+# -- window propagation -----------------------------------------------------------
+#
+# One RK4 step of X' = [[0, 1], [-K, 0]] X maps X to P_n X; with the first
+# variation Y' = [[0, 1], [-K, 0]] Y + [[0, 0], [b, 0]] X it maps (X, Y) to
+# (P_n X, Q_n X + P_n Y).  The factors are kept in the near-identity form
+# E_n = P_n - I, whose entries are O(h): a product of the P_n themselves
+# rounds each factor to the bits of I and loses about 4e-13 relative over
+# the window, which the finite-difference check of Z at step 1e-12 sees.
+
+
+def _step_factors(h, k, b):
+    """(E, Q): E_n = P_n - I and Q_n for each step, as (2, 2, n) arrays; Q
+    is None when b is None.
+
+    The RK4 stage formulas applied to X = I, Y = 0, written out with the
+    identity's zeros and ones in place.  k and b hold each step's values at
+    its three stage times, as in `FranksKit._rk4`.  At stage s,
+    (a_s, b_s; c_s, d_s) is X' and (m_sa, m_sb) the first row of the stage
+    state; (n_sa, n_sb; n_sc, n_sd) is Y's stage state and (e_sc, e_sd) the
+    second row of Y'.
+    """
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    k0, k1, k2 = k[0::3], k[1::3], k[2::3]
+    # first column: m2a = 1, a_1 = 0
+    c1 = -k0
+    a2 = h2 * c1
+    c2 = -k1
+    a3 = h2 * c2
+    m3a = 1.0 + h2 * a2
+    c3 = -k1 * m3a
+    a4 = h * c3
+    m4a = 1.0 + h * a3
+    c4 = -k2 * m4a
+    # second column: d1 = 0, b_1 = b2 = 1, m2b = m3b = h2, so d3 = d2,
+    # b3 = 1 + h2 d2 and b4 = 1 + h d2
+    d2 = -k1 * h2
+    m4b = h * (1.0 + h2 * d2)
+    d4 = -k2 * m4b
+    E = np.empty((2, 2, len(k0)))
+    E[0, 0] = h6 * (2.0 * (a2 + a3) + a4)
+    E[0, 1] = h + h6 * (2.0 * h2 * d2 + h * d2)  # the six ones give h
+    E[1, 0] = h6 * (c1 + 2.0 * (c2 + c3) + c4)
+    E[1, 1] = h6 * (4.0 * d2 + d4)
+    if b is None:
+        return E, None
+    q0, q1, q2 = b[0::3], b[1::3], b[2::3]
+    # first column: e1c = q0, n2a = 0, e2c = q1
+    n2c = h2 * q0
+    n3a = h2 * n2c
+    n3c = h2 * q1
+    e3c = q1 * m3a - k1 * n3a
+    n4a = h * n3c
+    n4c = h * e3c
+    e4c = q2 * m4a - k2 * n4a
+    # second column: e1d = n2b = n2d = n3b = 0, e3d = e2d
+    e2d = q1 * h2
+    n3d = h2 * e2d
+    n4b = h * n3d
+    n4d = h * e2d
+    e4d = q2 * m4b - k2 * n4b
+    Q = np.empty((2, 2, len(k0)))
+    Q[0, 0] = h6 * (2.0 * (n2c + n3c) + n4c)
+    Q[0, 1] = h6 * (2.0 * n3d + n4d)
+    Q[1, 0] = h6 * (q0 + 2.0 * (q1 + e3c) + e4c)
+    Q[1, 1] = h6 * (4.0 * e2d + e4d)
+    return E, Q
+
+
+def _matmul2(B, A):
+    """B_i A_i for stacks of 2x2 matrices of shape (2, 2, m), each entry a
+    two-term sum in a fixed order (no BLAS, so the bits do not depend on
+    the machine)."""
+    return B[:, 0, None] * A[None, 0] + B[:, 1, None] * A[None, 1]
+
+
+def _window_product(E, Q):
+    """(E, Q) of the whole window from the steps' (E_n, Q_n), as 2x2 arrays.
+
+    Adjacent factors a (earlier) and b multiply pairwise, level by level:
+    E_ab = (E_a + E_b) + E_b E_a and Q_ab = (Q_a + Q_b) + (Q_b E_a + E_b
+    Q_a), the lower block of [[I + E_b, 0], [Q_b, I + E_b]] [[I + E_a, 0],
+    [Q_a, I + E_a]].  An odd count carries its last factor to the next
+    level.
+    """
+    while E.shape[-1] > 1:
+        m = E.shape[-1]
+        Ea, Eb = E[..., 0:m - 1:2], E[..., 1::2]
+        E_next = (Ea + Eb) + _matmul2(Eb, Ea)
+        if Q is not None:
+            Qa, Qb = Q[..., 0:m - 1:2], Q[..., 1::2]
+            Q_next = (Qa + Qb) + (_matmul2(Qb, Ea) + _matmul2(Eb, Qa))
+            if m % 2:
+                Q_next = np.concatenate((Q_next, Q[..., -1:]), axis=-1)
+            Q = Q_next
+        if m % 2:
+            E_next = np.concatenate((E_next, E[..., -1:]), axis=-1)
+        E = E_next
+    return E[..., 0], None if Q is None else Q[..., 0]
+
+
 # -- the kit ----------------------------------------------------------------------
 
 
@@ -505,27 +618,21 @@ class FranksKit:
     def set_window(self, t_a, t_b):
         """Fix the support window and sample the base K_mag for responses.
 
-        The RK4 steps use K_mag on the uniform half-step grid (`k`); the
-        coefficient callbacks get K_mag at the stage times t0, t0 + h/2,
-        t0 + h of each step (`stage_t`, `stage_k`, float64 arrays of length
-        3n).
+        Step i of the n RK4 steps has its stage times t0, t0 + h/2, t0 + h at
+        the points 2i, 2i + 1, 2i + 2 of the uniform half-step grid
+        (`stage_t`, a float64 array of length 3n), and K_mag there (`k`, the
+        same layout): one K_mag lookup of the 2n + 1 grid points serves the
+        steps and the coefficient callbacks.
         """
         t_a = max(0.0, t_a)
         t_b = min(self.T, t_b)
         n = self.n_window_steps
-        h = (t_b - t_a) / n
         ts = np.linspace(t_a, t_b, 2 * n + 1)
-        kgrid = self.kmag_base(ts)
-        # step i reads the grid points 2i, 2i + 1 and 2i + 2
-        k = np.column_stack((kgrid[0:-1:2], kgrid[1::2], kgrid[2::2]))
-        # each step's first stage time is a grid point; the other two are
-        # t0 + h/2 and t0 + h, which differ from the grid in the last bits
-        t0 = ts[:-1:2]
-        stage_t = np.column_stack((t0, t0 + 0.5 * h, t0 + h))
-        stage_k = np.column_stack((k[:, 0], self.kmag_base(stage_t[:, 1:])))
+        stages = (2 * np.arange(n)[:, None] + np.arange(3)).ravel()
+        k = self.kmag_base(ts)[stages]
+        k.flags.writeable = False  # the callbacks get it as their km
         self._window = {
-            "h": h, "k": k.ravel().tolist(), "stage_t": stage_t.ravel(),
-            "stage_k": stage_k.ravel(),
+            "h": (t_b - t_a) / n, "k": k, "stage_t": ts[stages],
             "X_a": self.base_matrix(t_a),
             "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
         }
@@ -538,55 +645,19 @@ class FranksKit:
     def _rk4(self, k, b=None):
         """Fixed-step RK4 across the window for X' = [[0, 1], [-K, 0]] X.
 
-        k holds K at the three stage times of each step.  Given b (same
-        layout), also integrates Y' = [[0, 1], [-K, 0]] Y + [[0, 0], [b, 0]] X
-        from Y = 0 and returns X_after Y(t_b); otherwise X_after X(t_b).
+        k holds K at the three stage times of each step (a float64 array of
+        length 3n).  Given b (same layout), also integrates Y' = [[0, 1],
+        [-K, 0]] Y + [[0, 0], [b, 0]] X from Y = 0 and returns X_after
+        Y(t_b); otherwise X_after X(t_b).  The steps are linear, so the
+        window is the ordered product of their matrices (`_step_factors`,
+        `_window_product`) applied to X(t_a).
         """
         w = self._require_window()
-        h = w["h"]
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        x11, x12, x21, x22 = w["X_a"].ravel().tolist()
-        y11 = y12 = y21 = y22 = 0.0
-        bs = zip(b[0::3], b[1::3], b[2::3]) if b is not None else repeat(None)
-        for k0, k1, k2, bb in zip(k[0::3], k[1::3], k[2::3], bs):
-            # (a_s, b_s; c_s, d_s) is X' at stage s, m_s the first row of the
-            # stage state; X's first row has derivative (a_1, b_1) = (x21, x22)
-            c1, d1 = -k0 * x11, -k0 * x12
-            a2, b2 = x21 + h2 * c1, x22 + h2 * d1
-            m2a, m2b = x11 + h2 * x21, x12 + h2 * x22
-            c2, d2 = -k1 * m2a, -k1 * m2b
-            a3, b3 = x21 + h2 * c2, x22 + h2 * d2
-            m3a, m3b = x11 + h2 * a2, x12 + h2 * b2
-            c3, d3 = -k1 * m3a, -k1 * m3b
-            a4, b4 = x21 + h * c3, x22 + h * d3
-            m4a, m4b = x11 + h * a3, x12 + h * b3
-            c4, d4 = -k2 * m4a, -k2 * m4b
-            if bb is not None:
-                # Y stages, named alike: n_s is the stage state and
-                # (e_s c, e_s d) the second row of Y' at stage s
-                q0, q1, q2 = bb
-                e1c, e1d = q0 * x11 - k0 * y11, q0 * x12 - k0 * y12
-                n2a, n2b = y11 + h2 * y21, y12 + h2 * y22
-                n2c, n2d = y21 + h2 * e1c, y22 + h2 * e1d
-                e2c, e2d = q1 * m2a - k1 * n2a, q1 * m2b - k1 * n2b
-                n3a, n3b = y11 + h2 * n2c, y12 + h2 * n2d
-                n3c, n3d = y21 + h2 * e2c, y22 + h2 * e2d
-                e3c, e3d = q1 * m3a - k1 * n3a, q1 * m3b - k1 * n3b
-                n4a, n4b = y11 + h * n3c, y12 + h * n3d
-                n4c, n4d = y21 + h * e3c, y22 + h * e3d
-                e4c, e4d = q2 * m4a - k2 * n4a, q2 * m4b - k2 * n4b
-                y11 += h6 * (y21 + 2.0 * (n2c + n3c) + n4c)
-                y12 += h6 * (y22 + 2.0 * (n2d + n3d) + n4d)
-                y21 += h6 * (e1c + 2.0 * (e2c + e3c) + e4c)
-                y22 += h6 * (e1d + 2.0 * (e2d + e3d) + e4d)
-            x11 += h6 * (x21 + 2.0 * (a2 + a3) + a4)
-            x12 += h6 * (x22 + 2.0 * (b2 + b3) + b4)
-            x21 += h6 * (c1 + 2.0 * (c2 + c3) + c4)
-            x22 += h6 * (d1 + 2.0 * (d2 + d3) + d4)
+        E, Q = _window_product(*_step_factors(w["h"], k, b))
+        X_a = w["X_a"]
         if b is not None:
-            return w["X_after"] @ np.array([[y11, y12], [y21, y22]])
-        return w["X_after"] @ np.array([[x11, x12], [x21, x22]])
+            return w["X_after"] @ (Q @ X_a)
+        return w["X_after"] @ (X_a + E @ X_a)
 
     def response(self, shift=None):
         """X(T) of the variational system with K_mag - shift(t, km) in the window.
@@ -601,7 +672,7 @@ class FranksKit:
         w = self._require_window()
         k = w["k"]
         if shift is not None:
-            k = (k - shift(w["stage_t"], w["stage_k"])).tolist()
+            k = k - shift(w["stage_t"], k)
         return self._rk4(k)
 
     def response_derivative(self, bdir):
@@ -611,7 +682,7 @@ class FranksKit:
         response, and returns the direction at those times as an array.
         """
         w = self._require_window()
-        return self._rk4(w["k"], bdir(w["stage_t"], w["stage_k"]).tolist())
+        return self._rk4(w["k"], bdir(w["stage_t"], w["k"]))
 
 
 def build_franks_kit(surface, field, state, T):
@@ -1003,8 +1074,10 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
         dist = float(np.linalg.norm(tgt - S0, "fro"))
         stop = max(1e-3 * dist, floor)
         A = np.zeros(3)
+        S = S0  # S at A = 0
         for step_no in range(30):
-            S = S_of(A)
+            if step_no:
+                S = S_of(A)
             res = (S - tgt).ravel()
             res_norm = np.linalg.norm(res)
             log.debug("surjectivity target %d, iterate %d: residual %.3e "
@@ -1018,7 +1091,8 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
             if n > cap:
                 step *= cap / n
             A = A + step
-        S = S_of(A)
+        else:  # the last step moved A past the last S
+            S = S_of(A)
         resid = float(np.linalg.norm(S - tgt, "fro"))
         a_norm = PerturbA(*A).norm()
         ok = resid <= 1e-6 and a_norm <= consts.delta1

@@ -274,12 +274,12 @@ class Scenario:
             if entry.get("rotation_vectors") and self.surface.kind != "torus":
                 raise ConfigError(f"{where}.rotation_vectors needs the torus, "
                                   f"not a {self.surface.kind} surface")
-            if entry.get("map") is not None:  # an injected map needs no orbits
+            if entry.get("map") is not None:
                 unused = sorted(_MAP_UNUSED[st["map"]["kind"]] & set(st))
                 if unused:
                     raise ConfigError(f"{where} sets {unused}, which an injected "
                                       f"{st['map']['kind']} map leaves unused")
-            elif any(d not in seen for d in stage.needs):
+            if any(d not in seen for d in _needs(entry)):
                 raise ConfigError(f"{where} needs an earlier "
                                   f"{' and '.join(stage.needs)} stage")
             seen.add(kind)
@@ -562,7 +562,7 @@ STAGE_TABLE = {
     "franks-verify": _Stage(_stage_franks, "franks.json", ("orbits",), {
         "orbit_index": None, "eps0": 0.02, "eps_c1": 0.1, "cota_samples": 20,
         "targets": 8, "segments": 2}),
-    # with a map, the stage needs no orbits stage (checked at load)
+    # with a map, the stage needs no orbits stage (`_needs`)
     "entropy": _Stage(_stage_entropy, "entropy.json", ("orbits",), {
         "map": None, "orbit_index": None, "arclength": 2.5, "tol": 1e-4,
         "angle_tol": 1e-3, "k_max": 20, "fixed_points": None,
@@ -571,6 +571,13 @@ STAGE_TABLE = {
         "eta": {"kind": "constant", "a": (0.0, 0.0)}, "k_range": (-0.25, 1.0),
         "bisection_tol": 1e-4, "restarts": 12, "maxiter": 200, "modes": 8}),
 }
+
+
+def _needs(entry):
+    """The stages a pipeline entry needs before it: its kind's, or none for
+    an entry with an injected map, which reads no orbit."""
+    return () if entry.get("map") is not None else STAGE_TABLE[entry["stage"]].needs
+
 
 # kind -> stage function: run_scenario calls through this dict, so a tracer
 # can wrap its entries
@@ -604,11 +611,11 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
     out = out_dir or scenario.out_dir
     stages = scenario.pipeline
     if only_stage is not None:
-        deps = set(STAGE_TABLE[only_stage].needs)
-        stages = [st for st in scenario.pipeline
-                  if st["stage"] == only_stage or st["stage"] in deps]
-        if not any(st["stage"] == only_stage for st in stages):
+        entry = next((st for st in stages if st["stage"] == only_stage), None)
+        if entry is None:
             raise ConfigError(f"pipeline has no {only_stage!r} stage")
+        deps = _needs(entry)
+        stages = [st for st in stages if st is entry or st["stage"] in deps]
     os.makedirs(out, exist_ok=True)
     ctx = {}
     reports = {}

@@ -457,6 +457,21 @@ def test_single_stage_subcommand(tmp_path):
     assert "classify.json" not in files
 
 
+def test_single_stage_with_injected_map_runs_no_orbits(tmp_path):
+    """An entropy entry with a map needs no orbits stage, in a subcommand as
+    at load: the orbits stage before it is not run."""
+    cfg = json.loads(open(scenario_path("torus_hyperbolic.json")).read())
+    cfg["pipeline"] = [{"stage": "orbits"},
+                       {"stage": "entropy", "map": {"kind": "horseshoe"}}]
+    code, reports = run_scenario(Scenario(cfg), only_stage="entropy",
+                                 out_dir=str(tmp_path))
+    assert code == 0
+    assert list(reports) == ["entropy"]
+    files = set(os.listdir(tmp_path))
+    assert "entropy.json" in files
+    assert "orbits.json" not in files
+
+
 def test_emit_plotdata_headers(tmp_path):
     rep = {"samples": [[0.0, 1.0, 2.0, 3.0, 4.0, 0.5]]}
     path = emit_plotdata(rep, "trajectories", str(tmp_path / "t.csv"))

@@ -106,7 +106,8 @@ def _dense_min_ratio(chart, nt=100, nu=20):
     speed = math.sqrt(2.0 * chart.c)
     tub = np.array([[t * speed, u] for t in ts for u in us])
     d = pts[:, None, :] - pts[None, :, :]
-    d = d - np.round(d)  # torus charts
+    if chart.surface.kind == "torus":
+        d = d - np.round(d)
     dist = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
     dt = tub[:, None, :] - tub[None, :, :]
     tub_dist = np.sqrt(np.einsum("ijk,ijk->ij", dt, dt))
@@ -115,12 +116,15 @@ def _dense_min_ratio(chart, nt=100, nu=20):
     return float((dist[mask] / tub_dist[mask]).min())
 
 
-def test_injectivity_report_matches_dense(hyper_setup, torus, zero_field):
+def test_injectivity_report_matches_dense(hyper_setup, torus, zero_field, disk,
+                                          minus_one_field, disk_circle_seed):
     """The blockwise minimum equals the dense one bit for bit."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
     traj = flow(torus, zero_field, st, 0.45)
     wide = TubularChart(torus, zero_field, traj, 0.45, 0.9)
-    for chart, injective in ((hyper_setup[2].chart, True), (wide, False)):
+    ring = build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2, 0.05)
+    for chart, injective in ((hyper_setup[2].chart, True), (wide, False),
+                             (ring, True)):
         rep = chart.injectivity_report()
         assert rep["injective"] is injective
         assert rep["min_ratio"] == _dense_min_ratio(chart)
@@ -325,6 +329,162 @@ def test_callbacks_see_base_kmag_at_stage_times(hyper_setup):
     Z = kit.response_derivative(lambda t, km: np.zeros_like(t))
     assert np.abs(Z).max() == 0.0
 
+
+# -- the window product against the sequential RK4 loop ------------------------
+#
+# FranksKit propagates the window as a pairwise product of the RK4 steps'
+# matrices.  The references below run the same RK4 recurrence step by step:
+# in floats, as the kit once did, and in 40-digit mpmath arithmetic.
+
+
+def _rk4_loop(w, k, b=None):
+    """The window's RK4 recurrence one step at a time, in floats."""
+    h = w["h"]
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    k = k.tolist()
+    q = b.tolist() if b is not None else [0.0] * len(k)
+    x11, x12, x21, x22 = w["X_a"].ravel().tolist()
+    y11 = y12 = y21 = y22 = 0.0
+    for i in range(0, len(k), 3):
+        k0, k1, k2 = k[i:i + 3]
+        q0, q1, q2 = q[i:i + 3]
+        c1, d1 = -k0 * x11, -k0 * x12
+        a2, b2 = x21 + h2 * c1, x22 + h2 * d1
+        m2a, m2b = x11 + h2 * x21, x12 + h2 * x22
+        c2, d2 = -k1 * m2a, -k1 * m2b
+        a3, b3 = x21 + h2 * c2, x22 + h2 * d2
+        m3a, m3b = x11 + h2 * a2, x12 + h2 * b2
+        c3, d3 = -k1 * m3a, -k1 * m3b
+        a4, b4 = x21 + h * c3, x22 + h * d3
+        m4a, m4b = x11 + h * a3, x12 + h * b3
+        c4, d4 = -k2 * m4a, -k2 * m4b
+        e1c, e1d = q0 * x11 - k0 * y11, q0 * x12 - k0 * y12
+        n2a, n2b = y11 + h2 * y21, y12 + h2 * y22
+        n2c, n2d = y21 + h2 * e1c, y22 + h2 * e1d
+        e2c, e2d = q1 * m2a - k1 * n2a, q1 * m2b - k1 * n2b
+        n3a, n3b = y11 + h2 * n2c, y12 + h2 * n2d
+        n3c, n3d = y21 + h2 * e2c, y22 + h2 * e2d
+        e3c, e3d = q1 * m3a - k1 * n3a, q1 * m3b - k1 * n3b
+        n4a, n4b = y11 + h * n3c, y12 + h * n3d
+        n4c, n4d = y21 + h * e3c, y22 + h * e3d
+        e4c, e4d = q2 * m4a - k2 * n4a, q2 * m4b - k2 * n4b
+        y11 += h6 * (y21 + 2.0 * (n2c + n3c) + n4c)
+        y12 += h6 * (y22 + 2.0 * (n2d + n3d) + n4d)
+        y21 += h6 * (e1c + 2.0 * (e2c + e3c) + e4c)
+        y22 += h6 * (e1d + 2.0 * (e2d + e3d) + e4d)
+        x11 += h6 * (x21 + 2.0 * (a2 + a3) + a4)
+        x12 += h6 * (x22 + 2.0 * (b2 + b3) + b4)
+        x21 += h6 * (c1 + 2.0 * (c2 + c3) + c4)
+        x22 += h6 * (d1 + 2.0 * (d2 + d3) + d4)
+    X = np.array([[x11, x12], [x21, x22]])
+    Y = np.array([[y11, y12], [y21, y22]])
+    return w["X_after"] @ (Y if b is not None else X)
+
+
+def _rk4_mp(w, k, b=None, dps=40):
+    """The same recurrence in dps-digit arithmetic from the same float
+    inputs: the result's entries as mpmath numbers, row by row."""
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    f = ctx.mpf
+    h = f(w["h"])
+    h2, h6 = h / 2, h / 6
+    k = [f(v) for v in k.tolist()]
+    q = [f(v) for v in b.tolist()] if b is not None else [f(0)] * len(k)
+
+    def mul(M, N):
+        return [[M[i][0] * N[0][j] + M[i][1] * N[1][j] for j in range(2)]
+                for i in range(2)]
+
+    def axpy(X, s, D):
+        return [[X[i][j] + s * D[i][j] for j in range(2)] for i in range(2)]
+
+    def lin(X, Y, kk, qq):  # (X', Y') at one stage
+        dX = [X[1], [-kk * X[0][0], -kk * X[0][1]]]
+        dY = [Y[1], [qq * X[0][0] - kk * Y[0][0], qq * X[0][1] - kk * Y[0][1]]]
+        return dX, dY
+
+    X = [[f(v) for v in row] for row in w["X_a"].tolist()]
+    Y = [[f(0)] * 2 for _ in range(2)]
+    for i in range(0, len(k), 3):
+        (k0, k1, k2), (q0, q1, q2) = k[i:i + 3], q[i:i + 3]
+        K1, L1 = lin(X, Y, k0, q0)
+        K2, L2 = lin(axpy(X, h2, K1), axpy(Y, h2, L1), k1, q1)
+        K3, L3 = lin(axpy(X, h2, K2), axpy(Y, h2, L2), k1, q1)
+        K4, L4 = lin(axpy(X, h, K3), axpy(Y, h, L3), k2, q2)
+        X = [[X[r][c] + h6 * (K1[r][c] + 2 * (K2[r][c] + K3[r][c]) + K4[r][c])
+              for c in range(2)] for r in range(2)]
+        Y = [[Y[r][c] + h6 * (L1[r][c] + 2 * (L2[r][c] + L3[r][c]) + L4[r][c])
+              for c in range(2)] for r in range(2)]
+    after = [[f(v) for v in row] for row in w["X_after"].tolist()]
+    return mul(after, Y if b is not None else X)
+
+
+def _rel_error(M, ref):
+    """max |M - ref| / max |ref| over the entries, ref in mpmath numbers."""
+    scale = max(abs(v) for row in ref for v in row)
+    return float(max(abs(M[i][j] - ref[i][j]) for i in range(2) for j in range(2))
+                 / scale)
+
+
+def _cut_direction(consts):
+    A = PerturbA(0.6, 0.0, 0.3)
+    n = A.norm()
+    A = PerturbA(A.a / n, A.b / n, A.c / n)
+    return lambda t, km: _del_b(t, A, consts, km)
+
+
+def _kit_with_steps(kit, n):
+    """A copy of kit whose window (the same one) takes n RK4 steps."""
+    out = copy.copy(kit)
+    out.n_window_steps = n
+    t = kit._window["stage_t"]
+    out.set_window(t[0], t[-1])
+    return out
+
+
+def test_window_product_matches_sequential_loop(hyper_setup):
+    _, _, kit, consts = hyper_setup
+    w = kit._window
+    S = kit.response(None)
+    ref = _rk4_loop(w, w["k"])
+    assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the first variation differs at the loop's own rounding level
+    b = _cut_direction(consts)(w["stage_t"], w["k"])
+    Z = kit.response_derivative(_cut_direction(consts))
+    ref = _rk4_loop(w, w["k"], b)
+    assert np.abs(Z - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_window_product_against_40_digit_recurrence(hyper_setup, n):
+    """Against the RK4 recurrence in 40-digit arithmetic, the pairwise
+    product is no less accurate than the sequential float loop, for S and
+    for Z along the cut direction; n = 301 carries an odd factor at several
+    levels."""
+    _, _, kit, consts = hyper_setup
+    kit = _kit_with_steps(kit, n)
+    w = kit._window
+    assert len(w["k"]) == len(w["stage_t"]) == 3 * n
+    bdir = _cut_direction(consts)
+    b = bdir(w["stage_t"], w["k"])
+    for got, b_ in ((kit.response(None), None),
+                    (kit.response_derivative(bdir), b)):
+        ref = _rk4_mp(w, w["k"], b_)
+        err = _rel_error(got, ref)
+        assert err <= _rel_error(_rk4_loop(w, w["k"], b_), ref)
+
+
+def test_odd_window_steps_match_sequential_loop(hyper_setup):
+    _, _, kit, _ = hyper_setup
+    for n in (1, 3, 7, 1025):
+        odd = _kit_with_steps(kit, n)
+        S = odd.response(None)
+        ref = _rk4_loop(odd._window, odd._window["k"])
+        assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert kit.n_window_steps == type(kit).n_window_steps  # the copy's own
 
 # -- array profiles and beta_A against the scalar formulas ---------------------
 #
@@ -596,6 +756,48 @@ def test_surjectivity_forward_recovery(hyper_setup):
     for det in rep.details:
         assert det["A_norm"] <= consts.delta1
         assert det["recovery_error"] <= 0.2 * 0.5 * consts.delta1
+
+
+def test_surjectivity_newton_propagates_no_response_twice(hyper_setup,
+                                                          monkeypatch):
+    """The Newton starts from S0 and ends on its last iterate's S, so no A
+    is propagated twice in a row and A = 0 once; each value it reuses is ==
+    to a fresh response at its A."""
+    import maglab.franks as franks
+
+    _, _, kit, consts = hyper_setup
+
+    def S_of(Avec):
+        A = PerturbA(*Avec)
+        return kit.response(lambda t, km: _beta_A(t, A, consts, km))
+
+    assert np.array_equal(S_of(np.zeros(3)), S_of((0.0, 0.0, 0.0)))
+    seen_A, seen_S = [], []
+    real_beta, real_response = franks._beta_A, kit.response
+
+    def beta(t, A, consts, km):
+        seen_A.append((A.a, A.b, A.c))
+        return real_beta(t, A, consts, km)
+
+    def response(shift=None):
+        seen_S.append(real_response(shift))
+        return seen_S[-1]
+
+    for mode in ("sphere", "forward"):
+        seen_A.clear()
+        seen_S.clear()
+        with monkeypatch.context() as m:
+            m.setattr(franks, "_beta_A", beta)
+            m.setattr(kit, "response", response)
+            rep = verify_ball_surjectivity(kit, consts, n_targets=2, mode=mode,
+                                           seed=5)
+        assert rep.solved == rep.targets == 2
+        assert len(seen_A) == len(seen_S)
+        assert all(a != b for a, b in zip(seen_A, seen_A[1:]))
+        assert seen_A.count((0.0, 0.0, 0.0)) == 1  # S0
+        for Avec, S in zip(seen_A, seen_S):
+            assert np.array_equal(S, S_of(Avec))
+    assert len(seen_A) > 10  # the forward targets take Newton steps
 
 
 # -- segment decomposition -----------------------------------------------------------

@@ -21,8 +21,14 @@ one layer at a time:
 * monitor: one call of the section-crossing monitor;
 * return: one whole `first_return`, in ms.
 
-Last, torus10 is the time per step of a 10-component `flow_with_variation`
+Then torus10 is the time per step of a 10-component `flow_with_variation`
 on the sinusoidal torus (torus_survey's path).
+
+Last, window is the Franks window propagation on franks_verify's kit (the
+bundled config's hyperbolic torus orbit, its first segment's tube and
+constants): one `response` to a perturbation beta_A and one
+`response_derivative` along the first variation of beta_A, with the ns per
+window step over both, and the window's RK4 steps as the work counter.
 
 Every time is the least over N repetitions (default 5), with the garbage
 collector off while timing, as timeit does.  The work counters printed beside
@@ -167,6 +173,7 @@ def measure(reps):
 
     t_torus = best(torus10, reps)
     traj = paths[0]
+    t_resp, t_deriv, n_window = _window_cost(reps)
     return {
         "rhs_us": 1e6 * t_rhs, "rhs_evals": n_rhs,
         "step_us": 1e6 * t_int / acc, "steps": acc, "rejected": rej,
@@ -178,7 +185,34 @@ def measure(reps):
         "return_steps": n_dense, "return_rhs_evals": n_rhs,
         "torus10_us": 1e6 * t_torus / traj.n_accepted,
         "torus10_steps": traj.n_accepted, "torus10_rhs_evals": traj.n_fev,
+        "response_us": 1e6 * t_resp, "derivative_us": 1e6 * t_deriv,
+        "window_ns": 1e9 * (t_resp + t_deriv) / (2 * n_window),
+        "window_steps": n_window,
     }
+
+
+def _window_cost(reps):
+    """(s per response, s per response_derivative, window steps) on
+    franks_verify's kit."""
+    import maglab.franks as franks
+    from maglab.field import MagneticField, SinusoidalTorusField
+    from maglab.geometry import PhasePoint, flat_torus
+    from maglab.orbits import find_closed_orbit
+
+    torus = flat_torus()
+    field = MagneticField(SinusoidalTorusField(1.0, (1, 0)))
+    orb = find_closed_orbit(torus, field, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
+                            tol=1e-10)
+    split = franks.segment_split(orb, torus, field, 0.5, eps0=0.02)
+    kit = franks.FranksKit(split.tube(0))
+    consts = franks.compute_constants(kit)
+    s = 0.5 * consts.delta1
+    A = franks.PerturbA(0.6 * s, 0.0, 0.8 * s)
+    t_resp = best(lambda: kit.response(
+        lambda t, km: franks._beta_A(t, A, consts, km)), reps)
+    t_deriv = best(lambda: kit.response_derivative(
+        lambda t, km: franks._del_b(t, A, consts, km)), reps)
+    return t_resp, t_deriv, kit.n_window_steps
 
 
 def report(m):
@@ -200,6 +234,9 @@ def report(m):
         f"{m['return_rhs_evals']:,} RHS evaluations)",
         f"  torus10      {m['torus10_us']:8.2f} us per step         "
         f"({m['torus10_steps']:,} steps, {m['torus10_rhs_evals']:,} RHS evaluations)",
+        f"  window       {m['response_us']:8.2f} us per response     "
+        f"({m['window_steps']:,} window steps; {m['derivative_us']:.2f} us per "
+        f"derivative, {m['window_ns']:.1f} ns per window step)",
     ]
 
 
