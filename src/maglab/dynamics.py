@@ -21,9 +21,11 @@ The right-hand sides read the chart through two calls, `lam(x, y)` and
 finite-difference oracle.
 
 A trajectory answers one time with `state`/`raw` and an array of times with
-`states`, whose entries are == to the scalar lookups; `VariationalPath` has
-`matrix` and `matrices` alike, and `magnetic_curvature` takes a time or an
-array of times.
+`states`, whose entries are == to the scalar lookups: both pick the segment
+and the step by one rule, `integrate.first_reaching` on cached ends.
+`VariationalPath` has `matrix` and `matrices` alike, and `magnetic_curvature`
+takes a time or an array of times.  Many times are read with one array call
+(`energies`, `max_energy_drift` and `det_defect` too).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ChartDomainError
 from .geometry import PhasePoint, Surface, energy as phase_energy
-from .integrate import clamp, integrate
+from .integrate import clamp, first_reaching, integrate
 
 __all__ = [
     "Trajectory",
@@ -179,19 +181,22 @@ class Trajectory:
         seg = self.segments[-1]
         return self.sign * (seg.t_start + (seg.sol.t_end - seg.sol.t0))
 
-    def _segment_at(self, tau):
-        for seg in self.segments:
-            local_end = seg.t_start + (seg.sol.t_end - seg.sol.t0)
-            if tau <= local_end + 1e-12:
-                return seg
-        return self.segments[-1]
+    @cached_property
+    def _segment_ends(self):
+        """The ends of all segments but the last in trajectory time, plus a
+        1e-12 slack, as a list and an array: `raw` and `states` take the
+        first segment whose end reaches tau (`first_reaching`), else the
+        last."""
+        ends = [seg.t_start + (seg.sol.t_end - seg.sol.t0) + 1e-12
+                for seg in self.segments[:-1]]
+        return ends, np.array(ends)
 
     def raw(self, t):
         """Raw state tuple at time t (chart-local, unwrapped)."""
         tau = self.sign * t
         if tau < -1e-12 or tau > abs(self.t_reach) + 1e-9:
             raise ValueError(f"t={t} outside the integrated range")
-        seg = self._segment_at(tau)
+        seg = self.segments[first_reaching(self._segment_ends, tau)]
         local = seg.sol.t0 + (tau - seg.t_start)
         local = min(max(local, seg.sol.t0), seg.sol.t_end)
         return seg.chart, seg.sol.eval(local)
@@ -212,13 +217,10 @@ class Trajectory:
         bad = (tau < -1e-12) | (tau > abs(self.t_reach) + 1e-9)
         if bad.any():
             raise ValueError(f"t={self.sign * tau[bad][0]} outside the integrated range")
-        segs = self.segments
-        # _segment_at: the first segment whose end (plus 1e-12) reaches tau
-        ends = [seg.t_start + (seg.sol.t_end - seg.sol.t0) + 1e-12 for seg in segs]
-        which = np.minimum(np.searchsorted(ends, tau, "left"), len(segs) - 1)
+        which = first_reaching(self._segment_ends, tau)
         charts = np.empty(tau.shape, dtype=int)
         cols = [np.empty(tau.shape) for _ in comps]
-        for k, seg in enumerate(segs):
+        for k, seg in enumerate(self.segments):
             at = which == k
             if not at.any():
                 continue
@@ -232,9 +234,11 @@ class Trajectory:
     def end_state(self) -> PhasePoint:
         return self.state(self.t_reach)
 
-    def times(self, n):
-        t1 = self.t_reach
-        return [t1 * i / (n - 1) for i in range(n)]
+    def energies(self, charts, cols):
+        """E at the points (charts, [x, y, vx, vy]) that `states` reads; each
+        entry == phase_energy of the point, which may raise alike."""
+        return _by_chart(charts, cols, lambda chart, *p: phase_energy(
+            self.surface, PhasePoint(chart, *p)))
 
     @cached_property
     def max_energy_drift(self):
@@ -242,13 +246,13 @@ class Trajectory:
 
         States outside the chart domain (after a planar exit) are skipped.
         """
-        drift = 0.0
-        for t in self.times(min(200, 2 * self.n_accepted + 2)):
-            try:
-                drift = max(drift, abs(phase_energy(self.surface, self.state(t)) - self.c))
-            except ChartDomainError:
-                pass
-        return drift
+        n = min(200, 2 * self.n_accepted + 2)
+        charts, cols = self.states(self.t_reach * np.arange(n) / (n - 1))
+        keep = np.zeros(n, dtype=bool)
+        for chart in set(charts.tolist()):
+            keep |= (charts == chart) & self.surface.contains(chart, *cols[:2])
+        e = self.energies(charts[keep], [col[keep] for col in cols])
+        return max([0.0, *np.abs(e - self.c).tolist()])
 
 
 class VariationalPath:
@@ -269,8 +273,9 @@ class VariationalPath:
         return np.stack(cols, axis=-1).reshape(np.shape(ts) + (2, 2))
 
     def det_defect(self, n=64):
-        ts = self._traj.times(n)
-        return max(abs(np.linalg.det(self.matrix(t)) - 1.0) for t in ts)
+        """Largest |det X - 1| over n evenly spaced times."""
+        ts = self._traj.t_reach * np.arange(n) / (n - 1)
+        return max(np.abs(np.linalg.det(self.matrices(ts)) - 1.0).tolist())
 
 
 def _run_flow(surface, field, state, t_final, options, dim, observer=None):
@@ -402,13 +407,17 @@ def magnetic_curvature(surface, field, trajectory, t):
     c = trajectory.c
     if np.ndim(t) == 0:
         return magnetic_curvature_at(surface, field, trajectory.state(t), c)
-    charts, (x, y, vx, vy) = trajectory.states(t)
+    return _by_chart(*trajectory.states(t),
+                     lambda chart, *p: _kmag(surface, field, chart, *p, c))
+
+
+def _by_chart(charts, cols, fn):
+    """fn(chart, *cols) on each chart's points, as arrays, put together into
+    one float64 array of charts' shape."""
     out = np.empty(charts.shape)
-    for chart in {seg.chart for seg in trajectory.segments}:
+    for chart in set(charts.ravel().tolist()):
         at = charts == chart
-        if not at.any():
-            continue
-        out[at] = _kmag(surface, field, chart, x[at], y[at], vx[at], vy[at], c)
+        out[at] = fn(chart, *(col[at] for col in cols))
     return out
 
 

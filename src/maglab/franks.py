@@ -118,8 +118,8 @@ class TubularChart:
         _, (x, y) = trajectory.states(ts, (0, 1))
         self._ts = ts
         self._pos = np.column_stack((x, y))
-        self._f0 = field.value(self.chart_id, *surface.wrap_position(x, y))
         self.field = field
+        self._f0 = self._field_at(x, y)
         # invert accepts a point within this squared distance of a sample
         self._accept2 = (2.0 * eps0) ** 2 + 0.01 * eps0
         self._box = self._core_box()
@@ -152,29 +152,22 @@ class TubularChart:
         st = self.traj.state(t)
         return st.x, st.y, st.vx, st.vy
 
-    def _core(self, t):
-        """Core position and velocity: 2-vectors, or (2, n) for n times."""
-        x, y, vx, vy = self._core_state(t)
-        return np.array([x, y]), np.array([vx, vy])
-
-    def core_f(self, t):
-        st = self.traj.state(t)
-        return self.field.value(self.chart_id,
-                                *self.surface.wrap_position(st.x, st.y))
+    def _field_at(self, x, y):
+        """The field at core points (numbers or arrays)."""
+        return self.field.value(self.chart_id, *self.surface.wrap_position(x, y))
 
     # chart maps -----------------------------------------------------------
 
     def psi(self, t, u):
         """psi(t, u): a 2-vector, or shape (2, n) for an array of n times."""
-        p, v = self._core(t)
-        return p + u * np.array([-v[1], v[0]])
+        x, y, vx, vy = self._core_state(t)
+        return np.array([x, y]) + u * np.array([-vy, vx])
 
     def dpsi(self, t, u):
-        """Columns (d psi/dt, d psi/du)."""
-        p, v = self._core(t)
-        f0 = self.core_f(t)
-        col_t = (1.0 - u * f0) * v
-        col_u = np.array([-v[1], v[0]])
+        """Columns (d psi/dt, d psi/du), from one read of the core."""
+        x, y, vx, vy = self._core_state(t)
+        col_t = (1.0 - u * self._field_at(x, y)) * np.array([vx, vy])
+        col_u = np.array([-vy, vx])
         return (col_t[0], col_u[0]), (col_t[1], col_u[1])
 
     def omega(self, t, u):
@@ -221,10 +214,11 @@ class TubularChart:
         u = 0.0
         resid = math.inf
         for _ in range(12):
-            p_c, v = self._core(t)
-            w = np.array([-v[1], v[0]])
-            f0 = self.core_f(t)
-            r = p_c + u * w - p_adj
+            x_c, y_c, vx, vy = self._core_state(t)  # one read per iterate
+            v = np.array([vx, vy])
+            w = np.array([-vy, vx])
+            f0 = self._field_at(x_c, y_c)
+            r = np.array([x_c, y_c]) + u * w - p_adj
             resid = abs(r[0]) + abs(r[1])
             if resid < 1e-12:
                 break
@@ -1012,6 +1006,7 @@ class SurjectivityReport:
     max_A_norm: float
     gene_bound_ok: bool
     details: list
+    below_floor: int
 
     def as_dict(self):
         return asdict(self)
@@ -1029,6 +1024,8 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
     inversion genuinely runs whenever the target is numerically
     distinguishable from S0; each solve must end with residual <= 1e-6,
     |A| <= delta1, and |A| within the covering bound 2 k1^3 dist(target, S0).
+    Each detail counts its `newton_steps`; `below_floor` counts the targets
+    within the floor 32 eps |S0|_F of S0, 'solved' at A = 0 without a step.
     """
     def S_of(Avec):
         A = PerturbA(*Avec)
@@ -1068,10 +1065,12 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
     max_res = 0.0
     max_norm = 0.0
     solved = 0
+    below_floor = 0
     gene_ok = True
     hA = 0.1 * consts.delta1
     for it, tgt in enumerate(targets):
         dist = float(np.linalg.norm(tgt - S0, "fro"))
+        below_floor += int(dist <= floor)
         stop = max(1e-3 * dist, floor)
         A = np.zeros(3)
         S = S0  # S at A = 0
@@ -1093,6 +1092,7 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
             A = A + step
         else:  # the last step moved A past the last S
             S = S_of(A)
+            step_no = 30
         resid = float(np.linalg.norm(S - tgt, "fro"))
         a_norm = PerturbA(*A).norm()
         ok = resid <= 1e-6 and a_norm <= consts.delta1
@@ -1102,12 +1102,13 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
         solved += int(ok)
         max_res = max(max_res, resid)
         max_norm = max(max_norm, a_norm)
-        det = {"dist": dist, "residual": resid, "A_norm": a_norm, "ok": ok}
+        det = {"dist": dist, "residual": resid, "A_norm": a_norm, "ok": ok,
+               "newton_steps": step_no}
         if known is not None:
             det["recovery_error"] = float(np.linalg.norm(A - known[it]))
         details.append(det)
     return SurjectivityReport(len(targets), solved, max_res, max_norm,
-                              gene_ok, details)
+                              gene_ok, details, below_floor)
 
 
 # -- segment decomposition ----------------------------------------------------------

@@ -16,11 +16,12 @@ evaluates its interpolant with `eval(t)` (all components) or
 `eval_position(t)` (components 0 and 1 only, the same operations), which is
 what the section-crossing monitor samples.  The interpolant rows of
 components 0 and 1 are formed when the step is accepted; those of the other
-components (velocity, variational data) are formed by the first `eval`,
-`eval_derivative` or array lookup, from the same expressions, so most steps
-of a section return never form them.  `Solution.eval_many(ts, comps)`
-evaluates an array of times with the same operations, elementwise in
-float64, from flat per-step arrays built on its first call.
+components (velocity, variational data) are formed by the first `eval` or
+array lookup, from the same expressions, so most steps of a section return
+never form them.  `Solution.eval(t)` and `eval_many(ts, comps)` pick the
+step by one rule (`Solution._index`: `first_reaching` on cached step ends,
+which form no rows); `eval_many` applies `DenseStep.eval`'s operations
+elementwise in float64, from flat per-step arrays built on its first call.
 
 The trial step (the six new stages, the solution, the error estimate and its
 norm) is straight-line code generated per state dimension: `_step_source(n)`
@@ -41,6 +42,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -167,16 +169,6 @@ class DenseStep:
         return (self.y0[0] + h * (a1 * th + a2 * th2 + a3 * th3 + a4 * th4),
                 self.y0[1] + h * (b1 * th + b2 * th2 + b3 * th3 + b4 * th4))
 
-    def eval_derivative(self, t):
-        th = (t - self.t0) / self.h
-        th2 = th * th
-        q2 = 2.0 * th
-        q3 = 3.0 * th2
-        q4 = 4.0 * th2 * th
-        return tuple([
-            d1 + d2 * q2 + d3 * q3 + d4 * q4 for d1, d2, d3, d4 in self._rows()
-        ])
-
 
 class Solution:
     """Dense solution of one integration run."""
@@ -187,7 +179,6 @@ class Solution:
         self.n_accepted = len(steps)
         self.n_rejected = 0
         self.n_fev = 0
-        self._flat = None
 
     @property
     def t0(self):
@@ -201,20 +192,21 @@ class Solution:
     def y_end(self):
         return self.steps[-1].y1
 
-    def _locate(self, t):
-        steps = self.steps
-        lo, hi = 0, len(steps) - 1
-        if t <= steps[0].t1:
-            return steps[0]
-        if t >= steps[hi].t0:
-            return steps[hi]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if steps[mid].t1 < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return steps[lo]
+    @functools.cached_property
+    def _ends(self):
+        """The ends t1 of all steps but the last, as a list and an array."""
+        ends = [s.t1 for s in self.steps[:-1]]
+        return ends, np.array(ends)
+
+    def _index(self, t):
+        """The step of `eval` and `eval_many` at a clamped t (a number or an
+        array): the first whose end reaches t, else the last, which also
+        takes its own start unless that is the first step's end."""
+        i = first_reaching(self._ends, t)
+        last, t_last = len(self.steps) - 1, self.steps[-1].t0
+        if isinstance(t, np.ndarray):
+            return np.where((i > 0) & (t >= t_last), last, i)
+        return last if i and t >= t_last else i
 
     def _clamp(self, t):
         """t clamped into [t0, t_end]; ValueError beyond a 1e-12 relative slack.
@@ -235,25 +227,19 @@ class Solution:
 
     def eval(self, t):
         t = self._clamp(t)
-        return self._locate(t).eval(t)
-
-    def eval_derivative(self, t):
-        t = self._clamp(t)
-        return self._locate(t).eval_derivative(t)
+        return self.steps[self._index(t)].eval(t)
 
     def eval_many(self, ts, comps):
         """Components `comps` of the solution at an array of times.
 
         Returns one float64 array per component, of ts's shape.  Each entry
         is == to the matching component of `eval(t)`: the same clamp, the
-        same step (`_locate`'s rule, as one searchsorted) and `DenseStep.eval`'s
-        operations, applied elementwise.
+        same step (`_index`) and `DenseStep.eval`'s operations, applied
+        elementwise.
         """
         t = self._clamp(np.asarray(ts, dtype=float))
-        t0s, t1s, hs, y0, d = self._flat_steps()
-        last = len(t0s) - 1
-        i = np.minimum(np.searchsorted(t1s, t, "left"), last)
-        i = np.where(t <= t1s[0], 0, np.where(t >= t0s[last], last, i))
+        t0s, hs, y0, d = self._flat
+        i = self._index(t)
         h = hs[i]
         th = (t - t0s[i]) / h
         th2 = th * th
@@ -263,19 +249,27 @@ class Solution:
                                 + d[c][2][i] * th3 + d[c][3][i] * th4)
                 for c in comps]
 
-    def _flat_steps(self):
-        """(t0, t1, h, y0, d) of all steps as arrays; y0[c] and d[c][j] are
+    @functools.cached_property
+    def _flat(self):
+        """(t0, h, y0, d) of all steps as arrays; y0[c] and d[c][j] are
         component c's start values and theta^(j+1) coefficients per step."""
-        if self._flat is None:
-            steps = self.steps
-            self._flat = (
-                np.array([s.t0 for s in steps]),
-                np.array([s.t1 for s in steps]),
-                np.array([s.h for s in steps]),
-                np.array([s.y0 for s in steps]).T.copy(),
-                np.array([s._rows() for s in steps]).transpose(1, 2, 0).copy(),
-            )
-        return self._flat
+        steps = self.steps
+        return (
+            np.array([s.t0 for s in steps]),
+            np.array([s.h for s in steps]),
+            np.array([s.y0 for s in steps]).T.copy(),
+            np.array([s._rows() for s in steps]).transpose(1, 2, 0).copy(),
+        )
+
+
+def first_reaching(ends, t):
+    """The index of the first of the sorted `ends` that reaches t, or
+    len(ends) past them all: bisect_left on their list for a number t,
+    searchsorted on their array for an array; `ends` is the (list, array)
+    pair."""
+    if isinstance(t, np.ndarray):
+        return np.searchsorted(ends[1], t, "left")
+    return bisect_left(ends[0], t)
 
 
 def clamp(t, lo, hi):

@@ -3,12 +3,13 @@
 A scenario is a JSON document selecting a surface, a field, an energy level
 and an ordered list of pipeline stages with per-stage parameters.  One table,
 `STAGE_TABLE`, gives each stage kind its function, report file, prerequisite
-stages and keys with their defaults.  The loader checks and converts the keys
-a config gives, builds `eta` and `map` into their objects and fills in the
-defaults, so every pipeline entry carries every key of its kind.  Unknown
-keys anywhere, an explicit null and a key the stage would leave unused are
-rejected (reproducibility beats convenience); all stage reports are plain
-dicts serialized with sorted keys so a fixed seed yields byte-identical output.
+stages, keys with their defaults and CSV plot data.  The loader checks and
+converts the keys a config gives, builds `eta` and `map` into their objects
+and fills in the defaults, so every pipeline entry carries every key of its
+kind.  Unknown keys anywhere, an explicit null and a key the stage would
+leave unused are rejected (reproducibility beats convenience); all stage
+reports are plain dicts serialized with sorted keys so a fixed seed yields
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ConfigError, MaglabError
-from .geometry import PhasePoint, flat_torus, planar_chart, sphere, energy as phase_energy
+from .geometry import PhasePoint, flat_torus, planar_chart, sphere
 from .field import (
     ConstantField,
     MagneticField,
@@ -300,28 +301,15 @@ def load_scenario(path):
 
 
 def emit_plotdata(report, kind, out_path):
-    """CSV plot data: trajectories, manifolds or rotation-number fits."""
-    rows, header = _plotdata_rows(report, kind)
+    """CSV plot data of a `_Plot` kind: trajectories, manifolds or rotation."""
+    plot = _PLOTS.get(kind)
+    if plot is None:
+        raise ConfigError(f"unknown plotdata kind {kind!r}")
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        w.writerow(plot.header)
+        w.writerows(report.get(plot.rows, []))
     return out_path
-
-
-def _plotdata_rows(report, kind):
-    if kind == "trajectories":
-        header = ["t", "x", "y", "vx", "vy", "E"]
-        rows = report.get("samples", [])
-    elif kind == "manifolds":
-        header = ["s", "y", "ydot", "side"]
-        rows = report.get("manifold_points", [])
-    elif kind == "rotation":
-        header = ["r", "rho"]
-        rows = report.get("rotation_samples", [])
-    else:
-        raise ConfigError(f"unknown plotdata kind {kind!r}")
-    return rows, header
 
 
 # -- stages ------------------------------------------------------------------------
@@ -341,11 +329,11 @@ def _stage_simulate(sc, st, ctx):
             det_defect = vp.det_defect()
         else:
             traj = flow(sc.surface, sc.field, seed, st["t_final"], sc.options)
-        samples = []
-        for t in traj.times(st["n_samples"]):
-            stt = traj.state(t)
-            samples.append([t, stt.x, stt.y, stt.vx, stt.vy,
-                            phase_energy(sc.surface, stt)])
+        n = st["n_samples"]
+        ts = traj.t_reach * np.arange(n) / (n - 1)
+        charts, cols = traj.states(ts)
+        samples = np.column_stack(
+            (ts, *cols, traj.energies(charts, cols))).tolist()
         entry = {
             "seed_index": i,
             "t_final": traj.t_reach,
@@ -545,20 +533,26 @@ def _stage_critical_value(sc, st, ctx):
     return {"stage": "critical-value", **br.as_dict()}
 
 
-# a stage kind: its function, report file, prerequisite kinds and keys with
+# a stage kind: its function, report file, prerequisite kinds, keys with
 # their defaults (None: the stage picks the value from the scenario or orbits)
-_Stage = namedtuple("_Stage", "run report needs keys")
+# and CSV plot data: `emit_plotdata` kind, file name (formatted with the
+# report's fields, or each entry's of its list `per`), header and rows key
+_Stage = namedtuple("_Stage", "run report needs keys plot", defaults=(None,))
+_Plot = namedtuple("_Plot", "kind file header rows per", defaults=(None,))
 
 STAGE_TABLE = {
     "simulate": _Stage(_stage_simulate, "simulate.json", (), {
-        "t_final": 1.0, "n_samples": 400, "variational": True, "seeds": None}),
+        "t_final": 1.0, "n_samples": 400, "variational": True, "seeds": None},
+        _Plot("trajectories", "trajectory_{seed_index}.csv",
+              ("t", "x", "y", "vx", "vy", "E"), "samples", "trajectories")),
     "orbits": _Stage(_stage_orbits, "orbits.json", (), {
         "tol": 1e-10, "max_time": 50.0, "half_width": 0.2, "class_tol": 1e-6}),
     "classify": _Stage(_stage_classify, "classify.json", ("orbits",), {
         "rotation_vectors": None}),
     "twist": _Stage(_stage_twist, "twist.json", ("orbits",), {
         "orbit_index": None, "fd_scale": None,
-        "radii": (0.004, 0.008, 0.012, 0.016, 0.02), "n_iter": 300}),
+        "radii": (0.004, 0.008, 0.012, 0.016, 0.02), "n_iter": 300},
+        _Plot("rotation", "rotation_fit.csv", ("r", "rho"), "rotation_samples")),
     "franks-verify": _Stage(_stage_franks, "franks.json", ("orbits",), {
         "orbit_index": None, "eps0": 0.02, "eps_c1": 0.1, "cota_samples": 20,
         "targets": 8, "segments": 2}),
@@ -566,7 +560,9 @@ STAGE_TABLE = {
     "entropy": _Stage(_stage_entropy, "entropy.json", ("orbits",), {
         "map": None, "orbit_index": None, "arclength": 2.5, "tol": 1e-4,
         "angle_tol": 1e-3, "k_max": 20, "fixed_points": None,
-        "branch_signs": None}),
+        "branch_signs": None},
+        _Plot("manifolds", "manifolds.csv", ("s", "y", "ydot", "side"),
+              "manifold_points")),
     "critical-value": _Stage(_stage_critical_value, "critical_value.json", (), {
         "eta": {"kind": "constant", "a": (0.0, 0.0)}, "k_range": (-0.25, 1.0),
         "bisection_tol": 1e-4, "restarts": 12, "maxiter": 200, "modes": 8}),
@@ -582,6 +578,8 @@ def _needs(entry):
 # kind -> stage function: run_scenario calls through this dict, so a tracer
 # can wrap its entries
 _STAGES = {kind: stage.run for kind, stage in STAGE_TABLE.items()}
+_PLOTS = {stage.plot.kind: stage.plot for stage in STAGE_TABLE.values()
+          if stage.plot is not None}
 
 
 def _json_ready(obj):
@@ -645,11 +643,8 @@ def _write_stage(out, kind, rep):
     with open(path, "w") as fh:
         json.dump(clean, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if kind == "simulate":
-        for entry in clean.get("trajectories", []):
-            emit_plotdata(entry, "trajectories",
-                          os.path.join(out, f"trajectory_{entry['seed_index']}.csv"))
-    elif kind == "twist":
-        emit_plotdata(clean, "rotation", os.path.join(out, "rotation_fit.csv"))
-    elif kind == "entropy":
-        emit_plotdata(clean, "manifolds", os.path.join(out, "manifolds.csv"))
+    plot = STAGE_TABLE[kind].plot
+    if plot is not None:
+        for entry in clean.get(plot.per, []) if plot.per else [clean]:
+            emit_plotdata(entry, plot.kind,
+                          os.path.join(out, plot.file.format(**entry)))

@@ -758,6 +758,22 @@ def test_surjectivity_forward_recovery(hyper_setup):
         assert det["recovery_error"] <= 0.2 * 0.5 * consts.delta1
 
 
+def test_surjectivity_counts_targets_below_the_floor(hyper_setup):
+    """Every sphere target sits within the stop floor 32 eps |S0|_F of S0,
+    so it is 'solved' at A = 0 without a Newton step; every forward target
+    lies beyond the floor and takes steps."""
+    _, _, kit, consts = hyper_setup
+    sph = verify_ball_surjectivity(kit, consts, n_targets=8, mode="sphere")
+    fwd = verify_ball_surjectivity(kit, consts, n_targets=4, mode="forward",
+                                   seed=0)
+    assert (sph.below_floor, fwd.below_floor) == (8, 0)
+    assert [d["newton_steps"] for d in sph.details] == [0] * 8
+    assert all(d["A_norm"] == 0.0 and d["residual"] == d["dist"]
+               for d in sph.details)
+    assert all(d["newton_steps"] >= 1 for d in fwd.details)
+    assert sph.as_dict()["below_floor"] == 8
+
+
 def test_surjectivity_newton_propagates_no_response_twice(hyper_setup,
                                                           monkeypatch):
     """The Newton starts from S0 and ends on its last iterate's S, so no A

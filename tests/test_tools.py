@@ -104,12 +104,14 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert head == f"{ROOT}:"
     assert [line.split()[0] for line in lines] == [
         "rhs", "step", "stage", "DenseStep", "monitor", "return", "torus10",
-        "window"]
+        "lookup", "window"]
     counts = {line.split()[0]: line[line.index("("):] for line in lines}
     # the replayed integrate calls take the recorded return's steps
     n_steps = counts["DenseStep"].split()[0][1:]
     assert counts["step"].startswith(f"({n_steps} steps, 0 rejected")
     assert counts["monitor"] == f"({n_steps} calls)"
     assert counts["return"].startswith(f"(1 return, {n_steps} steps")
+    assert counts["lookup"].startswith("(100 lookups over ")
+    assert counts["lookup"].endswith(" ns per time)")
     assert counts["window"].startswith("(4,096 window steps; ")
     assert counts["window"].endswith(" ns per window step)")

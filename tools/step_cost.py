@@ -22,7 +22,12 @@ one layer at a time:
 * return: one whole `first_return`, in ms.
 
 Then torus10 is the time per step of a 10-component `flow_with_variation`
-on the sinusoidal torus (torus_survey's path).
+on the sinusoidal torus (torus_survey's path), and lookup is the dense-output
+lookup on such a flow over torus_survey's simulate span (t_final 2): the us
+per single-time `Trajectory.state` and the ns per time of one
+`Trajectory.states` call, over the simulate stage's grid of 100 samples
+(100 of each call per repetition), each read once before timing so that
+the lazy interpolant rows and flat step arrays are in place.
 
 Last, window is the Franks window propagation on franks_verify's kit (the
 bundled config's hyperbolic torus orbit, its first segment's tube and
@@ -50,6 +55,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 from diff_reports import source_dir  # noqa: E402
+
+LOOKUPS = 100  # the simulate stage's samples in torus_survey
 
 
 def best(fn, reps):
@@ -112,6 +119,8 @@ def _record(section, options, dyn, integ, orbits):
 
 def measure(reps):
     """Per-layer times and work counters of the maglab on sys.path."""
+    import numpy as np
+
     import maglab.dynamics as dyn
     import maglab.integrate as integ
     import maglab.orbits as orbits
@@ -173,6 +182,22 @@ def measure(reps):
 
     t_torus = best(torus10, reps)
     traj = paths[0]
+    survey = dyn.flow_with_variation(torus, field, start, 2.0)[0]
+    grid = survey.t_reach * np.arange(LOOKUPS) / (LOOKUPS - 1)
+    times = grid.tolist()
+
+    def scalar_lookups():
+        for t in times:
+            survey.state(t)
+
+    def array_lookups():  # as many states calls as scalar lookups
+        for _ in times:
+            survey.states(grid)
+
+    scalar_lookups()
+    survey.states(grid)
+    t_scalar = best(scalar_lookups, reps)
+    t_array = best(array_lookups, reps) / LOOKUPS
     t_resp, t_deriv, n_window = _window_cost(reps)
     return {
         "rhs_us": 1e6 * t_rhs, "rhs_evals": n_rhs,
@@ -185,6 +210,8 @@ def measure(reps):
         "return_steps": n_dense, "return_rhs_evals": n_rhs,
         "torus10_us": 1e6 * t_torus / traj.n_accepted,
         "torus10_steps": traj.n_accepted, "torus10_rhs_evals": traj.n_fev,
+        "state_us": 1e6 * t_scalar / LOOKUPS, "states_ns": 1e9 * t_array / LOOKUPS,
+        "lookups": LOOKUPS, "lookup_steps": survey.n_accepted,
         "response_us": 1e6 * t_resp, "derivative_us": 1e6 * t_deriv,
         "window_ns": 1e9 * (t_resp + t_deriv) / (2 * n_window),
         "window_steps": n_window,
@@ -234,6 +261,9 @@ def report(m):
         f"{m['return_rhs_evals']:,} RHS evaluations)",
         f"  torus10      {m['torus10_us']:8.2f} us per step         "
         f"({m['torus10_steps']:,} steps, {m['torus10_rhs_evals']:,} RHS evaluations)",
+        f"  lookup       {m['state_us']:8.2f} us per state call   "
+        f"({m['lookups']} lookups over {m['lookup_steps']:,} steps; one states "
+        f"call: {m['states_ns']:.1f} ns per time)",
         f"  window       {m['response_us']:8.2f} us per response     "
         f"({m['window_steps']:,} window steps; {m['derivative_us']:.2f} us per "
         f"derivative, {m['window_ns']:.1f} ns per window step)",
