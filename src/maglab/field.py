@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedSurfaceError, ChartDomainError
+from .errors import UnsupportedSurfaceError
 
 __all__ = [
     "ConstantField",
@@ -43,7 +43,6 @@ __all__ = [
     "bump_a",
     "bump_a_deriv",
     "is_exact",
-    "add_perturbation",
     "ExactnessReport",
     "C1NormReport",
 ]
@@ -436,16 +435,3 @@ def is_exact(field, surface, panels=64, brute=False):
         target = MagneticField(field.base) if isinstance(field, MagneticField) else field
     integral = surface_integral(surface, target.value, panels=panels)
     return ExactnessReport(integral, abs(integral) <= _EXACT_TOL, _EXACT_TOL)
-
-
-def add_perturbation(field, perturbation):
-    """Field plus one tubular perturbation, with its C1 norm report.
-
-    The tube must live in a single chart of the surface the field is used on;
-    incompatible chart ids fail at evaluation time via ChartDomainError.
-    """
-    if not isinstance(field, MagneticField):
-        field = MagneticField(field)
-    if perturbation.tube.chart_id >= 16:
-        raise ChartDomainError("perturbation chart id out of range")
-    return field.with_perturbation(perturbation), perturbation.c1_report()

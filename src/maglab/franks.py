@@ -29,14 +29,15 @@ across the (narrow) support window of the profiles, composed with cached
 base propagators outside it, so S is a smooth function of (a, b, c)
 evaluated consistently down to machine precision.  The RK4 steps are
 linear, and the window is their transfer matrices' ordered product, taken
-pairwise over arrays.  `set_window` samples the base K_mag once on the
-RK4 stage grid.  The base orbit, its fundamental
-matrix, K_mag, the profiles, beta_A and its first variation are read over
-whole arrays of times, never one Python call per time: each response calls
-its coefficient callback once, with the window's stage times and the base
-K_mag there as two arrays.  The constants delta1 and delta are tiny because
-k3 and k5 scale like inverse powers of the window width, and resolving the
-ball test relies on that smoothness.
+pairwise over arrays.  `set_window` takes the ledger's profiles, places the
+window around their supports and samples the base K_mag once on the RK4
+stage grid; `FranksKit.response(A)` is then S(A) and
+`FranksKit.response_derivative(A)` is Z along A.  The base orbit, its
+fundamental matrix, K_mag, the profiles, beta_A and its first variation are
+read over whole arrays of times, never one Python call per time: a response
+evaluates the profiles once on the window's stage times.  The constants
+delta1 and delta are tiny because k3 and k5 scale like inverse powers of the
+window width, and resolving the ball test relies on that smoothness.
 
 Ledger adjustments (lambda halvings, tube shrinks) are logged at INFO on
 the `maglab.franks` logger, surjectivity Newton residuals at DEBUG.
@@ -47,7 +48,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,8 +79,6 @@ __all__ = [
     "compute_constants",
     "PerturbA",
     "build_GA",
-    "variational_response",
-    "franks_response",
     "verify_cota",
     "verify_ball_surjectivity",
     "segment_split",
@@ -609,24 +607,27 @@ class FranksKit:
             return self._vp.matrix(t)
         return self._vp.matrices(t)
 
-    def set_window(self, t_a, t_b):
-        """Fix the support window and sample the base K_mag for responses.
+    def set_window(self, consts):
+        """Fix the support window of consts' profiles and sample the base
+        K_mag for responses.
 
-        Step i of the n RK4 steps has its stage times t0, t0 + h/2, t0 + h at
-        the points 2i, 2i + 1, 2i + 2 of the uniform half-step grid
-        (`stage_t`, a float64 array of length 3n), and K_mag there (`k`, the
-        same layout): one K_mag lookup of the 2n + 1 grid points serves the
-        steps and the coefficient callbacks.
+        The window is [delta's support start - 0.02 lambda, Delta's support
+        end + 0.02 lambda], clipped to [0, T]; it keeps the profiles (delta,
+        Delta, alpha) that beta_A is made of.  Step i of the n RK4 steps has
+        its stage times t0, t0 + h/2, t0 + h at the points 2i, 2i + 1, 2i + 2
+        of the uniform half-step grid (`stage_t`, a float64 array of length
+        3n), and K_mag there (`k`, the same layout): one K_mag lookup of the
+        2n + 1 grid points serves every response.
         """
-        t_a = max(0.0, t_a)
-        t_b = min(self.T, t_b)
+        d, D = consts.delta_profile, consts.Delta_profile
+        t_a = max(0.0, d.support[0] - 0.02 * consts.lam_window)
+        t_b = min(self.T, D.support[1] + 0.02 * consts.lam_window)
         n = self.n_window_steps
         ts = np.linspace(t_a, t_b, 2 * n + 1)
         stages = (2 * np.arange(n)[:, None] + np.arange(3)).ravel()
-        k = self.kmag_base(ts)[stages]
-        k.flags.writeable = False  # the callbacks get it as their km
         self._window = {
-            "h": (t_b - t_a) / n, "k": k, "stage_t": ts[stages],
+            "h": (t_b - t_a) / n, "k": self.kmag_base(ts)[stages],
+            "stage_t": ts[stages], "profiles": (d, D, consts.alpha),
             "X_a": self.base_matrix(t_a),
             "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
         }
@@ -653,30 +654,27 @@ class FranksKit:
             return w["X_after"] @ (Q @ X_a)
         return w["X_after"] @ (X_a + E @ X_a)
 
-    def response(self, shift=None):
-        """X(T) of the variational system with K_mag - shift(t, km) in the window.
+    def response(self, A=None):
+        """S(A): X(T) of the variational system for the field G(A).
 
-        shift is called once, with the window's 3n RK4 stage times t and the
-        base K_mag km there (two float64 arrays), and returns the shift at
-        those times as an array of the same length; None means the base
-        field.  The window is crossed with fixed-step RK4 (deterministic and
-        smooth in the perturbation parameters); outside it the cached base
+        G(A) vanishes on the core, so its only effect on the transversal
+        linearization is K_mag -> K_mag - beta_A(t) in the window; None means
+        the base field.  The window is crossed with fixed-step RK4
+        (deterministic and smooth in A); outside it the cached base
         propagators are used.
         """
         w = self._require_window()
         k = w["k"]
-        if shift is not None:
-            k = k - shift(w["stage_t"], k)
+        if A is not None:
+            k = k - _beta_A(A, _profiles(*w["profiles"], w["stage_t"]), k)
         return self._rk4(k)
 
-    def response_derivative(self, bdir):
-        """Z(T) = X(T) int X^{-1} [[0,0],[bdir(t, km),0]] X dt.
-
-        bdir is called once with the stage arrays (t, km), as shift in
-        response, and returns the direction at those times as an array.
-        """
+    def response_derivative(self, A):
+        """Z(T) = X(T) int X^{-1} [[0,0],[db,0]] X dt, the first variation of
+        S at 0 along A (db the derivative of beta_A along A, `_del_b`)."""
         w = self._require_window()
-        return self._rk4(w["k"], bdir(w["stage_t"], w["k"]))
+        prof = _profiles(*w["profiles"], w["stage_t"])
+        return self._rk4(w["k"], _del_b(A, prof, w["k"]))
 
 
 def build_franks_kit(surface, field, state, T):
@@ -816,14 +814,13 @@ def compute_constants(kit: FranksKit, eps_c1=0.1):
     k5 = k5_of(delta1)
 
     # k6 at scale delta1 (the |A| <= 1 version overflows identically)
-    consts_stub = SimpleNamespace(delta_profile=delta_p, Delta_profile=Delta_p,
-                                  alpha=alpha)
     k6 = 0.0
     tgrid = np.linspace(max(0.0, sup_lo - 2 * lam), min(T, sup_hi + 2 * lam), 20001)
     kgrid = kit.kmag_base(tgrid)
+    prof = _profiles(delta_p, Delta_p, alpha, tgrid)
     for dirn in _unit_directions():
         A = PerturbA(delta1 * dirn[0], delta1 * dirn[1], delta1 * dirn[2])
-        vals = _beta_A(tgrid, A, consts_stub, kgrid)
+        vals = _beta_A(A, prof, kgrid)
         dt = tgrid[1] - tgrid[0]
         deriv = np.gradient(vals, dt)
         k6 = max(k6, (np.max(np.abs(vals)) + np.max(np.abs(deriv))) / delta1)
@@ -848,8 +845,7 @@ def compute_constants(kit: FranksKit, eps_c1=0.1):
     consts = FranksConstants(k0, T, lam, k1, k2, k3, rho, delta_p, Delta_p,
                              alpha, kmag_c0, log_k5_full, k5, k6, eps_c1,
                              eps0, delta1, delta, checks)
-    kit.set_window(delta_p.support[0] - 0.02 * lam,
-                   Delta_p.support[1] + 0.02 * lam)
+    kit.set_window(consts)
     return consts
 
 
@@ -863,32 +859,33 @@ def _unit_directions():
     return dirs
 
 
-def _beta_A(t, A: PerturbA, consts, kmag):
-    """beta_A(t) = alpha (delta a + delta' b) + (K0 + Delta''/2Delta)(e^{-alpha Delta c}-1).
+def _profiles(d, D, alpha, t):
+    """(alpha, delta, delta', Delta, Delta'') at t (a time or an array), from
+    the bump profiles d = delta, D = Delta and the cutoff alpha."""
+    return alpha.value(t), d.value(t), d.d1(t), D.value(t), D.d2(t)
 
-    t and kmag, the base K_mag (K0) at t, are numbers or arrays of one shape.
+
+def _beta_A(A: PerturbA, prof, kmag):
+    """beta_A = alpha (delta a + delta' b) + (K0 + Delta''/2Delta)(e^{-alpha Delta c}-1).
+
+    prof is `_profiles` at some times and kmag the base K_mag (K0) there,
+    numbers or arrays of one shape.
     """
-    al = consts.alpha.value(t)
-    d = consts.delta_profile
-    D = consts.Delta_profile
-    out = al * (d.value(t) * A.a + d.d1(t) * A.b)
-    Dv = D.value(t)
+    al, dv, dd1, Dv, Dd2 = prof
+    out = al * (dv * A.a + dd1 * A.b)
     y = -al * Dv * A.c
     em1 = np.where(np.abs(y) >= 1e-6, np.expm1(y),
                    y * (1.0 + 0.5 * y * (1.0 + y / 3.0)))
     # em1 / Dv stays finite as Dv -> 0 since y = -al * Dv * c
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(Dv != 0.0, em1 / Dv, 0.0)
-    return out + (kmag * em1 + 0.5 * D.d2(t) * ratio)
+    return out + (kmag * em1 + 0.5 * Dd2 * ratio)
 
 
-def _del_b(t, A: PerturbA, consts, kmag):
-    """Directional derivative of beta_A at A = 0 (t, kmag as in _beta_A)."""
-    al = consts.alpha.value(t)
-    d = consts.delta_profile
-    D = consts.Delta_profile
-    return al * (d.value(t) * A.a + d.d1(t) * A.b
-                 - (D.value(t) * kmag + 0.5 * D.d2(t)) * A.c)
+def _del_b(A: PerturbA, prof, kmag):
+    """Directional derivative of beta_A at A = 0 (prof, kmag as in _beta_A)."""
+    al, dv, dd1, Dv, Dd2 = prof
+    return al * (dv * A.a + dd1 * A.b - (Dv * kmag + 0.5 * Dd2) * A.c)
 
 
 # -- perturbations and responses -----------------------------------------------------
@@ -898,13 +895,14 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     """The perturbation G(A) - f0 as a PerturbationField plus its profile.
 
     Requires |A| < delta1.  Returns (perturbed_field, perturbation, beta);
-    beta takes a time, as PerturbationField calls it, or an array of times,
-    as franks_response does.
+    beta takes a time, as PerturbationField calls it, or an array of times.
     """
     if A.norm() >= consts.delta1:
         raise ValueError(f"|A| = {A.norm():.3e} >= delta1 = {consts.delta1:.3e}")
-    def beta(t):
-        return _beta_A(t, A, consts, kit.kmag_base(t))[()]  # [()]: a number for a time
+    profiles = (consts.delta_profile, consts.Delta_profile, consts.alpha)
+
+    def beta(t):  # [()]: a number for a time
+        return _beta_A(A, _profiles(*profiles, t), kit.kmag_base(t))[()]
 
     hfd = 1e-9 * max(consts.lam_window, 1e-3)
 
@@ -922,26 +920,6 @@ def build_GA(kit: FranksKit, consts: FranksConstants, A: PerturbA):
     pert = PerturbationField(kit.chart, min(consts.eps0, kit.chart.eps0), beta,
                              beta_d, b_c0, b_c1, support_t=(lo, hi))
     return kit.field.with_perturbation(pert), pert, beta
-
-
-def franks_response(kit: FranksKit, beta=None):
-    """S_{T,theta}: monodromy over [0, T] for the field f0 + a_eps(u) beta(t).
-
-    The core is unchanged (the perturbation vanishes there); its only effect
-    on the transversal linearization is K_mag -> K_mag - beta(t).  beta maps
-    the array of window stage times to an array.
-    """
-    if beta is None:
-        return kit.response(None)
-    return kit.response(lambda t, km: beta(t))
-
-
-def variational_response(kit: FranksKit, bdir):
-    """Z(T) for a direction b(t) with support inside the window.
-
-    bdir maps the array of window stage times to an array.
-    """
-    return kit.response_derivative(lambda t, km: bdir(t))
 
 
 # -- verification ----------------------------------------------------------------------
@@ -969,7 +947,7 @@ def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count=20,
     worst = math.inf
     for _ in range(sample_count):
         A = PerturbA.random_unit(rng)
-        Z = kit.response_derivative(lambda t, km: _del_b(t, A, consts, km))
+        Z = kit.response_derivative(A)
         margin = float(np.linalg.norm(Z, 2) * 2.0 * consts.k1**3 / A.norm())
         margins.append(margin)
         if margin < worst:
@@ -979,9 +957,8 @@ def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count=20,
                 f"response bound violated: margin {margin:.6f}", direction=A)
     # linearity of the first variation: Z(2A) = 2 Z(A)
     A = PerturbA.random_unit(rng)
-    Z1 = kit.response_derivative(lambda t, km: _del_b(t, A, consts, km))
-    A2 = PerturbA(2 * A.a, 2 * A.b, 2 * A.c)
-    Z2 = kit.response_derivative(lambda t, km: _del_b(t, A2, consts, km))
+    Z1 = kit.response_derivative(A)
+    Z2 = kit.response_derivative(PerturbA(2 * A.a, 2 * A.b, 2 * A.c))
     lin = float(np.linalg.norm(Z2 - 2.0 * Z1, 2) / max(np.linalg.norm(Z2, 2), 1e-30))
     return CotaReport(margins, worst, lin, sample_count)
 
@@ -1028,8 +1005,7 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
     within the floor 32 eps |S0|_F of S0, 'solved' at A = 0 without a step.
     """
     def S_of(Avec):
-        A = PerturbA(*Avec)
-        return kit.response(lambda t, km: _beta_A(t, A, consts, km))
+        return kit.response(PerturbA(*Avec))
 
     S0 = S_of((0.0, 0.0, 0.0))
     floor = 32.0 * np.finfo(float).eps * np.linalg.norm(S0, "fro")

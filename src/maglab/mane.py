@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, UnsupportedSurfaceError
-from .dynamics import flow, IntegratorOptions
+from .errors import BracketError, DataInconsistencyError, UnsupportedSurfaceError
+from .dynamics import flow
 
 log = logging.getLogger("maglab.mane")
 
@@ -465,11 +465,14 @@ class RotationVector:
                 "rho": list(self.rho)}
 
 
-def rotation_vector(surface, field, orbit, options=None):
-    """Winding class over one minimal period divided by the period."""
+def rotation_vector(surface, field, orbit, options):
+    """Winding class over one minimal period divided by the period.
+
+    Raises DataInconsistencyError when the flow over the period does not
+    close up to an integer winding (within _WINDING_TOL).
+    """
     if surface.kind != "torus":
         raise UnsupportedSurfaceError("rotation vectors are defined on the torus")
-    options = options or IntegratorOptions(rel_tol=1e-11, abs_tol=1e-12)
     traj = flow(surface, field, orbit.initial_state, orbit.period, options)
     s0 = traj.state(0.0)
     s1 = traj.end_state()
@@ -477,5 +480,5 @@ def rotation_vector(surface, field, orbit, options=None):
     dy = s1.y - s0.y
     p, q = round(dx), round(dy)
     if abs(dx - p) > _WINDING_TOL or abs(dy - q) > _WINDING_TOL:
-        raise ValueError(f"winding not integral: ({dx}, {dy})")
+        raise DataInconsistencyError(f"winding not integral: ({dx}, {dy})")
     return RotationVector((int(p), int(q)), orbit.period)

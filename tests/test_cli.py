@@ -134,6 +134,22 @@ def test_cli_unbracketed_critical_value_keeps_partial_reports(tmp_path):
     assert os.listdir(tmp_path / "o") == ["orbits.json"]
 
 
+def test_cli_non_integral_winding_keeps_partial_reports(tmp_path, caplog):
+    """At tolerance 1e-3 an orbit's winding over its period comes out
+    (1.000476, 0.999743): the classify stage fails as a numerical failure
+    (exit 3, its error logged), not with a traceback."""
+    path = _torus_config(
+        tmp_path, field={"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
+        integrator={"rel_tol": 1e-3, "abs_tol": 1e-3},
+        seeds=[{"chart": 0, "x": 0.01, "y": 0.3, "vx": 0.0, "vy": 1.0},
+               {"chart": 0, "x": 0.3, "y": 0.3, "vx": 0.6, "vy": 0.8}],
+        pipeline=[{"stage": "orbits", "tol": 1e-10},
+                  {"stage": "classify", "rotation_vectors": True}])
+    assert main(["run", "--config", path]) == 3
+    assert os.listdir(tmp_path / "o") == ["orbits.json"]
+    assert "stage classify failed: winding not integral" in caplog.text
+
+
 def _franks_config(tmp_path, **stage_changes):
     cfg = json.loads(open(scenario_path("franks_verify.json")).read())
     cfg["out_dir"] = str(tmp_path / "o")

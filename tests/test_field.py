@@ -18,7 +18,6 @@ from maglab.field import (
     bump_a,
     bump_a_deriv,
     is_exact,
-    add_perturbation,
 )
 from maglab.geometry import PhasePoint, flat_torus, planar_chart, sphere
 from maglab.franks import build_franks_kit, compute_constants, build_GA, PerturbA
@@ -308,7 +307,7 @@ def test_perturbation_array_eval_matches_scalar(torus_kit, torus_pert):
 def test_add_perturbation_api(torus, torus_kit):
     kit, consts = torus_kit
     _, pert, _ = build_GA(kit, consts, PerturbA(0.5 * consts.delta1, 0.0, 0.0))
-    new_field, rep = add_perturbation(kit.field, pert)
+    new_field, rep = kit.field.with_perturbation(pert), pert.c1_report()
     assert len(new_field.perturbations) == len(kit.field.perturbations) + 1
     assert rep.bound == pytest.approx(2.0 * pert.b_c0 + pert.eps0 * pert.b_c1)
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import logging
 import math
@@ -21,19 +22,19 @@ from maglab.dynamics import (
 from maglab.orbits import find_closed_orbit, phase_distance
 from maglab.scenarios import Scenario, run_scenario
 from maglab.franks import (
+    BumpProfile,
     PerturbA,
     TubularChart,
     build_GA,
     build_franks_kit,
     build_tubular_chart,
     compute_constants,
-    franks_response,
     segment_split,
-    variational_response,
     verify_ball_surjectivity,
     verify_cota,
     _beta_A,
     _del_b,
+    _profiles,
     _smoothstep,
 )
 
@@ -235,9 +236,15 @@ def test_constants_on_two_segments(hyper_setup, torus, sin_field):
 # -- responses ------------------------------------------------------------------
 
 
+def _stage_profiles(kit):
+    """`_profiles` of the kit's window at its stage times."""
+    return _profiles(*kit._window["profiles"], kit._window["stage_t"])
+
+
 def test_zero_direction_zero_response(hyper_setup):
     _, _, kit, _ = hyper_setup
-    Z = variational_response(kit, lambda t: np.zeros_like(t))
+    w = kit._window
+    Z = kit._rk4(w["k"], np.zeros_like(w["stage_t"]))
     assert np.abs(Z).max() == 0.0
 
 
@@ -256,21 +263,19 @@ def test_variational_response_shear_oracle(torus, zero_field):
     T = kit.T
     I = np.array([[-m1, -m2], [m0, m1]])
     want = np.array([[1.0, T], [0.0, 1.0]]) @ I
-    Z = variational_response(kit, b)
+    w = kit._window
+    Z = kit._rk4(w["k"], b(w["stage_t"]))
     assert np.abs(Z - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
 
 
 def test_response_linearity(hyper_setup):
-    _, _, kit, consts = hyper_setup
+    _, _, kit, _ = hyper_setup
     rng = np.random.default_rng(3)
     A1 = PerturbA.random_unit(rng)
     A2 = PerturbA.random_unit(rng)
-    b1 = lambda t, km: _del_b(t, A1, consts, km)
-    b2 = lambda t, km: _del_b(t, A2, consts, km)
-    b12 = lambda t, km: b1(t, km) + b2(t, km)
-    Z1 = kit.response_derivative(b1)
-    Z2 = kit.response_derivative(b2)
-    Z12 = kit.response_derivative(b12)
+    Z1 = kit.response_derivative(A1)
+    Z2 = kit.response_derivative(A2)
+    Z12 = kit.response_derivative(PerturbA(A1.a + A2.a, A1.b + A2.b, A1.c + A2.c))
     assert np.abs(Z12 - (Z1 + Z2)).max() <= 1e-9 * max(1.0, np.abs(Z12).max())
 
 
@@ -280,54 +285,43 @@ def test_response_fd_cross_check_smooth(hyper_setup):
     prof = consts.delta_profile
     scale = 1.0 / prof.c0  # unit sup norm
 
-    def bdir(t):
-        return scale * prof.value(t)
-
-    Z = variational_response(kit, bdir)
+    w = kit._window
+    b = scale * prof.value(w["stage_t"])
+    Z = kit._rk4(w["k"], b)
     s = 1e-4
-    S0 = kit.response(None)
-    S1 = kit.response(lambda t, km: s * bdir(t))
+    S0 = kit.response()
+    S1 = kit._rk4(w["k"] - s * b)
     fd = (S1 - S0) / s
     assert np.abs(fd - Z).max() <= 1e-3 * max(1.0, np.abs(Z).max())
 
 
 def test_response_fd_cross_check_cut_direction(hyper_setup):
-    """The cut-estimate directions carry 1/lambda^2 sup norms; the linear
-    regime only opens at steps scaled down by the squared L1 mass."""
-    _, _, kit, consts = hyper_setup
-    A = PerturbA(0.6, 0.0, 0.3)
-    n = A.norm()
-    A = PerturbA(A.a / n, A.b / n, A.c / n)
-    bdir = lambda t, km: _del_b(t, A, consts, km)
-    Z = kit.response_derivative(bdir)
+    """Z along A matches (S(s A) - S(0)) / s.  The cut-estimate directions
+    carry 1/lambda^2 sup norms; the linear regime only opens at steps scaled
+    down by the squared L1 mass."""
+    _, _, kit, _ = hyper_setup
+    A = _cut_direction()
+    Z = kit.response_derivative(A)
     s = 1e-12
-    S0 = kit.response(None)
-    S1 = kit.response(lambda t, km: s * bdir(t, km))
+    S0 = kit.response()
+    S1 = kit.response(PerturbA(s * A.a, s * A.b, s * A.c))
     fd = (S1 - S0) / s
     assert np.abs(fd - Z).max() <= 1e-2 * max(1.0, np.abs(Z).max())
 
 
-def test_callbacks_see_base_kmag_at_stage_times(hyper_setup):
-    """Each response calls its callback once, with the stage times and the
-    base K_mag there as arrays of length 3 n."""
-    _, _, kit, _ = hyper_setup
+def test_window_k_is_base_kmag_at_stage_times(hyper_setup):
+    """The window holds the stage times and the base K_mag there as float64
+    arrays of length 3 n, inside the ledger's window around the supports."""
+    _, _, kit, consts = hyper_setup
     n = 3 * kit.n_window_steps
-    for respond in (kit.response, kit.response_derivative):
-        seen = []
-
-        def record(t, km):
-            seen.append((t, km))
-            return np.zeros_like(t)
-
-        respond(record)
-        assert len(seen) == 1
-        t, km = seen[0]
-        assert t.shape == km.shape == (n,)
-        assert t.dtype == km.dtype == np.float64
-        for i in list(range(0, n, 997)) + [n - 2, n - 1]:
-            assert km[i] == kit.kmag_base(t[i])
-    Z = kit.response_derivative(lambda t, km: np.zeros_like(t))
-    assert np.abs(Z).max() == 0.0
+    t, km = kit._window["stage_t"], kit._window["k"]
+    assert t.shape == km.shape == (n,)
+    assert t.dtype == km.dtype == np.float64
+    for i in list(range(0, n, 997)) + [n - 2, n - 1]:
+        assert km[i] == kit.kmag_base(t[i])
+    lam = consts.lam_window
+    assert t[0] == max(0.0, consts.delta_profile.support[0] - 0.02 * lam)
+    assert t[-1] == min(kit.T, consts.Delta_profile.support[1] + 0.02 * lam)
 
 
 # -- the window product against the sequential RK4 loop ------------------------
@@ -429,31 +423,29 @@ def _rel_error(M, ref):
                  / scale)
 
 
-def _cut_direction(consts):
+def _cut_direction():
     A = PerturbA(0.6, 0.0, 0.3)
     n = A.norm()
-    A = PerturbA(A.a / n, A.b / n, A.c / n)
-    return lambda t, km: _del_b(t, A, consts, km)
+    return PerturbA(A.a / n, A.b / n, A.c / n)
 
 
-def _kit_with_steps(kit, n):
+def _kit_with_steps(kit, consts, n):
     """A copy of kit whose window (the same one) takes n RK4 steps."""
     out = copy.copy(kit)
     out.n_window_steps = n
-    t = kit._window["stage_t"]
-    out.set_window(t[0], t[-1])
+    out.set_window(consts)
     return out
 
 
 def test_window_product_matches_sequential_loop(hyper_setup):
     _, _, kit, consts = hyper_setup
     w = kit._window
-    S = kit.response(None)
+    S = kit.response()
     ref = _rk4_loop(w, w["k"])
     assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
     # the first variation differs at the loop's own rounding level
-    b = _cut_direction(consts)(w["stage_t"], w["k"])
-    Z = kit.response_derivative(_cut_direction(consts))
+    b = _del_b(_cut_direction(), _stage_profiles(kit), w["k"])
+    Z = kit.response_derivative(_cut_direction())
     ref = _rk4_loop(w, w["k"], b)
     assert np.abs(Z - ref).max() <= 1e-7 * np.abs(ref).max()
 
@@ -465,23 +457,23 @@ def test_window_product_against_40_digit_recurrence(hyper_setup, n):
     for Z along the cut direction; n = 301 carries an odd factor at several
     levels."""
     _, _, kit, consts = hyper_setup
-    kit = _kit_with_steps(kit, n)
+    kit = _kit_with_steps(kit, consts, n)
     w = kit._window
     assert len(w["k"]) == len(w["stage_t"]) == 3 * n
-    bdir = _cut_direction(consts)
-    b = bdir(w["stage_t"], w["k"])
-    for got, b_ in ((kit.response(None), None),
-                    (kit.response_derivative(bdir), b)):
+    A = _cut_direction()
+    b = _del_b(A, _stage_profiles(kit), w["k"])
+    for got, b_ in ((kit.response(), None),
+                    (kit.response_derivative(A), b)):
         ref = _rk4_mp(w, w["k"], b_)
         err = _rel_error(got, ref)
         assert err <= _rel_error(_rk4_loop(w, w["k"], b_), ref)
 
 
 def test_odd_window_steps_match_sequential_loop(hyper_setup):
-    _, _, kit, _ = hyper_setup
+    _, _, kit, consts = hyper_setup
     for n in (1, 3, 7, 1025):
-        odd = _kit_with_steps(kit, n)
-        S = odd.response(None)
+        odd = _kit_with_steps(kit, consts, n)
+        S = odd.response()
         ref = _rk4_loop(odd._window, odd._window["k"])
         assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
     assert kit.n_window_steps == type(kit).n_window_steps  # the copy's own
@@ -600,16 +592,14 @@ def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
     t = _oracle_times(consts, fracs)
     km = np.array([kit.kmag_base(s) for s in t.tolist()])
     refs = [_ref_profiles(consts, s) for s in t.tolist()]
-    got = _beta_A(t, A, consts, km)
-    for arr, ref in ((got, _ref_beta_terms), (_del_b(t, A, consts, km), _ref_del_b)):
+    prof = _profiles(consts.delta_profile, consts.Delta_profile, consts.alpha, t)
+    got = _beta_A(A, prof, km)
+    for arr, ref in ((got, _ref_beta_terms), (_del_b(A, prof, km), _ref_del_b)):
         want = np.array([ref(*p, A, k) for p, k in zip(refs, km.tolist())])
         assert arr.shape == t.shape
         assert np.abs(arr - want).max() <= 1e-13 * np.abs(want).max()
     # from the array profiles' own values, the series branch is reproduced
     # bit for bit (expm1 itself may differ in the last bit between libraries)
-    prof = [p(t) for p in (consts.alpha.value, consts.delta_profile.value,
-                           consts.delta_profile.d1, consts.Delta_profile.value,
-                           consts.Delta_profile.d2)]
     exact = np.array([_ref_beta_terms(*p, A, k)
                       for p, k in zip(zip(*(a.tolist() for a in prof)), km.tolist())])
     series = np.abs(-prof[0] * prof[3] * A.c) < 1e-6
@@ -649,23 +639,41 @@ def test_kit_and_ledger_read_the_base_orbit_by_arrays(hyper_setup, torus,
     assert len(calls) <= 200
 
 
+def test_ledger_evaluates_each_profile_once(hyper_setup, monkeypatch):
+    """compute_constants evaluates delta, delta', Delta and Delta'' once
+    each, on the k6 grid: the grid's profiles serve every direction."""
+    _, _, kit, _ = hyper_setup
+    calls = collections.Counter()
+    for name in ("value", "d1", "d2"):
+        def counted(self, t, _fn=getattr(BumpProfile, name), _name=name):
+            calls[self, _name] += 1
+            return _fn(self, t)
+
+        monkeypatch.setattr(BumpProfile, name, counted)
+    consts = compute_constants(copy.copy(kit))
+    d, D = consts.delta_profile, consts.Delta_profile
+    assert calls == {(d, "value"): 1, (d, "d1"): 1, (D, "value"): 1, (D, "d2"): 1}
+
+
 def test_franks_response_matches_variational(hyper_setup, torus, sin_field,
                                              tight_options):
     _, _, kit, _ = hyper_setup
-    S0 = franks_response(kit)
+    S0 = kit.response()
     _, vp = flow_with_variation(torus, sin_field, kit.traj.state(0.0), kit.T,
                                 tight_options)
     assert np.abs(S0 - vp.matrix(kit.T)).max() <= 1e-9
 
 
-def test_franks_response_takes_build_GA_beta(hyper_setup):
-    """build_GA's beta evaluates the window's stage times as one array."""
+def test_response_matches_build_GA_beta(hyper_setup):
+    """S(A) is the window crossed with K_mag - beta, build_GA's beta for the
+    same A evaluated at the window's stage times as one array."""
     _, _, kit, consts = hyper_setup
     A = PerturbA(0.5 * consts.delta1, 0.3 * consts.delta1, 0.2 * consts.delta1)
     _, _, beta = build_GA(kit, consts, A)
-    S = franks_response(kit, beta)
-    assert np.array_equal(S, kit.response(lambda t, km: _beta_A(t, A, consts, km)))
-    assert not np.array_equal(S, franks_response(kit))
+    w = kit._window
+    S = kit.response(A)
+    assert np.array_equal(S, kit._rk4(w["k"] - beta(w["stage_t"])))
+    assert not np.array_equal(S, kit.response())
 
 
 def test_kmag_shift_pointwise(hyper_setup, torus, sin_field):
@@ -734,8 +742,7 @@ def test_verify_cota(hyper_setup):
 
 def test_cota_zero_direction_trivial(hyper_setup):
     _, _, kit, consts = hyper_setup
-    Z = kit.response_derivative(lambda t, km: _del_b(t, PerturbA(0, 0, 0),
-                                                     consts, km))
+    Z = kit.response_derivative(PerturbA(0, 0, 0))
     assert np.linalg.norm(Z, 2) == 0.0  # 0 >= 0 trivially
 
 
@@ -779,31 +786,24 @@ def test_surjectivity_newton_propagates_no_response_twice(hyper_setup,
     """The Newton starts from S0 and ends on its last iterate's S, so no A
     is propagated twice in a row and A = 0 once; each value it reuses is ==
     to a fresh response at its A."""
-    import maglab.franks as franks
-
     _, _, kit, consts = hyper_setup
 
     def S_of(Avec):
-        A = PerturbA(*Avec)
-        return kit.response(lambda t, km: _beta_A(t, A, consts, km))
+        return kit.response(PerturbA(*Avec))
 
     assert np.array_equal(S_of(np.zeros(3)), S_of((0.0, 0.0, 0.0)))
     seen_A, seen_S = [], []
-    real_beta, real_response = franks._beta_A, kit.response
+    real_response = kit.response
 
-    def beta(t, A, consts, km):
+    def response(A=None):
         seen_A.append((A.a, A.b, A.c))
-        return real_beta(t, A, consts, km)
-
-    def response(shift=None):
-        seen_S.append(real_response(shift))
+        seen_S.append(real_response(A))
         return seen_S[-1]
 
     for mode in ("sphere", "forward"):
         seen_A.clear()
         seen_S.clear()
         with monkeypatch.context() as m:
-            m.setattr(franks, "_beta_A", beta)
             m.setattr(kit, "response", response)
             rep = verify_ball_surjectivity(kit, consts, n_targets=2, mode=mode,
                                            seed=5)

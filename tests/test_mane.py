@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
-from maglab.errors import UnsupportedSurfaceError
+from maglab.dynamics import IntegratorOptions
+from maglab.errors import DataInconsistencyError, UnsupportedSurfaceError
 from maglab.geometry import PhasePoint
 from maglab.field import MagneticField, ConstantField, SinusoidalTorusField
 from maglab.mane import (
@@ -197,9 +199,12 @@ def test_bracket_requires_bracketing(lag_zero):
                                 maxiter=50)
 
 
+_RV_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-12)
+
+
 def test_rotation_vector_geodesic(torus, zero_field):
     orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0))
-    rv = rotation_vector(torus, zero_field, orb)
+    rv = rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
     assert rv.homology == (1, 0)
     assert rv.rho[0] == pytest.approx(1.0, rel=1e-9)
     assert rv.rho[1] == 0.0
@@ -209,7 +214,7 @@ def test_rotation_vector_contractible(torus):
     """A small magnetic circle winds (0, 0)."""
     fld = MagneticField(ConstantField(4.0))
     orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 0.0))
-    rv = rotation_vector(torus, fld, orb)
+    rv = rotation_vector(torus, fld, orb, _RV_OPTIONS)
     assert rv.homology == (0, 0)
     assert orb.period == pytest.approx(2.0 * math.pi / 4.0, abs=1e-8)
 
@@ -217,8 +222,18 @@ def test_rotation_vector_contractible(torus):
 def test_rotation_vector_minimal_period(torus, zero_field):
     """Subdivision check prevents reporting (2, 0) / 2T."""
     orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.7, 0.1, 1.0, 0.0))
-    rv = rotation_vector(torus, zero_field, orb)
+    rv = rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
     assert rv.homology == (1, 0) and rv.period == pytest.approx(1.0, abs=1e-10)
+
+
+def test_rotation_vector_non_integral_winding_is_typed(torus, zero_field):
+    """Half a period winds (1/2, 0): a DataInconsistencyError, which a stage
+    reports as a numerical failure."""
+    orb = copy.copy(find_closed_orbit(torus, zero_field, 0.5,
+                                      PhasePoint(0, 0.1, 0.2, 1.0, 0.0)))
+    orb.period *= 0.5
+    with pytest.raises(DataInconsistencyError, match="winding not integral"):
+        rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
 
 
 def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
@@ -227,7 +242,7 @@ def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
                             PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / lam),
                             max_time=20.0, options=tight_options)
     with pytest.raises(UnsupportedSurfaceError):
-        rotation_vector(unit_sphere, zero_field, orb)
+        rotation_vector(unit_sphere, zero_field, orb, _RV_OPTIONS)
 
 
 # -- the Nelder-Mead transcription against scipy's ------------------------------------

@@ -31,9 +31,11 @@ the lazy interpolant rows and flat step arrays are in place.
 
 Last, window is the Franks window propagation on franks_verify's kit (the
 bundled config's hyperbolic torus orbit, its first segment's tube and
-constants): one `response` to a perturbation beta_A and one
-`response_derivative` along the first variation of beta_A, with the ns per
-window step over both, and the window's RK4 steps as the work counter.
+constants): one `response` to the perturbation G(A) and one
+`response_derivative` along A, with the ns per window step over both, and the
+window's RK4 steps as the work counter.  A tree whose kit responses take A
+gets A; an older tree, whose responses take coefficient callbacks (t, km),
+gets callbacks that evaluate beta_A and its first variation for the same A.
 
 Every time is the least over N repetitions (default 5), with the garbage
 collector off while timing, as timeit does.  The work counters printed beside
@@ -235,10 +237,15 @@ def _window_cost(reps):
     consts = franks.compute_constants(kit)
     s = 0.5 * consts.delta1
     A = franks.PerturbA(0.6 * s, 0.0, 0.8 * s)
-    t_resp = best(lambda: kit.response(
-        lambda t, km: franks._beta_A(t, A, consts, km)), reps)
-    t_deriv = best(lambda: kit.response_derivative(
-        lambda t, km: franks._del_b(t, A, consts, km)), reps)
+    shift = bdir = A
+    if not hasattr(franks, "_profiles"):  # responses take callbacks (t, km)
+        def shift(t, km):
+            return franks._beta_A(t, A, consts, km)
+
+        def bdir(t, km):
+            return franks._del_b(t, A, consts, km)
+    t_resp = best(lambda: kit.response(shift), reps)
+    t_deriv = best(lambda: kit.response_derivative(bdir), reps)
     return t_resp, t_deriv, kit.n_window_steps
 
 
