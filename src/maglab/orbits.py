@@ -167,9 +167,10 @@ class _CrossingMonitor:
     section offset between consecutive samples is refined on the
     interpolant (`_refine`).  A step in the anchor chart that provably
     holds no crossing is not sampled (`_skip`): along the step the offset
-    is l(theta) = l0 + h * sum_j e_j theta^j, e_j = (a_j, b_j) . normal_e,
-    with (a_j, b_j) the interpolant's position rows, so it stays within
-    |h| * sum_j |e_j| of l0.  When |l0| exceeds that by a margin of at
+    is l(theta) = l0 + h*theta*(e0 + (1-theta)*(e1 + theta*(e2 + ...))),
+    e_j = (a_j, b_j) . normal_e with (a_j, b_j) the interpolant's position
+    rows, and every factor theta or 1 - theta lies in [0, 1], so it stays
+    within |h| * sum_j |e_j| of l0.  When |l0| exceeds that by a margin of at
     least 1e-9 (every sample would arm the monitor) plus a rounding slack,
     and the last sample before the step cannot pair with the step's first
     sample into a sign change (the monitor not armed, which it never is
@@ -230,20 +231,29 @@ class _CrossingMonitor:
             self.prev_l, self.prev_t = l, (t_glob, chart, step, tau)
         return True
 
+    def _bounds(self, step):
+        """(move, reach): over theta in [0, 1] the step's position stays
+        within `move` of its start and the chart-normal offset within `reach`
+        of the start's (the sums of |h| times the rows' norms and normal
+        components)."""
+        a, b = step.position_rows()
+        a0, a1, a2, a3, a4, a5, a6 = a
+        b0, b1, b2, b3, b4, b5, b6 = b
+        n0, n1 = self.section.normal_e
+        h = abs(step.h)
+        move = h * sum(map(math.hypot, a, b))
+        reach = h * (abs(a0 * n0 + b0 * n1) + abs(a1 * n0 + b1 * n1)
+                     + abs(a2 * n0 + b2 * n1) + abs(a3 * n0 + b3 * n1)
+                     + abs(a4 * n0 + b4 * n1) + abs(a5 * n0 + b5 * n1)
+                     + abs(a6 * n0 + b6 * n1))
+        return move, reach
+
     def _skip(self, chart, step, offset):
         """Whether a step in the anchor chart provably holds no crossing; if
         so, the state is set as the sample loop would leave it."""
-        (a1, a2, a3, a4), (b1, b2, b3, b4) = step.position_rows()
         section = self.section
-        n0, n1 = section.normal_e
         x0, y0 = step.y0[0], step.y0[1]
-        h = abs(step.h)
-        # over theta in [0, 1] the position moves at most `move` and the
-        # offset at most `reach`
-        move = h * (math.hypot(a1, b1) + math.hypot(a2, b2)
-                    + math.hypot(a3, b3) + math.hypot(a4, b4))
-        reach = h * (abs(a1 * n0 + b1 * n1) + abs(a2 * n0 + b2 * n1)
-                     + abs(a3 * n0 + b3 * n1) + abs(a4 * n0 + b4 * n1))
+        move, reach = self._bounds(step)
         # far above the rounding of one sample, which is a few ulps of these
         margin = 1e-9 + 1e-12 * (abs(x0) + abs(y0) + self._anchor_size + move)
         if self._torus:

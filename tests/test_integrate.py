@@ -1,8 +1,9 @@
-"""The DP5(4) stepper against a reference step written from the tableau.
+"""The DOP853 stepper against a reference step written from the tableau.
 
-The reference forms every stage, the solution, the error estimate and the
-interpolant coefficients as sums over the tables `_A`, `_B`, `_E` and `_P`,
-zero entries included.  `integrate` must reproduce it bit for bit.
+The reference forms every stage, the solution, both error estimates, the
+dense stages and the interpolant rows as sums over the tables `_A`, `_B`,
+`_E5`, `_E3` and `_P`, zero entries included.  `integrate` must reproduce it
+bit for bit.
 """
 
 import math
@@ -12,9 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from maglab.dynamics import IntegratorOptions
+from maglab.field import MagneticField, SinusoidalTorusField, ZonalSphereField
+from maglab.geometry import PhasePoint, flat_torus, sphere
 from maglab.integrate import (
-    _A, _B, _C, _E, _P, DenseStep, _error_norm, _initial_step, integrate,
+    _A, _B, _C, _E3, _E5, _P, DenseStep, _initial_step, integrate,
 )
+import maglab.orbits as orbits
 
 
 def _fold(terms):
@@ -29,29 +34,56 @@ def _fold(terms):
     return acc
 
 
+def _stage_arg(y, h, ks, row):
+    """y + h * sum_j row[j] k_j, per component."""
+    return tuple(y[c] + h * _fold(row[j] * ks[j][c] for j in range(len(row)))
+                 for c in range(len(y)))
+
+
 def reference_step(rhs, t, y, h):
-    """One DP5(4) step: (y1, err, dense coefficients d[c][j])."""
+    """One DOP853 step: (y1, (e5, e3), interpolant rows d[c][j]), with e5
+    and e3 the unscaled error estimates."""
     n = len(y)
     ks = [rhs(t, y)]
-    for i in range(1, 6):
-        yi = tuple(y[c] + h * _fold(_A[i][j] * ks[j][c] for j in range(i))
-                   for c in range(n))
-        ks.append(rhs(t + _C[i] * h, yi))
-    y1 = tuple(y[c] + h * _fold(_B[j] * ks[j][c] for j in range(6))
-               for c in range(n))
+    for i in range(1, 12):
+        ks.append(rhs(t + _C[i] * h, _stage_arg(y, h, ks, _A[i])))
+    y1 = _stage_arg(y, h, ks, _B)
     ks.append(rhs(t + h, y1))
-    err = tuple(h * _fold(_E[j] * ks[j][c] for j in range(7)) for c in range(n))
-    d = tuple(tuple(_fold(_P[i][j] * ks[i][c] for i in range(7)) for j in range(4))
+    errs = tuple(tuple(_fold(e[j] * ks[j][c] for j in range(12)) for c in range(n))
+                 for e in (_E5, _E3))
+    for i in range(13, 16):
+        ks.append(rhs(t + _C[i] * h, _stage_arg(y, h, ks, _A[i])))
+    d = tuple(tuple(_fold(p[i] * ks[i][c] for i in range(16)) for p in _P)
               for c in range(n))
-    return y1, err, d
+    return y1, errs, d
+
+
+def reference_norm(errs, y, y1, h, rtol, atol):
+    """|h| s5 / sqrt((s5 + 0.01 s3) n), s5 and s3 the sums of the squared
+    scaled estimates; 0 when both are 0."""
+    sums = []
+    for e in errs:
+        rs = [x / (atol + rtol * (abs(b) if abs(b) > abs(a) else abs(a)))
+              for x, a, b in zip(e, y, y1)]
+        sums.append(_fold(r * r for r in rs))
+    s5, s3 = sums
+    if s5 == s3 == 0.0:
+        return 0.0
+    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
 
 
 def reference_eval(t0, h, y0, d, t):
+    """y0 + h*theta*(d0 + (1-theta)*(d1 + theta*(d2 + ...))), the factor
+    of d_j's bracket theta for odd j and 1 - theta for even j."""
     th = (t - t0) / h
-    th2 = th * th
-    p = (th, th2, th2 * th, th2 * th2)
-    return tuple(y + h * (dc[0] * p[0] + dc[1] * p[1] + dc[2] * p[2] + dc[3] * p[3])
-                 for y, dc in zip(y0, d))
+    u = 1.0 - th
+    out = []
+    for y, dc in zip(y0, d):
+        acc = dc[6]
+        for j in range(5, -1, -1):
+            acc = dc[j] + (th if j % 2 else u) * acc
+        out.append(y + h * (th * acc))
+    return tuple(out)
 
 
 def reference_run(rhs, t0, y0, t_final, rtol, atol):
@@ -62,15 +94,15 @@ def reference_run(rhs, t0, y0, t_final, rtol, atol):
     times = []
     while t < t_final:
         h = min(h, t_final - t)
-        y1, err, _ = reference_step(rhs, t, y, h)
-        enorm = _error_norm(err, y, y1, rtol, atol)
+        y1, errs, _ = reference_step(rhs, t, y, h)
+        enorm = reference_norm(errs, y, y1, h, rtol, atol)
         if not enorm <= 1.0:
-            h *= max(0.2, 0.9 * enorm ** (-0.2))
+            h *= max(0.2, 0.9 * enorm ** (-0.125))
             continue
         t = t + h
         times.append(t)
         y = y1
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.125)))
         h = h * factor
     return times, y
 
@@ -91,8 +123,8 @@ coord = st.floats(-2.0, 2.0)
 
 @st.composite
 def systems(draw):
-    """(rhs, y0) for a linear or nonlinear system in dimension 1, 2, 4, 7 or 10."""
-    n = draw(st.sampled_from([1, 2, 4, 7, 10]))
+    """(rhs, y0) for a linear or nonlinear system in dimension 1, 3, 4 or 10."""
+    n = draw(st.sampled_from([1, 3, 4, 10]))
     y0 = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
     if draw(st.booleans()):
         row = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
@@ -130,7 +162,7 @@ def test_adaptive_run_matches_reference(system, t0):
 @given(st.integers(2, 10).flatmap(lambda n: st.tuples(
     st.lists(coord, min_size=n, max_size=n),
     st.lists(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n),
-             min_size=7, max_size=7))),
+             min_size=16, max_size=16))),
     st.floats(-3.0, 3.0), st.floats(1e-3, 0.5),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
 def test_eval_position_is_eval_prefix(data, t0, h, thetas):
@@ -221,9 +253,9 @@ def test_generated_step_shows_in_tracebacks():
     with pytest.raises(RuntimeError) as info:
         integrate(rhs, 0.0, (0.0, 0.0, 0.0), 1.0, first_step=0.1)
     frames = [f for f in traceback.extract_tb(info.value.__traceback__)
-              if f.filename == "<maglab dp54 step n=3>"]
+              if f.filename == "<maglab dop853 step n=3>"]
     assert len(frames) == 1
-    assert frames[0].line == "k2 = rhs(t + 0.2 * h, (s0, s1, s2))"
+    assert frames[0].line == "k2 = rhs(t + 0.05260015195876773 * h, (s0, s1, s2))"
 
 
 @pytest.mark.parametrize("case", ["computed_first_step", "given_first_step",
@@ -231,8 +263,8 @@ def test_generated_step_shows_in_tracebacks():
 def test_n_fev_counts_every_rhs_call(case):
     """n_fev is the number of RHS calls, and each call feeds a step: one k1
     at the start, one for the initial-step estimate when integrate computes
-    the first step, six per trial step and one k1 per accepted step that
-    another step follows."""
+    the first step, twelve per trial step, three dense stages per accepted
+    step and one k1 per accepted step that another step follows."""
     calls = []
     osc = linear_rhs([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -253,5 +285,78 @@ def test_n_fev_counts_every_rhs_call(case):
     if case == "rejected_steps":
         assert sol.n_rejected > 0
     computed = "first_step" not in kwargs
-    assert len(calls) == (1 + computed + 6 * (sol.n_accepted + sol.n_rejected)
-                          + sol.n_accepted - 1)
+    assert len(calls) == (1 + computed + 12 * (sol.n_accepted + sol.n_rejected)
+                          + 3 * sol.n_accepted + sol.n_accepted - 1)
+
+
+def test_tables_close_in_table_order():
+    """Added in table order, as the generated step adds them, the weights
+    sum to exactly 1, the first interpolant row (the weights again) to 1 and
+    the other six rows to exactly 0; every stage's coefficients sum to its
+    node within rounding."""
+    assert _fold(x for x in _B if x != 0.0) == 1.0
+    assert _P[0][:12] == _B and not any(_P[0][12:])
+    for row in _P[1:]:
+        assert _fold(x for x in row if x != 0.0) == 0.0
+    for i in range(1, 16):
+        assert abs(math.fsum(_A[i]) - _C[i]) <= 1e-15 * max(map(abs, _A[i]))
+    assert _A[12] == _B and _C[12] == 1.0
+
+
+def test_tables_transcribe_scipy_dop853():
+    """The tables are scipy's DOP853 coefficients; only the closed entries
+    (the last weight and each row's last entry) differ, by rounding."""
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert _C == tuple(coef.C.tolist())
+    for i in range(16):
+        want = tuple(coef.A[i, :i].tolist())
+        if i != 12:
+            assert _A[i] == want
+    assert _B[:11] == tuple(coef.B[:11].tolist())
+    assert abs(_B[11] - coef.B[11]) <= 1e-15
+    assert _E5 == tuple(coef.E5[:12].tolist()) and coef.E5[12] == 0.0
+    assert _E3 == tuple(coef.E3[:12].tolist()) and coef.E3[12] == 0.0
+    b = np.zeros(16)
+    b[:12] = coef.B
+    e1, e13 = np.eye(16)[0], np.eye(16)[12]
+    rows = np.vstack([b, e1 - b, 2.0 * b - e1 - e13, coef.D])
+    for got, want in zip(_P, rows):
+        assert np.abs(np.array(got) - want).max() <= 1e-13
+
+
+def test_sphere_twist_return_takes_few_steps(monkeypatch):
+    """One section return on sphere_twist's closed orbit, at its tolerances
+    (rtol 1e-12, atol 1e-13), takes at most 60 accepted steps (DP5(4) took
+    442)."""
+    options = IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
+    orb = orbits.find_closed_orbit(
+        sphere(1.0), MagneticField(ZonalSphereField(1.6)), 0.5,
+        PhasePoint(0, 0.35, 0.0, 0.0, 0.5), tol=1e-10, options=options,
+        max_time=30.0)
+    trajs = []
+    real_flow = orbits.flow
+
+    def recording_flow(*args, **kwargs):
+        trajs.append(real_flow(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(orbits, "flow", recording_flow)
+    orbits.first_return(orb.section, (0.0, 0.0), 30.0, options=options)
+    assert len(trajs) == 1
+    assert 0 < trajs[0].n_accepted <= 60
+
+
+def test_hyperbolic_torus_monodromy_matches_closed_form():
+    """franks_verify's hyperbolic orbit (x = 0, v = (0, -1) on the flat torus
+    with f = sin 2 pi x, c = 1/2) has K_mag = -2 pi along its period 1, so
+    its monodromy is [[cosh a, sinh a / a], [a sinh a, cosh a]], a =
+    sqrt(2 pi).  At the default tolerances each entry of the shot orbit's is
+    within 4e-11 of its closed form, relatively (3.3e-11; DP5(4) read
+    6.5e-11, its diagonal 4.0e-10 off where this reads 2.0e-10)."""
+    orb = orbits.find_closed_orbit(
+        flat_torus(), MagneticField(SinusoidalTorusField(1.0, (1, 0))), 0.5,
+        PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+    a = math.sqrt(2.0 * math.pi)
+    want = np.array([[math.cosh(a), math.sinh(a) / a],
+                     [a * math.sinh(a), math.cosh(a)]])
+    assert (np.abs(np.asarray(orb.monodromy) - want) / np.abs(want)).max() <= 4.0e-11

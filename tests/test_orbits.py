@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -519,8 +520,11 @@ def _monitored_flows(draw):
             n0, n1 = sec.normal_e
             second = PhasePoint(p.chart, p.x + d * n0, p.y + d * n1, p.vx, p.vy)
         legs.append((second, duration()))
+    # steps of at most 0.1 at unit speed, so that a flow has steps the skip
+    # rule can skip: a longer torus step can neither lie inside the 0.35
+    # window clear of the section nor wholly outside it
     options = IntegratorOptions(rel_tol=draw(st.sampled_from([1e-6, 1e-10])),
-                                abs_tol=1e-12, max_step=draw(st.sampled_from([0.05, math.inf])))
+                                abs_tol=1e-12, max_step=draw(st.sampled_from([0.05, 0.1])))
     return sec, legs, options
 
 
@@ -564,3 +568,39 @@ def test_monitor_skip_matches_sampling(flow_args):
     assert mon.hits == ref.hits
     assert (mon.prev_l, mon.armed, mon.prev_t) == (ref.prev_l, ref.armed, ref.prev_t)
     assert mon.skipped > 0
+
+
+@given(_monitored_flows(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       st.booleans())
+def test_skip_bounds_hold_on_every_step(flow_args, thetas, unbounded):
+    """On every step in the anchor chart, at the drawn theta and both ends,
+    the interpolated position is within `move` of the step's start and its
+    chart-normal offset within `reach` of the start's, up to the rounding
+    slack the skip rule adds: in the degree-7 interpolant's nested form every
+    factor theta or 1 - theta lies in [0, 1].  Steps run up to max_step or,
+    when `unbounded`, as long as the integrator takes them."""
+    sec, legs, options = flow_args
+    if unbounded:
+        options = dataclasses.replace(options, max_step=math.inf)
+    mon = _CrossingMonitor(sec)
+    anchor = sec.anchor
+    n0, n1 = sec.normal_e
+    checked = []
+
+    def check(chart, step, offset):
+        if chart != anchor.chart:
+            return True
+        move, reach = mon._bounds(step)
+        x0, y0 = step.y0[0], step.y0[1]
+        slack = 1e-12 * (abs(x0) + abs(y0) + abs(anchor.x) + abs(anchor.y) + move)
+        l0 = (x0 - anchor.x) * n0 + (y0 - anchor.y) * n1
+        for th in thetas + [0.0, 1.0]:
+            x, y = step.eval_position(step.t0 + th * step.h)
+            assert math.hypot(x - x0, y - y0) <= move + slack
+            assert abs((x - anchor.x) * n0 + (y - anchor.y) * n1 - l0) <= reach + slack
+        checked.append(step)
+        return True
+
+    for start, duration in legs:
+        flow(sec.surface, sec.field, start, duration, options, observer=check)
+    assert checked
