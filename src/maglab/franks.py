@@ -31,7 +31,9 @@ evaluated consistently down to machine precision.  The RK4 steps are
 linear, and the window is their transfer matrices' ordered product, taken
 pairwise over arrays.  `set_window` takes the ledger's profiles, places the
 window around their supports and samples the base K_mag once on the RK4
-stage grid; `FranksKit.response(A)` is then S(A) and
+stage grid; `compute_constants` leaves its constants with the kit, whose
+first response sets their window, so a kit that never responds builds none.
+`FranksKit.response(A)` is S(A) and
 `FranksKit.response_derivative(A)` is Z along A.  The base orbit, its
 fundamental matrix, K_mag, the profiles, beta_A and its first variation are
 read over whole arrays of times, never one Python call per time: a response
@@ -594,7 +596,8 @@ class FranksKit:
         self.eps0 = chart.eps0
         self.c = self.traj.c
         self._vp = VariationalPath(self.traj)
-        self._window = None
+        self._consts = None  # the constants the window is built from
+        self._win = None
 
     def kmag_base(self, t):
         """Base K_mag along the segment at a time, or at an array of times
@@ -625,17 +628,24 @@ class FranksKit:
         n = self.n_window_steps
         ts = np.linspace(t_a, t_b, 2 * n + 1)
         stages = (2 * np.arange(n)[:, None] + np.arange(3)).ravel()
-        self._window = {
+        self._win = {
             "h": (t_b - t_a) / n, "k": self.kmag_base(ts)[stages],
             "stage_t": ts[stages], "profiles": (d, D, consts.alpha),
             "X_a": self.base_matrix(t_a),
             "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
         }
 
-    def _require_window(self):
-        if self._window is None:
-            raise RuntimeError("set_window must be called before responses")
-        return self._window
+    @property
+    def _window(self):
+        """The window `set_window` set or, on first use, the window of the
+        constants `compute_constants` gave the kit: only a kit that responds
+        pays for its window."""
+        if self._win is None:
+            if self._consts is None:
+                raise RuntimeError("compute_constants or set_window must run "
+                                   "before responses")
+            self.set_window(self._consts)
+        return self._win
 
     def _rk4(self, k, b=None):
         """Fixed-step RK4 across the window for X' = [[0, 1], [-K, 0]] X.
@@ -647,7 +657,7 @@ class FranksKit:
         window is the ordered product of their matrices (`_step_factors`,
         `_window_product`) applied to X(t_a).
         """
-        w = self._require_window()
+        w = self._window
         E, Q = _window_product(*_step_factors(w["h"], k, b))
         X_a = w["X_a"]
         if b is not None:
@@ -663,7 +673,7 @@ class FranksKit:
         (deterministic and smooth in A); outside it the cached base
         propagators are used.
         """
-        w = self._require_window()
+        w = self._window
         k = w["k"]
         if A is not None:
             k = k - _beta_A(A, _profiles(*w["profiles"], w["stage_t"]), k)
@@ -672,7 +682,7 @@ class FranksKit:
     def response_derivative(self, A):
         """Z(T) = X(T) int X^{-1} [[0,0],[db,0]] X dt, the first variation of
         S at 0 along A (db the derivative of beta_A along A, `_del_b`)."""
-        w = self._require_window()
+        w = self._window
         prof = _profiles(*w["profiles"], w["stage_t"])
         return self._rk4(w["k"], _del_b(A, prof, w["k"]))
 
@@ -845,7 +855,7 @@ def compute_constants(kit: FranksKit, eps_c1=0.1):
     consts = FranksConstants(k0, T, lam, k1, k2, k3, rho, delta_p, Delta_p,
                              alpha, kmag_c0, log_k5_full, k5, k6, eps_c1,
                              eps0, delta1, delta, checks)
-    kit.set_window(consts)
+    kit._consts, kit._win = consts, None  # the window follows on first response
     return consts
 
 

@@ -2,6 +2,7 @@ import collections
 import copy
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from maglab.dynamics import (
     magnetic_curvature_at,
 )
 from maglab.orbits import find_closed_orbit, phase_distance
-from maglab.scenarios import Scenario, run_scenario
+from maglab.scenarios import Scenario, load_scenario, run_scenario
 from maglab.franks import (
     BumpProfile,
     PerturbA,
@@ -454,7 +455,7 @@ def _with_identity_ends(kit):
     """A copy of kit whose window (the same steps) has X_a = X_after = I, so
     that its responses are the window's bare propagators."""
     out = copy.copy(kit)
-    out._window = dict(kit._window, X_a=np.eye(2), X_after=np.eye(2))
+    out._win = dict(kit._window, X_a=np.eye(2), X_after=np.eye(2))
     return out
 
 
@@ -966,3 +967,26 @@ def test_franks_stage_builds_one_tube_per_segment(tmp_path, monkeypatch):
     assert len(kits) == 2
     for kit in kits:
         assert kit._vp._traj is kit.chart.traj is kit.traj
+
+
+def test_franks_stage_builds_one_window(monkeypatch, tmp_path):
+    """The bundled franks_verify stage computes the constants of two
+    segments, but only segment 0's kit responds, so exactly one window is
+    built, on that kit's first response."""
+    import maglab
+    import maglab.franks as franks
+
+    built = []
+    set_window = franks.FranksKit.set_window
+
+    def counted(self, consts):
+        built.append(consts)
+        return set_window(self, consts)
+
+    monkeypatch.setattr(franks.FranksKit, "set_window", counted)
+    path = os.path.join(os.path.dirname(maglab.__file__), "scenarios",
+                        "franks_verify.json")
+    code, reports = run_scenario(load_scenario(path), out_dir=str(tmp_path))
+    assert code == 0
+    assert len(reports["franks-verify"]["constants_by_segment"]) == 2
+    assert len(built) == 1
