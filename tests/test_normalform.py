@@ -6,6 +6,7 @@ import pytest
 from maglab.errors import ResonantJetError
 from maglab.maps import LinearMap, PolynomialMap, TwistMap, fd_jacobian
 from maglab.normalform import (
+    _birkhoff_weights,
     _fit_cubic,
     birkhoff_beta,
     elliptic_frame,
@@ -111,6 +112,19 @@ def test_rotation_fit_pure_rotation():
     rot = LinearMap(rotation(0.3))
     fit = twist_by_rotation_number(rot, [0.05, 0.1, 0.15], n_iter=200)
     assert abs(fit.beta) <= 1e-9
+
+
+def test_birkhoff_weights_average_fast():
+    """The weights are positive, symmetric and sum to 1; along an
+    irrational rotation, 100 weighted terms of cos 2 pi x average to within
+    1e-9 of its mean 0, where the equal-weight mean is 1e-3 off."""
+    w = _birkhoff_weights(100)
+    assert min(w) > 0.0 and w == pytest.approx(w[::-1], rel=1e-12)
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+    omega = (math.sqrt(5.0) - 1.0) / 2.0
+    terms = [math.cos(2.0 * math.pi * (0.1 + k * omega)) for k in range(100)]
+    assert abs(sum(a * b for a, b in zip(w, terms))) <= 1e-9
+    assert abs(sum(terms) / 100) >= 1e-3
 
 
 def test_jet_vs_fit_cross_validation():
