@@ -332,9 +332,15 @@ class Solution:
         u = 1.0 - th
         out = []
         for c in comps:
-            d0, d1, d2, d3, d4, d5, d6 = (dj[i] for dj in d[c])
-            out.append(y0[c][i] + h * (th * (d0 + u * (d1 + th * (d2 + u * (
-                d3 + th * (d4 + u * (d5 + th * d6))))))))
+            # the nested form from d6 outwards, in place on one array
+            acc = d[c][6][i]
+            for j in range(5, -1, -1):
+                acc *= th if j % 2 else u
+                acc += d[c][j][i]
+            acc *= th
+            acc *= h
+            acc += y0[c][i]
+            out.append(acc)
         return out
 
     @functools.cached_property
@@ -412,8 +418,9 @@ def _step_source(n):
         """The components, with the comma a one-element tuple needs."""
         return ", ".join(fmt.format(c) for c in comps) + ("," if n == 1 else "")
 
-    def stage(i, unpack=True):
-        """The lines of stage i + 1, from row i of the tables."""
+    def stage(i, unpack):
+        """The lines of stage i + 1, from row i of the tables, with its
+        components unpacked when a later expression reads them."""
         lines = [f"    s{c} = z{c} + h * ({_combo(_A[i], f'k{{}}_{c}')})"
                  for c in comps]
         lines.append(f"    k{i + 1} = rhs(t + {_C[i]!r} * h, ({names('s{}')}))")
@@ -426,7 +433,7 @@ def _step_source(n):
              f"    {names('z{}')} = y",
              f"    {names('k1_{}')} = k1"]
     for i in range(1, 12):
-        lines += stage(i)
+        lines += stage(i, True)
     lines += [f"    w{c} = z{c} + h * ({_combo(_B, f'k{{}}_{c}')})" for c in comps]
     lines += [f"    y1 = ({names('w{}')})",
               "    k13 = rhs(t + h, y1)",
@@ -450,7 +457,7 @@ def _step_source(n):
                    if x != 0.0 and j < 13})
     lines += [f"    {names(f'k{j + 1}_{{}}')} = k{j + 1}" for j in read]
     for i in range(13, 16):
-        lines += stage(i, unpack=i < 15)
+        lines += stage(i, i < 15)
     lines.append("    return ks + (k14, k15, k16)")
     return "\n".join(lines) + "\n"
 
