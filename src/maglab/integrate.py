@@ -118,7 +118,7 @@ _E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
 _E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
        1.8915178993145003, -5.801203960010585, -0.4226823213237919,
        -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
-# the theta^3..theta^6 rows of the dense output over k1..k16
+# rows d3..d6 of the dense output over k1..k16 (scipy's D)
 _D = (
     (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
      -3.0689499459498917, 2.38466765651207, 2.117034582445028,
@@ -408,9 +408,9 @@ def _step_source(n):
     argument and w for y1, suffixed by the component.  Every stage argument,
     the solution and both error estimates is its sum over `_A`/`_B`/`_E5`/
     `_E3` with the terms in table order and the zero terms left out;
-    enorm is |h| e5 / sqrt((e5 + 0.01 e3) n), e5 and e3 the sums of the
-    squared scaled estimates (0 when both are 0).  Coefficients are float
-    literals, which repr round-trips.
+    enorm is h e5 / sqrt((e5 + 0.01 e3) n) (h > 0 in `integrate`), e5 and
+    e3 the sums of the squared scaled estimates (0 when both are 0).
+    Coefficients are float literals, which repr round-trips.
     """
     comps = range(n)
 
