@@ -329,15 +329,15 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
                         hi = mid
                 stop_reason["exit_time"] = _offset + lo
                 return False
+            # the observer sees the step that leaves a sphere chart too: a
+            # section crossing may lie in it
+            if observer is not None and observer(_chart, step, _offset) is False:
+                stop_reason["kind"] = "user"
+                return False
             # the one definition of the sphere switch radius (chart radius 2)
             if sphere and x * x + yy * yy > 4.0:
                 stop_reason["kind"] = "switch"
                 return False
-            if observer is not None:
-                keep = observer(_chart, step, _offset)
-                if keep is False:
-                    stop_reason["kind"] = "user"
-                    return False
             return True
 
         sol = integrate(

@@ -53,6 +53,10 @@ class BracketError(MaglabError, ValueError):
     """A search range does not bracket the sought value."""
 
 
+class SectionDomainError(MaglabError, ValueError):
+    """Section coordinates (s, R) lie off the energy circle of the section."""
+
+
 class ConfigError(MaglabError):
     """Scenario configuration failed validation."""
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoReturnError, NewtonDivergenceError, ContinuationLostError
+from .errors import (NoReturnError, NewtonDivergenceError, ContinuationLostError,
+                     SectionDomainError)
 from .geometry import PhasePoint, energy as phase_energy
 from .dynamics import IntegratorOptions, flow, flow_with_variation
 from .maps import fd_jacobian
@@ -107,7 +108,7 @@ class Section:
         two_c = 2.0 * self.c
         disc = two_c - a * a
         if disc <= 0.0:
-            raise ValueError(f"R={R} exceeds the energy circle at s={s}")
+            raise SectionDomainError(f"R={R} exceeds the energy circle at s={s}")
         b = math.sqrt(disc)
         # unit tangent/normal of the section curve at psi(s); the normal branch
         # N = -i T is the one through the anchor velocity
@@ -163,29 +164,33 @@ class Section:
 class _CrossingMonitor:
     """Scans accepted integration steps for section-line crossings.
 
-    Each step is sampled at n points (`__call__`) and a sign change of the
-    section offset between consecutive samples is refined on the
-    interpolant (`_refine`).  A step in the anchor chart that provably
-    holds no crossing is not sampled (`_skip`): along the step the offset
-    is l(theta) = l0 + h*theta*(e0 + (1-theta)*(e1 + theta*(e2 + ...))),
+    Each step is sampled at theta_k = k/n, k = 0..n (`__call__`), and a sign
+    change of the section offset between consecutive samples of the step is
+    refined on that step's interpolant (`_refine`): every bracket lies
+    inside one step.  The monitor is `armed` by a sample with |offset| above
+    1e-9 and disarmed by one where the offset is undefined (outside the
+    torus window, or on the sphere outside the anchor chart's disk); a pair
+    is tested only when it is armed.  `armed` is all that one step hands on
+    to the next.  The k = 0 sample reads the step's start, which is the
+    previous step's end up to rounding, so a crossing can hide between two
+    steps only at rounding level.  `flow` hands the monitor the step that
+    leaves a sphere chart too.
+
+    A step in the anchor chart that provably holds no crossing is not
+    sampled (`_skip`): along the step the offset is
+    l(theta) = l0 + h*theta*(e0 + (1-theta)*(e1 + theta*(e2 + ...))),
     e_j = (a_j, b_j) . normal_e with (a_j, b_j) the interpolant's position
     rows, and every factor theta or 1 - theta lies in [0, 1], so it stays
     within |h| * sum_j |e_j| of l0.  When |l0| exceeds that by a margin of at
-    least 1e-9 (every sample would arm the monitor) plus a rounding slack,
-    and the last sample before the step cannot pair with the step's first
-    sample into a sign change (the monitor not armed, which it never is
-    without a previous sample, or the same sign as l0), the step sets the
-    state its last sample would have set and skips the others.  On the
-    torus this is done only when the whole step is provably inside the
-    offset window; a step provably outside it sets the state of a sample
-    outside.  Every other step is sampled, so the hits are those of
-    sampling every step.
+    least 1e-9 plus a rounding slack, every sample has l0's sign and would
+    arm the monitor, so the step only arms it.  On the torus this is done
+    only when the whole step is provably inside the offset window; a step
+    provably outside it only disarms the monitor.  Every other step is
+    sampled, so the hits are those of sampling every step.
     """
 
     def __init__(self, section):
         self.section = section
-        self.prev_t = 0.0
-        self.prev_l = None
         self.armed = False
         self.hits = []
         self.want = 1
@@ -195,40 +200,34 @@ class _CrossingMonitor:
         # the torus wraps offsets and has the window; the other surfaces neither
         self._torus = section.surface.kind == "torus"
 
-    def _state_of(self, chart, step, tau):
-        y = step.eval(tau)
-        return PhasePoint(chart, y[0], y[1], y[2], y[3])
-
     def __call__(self, chart, step, offset):
-        if chart == self._chart and self._skip(chart, step, offset):
+        if chart == self._chart and self._skip(chart, step):
             return True
         offset_at = self.section.offset_at
         position = step.eval_position
         t0, h = step.t0, step.h
-        # subsample so consecutive samples move < ~0.08 chart units
+        # subsample so consecutive samples move < ~0.08 chart units.  No
+        # pair needs a guard against a jump in the offset: offset_at has
+        # none inside the 0.35 torus window, and none on the disk or the
+        # sphere, whose other chart maps continuously into the anchor chart
         speed = math.hypot(step.y1[2], step.y1[3])
         n = max(3, min(256, int(h * speed / 0.08) + 1))
-        for k in range(1, n + 1):
+        l_a = tau_a = None  # the step's previous sample, none before k = 0
+        for k in range(n + 1):
             tau = t0 + k / n * h
-            t_glob = offset + tau
             x, y = position(tau)
             l = offset_at(chart, x, y)
             if l is None:
-                self.prev_l = None
                 self.armed = False
-                continue
-            # every assignment keeps the monitor unarmed without a previous
-            # sample, so an armed monitor has one to pair with
-            if not self.armed:
+            elif not self.armed:
                 self.armed = abs(l) > 1e-9
-            elif (l == 0.0 or (self.prev_l < 0.0) != (l < 0.0)) and \
-                    abs(l - self.prev_l) < 0.3:
-                hit = self._refine(self.prev_t, (t_glob, chart, step, tau))
+            elif l_a is not None and (l == 0.0 or (l_a < 0.0) != (l < 0.0)):
+                hit = self._refine(chart, step, offset, tau_a, tau)
                 if hit is not None and hit[0] > _T_SKIP:
                     self.hits.append(hit)
                     if len(self.hits) >= self.want:
                         return False
-            self.prev_l, self.prev_t = l, (t_glob, chart, step, tau)
+            l_a, tau_a = l, tau
         return True
 
     def _bounds(self, step):
@@ -248,9 +247,9 @@ class _CrossingMonitor:
                      + abs(a6 * n0 + b6 * n1))
         return move, reach
 
-    def _skip(self, chart, step, offset):
+    def _skip(self, chart, step):
         """Whether a step in the anchor chart provably holds no crossing; if
-        so, the state is set as the sample loop would leave it."""
+        so, `armed` is set as sampling the step would leave it."""
         section = self.section
         x0, y0 = step.y0[0], step.y0[1]
         move, reach = self._bounds(step)
@@ -262,7 +261,6 @@ class _CrossingMonitor:
                                                          y0 - anchor.y))
             if dist - move > _TORUS_WINDOW + margin:
                 # every sample is outside the window
-                self.prev_l = None
                 self.armed = False
                 return True
             if dist + move >= _TORUS_WINDOW - margin:
@@ -271,45 +269,35 @@ class _CrossingMonitor:
         l0 = section.offset_at(chart, x0, y0)
         if abs(l0) <= reach + margin:
             return False
-        if self.armed and (self.prev_l < 0.0) != (l0 < 0.0):
-            return False
-        # the last sample, k = n
-        tau = step.t0 + step.h
-        x, y = step.eval_position(tau)
-        self.prev_l = section.offset_at(chart, x, y)
-        self.prev_t = (offset + tau, chart, step, tau)
+        # every sample has l0's sign and arms the monitor
         self.armed = True
         return True
 
-    def _refine(self, rec_a, rec_b):
+    def _refine(self, chart, step, offset, tau_a, tau_b):
+        """(trajectory time, state) of the crossing between the step's
+        samples at tau_a and tau_b; None when the refinement finds no sign
+        change or `crossing_ok` rejects the crossing."""
         sec = self.section
-        ta, chart_a, step_a, tau_a = rec_a
-        tb, chart_b, step_b, tau_b = rec_b
+        t0 = step.t0
+        tb = offset + tau_b
+        start = tb - (tau_b - t0)  # the step's start in trajectory time
 
         def ell(t_glob):
-            if step_a is step_b or t_glob >= tb - (tau_b - step_b.t0) - 1e-18:
-                step, chart, tau = step_b, chart_b, step_b.t0 + (t_glob - (tb - (tau_b - step_b.t0)))
-            else:
-                step, chart, tau = step_a, chart_a, step_a.t0 + (t_glob - (ta - (tau_a - step_a.t0)))
-            tau = min(max(tau, step.t0), step.t1)
+            tau = min(max(t0 + (t_glob - start), t0), step.t1)
             x, y = step.eval_position(tau)
             v = sec.offset_at(chart, x, y)
             return v if v is not None else math.nan
 
-        la, lb = ell(ta), ell(tb)
-        if math.isnan(la) or math.isnan(lb) or la * lb > 0:
+        try:
+            t_star = _brent(ell, offset + tau_a, tb, xtol=1e-13, rtol=8.9e-16)
+        except ValueError:
+            # re-evaluated, the ends have one sign (a rounding-level change),
+            # or the interpolant leaves the offset's domain between them: the
+            # torus window, or on the sphere the anchor chart's disk, which a
+            # far crossing can straddle and crossing_ok would reject
             return None
-        if la == 0.0:
-            t_star = ta
-        elif lb == 0.0:
-            t_star = tb
-        else:
-            t_star = _brent(ell, ta, tb, xtol=1e-13, rtol=8.9e-16)
-        # state at the crossing
-        if t_star >= tb - (tau_b - step_b.t0):
-            st = self._state_of(chart_b, step_b, step_b.t0 + (t_star - (tb - (tau_b - step_b.t0))))
-        else:
-            st = self._state_of(chart_a, step_a, step_a.t0 + (t_star - (ta - (tau_a - step_a.t0))))
+        y = step.eval(t0 + (t_star - start))
+        st = PhasePoint(chart, y[0], y[1], y[2], y[3])
         if not sec.crossing_ok(st):
             return None
         return (t_star, st)
@@ -397,7 +385,7 @@ def first_return(section, coords, max_time=50.0, backward=False, options=None):
     sign = -1 if backward else 1
     monitor = _CrossingMonitor(section)
     flow(section.surface, section.field, state, sign * max_time, options,
-         observer=lambda chart, step, off: monitor(chart, step, off))
+         observer=monitor)
     if not monitor.hits:
         raise NoReturnError(
             f"no section return within {max_time} time units"
@@ -432,8 +420,6 @@ class SectionReturnMap:
 class EigenData:
     kind: str
     eigenvalues: tuple = ()
-    stable: tuple = ()
-    unstable: tuple = ()
     alpha: float = 0.0
 
 
@@ -472,21 +458,11 @@ def classify(monodromy, class_tol=1e-6):
     Returns (class, EigenData).  Hyperbolic iff |tr| > 2 + class_tol,
     elliptic iff |tr| < 2 - class_tol, parabolic in the closed strip between.
     """
-    M = np.asarray(monodromy, dtype=float)
-    tr = float(np.trace(M))
+    tr = float(np.trace(np.asarray(monodromy, dtype=float)))
     if abs(tr) > 2.0 + class_tol:
         disc = math.sqrt(tr * tr - 4.0)
         lam_u = (tr + disc) / 2.0 if tr > 0 else (tr - disc) / 2.0
-        lam_s = 1.0 / lam_u
-        vecs = {}
-        for name, lam in (("unstable", lam_u), ("stable", lam_s)):
-            A = M - lam * np.eye(2)
-            v = np.array([A[0, 1], -A[0, 0]])
-            if np.linalg.norm(v) < 1e-12:
-                v = np.array([A[1, 1], -A[1, 0]])
-            vecs[name] = v / np.linalg.norm(v)
-        return "hyperbolic", EigenData("hyperbolic", (lam_u, lam_s),
-                                       tuple(vecs["stable"]), tuple(vecs["unstable"]))
+        return "hyperbolic", EigenData("hyperbolic", (lam_u, 1.0 / lam_u))
     if abs(tr) < 2.0 - class_tol:
         alpha = math.acos(tr / 2.0) / (2.0 * math.pi)
         return "elliptic", EigenData("elliptic", alpha=alpha)

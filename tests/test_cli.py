@@ -150,6 +150,26 @@ def test_cli_non_integral_winding_keeps_partial_reports(tmp_path, caplog):
     assert "stage classify failed: winding not integral" in caplog.text
 
 
+@pytest.mark.parametrize("twist", [
+    {"stage": "twist", "fd_scale": 0.002, "radii": [0.5, 0.9], "n_iter": 20},
+    {"stage": "twist", "fd_scale": 0.4, "radii": [0.005, 0.01], "n_iter": 20},
+], ids=["fit_radius", "jet_stencil"])
+def test_cli_point_off_the_energy_circle_keeps_partial_reports(tmp_path, caplog, twist):
+    """A twist stage whose fit radii or jet stencil reach past the energy
+    circle of sphere_twist's section (R = -1.0058 in the fit, R = -0.8 in
+    the stencil) fails as a numerical failure (exit 3, its error logged),
+    not with a traceback."""
+    cfg = json.loads(open(scenario_path("sphere_twist.json")).read())
+    cfg["out_dir"] = str(tmp_path / "o")
+    cfg["pipeline"][1] = twist
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 3
+    assert os.listdir(tmp_path / "o") == ["orbits.json"]
+    assert "stage twist failed: R=" in caplog.text
+    assert "exceeds the energy circle" in caplog.text
+
+
 def _franks_config(tmp_path, **stage_changes):
     cfg = json.loads(open(scenario_path("franks_verify.json")).read())
     cfg["out_dir"] = str(tmp_path / "o")

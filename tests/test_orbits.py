@@ -433,7 +433,8 @@ def test_brent_matches_brentq(coeffs, a, width):
 
 
 class _SampledMonitor(_CrossingMonitor):
-    """The crossing monitor with every step sampled: the reference for the skip.
+    """The crossing monitor with every step sampled at k = 0..n and pairs
+    formed within the step: the reference for the skip.
 
     It keeps collecting hits (no `want`), so that whole flows compare.
     """
@@ -442,22 +443,19 @@ class _SampledMonitor(_CrossingMonitor):
         t0, h = step.t0, step.h
         speed = math.hypot(step.y1[2], step.y1[3])
         n = max(3, min(256, int(h * speed / 0.08) + 1))
-        for k in range(1, n + 1):
+        prev = None  # no pair spans two steps
+        for k in range(n + 1):
             tau = t0 + k / n * h
-            rec = (offset + tau, chart, step, tau)
             l = self.section.offset_at(chart, *step.eval_position(tau))
             if l is None:
-                self.prev_l = None
                 self.armed = False
-                continue
-            if self.prev_l is None or not self.armed:
+            elif not self.armed:
                 self.armed = abs(l) > 1e-9
-            elif (l == 0.0 or (self.prev_l < 0.0) != (l < 0.0)) and \
-                    abs(l - self.prev_l) < 0.3:
-                hit = self._refine(self.prev_t, rec)
+            elif prev is not None and (l == 0.0 or (prev[1] < 0.0) != (l < 0.0)):
+                hit = self._refine(chart, step, offset, prev[0], tau)
                 if hit is not None and hit[0] > _T_SKIP:
                     self.hits.append(hit)
-            self.prev_l, self.prev_t = l, rec
+            prev = None if l is None else (tau, l)
         return True
 
 
@@ -466,8 +464,8 @@ class _CountingMonitor(_CrossingMonitor):
 
     skipped = 0
 
-    def _skip(self, chart, step, offset):
-        skipped = super()._skip(chart, step, offset)
+    def _skip(self, chart, step):
+        skipped = super()._skip(chart, step)
         self.skipped += skipped
         return skipped
 
@@ -542,9 +540,8 @@ _DISK_ANCHOR = PhasePoint(0, 0.0, 0.0, 1.0, 0.0)
           [(_TORUS_ANCHOR, 0.1),
            (_edge_start(_TORUS_ANCHOR, 0.45, 0.5 * math.pi, 0.5 * math.pi), 0.05)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
-# a jump across the section between two legs, at offsets 0.05 and -0.05: the
-# first step of the second leg, far from the section, holds a crossing with
-# the last sample of the first leg
+# a jump across the section between two legs, at offsets -0.05 and 0.05:
+# no pair spans two steps, so neither monitor finds a crossing there
 @example((Section(*_OFFSET_SURFACES["planar"], _DISK_ANCHOR),
           [(PhasePoint(0, -0.15, 0.0, 1.0, 0.0), 0.1),
            (PhasePoint(0, 0.05, 0.0, 1.0, 0.0), 0.5)],
@@ -555,18 +552,15 @@ def test_monitor_skip_matches_sampling(flow_args):
     sec, legs, options = flow_args
     mon, ref = _CountingMonitor(sec), _SampledMonitor(sec)
     mon.want = math.inf
-    base = 0.0
-    for start, duration in legs:
-        def both(chart, step, offset, base=base):
-            assert mon(chart, step, base + offset)
-            ref(chart, step, base + offset)
 
+    def both(chart, step, offset):
+        assert mon(chart, step, offset)
+        ref(chart, step, offset)
+
+    for start, duration in legs:
         flow(sec.surface, sec.field, start, duration, options, observer=both)
-        # a gap in time between legs, so that a refinement across the jump
-        # evaluates each leg on its own side
-        base += abs(duration) + 1.0
     assert mon.hits == ref.hits
-    assert (mon.prev_l, mon.armed, mon.prev_t) == (ref.prev_l, ref.armed, ref.prev_t)
+    assert mon.armed == ref.armed
     assert mon.skipped > 0
 
 
@@ -604,3 +598,60 @@ def test_skip_bounds_hold_on_every_step(flow_args, thetas, unbounded):
     for start, duration in legs:
         flow(sec.surface, sec.field, start, duration, options, observer=check)
     assert checked
+
+
+@pytest.mark.parametrize("case", ["sphere", "torus"])
+def test_skipped_steps_read_no_point(case, unit_sphere, torus, sin_field,
+                                     tight_options, monkeypatch):
+    """A step the monitor skips costs no interpolant evaluation: the skip
+    reads only the step's start and its rows."""
+    import maglab.integrate as integrate
+    import maglab.orbits as orbits
+
+    read, skipped = set(), []
+    real_position = integrate.DenseStep.eval_position
+
+    def counted_position(self, t):
+        read.add(id(self))
+        return real_position(self, t)
+
+    class Monitor(_CrossingMonitor):
+        def _skip(self, chart, step, *rest):
+            skip = super()._skip(chart, step, *rest)
+            if skip:
+                skipped.append(step)
+            return skip
+
+    monkeypatch.setattr(integrate.DenseStep, "eval_position", counted_position)
+    monkeypatch.setattr(orbits, "_CrossingMonitor", Monitor)
+    if case == "sphere":
+        # sphere_twist's field and seed
+        surface, field = unit_sphere, MagneticField(ZonalSphereField(1.6))
+        anchor = PhasePoint(0, 0.35, 0.0, 0.0, 0.5)
+    else:
+        surface, field = torus, sin_field
+        anchor = PhasePoint(0, 0.02, 0.3, 0.0, -1.0)
+    first_return(Section(surface, field, anchor), (0.0, 0.0), 30.0,
+                 options=tight_options)
+    assert skipped
+    assert not read & {id(step) for step in skipped}
+
+
+@pytest.mark.parametrize("x, angle, rel_tol", [
+    (1.9, 0.0, 1e-6), (1.9, 0.3, 1e-10), (1.95, 1.2, 1e-10), (1.99, 0.0, 1e-6),
+    (1.99, 0.0, 1e-10), (1.99, 1.2, 1e-10), (0.51, 2.0, 1e-6), (0.51, 2.0, 1e-10),
+    (0.52, 2.0, 1e-6),
+    # a far crossing near the edge of the anchor chart's disk |z| < 8
+    (0.52, 0.3, 1e-6)])
+def test_sphere_return_near_the_chart_switch(x, angle, rel_tol, unit_sphere,
+                                             zero_field):
+    """A great circle through an anchor near the chart switch radius (|z| = 2
+    in chart 0, 1/2 in chart 1) returns to the anchor after one turn.  The
+    crossing may lie in the step that leaves a chart, which the monitor sees
+    like any other."""
+    sec = Section(unit_sphere, zero_field,
+                  PhasePoint(0, x, 0.0, math.cos(angle), math.sin(angle)))
+    options = IntegratorOptions(rel_tol=rel_tol, abs_tol=1e-12)
+    zc, transit, _ = first_return(sec, (0.0, 0.0), 20.0, options=options)
+    assert transit == pytest.approx(2.0 * math.pi / sec.lam0, abs=1e-4)
+    assert max(abs(zc[0]), abs(zc[1])) <= 1e-4

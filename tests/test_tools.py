@@ -109,7 +109,9 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     # the replayed integrate calls take the recorded return's steps
     n_steps = counts["DenseStep"].split()[0][1:]
     assert counts["step"].startswith(f"({n_steps} steps, 0 rejected")
-    assert counts["monitor"] == f"({n_steps} calls)"
+    assert counts["monitor"].startswith(f"({n_steps} calls, ")
+    assert counts["monitor"].endswith(" offset_at calls per return)")
+    assert int(counts["monitor"].split()[2].replace(",", "")) > 0
     assert counts["return"].startswith(f"(1 return, {n_steps} steps")
     assert counts["lookup"].startswith("(100 lookups over ")
     assert counts["lookup"].endswith(" ns per time)")

@@ -18,7 +18,9 @@ one layer at a time:
 * stage arith: that step less its RHS evaluations, its DenseStep and its
   projection, i.e. the trial step's own arithmetic and the step control;
 * DenseStep: one construction;
-* monitor: one call of the section-crossing monitor;
+* monitor: one call of the section-crossing monitor, with its work
+  counter: the `Section.offset_at` calls of replaying the return's monitor
+  calls once;
 * return: one whole `first_return`, in ms.
 
 Then torus10 is the time per step of a 10-component `flow_with_variation`
@@ -160,6 +162,20 @@ def measure(reps):
         for args in rec["monitor"]:
             mon(*args)
 
+    # the monitor's work counter: section offsets read in one replay
+    offsets = []
+    real_offset_at = orbits.Section.offset_at
+
+    def offset_at(self, *args):
+        offsets.append(args)
+        return real_offset_at(self, *args)
+
+    orbits.Section.offset_at = offset_at
+    try:
+        monitor()
+    finally:
+        orbits.Section.offset_at = real_offset_at
+
     def one_return():
         orbits.first_return(section, (0.0, 0.0), 30.0, options=options)
 
@@ -208,6 +224,7 @@ def measure(reps):
         "arith_us": 1e6 * arith,
         "dense_us": 1e6 * t_dense, "dense_steps": n_dense,
         "monitor_us": 1e6 * best(monitor, reps) / n_mon, "monitor_calls": n_mon,
+        "monitor_offsets": len(offsets),
         "return_ms": 1e3 * best(one_return, reps), "returns": 1,
         "return_steps": n_dense, "return_rhs_evals": n_rhs,
         "torus10_us": 1e6 * t_torus / traj.n_accepted,
@@ -262,7 +279,8 @@ def report(m):
         f"  DenseStep    {m['dense_us']:8.2f} us per step         "
         f"({m['dense_steps']:,} steps)",
         f"  monitor      {m['monitor_us']:8.2f} us per call         "
-        f"({m['monitor_calls']:,} calls)",
+        f"({m['monitor_calls']:,} calls, {m['monitor_offsets']:,} offset_at "
+        f"calls per return)",
         f"  return       {m['return_ms']:8.2f} ms per return       "
         f"({m['returns']} return, {m['return_steps']:,} steps, "
         f"{m['return_rhs_evals']:,} RHS evaluations)",
