@@ -409,7 +409,9 @@ def _step_source(n):
     the solution and both error estimates is its sum over `_A`/`_B`/`_E5`/
     `_E3` with the terms in table order and the zero terms left out;
     enorm is h e5 / sqrt((e5 + 0.01 e3) n) (h > 0 in `integrate`), e5 and
-    e3 the sums of the squared scaled estimates (0 when both are 0).
+    e3 the sums of the squared scaled estimates; enorm is 0 when the root's
+    argument is 0, which makes e5 0 too (0.01 e3 can underflow to 0 while
+    e3 is not).
     Coefficients are float literals, which repr round-trips.
     """
     comps = range(n)
@@ -446,9 +448,10 @@ def _step_source(n):
                   f"    r = ({_combo(_E3, f'k{{}}_{c}')}) / sc",
                   "    e3 += r * r"]
     lines += [f"    ks = ({stages})",
-              "    if e5 == e3 == 0.0:",
+              f"    d = (e5 + 0.01 * e3) * {n}",
+              "    if d == 0.0:",
               "        return y1, ks, 0.0",
-              f"    return y1, ks, h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+              "    return y1, ks, h * e5 / sqrt(d)",
               "",
               "def dense(rhs, t, h, y, ks):",
               f"    {names('z{}')} = y",

@@ -8,9 +8,18 @@ through order 4, the map is formally conjugate to
 and in symplectic polar coordinates reads (r, theta) -> (r, theta + phi +
 tau r^2) with tau = Im(lambda-bar c21).  Rotation numbers are reported in
 turns: alpha = phi / 2 pi in (0, 1) and beta = tau / 2 pi, so orbits at
-normalized radius r advance by alpha + beta r^2 turns per iterate.  The
-normalization is computed degree by degree by numerically composing jets
-(no closed-form coefficient formula is trusted); an independent check fits
+normalized radius r advance by alpha + beta r^2 turns per iterate.
+
+c21 is the Neimark-Sacker coefficient (Yu. A. Kuznetsov, *Elements of
+Applied Bifurcation Theory*, section 4.7): with x = zeta q + conj(zeta q)
+and the map zeta -> lambda zeta + sum g_kl zeta^k zeta-bar^l / (k! l!),
+
+    c21 = g20 g11 (lambda-bar - 3 + 2 lambda) / (2 (lambda^2 - lambda)
+          (lambda-bar - 1)) + |g11|^2 / (1 - lambda-bar)
+          + |g02|^2 / (2 (lambda^2 - lambda-bar)) + g21 / 2.
+
+tests/test_normalform.py checks it on jets of the twist map conjugated by
+maps with quadratic terms, expanded by sympy.  An independent check fits
 alpha + beta r^2 to measured rotation numbers of iterates.
 """
 
@@ -113,117 +122,6 @@ def jet3(map_fn, center=(0.0, 0.0), *, fd_scale):
     return Jet3(fine, np.abs(fine - coarse), fd_scale, resid, coarse)
 
 
-# -- complex jet algebra -------------------------------------------------------
-
-# complex jets: dict (j, k) -> coefficient of zeta^j zetabar^k, j + k <= 3
-
-
-def _cpoly_mul(p, q):
-    out = {}
-    for (j1, k1), a in p.items():
-        if a == 0:
-            continue
-        for (j2, k2), b in q.items():
-            j, k = j1 + j2, k1 + k2
-            if j + k > 3:
-                continue
-            out[(j, k)] = out.get((j, k), 0.0) + a * b
-    return out
-
-
-def _cpoly_pow(p, n):
-    out = {(0, 0): 1.0 + 0.0j}
-    for _ in range(n):
-        out = _cpoly_mul(out, p)
-    return out
-
-
-def _conj_jet(p):
-    return {(k, j): a.conjugate() for (j, k), a in p.items()}
-
-
-def _compose(f, g):
-    """f(g, conj g) truncated at total degree 3; f, g complex jets."""
-    gbar = _conj_jet(g)
-    out = {}
-    for (j, k), c in f.items():
-        if c == 0:
-            continue
-        term = _cpoly_mul(_cpoly_pow(g, j), _cpoly_pow(gbar, k))
-        for m, a in term.items():
-            out[m] = out.get(m, 0.0) + c * a
-    return {m: a for m, a in out.items() if a != 0.0}
-
-
-def _invert_jet(g):
-    """Inverse of g = zeta + O(2) as a jet, by fixed-point iteration."""
-    ident = {(1, 0): 1.0 + 0.0j}
-    higher = {m: a for m, a in g.items() if sum(m) >= 2}
-    inv = dict(ident)
-    for _ in range(4):
-        corr = _compose(higher, inv)
-        inv = {(1, 0): 1.0 + 0.0j}
-        for m, a in corr.items():
-            inv[m] = inv.get(m, 0.0) - a
-    return inv
-
-
-def _real_jet_to_complex(coeffs):
-    """Complex jet of w = F1 + i F2 in zeta = u + i v, zetabar."""
-    out = {}
-    half = 0.5
-    for idx, (a, b) in enumerate(_MONOMIALS):
-        c = coeffs[0, idx] + 1j * coeffs[1, idx]
-        if c == 0:
-            continue
-        # u^a v^b = ((z+zb)/2)^a ((z-zb)/2i)^b
-        for p in range(a + 1):
-            for q in range(b + 1):
-                coef = (
-                    math.comb(a, p) * math.comb(b, q)
-                    * half**a * (1.0 / 2j) ** b * (-1.0) ** (b - q)
-                )
-                j = p + q
-                k = a + b - p - q
-                if j + k > 3:
-                    continue
-                out[(j, k)] = out.get((j, k), 0.0) + c * coef
-    return out
-
-
-def _conjugate_real_jet(coeffs, B):
-    """Jet of B^{-1} o F o B for a linear change of coordinates B."""
-    Binv = np.linalg.inv(B)
-    # substitute (u, v) = B (s, t) into each monomial, then apply Binv
-    new = np.zeros_like(coeffs)
-    for idx, (a, b) in enumerate(_MONOMIALS):
-        # expand (B00 s + B01 t)^a (B10 s + B11 t)^b
-        poly = {(0, 0): 1.0}
-        for _ in range(a):
-            poly = _rpoly_mul_lin(poly, B[0, 0], B[0, 1])
-        for _ in range(b):
-            poly = _rpoly_mul_lin(poly, B[1, 0], B[1, 1])
-        for comp in range(2):
-            c = coeffs[comp, idx]
-            if c == 0.0:
-                continue
-            for (i, j), w in poly.items():
-                if i + j > 3:
-                    continue
-                new[comp, _MONO_INDEX[(i, j)]] += c * w
-    return np.tensordot(Binv, new, axes=(1, 0))
-
-
-def _rpoly_mul_lin(poly, c0, c1):
-    out = {}
-    for (i, j), w in poly.items():
-        if i + j >= 4:
-            continue
-        out[(i + 1, j)] = out.get((i + 1, j), 0.0) + w * c0
-        out[(i, j + 1)] = out.get((i, j + 1), 0.0) + w * c1
-    return out
-
-
 def elliptic_frame(M):
     """(B, phi): det-1 matrix with B^{-1} M B = rotation by phi (radians).
 
@@ -269,27 +167,30 @@ class TwistData:
 
 
 def _beta_from_coeffs(coeffs):
-    M = np.array([[coeffs[0, 1], coeffs[0, 2]], [coeffs[1, 1], coeffs[1, 2]]])
-    B, phi = elliptic_frame(M)
-    normalized = _conjugate_real_jet(coeffs, B)
-    f = _real_jet_to_complex(normalized)
+    """(alpha, beta, |Re(lambda-bar c21)|) of a cubic jet, c21 by the formula
+    in the module docstring.  The g_kl are polarizations of the jet's
+    degree-2 and degree-3 parts; the arithmetic after them is in Python
+    complex, so a zero denominator raises ZeroDivisionError."""
+    B, phi = elliptic_frame(coeffs[:, 1:3])
+    # x = zeta q + conj(zeta q) and zeta = p . x in the det-1 frame
+    q = B @ np.array([0.5, -0.5j])
+    p = np.array([1.0, 1j]) @ np.linalg.inv(B)
+    qb = q.conjugate()
+
+    def g(d, x):  # p . (the jet's degree-d part at the complex point x)
+        return complex(p @ sum(coeffs[:, k] * x[0] ** i * x[1] ** j
+                               for k, (i, j) in enumerate(_MONOMIALS) if i + j == d))
+
+    g20 = 2.0 * g(2, q)
+    g02 = 2.0 * g(2, qb)
+    g11 = g(2, q + qb) - g(2, q) - g(2, qb)
+    g21 = g(3, q + qb) - g(3, q - qb) - 2.0 * g(3, qb)
     lam = cmath.exp(1j * phi)
-    # degree 2 removal
-    h2 = {(1, 0): 1.0 + 0.0j}
-    for (j, k) in ((2, 0), (1, 1), (0, 2)):
-        c = f.get((j, k), 0.0)
-        if c != 0.0:
-            h2[(j, k)] = c / (lam**j * lam.conjugate() ** k - lam)
-    f2 = _compose(_compose(_invert_jet(h2), f), h2)
-    # degree 3 removal away from the resonant (2,1) term
-    h3 = {(1, 0): 1.0 + 0.0j}
-    for (j, k) in ((3, 0), (1, 2), (0, 3)):
-        c = f2.get((j, k), 0.0)
-        if c != 0.0:
-            h3[(j, k)] = c / (lam**j * lam.conjugate() ** k - lam)
-    f3 = _compose(_compose(_invert_jet(h3), f2), h3)
-    c21 = f3.get((2, 1), 0.0)
-    w = lam.conjugate() * c21
+    lamb = lam.conjugate()
+    c21 = (g20 * g11 * (lamb - 3.0 + 2.0 * lam) / (2.0 * (lam * lam - lam) * (lamb - 1.0))
+           + abs(g11) ** 2 / (1.0 - lamb) + abs(g02) ** 2 / (2.0 * (lam * lam - lamb))
+           + g21 / 2.0)
+    w = lamb * c21
     alpha = (phi / (2.0 * math.pi)) % 1.0
     return alpha, w.imag / (2.0 * math.pi), abs(w.real)
 
@@ -313,7 +214,7 @@ def birkhoff_beta(jet: Jet3):
         beta_err = abs(beta - beta_coarse)
     except (ValueError, ZeroDivisionError):
         beta_err = float("nan")
-    verdict = "twist" if (all(flags.values()) and abs(beta) > 3.0 * beta_err) else "no-twist"
+    verdict = "twist" if abs(beta) > 3.0 * beta_err else "no-twist"
     return TwistData(alpha, beta, beta_err, flags, defect, verdict)
 
 

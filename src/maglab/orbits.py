@@ -418,7 +418,6 @@ class SectionReturnMap:
 
 @dataclass
 class EigenData:
-    kind: str
     eigenvalues: tuple = ()
     alpha: float = 0.0
 
@@ -462,11 +461,11 @@ def classify(monodromy, class_tol=1e-6):
     if abs(tr) > 2.0 + class_tol:
         disc = math.sqrt(tr * tr - 4.0)
         lam_u = (tr + disc) / 2.0 if tr > 0 else (tr - disc) / 2.0
-        return "hyperbolic", EigenData("hyperbolic", (lam_u, 1.0 / lam_u))
+        return "hyperbolic", EigenData((lam_u, 1.0 / lam_u))
     if abs(tr) < 2.0 - class_tol:
         alpha = math.acos(tr / 2.0) / (2.0 * math.pi)
-        return "elliptic", EigenData("elliptic", alpha=alpha)
-    return "parabolic", EigenData("parabolic")
+        return "elliptic", EigenData(alpha=alpha)
+    return "parabolic", EigenData()
 
 
 def _minimal_period(surface, field, state, T, tol, options):
@@ -546,7 +545,7 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
                  T, det, cls)
     if suspect and cls != "parabolic":
         cls = "parabolic"
-        eig = EigenData("parabolic")
+        eig = EigenData()
     orbit_section = Section(surface, field, state, half_width)
     return ClosedOrbit(state, T, M, cls, residual, c, eig, orbit_section,
                        parabolic_suspect=suspect)

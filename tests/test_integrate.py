@@ -11,7 +11,7 @@ import traceback
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maglab.dynamics import IntegratorOptions
 from maglab.field import MagneticField, SinusoidalTorusField, ZonalSphereField
@@ -60,16 +60,18 @@ def reference_step(rhs, t, y, h):
 
 def reference_norm(errs, y, y1, h, rtol, atol):
     """|h| s5 / sqrt((s5 + 0.01 s3) n), s5 and s3 the sums of the squared
-    scaled estimates; 0 when both are 0."""
+    scaled estimates; 0 when the root's argument is 0 (then s5 is 0, while
+    0.01 s3 can underflow)."""
     sums = []
     for e in errs:
         rs = [x / (atol + rtol * (abs(b) if abs(b) > abs(a) else abs(a)))
               for x, a, b in zip(e, y, y1)]
         sums.append(_fold(r * r for r in rs))
     s5, s3 = sums
-    if s5 == s3 == 0.0:
+    d = (s5 + 0.01 * s3) * len(y)
+    if d == 0.0:
         return 0.0
-    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
+    return abs(h) * s5 / math.sqrt(d)
 
 
 def reference_eval(t0, h, y0, d, t):
@@ -149,7 +151,14 @@ def test_single_step_matches_reference(system, t0, h, thetas):
         assert step.eval(t) == reference_eval(t0, h, y0, d, t)
 
 
+# a tiny state makes e5 exactly 0 while 0.01 e3 underflows: enorm is 0
+TINY = 2.708898894882621e-162
+
+
 @given(systems(), st.floats(0.0, 1.0))
+@example((linear_rhs([[1.0]]), (TINY,)), 0.0)
+@example((linear_rhs([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+          (0.0, 0.0, TINY)), 0.0)
 def test_adaptive_run_matches_reference(system, t0):
     rhs, y0 = system
     rtol, atol = 1e-8, 1e-10

@@ -6,6 +6,8 @@ import pytest
 from maglab.errors import ResonantJetError
 from maglab.maps import LinearMap, PolynomialMap, TwistMap, fd_jacobian
 from maglab.normalform import (
+    _MONOMIALS,
+    _beta_from_coeffs,
     _birkhoff_weights,
     _fit_cubic,
     birkhoff_beta,
@@ -98,6 +100,60 @@ def test_beta_invariant_under_rotated_frame():
     td1 = birkhoff_beta(jet3(conjugated, fd_scale=5e-3))
     tol = 2.0 * max(td0.beta_error, td1.beta_error, 1e-9)
     assert abs(td0.beta - td1.beta) <= max(tol, 1e-4)
+
+
+def _conjugated_twist_jet(S, a, b):
+    """Cubic jet of F = Phi^-1 o T o Phi, T = TwistMap(0.21, 0.3), expanded
+    by sympy with every product truncated at degree 3.  Phi = S o H with S
+    det 1 and H(u, v) = (u + b w^2, w), w = v + a u^2, whose inverse is
+    explicit.  T's angle is phi + tau r^2, its cos and sin their series in
+    r^2; cos phi, sin phi and tau stay symbols until the coefficients are
+    evaluated."""
+    import sympy as sp
+
+    u, v, r2, phi, tau, C, Sn = sp.symbols("u v r2 phi tau C Sn")
+    S, a, b = sp.Matrix(sp.sympify(S)), sp.Rational(a), sp.Rational(b)
+    ring = sp.QQ[tau, C, Sn]
+
+    def cubic(e):
+        if not isinstance(e, sp.Poly):
+            e = sp.Poly(e, u, v, domain=ring)
+        return sp.Poly.from_dict({m: c for m, c in e.as_dict().items() if sum(m) <= 3},
+                                 u, v, domain=ring)
+
+    def apply(A, p, q):
+        return [cubic(A[r, 0] * p + A[r, 1] * q) for r in range(2)]
+
+    w = cubic(v + a * u**2)
+    x, y = apply(S, cubic(u + b * w**2), w)
+    r = cubic(x**2 + y**2).as_expr()
+    c, s = (cubic(sp.series(f(phi + tau * r2), r2, 0, 2).removeO()
+                  .subs({sp.cos(phi): C, sp.sin(phi): Sn, r2: r}))
+            for f in (sp.cos, sp.sin))
+    X, Y = apply(S.inv(), cubic(c * x - s * y), cubic(s * x + c * y))
+    W = cubic(X - b * Y**2)
+    phi0 = 2 * sp.pi * sp.Rational(21, 100)
+    values = {tau: 2 * sp.pi * sp.Rational(3, 10), C: sp.cos(phi0), Sn: sp.sin(phi0)}
+    coeffs = np.zeros((2, len(_MONOMIALS)))
+    for comp, f in enumerate((W, cubic(Y - a * W**2))):
+        for k, (i, j) in enumerate(_MONOMIALS):
+            coeffs[comp, k] = float(f.coeff_monomial(u**i * v**j).subs(values).evalf(30))
+    return coeffs
+
+
+@pytest.mark.parametrize("S, a, b", [
+    ("[[1, 0], [0, 1]]", "7/10", "-2/5"),
+    ("[[2, 1], [1, 1]]", "3/10", "1/2"),
+    ("[[1/2, 0], [3/4, 2]]", "-11/10", "1/5"),
+])
+def test_beta_invariant_under_quadratic_conjugacy(S, a, b):
+    """A conjugacy with quadratic terms gives the jet nonzero g20, g11 and
+    g02, and leaves beta at the twist map's 0.3."""
+    coeffs = _conjugated_twist_jet(S, a, b)
+    assert np.abs(coeffs[:, 3:6]).max() > 0.1
+    alpha, beta, _ = _beta_from_coeffs(coeffs)
+    assert alpha == pytest.approx(0.21, abs=1e-14)
+    assert beta == pytest.approx(0.3, rel=1e-12)
 
 
 def test_rotation_fit_injected():
