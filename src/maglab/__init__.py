@@ -1,12 +1,12 @@
 """maglab: a numerical laboratory for magnetic flows on surfaces."""
 
 from .geometry import (PhasePoint, Surface, flat_torus, sphere, planar_chart,
-                       rotate90, energy)
+                       energy)
 from .field import (MagneticField, ConstantField, SinusoidalTorusField,
                     ZonalSphereField, PolynomialField, PerturbationField,
                     is_exact)
 from .dynamics import (flow, flow_with_variation, magnetic_curvature,
-                       injectivity_time, fd_monodromy, IntegratorOptions)
+                       injectivity_time, IntegratorOptions)
 from .orbits import (Section, first_return, SectionReturnMap, ClosedOrbit,
                      find_closed_orbit, classify, continue_orbit, seed_grid)
 from .normalform import jet3, birkhoff_beta, twist_by_rotation_number, Jet3, TwistData

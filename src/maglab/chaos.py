@@ -84,35 +84,6 @@ class ManifoldBranch:
     def segments(self):
         return np.stack([self.points[:-1], self.points[1:]], axis=1)
 
-    def invariance_defect(self, oracle, n_check=200):
-        """Max distance of vertex images from the polyline (its own invariance).
-
-        Only vertices whose images stay inside the grown arclength are
-        mapped (the expansion rate bounds how far along they can land).
-        """
-        step = self._step_fn(oracle)
-        lens = np.concatenate(
-            [[0.0], np.cumsum(np.linalg.norm(np.diff(self.points, axis=0), axis=1))])
-        # self.eigenvalue is the expansion rate of `step` along the branch
-        cutoff = self.arclength / (1.5 * abs(self.eigenvalue))
-        usable = np.nonzero(lens <= cutoff)[0]
-        if len(usable) == 0:
-            return 0.0
-        idx = np.linspace(0, len(usable) - 1, min(n_check, len(usable))).astype(int)
-        worst = 0.0
-        for i in usable[idx]:
-            try:
-                img = np.asarray(step(self.points[i]), dtype=float)
-            except (ValueError, NoReturnError):
-                continue
-            worst = max(worst, _point_polyline_distance(img, self.points))
-        return worst
-
-    def _step_fn(self, oracle):
-        if self.side == "unstable":
-            return oracle
-        return oracle.inverse
-
 
 def _point_polyline_distance(p, pts):
     a = pts[:-1]
@@ -126,7 +97,7 @@ def _point_polyline_distance(p, pts):
     return float(d.min())
 
 
-def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol=1e-3,
+def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol,
                   seed_eps=1e-7, spacing_max=0.05):
     """Adaptive polyline for one branch of W^s or W^u of a hyperbolic point.
 

@@ -17,8 +17,7 @@ decoupled drift x' = f y along the flow direction.
 The right-hand sides read the chart through two calls, `lam(x, y)` and
 `log_grad(x, y)` = (lam_x/lam, lam_y/lam), plus the chart's constant
 `curvature`, and write Gamma^k(v, v) inline from the log-gradient; the full
-`MetricData` (`Surface.metric_at`) is left to curvature, K_mag and the
-finite-difference oracle.
+`MetricData` (`Surface.metric_at`) is left to curvature and K_mag.
 
 A trajectory answers one time with `state`/`raw` and an array of times with
 `states`, whose entries are == to the scalar lookups: both pick the segment
@@ -36,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartDomainError
 from .geometry import PhasePoint, Surface, energy as phase_energy
 from .integrate import clamp, first_reaching, integrate
 
@@ -47,7 +45,6 @@ __all__ = [
     "flow_with_variation",
     "magnetic_curvature",
     "injectivity_time",
-    "fd_monodromy",
     "IntegratorOptions",
 ]
 
@@ -369,8 +366,6 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
             ps2 = surface.transition(ps)
             chart = ps2.chart
             y = (ps2.x, ps2.y, ps2.vx, ps2.vy) + tuple(y[4:])
-        elif sol.status == "max_steps":
-            break
 
     return traj
 
@@ -447,80 +442,3 @@ def injectivity_time(surface, field, c):
         raise ValueError("energy must be positive")
     first = 1.0 / (field.c0_norm(surface) + 1.0) ** 2
     return min(first, surface.injectivity_radius / (2.0 * c))
-
-
-# -- independent finite-difference check of the variational flow -------------
-
-
-def _conformal_gamma(md, u, v):
-    """Gamma(u, v) via nabla_u v = D_u v + dL(u) v + dL(v) u - <u,v> grad L."""
-    lx, ly = md.log_grad
-    du = lx * u[0] + ly * u[1]
-    dv = lx * v[0] + ly * v[1]
-    uv = u[0] * v[0] + u[1] * v[1]
-    return (du * v[0] + dv * u[0] - uv * lx, du * v[1] + dv * u[1] - uv * ly)
-
-
-def _frame_coords(surface, field, base: PhasePoint, other: PhasePoint, c):
-    """(x_drift, y, ydot) of `other` relative to `base` in the (e1, e2) frame."""
-    if other.chart != base.chart:
-        conv = surface.to_chart(other, base.chart)
-        if conv is None:
-            raise ChartDomainError("states not comparable in a common chart")
-        other = conv
-    md = surface.metric_at(base.chart, *surface.wrap_position(base.x, base.y))
-    lam2 = md.lam * md.lam
-    dx = surface.wrap_diff(other.x - base.x, other.y - base.y)
-    v = (base.vx, base.vy)
-    u = (-base.vy, base.vx)  # i v in chart coordinates
-    two_c = 2.0 * c
-    xdrift = lam2 * (dx[0] * v[0] + dx[1] * v[1]) / two_c
-    ycoord = lam2 * (dx[0] * u[0] + dx[1] * u[1]) / two_c
-    gam = _conformal_gamma(md, dx, v)
-    dvc = (other.vx - base.vx + gam[0], other.vy - base.vy + gam[1])
-    fval = field.value(base.chart, *surface.wrap_position(base.x, base.y))
-    ydot = lam2 * (dvc[0] * u[0] + dvc[1] * u[1]) / two_c - xdrift * fval
-    return (xdrift, ycoord, ydot)
-
-
-def _offset_state(surface, state: PhasePoint, c, h, direction):
-    """State offset h e1 (direction=0, horizontal) or h e2 (=1, vertical)."""
-    md = surface.metric_at(state.chart, *surface.wrap_position(state.x, state.y))
-    u = (-state.vy, state.vx)
-    if direction == 0:
-        x = state.x + h * u[0]
-        y = state.y + h * u[1]
-        gam = _conformal_gamma(md, u, (state.vx, state.vy))
-        vx = state.vx - h * gam[0]
-        vy = state.vy - h * gam[1]
-    else:
-        x, y = state.x, state.y
-        vx = state.vx + h * u[0]
-        vy = state.vy + h * u[1]
-    lam = surface.metric_at(state.chart, *surface.wrap_position(x, y)).lam
-    s = math.sqrt(2.0 * c) / (lam * math.hypot(vx, vy))
-    return PhasePoint(state.chart, x, y, vx * s, vy * s)
-
-
-def fd_monodromy(surface, field, state, T, h=1e-5):
-    """Central finite differences of the time-T flow map in the (e1, e2) frame.
-
-    Independent oracle for X(T): perturbs the initial state along the frame
-    (i v horizontal / i v vertical), projects back onto the energy level,
-    flows, and reads off frame coordinates with the covariant velocity
-    correction.  Each flow runs at rel_tol 1e-12, abs_tol 1e-13.  Returns a
-    2x2 numpy array.
-    """
-    options = IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-    c = phase_energy(surface, state)
-    base_end = flow(surface, field, state, T, options).end_state()
-    cols = []
-    for direction in (0, 1):
-        plus = _offset_state(surface, state, c, h, direction)
-        minus = _offset_state(surface, state, c, -h, direction)
-        end_p = flow(surface, field, plus, T, options).end_state()
-        end_m = flow(surface, field, minus, T, options).end_state()
-        _, yp, dp = _frame_coords(surface, field, base_end, end_p, c)
-        _, ym, dm = _frame_coords(surface, field, base_end, end_m, c)
-        cols.append(((yp - ym) / (2 * h), (dp - dm) / (2 * h)))
-    return np.array([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])

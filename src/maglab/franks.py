@@ -748,7 +748,7 @@ def compute_constants(kit: FranksKit, eps_c1=0.1):
     k1 = 1.01 * max(norms.max(), inv_norms.max())
     k1 = max(k1, 1.0 + 1e-9)
 
-    lam = min(k0 / 16.0, 0.45 * (T - k0 / 2.0), k0 / 8.0)
+    lam = min(k0 / 16.0, 0.45 * (T - k0 / 2.0))
     kmag_c0 = _kmag_c0_norm(surface, field, c)
     bound_k2 = 1.0 / (16.0 * k1**3)
     lip = 1.01 * Cs.max() * k1  # |X'| <= |C| |X|, also bounds (X^{-1})'

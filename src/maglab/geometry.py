@@ -32,7 +32,6 @@ __all__ = [
     "flat_torus",
     "sphere",
     "planar_chart",
-    "rotate90",
     "energy",
 ]
 
@@ -261,17 +260,6 @@ def planar_chart(radius=3.0, injectivity_radius=math.pi):
 
 
 # -- pointwise tangent operations -------------------------------------------
-
-
-def rotate90(surface, state: PhasePoint, v=None):
-    """Rotation i with {v, i v} a positive orthogonal basis.
-
-    In a conformal chart this is the Euclidean rotation (vx, vy) -> (-vy, vx),
-    independent of the point.
-    """
-    if v is None:
-        v = (state.vx, state.vy)
-    return (-v[1], v[0])
 
 
 def energy(surface, state: PhasePoint):

@@ -66,7 +66,7 @@ from .errors import NonFiniteError, StiffnessError
 
 __all__ = ["DenseStep", "Solution", "integrate"]
 
-_MAX_STEPS = 10_000_000  # accepted steps before status "max_steps"
+_MAX_STEPS = 10_000_000  # accepted steps before StiffnessError
 
 # DOP853 tableau: the nodes and stage coefficients of k1..k16.  Row 12 of
 # _A holds the weights of the solution y1 (stage 13 is f(t + h, y1)); rows
@@ -496,7 +496,8 @@ def integrate(
     step is kept); it sees each accepted step after projection of y1.
     Returns a Solution, whose n_fev counts every RHS evaluation (the
     initial-step estimate's too); raises StiffnessError on step-size
-    underflow and NonFiniteError when the error estimate is NaN.
+    underflow or after _MAX_STEPS accepted steps and NonFiniteError when the
+    error estimate is NaN.
     """
     if t_final <= t0:
         raise ValueError("integrate requires t_final > t0; reverse the field instead")
@@ -513,8 +514,7 @@ def integrate(
     hmin = 1e-14 * max(abs(t0), abs(t_final), 1.0)
     while t < t_final:
         if len(steps) >= _MAX_STEPS:
-            status = "max_steps"
-            break
+            raise StiffnessError(f"{_MAX_STEPS} steps taken by t={t:.6g} (h={h:.3g})")
         if h < hmin:
             raise StiffnessError(f"step size underflow at t={t:.6g} (h={h:.3g})")
         if k1 is None:  # the start derivative, once per accepted step

@@ -109,19 +109,6 @@ class LagrangianSpec:
         self.surface = surface
         self.eta = eta
 
-    def induced_intensity(self, xs, ys):
-        """f with d eta = f * area form (lam = 1 on the flat torus)."""
-        return self.eta.curl(xs, ys)
-
-    def field_consistency(self, field):
-        """Largest |d eta - f| on a 64 x 64 grid."""
-        g = np.linspace(0.0, 1.0, 64, endpoint=False)
-        X, Y = np.meshgrid(g, g)
-        mine = self.induced_intensity(X.ravel(), Y.ravel())
-        theirs = np.array([field.value(0, x, y)
-                           for x, y in zip(X.ravel(), Y.ravel())])
-        return float(np.max(np.abs(mine - theirs)))
-
 
 # -- loops -----------------------------------------------------------------------
 

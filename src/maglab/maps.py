@@ -15,11 +15,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "TwistMap",
-    "LinearMap",
     "StandardMap",
     "HorseshoeMap",
-    "PolynomialMap",
     "fd_jacobian",
 ]
 
@@ -35,56 +32,6 @@ def fd_jacobian(map_fn, z, h=1e-6):
         e[j] = h
         cols.append((np.asarray(map_fn(z + e)) - np.asarray(map_fn(z - e))).ravel() / (2 * h))
     return np.column_stack(cols)
-
-
-class TwistMap:
-    """(r, theta) -> (r, theta + 2 pi (alpha + beta r^2)), in Cartesian form."""
-
-    def __init__(self, alpha, beta):
-        self.alpha = alpha
-        self.beta = beta
-
-    def _angle(self, r2):
-        return 2.0 * math.pi * (self.alpha + self.beta * r2)
-
-    def __call__(self, z):
-        x, y = float(z[0]), float(z[1])
-        phi = self._angle(x * x + y * y)
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([c * x - s * y, s * x + c * y])
-
-    def inverse(self, z):
-        x, y = float(z[0]), float(z[1])
-        phi = self._angle(x * x + y * y)
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([c * x + s * y, -s * x + c * y])
-
-    def jacobian(self, z):
-        x, y = float(z[0]), float(z[1])
-        r2 = x * x + y * y
-        phi = self._angle(r2)
-        c, s = math.cos(phi), math.sin(phi)
-        dphi = 4.0 * math.pi * self.beta
-        R = np.array([[c, -s], [s, c]])
-        outer = np.array([[-s * x - c * y], [c * x - s * y]]) @ np.array([[x, y]])
-        return R + dphi * outer
-
-
-class LinearMap:
-    """z -> M z for a constant 2x2 matrix."""
-
-    def __init__(self, M):
-        self.M = np.asarray(M, dtype=float)
-        self.Minv = np.linalg.inv(self.M)
-
-    def __call__(self, z):
-        return self.M @ np.asarray(z, dtype=float)
-
-    def inverse(self, z):
-        return self.Minv @ np.asarray(z, dtype=float)
-
-    def jacobian(self, z):
-        return self.M.copy()
 
 
 class StandardMap:
@@ -150,18 +97,3 @@ class HorseshoeMap:
         if y <= 1.0 / 3.0 + 1e-15:
             return np.array([[1.0 / s, 0.0], [0.0, s]])
         return np.array([[-1.0 / s, 0.0], [0.0, -s]])
-
-
-class PolynomialMap:
-    """Map with prescribed cubic Taylor coefficients (jet-extraction oracle)."""
-
-    def __init__(self, coeffs):
-        # coeffs: dict (component, i, j) -> value of the u^i v^j coefficient
-        self.coeffs = dict(coeffs)
-
-    def __call__(self, z):
-        u, v = float(z[0]), float(z[1])
-        out = [0.0, 0.0]
-        for (comp, i, j), c in self.coeffs.items():
-            out[comp] += c * u**i * v**j
-        return np.array(out)

@@ -126,9 +126,20 @@ def _build_surface(cfg):
     raise ConfigError(f"unknown surface kind {kind!r}")
 
 
-def _build_field(cfg):
-    _check_keys(cfg, {"kind", "value", "amplitude", "k", "phase", "coeffs"}, "field")
+def _kind(cfg, keys, where):
+    """cfg["kind"], once cfg is an object whose kind is a key of `keys` and
+    whose other keys are ones that kind reads (`keys[kind]`)."""
+    _check_keys(cfg, {"kind"}.union(*keys.values()), where)
     kind = cfg.get("kind")
+    if kind not in keys:
+        raise ConfigError(f"unknown {where} kind {kind!r}")
+    _check_keys(cfg, {"kind", *keys[kind]}, where)
+    return kind
+
+
+def _build_field(cfg):
+    kind = _kind(cfg, {"constant": ("value",), "sinusoidal": ("amplitude", "k", "phase"),
+                       "zonal": ("amplitude",), "polynomial": ("coeffs",)}, "field")
     if kind == "constant":
         return MagneticField(ConstantField(_number(cfg.get("value", 0.0), "field.value")))
     if kind == "sinusoidal":
@@ -139,32 +150,24 @@ def _build_field(cfg):
     if kind == "zonal":
         return MagneticField(ZonalSphereField(
             _number(cfg.get("amplitude", 1.0), "field.amplitude")))
-    if kind == "polynomial":
-        return MagneticField(PolynomialField(
-            _numbers(cfg.get("coeffs", [[0.0]]), "field.coeffs", (float,))))
-    raise ConfigError(f"unknown field kind {kind!r}")
+    return MagneticField(PolynomialField(
+        _numbers(cfg.get("coeffs", [[0.0]]), "field.coeffs", (float,))))
 
 
 def _build_eta(cfg):
-    _check_keys(cfg, {"kind", "a", "amplitude", "k"}, "eta")
-    kind = cfg.get("kind")
+    kind = _kind(cfg, {"constant": ("a",), "sin_primitive": ("amplitude", "k")}, "eta")
     if kind == "constant":
         return ConstantForm(*_numbers(cfg.get("a", [0.0, 0.0]), "eta.a", float, (1, 2)))
-    if kind == "sin_primitive":
-        return SinPrimitiveForm(_number(cfg.get("amplitude", 1.0), "eta.amplitude"),
-                                _numbers(cfg.get("k", (1, 0)), "eta.k", int, (2,)))
-    raise ConfigError(f"unknown eta kind {kind!r}")
+    return SinPrimitiveForm(_number(cfg.get("amplitude", 1.0), "eta.amplitude"),
+                            _numbers(cfg.get("k", (1, 0)), "eta.k", int, (2,)))
 
 
 def _build_map(cfg):
     """The injected map of an entropy stage."""
-    _check_keys(cfg, {"kind", "K", "stretch"}, "entropy.map")
-    kind = cfg.get("kind")
+    kind = _kind(cfg, {"standard": ("K",), "horseshoe": ("stretch",)}, "entropy.map")
     if kind == "standard":
         return StandardMap(_number(cfg.get("K", 1.5), "entropy.map.K"))
-    if kind == "horseshoe":
-        return HorseshoeMap(_positive(cfg.get("stretch", 3.0), "entropy.map.stretch"))
-    raise ConfigError(f"unknown injected map {kind!r}")
+    return HorseshoeMap(_positive(cfg.get("stretch", 3.0), "entropy.map.stretch"))
 
 
 # scalar numeric stage keys (same type in every stage): (kind, range rule),
@@ -445,14 +448,11 @@ def _stage_franks(sc, st, ctx):
     split = segment_split(orb, sc.surface, sc.field, sc.c,
                           eps0=st["eps0"], options=sc.options)
     n_seg = min(st["segments"], split.n)
-    constants = []
-    kits = []
-    for i in range(n_seg):
-        kit = FranksKit(split.tube(i))
-        consts = compute_constants(kit, eps_c1=st["eps_c1"])
-        constants.append(consts.ledger())
-        kits.append((kit, consts))
-    kit, consts = kits[0]
+    kit = FranksKit(split.tube(0))
+    consts = compute_constants(kit, eps_c1=st["eps_c1"])
+    constants = [consts.ledger()] + [  # the other segments' kits are not kept
+        compute_constants(FranksKit(split.tube(i)), eps_c1=st["eps_c1"]).ledger()
+        for i in range(1, n_seg)]
     cota = verify_cota(kit, consts, sample_count=st["cota_samples"],
                        seed=sc.random_seed)
     surj = verify_ball_surjectivity(kit, consts, n_targets=st["targets"],

@@ -21,7 +21,6 @@ from maglab.field import (
 )
 from maglab.dynamics import (
     IntegratorOptions,
-    fd_monodromy,
     flow,
     flow_with_variation,
 )
@@ -41,7 +40,7 @@ from maglab.chaos import (
     dominated_splitting_check,
     grow_manifold,
 )
-from maglab.maps import HorseshoeMap, StandardMap, TwistMap
+from maglab.maps import HorseshoeMap, StandardMap
 from maglab.mane import (
     _fourier_tables,
     ConstantForm,
@@ -50,6 +49,8 @@ from maglab.mane import (
     verify_witness,
 )
 from maglab.scenarios import load_scenario, run_scenario
+
+from oracles import TwistMap, fd_monodromy
 
 
 def _ok(num, name, detail):

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from maglab.cli import build_parser, main
-from maglab.errors import ConfigError
+from maglab.dynamics import flow
+from maglab.errors import ConfigError, StiffnessError
 from maglab.scenarios import (STAGE_TABLE, Scenario, emit_plotdata, load_scenario,
                               run_scenario)
 
@@ -132,6 +133,18 @@ def test_cli_unbracketed_critical_value_keeps_partial_reports(tmp_path):
          "maxiter": 50}])
     assert main(["run", "--config", path]) == 3
     assert os.listdir(tmp_path / "o") == ["orbits.json"]
+
+
+def test_step_budget_is_a_numerical_failure(tmp_path, monkeypatch, disk,
+                                            minus_one_field, disk_circle_seed):
+    """A flow that takes _MAX_STEPS steps raises, and a simulate stage exits 3
+    rather than report a trajectory that ends short of t_final."""
+    monkeypatch.setattr("maglab.integrate._MAX_STEPS", 5)
+    with pytest.raises(StiffnessError):
+        flow(disk, minus_one_field, disk_circle_seed, 10.0)
+    path = _torus_config(tmp_path, field={"kind": "sinusoidal"},
+                         pipeline=[{"stage": "simulate", "t_final": 10.0}])
+    assert main(["run", "--config", path]) == 3
 
 
 def test_cli_non_integral_winding_keeps_partial_reports(tmp_path, caplog):
@@ -312,6 +325,24 @@ def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
 def test_cli_malformed_config_shape_is_config_error(tmp_path, changes):
     path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("changes, keys", [
+    ({"field": {"kind": "constant", "value": 0.0, "amplitude": 5.0,
+                "coeffs": [[1.0]]}}, ["amplitude", "coeffs"]),
+    ({"field": {"kind": "zonal", "phase": 3.0}}, ["phase"]),
+    ({"pipeline": [{"stage": "critical-value", "eta": {
+        "kind": "constant", "a": [0.1, 0.0], "amplitude": 4.0, "k": [3, 3]}}]},
+     ["amplitude", "k"]),
+    ({"pipeline": [{"stage": "entropy", "map": {"kind": "horseshoe", "K": 7.0}}]},
+     ["K"]),
+], ids=["field_constant", "field_zonal", "eta", "map"])
+def test_cli_key_of_another_kind_is_config_error(tmp_path, capsys, changes, keys):
+    """A key that only another kind of field, eta or map reads is unused."""
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert f"unknown key(s) {keys}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -22,7 +22,6 @@ from maglab.dynamics import (
     _chart_rhs,
     _chart_rhs_variational,
     _renormalizer,
-    fd_monodromy,
     flow,
     flow_with_variation,
     injectivity_time,
@@ -31,6 +30,8 @@ from maglab.dynamics import (
 from maglab.integrate import integrate
 from maglab.orbits import Section, first_return, phase_distance, rescale_to_energy
 from maglab.scenarios import Scenario
+
+from oracles import fd_monodromy
 
 
 def test_disk_traces_unit_circle(disk, minus_one_field, disk_circle_seed):

@@ -10,7 +10,6 @@ from maglab.geometry import (
     energy,
     flat_torus,
     planar_chart,
-    rotate90,
     sphere,
 )
 
@@ -60,31 +59,6 @@ def test_sphere_metric_partials_vs_symbolic():
     subs = {x: 0.7, y: -0.2}
     assert md.lam_x == pytest.approx(float(sp.diff(lam, x).subs(subs)), abs=1e-12)
     assert md.lam_y == pytest.approx(float(sp.diff(lam, y).subs(subs)), abs=1e-12)
-
-
-def test_rotate90_trivial(torus):
-    st = PhasePoint(0, 0.1, 0.1, 1.0, 0.0)
-    assert rotate90(torus, st, (1.0, 0.0)) == (0.0, 1.0)
-    assert rotate90(torus, st, (0.0, 1.0)) == (-1.0, 0.0)
-
-
-def test_rotate90_properties_random():
-    rng = np.random.default_rng(7)
-    surfaces = [flat_torus(), sphere(1.5), planar_chart()]
-    for _ in range(100):
-        surf = surfaces[rng.integers(len(surfaces))]
-        x, y = rng.uniform(-0.8, 0.8, 2)
-        v = tuple(rng.standard_normal(2))
-        st = PhasePoint(0, x, y, *v)
-        iv = rotate90(surf, st, v)
-        md = surf.metric_at(0, *surf.wrap_position(x, y))
-        g = md.lam**2
-        # orthogonal, same length, and i^2 = -1 componentwise
-        assert g * (iv[0] * v[0] + iv[1] * v[1]) == pytest.approx(0.0, abs=1e-15)
-        assert g * (iv[0] ** 2 + iv[1] ** 2) == pytest.approx(
-            g * (v[0] ** 2 + v[1] ** 2), rel=1e-15)
-        iiv = rotate90(surf, st, iv)
-        assert iiv == (-v[0], -v[1])
 
 
 def test_energy_examples(torus, unit_sphere):

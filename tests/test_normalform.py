@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maglab.errors import ResonantJetError
-from maglab.maps import LinearMap, PolynomialMap, TwistMap, fd_jacobian
+from maglab.maps import fd_jacobian
 from maglab.normalform import (
     _MONOMIALS,
     _beta_from_coeffs,
@@ -15,6 +15,8 @@ from maglab.normalform import (
     jet3,
     twist_by_rotation_number,
 )
+
+from oracles import LinearMap, PolynomialMap, TwistMap
 
 
 def rotation(alpha):

@@ -94,7 +94,32 @@ def test_src_stats_counts_lines_and_defaulted_parameters(tmp_path, capsys):
     assert mod.stats(str(tmp_path)) == (5, 4)
     assert mod.stats(str(tmp_path / "src")) == (5, 4)
     assert mod.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out == f"{tmp_path}: 5 lines, 4 defaulted parameters\n"
+    assert capsys.readouterr().out == (
+        f"{tmp_path}: 5 lines, 4 defaulted parameters, 3 uncalled definitions\n"
+        "  uncalled: a.f, b.C, b.C.g\n")
+
+
+def test_src_stats_names_the_uncalled_definitions(tmp_path, capsys):
+    pkg = tmp_path / "src" / "maglab"
+    pkg.mkdir(parents=True)
+    # __init__.py and __all__ name `unused`, which only makes it public
+    (pkg / "__init__.py").write_text("from .a import Runner, unused\n")
+    (pkg / "a.py").write_text(
+        "__all__ = ['Runner', 'unused']\n"
+        "def used(x):\n"
+        "    return x\n"
+        "def unused():\n"
+        "    pass\n"
+        "class Runner:\n"
+        "    def __call__(self):\n"
+        "        return getattr(self, 'go')()\n"
+        "    def go(self):\n"
+        "        return used(1)\n")
+    (pkg / "b.py").write_text("from .a import Runner\nRESULT = Runner()()\n")
+    mod = _tool("src_stats")
+    assert mod.uncalled(str(tmp_path)) == ["a.unused"]
+    assert mod.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  uncalled: a.unused"]
 
 
 def test_step_cost_prints_each_layer_with_its_counters(capsys):

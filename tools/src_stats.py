@@ -1,16 +1,21 @@
-"""Print the size of maglab's source in each tree: lines and defaulted parameters.
+"""Print the lines, defaulted parameters and uncalled definitions of maglab.
 
     python3 tools/src_stats.py [TREE ...]
 
 A TREE is a repository root (holding src/maglab) or its src directory; with
-none, the repository this script sits in.  For each tree it prints one line:
+none, the repository this script sits in.  For each tree it prints one line of
 
-* the lines of src/maglab/*.py (what `cat src/maglab/*.py | wc -l` reads), and
+* the lines of src/maglab/*.py (what `cat src/maglab/*.py | wc -l` reads),
 * the defaulted parameters: over every function, method and lambda, the
-  positional defaults plus the keyword-only parameters with a default.
+  positional defaults plus the keyword-only parameters with a default, and
+* the uncalled definitions: top-level functions and classes and the methods
+  of top-level classes (dunder methods left out) whose name no module but
+  `__init__.py` reads, as a name, an attribute or a string outside `__all__`;
+  their names follow on a second line.
 
-These are the two numbers that track "the same numbers from less code", so a
-simplification can quote them for the parent tree and the change.
+These numbers track "the same numbers from less code", so a simplification
+can quote them for the parent tree and the change.  A definition counts as
+called when anything of its name is read, so the third is a lower bound.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def source_files(tree):
@@ -57,13 +63,62 @@ def stats(tree):
     return lines, params
 
 
+def _definitions(module, tree):
+    """(qualified name, name) of a module's top-level definitions and of the
+    methods of its top-level classes, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _DEFS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _reads(tree):
+    """Every name, attribute and string a module reads, `__all__` left out."""
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            listed.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in listed):
+            yield node.value
+
+
+def uncalled(tree):
+    """Sorted qualified names of a tree's definitions that no module but
+    `__init__.py` reads."""
+    defs, reads = [], set()
+    for path in source_files(tree):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        with open(path) as fh:
+            parsed = ast.parse(fh.read())
+        defs += _definitions(module, parsed)
+        reads.update(_reads(parsed))
+    return sorted(qual for qual, name in defs if name not in reads)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="TREE", default=[ROOT])
     args = parser.parse_args(argv)
     for tree in args.trees:
         lines, params = stats(tree)
-        print(f"{tree}: {lines:,} lines, {params} defaulted parameters")
+        names = uncalled(tree)
+        print(f"{tree}: {lines:,} lines, {params} defaulted parameters, "
+              f"{len(names)} uncalled definitions")
+        if names:
+            print("  uncalled: " + ", ".join(names))
     return 0
 
 
