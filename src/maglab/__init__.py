@@ -8,7 +8,7 @@ from .field import (MagneticField, ConstantField, SinusoidalTorusField,
 from .dynamics import (flow, flow_with_variation, magnetic_curvature,
                        injectivity_time, IntegratorOptions)
 from .orbits import (Section, first_return, SectionReturnMap, ClosedOrbit,
-                     find_closed_orbit, classify, continue_orbit, seed_grid)
+                     find_closed_orbit, classify)
 from .normalform import jet3, birkhoff_beta, twist_by_rotation_number, Jet3, TwistData
 from .franks import (build_tubular_chart, build_franks_kit, compute_constants,
                      build_GA, PerturbA, verify_cota, verify_ball_surjectivity,

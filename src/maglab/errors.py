@@ -29,10 +29,6 @@ class NewtonDivergenceError(MaglabError):
     """Newton iteration for a closed orbit failed to converge."""
 
 
-class ContinuationLostError(MaglabError):
-    """Orbit continuation left the Newton basin of the perturbed field."""
-
-
 class ResonantJetError(MaglabError):
     """Linear part is resonant through order 4; Birkhoff coefficient undefined."""
 

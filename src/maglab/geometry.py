@@ -152,10 +152,9 @@ class Surface:
             f"point ({x:.6g}, {y:.6g}) outside domain of chart {chart} of {self.kind}")
 
     def _chart(self, chart):
-        try:
-            return self.charts[chart]
-        except IndexError:
-            raise ChartDomainError(f"no chart {chart} on {self.kind}") from None
+        if not 0 <= chart < len(self.charts):
+            raise ChartDomainError(f"no chart {chart} on {self.kind}")
+        return self.charts[chart]
 
     # -- torus helpers -----------------------------------------------------
 

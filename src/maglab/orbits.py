@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NoReturnError, NewtonDivergenceError, ContinuationLostError,
-                     SectionDomainError)
+from .errors import NoReturnError, NewtonDivergenceError, SectionDomainError
 from .geometry import PhasePoint, energy as phase_energy
 from .dynamics import IntegratorOptions, flow, flow_with_variation
 from .maps import fd_jacobian
@@ -36,9 +35,7 @@ __all__ = [
     "ClosedOrbit",
     "find_closed_orbit",
     "classify",
-    "continue_orbit",
     "phase_distance",
-    "seed_grid",
 ]
 
 log = logging.getLogger("maglab.orbits")
@@ -468,25 +465,13 @@ def classify(monodromy, class_tol=1e-6):
     return "parabolic", EigenData()
 
 
-def _minimal_period(surface, field, state, T, tol, options):
-    """Shooting can converge onto a multiple; test period divisors k = 2..6."""
-    best = T
-    for k in range(6, 1, -1):
-        cand = T / k
-        end = flow(surface, field, state, cand, options).end_state()
-        if phase_distance(surface, state, end) <= 100.0 * tol:
-            best = cand
-            log.info("transit time %.12g covers the orbit %d times; period %.12g",
-                     T, k, cand)
-            break
-    return best
-
-
 def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
                       max_time=50.0, class_tol=1e-6, half_width=0.2):
     """Newton shooting on the first-return map from a seed state.
 
-    The seed is projected onto the energy level c.  Raises
+    The seed is projected onto the energy level c.  The period is the transit
+    time of the last return: a shorter one would bring the flow back to the
+    start earlier, at a crossing that `crossing_ok` accepts.  Raises
     NewtonDivergenceError if the residual does not reach tol; a near-singular
     I - dP marks the result parabolic-suspect (best point returned when the
     residual is already acceptable).
@@ -498,14 +483,12 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     z = np.zeros(2)
     suspect = False
     fd_h = max(1e-7, 1e-6 * half_width)
-    converged = False
     for it in range(_MAX_NEWTON):
-        zc, transit, _ = first_return(section, tuple(z), max_time, options=options)
+        zc, T, _ = first_return(section, tuple(z), max_time, options=options)
         w = np.asarray(zc)
         r = float(np.linalg.norm(w - z))
         if r <= tol:
             log.debug("newton iterate %d: residual %.3e, converged", it, r)
-            converged = True
             break
         J = fd_jacobian(rmap, z, fd_h)
         A = J - np.eye(2)
@@ -526,15 +509,13 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
         z = z + dz
     else:
         # the last iterate moved z: return from z once more
-        zc, transit, _ = first_return(section, tuple(z), max_time, options=options)
+        zc, T, _ = first_return(section, tuple(z), max_time, options=options)
         w = np.asarray(zc)
     resid_map = float(np.linalg.norm(w - z))
-    if not converged and not (suspect and resid_map <= 1e3 * tol):
-        if resid_map > tol:
-            raise NewtonDivergenceError(
-                f"shooting stalled with section residual {resid_map:.3e}")
+    if resid_map > tol and not (suspect and resid_map <= 1e3 * tol):
+        raise NewtonDivergenceError(
+            f"shooting stalled with section residual {resid_map:.3e}")
     state = section.embed(*z)
-    T = _minimal_period(surface, field, state, transit, max(resid_map, tol), options)
     traj, vp = flow_with_variation(surface, field, state, T, options)
     M = vp.matrix(T)
     residual = phase_distance(surface, state, traj.end_state())
@@ -550,26 +531,3 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     return ClosedOrbit(state, T, M, cls, residual, c, eig, orbit_section,
                        parabolic_suspect=suspect)
 
-
-def continue_orbit(orbit: ClosedOrbit, surface, new_field):
-    """Re-shoot the orbit under a C1-close field (find_closed_orbit's
-    defaults); reports the displacement."""
-    try:
-        new = find_closed_orbit(surface, new_field, orbit.c, orbit.initial_state)
-    except (NewtonDivergenceError, NoReturnError) as exc:
-        raise ContinuationLostError(
-            f"continuation left the Newton basin: {exc}") from exc
-    displacement = phase_distance(surface, orbit.initial_state, new.initial_state)
-    return new, displacement
-
-
-def seed_grid(surface, c, base_points, n_directions=8):
-    """Phase-point seeds: n directions on the energy circle over base points."""
-    seeds = []
-    for chart, x, y in base_points:
-        lam = surface.metric_at(chart, *surface.wrap_position(x, y)).lam
-        sp = math.sqrt(2.0 * c) / lam
-        for k in range(n_directions):
-            th = 2.0 * math.pi * k / n_directions
-            seeds.append(PhasePoint(chart, x, y, sp * math.cos(th), sp * math.sin(th)))
-    return seeds

@@ -22,7 +22,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError, MaglabError
+from .errors import ChartDomainError, ConfigError, MaglabError
 from .geometry import PhasePoint, flat_torus, planar_chart, sphere
 from .field import (
     ConstantField,
@@ -194,8 +194,8 @@ _STAGE_LISTS = {
               len(set(v)) == len(v)),
     "radii": (float, None, lambda v, n: min(v) > 0 and len(set(v)) >= 2),
     "k_range": (float, (2,), lambda v, n: v[0] < v[1]),
-    "fixed_points": ((float, (2,)), None, lambda v, n: True),
-    "branch_signs": (int, None, lambda v, n: set(v) <= {1, -1}),
+    "fixed_points": ((float, (2,)), (1, 2), lambda v, n: True),
+    "branch_signs": (int, (1, 2), lambda v, n: set(v) <= {1, -1}),
 }
 
 # structured stage keys, built into their objects at load
@@ -229,6 +229,28 @@ def _stage_value(key, value, where, n_seeds):
     return value
 
 
+def _seed(surface, seed, where):
+    """seed, once its chart is one of the surface's, its position lies in
+    that chart (metric_at checks both) and its velocity is nonzero."""
+    try:
+        surface.metric_at(seed.chart, seed.x, seed.y)
+    except ChartDomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if seed.vx == 0.0 and seed.vy == 0.0:
+        raise ConfigError(f"{where}: zero velocity")
+    return seed
+
+
+def _check_eta(eta, field, where, kinds):
+    """ConfigError unless d eta = f to 1e-8 on a 64 x 64 grid of the torus."""
+    g = np.linspace(0.0, 1.0, 64, endpoint=False)
+    X, Y = np.meshgrid(g, g)
+    gap = float(np.max(np.abs(eta.curl(X, Y) - field.value(0, X, Y))))
+    if not gap <= 1e-8:
+        raise ConfigError(f"{where}.eta of kind {kinds[0]!r} does not induce the "
+                          f"field of kind {kinds[1]!r}: max |d eta - f| = {gap:.3g}")
+
+
 _TOP_KEYS = {"surface", "field", "energy", "seeds", "pipeline", "out_dir",
              "seed", "integrator"}
 
@@ -237,7 +259,8 @@ class Scenario:
     def __init__(self, cfg, path="<config>"):
         _check_keys(cfg, _TOP_KEYS, path)
         self.surface = _build_surface(cfg.get("surface", {"kind": "torus"}))
-        self.field = _build_field(cfg.get("field", {"kind": "constant"}))
+        field_cfg = cfg.get("field", {"kind": "constant"})
+        self.field = _build_field(field_cfg)
         self.c = _positive(cfg.get("energy", 0.5), "energy")
         self.random_seed = _number(cfg.get("seed", 0), "seed", int)
         self.out_dir = cfg.get("out_dir", "maglab_out")
@@ -250,10 +273,10 @@ class Scenario:
         self.seeds = []
         for i, s in enumerate(_list(cfg.get("seeds", []), "seeds")):
             _check_keys(s, {"chart", "x", "y", "vx", "vy"}, f"seeds[{i}]")
-            self.seeds.append(PhasePoint(
+            self.seeds.append(_seed(self.surface, PhasePoint(
                 _number(s.get("chart", 0), f"seeds[{i}].chart", int),
                 *(_number(s.get(k), f"seeds[{i}].{k}")
-                  for k in ("x", "y", "vx", "vy"))))
+                  for k in ("x", "y", "vx", "vy"))), f"seeds[{i}]"))
         self.pipeline = []
         seen = set()
         for i, st in enumerate(_list(cfg.get("pipeline", []), "pipeline")):
@@ -275,6 +298,10 @@ class Scenario:
                 elif key in st:
                     raise ConfigError(f"{where}.{key} must not be null")
                 entry[key] = value
+            if kind == "critical-value" and self.surface.kind == "torus":
+                _check_eta(entry["eta"], self.field, where,
+                           (st.get("eta", stage.keys["eta"])["kind"],
+                            field_cfg["kind"]))
             if entry.get("rotation_vectors") and self.surface.kind != "torus":
                 raise ConfigError(f"{where}.rotation_vectors needs the torus, "
                                   f"not a {self.surface.kind} surface")
@@ -502,7 +529,7 @@ def _stage_entropy(sc, st, ctx):
     wu = grow_manifold(oracle, fps[0], "unstable", signs[0], st["arclength"], tol=st["tol"])
     ws = grow_manifold(oracle, fps[-1], "stable", signs[-1], st["arclength"], tol=st["tol"])
     hits = detect_homoclinic(ws, wu)
-    trans = [h for h in hits if h.angle >= st["angle_tol"]]
+    trans = [h for h in hits if h.transversal(st["angle_tol"])]
     rows = []
     for br, side in ((ws, "stable"), (wu, "unstable")):
         lens = np.concatenate([[0.0], np.cumsum(
@@ -582,20 +609,11 @@ _PLOTS = {stage.plot.kind: stage.plot for stage in STAGE_TABLE.values()
           if stage.plot is not None}
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_default(obj):
+    """json's `default` hook: a numpy array or scalar (not float64, a float)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def run_scenario(scenario, only_stage=None, out_dir=None):
@@ -638,13 +656,12 @@ def run_scenario(scenario, only_stage=None, out_dir=None):
 
 
 def _write_stage(out, kind, rep):
-    clean = _json_ready(rep)
     path = os.path.join(out, STAGE_TABLE[kind].report)
     with open(path, "w") as fh:
-        json.dump(clean, fh, indent=2, sort_keys=True)
+        json.dump(rep, fh, indent=2, sort_keys=True, default=_numpy_default)
         fh.write("\n")
     plot = STAGE_TABLE[kind].plot
     if plot is not None:
-        for entry in clean.get(plot.per, []) if plot.per else [clean]:
+        for entry in rep.get(plot.per, []) if plot.per else [rep]:
             emit_plotdata(entry, plot.kind,
                           os.path.join(out, plot.file.format(**entry)))

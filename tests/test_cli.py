@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from maglab.cli import build_parser, main
@@ -225,6 +226,10 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
                    "branch_signs": [2, 1]}]},
     {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "fixed_points": [[0, 0], [5, 7], [1, 0]]}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                   "branch_signs": [1, -1, 1]}]},
+    {"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
                    "rectangles": []}]},
     {"pipeline": [{"stage": "critical-value",
                    "eta": {"kind": "constant", "a": "x"}}]},
@@ -283,6 +288,7 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
 ], ids=["seeds_past_end", "seeds_string", "seeds_not_list", "seeds_negative",
         "variational_string", "rotation_vectors_string", "k_range_short",
         "radii_not_list", "fixed_point_short", "branch_sign_two",
+        "fixed_points_three", "branch_signs_three",
         "entropy_rectangles", "eta_a_string", "field_value_string",
         "field_k_short", "coeffs_not_list", "sphere_radius_string",
         "rel_tol_string", "n_iter_zero", "fd_scale_negative",
@@ -304,6 +310,58 @@ def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
         path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
     assert not (tmp_path / "o").exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"seeds": [{"chart": 0, "x": 0.2, "y": 0.3, "vx": 0.0, "vy": 0.0}]},
+     "seeds[0]: zero velocity"),
+    ({"seeds": [{"chart": -1, "x": 0.2, "y": 0.3, "vx": 1.0, "vy": 0.0}]},
+     "seeds[0]: no chart -1 on torus"),
+    ({"surface": {"kind": "sphere"},
+      "seeds": [{"chart": 3, "x": 0.2, "y": 0.3, "vx": 1.0, "vy": 0.0}]},
+     "seeds[0]: no chart 3 on sphere"),
+    ({"surface": {"kind": "planar"},
+      "seeds": [{"chart": 0, "x": 5.0, "y": 0.0, "vx": 0.0, "vy": 1.0}]},
+     "seeds[0]: point (5, 0) outside domain of chart 0 of planar"),
+], ids=["zero_velocity", "torus_chart_negative", "sphere_chart_three",
+        "disk_outside"])
+def test_cli_seed_off_the_surface_is_config_error(tmp_path, capsys, changes, message):
+    """A seed is checked against the surface at load: its chart, its
+    position in that chart and its velocity."""
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, eta", [
+    ({"kind": "sinusoidal"}, None),
+    ({"kind": "constant", "value": 0.0}, {"kind": "sin_primitive"}),
+    ({"kind": "sinusoidal", "amplitude": 2.0}, {"kind": "sin_primitive"}),
+    ({"kind": "sinusoidal", "phase": 0.5}, {"kind": "sin_primitive"}),
+], ids=["default_eta", "zero_field", "amplitude", "phase"])
+def test_cli_eta_must_induce_the_field(tmp_path, capsys, field, eta):
+    """The critical-value stage's eta must induce the scenario's field on
+    the torus (d eta = f); a mismatch names both kinds."""
+    stage = {"stage": "critical-value"}
+    if eta is not None:
+        stage["eta"] = eta
+    path = _torus_config(tmp_path, field=field, pipeline=[stage])
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    eta_kind = (eta or {"kind": "constant"})["kind"]
+    assert (f"eta of kind {eta_kind!r} does not induce the field of kind "
+            f"{field['kind']!r}") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eta_inducing_the_field_loads():
+    pipeline = [{"stage": "critical-value",
+                 "eta": {"kind": "sin_primitive", "amplitude": 2.0, "k": [1, 2]}}]
+    Scenario({"field": {"kind": "sinusoidal", "amplitude": 2.0, "k": [1, 2]},
+              "pipeline": pipeline})
+    # off the torus the stage fails when it runs, not at load
+    Scenario({"surface": {"kind": "sphere"}, "pipeline": pipeline})
 
 
 @pytest.mark.parametrize("changes", [
@@ -552,6 +610,29 @@ def test_emit_plotdata_headers(tmp_path):
     assert open(path).readline().strip() == "r,rho"
     with pytest.raises(ConfigError):
         emit_plotdata({}, "unknown-kind", str(tmp_path / "x.csv"))
+
+
+def test_numpy_report_writes_the_bytes_of_its_python_twin(tmp_path):
+    """A report holding numpy scalars and arrays writes the same bytes as the
+    same report in plain Python values; any other object is a TypeError, as
+    with json's own default."""
+    from maglab.scenarios import _write_stage
+
+    twins = {
+        "numpy": {"f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+                  "a": np.array([[1.5, -2.0], [1e-300, 0.1 + 0.2]]),
+                  "n": [np.arange(2), (np.float64(2.5),)]},
+        "python": {"f": 0.1, "i": -3, "b": True,
+                   "a": [[1.5, -2.0], [1e-300, 0.1 + 0.2]],
+                   "n": [[0, 1], [2.5]]},
+    }
+    for name, rep in twins.items():
+        os.makedirs(tmp_path / name)
+        _write_stage(str(tmp_path / name), "orbits", rep)
+    assert ((tmp_path / "numpy" / "orbits.json").read_bytes()
+            == (tmp_path / "python" / "orbits.json").read_bytes())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_stage(str(tmp_path / "numpy"), "orbits", {"x": object()})
 
 
 def test_empty_database_empty_csv(tmp_path):

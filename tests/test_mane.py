@@ -225,7 +225,8 @@ def test_rotation_vector_contractible(torus):
 
 
 def test_rotation_vector_minimal_period(torus, zero_field):
-    """Subdivision check prevents reporting (2, 0) / 2T."""
+    """The search's period is the first return's transit time, so the line
+    orbit reports (1, 0) over T = 1, not (2, 0) over a double cover."""
     orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.7, 0.1, 1.0, 0.0))
     rv = rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
     assert rv.homology == (1, 0) and rv.period == pytest.approx(1.0, abs=1e-10)

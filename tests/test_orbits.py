@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from maglab.errors import ContinuationLostError, NoReturnError
+from maglab.errors import NewtonDivergenceError, NoReturnError
 from maglab.geometry import PhasePoint, energy, flat_torus, planar_chart, sphere
 from maglab.field import (
     MagneticField,
@@ -22,9 +22,7 @@ from maglab.orbits import (
     _CrossingMonitor,
     _T_SKIP,
     _brent,
-    _minimal_period,
     classify,
-    continue_orbit,
     find_closed_orbit,
     first_return,
     phase_distance,
@@ -161,65 +159,94 @@ def test_minimal_period_detection(torus, zero_field):
     assert orb.period == pytest.approx(1.0, abs=1e-10)
 
 
-def test_orbit_search_logs_period_division_and_suspect(torus, zero_field, caplog):
-    """Both orbit adjustments are logged at INFO on maglab.orbits: a transit
-    time covering the flat torus line orbit three times, and the singular
-    I - DP of that orbit (a shear) seen from a seed tilted by 1e-9."""
-    line = PhasePoint(0, 0.5, 0.5, 1.0, 0.0)
+def test_orbit_search_logs_suspect(torus, zero_field, caplog):
+    """The singular I - DP of the flat torus line orbit (a shear), seen from
+    a seed tilted by 1e-9, is logged at INFO on maglab.orbits."""
     with caplog.at_level(logging.INFO, logger="maglab.orbits"):
-        period = _minimal_period(torus, zero_field, line, 3.0, 1e-10,
-                                 IntegratorOptions())
         orb = find_closed_orbit(torus, zero_field, 0.5,
                                 PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
     lines = [r.getMessage() for r in caplog.records
              if r.name == "maglab.orbits" and r.levelno == logging.INFO]
-    assert period == 1.0
-    assert any("covers the orbit 3 times; period 1" in m for m in lines), lines
     assert orb.parabolic_suspect
     assert any("parabolic-suspect" in m for m in lines), lines
 
 
-def _count_search(monkeypatch, *args):
-    """find_closed_orbit(*args) with its section returns and Jacobians counted."""
+def _count_search(monkeypatch):
+    """Counts of the section returns, Jacobians, flows and variational flows
+    that orbits.py makes from here on."""
     import maglab.orbits as orbits
 
-    counts = {"returns": 0, "jacobians": 0}
-    real_return, real_jacobian = orbits.first_return, orbits.fd_jacobian
+    counts = dict.fromkeys(("returns", "jacobians", "flows", "variational"), 0)
 
-    def counted_return(*args, **kwargs):
-        counts["returns"] += 1
-        return real_return(*args, **kwargs)
+    def counted(name, key):
+        real = getattr(orbits, name)
 
-    def counted_jacobian(*args, **kwargs):
-        counts["jacobians"] += 1
-        return real_jacobian(*args, **kwargs)
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(orbits, "first_return", counted_return)
-    monkeypatch.setattr(orbits, "fd_jacobian", counted_jacobian)
-    return find_closed_orbit(*args), counts
+        monkeypatch.setattr(orbits, name, call)
+
+    counted("first_return", "returns")
+    counted("fd_jacobian", "jacobians")
+    counted("flow", "flows")
+    counted("flow_with_variation", "variational")
+    return counts
 
 
 def test_converged_search_reuses_its_last_return(torus, sin_field, monkeypatch):
     """A converged search makes one return per Newton iterate plus 4 per
     Jacobian, and no more: the transit time comes from the return at the
-    converged point, not from a repeat of it."""
-    orb, counts = _count_search(monkeypatch, torus, sin_field, 0.5,
-                                PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
+    converged point, not from a repeat of it.  Each return is one flow, and
+    the monodromy one variational flow over that transit time: the period
+    is not re-derived by further flows."""
+    counts = _count_search(monkeypatch)
+    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
     assert orb.residual <= 1e-8 and not orb.parabolic_suspect
     assert counts["jacobians"] >= 1
     assert counts["returns"] == 5 * counts["jacobians"] + 1
+    assert counts["flows"] == counts["returns"]
+    assert counts["variational"] == 1
 
 
 def test_suspect_search_reuses_its_last_return(torus, zero_field, monkeypatch):
     """A search that breaks on a singular I - DP makes 5 returns per Newton
     iterate: the transit time comes from the return at the iterate, which
-    the break does not move, not from a repeat of it."""
-    orb, counts = _count_search(monkeypatch, torus, zero_field, 0.5,
-                                PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
+    the break does not move, not from a repeat of it.  Here too each return
+    is one flow, and the monodromy one variational flow."""
+    counts = _count_search(monkeypatch)
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
     assert orb.parabolic_suspect
     assert orb.period == pytest.approx(1.0, abs=1e-10)
     assert counts["jacobians"] >= 1
     assert counts["returns"] == 5 * counts["jacobians"]
+    assert counts["flows"] == counts["returns"]
+    assert counts["variational"] == 1
+
+
+def test_stalled_search_is_a_stage_failure(torus, sin_field, monkeypatch, tmp_path):
+    """A search whose Newton iterates run out returns once more from the last
+    iterate and raises NewtonDivergenceError with that return's residual; an
+    orbits stage lists the seed under its failures and exits 0."""
+    from maglab.scenarios import Scenario, run_scenario
+
+    monkeypatch.setattr("maglab.orbits._MAX_NEWTON", 1)
+    counts = _count_search(monkeypatch)
+    with pytest.raises(NewtonDivergenceError,
+                       match="shooting stalled with section residual 2.300e-02"):
+        find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
+    # the iterate's return, its Jacobian's 4 and the return from the new point
+    assert (counts["returns"], counts["jacobians"]) == (6, 1)
+    assert counts["variational"] == 0
+    sc = Scenario({"field": {"kind": "sinusoidal"},
+                   "seeds": [{"chart": 0, "x": 0.02, "y": 0.3, "vx": 0.0, "vy": -1.0}],
+                   "pipeline": [{"stage": "orbits"}]})
+    code, reports = run_scenario(sc, out_dir=str(tmp_path))
+    assert code == 0
+    assert reports["orbits"]["orbits"] == []
+    assert reports["orbits"]["failures"] == [{
+        "seed_index": 0,
+        "error": "shooting stalled with section residual 2.300e-02"}]
 
 
 @pytest.mark.parametrize("case", ["sphere", "torus", "disk"])
@@ -276,10 +303,18 @@ def test_return_path_integrates_python_floats(case, unit_sphere, torus, disk,
         assert all(type(v) is float for v in (point.x, point.y, point.vx, point.vy))
 
 
+def _reshoot(orb, surface, field):
+    """The orbit found from orb's own state in `field`, and its phase-space
+    displacement from orb."""
+    new = find_closed_orbit(surface, field, orb.c, orb.initial_state)
+    return new, phase_distance(surface, orb.initial_state, new.initial_state)
+
+
 def test_continue_orbit_same_field(torus, sin_field):
+    """Re-shooting from an orbit's own state returns that orbit."""
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
-    new, disp = continue_orbit(orb, torus, sin_field)
+    new, disp = _reshoot(orb, torus, sin_field)
     assert disp <= 1e-9
     assert new.period == pytest.approx(orb.period, abs=1e-10)
 
@@ -291,7 +326,7 @@ def test_continue_orbit_supported_off_core(torus, sin_field):
     kit = build_franks_kit(torus, sin_field, orb.initial_state, 0.2)
     consts = compute_constants(kit)
     f2, _, _ = build_GA(kit, consts, PerturbA(0.5 * consts.delta1, 0.0, 0.0))
-    new, disp = continue_orbit(orb, torus, f2)
+    new, disp = _reshoot(orb, torus, f2)
     assert disp <= 1e-9
     assert new.period == pytest.approx(orb.period, abs=1e-9)
 
@@ -304,7 +339,7 @@ def test_continuation_displacement_scales(torus):
     disps = []
     for eps in (1e-2, 1e-3, 1e-4):
         shifted = MagneticField(SinusoidalTorusField(1.0, (1, 0), phase=eps))
-        _, disp = continue_orbit(orb, torus, shifted)
+        _, disp = _reshoot(orb, torus, shifted)
         disps.append(disp)
     assert disps[0] > disps[1] > disps[2]
     # 3-point slope: roughly one decade per decade
@@ -322,16 +357,6 @@ def test_return_map_inverse(torus, sin_field, tight_options):
     w = rmap(z)
     back = rmap.inverse(w)
     assert np.abs(back - z).max() <= 1e-8
-
-
-def test_seed_grid(torus):
-    from maglab.orbits import seed_grid
-    from maglab.geometry import energy
-
-    seeds = seed_grid(torus, 0.5, [(0, 0.2, 0.3), (0, 0.7, 0.1)], n_directions=6)
-    assert len(seeds) == 12
-    for s in seeds:
-        assert energy(torus, s) == pytest.approx(0.5, abs=1e-14)
 
 
 # -- the raw-float section offset against the PhasePoint path ---------------------
