@@ -8,16 +8,20 @@ found up to the configured search effort"), matching the one-sided nature
 of the infimum.  Contractible loops are searched over circles, rounded
 rectangles and a Fourier parametrization descended with Nelder-Mead.
 
-The descent is `_nelder_mead`, a transcription of scipy 1.17.1's Nelder-Mead
-(`scipy.optimize.minimize(method="Nelder-Mead")`) reduced to the branch used
-here; its x and fun are == to scipy's (tests/test_mane.py), and maglab
-needs no scipy at run time.
+A search's restarts descend in lockstep, one lane each, in
+`_nelder_mead_lanes`: a transcription of scipy 1.17.1's Nelder-Mead
+(`scipy.optimize.minimize(method="Nelder-Mead")`), reduced to the branch
+used here, whose lanes each end on the x, fun, nit and nfev scipy reaches
+from that lane's start (tests/test_mane.py); maglab needs no scipy at run
+time.  Each iteration evaluates the points all live lanes need in one call
+of `_loop_functional`, which takes Fourier coefficients (P, 2, 2M+1) to P
+values of the speed-optimized action.
 
-`FourierLoop.sample` reads its nodes, cos/sin tables and mode numbers from
-small caches keyed by (period, n, modes) and by modes: the Nelder-Mead descent
-samples thousands of shapes with the same period, node count and mode count,
-and rebuilt the same tables for each.  The cached arrays are read-only, as
-are the value arrays `ConstantForm.components` keeps per shape.
+Fourier shapes are evaluated against one cached, read-only table per node
+count and mode count, the rows [1; cos; sin] and their derivatives
+(`_fourier_tables`), one (2, 2M+1) @ (2M+1, 2n) product per shape, so a
+shape's value does not depend on the batch it came in; `FourierLoop.sample`
+makes the same product.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ log = logging.getLogger("maglab.mane")
 
 _SEARCH_NODES, _WITNESS_NODES = 256, 512  # quadrature nodes: search, witness
 _T_CAP = 1e4          # longest period of a witness loop
+_BATCH = 40           # most Fourier shapes evaluated in one array pass
 _WINDING_TOL = 1e-6   # largest distance of a winding from an integer
 
 __all__ = [
@@ -62,18 +67,10 @@ class ConstantForm:
     def __init__(self, a1, a2=0.0):
         self.a1 = float(a1)
         self.a2 = float(a2)
-        self._values = {}   # shape -> read-only (a1, a2) value arrays
 
     def components(self, xs, ys):
         shape = np.shape(xs)
-        values = self._values.get(shape)
-        if values is None:
-            ones = np.ones(shape)
-            values = (self.a1 * ones, self.a2 * ones)
-            for a in values:
-                a.setflags(write=False)
-            self._values[shape] = values
-        return values
+        return np.full(shape, self.a1), np.full(shape, self.a2)
 
     def curl(self, xs, ys):
         return np.zeros_like(np.asarray(xs, dtype=float))
@@ -114,25 +111,30 @@ class LagrangianSpec:
 
 
 @functools.lru_cache(maxsize=8)
-def _fourier_tables(period, n, modes):
-    """Nodes t (n,) and cos, sin (modes, n) of FourierLoop.sample, read-only."""
-    t = np.arange(n) * (period / n)
-    ang = 2.0 * math.pi * np.outer(np.arange(1, modes + 1), t / period)
-    cos = np.cos(ang)
-    sin = np.sin(ang)
-    for a in (t, cos, sin):
-        a.setflags(write=False)
-    return t, cos, sin
+def _fourier_tables(n, modes):
+    """The (2M+1, 2n) table of a period-1 FourierLoop at its n nodes s = j/n,
+    read-only: the rows [1; cos 2 pi m s; sin 2 pi m s] in its first n
+    columns, their s-derivatives [0; -2 pi m sin; 2 pi m cos] in the last n.
+    """
+    ang = 2.0 * math.pi * np.outer(np.arange(1, modes + 1), np.arange(n) / n)
+    cos, sin = np.cos(ang), np.sin(ang)
+    w = 2.0 * math.pi * np.arange(1, modes + 1)[:, None]
+    table = np.block([[np.ones((1, n)), np.zeros((1, n))],
+                      [cos, -w * sin],
+                      [sin, w * cos]])
+    table.setflags(write=False)
+    return table
 
 
-@functools.lru_cache(maxsize=8)
-def _mode_numbers(modes):
-    """m = 1..modes and -m of FourierLoop.sample, read-only."""
-    m = np.arange(1, modes + 1)
-    neg_m = -m
-    for a in (m, neg_m):
-        a.setflags(write=False)
-    return m, neg_m
+def _fourier_points(coeffs, n):
+    """Positions and s-velocities (P, 2, n) of P period-1 Fourier shapes.
+
+    coeffs is (P, 2, 2M+1).  The stacked product makes one (2, 2M+1) @
+    (2M+1, 2n) product per shape, so a shape's values do not depend on the
+    others in its batch.
+    """
+    out = coeffs @ _fourier_tables(n, (coeffs.shape[-1] - 1) // 2)
+    return out[..., :n], out[..., n:]
 
 
 class FourierLoop:
@@ -142,26 +144,10 @@ class FourierLoop:
         # coeffs: array (2, 2M+1): [c0, a1..aM, b1..bM] per coordinate
         self.period = float(period)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.modes = (self.coeffs.shape[1] - 1) // 2
 
     def sample(self, n):
-        M = self.modes
-        t, cos, sin = _fourier_tables(self.period, n, M)
-        m, neg_m = _mode_numbers(M)
-        w = 2.0 * math.pi / self.period
-        coeffs = self.coeffs
-        a = coeffs[:, 1:M + 1]
-        b = coeffs[:, M + 1:]
-        # elementwise, a * -m is -a * m bit for bit; v.dot(table) makes the
-        # same BLAS call as v @ table with less dispatch, one row at a time
-        am = a * neg_m
-        bm = b * m
-        pos = np.empty((2, n))
-        vel = np.empty((2, n))
-        for c in (0, 1):
-            pos[c] = coeffs[c, 0] + a[c].dot(cos) + b[c].dot(sin)
-            vel[c] = am[c].dot(sin) * w + bm[c].dot(cos) * w
-        return t, pos, vel
+        pos, vel = _fourier_points(self.coeffs[None], n)
+        return np.arange(n) * (self.period / n), pos[0], vel[0] / self.period
 
     def describe(self):
         return {"kind": "fourier", "period": self.period,
@@ -234,20 +220,42 @@ class CriticalBracket:
                 "effort": self.effort}
 
 
-def _shape_functional(lag, loop, k, n_nodes):
-    """Speed-optimized action sqrt(2k) Len(gamma) - circulation of eta.
+def _maupertuis(lag, pos, vel, k, dt):
+    """sqrt(2k) Len(gamma) - circulation of eta, and Len, of P sampled loops.
 
-    For a fixed geometric loop the (L + k)-action over the traversal period
-    T is Len^2/(2T) + kT - circulation, minimized at T* = Len/sqrt(2k); the
-    minimum value is the Maupertuis form above.  Negative value at the
-    optimal speed is exactly a negative-action witness.
+    pos and vel are (P, 2, n) samples at spacing dt.  For a fixed geometric
+    loop the (L + k)-action over the traversal period T is Len^2/(2T) + kT -
+    circulation, minimized at T* = Len/sqrt(2k); the minimum value is the
+    Maupertuis form above.  Negative value at the optimal speed is exactly a
+    negative-action witness.
     """
-    _, (x, y), (vx, vy) = loop.sample(n_nodes)
-    dt = loop.period / n_nodes
-    length = float(np.hypot(vx, vy).sum() * dt)
-    e1, e2 = lag.eta.components(x, y)
-    circ = float((e1 * vx + e2 * vy).sum() * dt)
+    vx, vy = vel[:, 0], vel[:, 1]
+    length = np.sqrt(vx * vx + vy * vy).sum(axis=1) * dt
+    e1, e2 = lag.eta.components(pos[:, 0], pos[:, 1])
+    circ = (e1 * vx + e2 * vy).sum(axis=1) * dt
     return math.sqrt(2.0 * max(k, 0.0)) * length - circ, length
+
+
+def _shape_functional(lag, loop, k, n_nodes):
+    """(value, Len) of `_maupertuis` for one loop."""
+    _, pos, vel = loop.sample(n_nodes)
+    val, length = _maupertuis(lag, pos[None], vel[None], k,
+                              loop.period / n_nodes)
+    return float(val[0]), float(length[0])
+
+
+def _loop_functional(lag, coeffs, k, n_nodes):
+    """`_maupertuis` values (P,) of P period-1 Fourier shapes (P, 2, 2M+1).
+
+    Shapes go through in chunks of _BATCH, which bounds the temporaries; a
+    shape's value is the same in any chunk, and == to `_shape_functional`
+    of its period-1 FourierLoop.
+    """
+    val = np.empty(len(coeffs))
+    for i in range(0, len(coeffs), _BATCH):
+        pos, vel = _fourier_points(coeffs[i:i + _BATCH], n_nodes)
+        val[i:i + _BATCH] = _maupertuis(lag, pos, vel, k, 1.0 / n_nodes)[0]
+    return val
 
 
 def _at_optimal_period(loop, length, k):
@@ -257,77 +265,96 @@ def _at_optimal_period(loop, length, k):
     return RoundedRectangleLoop(loop.center, loop.A, loop.B, loop.q, period)
 
 
-def _nelder_mead(func, x0, maxiter, xatol, fatol):
-    """Minimize func from x0 by Nelder-Mead; returns (x, fun, nit, nfev).
+def _sorted(sim, fsim):
+    """Each lane's simplex (L, N+1, N) and values (L, N+1), best vertex first."""
+    ind = fsim.argsort(axis=1)
+    lanes = np.arange(len(fsim))[:, None]
+    return sim[lanes, ind], fsim[lanes, ind]
 
-    A transcription of scipy 1.17.1's `_minimize_neldermead`, the solver of
-    `scipy.optimize.minimize(method="Nelder-Mead", options={"maxiter",
-    "xatol", "fatol"})`, kept to that branch: no bounds, not adaptive, no
-    callback, the default initial simplex (nonzdelt 0.05, zdelt 0.00025) and
-    no evaluation budget, so only maxiter stops the search, counting from 1.
-    The coefficients rho = 1, chi = 2, psi = sigma = 0.5 are folded into the
-    literals below (1 * v == v), func gets a copy of each vertex, and the
-    simplex is re-sorted with argsort and take after every iteration, so x
-    and fun are == to scipy's, ties included.
+
+def _nelder_mead_lanes(func, x0, maxiter, xatol, fatol):
+    """Minimize func by Nelder-Mead from each row of x0 (R, N), in lockstep.
+
+    func maps points (P, N) to values (P,), each value independent of the
+    other points.  Returns per lane x (R, N), fun, nit and nfev (R,).
+
+    Lane r runs scipy 1.17.1's `_minimize_neldermead` from x0[r] with
+    options {"maxiter", "xatol", "fatol"}, kept to that branch: no bounds,
+    not adaptive, no callback, the default initial simplex (nonzdelt 0.05,
+    zdelt 0.00025) and no evaluation budget, so only maxiter stops it,
+    counting from 1.  The coefficients rho = 1, chi = 2, psi = sigma = 0.5
+    are folded into the literals below (1 * v == v, and the inside
+    contraction 0.5 xbar + 0.5 v is 0.5 xbar - (-0.5) v), and each simplex
+    is re-sorted by argsort and a gather after every iteration, so a lane's x,
+    fun, nit and nfev are == to scipy's, ties included.
+
+    An iteration makes one func call for the live lanes' reflections, one
+    for the expansion or contraction points they need and one for their
+    shrinks.  A lane leaves the live set on its own xatol/fatol test.
     """
-    x0 = np.asarray(x0, dtype=float)
-    N = len(x0)
-    sim = np.tile(x0, (N + 1, 1))
+    R, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
     diag = np.arange(N)
-    sim[diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-
-    nfev = 0
-
-    def f(v):
-        nonlocal nfev
-        nfev += 1
-        return func(np.copy(v))
-
-    fsim = np.array([f(v) for v in sim], dtype=float)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    # one lane's simplex per call bounds the batch
+    fsim = np.array([func(lane) for lane in sim]).reshape(R, N + 1)
+    nfev = np.full(R, N + 1)
     # scipy sorts twice here; argsort is not stable, so tied values could
     # leave the second sort in another order than the first
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
+    sim, fsim = _sorted(*_sorted(sim, fsim))
 
+    x, fun, nit = sim[:, 0].copy(), fsim.min(axis=1), np.ones(R, dtype=int)
+    live = np.arange(R)     # the lanes sim and fsim hold, in order
     iterations = 1
-    while iterations < maxiter:
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:              # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:                           # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:                           # shrink toward the best vertex
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
+    while live.size and iterations < maxiter:
+        # scipy's test, xatol and fatol; fatol first, as the x test costs more
+        done = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        if done.any():
+            done &= (np.abs(sim[:, 1:] - sim[:, :1]).reshape(live.size, -1)
+                     .max(axis=1) <= xatol)
+        if done.any():
+            keep = ~done
+            live, sim, fsim = live[keep], sim[keep], fsim[keep]
+            if not live.size:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst
+        fxr = func(xr)
+        nfev[live] += 1
+
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        probe = ~reflect        # lanes that try an expansion or a contraction
+        a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
+        b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
+        pts = a * xbar - b * worst
+        fpts = np.full_like(fxr, np.inf)
+        if probe.any():
+            fpts[probe] = func(pts[probe])
+            nfev[live[probe]] += 1
+
+        # the expansion if better than the reflection, the outside
+        # contraction if no worse than it, the inside one if better than
+        # the worst vertex
+        take_pts = np.where(expand, fpts < fxr,
+                            np.where(outside, fpts <= fxr, fpts < fsim[:, -1]))
+        take_pts &= probe
+        take_xr = (expand | reflect) & ~take_pts
+        sim[take_pts, -1], fsim[take_pts, -1] = pts[take_pts], fpts[take_pts]
+        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        shrink = probe & ~expand & ~take_pts      # toward the best vertex
+        if shrink.any():
+            best = sim[shrink, :1]
+            shrunk = best + 0.5 * (sim[shrink, 1:] - best)
+            sim[shrink, 1:] = shrunk
+            fsim[shrink, 1:] = func(shrunk.reshape(-1, N)).reshape(-1, N)
+            nfev[live[shrink]] += N
         iterations += 1
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
-    return sim[0], fsim.min(), iterations, nfev
+        sim, fsim = _sorted(sim, fsim)
+        x[live], fun[live], nit[live] = sim[:, 0], fsim.min(axis=1), iterations
+    return x, fun, nit, nfev
 
 
 def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
@@ -358,27 +385,33 @@ def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
     if best is not None:
         return best
 
-    # Nelder-Mead descent of the speed-optimized functional over Fourier shapes
-    def unpack(vec):
-        return FourierLoop(1.0, vec.reshape(2, 2 * modes + 1))
-
-    def objective(vec):
-        val, _ = _shape_functional(lag, unpack(vec), k, _SEARCH_NODES)
-        return val
-
-    for _ in range(restarts):
-        coeffs0 = np.zeros((2, 2 * modes + 1))
+    # Nelder-Mead descents of the speed-optimized functional over Fourier
+    # shapes, one lane per restart.  The starts are drawn in restart order,
+    # and the rng state after each draw is kept: a search that stops at
+    # restart r's witness leaves the rng where a restart-by-restart loop would.
+    shape = (2, 2 * modes + 1)
+    starts = np.zeros((restarts, 2 * shape[1]))
+    states = []
+    for row in starts:
+        coeffs0 = row.reshape(shape)    # a view: filling it fills the row
         coeffs0[0, 0] = rng.uniform(0.0, 1.0)
         coeffs0[1, 0] = rng.uniform(0.0, 1.0)
         amp = rng.uniform(0.02, 0.3)
         coeffs0[0, 1] = amp
         coeffs0[1, modes + 1] = amp
         coeffs0[:, 1:] += 0.1 * amp * rng.standard_normal((2, 2 * modes))
-        x, fun, _, _ = _nelder_mead(objective, coeffs0.ravel(), maxiter,
-                                    xatol=1e-9, fatol=1e-13)
+        states.append(rng.bit_generator.state)
+
+    def objective(vecs):
+        return _loop_functional(lag, vecs.reshape(-1, *shape), k, _SEARCH_NODES)
+
+    xs, funs, _, _ = _nelder_mead_lanes(objective, starts, maxiter,
+                                        xatol=1e-9, fatol=1e-13)
+    for x, fun, state in zip(xs, funs, states):
         if fun < 0.0:
-            hit = realize(unpack(x))
+            hit = realize(FourierLoop(1.0, x.reshape(shape)))
             if hit is not None:
+                rng.bit_generator.state = state
                 return hit
     return None
 

@@ -298,7 +298,10 @@ class Scenario:
                 elif key in st:
                     raise ConfigError(f"{where}.{key} must not be null")
                 entry[key] = value
-            if kind == "critical-value" and self.surface.kind == "torus":
+            if kind == "critical-value":
+                if self.surface.kind != "torus":
+                    raise ConfigError(f"{where} needs the torus, not a "
+                                      f"{self.surface.kind} surface")
                 _check_eta(entry["eta"], self.field, where,
                            (st.get("eta", stage.keys["eta"])["kind"],
                             field_cfg["kind"]))

@@ -272,6 +272,8 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
     {"surface": {"kind": "sphere"},
      "pipeline": [{"stage": "orbits"},
                   {"stage": "classify", "rotation_vectors": True}]},
+    {"surface": {"kind": "sphere"},
+     "pipeline": [{"stage": "orbits"}, {"stage": "critical-value"}]},
     {"pipeline": [{"stage": "simulate", "seeds": [0, 0]}]},
     {"pipeline": [{"stage": "orbits"},
                   {"stage": "twist", "orbit_index": None}]},
@@ -299,7 +301,8 @@ def test_cli_nonpositive_franks_width_is_config_error(tmp_path, changes):
         "max_time_negative", "tol_negative", "half_width_negative",
         "arclength_zero", "angle_tol_negative", "cota_samples_zero",
         "targets_negative", "targets_zero", "targets_twelve",
-        "rotation_vectors_off_torus", "seeds_repeated", "orbit_index_null",
+        "rotation_vectors_off_torus", "critical_value_off_torus",
+        "seeds_repeated", "orbit_index_null",
         "entropy_map_null", "map_with_orbit_index", "horseshoe_with_three_keys",
         "horseshoe_arclength", "horseshoe_tol", "horseshoe_angle_tol",
         "horseshoe_k_max", "horseshoe_fixed_points", "horseshoe_branch_signs"])
@@ -360,8 +363,6 @@ def test_eta_inducing_the_field_loads():
                  "eta": {"kind": "sin_primitive", "amplitude": 2.0, "k": [1, 2]}}]
     Scenario({"field": {"kind": "sinusoidal", "amplitude": 2.0, "k": [1, 2]},
               "pipeline": pipeline})
-    # off the torus the stage fails when it runs, not at load
-    Scenario({"surface": {"kind": "sphere"}, "pipeline": pipeline})
 
 
 @pytest.mark.parametrize("changes", [

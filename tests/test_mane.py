@@ -11,10 +11,12 @@ from maglab.dynamics import IntegratorOptions
 from maglab.errors import DataInconsistencyError, UnsupportedSurfaceError
 from maglab.geometry import PhasePoint
 from maglab.field import MagneticField, ConstantField, SinusoidalTorusField
+import maglab.mane as mane
 from maglab.mane import (
     _fourier_tables,
-    _mode_numbers,
-    _nelder_mead,
+    _loop_functional,
+    _negative_loop_search,
+    _nelder_mead_lanes,
     _shape_functional,
     CircleLoop,
     ConstantForm,
@@ -39,44 +41,54 @@ def lag_sin(torus):
     return LagrangianSpec(torus, SinPrimitiveForm(1.0, (1, 0)))
 
 
-def _fresh_sample(period, coeffs, n):
-    """FourierLoop.sample's arithmetic with the tables built on the spot."""
+def _per_mode_sample(period, coeffs, n):
+    """FourierLoop.sample summed mode by mode: nodes, positions, velocities."""
     t = np.arange(n) * (period / n)
     M = (coeffs.shape[1] - 1) // 2
-    ang = 2.0 * math.pi * np.outer(np.arange(1, M + 1), t / period)
-    cos = np.cos(ang)
-    sin = np.sin(ang)
-    pos = np.empty((2, n))
-    vel = np.empty((2, n))
-    w = 2.0 * math.pi / period
-    for c in range(2):
-        a = coeffs[c, 1:M + 1]
-        b = coeffs[c, M + 1:]
-        pos[c] = coeffs[c, 0] + a @ cos + b @ sin
-        vel[c] = (-a * np.arange(1, M + 1)) @ sin * w + (b * np.arange(1, M + 1)) @ cos * w
+    pos = np.repeat(coeffs[:, :1], n, axis=1)
+    vel = np.zeros((2, n))
+    for m in range(1, M + 1):
+        c = np.cos(2.0 * math.pi * m * t / period)
+        s = np.sin(2.0 * math.pi * m * t / period)
+        a, b = coeffs[:, m:m + 1], coeffs[:, M + m:M + m + 1]
+        pos += a * c + b * s
+        vel += 2.0 * math.pi * m / period * (b * c - a * s)
     return t, pos, vel
 
 
 @given(period=st.floats(1e-3, 1e4), n=st.integers(1, 700),
        modes=st.integers(0, 12), seed=st.integers(0, 2**16))
 def test_cached_tables_match_fresh(period, n, modes, seed):
+    """A cold (or evicted) and a warm sample are ==, and both agree with the
+    mode-by-mode sum to rounding, which the table product sums in another
+    order."""
     coeffs = np.random.default_rng(seed).standard_normal((2, 2 * modes + 1))
     loop = FourierLoop(period, coeffs)
-    want = _fresh_sample(float(period), coeffs, n)
-    for _ in range(2):          # cold (or evicted) and then warm
-        got = loop.sample(n)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+    got = loop.sample(n)
+    for g, w in zip(got, loop.sample(n)):
+        assert np.array_equal(g, w)
+    t, pos, vel = _per_mode_sample(float(period), coeffs, n)
+    size = np.abs(coeffs).sum()
+    assert np.array_equal(got[0], t)
+    assert np.abs(got[1] - pos).max() <= 1e-12 * size
+    assert np.abs(got[2] - vel).max() <= 1e-12 * size * 2.0 * math.pi * (modes + 1) / period
 
 
 def test_cached_tables_read_only():
-    """Every caller gets the same cached arrays, so none may write to them."""
-    t, _, _ = FourierLoop(1.0, np.ones((2, 5))).sample(64)
-    _, cos, sin = _fourier_tables(1.0, 64, 2)
-    e1, e2 = ConstantForm(0.7, 0.1).components(t, t)
-    for arr in (t, cos, sin, *_mode_numbers(2), e1, e2):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    """Every caller gets the same cached table, so none may write to it; the
+    arrays FourierLoop.sample and ConstantForm.components return are the
+    caller's own."""
+    with pytest.raises(ValueError):
+        _fourier_tables(64, 2)[0, 0] = 0.0
+    loop = FourierLoop(1.0, np.ones((2, 5)))
+    eta = ConstantForm(0.7, 0.1)
+    xs = np.zeros(64)
+    for arr in (*loop.sample(64), *eta.components(xs, xs)):
+        arr.flat[0] = -1.0
+    t, pos, vel = loop.sample(64)
+    e1, e2 = eta.components(xs, xs)
+    assert (t[0], pos[0, 0], e1[0], e2[0]) == (0.0, 3.0, 0.7, 0.1)
+    assert vel[0, 0] == pytest.approx(6.0 * math.pi, rel=1e-15)
 
 
 def test_loop_action_cold_and_warm(lag_sin):
@@ -251,18 +263,25 @@ def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
         rotation_vector(unit_sphere, zero_field, orb, _RV_OPTIONS)
 
 
-# -- the Nelder-Mead transcription against scipy's ------------------------------------
+# -- the Nelder-Mead lanes against scipy's ---------------------------------------------
 
 
-def _assert_matches_scipy(func, x0, maxiter):
-    """_nelder_mead and scipy's Nelder-Mead, on the options the loop search
-    passes, end on the same vertex, value, iteration and evaluation counts."""
-    x, fun, nit, nfev = _nelder_mead(func, x0, maxiter, xatol=1e-9, fatol=1e-13)
-    res = minimize(func, x0, method="Nelder-Mead",
-                   options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-13})
-    assert np.array_equal(x, res.x)
-    assert fun == res.fun
-    assert (nit, nfev) == (res.nit, res.nfev)
+def _assert_lanes_match_scipy(func, starts, maxiter, batched=None):
+    """Each lane of _nelder_mead_lanes and scipy's Nelder-Mead from that lane's
+    start, on the options the loop search passes, end on the same vertex,
+    value, iteration and evaluation counts.  Returns the lanes' nit and nfev."""
+    if batched is None:
+        def batched(points):
+            return np.array([func(v) for v in points])
+    xs, funs, nits, nfevs = _nelder_mead_lanes(batched, starts, maxiter,
+                                               xatol=1e-9, fatol=1e-13)
+    for x0, x, fun, nit, nfev in zip(starts, xs, funs, nits, nfevs):
+        res = minimize(func, x0, method="Nelder-Mead",
+                       options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-13})
+        assert np.array_equal(x, res.x)
+        assert fun == res.fun
+        assert (nit, nfev) == (res.nit, res.nfev)
+    return nits, nfevs
 
 
 def _quadratic(x):
@@ -280,34 +299,121 @@ def _flat(x):
 
 
 @given(objective=st.sampled_from([_quadratic, _rosenbrock, _flat]),
-       dim=st.integers(2, 34), seed=st.integers(0, 2**32 - 1),
-       maxiter=st.sampled_from([1, 2, 5, 200]))
-def test_nelder_mead_matches_scipy(objective, dim, seed, maxiter):
+       dim=st.integers(2, 34), lanes=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), maxiter=st.sampled_from([1, 2, 5, 200]))
+def test_nelder_mead_matches_scipy(objective, dim, lanes, seed, maxiter):
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(dim)
-    x0[rng.random(dim) < 0.25] = 0.0    # zero entries take the zdelt step
-    _assert_matches_scipy(objective, x0, maxiter)
+    starts = rng.standard_normal((lanes, dim))
+    starts[rng.random((lanes, dim)) < 0.25] = 0.0  # zero entries take the zdelt step
+    _assert_lanes_match_scipy(objective, starts, maxiter)
 
 
-@given(k=st.floats(0.0, 1.0), modes=st.integers(1, 8),
+@pytest.mark.parametrize("objective, starts, maxiter, nits", [
+    (_quadratic, [[0.3, 0.3], [0.31, 0.29], [5.0, -4.0], [40.0, 25.0]], 90,
+     [49, 52, 88, 90]),
+    (_flat, [[0.4, -1.2, 0.0], [2.0, 0.5, 0.1], [1e3, 0.0, 0.0]], 90, [27, 28, 37]),
+], ids=["quadratic", "flat"])
+def test_nelder_mead_lanes_stop_on_their_own_tests(objective, starts, maxiter, nits):
+    """Lanes that converge at different iterations leave the others running,
+    and each still matches scipy; on the flat function every iteration
+    shrinks (a reflection, an inside contraction and N shrunk vertices)."""
+    got, nfevs = _assert_lanes_match_scipy(objective, np.array(starts), maxiter)
+    assert list(got) == nits
+    if objective is _flat:
+        assert list(nfevs) == [4 + (nit - 1) * 5 for nit in nits]
+
+
+def _search_starts(rng, lanes, modes):
+    """Restart starts (lanes, 2 (2 modes + 1)), drawn as the loop search draws
+    them."""
+    starts = np.zeros((lanes, 2, 2 * modes + 1))
+    for coeffs0 in starts:
+        coeffs0[0, 0] = rng.uniform(0.0, 1.0)
+        coeffs0[1, 0] = rng.uniform(0.0, 1.0)
+        amp = rng.uniform(0.02, 0.3)
+        coeffs0[0, 1] = amp
+        coeffs0[1, modes + 1] = amp
+        coeffs0[:, 1:] += 0.1 * amp * rng.standard_normal((2, 2 * modes))
+    return starts.reshape(lanes, -1)
+
+
+@given(k=st.floats(0.0, 1.0), modes=st.integers(1, 8), lanes=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1), maxiter=st.sampled_from([1, 2, 5, 200]),
        sin_eta=st.booleans())
-def test_nelder_mead_matches_scipy_on_loop_functional(torus, k, modes, seed,
+def test_nelder_mead_matches_scipy_on_loop_functional(torus, k, modes, lanes, seed,
                                                      maxiter, sin_eta):
-    """The speed-optimized loop functional from a start drawn as the loop
-    search draws its restarts."""
+    """The speed-optimized loop functional from starts drawn as the loop
+    search draws its restarts: the lanes minimize the batched functional,
+    scipy the one-loop `_shape_functional` that decides a witness."""
     eta = SinPrimitiveForm(1.0, (1, 0)) if sin_eta else ConstantForm(0.7, 0.0)
     lag = LagrangianSpec(torus, eta)
+    shape = (2, 2 * modes + 1)
 
     def objective(vec):
-        loop = FourierLoop(1.0, vec.reshape(2, 2 * modes + 1))
-        return _shape_functional(lag, loop, k, 256)[0]
+        return _shape_functional(lag, FourierLoop(1.0, vec.reshape(shape)), k, 256)[0]
 
+    def batched(points):
+        return _loop_functional(lag, points.reshape(-1, *shape), k, 256)
+
+    starts = _search_starts(np.random.default_rng(seed), lanes, modes)
+    _assert_lanes_match_scipy(objective, starts, maxiter, batched)
+
+
+@pytest.mark.parametrize("sin_eta", [False, True])
+def test_loop_functional_lane_value_alone_and_in_a_batch(torus, sin_eta):
+    """A shape's value is the same in any batch, across the chunk boundary
+    included, and == to `_shape_functional` of its period-1 FourierLoop, the
+    number `realize` tests for its sign."""
+    eta = SinPrimitiveForm(1.0, (1, 0)) if sin_eta else ConstantForm(0.7, 0.0)
+    lag = LagrangianSpec(torus, eta)
+    coeffs = _search_starts(np.random.default_rng(11), 2 * mane._BATCH + 3, 8)
+    coeffs = coeffs.reshape(len(coeffs), 2, 17)
+    for k in (0.0, 0.004, 0.3):
+        batch = _loop_functional(lag, coeffs, k, 256)
+        for i in (0, 1, mane._BATCH - 1, mane._BATCH, len(coeffs) - 1):
+            alone = _loop_functional(lag, coeffs[i:i + 1], k, 256)
+            one = _shape_functional(lag, FourierLoop(1.0, coeffs[i]), k, 256)[0]
+            assert batch[i] == alone[0] == one
+
+
+def _draws_left(seed, restarts, modes):
+    """The state of an rng seeded with seed after `restarts` search draws."""
     rng = np.random.default_rng(seed)
-    coeffs0 = np.zeros((2, 2 * modes + 1))
-    coeffs0[:, 0] = rng.uniform(0.0, 1.0, 2)
-    amp = rng.uniform(0.02, 0.3)
-    coeffs0[0, 1] = amp
-    coeffs0[1, modes + 1] = amp
-    coeffs0[:, 1:] += 0.1 * amp * rng.standard_normal((2, 2 * modes))
-    _assert_matches_scipy(objective, coeffs0.ravel(), maxiter)
+    _search_starts(rng, restarts, modes)
+    return rng.bit_generator.state
+
+
+def test_loop_search_rng_when_no_lane_hits(lag_zero):
+    """No witness at k > 0 for a closed form: every restart was drawn."""
+    rng = np.random.default_rng(7)
+    assert _negative_loop_search(lag_zero, 0.3, rng, 2, 5, 20) is None
+    assert rng.bit_generator.state == _draws_left(7, 5, 2)
+
+
+def test_loop_search_rng_when_an_early_lane_hits(lag_sin, monkeypatch):
+    """Lanes 2 and 3 of 5 end on witness shapes (stubbed lane results): the
+    search returns lane 2's, with the rng where a restart-by-restart loop
+    stops, after three draws.  At k = 0.006 no circle or rounded rectangle
+    gives a witness, so the search reaches the lanes."""
+    k, modes, restarts = 0.006, 1, 5
+    # ellipses over x in [0, 1/2], where the field is positive, 6 and 8 cells high
+    tall = {r: np.array([[0.25, 0.25, 0.0], [0.5, 0.0, h]])
+            for r, h in ((2, 3.0), (3, 4.0))}
+    seen = []
+
+    def lanes(func, starts, maxiter, xatol, fatol):
+        seen.append(starts.copy())
+        xs = starts.copy()
+        funs = np.ones(restarts)
+        for r, coeffs in tall.items():
+            assert _shape_functional(lag_sin, FourierLoop(1.0, coeffs), k, 256)[0] < 0.0
+            xs[r], funs[r] = coeffs.ravel(), -1.0
+        return xs, funs, np.ones(restarts, int), np.ones(restarts, int)
+
+    monkeypatch.setattr(mane, "_nelder_mead_lanes", lanes)
+    rng = np.random.default_rng(7)
+    loop, action = _negative_loop_search(lag_sin, k, rng, modes, restarts, 20)
+    assert np.array_equal(seen[0], _search_starts(np.random.default_rng(7),
+                                                  restarts, modes))
+    assert np.array_equal(loop.coeffs, tall[2]) and action < 0.0
+    assert rng.bit_generator.state == _draws_left(7, 3, modes)

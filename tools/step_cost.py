@@ -38,6 +38,13 @@ constants): one `response` to the perturbation G(A) and one
 window's RK4 steps as the work counter.  The kit's responses take A, so a
 tree whose responses take coefficient callbacks (t, km) cannot be measured.
 
+Then loop search is one Mane witness-loop search, `_negative_loop_search` at
+k = 0.3 on the closed form ConstantForm(0.7, 0) with modes 8, restarts 8 and
+maxiter 200 (the bundled critical-value stage's effort), from a fresh rng
+seeded 0, in ms; a closed form has no negative loop at k > 0, so every
+restart runs its Nelder-Mead descent, and the line says whether a witness
+came back (none, in a correct tree).
+
 Every time is the least over N repetitions (default 5), with the garbage
 collector off while timing, as timeit does.  The work counters printed beside
 each time (steps, RHS evaluations, returns) are those of one repetition, so
@@ -216,6 +223,7 @@ def measure(reps):
     t_scalar = best(scalar_lookups, reps)
     t_array = best(array_lookups, reps) / LOOKUPS
     t_resp, t_deriv, n_window = _window_cost(reps)
+    t_search, witness = _loop_search_cost(reps)
     return {
         "rhs_us": 1e6 * t_rhs, "rhs_evals": n_rhs,
         "step_us": 1e6 * t_int / acc, "steps": acc, "rejected": rej,
@@ -233,6 +241,7 @@ def measure(reps):
         "response_us": 1e6 * t_resp, "derivative_us": 1e6 * t_deriv,
         "window_ns": 1e9 * (t_resp + t_deriv) / (2 * n_window),
         "window_steps": n_window,
+        "search_ms": 1e3 * t_search, "search_witness": witness,
     }
 
 
@@ -256,6 +265,24 @@ def _window_cost(reps):
     t_resp = best(lambda: kit.response(A), reps)
     t_deriv = best(lambda: kit.response_derivative(A), reps)
     return t_resp, t_deriv, kit.n_window_steps
+
+
+def _loop_search_cost(reps):
+    """(s per witness-loop search, whether it found a witness) at k = 0.3 on
+    the constant form (0.7, 0)."""
+    import numpy as np
+
+    from maglab.geometry import flat_torus
+    from maglab.mane import ConstantForm, LagrangianSpec, _negative_loop_search
+
+    lag = LagrangianSpec(flat_torus(), ConstantForm(0.7, 0.0))
+    found = []
+
+    def search():
+        found[:] = [_negative_loop_search(lag, 0.3, np.random.default_rng(0),
+                                          8, 8, 200)]
+
+    return best(search, reps), found[0] is not None
 
 
 def report(m):
@@ -284,6 +311,9 @@ def report(m):
         f"  window       {m['response_us']:8.2f} us per response     "
         f"({m['window_steps']:,} window steps; {m['derivative_us']:.2f} us per "
         f"derivative, {m['window_ns']:.1f} ns per window step)",
+        f"  loop search  {m['search_ms']:8.2f} ms per search       "
+        f"(k 0.3, 8 modes, 8 restarts, maxiter 200; "
+        f"{'a witness' if m['search_witness'] else 'no witness'})",
     ]
 
 
