@@ -19,9 +19,12 @@ The right-hand sides read the chart through two calls, `lam(x, y)` and
 `curvature`, and write Gamma^k(v, v) inline from the log-gradient; the full
 `MetricData` (`Surface.metric_at`) is left to curvature and K_mag.
 
-A trajectory answers one time with `state`/`raw` and an array of times with
-`states`, whose entries are == to the scalar lookups: both pick the segment
-and the step by one rule, `integrate.first_reaching` on cached ends.
+A flow is one list of steps in trajectory time, whatever charts it passes
+through: each chart piece is integrated from the time already reached, and
+the trajectory keeps the chart of each step.  It answers one time with
+`state`/`raw` and an array of times with `states`, whose entries are == to
+the scalar lookups: both clamp the time and pick the step by one rule,
+`Solution._index`.
 `VariationalPath` has `matrix` and `matrices` alike, and `magnetic_curvature`
 takes a time or an array of times.  Many times are read with one array call
 (`energies`, `max_energy_drift` and `det_defect` too).
@@ -36,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import PhasePoint, Surface, energy as phase_energy
-from .integrate import clamp, first_reaching, integrate
+from .integrate import Solution, clamp, integrate
 
 __all__ = [
     "Trajectory",
@@ -147,20 +150,18 @@ def _renormalizer(surface, chart, c):
 
 
 @dataclass
-class _Segment:
-    chart: int
-    t_start: float  # trajectory time at the start of this segment
-    sol: object
-
-
-@dataclass
 class Trajectory:
-    """Dense magnetic geodesic over [0, t_final] (t_final may be negative)."""
+    """Dense magnetic geodesic over [0, t_final] (t_final may be negative).
+
+    `sol` holds every step of the flow in trajectory time tau = sign * t, one
+    `Solution` across chart switches, and `charts[i]` is the chart of step i.
+    """
 
     surface: Surface
     c: float
     t_final: float
-    segments: list
+    sol: Solution
+    charts: list
     sign: int = 1
     exited: bool = False
     n_accepted: int = 0
@@ -175,28 +176,21 @@ class Trajectory:
         """Signed time actually covered (differs from t_final after an exit)."""
         if self.exit_time is not None:
             return self.sign * self.exit_time
-        seg = self.segments[-1]
-        return self.sign * (seg.t_start + (seg.sol.t_end - seg.sol.t0))
+        return self.sign * self.sol.t_end
 
     @cached_property
-    def _segment_ends(self):
-        """The ends of all segments but the last in trajectory time, plus a
-        1e-12 slack, as a list and an array: `raw` and `states` take the
-        first segment whose end reaches tau (`first_reaching`), else the
-        last."""
-        ends = [seg.t_start + (seg.sol.t_end - seg.sol.t0) + 1e-12
-                for seg in self.segments[:-1]]
-        return ends, np.array(ends)
+    def _chart_array(self):
+        return np.array(self.charts)
 
     def raw(self, t):
         """Raw state tuple at time t (chart-local, unwrapped)."""
         tau = self.sign * t
         if tau < -1e-12 or tau > abs(self.t_reach) + 1e-9:
             raise ValueError(f"t={t} outside the integrated range")
-        seg = self.segments[first_reaching(self._segment_ends, tau)]
-        local = seg.sol.t0 + (tau - seg.t_start)
-        local = min(max(local, seg.sol.t0), seg.sol.t_end)
-        return seg.chart, seg.sol.eval(local)
+        sol = self.sol
+        tau = min(max(tau, sol.t0), sol.t_end)
+        i = sol._index(tau)
+        return self.charts[i], sol.steps[i].eval(tau)
 
     def state(self, t) -> PhasePoint:
         chart, y = self.raw(t)
@@ -208,25 +202,15 @@ class Trajectory:
         Returns (charts, cols): an int array of charts and a list with one
         float64 array per component in `comps`, each of ts's shape, whose
         entries are == to those of `raw(t)`: the same range check (ValueError),
-        segment choice, clamp and step.
+        clamp and step.
         """
         tau = self.sign * np.asarray(ts, dtype=float)
         bad = (tau < -1e-12) | (tau > abs(self.t_reach) + 1e-9)
         if bad.any():
             raise ValueError(f"t={self.sign * tau[bad][0]} outside the integrated range")
-        which = first_reaching(self._segment_ends, tau)
-        charts = np.empty(tau.shape, dtype=int)
-        cols = [np.empty(tau.shape) for _ in comps]
-        for k, seg in enumerate(self.segments):
-            at = which == k
-            if not at.any():
-                continue
-            sol = seg.sol
-            local = clamp(sol.t0 + (tau[at] - seg.t_start), sol.t0, sol.t_end)
-            charts[at] = seg.chart
-            for col, vals in zip(cols, sol.eval_many(local, comps)):
-                col[at] = vals
-        return charts, cols
+        sol = self.sol
+        tau = clamp(tau, sol.t0, sol.t_end)
+        return self._chart_array[sol._index(tau)], sol.eval_many(tau, comps)
 
     def end_state(self) -> PhasePoint:
         return self.state(self.t_reach)
@@ -297,7 +281,8 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
     else:
         y = (state.x, state.y, vx, vy, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
-    traj = Trajectory(surface, c, t_final, [], sign=sign, dim=dim)
+    traj = Trajectory(surface, c, t_final, None, [], sign=sign, dim=dim)
+    steps = []
     t_done = 0.0
     planar = surface.kind == "planar"
     sphere = surface.kind == "sphere"
@@ -312,7 +297,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
 
         stop_reason = {}
 
-        def seg_observer(step, _chart=chart, _offset=t_done):
+        def seg_observer(step, _chart=chart):
             x, yy = step.y1[0], step.y1[1]
             if planar and not surface.contains(_chart, x, yy):
                 stop_reason["kind"] = "exit"
@@ -324,11 +309,11 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
                         lo = mid
                     else:
                         hi = mid
-                stop_reason["exit_time"] = _offset + lo
+                stop_reason["exit_time"] = lo
                 return False
             # the observer sees the step that leaves a sphere chart too: a
             # section crossing may lie in it
-            if observer is not None and observer(_chart, step, _offset) is False:
+            if observer is not None and observer(_chart, step) is False:
                 stop_reason["kind"] = "user"
                 return False
             # the one definition of the sphere switch radius (chart radius 2)
@@ -339,25 +324,26 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
 
         sol = integrate(
             rhs,
-            0.0,
+            t_done,
             y,
-            horizon - t_done,
+            horizon,
             rtol=options.rel_tol,
             atol=options.abs_tol,
             max_step=options.max_step,
             post_step=post,
             observer=seg_observer,
         )
-        traj.segments.append(_Segment(chart, t_done, sol))
+        steps += sol.steps
+        traj.charts += [chart] * len(sol.steps)
         traj.n_accepted += sol.n_accepted
         traj.n_rejected += sol.n_rejected
         traj.n_fev += sol.n_fev
-        t_done += sol.t_end - sol.t0
+        t_done = sol.t_end
         y = sol.y_end
         kind = stop_reason.get("kind")
         if kind == "exit":
             traj.exited = True
-            traj.exit_time = stop_reason.get("exit_time", t_done)
+            traj.exit_time = stop_reason["exit_time"]
             break
         if kind == "user":
             break
@@ -366,7 +352,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
             ps2 = surface.transition(ps)
             chart = ps2.chart
             y = (ps2.x, ps2.y, ps2.vx, ps2.vy) + tuple(y[4:])
-
+    traj.sol = Solution(steps)
     return traj
 
 
@@ -375,7 +361,9 @@ def flow(surface, field, state, t_final, options=None, observer=None):
 
     Negative t_final integrates the time-reversed field.  Returns a dense
     Trajectory; if a planar chart is exited the trajectory is truncated and
-    flagged (`exited`).
+    flagged (`exited`).  observer(chart, step), when given, sees each
+    accepted step in trajectory time and may return False to stop the flow
+    after it.
     """
     options = options or IntegratorOptions()
     return _run_flow(surface, field, state, t_final, options, dim=4, observer=observer)

@@ -18,10 +18,11 @@ what the section-crossing monitor samples.  The interpolant rows of
 components 0 and 1 are formed when the step is accepted; those of the other
 components (velocity, variational data) are formed by the first `eval` or
 array lookup, from the same expressions, so most steps of a section return
-never form them.  `Solution.eval(t)` and `eval_many(ts, comps)` pick the
-step by one rule (`Solution._index`: `first_reaching` on cached step ends,
-which form no rows); `eval_many` applies `DenseStep.eval`'s operations
-elementwise in float64, from flat per-step arrays built on its first call.
+never form them.  A solution picks the step of a time by one rule
+(`Solution._index`: `first_reaching` on cached step ends, which form no
+rows); `eval_many(ts, comps)` applies `DenseStep.eval`'s operations to that
+step elementwise in float64, from flat per-step arrays built on its first
+call.
 
 The method is DOP853 (E. Hairer, S. P. Norsett and G. Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., sections II.5-II.6): twelve
@@ -286,9 +287,9 @@ class Solution:
         return ends, np.array(ends)
 
     def _index(self, t):
-        """The step of `eval` and `eval_many` at a clamped t (a number or an
-        array): the first whose end reaches t, else the last, which also
-        takes its own start unless that is the first step's end."""
+        """The step read at a clamped t (a number or an array): the first
+        whose end reaches t, else the last, which also takes its own start
+        unless that is the first step's end."""
         i = first_reaching(self._ends, t)
         last, t_last = len(self.steps) - 1, self.steps[-1].t0
         if isinstance(t, np.ndarray):
@@ -296,32 +297,22 @@ class Solution:
         return last if i and t >= t_last else i
 
     def _clamp(self, t):
-        """t clamped into [t0, t_end]; ValueError beyond a 1e-12 relative slack.
-
-        t may be an array; then every entry is checked and clamped.
-        """
+        """An array of times clamped into [t0, t_end]; ValueError when an
+        entry lies beyond a 1e-12 relative slack."""
         if not self.steps:
             raise ValueError("empty solution")
         eps = 1e-12 * max(1.0, abs(self.t_end))
-        if isinstance(t, np.ndarray):
-            bad = (t < self.t0 - eps) | (t > self.t_end + eps)
-            if bad.any():
-                raise ValueError(f"t={t[bad][0]} outside [{self.t0}, {self.t_end}]")
-            return clamp(t, self.t0, self.t_end)
-        if t < self.t0 - eps or t > self.t_end + eps:
-            raise ValueError(f"t={t} outside [{self.t0}, {self.t_end}]")
-        return min(max(t, self.t0), self.t_end)
-
-    def eval(self, t):
-        t = self._clamp(t)
-        return self.steps[self._index(t)].eval(t)
+        bad = (t < self.t0 - eps) | (t > self.t_end + eps)
+        if bad.any():
+            raise ValueError(f"t={t[bad][0]} outside [{self.t0}, {self.t_end}]")
+        return clamp(t, self.t0, self.t_end)
 
     def eval_many(self, ts, comps):
         """Components `comps` of the solution at an array of times.
 
         Returns one float64 array per component, of ts's shape.  Each entry
-        is == to the matching component of `eval(t)`: the same clamp, the
-        same step (`_index`) and `DenseStep.eval`'s operations, applied
+        is == to the matching component of `steps[i].eval(t)` at the clamped
+        t and its step i = `_index(t)`: `DenseStep.eval`'s operations, applied
         elementwise.
         """
         t = self._clamp(np.asarray(ts, dtype=float))

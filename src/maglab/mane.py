@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DataInconsistencyError, UnsupportedSurfaceError
-from .dynamics import flow
 
 log = logging.getLogger("maglab.mane")
 
@@ -485,17 +484,16 @@ class RotationVector:
                 "rho": list(self.rho)}
 
 
-def rotation_vector(surface, field, orbit, options):
+def rotation_vector(surface, orbit):
     """Winding class over one minimal period divided by the period.
 
-    Raises DataInconsistencyError when the flow over the period does not
-    close up to an integer winding (within _WINDING_TOL).
+    The winding is read from the orbit's `end_state`, where the orbit search
+    left the flow over one period, unwrapped.  Raises DataInconsistencyError
+    when it does not close up to an integer winding (within _WINDING_TOL).
     """
     if surface.kind != "torus":
         raise UnsupportedSurfaceError("rotation vectors are defined on the torus")
-    traj = flow(surface, field, orbit.initial_state, orbit.period, options)
-    s0 = traj.state(0.0)
-    s1 = traj.end_state()
+    s0, s1 = orbit.initial_state, orbit.end_state
     dx = s1.x - s0.x
     dy = s1.y - s0.y
     p, q = round(dx), round(dy)

@@ -161,17 +161,18 @@ class Section:
 class _CrossingMonitor:
     """Scans accepted integration steps for section-line crossings.
 
-    Each step is sampled at theta_k = k/n, k = 0..n (`__call__`), and a sign
-    change of the section offset between consecutive samples of the step is
-    refined on that step's interpolant (`_refine`): every bracket lies
-    inside one step.  The monitor is `armed` by a sample with |offset| above
+    `flow` calls it as observer(chart, step) with each accepted step in
+    trajectory time, the step that leaves a sphere chart too.  Each step is
+    sampled at theta_k = k/n, k = 0..n (`__call__`), and a sign change of
+    the section offset between consecutive samples of the step is refined
+    on that step's interpolant (`_refine`): every bracket lies inside one
+    step.  The monitor is `armed` by a sample with |offset| above
     1e-9 and disarmed by one where the offset is undefined (outside the
     torus window, or on the sphere outside the anchor chart's disk); a pair
     is tested only when it is armed.  `armed` is all that one step hands on
     to the next.  The k = 0 sample reads the step's start, which is the
     previous step's end up to rounding, so a crossing can hide between two
-    steps only at rounding level.  `flow` hands the monitor the step that
-    leaves a sphere chart too.
+    steps only at rounding level.
 
     A step in the anchor chart that provably holds no crossing is not
     sampled (`_skip`): along the step the offset is
@@ -197,7 +198,7 @@ class _CrossingMonitor:
         # the torus wraps offsets and has the window; the other surfaces neither
         self._torus = section.surface.kind == "torus"
 
-    def __call__(self, chart, step, offset):
+    def __call__(self, chart, step):
         if chart == self._chart and self._skip(chart, step):
             return True
         offset_at = self.section.offset_at
@@ -219,7 +220,7 @@ class _CrossingMonitor:
             elif not self.armed:
                 self.armed = abs(l) > 1e-9
             elif l_a is not None and (l == 0.0 or (l_a < 0.0) != (l < 0.0)):
-                hit = self._refine(chart, step, offset, tau_a, tau)
+                hit = self._refine(chart, step, tau_a, tau)
                 if hit is not None and hit[0] > _T_SKIP:
                     self.hits.append(hit)
                     if len(self.hits) >= self.want:
@@ -270,23 +271,26 @@ class _CrossingMonitor:
         self.armed = True
         return True
 
-    def _refine(self, chart, step, offset, tau_a, tau_b):
+    def _refine(self, chart, step, tau_a, tau_b):
         """(trajectory time, state) of the crossing between the step's
         samples at tau_a and tau_b; None when the refinement finds no sign
         change or `crossing_ok` rejects the crossing."""
         sec = self.section
         t0 = step.t0
-        tb = offset + tau_b
-        start = tb - (tau_b - t0)  # the step's start in trajectory time
+        # read the interpolant at t0 + (t - start), not at t: start is t0 up
+        # to the rounding of tau_b - t0, which is inexact in a step that
+        # starts below tau_b - t0, and reading at t there moves crossings,
+        # and the reports that hold them, in their last bits
+        start = tau_b - (tau_b - t0)
 
-        def ell(t_glob):
-            tau = min(max(t0 + (t_glob - start), t0), step.t1)
+        def ell(t):
+            tau = min(max(t0 + (t - start), t0), step.t1)
             x, y = step.eval_position(tau)
             v = sec.offset_at(chart, x, y)
             return v if v is not None else math.nan
 
         try:
-            t_star = _brent(ell, offset + tau_a, tb, xtol=1e-13, rtol=8.9e-16)
+            t_star = _brent(ell, tau_a, tau_b, xtol=1e-13, rtol=8.9e-16)
         except ValueError:
             # re-evaluated, the ends have one sign (a rounding-level change),
             # or the interpolant leaves the offset's domain between them: the
@@ -429,6 +433,7 @@ class ClosedOrbit:
     c: float
     eigen: EigenData
     section: Section
+    end_state: PhasePoint  # where the flow from initial_state is after period
     parabolic_suspect: bool = False
 
     @property
@@ -518,7 +523,8 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     state = section.embed(*z)
     traj, vp = flow_with_variation(surface, field, state, T, options)
     M = vp.matrix(T)
-    residual = phase_distance(surface, state, traj.end_state())
+    end = traj.end_state()
+    residual = phase_distance(surface, state, end)
     cls, eig = classify(M, class_tol)
     if suspect:
         log.info("orbit of period %.12g marked parabolic-suspect: "
@@ -528,6 +534,6 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
         cls = "parabolic"
         eig = EigenData()
     orbit_section = Section(surface, field, state, half_width)
-    return ClosedOrbit(state, T, M, cls, residual, c, eig, orbit_section,
+    return ClosedOrbit(state, T, M, cls, residual, c, eig, orbit_section, end,
                        parabolic_suspect=suspect)
 

@@ -422,7 +422,7 @@ def _stage_classify(sc, st, ctx):
         if orb.floquet_class == "hyperbolic":
             e["eigenvalues"] = list(orb.eigen.eigenvalues)
         if want_rho:  # only on the torus (checked at load)
-            rv = rotation_vector(sc.surface, sc.field, orb, sc.options)
+            rv = rotation_vector(sc.surface, orb)
             e["rotation_vector"] = rv.as_dict()
         entries.append(e)
     return {"stage": "classify", "orbits": entries}

@@ -5,6 +5,8 @@
 * `fd_monodromy`: central finite differences of the time-T flow map, the
   independent check of the variational flow (C04).
 * `invariance_defect`: how far a grown manifold branch is from invariant.
+* `reference_step_index`: the step a dense solution reads at a time, by a
+  plain search.
 """
 
 from __future__ import annotations
@@ -191,3 +193,17 @@ def invariance_defect(branch, oracle, n_check=200):
             continue
         worst = max(worst, _point_polyline_distance(img, branch.points))
     return worst
+
+
+# -- dense-output lookups -------------------------------------------------------
+
+
+def reference_step_index(steps, t):
+    """The index of the step read at a clamped t, by a plain search: the
+    first step up to its end, the last from its start, else the first step
+    that ends at or after t."""
+    if t <= steps[0].t1:
+        return 0
+    if t >= steps[-1].t0:
+        return len(steps) - 1
+    return next(i for i, s in enumerate(steps) if s.t1 >= t)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from maglab.integrate import integrate
 from maglab.orbits import Section, first_return, phase_distance, rescale_to_energy
 from maglab.scenarios import Scenario
 
-from oracles import fd_monodromy
+from oracles import fd_monodromy, reference_step_index
 
 
 def test_disk_traces_unit_circle(disk, minus_one_field, disk_circle_seed):
@@ -65,6 +66,59 @@ def test_energy_conservation_medium(torus, sin_field):
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = flow(torus, sin_field, PhasePoint(0, 0.1, 0.2, 0.6, 0.8), 100.0, opts)
     assert traj.max_energy_drift <= 1e-9
+
+
+# largest |E - c| / c that max_energy_drift may read at the default
+# tolerances (rel_tol 1e-10, abs_tol 1e-12); the draws below reach about
+# 3.5e-9, on long torus flows whose unwrapped positions grow to ~20
+_DRIFT_BOUND = 1e-8
+
+
+@st.composite
+def _drift_flows(draw):
+    """(surface, field, start state, signed duration): a unit-direction seed
+    on the torus, the disk or the sphere, scaled to an energy in [0.1, 2].
+    A sphere seed starts in chart 0 near the switch radius 2 and heads
+    outwards (in the flow's own time direction), so its flow crosses into
+    the other chart."""
+    kind = draw(st.sampled_from(["torus", "disk", "sphere"]))
+    c = draw(st.floats(0.1, 2.0))
+    duration = draw(st.floats(1.0, 10.0)) * draw(st.sampled_from([1, -1]))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "torus":
+        surface = flat_torus()
+        field = MagneticField(SinusoidalTorusField(
+            draw(st.floats(-2.0, 2.0)), (draw(st.integers(0, 1)), 1),
+            draw(st.floats(0.0, 2.0 * math.pi))))
+        x, y = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    else:
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        if kind == "disk":
+            surface, field = planar_chart(), MagneticField(ConstantField(
+                draw(st.floats(-2.0, 2.0))))
+            r = draw(st.floats(0.0, 2.0))
+        else:
+            surface, field = sphere(1.0), MagneticField(ZonalSphereField(
+                draw(st.floats(-1.0, 1.0))))
+            r = draw(st.floats(1.5, 1.95))
+            # within 0.5 rad of outwards, in the flow's time direction
+            angle = phi + draw(st.floats(-0.5, 0.5)) + (math.pi if duration < 0 else 0.0)
+        x, y = r * math.cos(phi), r * math.sin(phi)
+    state = rescale_to_energy(surface, PhasePoint(0, x, y, math.cos(angle),
+                                                  math.sin(angle)), c)
+    return surface, field, state, duration
+
+
+@given(_drift_flows())
+def test_energy_drift_bound_on_all_surfaces(args):
+    """At the default tolerances a flow's max_energy_drift stays below
+    _DRIFT_BOUND times its energy on the torus, the disk and the sphere, and
+    every sphere flow drawn switches charts."""
+    surface, field, state, duration = args
+    traj = flow(surface, field, state, duration)
+    if surface.kind == "sphere":
+        assert len(_chart_runs(traj)) > 1
+    assert traj.max_energy_drift <= _DRIFT_BOUND * traj.c
 
 
 def _drift_loop(traj):
@@ -155,8 +209,13 @@ def test_planar_exit_truncates(disk, zero_field):
 
 
 def _steps(traj):
-    return [(seg.chart, step.t0, step.h, step.y1)
-            for seg in traj.segments for step in seg.sol.steps]
+    return [(chart, step.t0, step.h, step.y1)
+            for chart, step in zip(traj.charts, traj.sol.steps)]
+
+
+def _chart_runs(traj):
+    """The charts a flow passes through, in order, one entry per visit."""
+    return [chart for chart, _ in itertools.groupby(traj.charts)]
 
 
 @pytest.mark.parametrize("case", ["sphere", "torus"])
@@ -175,7 +234,7 @@ def test_numpy_scalar_start_is_bit_neutral(case, unit_sphere, torus, zero_field,
     ref = run(surface, field, PhasePoint(0, *comps), T)
     got = run(surface, field, PhasePoint(0, *np.array(comps)), np.float64(T))
     if case == "sphere":
-        assert len(ref.segments) > 1
+        assert len(_chart_runs(ref)) > 1
     else:
         assert ref.dim == 10
     assert _steps(got) == _steps(ref)
@@ -206,7 +265,7 @@ def test_ode_residual_at_midpoints(torus, sin_field):
     traj = flow(torus, sin_field, PhasePoint(0, 0.1, 0.2, 0.6, 0.8), 5.0, opts)
     rhs = _chart_rhs(torus, sin_field, 0)
     worst = 0.0
-    for step in traj.segments[0].sol.steps[1:40]:
+    for step in traj.sol.steps[1:40]:
         tmid = 0.5 * (step.t0 + step.t1)
         ref = integrate(rhs, step.t0, step.y0, tmid, rtol=1e-14,
                         atol=1e-15).y_end
@@ -253,8 +312,9 @@ def test_nan_rhs_raises(n):
 def test_dense_output_precision():
     sol = integrate(lambda t, y: (math.cos(t),), 0.0, (0.0,), 10.0,
                     rtol=1e-10, atol=1e-12)
-    for t in np.linspace(0, 10, 500):
-        assert sol.eval(t)[0] == pytest.approx(math.sin(t), abs=2e-9)
+    ts = np.linspace(0, 10, 500)
+    (got,) = sol.eval_many(ts, (0,))
+    assert np.abs(got - np.sin(ts)).max() <= 2e-9
 
 
 # -- the fused chart RHS against the MetricData formula ---------------------------
@@ -394,8 +454,8 @@ def lookup_cases(torus, unit_sphere, sin_field):
     for name, (surface, field, state, T, options) in cases.items():
         out[name] = (surface, field) + flow_with_variation(surface, field, state,
                                                            T, options)
-    assert len(out["sphere"][2].segments) > 2
-    assert [seg.chart for seg in out["sphere_oracle"][2].segments] == [0, 1, 0]
+    assert len(_chart_runs(out["sphere"][2])) > 2
+    assert _chart_runs(out["sphere_oracle"][2]) == [0, 1, 0]
     assert sc.pipeline[0]["n_samples"] == 100
     assert out["backward"][2].sign == -1
     return out
@@ -407,20 +467,18 @@ def _lookup_times(traj, fracs):
     drawn fractions of t_reach."""
     s, end = traj.sign, traj.t_reach
     ts = [0.0, end, -s * 5e-13, end + s * 5e-10]
-    for seg in traj.segments:
-        for step in seg.sol.steps:
-            ts += [s * (seg.t_start + (t - seg.sol.t0)) for t in (step.t0, step.t1)]
+    for step in traj.sol.steps:
+        ts += [s * step.t0, s * step.t1]
     ts += [end * i / 99 for i in range(100)]
     return np.array(ts + [f * end for f in fracs])
 
 
 def _reference_chart(traj, t):
-    """The chart raw reads at t, by a plain search: that of the first
-    segment whose end (plus 1e-12) reaches the time, else the last."""
-    tau = traj.sign * t
-    return next((seg for seg in traj.segments
-                 if tau <= seg.t_start + (seg.sol.t_end - seg.sol.t0) + 1e-12),
-                traj.segments[-1]).chart
+    """The chart raw reads at t, by a plain search: that of the step the
+    trajectory's solution reads at the clamped time."""
+    steps = traj.sol.steps
+    tau = min(max(traj.sign * t, steps[0].t0), steps[-1].t1)
+    return traj.charts[reference_step_index(steps, tau)]
 
 
 cases = st.sampled_from(["torus", "backward", "sphere", "sphere_oracle"])
@@ -453,6 +511,20 @@ def test_states_match_scalar_lookups(lookup_cases, name, fracs):
     grid = ts[:len(ts) // 2 * 2].reshape(-1, 2)
     _, (vy,) = traj.states(grid, (3,))
     assert vy.shape == grid.shape and vy.ravel().tolist() == cols[3][:grid.size].tolist()
+
+
+def test_one_time_base_across_chart_switches(lookup_cases):
+    """A sphere flow through chart switches is one list of steps in
+    trajectory time: each step starts where the previous one ends, ==; and
+    state(t) is == to states([t]) at every step boundary and at both ends."""
+    _, _, traj, _ = lookup_cases["sphere"]
+    steps = traj.sol.steps
+    assert len(_chart_runs(traj)) > 2
+    assert steps[0].t0 == 0.0 and steps[-1].t1 == traj.t_reach
+    assert all(b.t0 == a.t1 for a, b in zip(steps, steps[1:]))
+    for t in [0.0, traj.t_reach] + [s.t1 for s in steps]:
+        charts, cols = traj.states(np.array([t]))
+        assert traj.state(t) == PhasePoint(charts[0], *(col[0] for col in cols))
 
 
 @given(cases, st.floats(1e-6, 10.0), st.booleans())

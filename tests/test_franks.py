@@ -622,10 +622,9 @@ def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
 @given(st.lists(st.floats(0.0, 1.0), max_size=64))
 def test_array_kmag_base_matches_scalar(hyper_setup, fracs):
     """kmag_base over an array of times is == to kmag_base at each time: the
-    segment's ends, every step boundary of the base orbit and drawn times."""
+    orbit's ends, every step boundary of the base orbit and drawn times."""
     _, _, kit, _ = hyper_setup
-    sol = kit.traj.segments[0].sol
-    ts = np.array([0.0, kit.T] + [s.t0 for s in sol.steps]
+    ts = np.array([0.0, kit.T] + [s.t0 for s in kit.traj.sol.steps]
                   + [f * kit.T for f in fracs])
     km = kit.kmag_base(ts)
     assert km.tolist() == [kit.kmag_base(t) for t in ts.tolist()]
@@ -735,10 +734,12 @@ def test_core_preservation(hyper_setup, torus, sin_field, tight_options):
 
 
 def test_exactness_preserved(hyper_setup, torus, sin_field):
+    """The perturbed field, evaluated pointwise with its perturbation
+    (brute=True), is exact and integrates to the base field's integral."""
     _, _, kit, consts = hyper_setup
     f2, _, _ = build_GA(kit, consts, PerturbA(0.6 * consts.delta1, 0.0, 0.0))
     base = is_exact(sin_field, torus)
-    pert = is_exact(f2, torus)
+    pert = is_exact(f2, torus, brute=True)
     assert pert.exact
     assert abs(pert.integral - base.integral) <= 1e-9
 

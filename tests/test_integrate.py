@@ -21,6 +21,8 @@ from maglab.integrate import (
 )
 import maglab.orbits as orbits
 
+from oracles import reference_step_index
+
 
 def _fold(terms):
     """Left-to-right sum starting from integer 0.
@@ -183,22 +185,17 @@ def test_eval_position_is_eval_prefix(data, t0, h, thetas):
         assert step.eval_position(t) == step.eval(t)[:2]
 
 
-def _reference_step(steps, t):
-    """The step eval reads at a clamped t, by a plain search: the first step
-    up to its end, the last from its start, else the first step that ends
-    at or after t."""
-    if t <= steps[0].t1:
-        return 0
-    if t >= steps[-1].t0:
-        return len(steps) - 1
-    return next(i for i, s in enumerate(steps) if s.t1 >= t)
+def _eval(sol, t):
+    """The state at a time in [t0, t_end], from the step `_index` picks."""
+    return sol.steps[sol._index(t)].eval(t)
 
 
 @given(systems(), st.lists(st.floats(-0.01, 1.01), max_size=30))
 def test_eval_many_matches_eval(system, fracs):
-    """eval_many over an array of times is == to eval at each time, step
-    ends and the clamp slack included, and eval reads the step of the
-    reference search; beyond the slack both raise alike."""
+    """eval_many over an array of times is == to the step's eval at each
+    clamped time, step ends and the clamp slack included, and `_index` of a
+    number picks the step of the reference search; beyond the slack
+    eval_many raises."""
     rhs, y0 = system
     sol = integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10)
     ts = [s.t0 for s in sol.steps] + [s.t1 for s in sol.steps]
@@ -206,14 +203,13 @@ def test_eval_many_matches_eval(system, fracs):
     eps = 1e-12 * max(1.0, abs(sol.t_end))
     inside = [t for t in ts if sol.t0 - eps <= t <= sol.t_end + eps]
     cols = sol.eval_many(np.array(inside), range(len(y0)))
-    want = [sol.eval(t) for t in inside]
     clamped = [min(max(t, sol.t0), sol.t_end) for t in inside]
-    assert want == [sol.steps[_reference_step(sol.steps, t)].eval(t) for t in clamped]
+    assert [sol._index(t) for t in clamped] == \
+        [reference_step_index(sol.steps, t) for t in clamped]
+    want = [_eval(sol, t) for t in clamped]
     for c, col in enumerate(cols):
         assert col.tolist() == [w[c] for w in want]
     for t in set(ts) - set(inside):
-        with pytest.raises(ValueError):
-            sol.eval(t)
         with pytest.raises(ValueError):
             sol.eval_many(np.array([0.5, t]), (0,))
 
@@ -234,7 +230,7 @@ def test_rows_formed_on_use_agree_in_any_order(system, fracs, first):
     ts = [s.t0 + f * s.h for s in fresh.steps for f in fracs]
     if first == "eval":
         for t in ts:
-            probed.eval(t)
+            _eval(probed, t)
     elif first == "eval_position" and n >= 2:
         for s in probed.steps:
             for f in fracs:
@@ -242,7 +238,7 @@ def test_rows_formed_on_use_agree_in_any_order(system, fracs, first):
     elif first == "eval_many":
         probed.eval_many(np.array(ts), range(n))
     for sol in (fresh, probed):
-        assert [sol.eval(t) for t in ts] == [probed.eval(t) for t in ts]
+        assert [_eval(sol, t) for t in ts] == [_eval(probed, t) for t in ts]
     many = [col.tolist() for col in fresh.eval_many(np.array(ts), range(n))]
     assert many == [col.tolist() for col in probed.eval_many(np.array(ts), range(n))]
     step = fresh.steps[0]

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import logging
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import minimize
 
-from maglab.dynamics import IntegratorOptions
 from maglab.errors import DataInconsistencyError, UnsupportedSurfaceError
 from maglab.geometry import PhasePoint
 from maglab.field import MagneticField, ConstantField, SinusoidalTorusField
@@ -216,12 +215,9 @@ def test_bracket_requires_bracketing(lag_zero):
                                 maxiter=50)
 
 
-_RV_OPTIONS = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-12)
-
-
 def test_rotation_vector_geodesic(torus, zero_field):
     orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0))
-    rv = rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
+    rv = rotation_vector(torus, orb)
     assert rv.homology == (1, 0)
     assert rv.rho[0] == pytest.approx(1.0, rel=1e-9)
     assert rv.rho[1] == 0.0
@@ -231,7 +227,7 @@ def test_rotation_vector_contractible(torus):
     """A small magnetic circle winds (0, 0)."""
     fld = MagneticField(ConstantField(4.0))
     orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 0.0))
-    rv = rotation_vector(torus, fld, orb, _RV_OPTIONS)
+    rv = rotation_vector(torus, orb)
     assert rv.homology == (0, 0)
     assert orb.period == pytest.approx(2.0 * math.pi / 4.0, abs=1e-8)
 
@@ -240,18 +236,18 @@ def test_rotation_vector_minimal_period(torus, zero_field):
     """The search's period is the first return's transit time, so the line
     orbit reports (1, 0) over T = 1, not (2, 0) over a double cover."""
     orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.7, 0.1, 1.0, 0.0))
-    rv = rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
+    rv = rotation_vector(torus, orb)
     assert rv.homology == (1, 0) and rv.period == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rotation_vector_non_integral_winding_is_typed(torus, zero_field):
-    """Half a period winds (1/2, 0): a DataInconsistencyError, which a stage
-    reports as a numerical failure."""
-    orb = copy.copy(find_closed_orbit(torus, zero_field, 0.5,
-                                      PhasePoint(0, 0.1, 0.2, 1.0, 0.0)))
-    orb.period *= 0.5
+    """An end state half a turn past the start winds (1/2, 0): a
+    DataInconsistencyError, which a stage reports as a numerical failure."""
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0))
+    s = orb.initial_state
+    orb = dataclasses.replace(orb, end_state=dataclasses.replace(s, x=s.x + 0.5))
     with pytest.raises(DataInconsistencyError, match="winding not integral"):
-        rotation_vector(torus, zero_field, orb, _RV_OPTIONS)
+        rotation_vector(torus, orb)
 
 
 def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
@@ -260,7 +256,7 @@ def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
                             PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / lam),
                             max_time=20.0, options=tight_options)
     with pytest.raises(UnsupportedSurfaceError):
-        rotation_vector(unit_sphere, zero_field, orb, _RV_OPTIONS)
+        rotation_vector(unit_sphere, orb)
 
 
 # -- the Nelder-Mead lanes against scipy's ---------------------------------------------

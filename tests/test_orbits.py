@@ -464,7 +464,7 @@ class _SampledMonitor(_CrossingMonitor):
     It keeps collecting hits (no `want`), so that whole flows compare.
     """
 
-    def __call__(self, chart, step, offset):
+    def __call__(self, chart, step):
         t0, h = step.t0, step.h
         speed = math.hypot(step.y1[2], step.y1[3])
         n = max(3, min(256, int(h * speed / 0.08) + 1))
@@ -477,7 +477,7 @@ class _SampledMonitor(_CrossingMonitor):
             elif not self.armed:
                 self.armed = abs(l) > 1e-9
             elif prev is not None and (l == 0.0 or (prev[1] < 0.0) != (l < 0.0)):
-                hit = self._refine(chart, step, offset, prev[0], tau)
+                hit = self._refine(chart, step, prev[0], tau)
                 if hit is not None and hit[0] > _T_SKIP:
                     self.hits.append(hit)
             prev = None if l is None else (tau, l)
@@ -578,9 +578,9 @@ def test_monitor_skip_matches_sampling(flow_args):
     mon, ref = _CountingMonitor(sec), _SampledMonitor(sec)
     mon.want = math.inf
 
-    def both(chart, step, offset):
-        assert mon(chart, step, offset)
-        ref(chart, step, offset)
+    def both(chart, step):
+        assert mon(chart, step)
+        ref(chart, step)
 
     for start, duration in legs:
         flow(sec.surface, sec.field, start, duration, options, observer=both)
@@ -606,7 +606,7 @@ def test_skip_bounds_hold_on_every_step(flow_args, thetas, unbounded):
     n0, n1 = sec.normal_e
     checked = []
 
-    def check(chart, step, offset):
+    def check(chart, step):
         if chart != anchor.chart:
             return True
         move, reach = mon._bounds(step)

@@ -61,9 +61,13 @@ def test_cases_run_each_bundled_stage_through_its_subcommand():
         want.append((name, "run", cfg))
         want += [(f"{name}.{st['stage']}", st["stage"], cfg) for st in cfg["pipeline"]]
     assert cases[:len(want)] == want
-    # the benchmark workloads run whole pipelines only
+    # then the chart-switch config, which no bundled scenario duplicates
+    assert cases[len(want)] == ("chart_switch", "run", mod.CHART_SWITCH)
+    assert mod.CHART_SWITCH not in [cfg for _, _, cfg in want]
+    assert mod.CHART_SWITCH["surface"]["kind"] == "sphere"
+    # it and the benchmark workloads run whole pipelines only
     assert {command for _, command, _ in cases[len(want):]} == {"run"}
-    assert len(cases) - len(want) == len(mod.SEEDS) * sum(
+    assert len(cases) - len(want) - 1 == len(mod.SEEDS) * sum(
         len(make(1)) for make, _ in mod._workloads().values())
 
 

@@ -9,7 +9,9 @@ src/maglab) or its src directory.  Each tree runs
 * the nine bundled scenarios (src/maglab/scenarios/*.json of that tree),
   each with COMMAND `run` and then, as run NAME.KIND, with the single-stage
   subcommand of every stage KIND in its pipeline (which runs the stage's
-  prerequisites silently and writes only that stage's reports), and
+  prerequisites silently and writes only that stage's reports),
+* `CHART_SWITCH`, a sphere config held here whose flows switch charts
+  (no bundled scenario's do), with COMMAND `run`, and
 * the configs of the four benchmark workloads at seeds 1-3, generated by
   perfbench/workloads.py of the repository this script sits in (imported,
   never edited), with COMMAND `run`.
@@ -41,6 +43,19 @@ SEEDS = (1, 2, 3)
 JOBS = min(2, os.cpu_count() or 1)
 SHOWN_PATHS = 5  # differing JSON paths printed per report
 _ABSENT = "<absent>"
+# a weak constant field on the unit sphere: the seed's path leaves chart 0,
+# and the flows of its stages switch charts 9 times in all
+CHART_SWITCH = {
+    "surface": {"kind": "sphere", "params": {"radius": 1.0}},
+    "field": {"kind": "constant", "value": 0.2},
+    "energy": 0.5,
+    "seeds": [{"chart": 0, "x": 0.5, "y": 0.0, "vx": 1.0, "vy": 0.3}],
+    "pipeline": [
+        {"stage": "simulate", "t_final": 12.0, "n_samples": 50},
+        {"stage": "orbits", "tol": 1e-10, "max_time": 30.0},
+        {"stage": "classify"},
+    ],
+}
 
 
 def source_dir(tree):
@@ -62,7 +77,8 @@ def _workloads():
 
 def cases(src):
     """(name, maglab subcommand, config dict) of every run, bundled
-    scenarios first, each followed by its single-stage runs."""
+    scenarios first, each followed by its single-stage runs, then the
+    chart-switch config and the workloads."""
     out = []
     for path in sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json"))):
         name = os.path.basename(path)[:-5]
@@ -71,6 +87,7 @@ def cases(src):
         out.append((name, "run", cfg))
         out.extend((f"{name}.{st['stage']}", st["stage"], cfg)
                    for st in cfg["pipeline"])
+    out.append(("chart_switch", "run", CHART_SWITCH))
     for name, (make, _) in sorted(_workloads().items()):
         for seed in SEEDS:
             for i, cfg in enumerate(make(seed)):
