@@ -47,6 +47,10 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
+        if args.seed < 0:
+            print(f"configuration error: --seed must be nonnegative, got {args.seed}",
+                  file=sys.stderr)
+            return 2
         scenario.random_seed = args.seed
     only = None if args.command == "run" else args.command
     try:

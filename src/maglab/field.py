@@ -20,8 +20,8 @@ or arrays of points through one formula each: a function such as sin comes
 from math for a number and from numpy for an array, where the two agree bit
 for bit.  numpy's `**` does not agree with Python's float pow, so powers go
 through `_pow`, which applies Python's pow to each entry of an array.
-`PerturbationField.value`/`eval` loop over the points of an array, since
-locating a point in the tube is a per-point Newton solve.
+`PerturbationField.eval` loops over the points of an array, since locating
+a point in the tube is a per-point Newton solve, and `value` reads h from it.
 """
 
 from __future__ import annotations
@@ -273,18 +273,8 @@ class PerturbationField:
         return (h, ht, hu)
 
     def value(self, chart, x, y):
-        if isinstance(x, np.ndarray):
-            return _pointwise(lambda p, q: (self.value(chart, p, q),), x, y, 1)[0]
-        if chart != self.chart:
-            return 0.0
-        loc = self.tube.invert(x, y)
-        if loc is None:
-            return 0.0
-        t, u = loc
-        lo, hi = self.support_t
-        if not (lo < t < hi) or abs(u) >= 0.5 * self.eps0:
-            return 0.0
-        return self.eval_tube(t, u)[0]
+        """h, as `eval` gives it."""
+        return self.eval(chart, x, y)[0]
 
     def eval(self, chart, x, y):
         """(h, chart gradient of h)."""

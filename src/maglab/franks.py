@@ -11,7 +11,8 @@ injectivity window, this module builds:
     2c (1 - u f0(gamma(t))) and exactness of the perturbations is exact),
     built from one variational flow of the segment (`build_tubular_chart`);
   * the kit (`FranksKit`), which wraps a tube: the core, K_mag and the
-    fundamental matrix X all read the tube's one flow;
+    fundamental matrix X all read the tube's one flow; segment i's kit is
+    `build_franks_kit(split, i)`;
   * the constants ledger k0..k6, window width lambda, rho, the one-sided
     unit-mass bump profiles delta/Delta at k0/2, and the cutoff alpha, with
     every inequality they must satisfy checked and its slack recorded;
@@ -289,23 +290,21 @@ class TubularChart:
 _EPS_MIN = 1e-5
 
 
-def build_tubular_chart(surface, field, state, T, eps0, options=None):
+def build_tubular_chart(surface, field, state, T, eps0, options):
     """Tubular chart around the orbit segment through `state` of length T.
 
     Flows the segment once with its variational data (`chart.traj`, 10
-    components).  The segment must satisfy T <= K(c, f); the width is halved
-    from eps0 until the sampled injectivity check passes (below 1e-5 that is
-    a LedgerError).
+    components) at the integrator options given.  The segment must satisfy
+    T <= K(c, f); the width is halved from eps0 until the sampled
+    injectivity check passes (below 1e-5 that is a LedgerError).
     """
-    options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-    fld = field if isinstance(field, MagneticField) else MagneticField(field)
-    traj, _ = flow_with_variation(surface, fld, state, T, options)
-    K = injectivity_time(surface, fld, traj.c)
+    traj, _ = flow_with_variation(surface, field, state, T, options)
+    K = injectivity_time(surface, field, traj.c)
     if T > K * (1.0 + 1e-9):
         raise LedgerError(f"segment length {T} exceeds injectivity time {K}")
     width = eps0
     while width >= _EPS_MIN:
-        chart = TubularChart(surface, fld, traj, T, width)
+        chart = TubularChart(surface, field, traj, T, width)
         rep = chart.injectivity_report()
         if rep["injective"]:
             return chart
@@ -687,10 +686,10 @@ class FranksKit:
         return self._rk4(w["k"], _del_b(A, prof, w["k"]))
 
 
-def build_franks_kit(surface, field, state, T):
-    """Kit for the segment through `state` of length T, on a tube of width
-    at most 0.02."""
-    return FranksKit(build_tubular_chart(surface, field, state, T, 0.02))
+def build_franks_kit(split, i):
+    """Kit for segment i of a `SegmentSplit`, on the segment's tube
+    (`SegmentSplit.tube`)."""
+    return FranksKit(split.tube(i))
 
 
 # -- constants computation ----------------------------------------------------------
@@ -728,7 +727,7 @@ def _kmag_c0_norm(surface, field, c):
     return 1.01 * best
 
 
-def compute_constants(kit: FranksKit, eps_c1=0.1):
+def compute_constants(kit: FranksKit, eps_c1):
     """The constants ledger for one segment, with λ halved until admissible.
 
     Every ledger inequality is checked numerically and its slack recorded
@@ -946,8 +945,7 @@ class CotaReport:
         return asdict(self)
 
 
-def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count=20,
-                seed=0):
+def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count, seed):
     """Sampled check of |Z(T)| >= |A| / (2 k1^3) over random unit directions.
 
     Raises CotaViolationError if any margin drops below 1.
@@ -1000,13 +998,14 @@ class SurjectivityReport:
 
 
 def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
-                             n_targets=8, mode="sphere", seed=0):
+                             n_targets, mode, seed):
     """Newton inversion of A -> S(G(A)) for targets near S0 = S(f0).
 
-    mode="sphere": targets S0 exp(s D) on the delta/2 sphere (coordinate and
-    mixed directions of the traceless algebra).  mode="forward": targets
-    generated as S(G(A0)) for known A0 with |A0| = delta1/2; the report then
-    also carries the recovery error |A - A0|.  Newton (at most 30 iterates)
+    mode="sphere": targets S0 exp(s D) on the delta/2 sphere (the first
+    n_targets of 8 coordinate and mixed directions of the traceless algebra;
+    seed is not read).  mode="forward": targets generated as S(G(A0)) for
+    known A0 with |A0| = delta1/2, drawn with seed; the report then also
+    carries the recovery error |A - A0|.  Newton (at most 30 iterates)
     stops at residual max(1e-3 * dist(target, S0), few ulps), so the
     inversion genuinely runs whenever the target is numerically
     distinguishable from S0; each solve must end with residual <= 1e-6,
@@ -1157,20 +1156,18 @@ def _min_distance(surface, pts, core):
     return np.sqrt(np.einsum("ijk,ijk->ij", d, d)).min()
 
 
-def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
+def segment_split(orbit, surface, field, c, eps0, options):
     """Cut a closed orbit into n segments of equal length t0 in (K/2, K].
 
     n is the smallest count with t0 = T_theta / n <= K.  One variational
-    flow of the orbit gives the segment starts, the per-segment transversal
-    propagators (whose ordered product is the full monodromy), 256 core
-    samples per segment and each segment's mid-patch samples, (x, y, vx, vy)
-    at 64 times over 0.3-0.7 t0.  No tube is built here:
+    flow of the orbit, at the integrator options given, gives the segment
+    starts, the per-segment transversal propagators (whose ordered product
+    is the full monodromy), 256 core samples per segment and each segment's
+    mid-patch samples, (x, y, vx, vy) at 64 times over 0.3-0.7 t0.  No tube is built here:
     `SegmentSplit.tube(i)` builds segment i's tube, of width at most eps0,
     when it is needed.
     """
-    options = options or IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
-    fld = field if isinstance(field, MagneticField) else MagneticField(field)
-    K = injectivity_time(surface, fld, c)
+    K = injectivity_time(surface, field, c)
     T_theta = orbit.period
     if T_theta <= K / 2.0:
         raise DataInconsistencyError(
@@ -1180,7 +1177,7 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
     if not (K / 2.0 < t0 <= K * (1.0 + 1e-12)):
         raise DataInconsistencyError(
             f"t0 = {t0} not in (K/2, K] = ({K/2}, {K}]")
-    traj, vp = flow_with_variation(surface, fld, orbit.initial_state, T_theta,
+    traj, vp = flow_with_variation(surface, field, orbit.initial_state, T_theta,
                                    options)
     charts, cols = traj.states(np.arange(n) * t0)
     starts = [PhasePoint(*row) for row in zip(charts.tolist(), *(c.tolist() for c in cols))]
@@ -1192,5 +1189,5 @@ def segment_split(orbit, surface, field, c, eps0=0.02, options=None):
         for i in range(n)]
     patch_samples = [
         traj.states(i * t0 + np.linspace(0.3 * t0, 0.7 * t0, 64))[1] for i in range(n)]
-    return SegmentSplit(n, t0, starts, responses, surface, fld, eps0, options,
+    return SegmentSplit(n, t0, starts, responses, surface, field, eps0, options,
                         core_samples, patch_samples)

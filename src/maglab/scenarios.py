@@ -36,7 +36,7 @@ from .orbits import (SectionReturnMap, find_closed_orbit, phase_distance,
                      rescale_to_energy)
 from .normalform import birkhoff_beta, jet3, twist_by_rotation_number
 from .franks import (
-    FranksKit,
+    build_franks_kit,
     compute_constants,
     segment_split,
     verify_ball_surjectivity,
@@ -74,16 +74,20 @@ def _list(value, where):
 
 
 def _number(value, where, kind=float):
-    """value converted by kind (float or int); a boolean, a non-number and,
-    for int, a non-integral float are ConfigErrors."""
-    msg = f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
-    if isinstance(value, bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(msg)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(msg) from None
+    """value converted by kind (float or int); a boolean, a non-number, a
+    value that does not convert to a finite float (NaN, an infinity, an
+    integer beyond the float range) and, for int, a non-integral float are
+    ConfigErrors."""
+    if not (isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer())):
+        try:
+            out = kind(value)
+            if math.isfinite(float(out)):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{where} must be a finite "
+                      f"{'integer' if kind is int else 'number'}, got {value!r}")
 
 
 def _positive(value, where):
@@ -131,7 +135,7 @@ def _kind(cfg, keys, where):
     whose other keys are ones that kind reads (`keys[kind]`)."""
     _check_keys(cfg, {"kind"}.union(*keys.values()), where)
     kind = cfg.get("kind")
-    if kind not in keys:
+    if not isinstance(kind, str) or kind not in keys:
         raise ConfigError(f"unknown {where} kind {kind!r}")
     _check_keys(cfg, {"kind", *keys[kind]}, where)
     return kind
@@ -263,6 +267,8 @@ class Scenario:
         self.field = _build_field(field_cfg)
         self.c = _positive(cfg.get("energy", 0.5), "energy")
         self.random_seed = _number(cfg.get("seed", 0), "seed", int)
+        if self.random_seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be nonnegative, got {self.random_seed}")
         self.out_dir = cfg.get("out_dir", "maglab_out")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
@@ -478,15 +484,15 @@ def _stage_franks(sc, st, ctx):
     split = segment_split(orb, sc.surface, sc.field, sc.c,
                           eps0=st["eps0"], options=sc.options)
     n_seg = min(st["segments"], split.n)
-    kit = FranksKit(split.tube(0))
+    kit = build_franks_kit(split, 0)
     consts = compute_constants(kit, eps_c1=st["eps_c1"])
     constants = [consts.ledger()] + [  # the other segments' kits are not kept
-        compute_constants(FranksKit(split.tube(i)), eps_c1=st["eps_c1"]).ledger()
+        compute_constants(build_franks_kit(split, i), eps_c1=st["eps_c1"]).ledger()
         for i in range(1, n_seg)]
     cota = verify_cota(kit, consts, sample_count=st["cota_samples"],
                        seed=sc.random_seed)
     surj = verify_ball_surjectivity(kit, consts, n_targets=st["targets"],
-                                    mode="sphere")
+                                    mode="sphere", seed=sc.random_seed)
     fwd = verify_ball_surjectivity(kit, consts, n_targets=min(4, st["targets"]),
                                    mode="forward", seed=sc.random_seed)
     prod_defect = float(np.abs(split.product() - orb.monodromy).max())

@@ -71,11 +71,11 @@ def franks_bundle():
     torus = flat_torus()
     fld = MagneticField(SinusoidalTorusField(1.0))
     orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
-    split = segment_split(orb, torus, fld, 0.5)
+    split = segment_split(orb, torus, fld, 0.5, 0.02, TIGHT)
     kits = []
     for i in range(2):
-        kit = build_franks_kit(torus, fld, split.start_states[i], split.t0)
-        kits.append((kit, compute_constants(kit)))
+        kit = build_franks_kit(split, i)
+        kits.append((kit, compute_constants(kit, 0.1)))
     return torus, fld, orb, split, kits
 
 
@@ -216,7 +216,8 @@ def test_c08_cota(franks_bundle):
 def test_c09_ball_surjectivity(franks_bundle):
     _, _, _, _, kits = franks_bundle
     kit, consts = kits[0]
-    rep = verify_ball_surjectivity(kit, consts, n_targets=8, mode="sphere")
+    rep = verify_ball_surjectivity(kit, consts, n_targets=8, mode="sphere",
+                                   seed=0)
     assert rep.solved == 8
     assert rep.max_residual <= 1e-6
     assert rep.max_A_norm <= consts.delta1
@@ -228,6 +229,29 @@ def test_c09_ball_surjectivity(franks_bundle):
     _ok(9, "ball surjectivity", f"8 sphere targets max residual "
         f"{rep.max_residual:.1e}; 4 forward inversions max |A| "
         f"{fwd.max_A_norm:.2e} <= delta1 {consts.delta1:.2e}")
+
+
+def test_c08_c09_franks_verify_scenario(tmp_path):
+    """The bundled franks_verify scenario meets C08 and C09 on its own kit,
+    flown at the scenario's integrator options: the gates of C08/C09 (and
+    of the benchmark's franks_ledger check) applied to its franks.json."""
+    code, _ = run_scenario(load_scenario(scenario_path("franks_verify.json")),
+                           out_dir=str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "franks.json") as fh:
+        fr = json.load(fh)
+    cota = fr["cota"]
+    assert cota["min_margin"] >= 1.0
+    assert cota["linearity_defect"] <= 1e-6
+    delta1 = fr["constants"]["delta1"]
+    for key in ("surjectivity", "surjectivity_forward"):
+        rep = fr[key]
+        assert rep["solved"] == rep["targets"]
+        assert rep["max_residual"] <= 1e-6
+        assert rep["max_A_norm"] <= delta1
+    _ok(9, "franks_verify scenario", f"{cota['samples']} cota samples, min margin "
+        f"{cota['min_margin']:.2f}; {fr['surjectivity']['solved']} sphere and "
+        f"{fr['surjectivity_forward']['solved']} forward targets solved")
 
 
 def test_c10_twist_cross_validation():

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from maglab.cli import build_parser, main
 from maglab.dynamics import flow
@@ -46,6 +47,29 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nope": true}')
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_nan_seed_exits_2_without_traceback(tmp_path):
+    """A NaN seed position is a configuration error, not a crash in the
+    surface's position wrap."""
+    path = _torus_config(tmp_path, seeds=_seed(x=math.nan))
+    assert '"x": NaN' in (tmp_path / "c.json").read_text()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-m", "maglab.cli", "run", "--config", path],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "configuration error: seeds[0].x must be a finite number" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_flag_is_config_error(tmp_path, capsys):
+    path = _torus_config(tmp_path)
+    assert main(["run", "--config", path, "--seed", "-1"]) == 2
+    assert "configuration error: --seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _torus_config(tmp_path, **changes):
@@ -89,8 +113,9 @@ def test_cli_nonnumeric_stage_parameter_is_config_error(tmp_path, pipeline):
 @pytest.mark.parametrize("changes", [
     {"seed": 2.7},
     {"seed": True},
+    {"seed": -1},
     {"pipeline": [{"stage": "orbits"}, {"stage": "twist", "orbit_index": 1.5}]},
-], ids=["seed_fraction", "seed_bool", "orbit_index_fraction"])
+], ids=["seed_fraction", "seed_bool", "seed_negative", "orbit_index_fraction"])
 def test_cli_non_integer_int_key_is_config_error(tmp_path, changes):
     path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
@@ -313,6 +338,85 @@ def test_cli_malformed_structured_key_is_config_error(tmp_path, changes):
         path = _torus_config(tmp_path, **changes)
     assert main(["run", "--config", path]) == 2
     assert not (tmp_path / "o").exists()  # rejected before any stage ran
+
+
+def _seed(**changes):
+    return [{"chart": 0, "x": 0.0, "y": 0.0, "vx": 1.0, "vy": 0.0, **changes}]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"seeds": _seed(x=math.nan)}, "seeds[0].x"),
+    ({"seeds": _seed(x=math.inf)}, "seeds[0].x"),
+    ({"seeds": _seed(vx=math.nan)}, "seeds[0].vx"),
+    ({"energy": math.inf}, "energy"),
+    ({"pipeline": [{"stage": "simulate", "t_final": math.inf}]},
+     "pipeline[0] (simulate).t_final"),
+    ({"field": {"kind": "sinusoidal", "amplitude": math.nan}}, "field.amplitude"),
+    ({"field": {"kind": "sinusoidal", "k": [10**400, 0]}}, "field.k[0]"),
+    ({"integrator": {"rel_tol": math.inf}}, "integrator.rel_tol"),
+    ({"integrator": {"max_step": math.inf}}, "integrator.max_step"),
+    ({"pipeline": [{"stage": "critical-value",
+                    "eta": {"kind": "constant", "a": [math.nan, 0.0]}}]}, "eta.a[0]"),
+    ({"pipeline": [{"stage": "entropy", "map": {"kind": "standard"},
+                    "fixed_points": [[math.nan, 0.0]]}]},
+     "pipeline[0] (entropy).fixed_points[0][0]"),
+], ids=["seed_x_nan", "seed_x_inf", "seed_vx_nan", "energy_inf", "t_final_inf",
+        "amplitude_nan", "k_401_digits", "rel_tol_inf", "max_step_inf", "eta_a_nan",
+        "fixed_point_nan"])
+def test_cli_non_finite_number_is_config_error(tmp_path, capsys, changes, message):
+    """Every config number must convert to a finite float: NaN, the
+    infinities and integers beyond the float range are rejected at load."""
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert f"configuration error: {message} must be a finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _key_paths(node, path=()):
+    """The key path (keys and list indices) of every value in a config."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out += [path + (key,)] + _key_paths(value, path + (key,))
+    return out
+
+
+def _bundled_configs():
+    """The text of each bundled scenario config, by file name."""
+    out = {}
+    for name in sorted(os.listdir(os.path.dirname(scenario_path("franks_verify.json")))):
+        with open(scenario_path(name)) as fh:
+            out[name] = fh.read()
+    return out
+
+
+_BUNDLED = _bundled_configs()
+_FUZZ_PATHS = [(name, p) for name, text in _BUNDLED.items()
+               for p in _key_paths(json.loads(text))]
+_FUZZ_VALUES = [math.nan, math.inf, -math.inf, 10**400, 0, -1, "x", None, [1], {},
+                True]
+
+
+@given(st.sampled_from(_FUZZ_PATHS), st.sampled_from(_FUZZ_VALUES))
+@example(("torus_geodesic.json", ("seeds", 0, "x")), math.nan)
+def test_config_with_one_value_replaced_loads_or_is_config_error(target, value):
+    """A bundled scenario with the value at one key path replaced either
+    loads or raises ConfigError, never another exception."""
+    name, path = target
+    cfg = json.loads(_BUNDLED[name])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        Scenario(cfg)
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("changes, message", [

@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 
@@ -12,6 +13,7 @@ from maglab.field import (
     C1NormReport,
     ConstantField,
     MagneticField,
+    PerturbationField,
     PolynomialField,
     SinusoidalTorusField,
     ZonalSphereField,
@@ -20,7 +22,8 @@ from maglab.field import (
     is_exact,
 )
 from maglab.geometry import PhasePoint, flat_torus, planar_chart, sphere
-from maglab.franks import build_franks_kit, compute_constants, build_GA, PerturbA
+from maglab.franks import (BumpProfile, FranksKit, PerturbA, build_GA,
+                           build_tubular_chart, compute_constants)
 from maglab.orbits import find_closed_orbit
 
 
@@ -209,11 +212,12 @@ def test_bump_template_conditions():
 
 
 @pytest.fixture(scope="module")
-def torus_kit(torus, sin_field):
+def torus_kit(torus, sin_field, tight_options):
     seed = PhasePoint(0, 0.0, 0.0, 0.0, -1.0)
     orb = find_closed_orbit(torus, sin_field, 0.5, seed)
-    kit = build_franks_kit(torus, sin_field, orb.initial_state, 0.2)
-    consts = compute_constants(kit)
+    kit = FranksKit(build_tubular_chart(torus, sin_field, orb.initial_state, 0.2,
+                                        0.02, tight_options))
+    consts = compute_constants(kit, 0.1)
     return kit, consts
 
 
@@ -244,6 +248,100 @@ def test_perturbation_zero_integral_brute(torus, torus_kit):
     pert_rep = is_exact(f2, torus, panels=96, brute=True)
     # fiberwise zero-mean of a_eps forces the surface integral to stay put
     assert abs(pert_rep.integral - base.integral) <= 1e-9
+
+
+# At the ledger's scale the perturbation above is far below every sample and
+# quadrature point (torus_kit's eps0 is about 6e-17 and its sup |h| 3e-27),
+# so the three checks are repeated on a bump of the tube's own width with a
+# unit-mass profile b over the middle 80% of the segment (sup |h| about
+# 0.03): on torus_kit's tube, whose core runs where f = 0 (omega = 1), and on
+# a tube whose core runs near f = 1, where the 1/omega factor matters.
+
+
+@pytest.fixture(scope="module")
+def curved_tube(torus, sin_field, tight_options):
+    return build_tubular_chart(torus, sin_field, PhasePoint(0, 0.25, 0.5, 0.0, -1.0),
+                               0.2, 0.02, tight_options)
+
+
+@pytest.fixture(scope="module", params=["straight", "curved"])
+def visible_tube(request, torus_kit, curved_tube):
+    return torus_kit[0].chart if request.param == "straight" else curved_tube
+
+
+def _visible_bump(tube):
+    prof = BumpProfile(0.5 * tube.T, 0.4 * tube.T)
+    return PerturbationField(tube, tube.eps0, lambda t: prof.value(t)[()],
+                             lambda t: prof.d1(t)[()], prof.c0,
+                             prof.c0 + prof.c0_d1, support_t=prof.support)
+
+
+def _tube_integral(surface, pert, h):
+    """(integral of h dA, integral of |h| dA) over the bump's support, by
+    3-point Gauss-Legendre on 16 x 4 panels of (t, u), with h(chart, x, y)
+    evaluated at the chart points psi(t, u) and dA = |det dpsi| dt du from
+    central differences of psi.  For a bump h = a_eps b / omega the second
+    is eps0^2 / 20 (the mass of |a_eps| times b's unit mass)."""
+    tube = pert.tube
+
+    def nodes(a, b, panels):
+        x, w = np.polynomial.legendre.leggauss(3)
+        edges = np.linspace(a, b, panels + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+    ts, wt = nodes(*pert.support_t, 16)
+    us, wu = nodes(-0.5 * pert.eps0, 0.5 * pert.eps0, 4)
+    t, u = (a.ravel() for a in np.meshgrid(ts, us, indexing="ij"))
+    k = 1e-5
+    pt = (tube.psi(t + k, u) - tube.psi(t - k, u)) / (2.0 * k)
+    pu = (tube.psi(t, u + k) - tube.psi(t, u - k)) / (2.0 * k)
+    dA = np.outer(wt, wu).ravel() * np.abs(pt[0] * pu[1] - pt[1] * pu[0])
+    vals = h(tube.chart_id, *surface.wrap_position(*tube.psi(t, u)))
+    return float(np.sum(dA * vals)), float(np.sum(dA * np.abs(vals)))
+
+
+def test_visible_bump_vanishes_on_core(torus, sin_field, visible_tube):
+    """On the core h is within Newton's inversion error of 0 (u there is
+    at most 1e-9), a quarter width off it h is clearly not 0."""
+    pert = _visible_bump(visible_tube)
+    f2 = sin_field.with_perturbation(pert)
+    for t in np.linspace(0.0, visible_tube.T, 101):
+        x, y = torus.wrap_position(*visible_tube.psi(t, 0.0))
+        assert abs(f2.value(0, x, y) - sin_field.value(0, x, y)) <= 1e-9 * pert.b_c0
+    for t in np.linspace(*pert.support_t, 13)[3:-3]:
+        for u in (-0.25 * pert.eps0, 0.25 * pert.eps0):
+            assert abs(pert.value(0, *torus.wrap_position(*visible_tube.psi(t, u)))) > 1e-3
+
+
+def test_visible_bump_zero_integral(torus, visible_tube):
+    pert = _visible_bump(visible_tube)
+    total, mass = _tube_integral(torus, pert, pert.value)
+    assert mass == pytest.approx(pert.eps0**2 / 20.0, rel=1e-3)  # resolved
+    assert abs(total) <= 1e-8 * mass
+
+
+def test_visible_bump_exactness_preserved(torus, sin_field, visible_tube):
+    """The perturbed field, evaluated pointwise, integrates to the base
+    field's integral: their difference integrates to 0 over the bump."""
+    pert = _visible_bump(visible_tube)
+    f2 = sin_field.with_perturbation(pert)
+    total, mass = _tube_integral(
+        torus, pert, lambda c, x, y: f2.value(c, x, y) - sin_field.value(c, x, y))
+    assert mass == pytest.approx(pert.eps0**2 / 20.0, rel=1e-3)
+    assert abs(total) <= 1e-8 * mass
+    assert is_exact(sin_field, torus).exact
+
+
+def test_zero_integral_needs_the_omega_factor(torus, curved_tube):
+    """On a tube whose core runs near f = 1, a bump without the 1/omega
+    factor (a tube whose omega reads 1) has a nonzero integral, which the
+    zero-integral check sees."""
+    flat = copy.copy(curved_tube)
+    flat.omega = lambda t, u: (1.0, 0.0, 0.0)
+    pert = _visible_bump(flat)
+    total, mass = _tube_integral(torus, pert, pert.value)
+    assert abs(total) > 1e-3 * mass
 
 
 def test_c1_norm_report_bound(torus, torus_kit):

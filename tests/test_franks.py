@@ -24,6 +24,7 @@ from maglab.orbits import find_closed_orbit, phase_distance
 from maglab.scenarios import Scenario, load_scenario, run_scenario
 from maglab.franks import (
     BumpProfile,
+    FranksKit,
     PerturbA,
     TubularChart,
     build_GA,
@@ -40,23 +41,31 @@ from maglab.franks import (
 )
 
 
+# The Franks tests fly their tubes at `tight_options` (rel_tol 1e-12,
+# abs_tol 1e-13); split widths and eps_c1 are the franks-verify stage's
+# defaults, 0.02 and 0.1.
+
+
 @pytest.fixture(scope="module")
-def hyper_setup(torus, sin_field):
+def hyper_setup(torus, sin_field, tight_options):
     seed = PhasePoint(0, 0.0, 0.0, 0.0, -1.0)
     orb = find_closed_orbit(torus, sin_field, 0.5, seed)
-    split = segment_split(orb, torus, sin_field, 0.5)
-    kit = build_franks_kit(torus, sin_field, orb.initial_state, split.t0)
-    consts = compute_constants(kit)
+    split = segment_split(orb, torus, sin_field, 0.5, 0.02, tight_options)
+    kit = FranksKit(build_tubular_chart(torus, sin_field, orb.initial_state,
+                                        split.t0, 0.02, tight_options))
+    consts = compute_constants(kit, 0.1)
     return orb, split, kit, consts
 
 
 # -- tubular charts ---------------------------------------------------------
 
 
-def test_tubular_chart_disk_radial(disk, minus_one_field, disk_circle_seed):
+def test_tubular_chart_disk_radial(disk, minus_one_field, disk_circle_seed,
+                                   tight_options):
     """On the unit-circle orbit the chart is psi(t, u) = (1 + u) * circle."""
     T = 0.2  # inside the injectivity window K = 1/4-ish
-    chart = build_tubular_chart(disk, minus_one_field, disk_circle_seed, T, 0.05)
+    chart = build_tubular_chart(disk, minus_one_field, disk_circle_seed, T, 0.05,
+                                tight_options)
     for t in np.linspace(0.0, T, 7):
         for u in (-0.02, 0.0, 0.02):
             p = chart.psi(t, u)
@@ -65,9 +74,9 @@ def test_tubular_chart_disk_radial(disk, minus_one_field, disk_circle_seed):
             assert np.abs(p - want).max() <= 1e-9
 
 
-def test_tubular_chart_flat_segment(torus, zero_field):
+def test_tubular_chart_flat_segment(torus, zero_field, tight_options):
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
-    chart = build_tubular_chart(torus, zero_field, st, 0.4, 0.03)
+    chart = build_tubular_chart(torus, zero_field, st, 0.4, 0.03, tight_options)
     for t in np.linspace(0.0, 0.4, 9):
         for u in (-0.01, 0.01):
             p = chart.psi(t, u)
@@ -87,11 +96,12 @@ def test_tubular_chart_core_roundtrip(hyper_setup, torus):
             assert loc[1] == pytest.approx(u, abs=1e-9)
 
 
-def test_tubular_chart_autoshrink(torus, zero_field, caplog):
+def test_tubular_chart_autoshrink(torus, zero_field, tight_options, caplog):
     """A width beyond the wrap separation must shrink automatically."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
     with caplog.at_level(logging.INFO, logger="maglab.franks"):
-        chart = build_tubular_chart(torus, zero_field, st, 0.45, 0.9)
+        chart = build_tubular_chart(torus, zero_field, st, 0.45, 0.9,
+                                    tight_options)
     assert chart.eps0 < 0.9
     assert chart.injectivity_report()["injective"]
     shrinks = [r.getMessage() for r in caplog.records
@@ -119,12 +129,14 @@ def _dense_min_ratio(chart, nt=100, nu=20):
 
 
 def test_injectivity_report_matches_dense(hyper_setup, torus, zero_field, disk,
-                                          minus_one_field, disk_circle_seed):
+                                          minus_one_field, disk_circle_seed,
+                                          tight_options):
     """The blockwise minimum equals the dense one bit for bit."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
     traj = flow(torus, zero_field, st, 0.45)
     wide = TubularChart(torus, zero_field, traj, 0.45, 0.9)
-    ring = build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2, 0.05)
+    ring = build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2, 0.05,
+                               tight_options)
     for chart, injective in ((hyper_setup[2].chart, True), (wide, False),
                              (ring, True)):
         rep = chart.injectivity_report()
@@ -132,29 +144,33 @@ def test_injectivity_report_matches_dense(hyper_setup, torus, zero_field, disk,
         assert rep["min_ratio"] == _dense_min_ratio(chart)
 
 
-def test_tubular_chart_needs_flat_chart(unit_sphere, zero_field):
+def test_tubular_chart_needs_flat_chart(unit_sphere, zero_field, tight_options):
     lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
     st = PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / lam)
     with pytest.raises(UnsupportedSurfaceError):
-        build_tubular_chart(unit_sphere, zero_field, st, 0.3, 0.02)
+        build_tubular_chart(unit_sphere, zero_field, st, 0.3, 0.02, tight_options)
 
 
-def test_tubular_chart_rejects_long_segment(torus, zero_field):
+def test_tubular_chart_rejects_long_segment(torus, zero_field, tight_options):
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
     with pytest.raises(ValueError):
-        build_tubular_chart(torus, zero_field, st, 0.9, 0.02)  # K = 1/2
+        build_tubular_chart(torus, zero_field, st, 0.9, 0.02,  # K = 1/2
+                            tight_options)
 
 
 @pytest.fixture(scope="module")
-def box_tubes(hyper_setup, torus, zero_field, disk, minus_one_field, disk_circle_seed):
+def box_tubes(hyper_setup, torus, zero_field, disk, minus_one_field, disk_circle_seed,
+              tight_options):
     """Tubes whose core box can reject: the hyperbolic torus kit's, one
     across both wrap lines of the torus (x from 0.8 to 1.2 at y = 0.98) and
     one on the unit circle of the disk."""
     across = PhasePoint(0, 0.8, 0.98, 1.0, 0.0)
     return {
         "torus kit": hyper_setup[2].chart,
-        "torus wrap": build_tubular_chart(torus, zero_field, across, 0.4, 0.03),
-        "disk": build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2, 0.05),
+        "torus wrap": build_tubular_chart(torus, zero_field, across, 0.4, 0.03,
+                                          tight_options),
+        "disk": build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2,
+                                    0.05, tight_options),
     }
 
 
@@ -212,11 +228,12 @@ def test_alpha_mass_quadrature(hyper_setup):
     assert total <= alpha.deviation_mass() * (1.0 + 1e-6)
 
 
-def test_constants_shear_oracle(torus, zero_field):
+def test_constants_shear_oracle(torus, zero_field, tight_options):
     """f = 0: X(t) is the unit shear; k1 matches the closed-form sup norm."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
-    kit = build_franks_kit(torus, zero_field, st, 0.5)
-    consts = compute_constants(kit)
+    kit = FranksKit(build_tubular_chart(torus, zero_field, st, 0.5, 0.02,
+                                        tight_options))
+    consts = compute_constants(kit, 0.1)
     # spectral norm of [[1, t], [0, 1]] maximized at t = k0 = 1/2
     t = 0.5
     shear_norm = math.sqrt((2.0 + t * t + t * math.sqrt(t * t + 4.0)) / 2.0)
@@ -225,10 +242,10 @@ def test_constants_shear_oracle(torus, zero_field):
     assert consts.all_inequalities_hold()
 
 
-def test_constants_on_two_segments(hyper_setup, torus, sin_field):
+def test_constants_on_two_segments(hyper_setup):
     orb, split, kit, consts = hyper_setup
-    kit2 = build_franks_kit(torus, sin_field, split.start_states[1], split.t0)
-    consts2 = compute_constants(kit2)
+    kit2 = build_franks_kit(split, 1)
+    consts2 = compute_constants(kit2, 0.1)
     assert consts2.all_inequalities_hold()
     assert all(v >= 0.0 for v in consts.checks.values())
     assert all(v >= 0.0 for v in consts2.checks.values())
@@ -249,11 +266,12 @@ def test_zero_direction_zero_response(hyper_setup):
     assert np.abs(Z).max() == 0.0
 
 
-def test_variational_response_shear_oracle(torus, zero_field):
+def test_variational_response_shear_oracle(torus, zero_field, tight_options):
     """Closed-form conjugation integral for the flat geodesic shear."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
-    kit = build_franks_kit(torus, zero_field, st, 0.5)
-    consts = compute_constants(kit)
+    kit = FranksKit(build_tubular_chart(torus, zero_field, st, 0.5, 0.02,
+                                        tight_options))
+    consts = compute_constants(kit, 0.1)
     prof = consts.delta_profile
     b = prof.value
     # Z(T) = X(T) * int X^{-1} [[0,0],[b,0]] X dt with X = [[1,t],[0,1]]:
@@ -634,8 +652,9 @@ def test_array_kmag_base_matches_scalar(hyper_setup, fracs):
 
 
 def test_kit_and_ledger_read_the_base_orbit_by_arrays(hyper_setup, torus,
-                                                     sin_field, monkeypatch):
-    """build_franks_kit plus compute_constants read the base orbit through
+                                                     sin_field, tight_options,
+                                                     monkeypatch):
+    """A kit's tube plus compute_constants read the base orbit through
     array lookups; scalar Trajectory.state/raw calls stay below a small
     ceiling (one call per time made tens of thousands)."""
     orb, split, _, _ = hyper_setup
@@ -646,8 +665,9 @@ def test_kit_and_ledger_read_the_base_orbit_by_arrays(hyper_setup, torus,
             return _fn(self, t)
 
         monkeypatch.setattr(Trajectory, name, counted)
-    kit = build_franks_kit(torus, sin_field, orb.initial_state, split.t0)
-    compute_constants(kit)
+    kit = FranksKit(build_tubular_chart(torus, sin_field, orb.initial_state,
+                                        split.t0, 0.02, tight_options))
+    compute_constants(kit, 0.1)
     assert len(calls) <= 200
 
 
@@ -662,7 +682,7 @@ def test_ledger_evaluates_each_profile_once(hyper_setup, monkeypatch):
             return _fn(self, t)
 
         monkeypatch.setattr(BumpProfile, name, counted)
-    consts = compute_constants(copy.copy(kit))
+    consts = compute_constants(copy.copy(kit), 0.1)
     d, D = consts.delta_profile, consts.Delta_profile
     assert calls == {(d, "value"): 1, (d, "d1"): 1, (D, "value"): 1, (D, "d2"): 1}
 
@@ -762,7 +782,8 @@ def test_cota_zero_direction_trivial(hyper_setup):
 
 def test_surjectivity_sphere_targets(hyper_setup):
     _, _, kit, consts = hyper_setup
-    rep = verify_ball_surjectivity(kit, consts, n_targets=4, mode="sphere")
+    rep = verify_ball_surjectivity(kit, consts, n_targets=4, mode="sphere",
+                                   seed=0)
     assert rep.solved == rep.targets
     assert rep.max_residual <= 1e-6
     assert rep.max_A_norm <= consts.delta1
@@ -784,7 +805,8 @@ def test_surjectivity_counts_targets_below_the_floor(hyper_setup):
     so it is 'solved' at A = 0 without a Newton step; every forward target
     lies beyond the floor and takes steps."""
     _, _, kit, consts = hyper_setup
-    sph = verify_ball_surjectivity(kit, consts, n_targets=8, mode="sphere")
+    sph = verify_ball_surjectivity(kit, consts, n_targets=8, mode="sphere",
+                                   seed=0)
     fwd = verify_ball_surjectivity(kit, consts, n_targets=4, mode="forward",
                                    seed=0)
     assert (sph.below_floor, fwd.below_floor) == (8, 0)
@@ -841,24 +863,25 @@ def test_segment_split_arithmetic(hyper_setup, torus, sin_field):
     assert split.n * split.t0 == pytest.approx(orb.period)
 
 
-def test_segment_split_single_segment(torus, zero_field):
+def test_segment_split_single_segment(torus, zero_field, tight_options):
     """T_theta = K gives n = 1."""
     orb = find_closed_orbit(torus, zero_field, 1.0 / 8.0,
                             PhasePoint(0, 0.2, 0.3, 1.0, 0.0))
     # c = 1/8: K = min(1, i/(2c)) = min(1, 2) = 1... period at speed 1/2 is 2
     K = injectivity_time(torus, zero_field, orb.c)
-    split = segment_split(orb, torus, zero_field, orb.c)
+    split = segment_split(orb, torus, zero_field, orb.c, 0.02, tight_options)
     assert split.t0 <= K and split.t0 > K / 2
 
 
-def test_segment_split_inconsistent_period(hyper_setup, torus, sin_field):
+def test_segment_split_inconsistent_period(hyper_setup, torus, sin_field,
+                                           tight_options):
     orb, _, _, _ = hyper_setup
     import copy
 
     fake = copy.copy(orb)
     fake.period = 0.05  # below K/2: impossible for a closed orbit
     with pytest.raises(DataInconsistencyError):
-        segment_split(fake, torus, sin_field, 0.5)
+        segment_split(fake, torus, sin_field, 0.5, 0.02, tight_options)
 
 
 def test_segment_product_is_monodromy(hyper_setup):
@@ -889,7 +912,8 @@ def test_segment_supports_disjoint(hyper_setup, torus):
             assert np.sqrt(np.einsum("ijk,ijk->ij", d, d)).min() > 0.0
 
 
-def test_split_tube_matches_build_tubular_chart(hyper_setup, torus, sin_field):
+def test_split_tube_matches_build_tubular_chart(hyper_setup, torus, sin_field,
+                                                tight_options):
     """Where clearance does not bind, segment i's tube is the one
     build_tubular_chart gives from its start state: same width, length and
     core samples."""
@@ -897,18 +921,19 @@ def test_split_tube_matches_build_tubular_chart(hyper_setup, torus, sin_field):
     for i in range(split.n):
         tube = split.tube(i)
         want = build_tubular_chart(torus, sin_field, split.start_states[i],
-                                   split.t0, 0.02)
+                                   split.t0, 0.02, tight_options)
         assert tube.eps0 == want.eps0 == 0.02
         assert tube.T == want.T == split.t0
         for name in ("_ts", "_pos", "_f0"):
             assert np.array_equal(getattr(tube, name), getattr(want, name))
 
 
-def test_split_tube_halves_until_clear(hyper_setup, torus, sin_field, caplog):
+def test_split_tube_halves_until_clear(hyper_setup, torus, sin_field,
+                                       tight_options, caplog):
     """A width whose mid-segment patch comes within 1.5 widths of another
     segment's core is halved until it clears."""
     orb, _, _, _ = hyper_setup
-    split = segment_split(orb, torus, sin_field, 0.5, eps0=0.2)
+    split = segment_split(orb, torus, sin_field, 0.5, 0.2, tight_options)
     with caplog.at_level(logging.INFO, logger="maglab.franks"):
         tube = split.tube(0)
     halvings = [r.getMessage() for r in caplog.records

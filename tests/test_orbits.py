@@ -27,7 +27,8 @@ from maglab.orbits import (
     first_return,
     phase_distance,
 )
-from maglab.franks import build_franks_kit, compute_constants, build_GA, PerturbA
+from maglab.franks import (FranksKit, PerturbA, build_GA, build_tubular_chart,
+                           compute_constants)
 
 
 def test_section_frame_anchor(disk, minus_one_field, disk_seed):
@@ -319,12 +320,13 @@ def test_continue_orbit_same_field(torus, sin_field):
     assert new.period == pytest.approx(orb.period, abs=1e-10)
 
 
-def test_continue_orbit_supported_off_core(torus, sin_field):
+def test_continue_orbit_supported_off_core(torus, sin_field, tight_options):
     """A perturbation vanishing on the core keeps the orbit and its period."""
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
-    kit = build_franks_kit(torus, sin_field, orb.initial_state, 0.2)
-    consts = compute_constants(kit)
+    kit = FranksKit(build_tubular_chart(torus, sin_field, orb.initial_state, 0.2,
+                                        0.02, tight_options))
+    consts = compute_constants(kit, 0.1)
     f2, _, _ = build_GA(kit, consts, PerturbA(0.5 * consts.delta1, 0.0, 0.0))
     new, disp = _reshoot(orb, torus, f2)
     assert disp <= 1e-9

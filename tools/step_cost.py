@@ -33,9 +33,9 @@ the lazy interpolant rows and flat step arrays are in place.
 
 Last, window is the Franks window propagation on franks_verify's kit (the
 bundled config's hyperbolic torus orbit, its first segment's tube and
-constants): one `response` to the perturbation G(A) and one
-`response_derivative` along A, with the ns per window step over both, and the
-window's RK4 steps as the work counter.  The kit's responses take A, so a
+constants, at the config's integrator options and eps_c1): one `response`
+to the perturbation G(A) and one `response_derivative` along A, with the ns
+per window step over both, and the window's RK4 steps as the work counter.  The kit's responses take A, so a
 tree whose responses take coefficient callbacks (t, km) cannot be measured.
 
 Then loop search is one Mane witness-loop search, `_negative_loop_search` at
@@ -247,8 +247,10 @@ def measure(reps):
 
 def _window_cost(reps):
     """(s per response, s per response_derivative, window steps) on
-    franks_verify's kit."""
+    franks_verify's kit: its orbit flown at the scenario's integrator
+    options (`IntegratorOptions()`), eps0 0.02 and eps_c1 0.1."""
     import maglab.franks as franks
+    from maglab.dynamics import IntegratorOptions
     from maglab.field import MagneticField, SinusoidalTorusField
     from maglab.geometry import PhasePoint, flat_torus
     from maglab.orbits import find_closed_orbit
@@ -257,9 +259,10 @@ def _window_cost(reps):
     field = MagneticField(SinusoidalTorusField(1.0, (1, 0)))
     orb = find_closed_orbit(torus, field, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
                             tol=1e-10)
-    split = franks.segment_split(orb, torus, field, 0.5, eps0=0.02)
+    split = franks.segment_split(orb, torus, field, 0.5, eps0=0.02,
+                                 options=IntegratorOptions())
     kit = franks.FranksKit(split.tube(0))
-    consts = franks.compute_constants(kit)
+    consts = franks.compute_constants(kit, eps_c1=0.1)
     s = 0.5 * consts.delta1
     A = franks.PerturbA(0.6 * s, 0.0, 0.8 * s)
     t_resp = best(lambda: kit.response(A), reps)
