@@ -8,6 +8,11 @@ Conley-Moser crossing pattern yields a symbolic factor with N symbols under
 k iterates, hence the topological-entropy lower bound log(N) / (k * T_ret)
 per unit time (T_ret = 1 for plain maps).
 
+The caller chooses the boxes and `certify_horseshoe(oracle, candidates,
+k_range, T_ret)` only judges them: each candidate is a list of boxes, one
+box for the self-traversal count (`crossing_boxes` builds these at a
+crossing) or several for the full-crossing check (a map's known strips).
+
 `certify_horseshoe` follows one orbit per sampled fiber: within a call each
 (rectangle, fiber) keeps the images of its points, extended one oracle call
 per point and iterate as larger k are read, so the k-th image costs one call
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,8 +46,10 @@ __all__ = [
     "grow_manifold",
     "HomoclinicIntersection",
     "detect_homoclinic",
+    "Rectangle",
     "EntropyReport",
     "certify_horseshoe",
+    "crossing_boxes",
     "SplittingReport",
     "dominated_splitting_check",
 ]
@@ -300,20 +307,11 @@ class Rectangle:
 
 @dataclass
 class EntropyReport:
-    intersections: list
-    horseshoe: dict
+    horseshoe: dict     # N, k and T_ret of the best certificate (zeros if none)
     h_top_lower: float
-    status: str
+    status: str         # "certified" | "not certified" | "no crossing"
 
-    def as_dict(self):
-        return {
-            "intersections": [
-                {"point": list(h.point), "angle": h.angle} for h in self.intersections
-            ],
-            "horseshoe": self.horseshoe,
-            "h_top_lower": self.h_top_lower,
-            "status": self.status,
-        }
+    as_dict = asdict
 
 
 class _FiberOrbit:
@@ -402,24 +400,18 @@ class _FiberStore:
         return sum(orb.calls for orb in self.orbits.values())
 
 
-def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
-                      T_ret=1.0, fixed_point=None):
+def certify_horseshoe(oracle, candidates, k_range, T_ret):
     """Sampled Conley-Moser crossing check yielding an entropy lower bound.
 
-    With a list of rectangles: certifies that every k-iterate image of each
-    rectangle fully crosses every rectangle (N = number of rectangles).
-    With a single rectangle (default: built at the homoclinic intersection,
-    axes along the local invariant directions): counts connected full
-    traversals of the box by its own image, N = minimum over fibers.
-    The bound is log(N) / (k * T_ret); when no k gives N >= 2 the report
-    has a zero bound and status "not certified".
-    Each fiber's orbit is computed once per call and read at every k.
+    `candidates` is a list of box lists.  A list of one box counts the
+    connected full traversals of the box by its own k-th image, N = minimum
+    over fibers; a list of several boxes certifies that the k-th image of
+    each box fully crosses every box, N = number of boxes.  The bound is
+    the largest log(N) / (k * T_ret) over k in k_range and the candidates;
+    when none gives N >= 2 the report has a zero bound and status
+    "not certified".  Each fiber's orbit is computed once per call and read
+    at every k.
     """
-    if rectangles is None:
-        if intersection is None:
-            raise ValueError("need an intersection or explicit rectangles")
-        rectangles = _default_rectangles(oracle, intersection, fixed_point)
-    candidates = rectangles if isinstance(rectangles[0], list) else [rectangles]
     store = _FiberStore(oracle)
     best = None
     for k in k_range:
@@ -427,18 +419,16 @@ def certify_horseshoe(oracle, intersection=None, rectangles=None, k_range=(1,),
             n = _certify_with(store, c, rects, k)
             if n >= 2:
                 bound = math.log(n) / (k * T_ret)
-                cand = {"N": n, "k": k, "T_ret": T_ret}
-                if best is None or bound > best[0]:
-                    best = (bound, cand)
+                if best is None or bound > best.h_top_lower:
+                    best = EntropyReport({"N": n, "k": k, "T_ret": T_ret}, bound,
+                                         "certified")
     if best is None:
         log.info("no horseshoe certified over k in %s (%d oracle calls)",
                  list(k_range), store.calls)
-        return EntropyReport([] if intersection is None else [intersection],
-                             {"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "not certified")
+        return EntropyReport({"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "not certified")
     log.info("horseshoe certified: N = %d, k = %d, bound %.12g (%d oracle calls)",
-             best[1]["N"], best[1]["k"], best[0], store.calls)
-    return EntropyReport([] if intersection is None else [intersection],
-                         best[1], best[0], "certified")
+             best.horseshoe["N"], best.horseshoe["k"], best.h_top_lower, store.calls)
+    return best
 
 
 def _certify_with(store, c, rects, k):
@@ -463,20 +453,17 @@ def _certify_with(store, c, rects, k):
     return len(rects)
 
 
-def _default_rectangles(oracle, intersection, fixed_point):
-    """Candidate single boxes at the crossing, axes along the local tangents."""
-    q = np.asarray(intersection.point, dtype=float)
-    # local tangents from the jacobian at the fixed point if available,
-    # otherwise an orthogonal default frame
-    if fixed_point is not None:
-        J = _oracle_jacobian(oracle, np.asarray(fixed_point, dtype=float))
-        try:
-            (lu, vu), (ls, vs) = _hyperbolic_eigen(J)
-            frame = np.column_stack([vu, vs])
-        except ValueError:
-            frame = np.eye(2)
-    else:
+def crossing_boxes(oracle, point, fixed_point):
+    """Single-box candidates centred at a homoclinic crossing `point`, one
+    per scale of _BOX_SCALES, with axes along the unstable and stable
+    directions of `fixed_point` (the identity frame if it is not hyperbolic)."""
+    J = _oracle_jacobian(oracle, np.asarray(fixed_point, dtype=float))
+    try:
+        (_, vu), (_, vs) = _hyperbolic_eigen(J)
+        frame = np.column_stack([vu, vs])
+    except ValueError:
         frame = np.eye(2)
+    q = np.asarray(point, dtype=float)
     return [[Rectangle(q, sc, sc, frame)] for sc in _BOX_SCALES]
 
 

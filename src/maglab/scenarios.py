@@ -42,7 +42,8 @@ from .franks import (
     verify_ball_surjectivity,
     verify_cota,
 )
-from .chaos import certify_horseshoe, detect_homoclinic, grow_manifold
+from .chaos import (EntropyReport, Rectangle, certify_horseshoe, crossing_boxes,
+                    detect_homoclinic, grow_manifold)
 from .maps import HorseshoeMap, StandardMap
 from .mane import (
     ConstantForm,
@@ -74,11 +75,11 @@ def _list(value, where):
 
 
 def _number(value, where, kind=float):
-    """value converted by kind (float or int); a boolean, a non-number, a
-    value that does not convert to a finite float (NaN, an infinity, an
-    integer beyond the float range) and, for int, a non-integral float are
-    ConfigErrors."""
-    if not (isinstance(value, bool) or (
+    """value converted by kind (float or int); a boolean, a string (even one
+    that holds a number), a non-number, a value that does not convert to a
+    finite float (NaN, an infinity, an integer beyond the float range) and,
+    for int, a non-integral float are ConfigErrors."""
+    if not (isinstance(value, (bool, str)) or (
             kind is int and isinstance(value, float) and not value.is_integer())):
         try:
             out = kind(value)
@@ -435,7 +436,11 @@ def _stage_classify(sc, st, ctx):
 
 
 def _orbit_at(orbits, idx):
-    """orbits[idx]; an index past the orbits found is a stage failure."""
+    """orbits[idx], or for idx None the first hyperbolic orbit, else the
+    first orbit; an index past the orbits found is a stage failure."""
+    if idx is None:
+        idx = next((i for i, o in enumerate(orbits)
+                    if o.floquet_class == "hyperbolic"), 0)
     try:
         return orbits[idx]
     except IndexError:
@@ -475,12 +480,7 @@ def _stage_twist(sc, st, ctx):
 
 
 def _stage_franks(sc, st, ctx):
-    orbits = ctx["orbits"]
-    idx = st["orbit_index"]
-    if idx is None:  # the first hyperbolic orbit, else the first orbit
-        idx = next((i for i, o in enumerate(orbits)
-                    if o.floquet_class == "hyperbolic"), 0)
-    orb = _orbit_at(orbits, idx)
+    orb = _orbit_at(ctx["orbits"], st["orbit_index"])
     split = segment_split(orb, sc.surface, sc.field, sc.c,
                           eps0=st["eps0"], options=sc.options)
     n_seg = min(st["segments"], split.n)
@@ -508,57 +508,56 @@ def _stage_franks(sc, st, ctx):
     }
 
 
+# the horseshoe map's two vertical strips, unstable direction along y
+_HORSESHOE_STRIPS = [Rectangle(np.array([0.5, y]), 1.0 / 6.0, 0.5,
+                               np.array([[0.0, 1.0], [1.0, 0.0]]))
+                     for y in (1.0 / 6.0, 5.0 / 6.0)]
+
+
 def _entropy_oracle(sc, st, ctx):
+    """(oracle, T_ret, orbit): an injected map with T_ret 1 and no orbit, or
+    the section return map of a hyperbolic orbit with its period."""
     if st["map"] is not None:
-        return st["map"], None
-    orb = _orbit_at(ctx["orbits"], st["orbit_index"] or 0)
+        return st["map"], 1.0, None
+    orb = _orbit_at(ctx["orbits"], st["orbit_index"])
     if orb.floquet_class != "hyperbolic":
         raise MaglabError("entropy from flow needs a hyperbolic orbit")
-    rmap = SectionReturnMap(orb.section, options=sc.options)
-    return rmap, orb
+    return SectionReturnMap(orb.section, options=sc.options), orb.period, orb
 
 
 def _stage_entropy(sc, st, ctx):
-    oracle, orb = _entropy_oracle(sc, st, ctx)
-    if isinstance(oracle, HorseshoeMap):
-        from .chaos import Rectangle
-
-        frame = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
-                 Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
-        rep = certify_horseshoe(oracle, rectangles=rects, k_range=(1,))
-        return {"stage": "entropy", **rep.as_dict(), "manifold_points": []}
-    if orb is not None:
-        # the closed orbit is the section map's fixed point at the origin
-        fps = st["fixed_points"] or [[0.0, 0.0], [0.0, 0.0]]
-        signs = st["branch_signs"] or [1, -1]
-    else:
-        fps = st["fixed_points"] or [[0.0, 0.0], [1.0, 0.0]]
-        signs = st["branch_signs"] or [1, 1]
-    wu = grow_manifold(oracle, fps[0], "unstable", signs[0], st["arclength"], tol=st["tol"])
-    ws = grow_manifold(oracle, fps[-1], "stable", signs[-1], st["arclength"], tol=st["tol"])
-    hits = detect_homoclinic(ws, wu)
-    trans = [h for h in hits if h.transversal(st["angle_tol"])]
+    oracle, T_ret, orb = _entropy_oracle(sc, st, ctx)
+    trans = []
     rows = []
-    for br, side in ((ws, "stable"), (wu, "unstable")):
-        lens = np.concatenate([[0.0], np.cumsum(
-            np.linalg.norm(np.diff(br.points, axis=0), axis=1))]) if len(br.points) else []
-        for s_arc, p in zip(lens, br.points):
-            rows.append([float(s_arc), float(p[0]), float(p[1]), side])
-    if not trans:
-        return {"stage": "entropy", "intersections": [], "horseshoe":
-                {"N": 0, "k": 0, "T_ret": 1.0}, "h_top_lower": 0.0,
-                "status": "no crossing", "manifold_points": rows}
-    best = max(trans, key=lambda h: h.angle)
-    T_ret = 1.0
-    if orb is not None:
-        T_ret = orb.period
-    rep = certify_horseshoe(oracle, best, k_range=range(1, st["k_max"] + 1),
-                            T_ret=T_ret, fixed_point=fps[0])
-    out = rep.as_dict()
-    out["intersections"] = [{"point": list(h.point), "angle": h.angle}
-                            for h in trans]
-    return {"stage": "entropy", **out, "manifold_points": rows}
+    if isinstance(oracle, HorseshoeMap):
+        rep = certify_horseshoe(oracle, [_HORSESHOE_STRIPS], (1,), T_ret)
+    else:
+        if orb is not None:
+            # the closed orbit is the section map's fixed point at the origin
+            fps = st["fixed_points"] or [[0.0, 0.0], [0.0, 0.0]]
+            signs = st["branch_signs"] or [1, -1]
+        else:
+            fps = st["fixed_points"] or [[0.0, 0.0], [1.0, 0.0]]
+            signs = st["branch_signs"] or [1, 1]
+        wu = grow_manifold(oracle, fps[0], "unstable", signs[0], st["arclength"],
+                           tol=st["tol"])
+        ws = grow_manifold(oracle, fps[-1], "stable", signs[-1], st["arclength"],
+                           tol=st["tol"])
+        trans = [h for h in detect_homoclinic(ws, wu) if h.transversal(st["angle_tol"])]
+        for br, side in ((ws, "stable"), (wu, "unstable")):
+            lens = np.concatenate([[0.0], np.cumsum(
+                np.linalg.norm(np.diff(br.points, axis=0), axis=1))]) if len(br.points) else []
+            for s_arc, p in zip(lens, br.points):
+                rows.append([float(s_arc), float(p[0]), float(p[1]), side])
+        if trans:
+            best = max(trans, key=lambda h: h.angle)
+            rep = certify_horseshoe(oracle, crossing_boxes(oracle, best.point, fps[0]),
+                                    range(1, st["k_max"] + 1), T_ret)
+        else:
+            rep = EntropyReport({"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "no crossing")
+    return {"stage": "entropy", **rep.as_dict(), "manifold_points": rows,
+            "intersections": [{"point": list(h.point), "angle": h.angle}
+                              for h in trans]}
 
 
 def _stage_critical_value(sc, st, ctx):

@@ -36,6 +36,7 @@ from maglab.franks import (
 from maglab.chaos import (
     Rectangle,
     certify_horseshoe,
+    crossing_boxes,
     detect_homoclinic,
     dominated_splitting_check,
     grow_manifold,
@@ -293,14 +294,14 @@ def test_c11_chaos_harness():
     assert len(hits) >= 1
     best = max(hits, key=lambda h: h.angle)
     assert best.angle > 1e-3
-    rep = certify_horseshoe(sm, best, k_range=range(1, 21),
-                            fixed_point=(0.0, 0.0))
+    rep = certify_horseshoe(sm, crossing_boxes(sm, best.point, (0.0, 0.0)),
+                            range(1, 21), 1.0)
     assert rep.h_top_lower > 0.0
     hs = HorseshoeMap()
     frame = np.array([[0.0, 1.0], [1.0, 0.0]])
     rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
              Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
-    rep2 = certify_horseshoe(hs, rectangles=rects, k_range=(1,))
+    rep2 = certify_horseshoe(hs, [rects], (1,), 1.0)
     assert abs(rep2.h_top_lower - math.log(2.0)) <= 1e-12
     _ok(11, "chaos harness", f"standard map: {len(hits)} transversal "
         f"crossings, best angle {best.angle:.3f}, bound "

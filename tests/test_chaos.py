@@ -6,10 +6,10 @@ import pytest
 
 from maglab.chaos import (
     Rectangle,
-    _default_rectangles,
     _fiber_crossings,
     _FiberStore,
     certify_horseshoe,
+    crossing_boxes,
     detect_homoclinic,
     dominated_splitting_check,
     grow_manifold,
@@ -107,7 +107,7 @@ def test_horseshoe_exact_log2():
     frame = np.array([[0.0, 1.0], [1.0, 0.0]])  # unstable along y
     rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
              Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
-    rep = certify_horseshoe(hs, rectangles=rects, k_range=(1,))
+    rep = certify_horseshoe(hs, [rects], (1,), 1.0)
     assert rep.status == "certified"
     assert rep.horseshoe["N"] == 2 and rep.horseshoe["k"] == 1
     assert abs(rep.h_top_lower - math.log(2.0)) <= 1e-12
@@ -117,7 +117,8 @@ def test_standard_map_horseshoe(standard_branches):
     sm, wu, ws = standard_branches
     hits = detect_homoclinic(ws, wu)
     best = max(hits, key=lambda h: h.angle)
-    rep = certify_horseshoe(sm, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
+    rep = certify_horseshoe(sm, crossing_boxes(sm, best.point, (0.0, 0.0)),
+                            range(1, 21), 1.0)
     assert rep.status == "certified"
     assert rep.h_top_lower > 0.0
     assert rep.horseshoe["k"] <= 20
@@ -127,8 +128,9 @@ def test_entropy_monotone_in_search(standard_branches):
     sm, wu, ws = standard_branches
     hits = detect_homoclinic(ws, wu)
     best = max(hits, key=lambda h: h.angle)
-    small = certify_horseshoe(sm, best, k_range=range(1, 12), fixed_point=(0.0, 0.0))
-    large = certify_horseshoe(sm, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
+    boxes = crossing_boxes(sm, best.point, (0.0, 0.0))
+    small = certify_horseshoe(sm, boxes, range(1, 12), 1.0)
+    large = certify_horseshoe(sm, boxes, range(1, 21), 1.0)
     assert large.h_top_lower >= small.h_top_lower
 
 
@@ -211,14 +213,14 @@ def test_rectangle_coords_independent_of_batch():
 def standard_boxes(standard_branches):
     sm, wu, ws = standard_branches
     best = max(detect_homoclinic(ws, wu), key=lambda h: h.angle)
-    return best, _default_rectangles(sm, best, (0.0, 0.0))
+    return best, crossing_boxes(sm, best.point, (0.0, 0.0))
 
 
 def test_certifier_one_oracle_call_per_point_and_iterate(standard_boxes):
     """k = 1..20 costs 20 calls per sample point, not 1 + 2 + ... + 20."""
     best, boxes = standard_boxes
     oracle = _CountingMap()
-    rep = certify_horseshoe(oracle, best, k_range=range(1, 21), fixed_point=(0.0, 0.0))
+    rep = certify_horseshoe(oracle, boxes, range(1, 21), 1.0)
     assert oracle.calls == 3 * 9 * 160 * 20
     assert rep.status == "certified"
 
@@ -274,8 +276,7 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
     expected_calls = probe.calls
     assert oracle.calls == expected_calls
     oracle.calls = 0
-    rep = certify_horseshoe(oracle, best, k_range=range(1, k_max + 1),
-                            fixed_point=(0.0, 0.0))
+    rep = certify_horseshoe(oracle, boxes, range(1, k_max + 1), 1.0)
     assert oracle.calls == expected_calls
     if best_ref is None:
         assert rep.status == "not certified"
@@ -291,7 +292,7 @@ def test_chaos_logs(caplog):
     lin = LinearMap([[2.0, 0.0], [0.0, 0.5]])
     with caplog.at_level(logging.INFO, logger="maglab.chaos"):
         bu = grow_manifold(lin, (0, 0), "unstable", 1, 1.5, tol=1e-6)
-        certify_horseshoe(hs, rectangles=rects, k_range=(1,))
+        certify_horseshoe(hs, [rects], (1,), 1.0)
     assert [r.getMessage() for r in caplog.records] == [
         f"unstable branch (sign +1) at (0, 0): {len(bu.points)} points, "
         f"arclength {bu.arclength:.6g}",
@@ -304,12 +305,8 @@ def test_chaos_logs(caplog):
 def test_integrable_map_no_crossing():
     """An integrable twist map certifies nothing: zero bound, "not certified"."""
     tm = TwistMap(0.3, 2.0)
-
-    class FakeHit:
-        point = (0.25, 0.0)
-        angle = 0.5
-
-    rep = certify_horseshoe(tm, FakeHit(), k_range=range(1, 8))
+    rep = certify_horseshoe(tm, crossing_boxes(tm, (0.25, 0.0), (0.0, 0.0)),
+                            range(1, 8), 1.0)
     assert rep.h_top_lower == 0.0
     assert rep.status == "not certified"
 

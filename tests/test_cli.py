@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from maglab.chaos import detect_homoclinic, grow_manifold
 from maglab.cli import build_parser, main
 from maglab.dynamics import flow
 from maglab.errors import ConfigError, StiffnessError
+from maglab.maps import StandardMap
 from maglab.scenarios import (STAGE_TABLE, Scenario, emit_plotdata, load_scenario,
                               run_scenario)
 
@@ -372,6 +374,21 @@ def test_cli_non_finite_number_is_config_error(tmp_path, capsys, changes, messag
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"energy": "0.5"}, "energy"),
+    ({"seed": "3"}, "seed"),
+    ({"field": {"kind": "sinusoidal", "amplitude": " 1e0 "}}, "field.amplitude"),
+    ({"pipeline": [{"stage": "orbits", "tol": "1e-9"}]}, "pipeline[0] (orbits).tol"),
+], ids=["energy", "seed", "amplitude", "tol"])
+def test_cli_numeric_string_is_config_error(tmp_path, capsys, changes, message):
+    """A config number written as a JSON string is rejected at load, even
+    when the string holds a number."""
+    path = _torus_config(tmp_path, **changes)
+    assert main(["run", "--config", path]) == 2
+    assert f"configuration error: {message} must be a finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def _key_paths(node, path=()):
     """The key path (keys and list indices) of every value in a config."""
     if isinstance(node, dict):
@@ -700,6 +717,75 @@ def test_single_stage_with_injected_map_runs_no_orbits(tmp_path):
     files = set(os.listdir(tmp_path))
     assert "entropy.json" in files
     assert "orbits.json" not in files
+
+
+def _flow_entropy_config(seeds=((0.0, 0.0, 0.0, -1.0),), **entropy):
+    """A torus under sin 2 pi x at energy 2, where the seed (0, 0, 0, -1)
+    closes on a hyperbolic orbit of period 0.5, with an entropy stage on its
+    section return map whose branches are too short to cross."""
+    return {
+        "surface": {"kind": "torus"},
+        "field": {"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
+        "energy": 2.0,
+        "seeds": [dict(zip(("x", "y", "vx", "vy"), s), chart=0) for s in seeds],
+        "pipeline": [{"stage": "orbits", "tol": 1e-10},
+                     {"stage": "entropy", "arclength": 0.3, "tol": 1e-3,
+                      "k_max": 1, **entropy}],
+    }
+
+
+@pytest.mark.parametrize("cfg, status", [
+    (json.loads(_BUNDLED["horseshoe_entropy.json"]), "certified"),
+    (json.loads(_BUNDLED["standard_map_entropy.json"]), "certified"),
+    (_flow_entropy_config(orbit_index=0), "no crossing"),
+], ids=["horseshoe", "standard_map", "flow_no_crossing"])
+def test_entropy_reports_have_one_shape(tmp_path, cfg, status):
+    """Every entropy report has the same keys; T_ret is 1 on an injected map
+    and the orbit's period on a flow, whatever the status."""
+    code, reports = run_scenario(Scenario(cfg), out_dir=str(tmp_path))
+    assert code == 0
+    rep = reports["entropy"]
+    assert set(rep) == {"stage", "intersections", "horseshoe", "h_top_lower",
+                        "status", "manifold_points"}
+    assert set(rep["horseshoe"]) == {"N", "k", "T_ret"}
+    assert rep["status"] == status
+    if "orbits" in reports:
+        period = reports["orbits"]["orbits"][0]["period"]
+        assert period == pytest.approx(0.5)
+        assert rep["horseshoe"]["T_ret"] == period
+    else:
+        assert rep["horseshoe"]["T_ret"] == 1.0
+    if cfg["pipeline"][0].get("map", {}).get("kind") == "standard":
+        st = cfg["pipeline"][0]
+        sm = StandardMap(st["map"]["K"])
+        (p_u, p_s), (sign_u, sign_s) = st["fixed_points"], st["branch_signs"]
+        wu = grow_manifold(sm, p_u, "unstable", sign_u, st["arclength"], tol=st["tol"])
+        ws = grow_manifold(sm, p_s, "stable", sign_s, st["arclength"], tol=st["tol"])
+        trans = [h for h in detect_homoclinic(ws, wu) if h.transversal(st["angle_tol"])]
+        assert len(trans) >= 1
+        assert rep["intersections"] == [{"point": list(h.point), "angle": h.angle}
+                                        for h in trans]
+
+
+def test_entropy_orbit_index_defaults_to_the_first_hyperbolic_orbit(tmp_path):
+    """Of two orbits of period 0.5, orbit 0 is elliptic and orbit 1
+    hyperbolic: without an orbit_index the entropy stage reads orbit 1 (the
+    franks-verify rule), and an explicit orbit_index 0 still fails."""
+    seeds = ((0.0, 0.0, 0.0, -1.0), (0.5, 0.0, 0.0, -1.0))
+    outs = {}
+    for name, entropy in (("default", {}), ("one", {"orbit_index": 1}),
+                          ("zero", {"orbit_index": 0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_flow_entropy_config(seeds, **entropy)))
+        outs[name] = tmp_path / name
+        code = main(["run", "--config", str(path), "--out", str(outs[name])])
+        assert code == (3 if name == "zero" else 0), name
+    classes = [o["class"] for o in
+               json.loads((outs["default"] / "orbits.json").read_text())["orbits"]]
+    assert classes == ["elliptic", "hyperbolic"]
+    assert ((outs["default"] / "entropy.json").read_bytes()
+            == (outs["one"] / "entropy.json").read_bytes())
+    assert not (outs["zero"] / "entropy.json").exists()
 
 
 def test_emit_plotdata_headers(tmp_path):

@@ -65,9 +65,15 @@ def test_cases_run_each_bundled_stage_through_its_subcommand():
     assert cases[len(want)] == ("chart_switch", "run", mod.CHART_SWITCH)
     assert mod.CHART_SWITCH not in [cfg for _, _, cfg in want]
     assert mod.CHART_SWITCH["surface"]["kind"] == "sphere"
-    # it and the benchmark workloads run whole pipelines only
+    # then the flow-entropy configs, whose entropy stages read an orbit
+    flow = [(name, "run", cfg) for name, cfg in mod.FLOW_ENTROPY.items()]
+    assert cases[len(want) + 1:len(want) + 1 + len(flow)] == flow
+    for _, _, cfg in flow:
+        assert cfg["pipeline"][-1]["stage"] == "entropy"
+        assert "map" not in cfg["pipeline"][-1]
+    # they and the benchmark workloads run whole pipelines only
     assert {command for _, command, _ in cases[len(want):]} == {"run"}
-    assert len(cases) - len(want) - 1 == len(mod.SEEDS) * sum(
+    assert len(cases) - len(want) - 1 - len(flow) == len(mod.SEEDS) * sum(
         len(make(1)) for make, _ in mod._workloads().values())
 
 

@@ -11,7 +11,9 @@ src/maglab) or its src directory.  Each tree runs
   subcommand of every stage KIND in its pipeline (which runs the stage's
   prerequisites silently and writes only that stage's reports),
 * `CHART_SWITCH`, a sphere config held here whose flows switch charts
-  (no bundled scenario's do), with COMMAND `run`, and
+  (no bundled scenario's do), with COMMAND `run`,
+* `FLOW_ENTROPY`, two torus configs held here whose entropy stage runs on
+  a section return map (no bundled scenario's does), with COMMAND `run`, and
 * the configs of the four benchmark workloads at seeds 1-3, generated by
   perfbench/workloads.py of the repository this script sits in (imported,
   never edited), with COMMAND `run`.
@@ -58,6 +60,28 @@ CHART_SWITCH = {
 }
 
 
+def _flow_entropy(arclength):
+    """The hyperbolic orbit of period 1 under sin 2 pi x at energy 0.5, with
+    an entropy stage whose branches grow to `arclength`."""
+    return {
+        "surface": {"kind": "torus"},
+        "field": {"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
+        "energy": 0.5,
+        "seeds": [{"chart": 0, "x": 0.0, "y": 0.0, "vx": 0.0, "vy": -1.0}],
+        "pipeline": [
+            {"stage": "orbits", "tol": 1e-10},
+            {"stage": "entropy", "orbit_index": 0, "arclength": arclength,
+             "tol": 1e-3, "k_max": 1},
+        ],
+    }
+
+
+# branches of arclength 0.3 do not cross ("no crossing"); at 1.0 they cross
+# once, at an angle of 1.34, and the certifier finds no horseshoe there
+FLOW_ENTROPY = {"flow_entropy_short": _flow_entropy(0.3),
+                "flow_entropy_long": _flow_entropy(1.0)}
+
+
 def source_dir(tree):
     """The directory to put on PYTHONPATH for a tree root or a src directory."""
     tree = os.path.abspath(tree)
@@ -78,7 +102,7 @@ def _workloads():
 def cases(src):
     """(name, maglab subcommand, config dict) of every run, bundled
     scenarios first, each followed by its single-stage runs, then the
-    chart-switch config and the workloads."""
+    chart-switch and flow-entropy configs and the workloads."""
     out = []
     for path in sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json"))):
         name = os.path.basename(path)[:-5]
@@ -88,6 +112,7 @@ def cases(src):
         out.extend((f"{name}.{st['stage']}", st["stage"], cfg)
                    for st in cfg["pipeline"])
     out.append(("chart_switch", "run", CHART_SWITCH))
+    out.extend((name, "run", cfg) for name, cfg in FLOW_ENTROPY.items())
     for name, (make, _) in sorted(_workloads().items()):
         for seed in SEEDS:
             for i, cfg in enumerate(make(seed)):
