@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NoReturnError
+from .errors import FixedPointError, NoReturnError
 from .maps import fd_jacobian
 
 log = logging.getLogger("maglab.chaos")
@@ -65,7 +65,7 @@ def _oracle_jacobian(oracle, z):
 def _hyperbolic_eigen(J):
     tr = float(np.trace(J))
     if abs(tr) <= 2.0 + _CLASS_TOL:
-        raise ValueError(f"fixed point is not hyperbolic (trace {tr:.6f})")
+        raise FixedPointError(f"fixed point is not hyperbolic (trace {tr:.6f})")
     w, V = np.linalg.eig(J)
     w = w.real
     V = V.real

@@ -356,7 +356,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
     return traj
 
 
-def flow(surface, field, state, t_final, options=None, observer=None):
+def flow(surface, field, state, t_final, options, observer=None):
     """Integrate the magnetic geodesic through `state` over [0, t_final].
 
     Negative t_final integrates the time-reversed field.  Returns a dense
@@ -365,17 +365,15 @@ def flow(surface, field, state, t_final, options=None, observer=None):
     accepted step in trajectory time and may return False to stop the flow
     after it.
     """
-    options = options or IntegratorOptions()
     return _run_flow(surface, field, state, t_final, options, dim=4, observer=observer)
 
 
-def flow_with_variation(surface, field, state, t_final, options=None):
+def flow_with_variation(surface, field, state, t_final, options):
     """Trajectory plus the fundamental matrix of the reduced variational system.
 
     The 2x2 system and the flow share one step controller.
     Returns (Trajectory, VariationalPath).
     """
-    options = options or IntegratorOptions()
     traj = _run_flow(surface, field, state, t_final, options, dim=10)
     return traj, VariationalPath(traj)
 

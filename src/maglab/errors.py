@@ -49,6 +49,10 @@ class BracketError(MaglabError, ValueError):
     """A search range does not bracket the sought value."""
 
 
+class FixedPointError(MaglabError, ValueError):
+    """A point is not the (hyperbolic, or accurate enough) fixed point needed."""
+
+
 class SectionDomainError(MaglabError, ValueError):
     """Section coordinates (s, R) lie off the energy circle of the section."""
 

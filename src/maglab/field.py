@@ -102,7 +102,7 @@ class ConstantField:
 class SinusoidalTorusField:
     """f = A sin(2 pi (kx x + ky y) + phase) on the torus chart."""
 
-    def __init__(self, amplitude=1.0, k=(1, 0), phase=0.0):
+    def __init__(self, amplitude, k, phase):
         self.amplitude = float(amplitude)
         self.k = (int(k[0]), int(k[1]))
         self.phase = float(phase)
@@ -135,7 +135,7 @@ class ZonalSphereField:
     Odd under the hemisphere exchange, hence exact on the sphere.
     """
 
-    def __init__(self, amplitude=1.0):
+    def __init__(self, amplitude):
         self.amplitude = float(amplitude)
 
     def _signed(self, chart):

@@ -159,11 +159,6 @@ class TubularChart:
 
     # chart maps -----------------------------------------------------------
 
-    def psi(self, t, u):
-        """psi(t, u): a 2-vector, or shape (2, n) for an array of n times."""
-        x, y, vx, vy = self._core_state(t)
-        return np.array([x, y]) + u * np.array([-vy, vx])
-
     def dpsi(self, t, u):
         """Columns (d psi/dt, d psi/du), from one read of the core."""
         x, y, vx, vy = self._core_state(t)
@@ -1156,18 +1151,20 @@ def _min_distance(surface, pts, core):
     return np.sqrt(np.einsum("ijk,ijk->ij", d, d)).min()
 
 
-def segment_split(orbit, surface, field, c, eps0, options):
+def segment_split(orbit, eps0, options):
     """Cut a closed orbit into n segments of equal length t0 in (K/2, K].
 
-    n is the smallest count with t0 = T_theta / n <= K.  One variational
-    flow of the orbit, at the integrator options given, gives the segment
-    starts, the per-segment transversal propagators (whose ordered product
-    is the full monodromy), 256 core samples per segment and each segment's
-    mid-patch samples, (x, y, vx, vy) at 64 times over 0.3-0.7 t0.  No tube is built here:
+    The surface, field and energy are the orbit's.  n is the smallest count
+    with t0 = T_theta / n <= K.  One variational flow of the orbit, at the
+    integrator options given, gives the segment starts, the per-segment
+    transversal propagators (whose ordered product is the full monodromy),
+    256 core samples per segment and each segment's mid-patch samples,
+    (x, y, vx, vy) at 64 times over 0.3-0.7 t0.  No tube is built here:
     `SegmentSplit.tube(i)` builds segment i's tube, of width at most eps0,
     when it is needed.
     """
-    K = injectivity_time(surface, field, c)
+    surface, field = orbit.return_map.section.surface, orbit.return_map.section.field
+    K = injectivity_time(surface, field, orbit.c)
     T_theta = orbit.period
     if T_theta <= K / 2.0:
         raise DataInconsistencyError(

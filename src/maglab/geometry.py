@@ -234,7 +234,7 @@ def flat_torus():
     return Surface("torus", [_FlatChart(periodic=True)], injectivity_radius=0.5)
 
 
-def sphere(radius=1.0):
+def sphere(radius):
     """Round sphere of the given radius, two stereographic charts."""
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -245,11 +245,11 @@ def sphere(radius=1.0):
     )
 
 
-def planar_chart(radius=3.0, injectivity_radius=math.pi):
+def planar_chart(radius, injectivity_radius):
     """Single flat disk chart (noncompact model for the disk example).
 
-    The default radius 3 holds every unit circle through points of the unit
-    disk; pass a different radius to reproduce a specific workspace.
+    A config's default radius, 3, holds every unit circle through points of
+    the unit disk; pass a different radius to reproduce a specific workspace.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -473,9 +473,9 @@ def integrate(
     t0,
     y0,
     t_final,
-    rtol=1e-10,
-    atol=1e-12,
-    max_step=math.inf,
+    rtol,
+    atol,
+    max_step,
     first_step=None,
     post_step=None,
     observer=None,

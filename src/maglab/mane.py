@@ -78,7 +78,7 @@ class ConstantForm:
 class SinPrimitiveForm:
     """Primitive of the sinusoidal intensity: d eta = A sin(2 pi k.(x,y)) dx^dy."""
 
-    def __init__(self, amplitude=1.0, k=(1, 0)):
+    def __init__(self, amplitude, k):
         self.amplitude = float(amplitude)
         self.k = (int(k[0]), int(k[1]))
 
@@ -415,8 +415,8 @@ def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
     return None
 
 
-def estimate_critical_value(lagrangian, k_range=(-0.25, 1.0), bisection_tol=1e-4,
-                            seed=0, modes=8, *, restarts, maxiter):
+def estimate_critical_value(lagrangian, k_range, bisection_tol, seed, modes, *,
+                            restarts, maxiter):
     """Bisection bracket [c_lo, c_hi] for the strict critical value.
 
     A found negative-action loop at level k certifies k < c0 and becomes the
@@ -484,14 +484,14 @@ class RotationVector:
                 "rho": list(self.rho)}
 
 
-def rotation_vector(surface, orbit):
+def rotation_vector(orbit):
     """Winding class over one minimal period divided by the period.
 
     The winding is read from the orbit's `end_state`, where the orbit search
     left the flow over one period, unwrapped.  Raises DataInconsistencyError
     when it does not close up to an integer winding (within _WINDING_TOL).
     """
-    if surface.kind != "torus":
+    if orbit.return_map.section.surface.kind != "torus":
         raise UnsupportedSurfaceError("rotation vectors are defined on the torus")
     s0, s1 = orbit.initial_state, orbit.end_state
     dx = s1.x - s0.x

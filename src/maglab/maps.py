@@ -64,7 +64,7 @@ class StandardMap:
 
 
 class HorseshoeMap:
-    """Piecewise-linear Smale horseshoe on the unit square, stretch factor 3.
+    """Piecewise-linear Smale horseshoe on the unit square, stretch factor s.
 
     The bottom strip y < 1/3 maps to the left vertical strip, the top strip
     y > 2/3 folds onto the right vertical strip; the middle third leaves the
@@ -72,7 +72,7 @@ class HorseshoeMap:
     truncation).  Invariant set: full shift on two symbols, entropy log 2.
     """
 
-    def __init__(self, stretch=3.0):
+    def __init__(self, stretch):
         self.s = float(stretch)
 
     def __call__(self, z):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonantJetError
+from .errors import FixedPointError, ResonantJetError
 from .maps import fd_jacobian
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
 # monomial order for real jets: exponents (i, j) of u^i v^j, total degree <= 3
 _MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
               (3, 0), (2, 1), (1, 2), (0, 3)]
-_MONO_INDEX = {m: i for i, m in enumerate(_MONOMIALS)}
 
 _ESCAPE = 10.0   # normalized radius past which a fit iterate has escaped
 
@@ -71,9 +70,6 @@ class Jet3:
 
     def det_defect(self):
         return abs(float(np.linalg.det(self.linear())) - 1.0)
-
-    def coefficient(self, component, i, j):
-        return self.coeffs[component, _MONO_INDEX[(i, j)]]
 
 
 def _fit_cubic(map_fn, center, h):
@@ -115,7 +111,7 @@ def jet3(map_fn, center=(0.0, 0.0), *, fd_scale):
 
     resid = float(np.linalg.norm(np.asarray(once(center)) - center))
     if resid > 1e-3 * fd_scale:
-        raise ValueError(
+        raise FixedPointError(
             f"fixed-point residual {resid:.3e} too large for stencil scale {fd_scale:.3e}")
     fine = _fit_cubic(once, center, fd_scale / 2.0)
     coarse = _fit_cubic(once, center, fd_scale)

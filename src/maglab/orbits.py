@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoReturnError, NewtonDivergenceError, SectionDomainError
 from .geometry import PhasePoint, energy as phase_energy
-from .dynamics import IntegratorOptions, flow, flow_with_variation
+from .dynamics import flow, flow_with_variation
 from .maps import fd_jacobian
 
 __all__ = [
@@ -70,7 +70,7 @@ def phase_distance(surface, a: PhasePoint, b: PhasePoint):
 class Section:
     """Transversal section anchored at a unit-energy-level state."""
 
-    def __init__(self, surface, field, anchor: PhasePoint, half_width=0.2):
+    def __init__(self, surface, field, anchor: PhasePoint, half_width):
         self.surface = surface
         self.field = field
         # Python floats, so that no numpy scalar reaches a return's flow
@@ -374,14 +374,13 @@ def _brent(f, xa, xb, xtol, rtol):
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
-def first_return(section, coords, max_time=50.0, backward=False, options=None):
+def first_return(section, coords, max_time, options, backward=False):
     """Next section crossing with matching orientation, in the section's field.
 
     Returns (coords', transit_time, state).  transit_time is positive also for
     backward returns (time until the *previous* crossing).  Raises
     NoReturnError when no vetted crossing occurs within max_time.
     """
-    options = options or IntegratorOptions()
     state = section.embed(*coords)
     sign = -1 if backward else 1
     monitor = _CrossingMonitor(section)
@@ -398,19 +397,19 @@ def first_return(section, coords, max_time=50.0, backward=False, options=None):
 class SectionReturnMap:
     """The first-return map as a planar map oracle (callable, invertible)."""
 
-    def __init__(self, section, max_time=50.0, options=None):
+    def __init__(self, section, max_time, options):
         self.section = section
         self.max_time = max_time
-        self.options = options or IntegratorOptions()
+        self.options = options
 
     def __call__(self, z):
         zc, _, _ = first_return(self.section, tuple(z), self.max_time,
-                                options=self.options)
+                                self.options)
         return np.asarray(zc)
 
     def inverse(self, z):
         zc, _, _ = first_return(self.section, tuple(z), self.max_time,
-                                backward=True, options=self.options)
+                                self.options, backward=True)
         return np.asarray(zc)
 
 
@@ -432,7 +431,7 @@ class ClosedOrbit:
     residual: float
     c: float
     eigen: EigenData
-    section: Section
+    return_map: SectionReturnMap  # the search's, on the section through initial_state
     end_state: PhasePoint  # where the flow from initial_state is after period
     parabolic_suspect: bool = False
 
@@ -453,7 +452,7 @@ class ClosedOrbit:
         }
 
 
-def classify(monodromy, class_tol=1e-6):
+def classify(monodromy, class_tol):
     """Floquet class from the trace; elliptic also returns the label angle.
 
     Returns (class, EigenData).  Hyperbolic iff |tr| > 2 + class_tol,
@@ -470,8 +469,8 @@ def classify(monodromy, class_tol=1e-6):
     return "parabolic", EigenData()
 
 
-def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
-                      max_time=50.0, class_tol=1e-6, half_width=0.2):
+def find_closed_orbit(surface, field, c, seed_state, tol, options, max_time,
+                      class_tol, half_width):
     """Newton shooting on the first-return map from a seed state.
 
     The seed is projected onto the energy level c.  The period is the transit
@@ -479,9 +478,10 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     start earlier, at a crossing that `crossing_ok` accepts.  Raises
     NewtonDivergenceError if the residual does not reach tol; a near-singular
     I - dP marks the result parabolic-suspect (best point returned when the
-    residual is already acceptable).
+    residual is already acceptable).  The orbit's `return_map` is the return
+    map on the section of half_width through its state, with the max_time and
+    integrator options of the search, so the orbit's users return as it did.
     """
-    options = options or IntegratorOptions()
     seed = rescale_to_energy(surface, seed_state, c)
     section = Section(surface, field, seed, half_width)
     rmap = SectionReturnMap(section, max_time, options)
@@ -489,7 +489,7 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     suspect = False
     fd_h = max(1e-7, 1e-6 * half_width)
     for it in range(_MAX_NEWTON):
-        zc, T, _ = first_return(section, tuple(z), max_time, options=options)
+        zc, T, _ = first_return(section, tuple(z), max_time, options)
         w = np.asarray(zc)
         r = float(np.linalg.norm(w - z))
         if r <= tol:
@@ -514,7 +514,7 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
         z = z + dz
     else:
         # the last iterate moved z: return from z once more
-        zc, T, _ = first_return(section, tuple(z), max_time, options=options)
+        zc, T, _ = first_return(section, tuple(z), max_time, options)
         w = np.asarray(zc)
     resid_map = float(np.linalg.norm(w - z))
     if resid_map > tol and not (suspect and resid_map <= 1e3 * tol):
@@ -533,7 +533,8 @@ def find_closed_orbit(surface, field, c, seed_state, tol=1e-10, options=None,
     if suspect and cls != "parabolic":
         cls = "parabolic"
         eig = EigenData()
-    orbit_section = Section(surface, field, state, half_width)
-    return ClosedOrbit(state, T, M, cls, residual, c, eig, orbit_section, end,
+    return_map = SectionReturnMap(Section(surface, field, state, half_width),
+                                  max_time, options)
+    return ClosedOrbit(state, T, M, cls, residual, c, eig, return_map, end,
                        parabolic_suspect=suspect)
 

@@ -32,8 +32,7 @@ from .field import (
     ZonalSphereField,
 )
 from .dynamics import IntegratorOptions, flow, flow_with_variation, injectivity_time
-from .orbits import (SectionReturnMap, find_closed_orbit, phase_distance,
-                     rescale_to_energy)
+from .orbits import find_closed_orbit, phase_distance, rescale_to_energy
 from .normalform import birkhoff_beta, jet3, twist_by_rotation_number
 from .franks import (
     build_franks_kit,
@@ -429,7 +428,7 @@ def _stage_classify(sc, st, ctx):
         if orb.floquet_class == "hyperbolic":
             e["eigenvalues"] = list(orb.eigen.eigenvalues)
         if want_rho:  # only on the torus (checked at load)
-            rv = rotation_vector(sc.surface, orb)
+            rv = rotation_vector(orb)
             e["rotation_vector"] = rv.as_dict()
         entries.append(e)
     return {"stage": "classify", "orbits": entries}
@@ -459,8 +458,8 @@ def _stage_twist(sc, st, ctx):
     rotation_rows = []
     for i in cands:
         orb = _orbit_at(orbits, i)
-        rmap = SectionReturnMap(orb.section, options=sc.options)
-        fd_scale = st["fd_scale"] or 1e-3 * orb.section.half_width
+        rmap = orb.return_map
+        fd_scale = st["fd_scale"] or 1e-3 * rmap.section.half_width
         jet = jet3(rmap, (0.0, 0.0), fd_scale=fd_scale)
         td = birkhoff_beta(jet)
         fit = twist_by_rotation_number(rmap, st["radii"], n_iter=st["n_iter"])
@@ -481,8 +480,7 @@ def _stage_twist(sc, st, ctx):
 
 def _stage_franks(sc, st, ctx):
     orb = _orbit_at(ctx["orbits"], st["orbit_index"])
-    split = segment_split(orb, sc.surface, sc.field, sc.c,
-                          eps0=st["eps0"], options=sc.options)
+    split = segment_split(orb, st["eps0"], sc.options)
     n_seg = min(st["segments"], split.n)
     kit = build_franks_kit(split, 0)
     consts = compute_constants(kit, eps_c1=st["eps_c1"])
@@ -522,7 +520,7 @@ def _entropy_oracle(sc, st, ctx):
     orb = _orbit_at(ctx["orbits"], st["orbit_index"])
     if orb.floquet_class != "hyperbolic":
         raise MaglabError("entropy from flow needs a hyperbolic orbit")
-    return SectionReturnMap(orb.section, options=sc.options), orb.period, orb
+    return orb.return_map, orb.period, orb
 
 
 def _stage_entropy(sc, st, ctx):

@@ -30,7 +30,7 @@ def unit_sphere():
 
 @pytest.fixture(scope="session")
 def disk():
-    return planar_chart()
+    return planar_chart(3.0, math.pi)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def minus_one_field():
 
 @pytest.fixture(scope="session")
 def sin_field():
-    return MagneticField(SinusoidalTorusField(1.0))
+    return MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))
 
 
 @pytest.fixture(scope="session")

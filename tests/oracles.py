@@ -7,6 +7,8 @@
 * `invariance_defect`: how far a grown manifold branch is from invariant.
 * `reference_step_index`: the step a dense solution reads at a time, by a
   plain search.
+* `psi`: a tubular chart's map (t, u) -> gamma(t) + u * i gamma'(t), read
+  from the chart's core trajectory.
 """
 
 from __future__ import annotations
@@ -207,3 +209,14 @@ def reference_step_index(steps, t):
     if t >= steps[-1].t0:
         return len(steps) - 1
     return next(i for i, s in enumerate(steps) if s.t1 >= t)
+
+
+def psi(chart, t, u):
+    """A `TubularChart`'s psi(t, u) = gamma(t) + u * i gamma'(t): a 2-vector,
+    or shape (2, n) for an array of n times (read with one `states` call)."""
+    if isinstance(t, np.ndarray):
+        x, y, vx, vy = chart.traj.states(t)[1]
+    else:
+        st = chart.traj.state(t)
+        x, y, vx, vy = st.x, st.y, st.vx, st.vy
+    return np.array([x, y]) + u * np.array([-vy, vx])

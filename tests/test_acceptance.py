@@ -52,6 +52,7 @@ from maglab.mane import (
 from maglab.scenarios import load_scenario, run_scenario
 
 from oracles import TwistMap, fd_monodromy
+from stage_defaults import CRITICAL_VALUE, ORBITS, SEED, orbit_search
 
 
 def _ok(num, name, detail):
@@ -70,9 +71,10 @@ TIGHT = IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
 @pytest.fixture(scope="module")
 def franks_bundle():
     torus = flat_torus()
-    fld = MagneticField(SinusoidalTorusField(1.0))
-    orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
-    split = segment_split(orb, torus, fld, 0.5, 0.02, TIGHT)
+    fld = MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))
+    orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
+                            **orbit_search())
+    split = segment_split(orb, 0.02, TIGHT)
     kits = []
     for i in range(2):
         kit = build_franks_kit(split, i)
@@ -82,10 +84,10 @@ def franks_bundle():
 
 def test_c01_disk_example():
     t0 = time.perf_counter()
-    disk = planar_chart()
+    disk = planar_chart(3.0, math.pi)
     fld = MagneticField(ConstantField(-1.0))
     orb = find_closed_orbit(disk, fld, 0.5, PhasePoint(0, -1.0, 0.0, 1.0, 0.0),
-                            tol=1e-10)
+                            **orbit_search(tol=1e-10))
     elapsed = time.perf_counter() - t0
     t_err = abs(orb.period - 2.0 * math.pi)
     m_err = float(np.abs(orb.monodromy - np.eye(2)).max())
@@ -100,7 +102,7 @@ def test_c01_disk_example():
 def test_c02_energy_conservation():
     t0 = time.perf_counter()
     torus = flat_torus()
-    fld = MagneticField(SinusoidalTorusField(1.0))
+    fld = MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
     traj = flow(torus, fld, PhasePoint(0, 0.1, 0.2, 0.6, 0.8), 1000.0, opts)
     elapsed = time.perf_counter() - t0
@@ -129,10 +131,10 @@ def test_c03_symplecticity_bundled():
 
 def test_c04_variational_vs_fd():
     torus = flat_torus()
-    disk = planar_chart()
+    disk = planar_chart(3.0, math.pi)
     sp = sphere(1.0)
     cases = [
-        (torus, MagneticField(SinusoidalTorusField(1.0)),
+        (torus, MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0)),
          PhasePoint(0, 0.0, 0.0, 0.0, -1.0), 1.0),
         (disk, MagneticField(ConstantField(-1.0)),
          PhasePoint(0, -1.0, 0.0, 1.0, 0.0), 2.0),
@@ -156,7 +158,8 @@ def test_c05_sphere_period_oracle():
     fld = MagneticField(ConstantField(1.0))
     lam = sp.metric_at(0, 0.4, 0.0).lam
     seed = PhasePoint(0, 0.4, 0.0, 0.0, 1.0 / lam)
-    orb = find_closed_orbit(sp, fld, 0.5, seed, max_time=20.0, options=TIGHT)
+    orb = find_closed_orbit(sp, fld, 0.5, seed,
+                            **orbit_search(max_time=20.0, options=TIGHT))
     analytic = 2.0 * math.pi / math.sqrt(2.0)
     # independent fine-tolerance oracle: bisection on the recurrence time
     oracle_opts = IntegratorOptions(rel_tol=1e-13, abs_tol=1e-14)
@@ -270,9 +273,9 @@ def test_c10_twist_cross_validation():
     fld = MagneticField(ZonalSphereField(1.6))
     lam = sp.metric_at(0, 0.35, 0.0).lam
     orb = find_closed_orbit(sp, fld, 0.5, PhasePoint(0, 0.35, 0.0, 0.0, 1.0 / lam),
-                            max_time=30.0, options=TIGHT)
+                            **orbit_search(max_time=30.0, options=TIGHT))
     assert orb.floquet_class == "elliptic"
-    rmap = SectionReturnMap(orb.section, options=TIGHT)
+    rmap = SectionReturnMap(orb.return_map.section, ORBITS["max_time"], TIGHT)
     jet = jet3(rmap, (0.0, 0.0), fd_scale=2e-3)
     td_orbit = birkhoff_beta(jet)
     fit_orbit = twist_by_rotation_number(rmap, [0.005, 0.01, 0.015, 0.02],
@@ -297,7 +300,7 @@ def test_c11_chaos_harness():
     rep = certify_horseshoe(sm, crossing_boxes(sm, best.point, (0.0, 0.0)),
                             range(1, 21), 1.0)
     assert rep.h_top_lower > 0.0
-    hs = HorseshoeMap()
+    hs = HorseshoeMap(3.0)
     frame = np.array([[0.0, 1.0], [1.0, 0.0]])
     rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
              Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
@@ -327,6 +330,7 @@ def test_c13_critical_value():
     torus = flat_torus()
     lag = LagrangianSpec(torus, ConstantForm(0.7, 0.0))
     br = estimate_critical_value(lag, k_range=(-0.25, 1.0), bisection_tol=1e-4,
+                                 seed=SEED, modes=CRITICAL_VALUE["modes"],
                                  restarts=8, maxiter=200)
     assert br.c_lo <= 0.0 <= br.c_hi
     assert br.c_hi - br.c_lo <= 2e-4

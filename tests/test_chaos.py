@@ -17,6 +17,7 @@ from maglab.chaos import (
 from maglab.maps import HorseshoeMap, StandardMap
 
 from oracles import LinearMap, TwistMap, invariance_defect
+from stage_defaults import ORBITS, orbit_search
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ def test_crossing_angles_frame_honest(standard_branches):
 
 
 def test_horseshoe_exact_log2():
-    hs = HorseshoeMap()
+    hs = HorseshoeMap(3.0)
     frame = np.array([[0.0, 1.0], [1.0, 0.0]])  # unstable along y
     rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
              Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
@@ -285,7 +286,7 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
 
 
 def test_chaos_logs(caplog):
-    hs = HorseshoeMap()
+    hs = HorseshoeMap(3.0)
     frame = np.array([[0.0, 1.0], [1.0, 0.0]])
     rects = [Rectangle(np.array([0.5, 1.0 / 6.0]), 1.0 / 6.0, 0.5, frame),
              Rectangle(np.array([0.5, 5.0 / 6.0]), 1.0 / 6.0, 0.5, frame)]
@@ -346,7 +347,7 @@ def test_dominated_splitting_flow_cocycle(torus, sin_field, tight_options):
 
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
-                            options=tight_options)
+                            **orbit_search(options=tight_options))
 
     def propagate(entry, t):
         _, vp = flow_with_variation(torus, sin_field, orb.initial_state, t,
@@ -368,9 +369,9 @@ def test_flow_return_map_as_oracle(torus, sin_field):
     from maglab.dynamics import IntegratorOptions
 
     opts = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
-    orb = find_closed_orbit(torus, sin_field, 0.5,
-                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0), options=opts)
-    rmap = SectionReturnMap(orb.section, options=opts)
+    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
+                            **orbit_search(options=opts))
+    rmap = SectionReturnMap(orb.return_map.section, ORBITS["max_time"], opts)
     wu = grow_manifold(rmap, (0.0, 0.0), "unstable", 1, 0.02, tol=5e-3,
                        seed_eps=1e-3, spacing_max=0.02)
     assert wu.arclength >= 0.02

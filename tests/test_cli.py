@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from maglab.chaos import detect_homoclinic, grow_manifold
 from maglab.cli import build_parser, main
-from maglab.dynamics import flow
+from maglab.dynamics import IntegratorOptions, flow
 from maglab.errors import ConfigError, StiffnessError
 from maglab.maps import StandardMap
 from maglab.scenarios import (STAGE_TABLE, Scenario, emit_plotdata, load_scenario,
@@ -169,7 +169,7 @@ def test_step_budget_is_a_numerical_failure(tmp_path, monkeypatch, disk,
     rather than report a trajectory that ends short of t_final."""
     monkeypatch.setattr("maglab.integrate._MAX_STEPS", 5)
     with pytest.raises(StiffnessError):
-        flow(disk, minus_one_field, disk_circle_seed, 10.0)
+        flow(disk, minus_one_field, disk_circle_seed, 10.0, IntegratorOptions())
     path = _torus_config(tmp_path, field={"kind": "sinusoidal"},
                          pipeline=[{"stage": "simulate", "t_final": 10.0}])
     assert main(["run", "--config", path]) == 3
@@ -209,6 +209,58 @@ def test_cli_point_off_the_energy_circle_keeps_partial_reports(tmp_path, caplog,
     assert os.listdir(tmp_path / "o") == ["orbits.json"]
     assert "stage twist failed: R=" in caplog.text
     assert "exceeds the energy circle" in caplog.text
+
+
+@pytest.mark.parametrize("name, stage, changes, message", [
+    # the fixed point (0, 0) of the standard map at K = -1.5 has trace 0.5
+    ("standard_map_entropy.json", 0, {"map": {"kind": "standard", "K": -1.5}},
+     "stage entropy failed: fixed point is not hyperbolic (trace 0.500000)"),
+    ("sphere_twist.json", 1, {"fd_scale": 1e-9},
+     "stage twist failed: fixed-point residual 6.197e-12 too large for "
+     "stencil scale 1.000e-09"),
+], ids=["elliptic_standard_map_point", "jet_stencil_below_residual"])
+def test_cli_fixed_point_failure_exits_3_without_traceback(tmp_path, name, stage,
+                                                           changes, message):
+    """A fixed point that is not hyperbolic where a branch is grown, or not
+    fixed to well below the jet's stencil scale, fails its stage (exit 3,
+    partial reports kept), not the run with a traceback."""
+    cfg = json.loads(open(scenario_path(name)).read())
+    cfg["out_dir"] = str(tmp_path / "o")
+    cfg["pipeline"][stage].update(changes)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-m", "maglab.cli", "run", "--config", str(path)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 3
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+    assert sorted(os.listdir(tmp_path / "o")) == (["orbits.json"] if stage else [])
+
+
+def test_twist_returns_as_the_orbit_search_did(tmp_path):
+    """An elliptic orbit of period 60 (the torus under sin 2 pi x at speed
+    1/60), found by an orbits stage with max_time 100: the twist stage's
+    return map flows as far as the search did, so it returns past the
+    library's former 50 time units and fits the orbit."""
+    cfg = {
+        "surface": {"kind": "torus"},
+        "field": {"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
+        "energy": 1.0 / 7200.0,
+        "seeds": [{"chart": 0, "x": 0.5, "y": 0.0, "vx": 0.0, "vy": -1.0}],
+        "pipeline": [{"stage": "orbits", "max_time": 100.0},
+                     {"stage": "twist", "radii": [0.004, 0.008], "n_iter": 5}],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    orbits = json.loads((tmp_path / "o" / "orbits.json").read_text())["orbits"]
+    assert [o["class"] for o in orbits] == ["elliptic"]
+    assert orbits[0]["period"] == pytest.approx(60.0)
+    twist = json.loads((tmp_path / "o" / "twist.json").read_text())
+    assert [o["period"] for o in twist["orbits"]] == [orbits[0]["period"]]
 
 
 def _franks_config(tmp_path, **stage_changes):

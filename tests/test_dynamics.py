@@ -33,11 +33,12 @@ from maglab.orbits import Section, first_return, phase_distance, rescale_to_ener
 from maglab.scenarios import Scenario
 
 from oracles import fd_monodromy, reference_step_index
+from stage_defaults import OPTIONS, ORBITS
 
 
 def test_disk_traces_unit_circle(disk, minus_one_field, disk_circle_seed):
     """The seed ((-1,0),(0,1)) follows (cos(pi - t), sin(pi - t))."""
-    traj = flow(disk, minus_one_field, disk_circle_seed, math.pi)
+    traj = flow(disk, minus_one_field, disk_circle_seed, math.pi, IntegratorOptions())
     for t in np.linspace(0.0, math.pi, 30):
         st = traj.state(t)
         assert st.x == pytest.approx(math.cos(math.pi - t), abs=1e-9)
@@ -48,7 +49,8 @@ def test_disk_traces_unit_circle(disk, minus_one_field, disk_circle_seed):
 
 
 def test_flat_geodesic(torus, zero_field):
-    traj = flow(torus, zero_field, PhasePoint(0, 0.0, 0.0, 1.0, 0.0), 0.5)
+    traj = flow(torus, zero_field, PhasePoint(0, 0.0, 0.0, 1.0, 0.0), 0.5,
+                IntegratorOptions())
     st = traj.end_state()
     assert (st.x, st.y, st.vx, st.vy) == (0.5, 0.0, 1.0, 0.0)
 
@@ -94,7 +96,7 @@ def _drift_flows(draw):
     else:
         phi = draw(st.floats(0.0, 2.0 * math.pi))
         if kind == "disk":
-            surface, field = planar_chart(), MagneticField(ConstantField(
+            surface, field = planar_chart(3.0, math.pi), MagneticField(ConstantField(
                 draw(st.floats(-2.0, 2.0))))
             r = draw(st.floats(0.0, 2.0))
         else:
@@ -115,7 +117,7 @@ def test_energy_drift_bound_on_all_surfaces(args):
     _DRIFT_BOUND times its energy on the torus, the disk and the sphere, and
     every sphere flow drawn switches charts."""
     surface, field, state, duration = args
-    traj = flow(surface, field, state, duration)
+    traj = flow(surface, field, state, duration, IntegratorOptions())
     if surface.kind == "sphere":
         assert len(_chart_runs(traj)) > 1
     assert traj.max_energy_drift <= _DRIFT_BOUND * traj.c
@@ -139,15 +141,17 @@ def test_energy_drift_matches_scalar_loop_on_an_exiting_disk_path(disk, minus_on
     """The drift of a disk trajectory that exits is == to the scalar loop;
     read in a smaller disk, which leaves part of the path outside, it skips
     those states alike, the largest deviation among them."""
-    traj = flow(disk, minus_one_field, PhasePoint(0, 2.2, 0.0, 0.6, 0.8), 20.0)
+    traj = flow(disk, minus_one_field, PhasePoint(0, 2.2, 0.0, 0.6, 0.8), 20.0,
+                IntegratorOptions())
     assert traj.exited
-    inner = dataclasses.replace(traj, surface=planar_chart(2.5))
+    inner = dataclasses.replace(traj, surface=planar_chart(2.5, math.pi))
     assert traj.max_energy_drift == _drift_loop(traj) > 0.0
     assert inner.max_energy_drift == _drift_loop(inner) < traj.max_energy_drift
 
 
 def test_variational_shear(torus, zero_field):
-    _, vp = flow_with_variation(torus, zero_field, PhasePoint(0, 0, 0, 1, 0), 1.0)
+    _, vp = flow_with_variation(torus, zero_field, PhasePoint(0, 0, 0, 1, 0), 1.0,
+                                IntegratorOptions())
     assert np.abs(vp.matrix(1.0) - np.array([[1.0, 1.0], [0.0, 1.0]])).max() <= 1e-12
 
 
@@ -160,18 +164,18 @@ def test_variational_disk_full_turn(disk, minus_one_field, disk_seed, tight_opti
 def test_liouville_det(torus, sin_field):
     """Trace-free system: det X = 1 along the whole run."""
     _, vp = flow_with_variation(torus, sin_field, PhasePoint(0, 0.13, 0.7, 0.8, -0.6),
-                                12.0)
+                                12.0, IntegratorOptions())
     assert vp.det_defect(200) <= 1e-8
 
 
 def test_magnetic_curvature_values(disk, torus, unit_sphere, minus_one_field,
                                    zero_field, disk_seed):
-    traj = flow(disk, minus_one_field, disk_seed, 1.0)
+    traj = flow(disk, minus_one_field, disk_seed, 1.0, IntegratorOptions())
     assert magnetic_curvature(disk, minus_one_field, traj, 0.5) == pytest.approx(1.0)
-    traj2 = flow(torus, zero_field, PhasePoint(0, 0, 0, 1, 0), 1.0)
+    traj2 = flow(torus, zero_field, PhasePoint(0, 0, 0, 1, 0), 1.0, IntegratorOptions())
     assert magnetic_curvature(torus, zero_field, traj2, 0.3) == 0.0
     seed = PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / unit_sphere.metric_at(0, 0.1, 0.0).lam)
-    traj3 = flow(unit_sphere, zero_field, seed, 1.0)
+    traj3 = flow(unit_sphere, zero_field, seed, 1.0, IntegratorOptions())
     assert magnetic_curvature(unit_sphere, zero_field, traj3, 0.5) == pytest.approx(1.0)
 
 
@@ -201,7 +205,7 @@ def test_time_reversal(torus, sin_field, tight_options):
 
 
 def test_planar_exit_truncates(disk, zero_field):
-    traj = flow(disk, zero_field, PhasePoint(0, 0, 0, 1, 0), 10.0)
+    traj = flow(disk, zero_field, PhasePoint(0, 0, 0, 1, 0), 10.0, IntegratorOptions())
     assert traj.exited
     assert abs(traj.t_reach) < 10.0
     st = traj.end_state()
@@ -227,10 +231,10 @@ def test_numpy_scalar_start_is_bit_neutral(case, unit_sphere, torus, zero_field,
     if case == "sphere":
         lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
         surface, field, comps, T = unit_sphere, zero_field, (0.1, 0.0, 0.0, 1.0 / lam), 4.0
-        run = flow
+        run = lambda *args: flow(*args, IntegratorOptions())
     else:
         surface, field, comps, T = torus, sin_field, (0.02, 0.3, 0.1, -0.9), 1.7
-        run = lambda *args: flow_with_variation(*args)[0]
+        run = lambda *args: flow_with_variation(*args, IntegratorOptions())[0]
     ref = run(surface, field, PhasePoint(0, *comps), T)
     got = run(surface, field, PhasePoint(0, *np.array(comps)), np.float64(T))
     if case == "sphere":
@@ -248,11 +252,12 @@ def test_numpy_scalar_section_anchor_is_bit_neutral(unit_sphere, zero_field):
     through the sphere's other chart)."""
     lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
     comps = (0.1, 0.0, 0.0, 1.0 / lam)
-    ref = first_return(Section(unit_sphere, zero_field, PhasePoint(0, *comps)),
-                       (2e-3, -1e-3))
+    ref = first_return(Section(unit_sphere, zero_field, PhasePoint(0, *comps),
+                               ORBITS["half_width"]),
+                       (2e-3, -1e-3), ORBITS["max_time"], IntegratorOptions())
     got = first_return(Section(unit_sphere, zero_field,
-                               PhasePoint(0, *np.array(comps))),
-                       (2e-3, -1e-3))
+                               PhasePoint(0, *np.array(comps)), ORBITS["half_width"]),
+                       (2e-3, -1e-3), ORBITS["max_time"], IntegratorOptions())
     assert got[0] == ref[0] and got[1] == ref[1]
 
 
@@ -268,7 +273,7 @@ def test_ode_residual_at_midpoints(torus, sin_field):
     for step in traj.sol.steps[1:40]:
         tmid = 0.5 * (step.t0 + step.t1)
         ref = integrate(rhs, step.t0, step.y0, tmid, rtol=1e-14,
-                        atol=1e-15).y_end
+                        atol=1e-15, max_step=OPTIONS.max_step).y_end
         got = step.eval(tmid)
         scale = max(atol + rtol * abs(r) for r in ref)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, ref)) / scale)
@@ -298,7 +303,7 @@ def test_fd_vs_variational(case, torus, disk, unit_sphere, sin_field,
 def test_stiffness_detection():
     with pytest.raises(StiffnessError):
         integrate(lambda t, y: (y[0] * y[0],), 0.0, (1.0,), 2.0,
-                  rtol=1e-8, atol=1e-10)
+                  rtol=1e-8, atol=1e-10, max_step=OPTIONS.max_step)
 
 
 @pytest.mark.parametrize("n", [1, 4, 10])
@@ -306,12 +311,13 @@ def test_nan_rhs_raises(n):
     """An RHS that turns NaN mid-run must not end as a finished solution."""
     with pytest.raises(NonFiniteError):
         integrate(lambda t, y: (1.0,) * (n - 1) + (math.nan if t > 0.5 else 1.0,),
-                  0.0, (0.0,) * n, 1.0)
+                  0.0, (0.0,) * n, 1.0, OPTIONS.rel_tol, OPTIONS.abs_tol,
+                  OPTIONS.max_step)
 
 
 def test_dense_output_precision():
     sol = integrate(lambda t, y: (math.cos(t),), 0.0, (0.0,), 10.0,
-                    rtol=1e-10, atol=1e-12)
+                    rtol=1e-10, atol=1e-12, max_step=OPTIONS.max_step)
     ts = np.linspace(0, 10, 500)
     (got,) = sol.eval_many(ts, (0,))
     assert np.abs(got - np.sin(ts)).max() <= 2e-9
@@ -321,7 +327,8 @@ def test_dense_output_precision():
 
 _RHS_CASES = {
     "torus": (flat_torus(), MagneticField(SinusoidalTorusField(1.3, k=(1, 2), phase=0.4))),
-    "planar": (planar_chart(), MagneticField(PolynomialField([[0.3, -0.5], [1.2, 0.0, 0.7]]))),
+    "planar": (planar_chart(3.0, math.pi),
+               MagneticField(PolynomialField([[0.3, -0.5], [1.2, 0.0, 0.7]]))),
     "sphere 0.5": (sphere(0.5), MagneticField(ZonalSphereField(1.6))),
     "sphere 1": (sphere(1.0), MagneticField(ZonalSphereField(-0.7))),
     "sphere 2.5": (sphere(2.5), MagneticField(ZonalSphereField(2.2))),
@@ -442,9 +449,9 @@ def lookup_cases(torus, unit_sphere, sin_field):
     cfg["seeds"][0]["vy"] *= -1.0
     sc = Scenario(cfg)
     cases = {
-        "torus": (torus, sin_field, seed, 3.0, None),
-        "backward": (torus, sin_field, seed, -2.0, None),
-        "sphere": (unit_sphere, zonal, sphere_seed, 9.0, None),
+        "torus": (torus, sin_field, seed, 3.0, OPTIONS),
+        "backward": (torus, sin_field, seed, -2.0, OPTIONS),
+        "sphere": (unit_sphere, zonal, sphere_seed, 9.0, OPTIONS),
         # as its simulate stage flows it
         "sphere_oracle": (sc.surface, sc.field,
                           rescale_to_energy(sc.surface, sc.seeds[0], sc.c),

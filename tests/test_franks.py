@@ -40,6 +40,9 @@ from maglab.franks import (
     _smoothstep,
 )
 
+from oracles import psi
+from stage_defaults import orbit_search
+
 
 # The Franks tests fly their tubes at `tight_options` (rel_tol 1e-12,
 # abs_tol 1e-13); split widths and eps_c1 are the franks-verify stage's
@@ -49,8 +52,8 @@ from maglab.franks import (
 @pytest.fixture(scope="module")
 def hyper_setup(torus, sin_field, tight_options):
     seed = PhasePoint(0, 0.0, 0.0, 0.0, -1.0)
-    orb = find_closed_orbit(torus, sin_field, 0.5, seed)
-    split = segment_split(orb, torus, sin_field, 0.5, 0.02, tight_options)
+    orb = find_closed_orbit(torus, sin_field, 0.5, seed, **orbit_search())
+    split = segment_split(orb, 0.02, tight_options)
     kit = FranksKit(build_tubular_chart(torus, sin_field, orb.initial_state,
                                         split.t0, 0.02, tight_options))
     consts = compute_constants(kit, 0.1)
@@ -68,7 +71,7 @@ def test_tubular_chart_disk_radial(disk, minus_one_field, disk_circle_seed,
                                 tight_options)
     for t in np.linspace(0.0, T, 7):
         for u in (-0.02, 0.0, 0.02):
-            p = chart.psi(t, u)
+            p = psi(chart, t, u)
             want = (1.0 + u) * np.array([math.cos(math.pi - t),
                                          math.sin(math.pi - t)])
             assert np.abs(p - want).max() <= 1e-9
@@ -79,7 +82,7 @@ def test_tubular_chart_flat_segment(torus, zero_field, tight_options):
     chart = build_tubular_chart(torus, zero_field, st, 0.4, 0.03, tight_options)
     for t in np.linspace(0.0, 0.4, 9):
         for u in (-0.01, 0.01):
-            p = chart.psi(t, u)
+            p = psi(chart, t, u)
             assert p[0] == pytest.approx(0.2 + t, abs=1e-12)
             assert p[1] == pytest.approx(0.3 + u, abs=1e-12)
 
@@ -89,7 +92,7 @@ def test_tubular_chart_core_roundtrip(hyper_setup, torus):
     chart = kit.chart
     for t in np.linspace(0.01, kit.T - 0.01, 11):
         for u in (-0.3 * chart.eps0, 0.0, 0.4 * chart.eps0):
-            p = chart.psi(t, u)
+            p = psi(chart, t, u)
             loc = chart.invert(p[0], p[1])
             assert loc is not None
             assert loc[0] == pytest.approx(t, abs=1e-9)
@@ -114,7 +117,7 @@ def _dense_min_ratio(chart, nt=100, nu=20):
     """injectivity_report's min_ratio from full pairwise distance matrices."""
     ts = np.linspace(0.0, chart.T, nt)
     us = np.linspace(-0.999 * chart.eps0, 0.999 * chart.eps0, nu)
-    pts = np.array([chart.psi(t, u) for t in ts for u in us])
+    pts = np.array([psi(chart, t, u) for t in ts for u in us])
     speed = math.sqrt(2.0 * chart.c)
     tub = np.array([[t * speed, u] for t in ts for u in us])
     d = pts[:, None, :] - pts[None, :, :]
@@ -133,7 +136,7 @@ def test_injectivity_report_matches_dense(hyper_setup, torus, zero_field, disk,
                                           tight_options):
     """The blockwise minimum equals the dense one bit for bit."""
     st = PhasePoint(0, 0.2, 0.3, 1.0, 0.0)
-    traj = flow(torus, zero_field, st, 0.45)
+    traj = flow(torus, zero_field, st, 0.45, IntegratorOptions())
     wide = TubularChart(torus, zero_field, traj, 0.45, 0.9)
     ring = build_tubular_chart(disk, minus_one_field, disk_circle_seed, 0.2, 0.05,
                                tight_options)
@@ -189,7 +192,7 @@ def test_invert_box_test_matches_nearest_sample_search(
     assert chart._box  # the box test is live on every one of these tubes
     plain = copy.copy(chart)
     plain._box = ()
-    p = chart.psi(th * chart.T, w * chart.eps0)
+    p = psi(chart, th * chart.T, w * chart.eps0)
     x = float(p[0]) + off_x[0] * off_x[1] + i
     y = float(p[1]) + off_y[0] * off_y[1] + j
     assert chart.invert(x, y) == plain.invert(x, y)
@@ -866,10 +869,10 @@ def test_segment_split_arithmetic(hyper_setup, torus, sin_field):
 def test_segment_split_single_segment(torus, zero_field, tight_options):
     """T_theta = K gives n = 1."""
     orb = find_closed_orbit(torus, zero_field, 1.0 / 8.0,
-                            PhasePoint(0, 0.2, 0.3, 1.0, 0.0))
+                            PhasePoint(0, 0.2, 0.3, 1.0, 0.0), **orbit_search())
     # c = 1/8: K = min(1, i/(2c)) = min(1, 2) = 1... period at speed 1/2 is 2
     K = injectivity_time(torus, zero_field, orb.c)
-    split = segment_split(orb, torus, zero_field, orb.c, 0.02, tight_options)
+    split = segment_split(orb, 0.02, tight_options)
     assert split.t0 <= K and split.t0 > K / 2
 
 
@@ -881,7 +884,7 @@ def test_segment_split_inconsistent_period(hyper_setup, torus, sin_field,
     fake = copy.copy(orb)
     fake.period = 0.05  # below K/2: impossible for a closed orbit
     with pytest.raises(DataInconsistencyError):
-        segment_split(fake, torus, sin_field, 0.5, 0.02, tight_options)
+        segment_split(fake, 0.02, tight_options)
 
 
 def test_segment_product_is_monodromy(hyper_setup):
@@ -896,13 +899,14 @@ def test_segment_supports_disjoint(hyper_setup, torus):
     cores = []
     for i in range(split.n):
         ts = np.linspace(i * split.t0, (i + 1) * split.t0, 128)
-        tr = flow(torus, charts[i].field, orb.initial_state, orb.period)
+        tr = flow(torus, charts[i].field, orb.initial_state, orb.period,
+                  IntegratorOptions())
         cores.append(np.array([[tr.state(t).x, tr.state(t).y] for t in ts]))
     for i, chart in enumerate(charts):
         pts = []
         for t in np.linspace(0.35 * split.t0, 0.65 * split.t0, 32):
             for u in (-0.5 * chart.eps0, 0.5 * chart.eps0):
-                pts.append(chart.psi(t, u))
+                pts.append(psi(chart, t, u))
         pts = np.array(pts)
         for j in range(split.n):
             if j == i:
@@ -933,7 +937,7 @@ def test_split_tube_halves_until_clear(hyper_setup, torus, sin_field,
     """A width whose mid-segment patch comes within 1.5 widths of another
     segment's core is halved until it clears."""
     orb, _, _, _ = hyper_setup
-    split = segment_split(orb, torus, sin_field, 0.5, 0.2, tight_options)
+    split = segment_split(orb, 0.2, tight_options)
     with caplog.at_level(logging.INFO, logger="maglab.franks"):
         tube = split.tube(0)
     halvings = [r.getMessage() for r in caplog.records

@@ -122,10 +122,10 @@ def test_invalid_surfaces():
     with pytest.raises(ValueError):
         sphere(-1.0)
     with pytest.raises(ValueError):
-        planar_chart(radius=0.0)
+        planar_chart(0.0, math.pi)
 
 
-@given(st.sampled_from([flat_torus(), sphere(0.7), planar_chart(3.0)]),
+@given(st.sampled_from([flat_torus(), sphere(0.7), planar_chart(3.0, math.pi)]),
        st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                 min_size=1, max_size=30))
 def test_metric_at_over_arrays_matches_points(surface, pts):

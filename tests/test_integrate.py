@@ -22,6 +22,7 @@ from maglab.integrate import (
 import maglab.orbits as orbits
 
 from oracles import reference_step_index
+from stage_defaults import OPTIONS, orbit_search
 
 
 def _fold(terms):
@@ -141,7 +142,8 @@ def systems(draw):
 def test_single_step_matches_reference(system, t0, h, thetas):
     rhs, y0 = system
     # loose tolerances so the one step is accepted
-    sol = integrate(rhs, t0, y0, t0 + h, rtol=1.0, atol=1.0, first_step=h)
+    sol = integrate(rhs, t0, y0, t0 + h, rtol=1.0, atol=1.0,
+                    max_step=OPTIONS.max_step, first_step=h)
     assert (sol.n_accepted, sol.n_rejected) == (1, 0)
     h = min(h, (t0 + h) - t0)  # the step integrate takes to land on t_final
     y1, _, d = reference_step(rhs, t0, y0, h)
@@ -164,7 +166,8 @@ TINY = 2.708898894882621e-162
 def test_adaptive_run_matches_reference(system, t0):
     rhs, y0 = system
     rtol, atol = 1e-8, 1e-10
-    sol = integrate(rhs, t0, y0, t0 + 1.0, rtol=rtol, atol=atol)
+    sol = integrate(rhs, t0, y0, t0 + 1.0, rtol=rtol, atol=atol,
+                    max_step=OPTIONS.max_step)
     times, y_end = reference_run(rhs, t0, y0, t0 + 1.0, rtol, atol)
     assert [s.t1 for s in sol.steps] == times
     assert sol.y_end == y_end
@@ -197,7 +200,8 @@ def test_eval_many_matches_eval(system, fracs):
     number picks the step of the reference search; beyond the slack
     eval_many raises."""
     rhs, y0 = system
-    sol = integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10)
+    sol = integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10,
+                    max_step=OPTIONS.max_step)
     ts = [s.t0 for s in sol.steps] + [s.t1 for s in sol.steps]
     ts += [sol.t_end * (1 + 1e-13), -1e-13] + fracs
     eps = 1e-12 * max(1.0, abs(sol.t_end))
@@ -224,7 +228,8 @@ def test_rows_formed_on_use_agree_in_any_order(system, fracs, first):
     n = len(y0)
 
     def run():
-        return integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10)
+        return integrate(rhs, 0.0, y0, 1.0, rtol=1e-8, atol=1e-10,
+                         max_step=OPTIONS.max_step)
 
     fresh, probed = run(), run()
     ts = [s.t0 + f * s.h for s in fresh.steps for f in fracs]
@@ -256,7 +261,8 @@ def test_generated_step_shows_in_tracebacks():
         return (1.0, 0.0, -1.0)
 
     with pytest.raises(RuntimeError) as info:
-        integrate(rhs, 0.0, (0.0, 0.0, 0.0), 1.0, first_step=0.1)
+        integrate(rhs, 0.0, (0.0, 0.0, 0.0), 1.0, OPTIONS.rel_tol, OPTIONS.abs_tol,
+                  OPTIONS.max_step, first_step=0.1)
     frames = [f for f in traceback.extract_tb(info.value.__traceback__)
               if f.filename == "<maglab dop853 step n=3>"]
     assert len(frames) == 1
@@ -284,7 +290,8 @@ def test_n_fev_counts_every_rhs_call(case):
         kwargs["observer"] = lambda step: step.t1 < 0.3
     elif case == "rejected_steps":
         kwargs["first_step"] = 1.0  # far above what rtol 1e-10 accepts
-    sol = integrate(rhs, 0.0, (1.0, 0.0), 2.0, **kwargs)
+    sol = integrate(rhs, 0.0, (1.0, 0.0), 2.0, OPTIONS.rel_tol, OPTIONS.abs_tol,
+                    OPTIONS.max_step, **kwargs)
     assert sol.n_fev == len(calls)
     assert sol.status == ("stopped" if case == "observer_stop" else "finished")
     if case == "rejected_steps":
@@ -336,8 +343,8 @@ def test_sphere_twist_return_takes_few_steps(monkeypatch):
     options = IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
     orb = orbits.find_closed_orbit(
         sphere(1.0), MagneticField(ZonalSphereField(1.6)), 0.5,
-        PhasePoint(0, 0.35, 0.0, 0.0, 0.5), tol=1e-10, options=options,
-        max_time=30.0)
+        PhasePoint(0, 0.35, 0.0, 0.0, 0.5),
+        **orbit_search(tol=1e-10, options=options, max_time=30.0))
     trajs = []
     real_flow = orbits.flow
 
@@ -346,7 +353,7 @@ def test_sphere_twist_return_takes_few_steps(monkeypatch):
         return trajs[-1]
 
     monkeypatch.setattr(orbits, "flow", recording_flow)
-    orbits.first_return(orb.section, (0.0, 0.0), 30.0, options=options)
+    orbits.first_return(orb.return_map.section, (0.0, 0.0), 30.0, options=options)
     assert len(trajs) == 1
     assert 0 < trajs[0].n_accepted <= 60
 
@@ -359,8 +366,8 @@ def test_hyperbolic_torus_monodromy_matches_closed_form():
     within 4e-11 of its closed form, relatively (3.3e-11; DP5(4) read
     6.5e-11, its diagonal 4.0e-10 off where this reads 2.0e-10)."""
     orb = orbits.find_closed_orbit(
-        flat_torus(), MagneticField(SinusoidalTorusField(1.0, (1, 0))), 0.5,
-        PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+        flat_torus(), MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0)), 0.5,
+        PhasePoint(0, 0.0, 0.0, 0.0, -1.0), **orbit_search())
     a = math.sqrt(2.0 * math.pi)
     want = np.array([[math.cosh(a), math.sinh(a) / a],
                      [a * math.sinh(a), math.cosh(a)]])

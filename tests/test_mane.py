@@ -29,6 +29,8 @@ from maglab.mane import (
 )
 from maglab.orbits import find_closed_orbit
 
+from stage_defaults import CRITICAL_VALUE, SEED, orbit_search
+
 
 @pytest.fixture(scope="module")
 def lag_zero(torus):
@@ -174,6 +176,7 @@ class _Sum:
 def test_bracket_closed_form(torus):
     lag = LagrangianSpec(torus, ConstantForm(0.7, 0.0))
     br = estimate_critical_value(lag, k_range=(-0.25, 1.0), bisection_tol=1e-4,
+                                 seed=SEED, modes=CRITICAL_VALUE["modes"],
                                  restarts=6, maxiter=150)
     assert br.c_lo <= 0.0 <= br.c_hi
     assert br.c_hi - br.c_lo <= 2e-4
@@ -184,7 +187,8 @@ def test_bracket_closed_form(torus):
 def test_bracket_logs(lag_zero, caplog):
     with caplog.at_level(logging.DEBUG, logger="maglab.mane"):
         br = estimate_critical_value(lag_zero, k_range=(-0.25, 1.0),
-                                     bisection_tol=1e-1, restarts=2, maxiter=50)
+                                     bisection_tol=1e-1, seed=SEED,
+                                     modes=CRITICAL_VALUE["modes"], restarts=2, maxiter=50)
     info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert info == [f"critical value bracket [{br.c_lo:.12g}, {br.c_hi:.12g}] "
                     f"after {br.effort['bisection_steps']} searches "
@@ -196,14 +200,16 @@ def test_bracket_logs(lag_zero, caplog):
 
 def test_bracket_zero_form(lag_zero):
     br = estimate_critical_value(lag_zero, k_range=(-0.25, 1.0),
-                                 bisection_tol=1e-4, restarts=4, maxiter=100)
+                                 bisection_tol=1e-4, seed=SEED,
+                                 modes=CRITICAL_VALUE["modes"], restarts=4, maxiter=100)
     assert br.c_lo <= 0.0 <= br.c_hi
     assert br.c_hi - br.c_lo <= 2e-4
 
 
 def test_bracket_sin_field(lag_sin):
     br = estimate_critical_value(lag_sin, k_range=(-0.25, 1.0),
-                                 bisection_tol=1e-3, restarts=8, maxiter=200)
+                                 bisection_tol=1e-3, seed=SEED,
+                                 modes=CRITICAL_VALUE["modes"], restarts=8, maxiter=200)
     assert br.c_lo > 0.0        # flux through a disk beats the length cost
     assert br.c_lo <= br.c_hi
     assert verify_witness(lag_sin, br) < 0.0
@@ -211,13 +217,15 @@ def test_bracket_sin_field(lag_sin):
 
 def test_bracket_requires_bracketing(lag_zero):
     with pytest.raises(ValueError):
-        estimate_critical_value(lag_zero, k_range=(0.1, 1.0), restarts=2,
-                                maxiter=50)
+        estimate_critical_value(lag_zero, k_range=(0.1, 1.0),
+                                bisection_tol=CRITICAL_VALUE["bisection_tol"], seed=SEED,
+                                modes=CRITICAL_VALUE["modes"], restarts=2, maxiter=50)
 
 
 def test_rotation_vector_geodesic(torus, zero_field):
-    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0))
-    rv = rotation_vector(torus, orb)
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0),
+                            **orbit_search())
+    rv = rotation_vector(orb)
     assert rv.homology == (1, 0)
     assert rv.rho[0] == pytest.approx(1.0, rel=1e-9)
     assert rv.rho[1] == 0.0
@@ -226,8 +234,9 @@ def test_rotation_vector_geodesic(torus, zero_field):
 def test_rotation_vector_contractible(torus):
     """A small magnetic circle winds (0, 0)."""
     fld = MagneticField(ConstantField(4.0))
-    orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 0.0))
-    rv = rotation_vector(torus, orb)
+    orb = find_closed_orbit(torus, fld, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 0.0),
+                            **orbit_search())
+    rv = rotation_vector(orb)
     assert rv.homology == (0, 0)
     assert orb.period == pytest.approx(2.0 * math.pi / 4.0, abs=1e-8)
 
@@ -235,28 +244,30 @@ def test_rotation_vector_contractible(torus):
 def test_rotation_vector_minimal_period(torus, zero_field):
     """The search's period is the first return's transit time, so the line
     orbit reports (1, 0) over T = 1, not (2, 0) over a double cover."""
-    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.7, 0.1, 1.0, 0.0))
-    rv = rotation_vector(torus, orb)
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.7, 0.1, 1.0, 0.0),
+                            **orbit_search())
+    rv = rotation_vector(orb)
     assert rv.homology == (1, 0) and rv.period == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rotation_vector_non_integral_winding_is_typed(torus, zero_field):
     """An end state half a turn past the start winds (1/2, 0): a
     DataInconsistencyError, which a stage reports as a numerical failure."""
-    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0))
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.1, 0.2, 1.0, 0.0),
+                            **orbit_search())
     s = orb.initial_state
     orb = dataclasses.replace(orb, end_state=dataclasses.replace(s, x=s.x + 0.5))
     with pytest.raises(DataInconsistencyError, match="winding not integral"):
-        rotation_vector(torus, orb)
+        rotation_vector(orb)
 
 
 def test_rotation_vector_torus_only(unit_sphere, zero_field, tight_options):
     lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
     orb = find_closed_orbit(unit_sphere, zero_field, 0.5,
                             PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / lam),
-                            max_time=20.0, options=tight_options)
+                            **orbit_search(max_time=20.0, options=tight_options))
     with pytest.raises(UnsupportedSurfaceError):
-        rotation_vector(unit_sphere, orb)
+        rotation_vector(orb)
 
 
 # -- the Nelder-Mead lanes against scipy's ---------------------------------------------

@@ -39,10 +39,10 @@ def test_jet_polynomial_coefficients():
               (0, 2, 1): 1.5}
     pm = PolynomialMap(coeffs)
     J = jet3(pm, (0.0, 0.0), fd_scale=1e-2)
-    assert J.coefficient(0, 2, 0) == pytest.approx(0.5, abs=1e-5)
-    assert J.coefficient(0, 2, 1) == pytest.approx(1.5, abs=1e-5)
-    assert J.coefficient(1, 0, 2) == pytest.approx(2.0, abs=1e-5)
-    assert J.coefficient(1, 3, 0) == pytest.approx(0.75, abs=1e-5)
+    assert J.coeffs[0, _MONOMIALS.index((2, 0))] == pytest.approx(0.5, abs=1e-5)
+    assert J.coeffs[0, _MONOMIALS.index((2, 1))] == pytest.approx(1.5, abs=1e-5)
+    assert J.coeffs[1, _MONOMIALS.index((0, 2))] == pytest.approx(2.0, abs=1e-5)
+    assert J.coeffs[1, _MONOMIALS.index((3, 0))] == pytest.approx(0.75, abs=1e-5)
     assert J.errors.max() <= 1e-6
 
 

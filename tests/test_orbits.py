@@ -30,9 +30,11 @@ from maglab.orbits import (
 from maglab.franks import (FranksKit, PerturbA, build_GA, build_tubular_chart,
                            compute_constants)
 
+from stage_defaults import ORBITS, orbit_search
+
 
 def test_section_frame_anchor(disk, minus_one_field, disk_seed):
-    sec = Section(disk, minus_one_field, disk_seed)
+    sec = Section(disk, minus_one_field, disk_seed, ORBITS["half_width"])
     # (0, 0) embeds to the anchor
     st = sec.embed(0.0, 0.0)
     assert phase_distance(disk, st, disk_seed) <= 1e-14
@@ -43,7 +45,8 @@ def test_section_frame_anchor(disk, minus_one_field, disk_seed):
 
 
 def test_section_energy_preserved(torus, sin_field):
-    sec = Section(torus, sin_field, PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+    sec = Section(torus, sin_field, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
+                  ORBITS["half_width"])
     for s, R in [(0.05, 0.0), (-0.1, 0.2), (0.15, -0.3)]:
         st = sec.embed(s, R)
         assert energy(torus, st) == pytest.approx(0.5, abs=1e-14)
@@ -53,32 +56,37 @@ def test_section_energy_preserved(torus, sin_field):
 
 
 def test_first_return_disk_identity(disk, minus_one_field, disk_seed):
-    sec = Section(disk, minus_one_field, disk_seed)
-    zc, transit, _ = first_return(sec, (0.0, 0.0))
+    sec = Section(disk, minus_one_field, disk_seed, ORBITS["half_width"])
+    zc, transit, _ = first_return(sec, (0.0, 0.0), ORBITS["max_time"],
+                                  IntegratorOptions())
     assert transit == pytest.approx(2.0 * math.pi, abs=1e-10)
     assert abs(zc[0]) <= 1e-9 and abs(zc[1]) <= 1e-9
     # all circles through nearby states close up: P = id near the origin
     for z in [(0.03, 0.0), (0.0, 0.04), (-0.02, 0.03)]:
-        zc, _, _ = first_return(sec, z)
+        zc, _, _ = first_return(sec, z, ORBITS["max_time"], IntegratorOptions())
         assert abs(zc[0] - z[0]) <= 1e-6 and abs(zc[1] - z[1]) <= 1e-6
 
 
 def test_first_return_torus_geodesic(torus, zero_field):
-    sec = Section(torus, zero_field, PhasePoint(0, 0.4, 0.9, 1.0, 0.0))
-    zc, transit, _ = first_return(sec, (0.0, 0.0))
+    sec = Section(torus, zero_field, PhasePoint(0, 0.4, 0.9, 1.0, 0.0),
+                  ORBITS["half_width"])
+    zc, transit, _ = first_return(sec, (0.0, 0.0), ORBITS["max_time"],
+                                  IntegratorOptions())
     assert transit == pytest.approx(1.0, abs=1e-12)
     assert abs(zc[0]) <= 1e-12 and abs(zc[1]) <= 1e-12
 
 
 def test_no_return_error(disk, zero_field):
     # straight geodesics on the disk never come back
-    sec = Section(disk, zero_field, PhasePoint(0, 0.0, 0.0, 1.0, 0.0))
+    sec = Section(disk, zero_field, PhasePoint(0, 0.0, 0.0, 1.0, 0.0),
+                  ORBITS["half_width"])
     with pytest.raises(NoReturnError):
-        first_return(sec, (0.0, 0.0), max_time=5.0)
+        first_return(sec, (0.0, 0.0), max_time=5.0, options=IntegratorOptions())
 
 
 def test_disk_closed_orbit(disk, minus_one_field, disk_seed):
-    orb = find_closed_orbit(disk, minus_one_field, 0.5, disk_seed, tol=1e-10)
+    orb = find_closed_orbit(disk, minus_one_field, 0.5, disk_seed,
+                            **orbit_search(tol=1e-10))
     assert abs(orb.period - 2.0 * math.pi) <= 1e-8
     assert np.abs(orb.monodromy - np.eye(2)).max() <= 1e-6
     assert orb.floquet_class == "parabolic"
@@ -88,7 +96,7 @@ def test_sphere_great_circle(unit_sphere, zero_field, tight_options):
     lam = unit_sphere.metric_at(0, 0.1, 0.0).lam
     orb = find_closed_orbit(unit_sphere, zero_field, 0.5,
                             PhasePoint(0, 0.1, 0.0, 0.0, 1.0 / lam),
-                            max_time=20.0, options=tight_options)
+                            **orbit_search(max_time=20.0, options=tight_options))
     assert orb.period == pytest.approx(2.0 * math.pi, abs=1e-9)
     assert np.abs(orb.monodromy - np.eye(2)).max() <= 1e-7
 
@@ -98,22 +106,22 @@ def test_sphere_unit_field_orbit(unit_sphere, tight_options):
     lam = unit_sphere.metric_at(0, 0.4, 0.0).lam
     orb = find_closed_orbit(unit_sphere, fld, 0.5,
                             PhasePoint(0, 0.4, 0.0, 0.0, 1.0 / lam),
-                            max_time=20.0, options=tight_options)
+                            **orbit_search(max_time=20.0, options=tight_options))
     assert orb.period == pytest.approx(2.0 * math.pi / math.sqrt(2.0), abs=1e-9)
     assert abs(orb.trace) <= 2.0 + 1e-9
 
 
 def test_classify_cases():
-    cls, eig = classify(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
+    cls, eig = classify(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]), ORBITS["class_tol"])
     assert cls == "hyperbolic"
     assert eig.eigenvalues[0] == pytest.approx(3.0)
     tr = 2.0 * math.cos(2.0 * math.pi * 0.3)
     M = np.array([[tr / 2, -math.sin(2 * math.pi * 0.3)],
                   [math.sin(2 * math.pi * 0.3), tr / 2]])
-    cls, eig = classify(M)
+    cls, eig = classify(M, ORBITS["class_tol"])
     assert cls == "elliptic"
     assert eig.alpha == pytest.approx(0.3, abs=1e-12)
-    cls, _ = classify(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    cls, _ = classify(np.array([[1.0, 1.0], [0.0, 1.0]]), ORBITS["class_tol"])
     assert cls == "parabolic"
 
 
@@ -133,7 +141,7 @@ def test_classify_stability_band():
 
 def test_hyperbolic_torus_orbit(torus, sin_field):
     orb = find_closed_orbit(torus, sin_field, 0.5,
-                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0), **orbit_search())
     om = math.sqrt(2.0 * math.pi)
     assert orb.floquet_class == "hyperbolic"
     assert orb.period == pytest.approx(1.0, abs=1e-10)
@@ -141,22 +149,37 @@ def test_hyperbolic_torus_orbit(torus, sin_field):
     assert abs(np.linalg.det(orb.monodromy) - 1.0) <= 1e-8
     assert orb.residual <= 1e-10
     # first return of the fixed point stays put
-    zc, _, _ = first_return(orb.section, (0.0, 0.0))
+    zc, _, _ = first_return(orb.return_map.section, (0.0, 0.0), ORBITS["max_time"],
+                            IntegratorOptions())
     assert abs(zc[0]) <= 1e-10 and abs(zc[1]) <= 1e-10
+
+
+def test_orbit_keeps_the_return_map_of_its_search(torus, sin_field):
+    """The orbit's return map is on the section through its state, with the
+    search's half_width, max_time and integrator options."""
+    opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13)
+    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
+                            **orbit_search(max_time=100.0, options=opts, half_width=0.1))
+    rmap = orb.return_map
+    assert rmap.max_time == 100.0 and rmap.options is opts
+    assert rmap.section.half_width == 0.1
+    assert rmap.section.anchor == orb.initial_state
 
 
 def test_monodromy_conjugation_consistency(torus, sin_field, tight_options):
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
-                            options=tight_options)
+                            **orbit_search(options=tight_options))
     moved = flow(torus, sin_field, orb.initial_state, 0.37, tight_options).end_state()
-    orb2 = find_closed_orbit(torus, sin_field, 0.5, moved, options=tight_options)
+    orb2 = find_closed_orbit(torus, sin_field, 0.5, moved,
+                             **orbit_search(options=tight_options))
     assert orb2.trace == pytest.approx(orb.trace, abs=1e-6)
 
 
 def test_minimal_period_detection(torus, zero_field):
     """Seeding near a double cover still reports the primitive period."""
-    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 0.0))
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 0.0),
+                            **orbit_search())
     assert orb.period == pytest.approx(1.0, abs=1e-10)
 
 
@@ -165,7 +188,7 @@ def test_orbit_search_logs_suspect(torus, zero_field, caplog):
     a seed tilted by 1e-9, is logged at INFO on maglab.orbits."""
     with caplog.at_level(logging.INFO, logger="maglab.orbits"):
         orb = find_closed_orbit(torus, zero_field, 0.5,
-                                PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
+                                PhasePoint(0, 0.5, 0.5, 1.0, 1e-9), **orbit_search())
     lines = [r.getMessage() for r in caplog.records
              if r.name == "maglab.orbits" and r.levelno == logging.INFO]
     assert orb.parabolic_suspect
@@ -202,7 +225,8 @@ def test_converged_search_reuses_its_last_return(torus, sin_field, monkeypatch):
     the monodromy one variational flow over that transit time: the period
     is not re-derived by further flows."""
     counts = _count_search(monkeypatch)
-    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
+    orb = find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0),
+                            **orbit_search())
     assert orb.residual <= 1e-8 and not orb.parabolic_suspect
     assert counts["jacobians"] >= 1
     assert counts["returns"] == 5 * counts["jacobians"] + 1
@@ -216,7 +240,8 @@ def test_suspect_search_reuses_its_last_return(torus, zero_field, monkeypatch):
     the break does not move, not from a repeat of it.  Here too each return
     is one flow, and the monodromy one variational flow."""
     counts = _count_search(monkeypatch)
-    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 1e-9))
+    orb = find_closed_orbit(torus, zero_field, 0.5, PhasePoint(0, 0.5, 0.5, 1.0, 1e-9),
+                            **orbit_search())
     assert orb.parabolic_suspect
     assert orb.period == pytest.approx(1.0, abs=1e-10)
     assert counts["jacobians"] >= 1
@@ -235,7 +260,8 @@ def test_stalled_search_is_a_stage_failure(torus, sin_field, monkeypatch, tmp_pa
     counts = _count_search(monkeypatch)
     with pytest.raises(NewtonDivergenceError,
                        match="shooting stalled with section residual 2.300e-02"):
-        find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0))
+        find_closed_orbit(torus, sin_field, 0.5, PhasePoint(0, 0.02, 0.3, 0.0, -1.0),
+                          **orbit_search())
     # the iterate's return, its Jacobian's 4 and the return from the new point
     assert (counts["returns"], counts["jacobians"]) == (6, 1)
     assert counts["variational"] == 0
@@ -286,8 +312,10 @@ def test_return_path_integrates_python_floats(case, unit_sphere, torus, disk,
     else:
         surface, field, seed = disk, minus_one_field, (0, -1.0, 0.0, 1.0, 0.0)
     orb = find_closed_orbit(surface, field, 0.5,
-                            PhasePoint(seed[0], *np.array(seed[1:])), max_time=20.0)
-    SectionReturnMap(orb.section)(np.array([2e-3, -1e-3]))
+                            PhasePoint(seed[0], *np.array(seed[1:])),
+                            **orbit_search(max_time=20.0))
+    SectionReturnMap(orb.return_map.section, ORBITS["max_time"],
+                     IntegratorOptions())(np.array([2e-3, -1e-3]))
 
     assert seen
     if case == "sphere":
@@ -300,21 +328,21 @@ def test_return_path_integrates_python_floats(case, unit_sphere, torus, disk,
         for step in sol.steps:
             assert type(step.h) is float
             assert all(type(v) is float for v in step.y1)
-    for point in (orb.initial_state, orb.section.anchor):
+    for point in (orb.initial_state, orb.return_map.section.anchor):
         assert all(type(v) is float for v in (point.x, point.y, point.vx, point.vy))
 
 
 def _reshoot(orb, surface, field):
     """The orbit found from orb's own state in `field`, and its phase-space
     displacement from orb."""
-    new = find_closed_orbit(surface, field, orb.c, orb.initial_state)
+    new = find_closed_orbit(surface, field, orb.c, orb.initial_state, **orbit_search())
     return new, phase_distance(surface, orb.initial_state, new.initial_state)
 
 
 def test_continue_orbit_same_field(torus, sin_field):
     """Re-shooting from an orbit's own state returns that orbit."""
     orb = find_closed_orbit(torus, sin_field, 0.5,
-                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0), **orbit_search())
     new, disp = _reshoot(orb, torus, sin_field)
     assert disp <= 1e-9
     assert new.period == pytest.approx(orb.period, abs=1e-10)
@@ -323,7 +351,7 @@ def test_continue_orbit_same_field(torus, sin_field):
 def test_continue_orbit_supported_off_core(torus, sin_field, tight_options):
     """A perturbation vanishing on the core keeps the orbit and its period."""
     orb = find_closed_orbit(torus, sin_field, 0.5,
-                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0))
+                            PhasePoint(0, 0.0, 0.0, 0.0, -1.0), **orbit_search())
     kit = FranksKit(build_tubular_chart(torus, sin_field, orb.initial_state, 0.2,
                                         0.02, tight_options))
     consts = compute_constants(kit, 0.1)
@@ -335,9 +363,9 @@ def test_continue_orbit_supported_off_core(torus, sin_field, tight_options):
 
 def test_continuation_displacement_scales(torus):
     """Displacement -> 0 linearly as the field perturbation shrinks."""
-    base = MagneticField(SinusoidalTorusField(1.0))
+    base = MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))
     seed = PhasePoint(0, 0.0, 0.0, 0.0, -1.0)
-    orb = find_closed_orbit(torus, base, 0.5, seed)
+    orb = find_closed_orbit(torus, base, 0.5, seed, **orbit_search())
     disps = []
     for eps in (1e-2, 1e-3, 1e-4):
         shifted = MagneticField(SinusoidalTorusField(1.0, (1, 0), phase=eps))
@@ -353,8 +381,8 @@ def test_continuation_displacement_scales(torus):
 def test_return_map_inverse(torus, sin_field, tight_options):
     orb = find_closed_orbit(torus, sin_field, 0.5,
                             PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
-                            options=tight_options)
-    rmap = SectionReturnMap(orb.section, options=tight_options)
+                            **orbit_search(options=tight_options))
+    rmap = SectionReturnMap(orb.return_map.section, ORBITS["max_time"], tight_options)
     z = np.array([0.02, -0.01])
     w = rmap(z)
     back = rmap.inverse(w)
@@ -364,8 +392,8 @@ def test_return_map_inverse(torus, sin_field, tight_options):
 # -- the raw-float section offset against the PhasePoint path ---------------------
 
 _OFFSET_SURFACES = {
-    "torus": (flat_torus(), MagneticField(SinusoidalTorusField(1.0))),
-    "planar": (planar_chart(), MagneticField(ConstantField(-1.0))),
+    "torus": (flat_torus(), MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))),
+    "planar": (planar_chart(3.0, math.pi), MagneticField(ConstantField(-1.0))),
     "sphere 0.5": (sphere(0.5), MagneticField(ZonalSphereField(1.6))),
     "sphere 1": (sphere(1.0), MagneticField(ZonalSphereField(1.6))),
     "sphere 2.5": (sphere(2.5), MagneticField(ZonalSphereField(1.6))),
@@ -413,7 +441,7 @@ def test_offset_at_matches_phase_point_path(sec_args, chart, x, y, vx, vy):
     anchor_chart %= len(surface.charts)
     chart %= len(surface.charts)
     anchor = PhasePoint(anchor_chart, ax, ay, math.cos(angle), math.sin(angle))
-    sec = Section(surface, field, anchor)
+    sec = Section(surface, field, anchor, ORBITS["half_width"])
     state = PhasePoint(chart, x, y, vx, vy)
     want = _ref_offset(sec, state)
     assert sec.offset_at(chart, x, y) == want
@@ -519,7 +547,7 @@ def _monitored_flows(draw):
     ax, ay = draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7))
     angle = draw(st.floats(0.0, 2.0 * math.pi))
     anchor = PhasePoint(chart, ax, ay, math.cos(angle), math.sin(angle))
-    sec = Section(surface, field, anchor)
+    sec = Section(surface, field, anchor, ORBITS["half_width"])
 
     def on_section():
         return sec.embed(draw(st.floats(-0.1, 0.1)),
@@ -559,17 +587,17 @@ _DISK_ANCHOR = PhasePoint(0, 0.0, 0.0, 1.0, 0.0)
 
 @given(_monitored_flows())
 # a flow along the window's edge, tangent to it at the start
-@example((Section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
+@example((Section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR, ORBITS["half_width"]),
           [(_edge_start(_TORUS_ANCHOR, 0.35, 0.5 * math.pi, 0.0), 4.0)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
 # a jump from inside the torus window to a short leg wholly outside it
-@example((Section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR),
+@example((Section(*_OFFSET_SURFACES["torus"], _TORUS_ANCHOR, ORBITS["half_width"]),
           [(_TORUS_ANCHOR, 0.1),
            (_edge_start(_TORUS_ANCHOR, 0.45, 0.5 * math.pi, 0.5 * math.pi), 0.05)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)))
 # a jump across the section between two legs, at offsets -0.05 and 0.05:
 # no pair spans two steps, so neither monitor finds a crossing there
-@example((Section(*_OFFSET_SURFACES["planar"], _DISK_ANCHOR),
+@example((Section(*_OFFSET_SURFACES["planar"], _DISK_ANCHOR, ORBITS["half_width"]),
           [(PhasePoint(0, -0.15, 0.0, 1.0, 0.0), 0.1),
            (PhasePoint(0, 0.05, 0.0, 1.0, 0.0), 0.5)],
           IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, max_step=0.01)))
@@ -658,7 +686,7 @@ def test_skipped_steps_read_no_point(case, unit_sphere, torus, sin_field,
     else:
         surface, field = torus, sin_field
         anchor = PhasePoint(0, 0.02, 0.3, 0.0, -1.0)
-    first_return(Section(surface, field, anchor), (0.0, 0.0), 30.0,
+    first_return(Section(surface, field, anchor, ORBITS["half_width"]), (0.0, 0.0), 30.0,
                  options=tight_options)
     assert skipped
     assert not read & {id(step) for step in skipped}
@@ -677,7 +705,8 @@ def test_sphere_return_near_the_chart_switch(x, angle, rel_tol, unit_sphere,
     crossing may lie in the step that leaves a chart, which the monitor sees
     like any other."""
     sec = Section(unit_sphere, zero_field,
-                  PhasePoint(0, x, 0.0, math.cos(angle), math.sin(angle)))
+                  PhasePoint(0, x, 0.0, math.cos(angle), math.sin(angle)),
+                  ORBITS["half_width"])
     options = IntegratorOptions(rel_tol=rel_tol, abs_tol=1e-12)
     zc, transit, _ = first_return(sec, (0.0, 0.0), 20.0, options=options)
     assert transit == pytest.approx(2.0 * math.pi / sec.lam0, abs=1e-4)

@@ -103,9 +103,13 @@ def test_src_stats_counts_lines_and_defaulted_parameters(tmp_path, capsys):
     # y, z and v in a.py, k in b.py; the keyword-only w has no default
     assert mod.stats(str(tmp_path)) == (5, 4)
     assert mod.stats(str(tmp_path / "src")) == (5, 4)
+    # each function and lambda with a default, by name, with its parameters
+    assert mod.defaulted(str(tmp_path)) == [
+        "a.f(y, z)", "a.f.<lambda>(v)", "b.C.g(k)"]
     assert mod.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == (
         f"{tmp_path}: 5 lines, 4 defaulted parameters, 3 uncalled definitions\n"
+        "  defaulted: a.f(y, z), a.f.<lambda>(v), b.C.g(k)\n"
         "  uncalled: a.f, b.C, b.C.g\n")
 
 

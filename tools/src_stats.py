@@ -7,11 +7,13 @@ none, the repository this script sits in.  For each tree it prints one line of
 
 * the lines of src/maglab/*.py (what `cat src/maglab/*.py | wc -l` reads),
 * the defaulted parameters: over every function, method and lambda, the
-  positional defaults plus the keyword-only parameters with a default, and
+  positional defaults plus the keyword-only parameters with a default;
+  they follow as `module.function(param, ...)` on a line of their own, a
+  lambda named `<lambda>` within its enclosing definition, and
 * the uncalled definitions: top-level functions and classes and the methods
   of top-level classes (dunder methods left out) whose name no module but
   `__init__.py` reads, as a name, an attribute or a string outside `__all__`;
-  their names follow on a second line.
+  their names follow on a line of their own.
 
 These numbers track "the same numbers from less code", so a simplification
 can quote them for the parent tree and the change.  A definition counts as
@@ -41,26 +43,45 @@ def source_files(tree):
     raise SystemExit(f"no maglab package under {tree}")
 
 
-def defaulted_parameters(source):
-    """Defaults of every function and lambda in a module's source."""
-    count = 0
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, _FUNCTIONS):
-            args = node.args
-            count += len(args.defaults)
-            count += sum(d is not None for d in args.kw_defaults)
-    return count
+def _defaulted(node, prefix):
+    """(qualified name, defaulted parameter names) of every function and
+    lambda under a node that has a default, in source order."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (*_DEFS, ast.Lambda)):
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+        if isinstance(child, _FUNCTIONS):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            params = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            params += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            if params:
+                yield name, params
+        yield from _defaulted(child, name)
+
+
+def _tree_defaults(tree):
+    """`_defaulted` over each module of a tree's src/maglab/*.py."""
+    for path in source_files(tree):
+        with open(path) as fh:
+            parsed = ast.parse(fh.read())
+        yield from _defaulted(parsed, os.path.basename(path)[:-3])
+
+
+def defaulted(tree):
+    """`module.function(param, ...)` for each function and lambda of a tree's
+    src/maglab/*.py with defaulted parameters."""
+    return [f"{qual}({', '.join(params)})" for qual, params in _tree_defaults(tree)]
 
 
 def stats(tree):
     """(lines, defaulted parameters) of a tree's src/maglab/*.py."""
-    lines = params = 0
+    lines = 0
     for path in source_files(tree):
         with open(path) as fh:
-            source = fh.read()
-        lines += source.count("\n")
-        params += defaulted_parameters(source)
-    return lines, params
+            lines += fh.read().count("\n")
+    return lines, sum(len(params) for _, params in _tree_defaults(tree))
 
 
 def _definitions(module, tree):
@@ -117,8 +138,9 @@ def main(argv=None):
         names = uncalled(tree)
         print(f"{tree}: {lines:,} lines, {params} defaulted parameters, "
               f"{len(names)} uncalled definitions")
-        if names:
-            print("  uncalled: " + ", ".join(names))
+        for label, listed in (("defaulted", defaulted(tree)), ("uncalled", names)):
+            if listed:
+                print(f"  {label}: " + ", ".join(listed))
     return 0
 
 

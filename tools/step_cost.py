@@ -136,13 +136,14 @@ def measure(reps):
     import maglab.orbits as orbits
     from maglab.field import MagneticField, SinusoidalTorusField, ZonalSphereField
     from maglab.geometry import PhasePoint, flat_torus, sphere
+    from maglab.scenarios import STAGE_TABLE
 
     options = dyn.IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
     orb = orbits.find_closed_orbit(
         sphere(1.0), MagneticField(ZonalSphereField(1.6)), 0.5,
-        PhasePoint(0, 0.35, 0.0, 0.0, 0.5), tol=1e-10, options=options,
-        max_time=30.0)
-    section = orb.section
+        PhasePoint(0, 0.35, 0.0, 0.0, 0.5), options=options,
+        **dict(STAGE_TABLE["orbits"].keys, tol=1e-10, max_time=30.0))
+    section = orb.return_map.section
     rec = _record(section, options, dyn, integ, orbits)
 
     def rhs():
@@ -197,16 +198,18 @@ def measure(reps):
     arith = (t_int - fev * t_rhs - acc * (t_dense + t_post)) / (acc + rej)
 
     torus = flat_torus()
-    field = MagneticField(SinusoidalTorusField(1.0, (1, 0)))
+    field = MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))
     start = PhasePoint(0, 0.01, 0.3, 0.0, 1.0)
+    survey_options = dyn.IntegratorOptions()
     paths = []
 
     def torus10():
-        paths[:] = [dyn.flow_with_variation(torus, field, start, 10.0)[0]]
+        paths[:] = [dyn.flow_with_variation(torus, field, start, 10.0,
+                                            survey_options)[0]]
 
     t_torus = best(torus10, reps)
     traj = paths[0]
-    survey = dyn.flow_with_variation(torus, field, start, 2.0)[0]
+    survey = dyn.flow_with_variation(torus, field, start, 2.0, survey_options)[0]
     grid = survey.t_reach * np.arange(LOOKUPS) / (LOOKUPS - 1)
     times = grid.tolist()
 
@@ -254,13 +257,15 @@ def _window_cost(reps):
     from maglab.field import MagneticField, SinusoidalTorusField
     from maglab.geometry import PhasePoint, flat_torus
     from maglab.orbits import find_closed_orbit
+    from maglab.scenarios import STAGE_TABLE
 
     torus = flat_torus()
-    field = MagneticField(SinusoidalTorusField(1.0, (1, 0)))
+    field = MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0))
+    options = IntegratorOptions()
     orb = find_closed_orbit(torus, field, 0.5, PhasePoint(0, 0.0, 0.0, 0.0, -1.0),
-                            tol=1e-10)
-    split = franks.segment_split(orb, torus, field, 0.5, eps0=0.02,
-                                 options=IntegratorOptions())
+                            options=options,
+                            **dict(STAGE_TABLE["orbits"].keys, tol=1e-10))
+    split = franks.segment_split(orb, eps0=0.02, options=options)
     kit = franks.FranksKit(split.tube(0))
     consts = franks.compute_constants(kit, eps_c1=0.1)
     s = 0.5 * consts.delta1
