@@ -14,11 +14,14 @@ box for the self-traversal count (`crossing_boxes` builds these at a
 crossing) or several for the full-crossing check (a map's known strips).
 
 `certify_horseshoe` follows one orbit per sampled fiber: within a call each
-(rectangle, fiber) keeps the images of its points, extended one oracle call
-per point and iterate as larger k are read, so the k-th image costs one call
-on the stored (k-1)-th image rather than k calls from the fiber.  A point
-whose oracle call raises stays failed for every larger k.  For a flow's
-`SectionReturnMap` each saved call is a saved section return.
+(rectangle, fiber) keeps the images of its points, extended one iterate at a
+time as larger k are read, so the k-th image maps the stored (k-1)-th image
+rather than iterating k times from the fiber.  An iterate is one
+`maps.map_points` call on the fiber's live points: one oracle call per fiber
+where the oracle has the array form `points` (the closed-form maps), one per
+point otherwise.  A point the oracle cannot map stays failed for every larger
+k.  For a flow's `SectionReturnMap` each saved point image is a saved section
+return.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FixedPointError, NoReturnError
-from .maps import fd_jacobian
+from .maps import fd_jacobian, map_points
 
 log = logging.getLogger("maglab.chaos")
 
@@ -315,17 +318,22 @@ class EntropyReport:
 
 
 class _FiberOrbit:
-    """Images of one fiber's sample points under successive oracle calls.
+    """Images of one fiber's sample points under successive iterates.
 
-    images[j] holds the j-th images (row i for point i) and failed_at[i] is
-    the first iterate at which the oracle raised on point i, so point i is
-    alive at iterate k exactly when k < failed_at[i].  A failed point is
-    never passed to the oracle again.
+    images[j] holds the j-th images (row i for point i, NaN once failed) and
+    failed_at[i] is the first iterate at which the oracle could not map
+    point i, so point i is alive at iterate k exactly when k < failed_at[i].
+    Each iterate is one `map_points` call on the live points: one oracle
+    call per fiber and iterate where the oracle has `points`, one per point
+    and iterate otherwise.  A failed point is never passed to the oracle
+    again.  `mapped` counts the point images asked for and `calls` the
+    oracle calls that made them.
     """
 
     def __init__(self, pts):
         self.images = [np.asarray(pts, dtype=float)]
         self.failed_at = np.full(len(pts), np.iinfo(np.int64).max)
+        self.mapped = 0
         self.calls = 0
 
     def at(self, oracle, k):
@@ -334,12 +342,13 @@ class _FiberOrbit:
             j = len(self.images)
             prev = self.images[-1]
             nxt = np.full_like(prev, np.nan)
-            for i in np.flatnonzero(self.failed_at >= j):
-                self.calls += 1
-                try:
-                    nxt[i] = np.asarray(oracle(prev[i]), dtype=float)
-                except (ValueError, NoReturnError):
-                    self.failed_at[i] = j
+            live = np.flatnonzero(self.failed_at >= j)
+            if live.size:
+                imgs, ok = map_points(oracle, prev[live])
+                nxt[live[ok]] = imgs[ok]
+                self.failed_at[live[~ok]] = j
+                self.mapped += live.size
+                self.calls += 1 if hasattr(oracle, "points") else live.size
             self.images.append(nxt)
         return self.images[k], self.failed_at > k
 
@@ -396,8 +405,10 @@ class _FiberStore:
             yield orb.at(self.oracle, k)
 
     @property
-    def calls(self):
-        return sum(orb.calls for orb in self.orbits.values())
+    def work(self):
+        """(point images, oracle calls) so far."""
+        return (sum(orb.mapped for orb in self.orbits.values()),
+                sum(orb.calls for orb in self.orbits.values()))
 
 
 def certify_horseshoe(oracle, candidates, k_range, T_ret):
@@ -423,11 +434,12 @@ def certify_horseshoe(oracle, candidates, k_range, T_ret):
                     best = EntropyReport({"N": n, "k": k, "T_ret": T_ret}, bound,
                                          "certified")
     if best is None:
-        log.info("no horseshoe certified over k in %s (%d oracle calls)",
-                 list(k_range), store.calls)
+        log.info("no horseshoe certified over k in %s (%d point images, %d oracle calls)",
+                 list(k_range), *store.work)
         return EntropyReport({"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "not certified")
-    log.info("horseshoe certified: N = %d, k = %d, bound %.12g (%d oracle calls)",
-             best.horseshoe["N"], best.horseshoe["k"], best.h_top_lower, store.calls)
+    log.info("horseshoe certified: N = %d, k = %d, bound %.12g "
+             "(%d point images, %d oracle calls)",
+             best.horseshoe["N"], best.horseshoe["k"], best.h_top_lower, *store.work)
     return best
 
 

@@ -6,6 +6,13 @@ analytic form exists.  Flows enter through the same protocol via
 SectionReturnMap, so synthetic maps and first-return maps share all code.
 An oracle without `jacobian` is differenced by `fd_jacobian`, the one
 finite-difference Jacobian of the package.
+
+An oracle may also have an array form `points(zs) -> (images, ok)`: the
+images of the rows of an (n, 2) array and a mask of the rows the map is
+defined on (NaN images elsewhere), each row `==` to the one-point call.
+`map_points` reads a whole array through either form, so a caller needs
+no second code path; the closed-form maps here have `points`, and
+SectionReturnMap and other one-point oracles are called row by row.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ import math
 
 import numpy as np
 
+from .errors import NoReturnError
+
 __all__ = [
     "StandardMap",
     "HorseshoeMap",
     "fd_jacobian",
+    "map_points",
 ]
 
 
@@ -32,6 +42,26 @@ def fd_jacobian(map_fn, z, h=1e-6):
         e[j] = h
         cols.append((np.asarray(map_fn(z + e)) - np.asarray(map_fn(z - e))).ravel() / (2 * h))
     return np.column_stack(cols)
+
+
+def map_points(oracle, zs):
+    """(images, ok) of the rows of the (n, 2) array zs under the oracle.
+
+    `oracle.points(zs)` where the oracle has it; otherwise one oracle call
+    per row, a row whose call raises ValueError or NoReturnError not ok
+    with a NaN image.
+    """
+    points = getattr(oracle, "points", None)
+    if points is not None:
+        return points(zs)
+    images = np.full_like(zs, np.nan)
+    ok = np.ones(len(zs), dtype=bool)
+    for i, z in enumerate(zs):
+        try:
+            images[i] = np.asarray(oracle(z), dtype=float)
+        except (ValueError, NoReturnError):
+            ok[i] = False
+    return images, ok
 
 
 class StandardMap:
@@ -50,6 +80,17 @@ class StandardMap:
         x, p = float(z[0]), float(z[1])
         p1 = p + self.K / (2.0 * math.pi) * math.sin(2.0 * math.pi * x)
         return np.array([x + p1, p1])
+
+    def points(self, zs):
+        """Array form of __call__: the same operations in the same order
+        (np.sin equals math.sin bit for bit).  ok is False where 2 pi x is
+        infinite, the one place math.sin raises; those images are NaN."""
+        zs = np.asarray(zs, dtype=float)
+        x, p = zs[:, 0], zs[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = 2.0 * math.pi * x
+            p1 = p + self.K / (2.0 * math.pi) * np.sin(a)
+        return np.column_stack([x + p1, p1]), ~np.isinf(a)
 
     def inverse(self, z):
         x1, p1 = float(z[0]), float(z[1])
@@ -83,6 +124,19 @@ class HorseshoeMap:
         if y >= 2.0 / 3.0 - 1e-15:
             return np.array([1.0 - x / s, s - s * y])
         raise ValueError("middle third leaves the square")
+
+    def points(self, zs):
+        """Array form of __call__: ok is False exactly where __call__ raises,
+        with a NaN image."""
+        zs = np.asarray(zs, dtype=float)
+        x, y = zs[:, 0], zs[:, 1]
+        s = self.s
+        low = y <= 1.0 / 3.0 + 1e-15
+        ok = low | (y >= 2.0 / 3.0 - 1e-15)
+        images = np.where(low[:, None], np.column_stack([x / s, s * y]),
+                          np.column_stack([1.0 - x / s, s - s * y]))
+        images[~ok] = np.nan
+        return images, ok
 
     def inverse(self, z):
         x1, y1 = float(z[0]), float(z[1])

@@ -285,6 +285,52 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
         assert (rep.h_top_lower, rep.horseshoe["N"], rep.horseshoe["k"]) == best_ref
 
 
+class _CountingArrayMap:
+    """StandardMap(1.5) with its array form, counting calls of each form."""
+
+    def __init__(self):
+        self.sm = StandardMap(1.5)
+        self.calls = 0
+        self.points_calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.sm(z)
+
+    def points(self, zs):
+        self.points_calls += 1
+        return self.sm.points(zs)
+
+
+def test_certifier_one_points_call_per_fiber_and_iterate(standard_boxes):
+    """With an array form, k = 1..20 costs one call per fiber and iterate,
+    and certifies what the one-point path certifies."""
+    best, boxes = standard_boxes
+    oracle = _CountingArrayMap()
+    rep = certify_horseshoe(oracle, boxes, range(1, 21), 1.0)
+    assert (oracle.points_calls, oracle.calls) == (3 * 9 * 20, 0)
+    assert rep == certify_horseshoe(_CountingMap(), boxes, range(1, 21), 1.0)
+
+
+def test_fiber_store_points_images_match_reference(standard_boxes):
+    """The array path's images equal _reference_image's, bit for bit."""
+    best, boxes = standard_boxes
+    sm = StandardMap(1.5)
+    store = _FiberStore(sm)
+    # _reference_image(sm, z, k) for every k, one iterate after another
+    ref = {}
+    for k in range(1, 21):
+        for c, (box,) in enumerate(boxes):
+            fibers = np.linspace(-box.half_s, box.half_s, 9)
+            for f, ((imgs, alive), s) in enumerate(zip(store.fibers(c, 0, box, k), fibers)):
+                assert alive.all()
+                for i, z in enumerate(box.fiber(s, 160)):
+                    w = sm(ref.get((c, f, i), z))
+                    ref[c, f, i] = w
+                    assert imgs[i].tobytes() == w.tobytes(), (k, c, f, i)
+    assert store.work == (3 * 9 * 160 * 20, 3 * 9 * 20)
+
+
 def test_chaos_logs(caplog):
     hs = HorseshoeMap(3.0)
     frame = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -297,9 +343,9 @@ def test_chaos_logs(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"unstable branch (sign +1) at (0, 0): {len(bu.points)} points, "
         f"arclength {bu.arclength:.6g}",
-        # each of the 2 x 9 fibers maps its 160 points once
+        # each of the 2 x 9 fibers maps its 160 points in one points call
         f"horseshoe certified: N = 2, k = 1, bound {math.log(2.0):.12g} "
-        f"(2880 oracle calls)",
+        f"(2880 point images, 18 oracle calls)",
     ]
 
 

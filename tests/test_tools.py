@@ -143,7 +143,7 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert head == f"{ROOT}:"
     assert [line.split()[0] for line in lines] == [
         "rhs", "step", "stage", "DenseStep", "monitor", "return", "torus10",
-        "lookup", "window", "loop"]
+        "lookup", "window", "loop", "certify"]
     counts = {line.split()[0]: line[line.index("("):] for line in lines}
     # the replayed integrate calls take the recorded return's steps
     n_steps = counts["DenseStep"].split()[0][1:]
@@ -157,3 +157,6 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert counts["window"].startswith("(4,096 window steps; ")
     assert counts["window"].endswith(" ns per window step)")
     assert counts["loop"] == "(k 0.3, 8 modes, 8 restarts, maxiter 200; no witness)"
+    # one points call per fiber and iterate: 3 boxes x 9 fibers x 20 iterates
+    assert counts["certify"] == ("(StandardMap(1.5), 3 boxes, k 1..20; "
+                                 "86,400 point images, 540 oracle calls)")

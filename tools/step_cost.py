@@ -31,7 +31,7 @@ per single-time `Trajectory.state` and the ns per time of one
 (100 of each call per repetition), each read once before timing so that
 the lazy interpolant rows and flat step arrays are in place.
 
-Last, window is the Franks window propagation on franks_verify's kit (the
+Then window is the Franks window propagation on franks_verify's kit (the
 bundled config's hyperbolic torus orbit, its first segment's tube and
 constants, at the config's integrator options and eps_c1): one `response`
 to the perturbation G(A) and one `response_derivative` along A, with the ns
@@ -44,6 +44,12 @@ maxiter 200 (the bundled critical-value stage's effort), from a fresh rng
 seeded 0, in ms; a closed form has no negative loop at k > 0, so every
 restart runs its Nelder-Mead descent, and the line says whether a witness
 came back (none, in a correct tree).
+
+Last, certify is one `certify_horseshoe` on StandardMap(1.5)'s crossing
+boxes for k = 1..20 (entropy_mane's first entropy stage: branches of
+arclength 2.5 at tol 1e-4, the crossing of largest angle), in ms, with the
+point images and the oracle calls as work counters; a tree whose maps have
+no array form `points` makes one oracle call per point image.
 
 Every time is the least over N repetitions (default 5), with the garbage
 collector off while timing, as timeit does.  The work counters printed beside
@@ -227,6 +233,7 @@ def measure(reps):
     t_array = best(array_lookups, reps) / LOOKUPS
     t_resp, t_deriv, n_window = _window_cost(reps)
     t_search, witness = _loop_search_cost(reps)
+    t_certify, n_images, n_calls = _certify_cost(reps)
     return {
         "rhs_us": 1e6 * t_rhs, "rhs_evals": n_rhs,
         "step_us": 1e6 * t_int / acc, "steps": acc, "rejected": rej,
@@ -245,6 +252,8 @@ def measure(reps):
         "window_ns": 1e9 * (t_resp + t_deriv) / (2 * n_window),
         "window_steps": n_window,
         "search_ms": 1e3 * t_search, "search_witness": witness,
+        "certify_ms": 1e3 * t_certify, "certify_images": n_images,
+        "certify_calls": n_calls,
     }
 
 
@@ -293,6 +302,37 @@ def _loop_search_cost(reps):
     return best(search, reps), found[0] is not None
 
 
+def _certify_cost(reps):
+    """(s per certify_horseshoe, point images, oracle calls) on
+    StandardMap(1.5)'s crossing boxes for k = 1..20."""
+    from maglab.chaos import (certify_horseshoe, crossing_boxes, detect_homoclinic,
+                              grow_manifold)
+    from maglab.maps import StandardMap
+
+    sm = StandardMap(1.5)
+    wu = grow_manifold(sm, (0.0, 0.0), "unstable", 1, 2.5, tol=1e-4)
+    ws = grow_manifold(sm, (1.0, 0.0), "stable", 1, 2.5, tol=1e-4)
+    crossing = max(detect_homoclinic(ws, wu), key=lambda h: h.angle)
+    boxes = crossing_boxes(sm, crossing.point, (0.0, 0.0))
+    work = [0, 0]
+
+    class Counted(StandardMap):
+        def __call__(self, z):
+            work[0] += 1
+            work[1] += 1
+            return super().__call__(z)
+
+        if hasattr(StandardMap, "points"):
+            def points(self, zs):
+                work[0] += len(zs)
+                work[1] += 1
+                return super().points(zs)
+
+    certify_horseshoe(Counted(1.5), boxes, range(1, 21), 1.0)
+    t = best(lambda: certify_horseshoe(sm, boxes, range(1, 21), 1.0), reps)
+    return t, work[0], work[1]
+
+
 def report(m):
     """The lines printed for one tree's measurements."""
     return [
@@ -322,6 +362,9 @@ def report(m):
         f"  loop search  {m['search_ms']:8.2f} ms per search       "
         f"(k 0.3, 8 modes, 8 restarts, maxiter 200; "
         f"{'a witness' if m['search_witness'] else 'no witness'})",
+        f"  certify      {m['certify_ms']:8.2f} ms per certify      "
+        f"(StandardMap(1.5), 3 boxes, k 1..20; {m['certify_images']:,} point "
+        f"images, {m['certify_calls']:,} oracle calls)",
     ]
 
 
