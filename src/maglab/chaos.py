@@ -21,7 +21,9 @@ rather than iterating k times from the fiber.  An iterate is one
 where the oracle has the array form `points` (the closed-form maps), one per
 point otherwise.  A point the oracle cannot map stays failed for every larger
 k.  For a flow's `SectionReturnMap` each saved point image is a saved section
-return.
+return.  A box's fibers are counted together (`_fiber_crossings`): one
+coordinate solve for all their live image points and array operations for
+the runs inside the target box.
 """
 
 from __future__ import annotations
@@ -354,36 +356,30 @@ class _FiberOrbit:
 
 
 def _fiber_crossings(imgs, alive, rect_to):
-    """Number of connected full traversals of rect_to by one fiber image.
+    """Number of connected full traversals of rect_to by each of F fiber
+    images, an int array (F,).
 
-    imgs are the image points in fiber order and alive marks the points the
-    oracle could map; a failed point breaks a run like a point outside.
+    imgs (F, n, 2) are the image points in fiber order and alive (F, n)
+    marks the points the oracle could map; a failed point breaks a run like
+    a point outside.  The live points of all fibers are solved in one
+    `Rectangle.coords` call, and the runs of points inside are found and
+    measured by array operations over the fibers laid end to end, each
+    closed by one point outside.
     """
+    F, n = alive.shape
     tol = 1e-9 * max(rect_to.half_u, rect_to.half_s)
-    us = np.zeros(len(imgs))
-    ok = np.zeros(len(imgs), dtype=bool)
+    us = np.zeros((F, n + 1))
+    ok = np.zeros((F, n + 1), dtype=bool)
     u, s = rect_to.coords(imgs[alive])
-    us[alive] = u
-    ok[alive] = np.abs(s) <= rect_to.half_s + tol
-    runs = 0
-    run_min = math.inf
-    run_max = -math.inf
-    inside = False
-    for u, hit in zip(us.tolist(), ok.tolist()):
-        if hit:
-            if not inside:
-                inside = True
-                run_min, run_max = u, u
-            else:
-                run_min = min(run_min, u)
-                run_max = max(run_max, u)
-        else:
-            if inside and run_min <= -rect_to.half_u + tol and run_max >= rect_to.half_u - tol:
-                runs += 1
-            inside = False
-    if inside and run_min <= -rect_to.half_u + tol and run_max >= rect_to.half_u - tol:
-        runs += 1
-    return runs
+    us[:, :n][alive] = u
+    ok[:, :n][alive] = np.abs(s) <= rect_to.half_s + tol
+    us, ok = us.ravel(), ok.ravel()
+    step = np.diff(ok, prepend=False)
+    bounds = np.flatnonzero(step)       # run starts and ends, alternating
+    run_min = np.minimum.reduceat(us, bounds)[::2]
+    run_max = np.maximum.reduceat(us, bounds)[::2]
+    full = (run_min <= -rect_to.half_u + tol) & (run_max >= rect_to.half_u - tol)
+    return np.bincount(bounds[::2][full] // (n + 1), minlength=F)
 
 
 class _FiberStore:
@@ -446,9 +442,8 @@ def certify_horseshoe(oracle, candidates, k_range, T_ret):
 def _certify_with(store, c, rects, k):
     if len(rects) == 1:
         r = rects[0]
-        counts = [_fiber_crossings(imgs, alive, r)
-                  for imgs, alive in store.fibers(c, 0, r, k)]
-        n = min(counts) if counts else 0
+        imgs, alive = map(np.stack, zip(*store.fibers(c, 0, r, k)))
+        n = int(_fiber_crossings(imgs, alive, r).min())
         log.debug("k = %d, box %d (half %.6g x %.6g): minimum fiber count %d",
                   k, c, r.half_u, r.half_s, n)
         return n
@@ -457,7 +452,7 @@ def _certify_with(store, c, rects, k):
         low = math.inf
         for imgs, alive in store.fibers(c, a, ri, k):
             for rj in rects:
-                low = min(low, _fiber_crossings(imgs, alive, rj))
+                low = min(low, int(_fiber_crossings(imgs[None], alive[None], rj)[0]))
                 if low < 1:
                     log.debug("k = %d, rectangle %d: a fiber misses a rectangle", k, a)
                     return 0

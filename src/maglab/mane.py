@@ -8,6 +8,12 @@ found up to the configured search effort"), matching the one-sided nature
 of the infimum.  Contractible loops are searched over circles, rounded
 rectangles and a Fourier parametrization descended with Nelder-Mead.
 
+The circles and rounded rectangles are fixed, so their lengths L and
+circulations C, which do not depend on k, are computed once per
+`LagrangianSpec` (`LagrangianSpec.candidates`); a search at level k forms
+sqrt(2k) L - C for all of them at once, as `_maupertuis` forms it, and
+samples only the shapes whose value is negative.
+
 A search's restarts descend in lockstep, one lane each, in
 `_nelder_mead_lanes`: a transcription of scipy 1.17.1's Nelder-Mead
 (`scipy.optimize.minimize(method="Nelder-Mead")`), reduced to the branch
@@ -15,7 +21,10 @@ used here, whose lanes each end on the x, fun, nit and nfev scipy reaches
 from that lane's start (tests/test_mane.py); maglab needs no scipy at run
 time.  Each iteration evaluates the points all live lanes need in one call
 of `_loop_functional`, which takes Fourier coefficients (P, 2, 2M+1) to P
-values of the speed-optimized action.
+values of the speed-optimized action.  In most iterations every live lane
+takes its reflection; such an iteration writes the reflections over the
+worst vertices and re-sorts, and only the others form expansion,
+contraction and shrink points.
 
 Fourier shapes are evaluated against one cached, read-only table per node
 count and mode count, the rows [1; cos; sin] and their derivatives
@@ -66,10 +75,16 @@ class ConstantForm:
     def __init__(self, a1, a2=0.0):
         self.a1 = float(a1)
         self.a2 = float(a2)
+        self._a = np.array([self.a1, self.a2])
+        self._a.setflags(write=False)
 
     def components(self, xs, ys):
+        """Read-only views of a1 and a2 in the shape of xs, every stride 0
+        (np.broadcast_to makes the same views at three times the cost)."""
         shape = np.shape(xs)
-        return np.full(shape, self.a1), np.full(shape, self.a2)
+        zero = (0,) * len(shape)
+        return (np.ndarray(shape, float, self._a, 0, zero),
+                np.ndarray(shape, float, self._a, self._a.itemsize, zero))
 
     def curl(self, xs, ys):
         return np.zeros_like(np.asarray(xs, dtype=float))
@@ -104,6 +119,24 @@ class LagrangianSpec:
             raise UnsupportedSurfaceError("critical-value machinery is torus-only")
         self.surface = surface
         self.eta = eta
+
+    @functools.cached_property
+    def candidates(self):
+        """The fixed witness shapes, circles and rounded rectangles of four
+        sizes about nine centres, with the length and the circulation of eta
+        (arrays) of each at _SEARCH_NODES nodes.  Neither depends on k, so a
+        spec scores them once for all its searches."""
+        shapes = [shape
+                  for cx in (0.25, 0.5, 0.75) for cy in (0.25, 0.5, 0.75)
+                  for r in (0.08, 0.15, 0.25, 0.4)
+                  for shape in (CircleLoop((cx, cy), r, 1.0),
+                                RoundedRectangleLoop((cx, cy), r, 0.6 * r, 2.5, 1.0))]
+        lengths, circs = np.empty(len(shapes)), np.empty(len(shapes))
+        for i, shape in enumerate(shapes):
+            _, pos, vel = shape.sample(_SEARCH_NODES)
+            (lengths[i],), (circs[i],) = _length_circulation(
+                self, pos[None], vel[None], shape.period / _SEARCH_NODES)
+        return shapes, lengths, circs
 
 
 # -- loops -----------------------------------------------------------------------
@@ -219,6 +252,20 @@ class CriticalBracket:
                 "effort": self.effort}
 
 
+def _length_circulation(lag, pos, vel, dt):
+    """Len(gamma) and the circulation of eta (P,) of P loops sampled (P, 2, n)
+    at spacing dt; two (P, n) temporaries serve every product."""
+    vx, vy = vel[:, 0], vel[:, 1]
+    e1, e2 = lag.eta.components(pos[:, 0], pos[:, 1])
+    a, b = vx * vx, vy * vy
+    a += b
+    length = np.sqrt(a, out=a).sum(axis=1) * dt
+    np.multiply(e1, vx, out=a)
+    np.multiply(e2, vy, out=b)
+    a += b
+    return length, a.sum(axis=1) * dt
+
+
 def _maupertuis(lag, pos, vel, k, dt):
     """sqrt(2k) Len(gamma) - circulation of eta, and Len, of P sampled loops.
 
@@ -228,10 +275,7 @@ def _maupertuis(lag, pos, vel, k, dt):
     Maupertuis form above.  Negative value at the optimal speed is exactly a
     negative-action witness.
     """
-    vx, vy = vel[:, 0], vel[:, 1]
-    length = np.sqrt(vx * vx + vy * vy).sum(axis=1) * dt
-    e1, e2 = lag.eta.components(pos[:, 0], pos[:, 1])
-    circ = (e1 * vx + e2 * vy).sum(axis=1) * dt
+    length, circ = _length_circulation(lag, pos, vel, dt)
     return math.sqrt(2.0 * max(k, 0.0)) * length - circ, length
 
 
@@ -265,10 +309,12 @@ def _at_optimal_period(loop, length, k):
 
 
 def _sorted(sim, fsim):
-    """Each lane's simplex (L, N+1, N) and values (L, N+1), best vertex first."""
+    """The simplices (N+1, L, N) and values (L, N+1) of L lanes, each lane's
+    best vertex first: each lane's values argsorted as scipy sorts them, then
+    gathered."""
     ind = fsim.argsort(axis=1)
-    lanes = np.arange(len(fsim))[:, None]
-    return sim[lanes, ind], fsim[lanes, ind]
+    lanes = np.arange(len(fsim))
+    return sim[ind.T, lanes], fsim[lanes[:, None], ind]
 
 
 def _nelder_mead_lanes(func, x0, maxiter, xatol, fatol):
@@ -287,9 +333,15 @@ def _nelder_mead_lanes(func, x0, maxiter, xatol, fatol):
     is re-sorted by argsort and a gather after every iteration, so a lane's x,
     fun, nit and nfev are == to scipy's, ties included.
 
-    An iteration makes one func call for the live lanes' reflections, one
-    for the expansion or contraction points they need and one for their
-    shrinks.  A lane leaves the live set on its own xatol/fatol test.
+    The simplices are held vertex-major, (N+1, L, N), so the centroid is
+    one sequential sum over the vertices, as scipy's np.add.reduce(sim[:-1],
+    0), on rows of L N values.  An iteration makes one func call for the live
+    lanes' reflections; when every lane takes its reflection, as in most
+    iterations, it only writes them over the worst vertices, and otherwise
+    it makes one func call for the expansion or contraction points the lanes
+    need and one for their shrinks.  A lane leaves the live set on its own
+    xatol/fatol test, and its x, fun, nit and nfev are written then, or at
+    the end.
     """
     R, N = x0.shape
     sim = np.repeat(x0[:, None, :], N + 1, axis=1)
@@ -297,62 +349,73 @@ def _nelder_mead_lanes(func, x0, maxiter, xatol, fatol):
     sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     # one lane's simplex per call bounds the batch
     fsim = np.array([func(lane) for lane in sim]).reshape(R, N + 1)
-    nfev = np.full(R, N + 1)
     # scipy sorts twice here; argsort is not stable, so tied values could
     # leave the second sort in another order than the first
-    sim, fsim = _sorted(*_sorted(sim, fsim))
+    sim, fsim = _sorted(*_sorted(sim.transpose(1, 0, 2), fsim))
 
-    x, fun, nit = sim[:, 0].copy(), fsim.min(axis=1), np.ones(R, dtype=int)
-    live = np.arange(R)     # the lanes sim and fsim hold, in order
+    x, fun = np.empty((R, N)), np.empty(R)
+    nit, nfev = np.empty(R, dtype=int), np.empty(R, dtype=int)
+    live = np.arange(R)         # the lanes sim, fsim and nf hold, in order
+    nf = np.full(R, N + 1)      # their evaluations so far
     iterations = 1
-    while live.size and iterations < maxiter:
-        # scipy's test, xatol and fatol; fatol first, as the x test costs more
-        done = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
-        if done.any():
-            done &= (np.abs(sim[:, 1:] - sim[:, :1]).reshape(live.size, -1)
-                     .max(axis=1) <= xatol)
-        if done.any():
-            keep = ~done
-            live, sim, fsim = live[keep], sim[keep], fsim[keep]
-            if not live.size:
-                break
-        xbar = np.add.reduce(sim[:, :-1], 1) / N
-        worst = sim[:, -1]
-        xr = 2 * xbar - worst
-        fxr = func(xr)
-        nfev[live] += 1
 
+    def leave(out):
+        """Write the lanes out (a mask over live) as they stand."""
+        lanes = live[out]
+        x[lanes], fun[lanes] = sim[0, out], fsim[out].min(axis=1)
+        nit[lanes], nfev[lanes] = iterations, nf[out]
+
+    while live.size and iterations < maxiter:
+        # scipy's test, xatol and fatol; fatol first, as the x test costs
+        # more.  On a sorted simplex the largest |f0 - fi| is fN - f0, and a
+        # NaN, which sorts last, fails both forms.
+        done = fsim[:, -1] - fsim[:, 0] <= fatol
+        if done.any():
+            done &= np.abs(sim[1:] - sim[0]).max(axis=(0, 2)) <= xatol
+            if done.any():
+                leave(done)
+                keep = ~done
+                live, sim, fsim, nf = live[keep], sim[:, keep], fsim[keep], nf[keep]
+                if not live.size:
+                    break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        nf += 1
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        probe = ~reflect        # lanes that try an expansion or a contraction
-        a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
-        b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
-        pts = a * xbar - b * worst
-        fpts = np.full_like(fxr, np.inf)
-        if probe.any():
+        if reflect.all():       # every lane takes its reflection
+            sim[-1], fsim[:, -1] = xr, fxr
+        else:
+            worst = sim[-1]
+            outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+            probe = ~reflect    # lanes that try an expansion or a contraction
+            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
+            b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
+            pts = a * xbar - b * worst
+            fpts = np.full_like(fxr, np.inf)
             fpts[probe] = func(pts[probe])
-            nfev[live[probe]] += 1
+            nf[probe] += 1
 
-        # the expansion if better than the reflection, the outside
-        # contraction if no worse than it, the inside one if better than
-        # the worst vertex
-        take_pts = np.where(expand, fpts < fxr,
-                            np.where(outside, fpts <= fxr, fpts < fsim[:, -1]))
-        take_pts &= probe
-        take_xr = (expand | reflect) & ~take_pts
-        sim[take_pts, -1], fsim[take_pts, -1] = pts[take_pts], fpts[take_pts]
-        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
-        shrink = probe & ~expand & ~take_pts      # toward the best vertex
-        if shrink.any():
-            best = sim[shrink, :1]
-            shrunk = best + 0.5 * (sim[shrink, 1:] - best)
-            sim[shrink, 1:] = shrunk
-            fsim[shrink, 1:] = func(shrunk.reshape(-1, N)).reshape(-1, N)
-            nfev[live[shrink]] += N
+            # the expansion if better than the reflection, the outside
+            # contraction if no worse than it, the inside one if better than
+            # the worst vertex
+            take_pts = np.where(expand, fpts < fxr,
+                                np.where(outside, fpts <= fxr, fpts < fsim[:, -1]))
+            take_pts &= probe
+            take_xr = (expand | reflect) & ~take_pts
+            sim[-1, take_pts], fsim[take_pts, -1] = pts[take_pts], fpts[take_pts]
+            sim[-1, take_xr], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
+            shrink = probe & ~expand & ~take_pts      # toward the best vertex
+            if shrink.any():
+                best = sim[0, shrink]
+                shrunk = best + 0.5 * (sim[1:, shrink] - best)
+                sim[1:, shrink] = shrunk
+                fsim[shrink, 1:] = func(shrunk.reshape(-1, N)).reshape(N, -1).T
+                nf[shrink] += N
         iterations += 1
         sim, fsim = _sorted(sim, fsim)
-        x[live], fun[live], nit[live] = sim[:, 0], fsim.min(axis=1), iterations
+    leave(np.ones(live.size, dtype=bool))
     return x, fun, nit, nfev
 
 
@@ -363,9 +426,8 @@ def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
         loop = CircleLoop((0.5, 0.5), 0.0, 1.0)
         return loop, loop_action(lag, loop, k, _SEARCH_NODES)
 
-    def realize(shape):
+    def realize(shape, val, length):
         """Turn a shape with negative speed-optimized action into a witness."""
-        val, length = _shape_functional(lag, shape, k, _SEARCH_NODES)
         if val >= 0.0 or length <= 0.0:
             return None
         loop = _at_optimal_period(shape, length, k)
@@ -373,14 +435,12 @@ def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
         return (loop, a) if a < 0.0 else None
 
     best = None
-    centers = [(cx, cy) for cx in (0.25, 0.5, 0.75) for cy in (0.25, 0.5, 0.75)]
-    for cx, cy in centers:
-        for r in (0.08, 0.15, 0.25, 0.4):
-            for shape in (CircleLoop((cx, cy), r, 1.0),
-                          RoundedRectangleLoop((cx, cy), r, 0.6 * r, 2.5, 1.0)):
-                hit = realize(shape)
-                if hit is not None and (best is None or hit[1] < best[1]):
-                    best = hit
+    shapes, lengths, circs = lag.candidates
+    vals = math.sqrt(2.0 * max(k, 0.0)) * lengths - circs   # as _maupertuis
+    for shape, val, length in zip(shapes, vals.tolist(), lengths.tolist()):
+        hit = realize(shape, val, length)
+        if hit is not None and (best is None or hit[1] < best[1]):
+            best = hit
     if best is not None:
         return best
 
@@ -408,7 +468,8 @@ def _negative_loop_search(lag, k, rng, modes, restarts, maxiter):
                                         xatol=1e-9, fatol=1e-13)
     for x, fun, state in zip(xs, funs, states):
         if fun < 0.0:
-            hit = realize(FourierLoop(1.0, x.reshape(shape)))
+            loop = FourierLoop(1.0, x.reshape(shape))
+            hit = realize(loop, *_shape_functional(lag, loop, k, _SEARCH_NODES))
             if hit is not None:
                 rng.bit_generator.state = state
                 return hit

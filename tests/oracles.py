@@ -5,6 +5,8 @@
 * `fd_monodromy`: central finite differences of the time-T flow map, the
   independent check of the variational flow (C04).
 * `invariance_defect`: how far a grown manifold branch is from invariant.
+* `loop_fiber_crossings`: the full traversals of a box by one fiber image,
+  counted point by point in a Python loop.
 * `reference_step_index`: the step a dense solution reads at a time, by a
   plain search.
 * `psi`: a tubular chart's map (t, u) -> gamma(t) + u * i gamma'(t), read
@@ -195,6 +197,40 @@ def invariance_defect(branch, oracle, n_check=200):
             continue
         worst = max(worst, _point_polyline_distance(img, branch.points))
     return worst
+
+
+def loop_fiber_crossings(imgs, alive, rect_to):
+    """Number of connected full traversals of rect_to by one fiber image.
+
+    imgs (n, 2) are the image points in fiber order and alive (n,) marks the
+    points the oracle could map; a failed point breaks a run like a point
+    outside.  Each run's extent in u is kept point by point.
+    """
+    tol = 1e-9 * max(rect_to.half_u, rect_to.half_s)
+    us = np.zeros(len(imgs))
+    ok = np.zeros(len(imgs), dtype=bool)
+    u, s = rect_to.coords(imgs[alive])
+    us[alive] = u
+    ok[alive] = np.abs(s) <= rect_to.half_s + tol
+    runs = 0
+    run_min = math.inf
+    run_max = -math.inf
+    inside = False
+    for u, hit in zip(us.tolist(), ok.tolist()):
+        if hit:
+            if not inside:
+                inside = True
+                run_min, run_max = u, u
+            else:
+                run_min = min(run_min, u)
+                run_max = max(run_max, u)
+        else:
+            if inside and run_min <= -rect_to.half_u + tol and run_max >= rect_to.half_u - tol:
+                runs += 1
+            inside = False
+    if inside and run_min <= -rect_to.half_u + tol and run_max >= rect_to.half_u - tol:
+        runs += 1
+    return runs
 
 
 # -- dense-output lookups -------------------------------------------------------

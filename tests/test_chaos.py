@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from maglab.chaos import (
     Rectangle,
@@ -16,7 +17,7 @@ from maglab.chaos import (
 )
 from maglab.maps import HorseshoeMap, StandardMap
 
-from oracles import LinearMap, TwistMap, invariance_defect
+from oracles import LinearMap, TwistMap, invariance_defect, loop_fiber_crossings
 from stage_defaults import ORBITS, orbit_search
 
 
@@ -197,6 +198,45 @@ def _reference_crossings(oracle, rect, k, s, n_samples=160):
     return runs
 
 
+# (state, u / half_u) of one sample point: inside the box in s, outside it,
+# or dead (the oracle failed on it); inside twice as likely as the others
+_FIBER_POINT = st.tuples(st.sampled_from(["in", "in", "out", "dead"]),
+                         st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]))
+
+
+@st.composite
+def _fiber_images(draw):
+    """F fibers of n points each, as (F, n, [(state, u / half_u)])."""
+    F, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    return F, n, draw(st.lists(_FIBER_POINT, min_size=F * n, max_size=F * n))
+
+
+_L, _R, _M = ("in", -1.0), ("in", 1.0), ("in", 0.0)
+_O, _D = ("out", 0.0), ("dead", 0.0)
+
+
+@given(_fiber_images())
+@example((2, 4, [_D] * 4 + [_L, _M, _R, _M]))           # an all-dead fiber
+@example((1, 6, [_L, _R, _O, _R, _M, _L]))              # runs at both ends
+@example((2, 5, [_L, _O, _R, _O, _L] + [_R, _D, _L, _R, _D]))  # one-point runs
+@example((3, 3, [_O] * 6 + [_O, _L, _R]))               # a full run in fiber 3
+def test_fiber_crossings_match_the_point_loop(fibers):
+    """The array count of every fiber is == to the point-by-point loop's, on
+    random alive masks with runs of any length anywhere."""
+    F, n, pts = fibers
+    rect = Rectangle(np.array([0.3, -0.2]), 0.4, 0.1,
+                     np.array([[1.0, 0.3], [0.2, 1.0]]))
+    alive = np.array([state != "dead" for state, _ in pts]).reshape(F, n)
+    coords = np.array([[f * rect.half_u, (0.5 if state == "in" else 2.0) * rect.half_s]
+                       for state, f in pts])
+    imgs = (rect.center + coords @ rect.frame.T).reshape(F, n, 2)
+    imgs[~alive] = np.nan           # as a fiber orbit leaves a failed point
+    got = _fiber_crossings(imgs, alive, rect)
+    assert got.shape == (F,)
+    assert got.tolist() == [loop_fiber_crossings(imgs[i], alive[i], rect)
+                            for i in range(F)]
+
+
 def test_rectangle_coords_independent_of_batch():
     """Coordinates of many points equal, bit for bit, those solved one by one."""
     rng = np.random.default_rng(11)
@@ -233,8 +273,8 @@ def test_certifier_counts_match_per_k_recompute(standard_boxes):
     store = _FiberStore(sm)
     for k in range(1, 21):
         for c, (box,) in enumerate(boxes):
-            got = [_fiber_crossings(imgs, alive, box)
-                   for imgs, alive in store.fibers(c, 0, box, k)]
+            imgs, alive = map(np.stack, zip(*store.fibers(c, 0, box, k)))
+            got = _fiber_crossings(imgs, alive, box).tolist()
             want = [_reference_crossings(sm, box, k, s)
                     for s in np.linspace(-box.half_s, box.half_s, 9)]
             assert got == want, (k, c)
@@ -261,7 +301,7 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
                         failures.add(k)
                     else:
                         assert np.array_equal(imgs[i], w)
-                counts.append(_fiber_crossings(imgs, alive, box))
+                counts.append(_fiber_crossings(imgs[None], alive[None], box)[0])
                 assert counts[-1] == _reference_crossings(ref, box, k, s)
             if min(counts) >= 2:
                 bound = math.log(min(counts)) / k

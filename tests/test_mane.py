@@ -77,15 +77,19 @@ def test_cached_tables_match_fresh(period, n, modes, seed):
 
 def test_cached_tables_read_only():
     """Every caller gets the same cached table, so none may write to it; the
-    arrays FourierLoop.sample and ConstantForm.components return are the
-    caller's own."""
+    arrays FourierLoop.sample returns are the caller's own, and those
+    ConstantForm.components returns are read-only views of its constants."""
     with pytest.raises(ValueError):
         _fourier_tables(64, 2)[0, 0] = 0.0
     loop = FourierLoop(1.0, np.ones((2, 5)))
     eta = ConstantForm(0.7, 0.1)
     xs = np.zeros(64)
-    for arr in (*loop.sample(64), *eta.components(xs, xs)):
+    for arr in loop.sample(64):
         arr.flat[0] = -1.0
+    for arr in eta.components(xs, xs):
+        assert arr.shape == xs.shape
+        with pytest.raises(ValueError):
+            arr.flat[0] = -1.0
     t, pos, vel = loop.sample(64)
     e1, e2 = eta.components(xs, xs)
     assert (t[0], pos[0, 0], e1[0], e2[0]) == (0.0, 3.0, 0.7, 0.1)
@@ -305,7 +309,12 @@ def _flat(x):
     return 1.0
 
 
-@given(objective=st.sampled_from([_quadratic, _rosenbrock, _flat]),
+def _stepped(x):
+    # reflections tie with vertices, so the sorts meet ties among distinct values
+    return float(np.floor(8 * _quadratic(x)))
+
+
+@given(objective=st.sampled_from([_quadratic, _rosenbrock, _flat, _stepped]),
        dim=st.integers(2, 34), lanes=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1), maxiter=st.sampled_from([1, 2, 5, 200]))
 def test_nelder_mead_matches_scipy(objective, dim, lanes, seed, maxiter):
@@ -381,6 +390,22 @@ def test_loop_functional_lane_value_alone_and_in_a_batch(torus, sin_eta):
             alone = _loop_functional(lag, coeffs[i:i + 1], k, 256)
             one = _shape_functional(lag, FourierLoop(1.0, coeffs[i]), k, 256)[0]
             assert batch[i] == alone[0] == one
+
+
+@pytest.mark.parametrize("sin_eta", [False, True])
+def test_candidate_table_values_match_shape_functional(torus, sin_eta):
+    """The fixed candidates' lengths and circulations, scored once per spec,
+    give at each k the value and length `_shape_functional` gives the shape,
+    with the value formed as `_maupertuis` forms it."""
+    eta = SinPrimitiveForm(1.0, (1, 0)) if sin_eta else ConstantForm(0.7, 0.0)
+    lag = LagrangianSpec(torus, eta)
+    shapes, lengths, circs = lag.candidates
+    assert lag.candidates is lag.candidates
+    assert len(shapes) == len(lengths) == len(circs) == 72
+    for k in (0.0, 0.004, 0.3):
+        vals = math.sqrt(2.0 * max(k, 0.0)) * lengths - circs
+        for shape, val, length in zip(shapes, vals, lengths):
+            assert (val, length) == _shape_functional(lag, shape, k, 256)
 
 
 def _draws_left(seed, restarts, modes):

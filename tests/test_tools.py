@@ -71,9 +71,14 @@ def test_cases_run_each_bundled_stage_through_its_subcommand():
     for _, _, cfg in flow:
         assert cfg["pipeline"][-1]["stage"] == "entropy"
         assert "map" not in cfg["pipeline"][-1]
+    # then the sine critical-value config, whose k > 0 searches find witnesses
+    sin = len(want) + 1 + len(flow)
+    assert cases[sin] == ("critical_sin", "run", mod.CRITICAL_SIN)
+    assert [st["stage"] for st in mod.CRITICAL_SIN["pipeline"]] == ["critical-value"]
+    assert mod.CRITICAL_SIN["pipeline"][0]["eta"]["kind"] == "sin_primitive"
     # they and the benchmark workloads run whole pipelines only
     assert {command for _, command, _ in cases[len(want):]} == {"run"}
-    assert len(cases) - len(want) - 1 - len(flow) == len(mod.SEEDS) * sum(
+    assert len(cases) - sin - 1 == len(mod.SEEDS) * sum(
         len(make(1)) for make, _ in mod._workloads().values())
 
 
@@ -143,7 +148,7 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert head == f"{ROOT}:"
     assert [line.split()[0] for line in lines] == [
         "rhs", "step", "stage", "DenseStep", "monitor", "return", "torus10",
-        "lookup", "window", "loop", "certify"]
+        "lookup", "window", "loop", "bracket", "certify"]
     counts = {line.split()[0]: line[line.index("("):] for line in lines}
     # the replayed integrate calls take the recorded return's steps
     n_steps = counts["DenseStep"].split()[0][1:]
@@ -156,7 +161,10 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert counts["lookup"].endswith(" ns per time)")
     assert counts["window"].startswith("(4,096 window steps; ")
     assert counts["window"].endswith(" ns per window step)")
-    assert counts["loop"] == "(k 0.3, 8 modes, 8 restarts, maxiter 200; no witness)"
+    loop = "(k 0.3, 8 modes, 8 restarts, maxiter 200; no witness; "
+    assert counts["loop"].startswith(loop)
+    assert counts["loop"].endswith(" ms in 265 _loop_functional calls)")
+    assert counts["bracket"] == "(critical_value.json; 16 searches)"
     # one points call per fiber and iterate: 3 boxes x 9 fibers x 20 iterates
     assert counts["certify"] == ("(StandardMap(1.5), 3 boxes, k 1..20; "
                                  "86,400 point images, 540 oracle calls)")

@@ -13,7 +13,9 @@ src/maglab) or its src directory.  Each tree runs
 * `CHART_SWITCH`, a sphere config held here whose flows switch charts
   (no bundled scenario's do), with COMMAND `run`,
 * `FLOW_ENTROPY`, two torus configs held here whose entropy stage runs on
-  a section return map (no bundled scenario's does), with COMMAND `run`, and
+  a section return map (no bundled scenario's does), with COMMAND `run`,
+* `CRITICAL_SIN`, a critical-value config held here whose searches at k > 0
+  find witness loops (no other run's do), with COMMAND `run`, and
 * the configs of the four benchmark workloads at seeds 1-3, generated by
   perfbench/workloads.py of the repository this script sits in (imported,
   never edited), with COMMAND `run`.
@@ -82,6 +84,23 @@ FLOW_ENTROPY = {"flow_entropy_short": _flow_entropy(0.3),
                 "flow_entropy_long": _flow_entropy(1.0)}
 
 
+# the critical value of sin 2 pi x on the torus: the bracket's k > 0 searches
+# find witnesses, so the fixed candidates and the Nelder-Mead lanes decide its
+# c_lo, 0.004058837890625 (every pinned closed form's bracket finds none)
+CRITICAL_SIN = {
+    "surface": {"kind": "torus"},
+    "field": {"kind": "sinusoidal", "amplitude": 1.0, "k": [1, 0]},
+    "energy": 0.5,
+    "seed": 0,
+    "pipeline": [
+        {"stage": "critical-value",
+         "eta": {"kind": "sin_primitive", "amplitude": 1.0, "k": [1, 0]},
+         "k_range": [-0.25, 1.0], "bisection_tol": 1e-4, "restarts": 8,
+         "maxiter": 200},
+    ],
+}
+
+
 def source_dir(tree):
     """The directory to put on PYTHONPATH for a tree root or a src directory."""
     tree = os.path.abspath(tree)
@@ -102,7 +121,8 @@ def _workloads():
 def cases(src):
     """(name, maglab subcommand, config dict) of every run, bundled
     scenarios first, each followed by its single-stage runs, then the
-    chart-switch and flow-entropy configs and the workloads."""
+    chart-switch, flow-entropy and sine critical-value configs and the
+    workloads."""
     out = []
     for path in sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json"))):
         name = os.path.basename(path)[:-5]
@@ -113,6 +133,7 @@ def cases(src):
                    for st in cfg["pipeline"])
     out.append(("chart_switch", "run", CHART_SWITCH))
     out.extend((name, "run", cfg) for name, cfg in FLOW_ENTROPY.items())
+    out.append(("critical_sin", "run", CRITICAL_SIN))
     for name, (make, _) in sorted(_workloads().items()):
         for seed in SEEDS:
             for i, cfg in enumerate(make(seed)):

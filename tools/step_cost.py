@@ -41,9 +41,14 @@ tree whose responses take coefficient callbacks (t, km) cannot be measured.
 Then loop search is one Mane witness-loop search, `_negative_loop_search` at
 k = 0.3 on the closed form ConstantForm(0.7, 0) with modes 8, restarts 8 and
 maxiter 200 (the bundled critical-value stage's effort), from a fresh rng
-seeded 0, in ms; a closed form has no negative loop at k > 0, so every
-restart runs its Nelder-Mead descent, and the line says whether a witness
-came back (none, in a correct tree).
+seeded 0 and a fresh LagrangianSpec, so that anything the spec computes
+once is paid as a stage pays it, in ms; a closed form has no negative loop
+at k > 0, so every restart runs its Nelder-Mead descent, and the line says
+whether a witness came back (none, in a correct tree) and the ms and calls
+of `mane._loop_functional` within the search, read by a timing wrapper put
+in its place for separate repetitions.  Then bracket is one
+`estimate_critical_value` at the bundled critical_value.json's stage
+settings, in ms, with its searches (bisection steps) as the work counter.
 
 Last, certify is one `certify_horseshoe` on StandardMap(1.5)'s crossing
 boxes for k = 1..20 (entropy_mane's first entropy stage: branches of
@@ -232,7 +237,8 @@ def measure(reps):
     t_scalar = best(scalar_lookups, reps)
     t_array = best(array_lookups, reps) / LOOKUPS
     t_resp, t_deriv, n_window = _window_cost(reps)
-    t_search, witness = _loop_search_cost(reps)
+    t_search, witness, t_functional, n_functional = _loop_search_cost(reps)
+    t_bracket, n_searches = _bracket_cost(reps)
     t_certify, n_images, n_calls = _certify_cost(reps)
     return {
         "rhs_us": 1e6 * t_rhs, "rhs_evals": n_rhs,
@@ -252,6 +258,8 @@ def measure(reps):
         "window_ns": 1e9 * (t_resp + t_deriv) / (2 * n_window),
         "window_steps": n_window,
         "search_ms": 1e3 * t_search, "search_witness": witness,
+        "functional_ms": 1e3 * t_functional, "functional_calls": n_functional,
+        "bracket_ms": 1e3 * t_bracket, "bracket_searches": n_searches,
         "certify_ms": 1e3 * t_certify, "certify_images": n_images,
         "certify_calls": n_calls,
     }
@@ -285,21 +293,67 @@ def _window_cost(reps):
 
 
 def _loop_search_cost(reps):
-    """(s per witness-loop search, whether it found a witness) at k = 0.3 on
-    the constant form (0.7, 0)."""
+    """(s per witness-loop search, whether it found a witness, s and calls of
+    `_loop_functional` within one search) at k = 0.3 on the constant form
+    (0.7, 0); the functional's time is the least over reps searches with a
+    timing wrapper in its place, apart from the timed searches."""
     import numpy as np
 
+    import maglab.mane as mane
     from maglab.geometry import flat_torus
-    from maglab.mane import ConstantForm, LagrangianSpec, _negative_loop_search
 
-    lag = LagrangianSpec(flat_torus(), ConstantForm(0.7, 0.0))
     found = []
 
     def search():
-        found[:] = [_negative_loop_search(lag, 0.3, np.random.default_rng(0),
-                                          8, 8, 200)]
+        lag = mane.LagrangianSpec(flat_torus(), mane.ConstantForm(0.7, 0.0))
+        found[:] = [mane._negative_loop_search(lag, 0.3, np.random.default_rng(0),
+                                               8, 8, 200)]
 
-    return best(search, reps), found[0] is not None
+    t_search = best(search, reps)
+    real = mane._loop_functional
+    spent = [0.0, 0]
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return real(*args)
+        finally:
+            spent[0] += time.perf_counter() - t0
+            spent[1] += 1
+
+    runs = []
+    mane._loop_functional = timed
+    try:
+        for _ in range(reps):
+            spent[:] = [0.0, 0]
+            best(search, 1)
+            runs.append(tuple(spent))
+    finally:
+        mane._loop_functional = real
+    t_functional, n_functional = min(runs)
+    return t_search, found[0] is not None, t_functional, n_functional
+
+
+def _bracket_cost(reps):
+    """(s per critical-value bracket, its searches) at the stage settings of
+    the bundled critical_value.json, with a fresh LagrangianSpec each time."""
+    import maglab
+    from maglab.mane import LagrangianSpec, estimate_critical_value
+    from maglab.scenarios import load_scenario
+
+    sc = load_scenario(os.path.join(os.path.dirname(maglab.__file__), "scenarios",
+                                    "critical_value.json"))
+    (st,) = sc.pipeline
+    searches = []
+
+    def bracket():
+        br = estimate_critical_value(
+            LagrangianSpec(sc.surface, st["eta"]), st["k_range"],
+            st["bisection_tol"], sc.random_seed, st["modes"],
+            restarts=st["restarts"], maxiter=st["maxiter"])
+        searches[:] = [br.effort["bisection_steps"]]
+
+    return best(bracket, reps), searches[0]
 
 
 def _certify_cost(reps):
@@ -361,7 +415,11 @@ def report(m):
         f"derivative, {m['window_ns']:.1f} ns per window step)",
         f"  loop search  {m['search_ms']:8.2f} ms per search       "
         f"(k 0.3, 8 modes, 8 restarts, maxiter 200; "
-        f"{'a witness' if m['search_witness'] else 'no witness'})",
+        f"{'a witness' if m['search_witness'] else 'no witness'}; "
+        f"{m['functional_ms']:.2f} ms in {m['functional_calls']:,} "
+        f"_loop_functional calls)",
+        f"  bracket      {m['bracket_ms']:8.2f} ms per bracket      "
+        f"(critical_value.json; {m['bracket_searches']} searches)",
         f"  certify      {m['certify_ms']:8.2f} ms per certify      "
         f"(StandardMap(1.5), 3 boxes, k 1..20; {m['certify_images']:,} point "
         f"images, {m['certify_calls']:,} oracle calls)",
