@@ -13,17 +13,18 @@ k_range, T_ret)` only judges them: each candidate is a list of boxes, one
 box for the self-traversal count (`crossing_boxes` builds these at a
 crossing) or several for the full-crossing check (a map's known strips).
 
-`certify_horseshoe` follows one orbit per sampled fiber: within a call each
-(rectangle, fiber) keeps the images of its points, extended one iterate at a
-time as larger k are read, so the k-th image maps the stored (k-1)-th image
-rather than iterating k times from the fiber.  An iterate is one
-`maps.map_points` call on the fiber's live points: one oracle call per fiber
+`certify_horseshoe` follows one orbit per box: within a call each box keeps
+the images of its sampled fibers' points, laid end to end, extended one
+iterate at a time as larger k are read, so the k-th image maps the stored
+(k-1)-th image rather than iterating k times from the box.  An iterate is one
+`maps.map_points` call on the box's live points: one oracle call per box
 where the oracle has the array form `points` (the closed-form maps), one per
 point otherwise.  A point the oracle cannot map stays failed for every larger
 k.  For a flow's `SectionReturnMap` each saved point image is a saved section
-return.  A box's fibers are counted together (`_fiber_crossings`): one
-coordinate solve for all their live image points and array operations for
-the runs inside the target box.
+return.  Every candidate is counted one way (`_fiber_crossings` of each box's
+image in each box of the candidate): one coordinate solve for all the live
+image points of a box's fibers and array operations for the runs inside the
+target box.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ log = logging.getLogger("maglab.chaos")
 
 _CLASS_TOL = 1e-6               # hyperbolic: |trace| > 2 + _CLASS_TOL
 _MAX_POINTS = 60000             # a branch stops growing at this many points
+_MAX_PARAMS = 4000              # a ring stops refining past this many parameters
 _MIN_SEPARATION = 1e-9          # closer crossings (unstable arclength) are one
 _N_FIBERS, _N_SAMPLES = 9, 160  # fibers per box, sample points per fiber
 _BOX_SCALES = (0.05, 0.1, 0.2)  # half sides of the boxes at a crossing
@@ -160,6 +162,7 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol,
     pts = []
     total = 0.0
     truncated = False
+    capped = False
     ring = 0
     try:
         while total < max_arclength and len(pts) < _MAX_POINTS:
@@ -186,7 +189,13 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol,
                     break
                 params.insert(worst + 1, 0.5 * (params[worst] + params[worst + 1]))
                 start = worst
-                if len(params) > 4000:
+                if len(params) > _MAX_PARAMS:
+                    if not capped:
+                        capped = True
+                        log.info("%s branch (sign %+d) at (%.6g, %.6g): refinement "
+                                 "capped at ring %d (%d parameters); later rings get "
+                                 "at most one insertion each", side, sign, p[0], p[1],
+                                 ring, len(params))
                     break
             ring_pts = [point_at(t, ring) for t in params[:-1]]
             for q in ring_pts:
@@ -319,27 +328,27 @@ class EntropyReport:
     as_dict = asdict
 
 
-class _FiberOrbit:
-    """Images of one fiber's sample points under successive iterates.
+class _BoxOrbit:
+    """Images of one box's sample points under successive iterates.
 
-    images[j] holds the j-th images (row i for point i, NaN once failed) and
-    failed_at[i] is the first iterate at which the oracle could not map
-    point i, so point i is alive at iterate k exactly when k < failed_at[i].
-    Each iterate is one `map_points` call on the live points: one oracle
-    call per fiber and iterate where the oracle has `points`, one per point
-    and iterate otherwise.  A failed point is never passed to the oracle
-    again.  `mapped` counts the point images asked for and `calls` the
-    oracle calls that made them.
+    The points are the box's _N_FIBERS fibers of _N_SAMPLES points each,
+    laid end to end.  images[j] holds their j-th images (row i for point i,
+    NaN once failed) and failed_at[i] is the first iterate at which the
+    oracle could not map point i, so point i is alive at iterate k exactly
+    when k < failed_at[i].  Each iterate is one `map_points` call on the
+    box's live points, and a failed point is never passed to the oracle
+    again.  `mapped` counts the point images asked for.
     """
 
-    def __init__(self, pts):
-        self.images = [np.asarray(pts, dtype=float)]
-        self.failed_at = np.full(len(pts), np.iinfo(np.int64).max)
+    def __init__(self, rect):
+        fibers = np.linspace(-rect.half_s, rect.half_s, _N_FIBERS)
+        self.images = [np.concatenate([rect.fiber(s, _N_SAMPLES) for s in fibers])]
+        self.failed_at = np.full(len(self.images[0]), np.iinfo(np.int64).max)
         self.mapped = 0
-        self.calls = 0
 
     def at(self, oracle, k):
-        """(images, alive mask) at iterate k, extending the orbit as needed."""
+        """(images (F, n, 2), alive (F, n)) at iterate k, one row per fiber,
+        extending the orbit as needed."""
         while len(self.images) <= k:
             j = len(self.images)
             prev = self.images[-1]
@@ -350,9 +359,9 @@ class _FiberOrbit:
                 nxt[live[ok]] = imgs[ok]
                 self.failed_at[live[~ok]] = j
                 self.mapped += live.size
-                self.calls += 1 if hasattr(oracle, "points") else live.size
             self.images.append(nxt)
-        return self.images[k], self.failed_at > k
+        return (self.images[k].reshape(_N_FIBERS, _N_SAMPLES, 2),
+                (self.failed_at > k).reshape(_N_FIBERS, _N_SAMPLES))
 
 
 def _fiber_crossings(imgs, alive, rect_to):
@@ -382,31 +391,6 @@ def _fiber_crossings(imgs, alive, rect_to):
     return np.bincount(bounds[::2][full] // (n + 1), minlength=F)
 
 
-class _FiberStore:
-    """The fiber orbits of one certify_horseshoe call, keyed by position.
-
-    A key is (candidate index, rectangle index, fiber index).
-    """
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.orbits = {}
-
-    def fibers(self, c, r, rect, k):
-        """(images, alive) at iterate k for each fiber of rectangle r, lazily."""
-        for i, s in enumerate(np.linspace(-rect.half_s, rect.half_s, _N_FIBERS)):
-            orb = self.orbits.get((c, r, i))
-            if orb is None:
-                orb = self.orbits[(c, r, i)] = _FiberOrbit(rect.fiber(s, _N_SAMPLES))
-            yield orb.at(self.oracle, k)
-
-    @property
-    def work(self):
-        """(point images, oracle calls) so far."""
-        return (sum(orb.mapped for orb in self.orbits.values()),
-                sum(orb.calls for orb in self.orbits.values()))
-
-
 def certify_horseshoe(oracle, candidates, k_range, T_ret):
     """Sampled Conley-Moser crossing check yielding an entropy lower bound.
 
@@ -416,60 +400,49 @@ def certify_horseshoe(oracle, candidates, k_range, T_ret):
     each box fully crosses every box, N = number of boxes.  The bound is
     the largest log(N) / (k * T_ret) over k in k_range and the candidates;
     when none gives N >= 2 the report has a zero bound and status
-    "not certified".  Each fiber's orbit is computed once per call and read
+    "not certified".  Each box's orbit is computed once per call and read
     at every k.
     """
-    store = _FiberStore(oracle)
+    orbits = [[_BoxOrbit(r) for r in rects] for rects in candidates]
     best = None
     for k in k_range:
         for c, rects in enumerate(candidates):
-            n = _certify_with(store, c, rects, k)
+            n = _certify_with(oracle, rects, orbits[c], k)
+            log.debug("k = %d, candidate %d: N = %d", k, c, n)
             if n >= 2:
                 bound = math.log(n) / (k * T_ret)
                 if best is None or bound > best.h_top_lower:
                     best = EntropyReport({"N": n, "k": k, "T_ret": T_ret}, bound,
                                          "certified")
+    mapped = sum(orb.mapped for box_orbits in orbits for orb in box_orbits)
     if best is None:
-        log.info("no horseshoe certified over k in %s (%d point images, %d oracle calls)",
-                 list(k_range), *store.work)
+        log.info("no horseshoe certified over k in %s (%d point images)",
+                 list(k_range), mapped)
         return EntropyReport({"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "not certified")
-    log.info("horseshoe certified: N = %d, k = %d, bound %.12g "
-             "(%d point images, %d oracle calls)",
-             best.horseshoe["N"], best.horseshoe["k"], best.h_top_lower, *store.work)
+    log.info("horseshoe certified: N = %d, k = %d, bound %.12g (%d point images)",
+             best.horseshoe["N"], best.horseshoe["k"], best.h_top_lower, mapped)
     return best
 
 
-def _certify_with(store, c, rects, k):
+def _certify_with(oracle, rects, orbits, k):
+    """N of one candidate at iterate k from the least fiber counts of each
+    box's image (`orbits`, one per box) in each box: that count itself for
+    one box, len(rects) for several when every count is at least 1, else 0.
+    The counts are taken lazily: after a count of 0 no further box is mapped."""
+    lows = (int(_fiber_crossings(*orb.at(oracle, k), r).min())
+            for orb in orbits for r in rects)
     if len(rects) == 1:
-        r = rects[0]
-        imgs, alive = map(np.stack, zip(*store.fibers(c, 0, r, k)))
-        n = int(_fiber_crossings(imgs, alive, r).min())
-        log.debug("k = %d, box %d (half %.6g x %.6g): minimum fiber count %d",
-                  k, c, r.half_u, r.half_s, n)
-        return n
-    # multiple rectangles: require full crossing for every ordered pair
-    for a, ri in enumerate(rects):
-        low = math.inf
-        for imgs, alive in store.fibers(c, a, ri, k):
-            for rj in rects:
-                low = min(low, int(_fiber_crossings(imgs[None], alive[None], rj)[0]))
-                if low < 1:
-                    log.debug("k = %d, rectangle %d: a fiber misses a rectangle", k, a)
-                    return 0
-        log.debug("k = %d, rectangle %d: minimum fiber count %s", k, a, low)
-    return len(rects)
+        return next(lows)
+    return 0 if any(low < 1 for low in lows) else len(rects)
 
 
 def crossing_boxes(oracle, point, fixed_point):
     """Single-box candidates centred at a homoclinic crossing `point`, one
     per scale of _BOX_SCALES, with axes along the unstable and stable
-    directions of `fixed_point` (the identity frame if it is not hyperbolic)."""
+    directions of `fixed_point`; FixedPointError if it is not hyperbolic."""
     J = _oracle_jacobian(oracle, np.asarray(fixed_point, dtype=float))
-    try:
-        (_, vu), (_, vs) = _hyperbolic_eigen(J)
-        frame = np.column_stack([vu, vs])
-    except ValueError:
-        frame = np.eye(2)
+    (_, vu), (_, vs) = _hyperbolic_eigen(J)
+    frame = np.column_stack([vu, vs])
     q = np.asarray(point, dtype=float)
     return [[Rectangle(q, sc, sc, frame)] for sc in _BOX_SCALES]
 

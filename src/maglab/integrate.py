@@ -261,9 +261,8 @@ class DenseStep:
 class Solution:
     """Dense solution of one integration run."""
 
-    def __init__(self, steps, status="finished"):
+    def __init__(self, steps):
         self.steps = steps
-        self.status = status
         self.n_accepted = len(steps)
         self.n_rejected = 0
         self.n_fev = 0
@@ -501,7 +500,6 @@ def integrate(
     h = min(h, max_step, t_final - t0)
     steps = []
     n_rej = 0
-    status = "finished"
     hmin = 1e-14 * max(abs(t0), abs(t_final), 1.0)
     while t < t_final:
         if len(steps) >= _MAX_STEPS:
@@ -532,11 +530,10 @@ def integrate(
         y = y1
         k1 = None  # the next step's, evaluated only if a step follows
         if observer is not None and observer(step) is False:
-            status = "stopped"
             break
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.125)))
         h = min(h * factor, max_step)
-    sol = Solution(steps, status)
+    sol = Solution(steps)
     sol.n_rejected = n_rej
     sol.n_fev = nfev
     return sol

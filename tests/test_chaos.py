@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from maglab.chaos import (
+    _MAX_PARAMS,
     Rectangle,
+    _BoxOrbit,
     _fiber_crossings,
-    _FiberStore,
     certify_horseshoe,
     crossing_boxes,
     detect_homoclinic,
     dominated_splitting_check,
     grow_manifold,
 )
+from maglab.errors import FixedPointError
 from maglab.maps import HorseshoeMap, StandardMap
 
 from oracles import LinearMap, TwistMap, invariance_defect, loop_fiber_crossings
@@ -270,11 +272,10 @@ def test_certifier_counts_match_per_k_recompute(standard_boxes):
     """Every (k, box, fiber) count equals iterating each point k times afresh."""
     best, boxes = standard_boxes
     sm = StandardMap(1.5)
-    store = _FiberStore(sm)
+    orbits = [_BoxOrbit(box) for (box,) in boxes]
     for k in range(1, 21):
         for c, (box,) in enumerate(boxes):
-            imgs, alive = map(np.stack, zip(*store.fibers(c, 0, box, k)))
-            got = _fiber_crossings(imgs, alive, box).tolist()
+            got = _fiber_crossings(*orbits[c].at(sm, k), box).tolist()
             want = [_reference_crossings(sm, box, k, s)
                     for s in np.linspace(-box.half_s, box.half_s, 9)]
             assert got == want, (k, c)
@@ -286,23 +287,23 @@ def test_certifier_failed_points_stay_failed(standard_boxes):
     oracle = _CountingMap(x_max=1.5)
     ref = _CountingMap(x_max=1.5)
     k_max = 12
-    store = _FiberStore(oracle)
+    orbits = [_BoxOrbit(box) for (box,) in boxes]
     failures = set()
     best_ref = None
     for k in range(1, k_max + 1):
         for c, (box,) in enumerate(boxes):
             fibers = np.linspace(-box.half_s, box.half_s, 9)
-            counts = []
-            for (imgs, alive), s in zip(store.fibers(c, 0, box, k), fibers):
+            imgs, alive = orbits[c].at(oracle, k)
+            for f, s in enumerate(fibers):
                 for i, z in enumerate(box.fiber(s, 160)):
                     w = _reference_image(ref, z, k)
-                    assert alive[i] == (w is not None), (k, c, s, i)
+                    assert alive[f, i] == (w is not None), (k, c, s, i)
                     if w is None:
                         failures.add(k)
                     else:
-                        assert np.array_equal(imgs[i], w)
-                counts.append(_fiber_crossings(imgs[None], alive[None], box)[0])
-                assert counts[-1] == _reference_crossings(ref, box, k, s)
+                        assert np.array_equal(imgs[f, i], w)
+            counts = _fiber_crossings(imgs, alive, box).tolist()
+            assert counts == [_reference_crossings(ref, box, k, s) for s in fibers]
             if min(counts) >= 2:
                 bound = math.log(min(counts)) / k
                 if best_ref is None or bound > best_ref[0]:
@@ -342,33 +343,34 @@ class _CountingArrayMap:
         return self.sm.points(zs)
 
 
-def test_certifier_one_points_call_per_fiber_and_iterate(standard_boxes):
-    """With an array form, k = 1..20 costs one call per fiber and iterate,
+def test_certifier_one_points_call_per_box_and_iterate(standard_boxes):
+    """With an array form, k = 1..20 costs one call per box and iterate,
     and certifies what the one-point path certifies."""
     best, boxes = standard_boxes
     oracle = _CountingArrayMap()
     rep = certify_horseshoe(oracle, boxes, range(1, 21), 1.0)
-    assert (oracle.points_calls, oracle.calls) == (3 * 9 * 20, 0)
+    assert (oracle.points_calls, oracle.calls) == (3 * 20, 0)
     assert rep == certify_horseshoe(_CountingMap(), boxes, range(1, 21), 1.0)
 
 
-def test_fiber_store_points_images_match_reference(standard_boxes):
+def test_box_orbit_points_images_match_reference(standard_boxes):
     """The array path's images equal _reference_image's, bit for bit."""
     best, boxes = standard_boxes
     sm = StandardMap(1.5)
-    store = _FiberStore(sm)
+    orbits = [_BoxOrbit(box) for (box,) in boxes]
     # _reference_image(sm, z, k) for every k, one iterate after another
     ref = {}
     for k in range(1, 21):
         for c, (box,) in enumerate(boxes):
             fibers = np.linspace(-box.half_s, box.half_s, 9)
-            for f, ((imgs, alive), s) in enumerate(zip(store.fibers(c, 0, box, k), fibers)):
-                assert alive.all()
+            imgs, alive = orbits[c].at(sm, k)
+            assert imgs.shape == (9, 160, 2) and alive.all()
+            for f, s in enumerate(fibers):
                 for i, z in enumerate(box.fiber(s, 160)):
                     w = sm(ref.get((c, f, i), z))
                     ref[c, f, i] = w
-                    assert imgs[i].tobytes() == w.tobytes(), (k, c, f, i)
-    assert store.work == (3 * 9 * 160 * 20, 3 * 9 * 20)
+                    assert imgs[f, i].tobytes() == w.tobytes(), (k, c, f, i)
+    assert [orb.mapped for orb in orbits] == [9 * 160 * 20] * 3
 
 
 def test_chaos_logs(caplog):
@@ -383,19 +385,53 @@ def test_chaos_logs(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"unstable branch (sign +1) at (0, 0): {len(bu.points)} points, "
         f"arclength {bu.arclength:.6g}",
-        # each of the 2 x 9 fibers maps its 160 points in one points call
+        # each of the 2 boxes maps its 9 x 160 points in one points call
         f"horseshoe certified: N = 2, k = 1, bound {math.log(2.0):.12g} "
-        f"(2880 point images, 18 oracle calls)",
+        f"(2880 point images)",
     ]
 
 
+def test_several_boxes_not_certified_when_one_box_leaves():
+    """The several-box check reads N = 0 when one box's image crosses
+    nothing: the horseshoe's middle third leaves the square, although the
+    images of the two strips cross all three boxes."""
+    hs = HorseshoeMap(3.0)
+    frame = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rects = [Rectangle(np.array([0.5, y]), 1.0 / 6.0, 0.5, frame)
+             for y in (1.0 / 6.0, 0.5, 5.0 / 6.0)]
+    rep = certify_horseshoe(hs, [rects], (1, 2), 1.0)
+    assert (rep.status, rep.horseshoe["N"], rep.h_top_lower) == ("not certified", 0, 0.0)
+    assert certify_horseshoe(hs, [rects[::2]], (1,), 1.0).horseshoe["N"] == 2
+
+
 def test_integrable_map_no_crossing():
-    """An integrable twist map certifies nothing: zero bound, "not certified"."""
+    """An integrable twist map certifies nothing: zero bound, "not certified".
+    Its fixed point is elliptic, so crossing_boxes has no frame to offer."""
     tm = TwistMap(0.3, 2.0)
-    rep = certify_horseshoe(tm, crossing_boxes(tm, (0.25, 0.0), (0.0, 0.0)),
-                            range(1, 8), 1.0)
+    with pytest.raises(FixedPointError):
+        crossing_boxes(tm, (0.25, 0.0), (0.0, 0.0))
+    boxes = [[Rectangle(np.array([0.25, 0.0]), sc, sc, np.eye(2))]
+             for sc in (0.05, 0.1, 0.2)]
+    rep = certify_horseshoe(tm, boxes, range(1, 8), 1.0)
     assert rep.h_top_lower == 0.0
     assert rep.status == "not certified"
+
+
+def test_grow_manifold_logs_the_refinement_cap(caplog):
+    """A branch whose rings pass _MAX_PARAMS parameters says so once, naming
+    the ring; a branch that never reaches the cap logs nothing of it."""
+    sm = StandardMap(1.5)
+    with caplog.at_level(logging.INFO, logger="maglab.chaos"):
+        grow_manifold(sm, (0.0, 0.0), "unstable", 1, 12.0, tol=1e-4)
+        assert not [r for r in caplog.records if "capped" in r.getMessage()]
+        grow_manifold(sm, (0.0, 0.0), "unstable", 1, 12.0, tol=1e-7)
+    (capped,) = [r.getMessage() for r in caplog.records if "capped" in r.getMessage()]
+    prefix = "unstable branch (sign +1) at (0, 0): refinement capped at ring "
+    assert capped.startswith(prefix)
+    ring = int(capped[len(prefix):].split()[0])
+    assert ring in (18, 19)
+    assert capped.endswith(f"({_MAX_PARAMS + 1} parameters); later rings get at "
+                           "most one insertion each")
 
 
 def test_dominated_splitting_synthetic():

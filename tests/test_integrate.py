@@ -293,7 +293,7 @@ def test_n_fev_counts_every_rhs_call(case):
     sol = integrate(rhs, 0.0, (1.0, 0.0), 2.0, OPTIONS.rel_tol, OPTIONS.abs_tol,
                     OPTIONS.max_step, **kwargs)
     assert sol.n_fev == len(calls)
-    assert sol.status == ("stopped" if case == "observer_stop" else "finished")
+    assert (sol.t_end < 2.0) == (case == "observer_stop")
     if case == "rejected_steps":
         assert sol.n_rejected > 0
     computed = "first_step" not in kwargs

@@ -165,6 +165,6 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert counts["loop"].startswith(loop)
     assert counts["loop"].endswith(" ms in 265 _loop_functional calls)")
     assert counts["bracket"] == "(critical_value.json; 16 searches)"
-    # one points call per fiber and iterate: 3 boxes x 9 fibers x 20 iterates
+    # one points call per box and iterate: 3 boxes x 20 iterates
     assert counts["certify"] == ("(StandardMap(1.5), 3 boxes, k 1..20; "
-                                 "86,400 point images, 540 oracle calls)")
+                                 "86,400 point images, 60 oracle calls)")

@@ -53,8 +53,10 @@ settings, in ms, with its searches (bisection steps) as the work counter.
 Last, certify is one `certify_horseshoe` on StandardMap(1.5)'s crossing
 boxes for k = 1..20 (entropy_mane's first entropy stage: branches of
 arclength 2.5 at tol 1e-4, the crossing of largest angle), in ms, with the
-point images and the oracle calls as work counters; a tree whose maps have
-no array form `points` makes one oracle call per point image.
+point images and the oracle calls as work counters: one `points` call per
+box and iterate where the certifier keeps one orbit per box (60), one per
+fiber and iterate where it keeps one per fiber (540), and one oracle call per
+point image in a tree whose maps have no array form `points`.
 
 Every time is the least over N repetitions (default 5), with the garbage
 collector off while timing, as timeit does.  The work counters printed beside
