@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,10 +167,8 @@ def grow_manifold(oracle, fixed_point, side, sign, max_arclength, tol,
     try:
         while total < max_arclength and len(pts) < _MAX_POINTS:
             # refine this ring
-            guard = 0
             start = 0  # segments left of the last insertion passed and stay put
-            while guard < 4000:
-                guard += 1
+            while True:
                 worst = None
                 for i in range(start, len(params) - 1):
                     a = point_at(params[i], ring)
@@ -324,8 +322,6 @@ class EntropyReport:
     horseshoe: dict     # N, k and T_ret of the best certificate (zeros if none)
     h_top_lower: float
     status: str         # "certified" | "not certified" | "no crossing"
-
-    as_dict = asdict
 
 
 class _BoxOrbit:

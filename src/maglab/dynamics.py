@@ -164,12 +164,14 @@ class Trajectory:
     charts: list
     sign: int = 1
     exited: bool = False
-    n_accepted: int = 0
-    n_rejected: int = 0
-    n_fev: int = 0
     dim: int = 4
 
     exit_time: float = None
+
+    # the step counters of the whole flow, summed over its segments on `sol`
+    n_accepted = property(lambda self: self.sol.n_accepted)
+    n_rejected = property(lambda self: self.sol.n_rejected)
+    n_fev = property(lambda self: self.sol.n_fev)
 
     @property
     def t_reach(self):
@@ -283,6 +285,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
 
     traj = Trajectory(surface, c, t_final, None, [], sign=sign, dim=dim)
     steps = []
+    n_rej = n_fev = 0
     t_done = 0.0
     planar = surface.kind == "planar"
     sphere = surface.kind == "sphere"
@@ -335,9 +338,8 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
         )
         steps += sol.steps
         traj.charts += [chart] * len(sol.steps)
-        traj.n_accepted += sol.n_accepted
-        traj.n_rejected += sol.n_rejected
-        traj.n_fev += sol.n_fev
+        n_rej += sol.n_rejected
+        n_fev += sol.n_fev
         t_done = sol.t_end
         y = sol.y_end
         kind = stop_reason.get("kind")
@@ -353,6 +355,7 @@ def _run_flow(surface, field, state, t_final, options, dim, observer=None):
             chart = ps2.chart
             y = (ps2.x, ps2.y, ps2.vx, ps2.vy) + tuple(y[4:])
     traj.sol = Solution(steps)
+    traj.sol.n_rejected, traj.sol.n_fev = n_rej, n_fev
     return traj
 
 

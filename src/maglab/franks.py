@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -936,9 +936,6 @@ class CotaReport:
     linearity_defect: float
     samples: int
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count, seed):
     """Sampled check of |Z(T)| >= |A| / (2 k1^3) over random unit directions.
@@ -987,9 +984,6 @@ class SurjectivityReport:
     gene_bound_ok: bool
     details: list
     below_floor: int
-
-    def as_dict(self):
-        return asdict(self)
 
 
 def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,

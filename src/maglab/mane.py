@@ -7,6 +7,9 @@ loop with negative action; the upper end is heuristic ("no negative loop
 found up to the configured search effort"), matching the one-sided nature
 of the infimum.  Contractible loops are searched over circles, rounded
 rectangles and a Fourier parametrization descended with Nelder-Mead.
+The stored witness is the loop's `describe()`, a dict of its kind and its
+constructor's arguments, so `verify_witness` rebuilds it by kind from the
+written report alone.
 
 The circles and rounded rectangles are fixed, so their lengths L and
 circulations C, which do not depend on k, are computed once per
@@ -130,7 +133,7 @@ class LagrangianSpec:
                   for cx in (0.25, 0.5, 0.75) for cy in (0.25, 0.5, 0.75)
                   for r in (0.08, 0.15, 0.25, 0.4)
                   for shape in (CircleLoop((cx, cy), r, 1.0),
-                                RoundedRectangleLoop((cx, cy), r, 0.6 * r, 2.5, 1.0))]
+                                RoundedRectangleLoop((cx, cy), (r, 0.6 * r), 2.5, 1.0))]
         lengths, circs = np.empty(len(shapes)), np.empty(len(shapes))
         for i, shape in enumerate(shapes):
             _, pos, vel = shape.sample(_SEARCH_NODES)
@@ -172,6 +175,8 @@ def _fourier_points(coeffs, n):
 class FourierLoop:
     """Closed curve x(t) = c0 + sum_m a_m cos(2 pi m t/T) + b_m sin(2 pi m t/T)."""
 
+    kind = "fourier"
+
     def __init__(self, period, coeffs):
         # coeffs: array (2, 2M+1): [c0, a1..aM, b1..bM] per coordinate
         self.period = float(period)
@@ -182,7 +187,7 @@ class FourierLoop:
         return np.arange(n) * (self.period / n), pos[0], vel[0] / self.period
 
     def describe(self):
-        return {"kind": "fourier", "period": self.period,
+        return {"kind": self.kind, "period": self.period,
                 "coeffs": [list(map(float, row)) for row in self.coeffs]}
 
 
@@ -195,35 +200,42 @@ def CircleLoop(center, radius, period):
 
 
 class RoundedRectangleLoop:
-    """x = cx + A tanh(q cos u)/tanh q, y = cy + B tanh(q sin u)/tanh q."""
+    """x = cx + A tanh(q cos u)/tanh q, y = cy + B tanh(q sin u)/tanh q, with
+    center (cx, cy), half = (A, B) and squareness q."""
 
-    def __init__(self, center, half_x, half_y, squareness, period):
+    kind = "rounded_rectangle"
+
+    def __init__(self, center, half, squareness, period):
         self.center = center
-        self.A = half_x
-        self.B = half_y
-        self.q = squareness
+        self.half = half
+        self.squareness = squareness
         self.period = float(period)
 
     def sample(self, n):
         t = np.arange(n) * (self.period / n)
         u = 2.0 * math.pi * t / self.period
-        tq = math.tanh(self.q)
+        (A, B), q = self.half, self.squareness
+        tq = math.tanh(q)
         cu, su = np.cos(u), np.sin(u)
         pos = np.stack([
-            self.center[0] + self.A * np.tanh(self.q * cu) / tq,
-            self.center[1] + self.B * np.tanh(self.q * su) / tq,
+            self.center[0] + A * np.tanh(q * cu) / tq,
+            self.center[1] + B * np.tanh(q * su) / tq,
         ])
         du = 2.0 * math.pi / self.period
         vel = np.stack([
-            -self.A * self.q * (1.0 - np.tanh(self.q * cu) ** 2) * su * du / tq,
-            self.B * self.q * (1.0 - np.tanh(self.q * su) ** 2) * cu * du / tq,
+            -A * q * (1.0 - np.tanh(q * cu) ** 2) * su * du / tq,
+            B * q * (1.0 - np.tanh(q * su) ** 2) * cu * du / tq,
         ])
         return t, pos, vel
 
     def describe(self):
-        return {"kind": "rounded_rectangle", "center": list(self.center),
-                "half": [self.A, self.B], "squareness": self.q,
+        return {"kind": self.kind, "center": list(self.center),
+                "half": list(self.half), "squareness": self.squareness,
                 "period": self.period}
+
+
+# a witness loop's kind -> its class, which rebuilds it from its describe()
+_LOOP_KINDS = {cls.kind: cls for cls in (FourierLoop, RoundedRectangleLoop)}
 
 
 def loop_action(lagrangian: LagrangianSpec, loop, k, n_nodes=_WITNESS_NODES):
@@ -239,17 +251,13 @@ def loop_action(lagrangian: LagrangianSpec, loop, k, n_nodes=_WITNESS_NODES):
 
 @dataclass
 class CriticalBracket:
+    """The critical-value report, a field per key (witness_loop: describe())."""
+
     c_lo: float
     c_hi: float
-    witness: dict
+    witness_loop: dict
     witness_action: float
     effort: dict
-
-    def as_dict(self):
-        return {"c_lo": self.c_lo, "c_hi": self.c_hi,
-                "witness_loop": self.witness,
-                "witness_action": self.witness_action,
-                "effort": self.effort}
 
 
 def _length_circulation(lag, pos, vel, dt):
@@ -305,7 +313,7 @@ def _at_optimal_period(loop, length, k):
     period = min(length / math.sqrt(2.0 * k), _T_CAP) if k > 0.0 else _T_CAP
     if isinstance(loop, FourierLoop):
         return FourierLoop(period, loop.coeffs)
-    return RoundedRectangleLoop(loop.center, loop.A, loop.B, loop.q, period)
+    return RoundedRectangleLoop(loop.center, loop.half, loop.squareness, period)
 
 
 def _sorted(sim, fsim):
@@ -516,15 +524,11 @@ def estimate_critical_value(lagrangian, k_range, bisection_tol, seed, modes, *,
 
 
 def verify_witness(lagrangian, bracket: CriticalBracket):
-    """Re-evaluate the stored witness loop at c_lo; must be negative."""
-    w = bracket.witness
-    if w["kind"] == "fourier":
-        loop = FourierLoop(w["period"], np.array(w["coeffs"]))
-    elif w["kind"] == "rounded_rectangle":
-        loop = RoundedRectangleLoop(tuple(w["center"]), w["half"][0], w["half"][1],
-                                    w["squareness"], w["period"])
-    else:
-        raise ValueError(f"unknown witness kind {w['kind']}")
+    """The (L + c_lo)-action of the stored witness loop, rebuilt by its kind
+    from its description (`_LOOP_KINDS`); a certificate's is negative.  A
+    bracket reads back from its report: CriticalBracket(**fields of report)."""
+    rest = dict(bracket.witness_loop)
+    loop = _LOOP_KINDS[rest.pop("kind")](**rest)
     return loop_action(lagrangian, loop, bracket.c_lo)
 
 
@@ -533,16 +537,11 @@ def verify_witness(lagrangian, bracket: CriticalBracket):
 
 @dataclass
 class RotationVector:
-    homology: tuple
+    """The classify report's rotation vector: rho = homology / period."""
+
+    homology: list
     period: float
-
-    @property
-    def rho(self):
-        return (self.homology[0] / self.period, self.homology[1] / self.period)
-
-    def as_dict(self):
-        return {"homology": list(self.homology), "period": self.period,
-                "rho": list(self.rho)}
+    rho: list
 
 
 def rotation_vector(orbit):
@@ -560,4 +559,5 @@ def rotation_vector(orbit):
     p, q = round(dx), round(dy)
     if abs(dx - p) > _WINDING_TOL or abs(dy - q) > _WINDING_TOL:
         raise DataInconsistencyError(f"winding not integral: ({dx}, {dy})")
-    return RotationVector((int(p), int(q)), orbit.period)
+    hom = [int(p), int(q)]
+    return RotationVector(hom, orbit.period, [n / orbit.period for n in hom])

@@ -151,16 +151,6 @@ class TwistData:
     area_defect: float
     verdict: str
 
-    def as_dict(self):
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "beta_error": self.beta_error,
-            "nonresonant": {str(k): bool(v) for k, v in self.nonresonant.items()},
-            "area_defect": self.area_defect,
-            "verdict": self.verdict,
-        }
-
 
 def _beta_from_coeffs(coeffs):
     """(alpha, beta, |Re(lambda-bar c21)|) of a cubic jet, c21 by the formula
@@ -199,9 +189,9 @@ def birkhoff_beta(jet: Jet3):
         raise ResonantJetError(f"linear part not elliptic (trace {tr:.6f})")
     _, phi = elliptic_frame(M)
     lam = cmath.exp(1j * phi)
-    flags = {n: abs(lam**n - 1.0) >= 1e-8 for n in (1, 2, 3, 4)}
+    flags = {str(n): abs(lam**n - 1.0) >= 1e-8 for n in (1, 2, 3, 4)}
     if not all(flags.values()):
-        bad = [n for n, ok in flags.items() if not ok]
+        bad = [int(n) for n, ok in flags.items() if not ok]
         raise ResonantJetError(f"resonant eigenvalue: lambda^n = 1 for n in {bad}")
     alpha, beta, defect = _beta_from_coeffs(jet.coeffs)
     # error estimate: redo the normalization with the coarse-scale fit
@@ -224,10 +214,6 @@ class TwistFit:
     residual: float
     radii: list
     rotation_numbers: list
-
-    def as_dict(self):
-        return {"alpha": self.alpha, "beta": self.beta, "residual": self.residual,
-                "radii": list(self.radii), "rotation_numbers": list(self.rotation_numbers)}
 
 
 def _birkhoff_weights(n):
@@ -283,4 +269,4 @@ def twist_by_rotation_number(map_fn, radii, n_iter):
     sol, res, *_ = np.linalg.lstsq(A, np.array(rhos), rcond=None)
     resid = math.sqrt(res[0] / len(rhos)) if len(res) else 0.0
     alpha = sol[0] % 1.0
-    return TwistFit(alpha, float(sol[1]), float(resid), list(r_eff), rhos)
+    return TwistFit(alpha, float(sol[1]), float(resid), r_eff, rhos)

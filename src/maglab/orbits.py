@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -440,12 +440,10 @@ class ClosedOrbit:
         return float(np.trace(self.monodromy))
 
     def record(self):
-        s = self.initial_state
         return {
-            "initial_state": {"chart": s.chart, "x": s.x, "y": s.y,
-                              "vx": s.vx, "vy": s.vy},
+            "initial_state": asdict(self.initial_state),
             "period": self.period,
-            "monodromy": [[float(v) for v in row] for row in self.monodromy],
+            "monodromy": self.monodromy.tolist(),
             "trace": self.trace,
             "class": self.floquet_class,
             "residual": self.residual,

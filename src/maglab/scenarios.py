@@ -19,6 +19,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -324,7 +325,6 @@ class Scenario:
                                   f"{' and '.join(stage.needs)} stage")
             seen.add(kind)
             self.pipeline.append(entry)
-        self.cfg = cfg
 
 
 def load_scenario(path):
@@ -428,8 +428,7 @@ def _stage_classify(sc, st, ctx):
         if orb.floquet_class == "hyperbolic":
             e["eigenvalues"] = list(orb.eigen.eigenvalues)
         if want_rho:  # only on the torus (checked at load)
-            rv = rotation_vector(orb)
-            e["rotation_vector"] = rv.as_dict()
+            e["rotation_vector"] = asdict(rotation_vector(orb))
         entries.append(e)
     return {"stage": "classify", "orbits": entries}
 
@@ -466,14 +465,14 @@ def _stage_twist(sc, st, ctx):
         rel = abs(td.beta - fit.beta) / max(abs(fit.beta), 1e-300)
         results.append({
             "period": orb.period,
-            "jet": td.as_dict(),
-            "fit": fit.as_dict(),
+            "jet": asdict(td),
+            "fit": asdict(fit),
             "relative_beta_gap": rel,
             "det_defect": jet.det_defect(),
         })
         rotation_rows.extend([[r, rho] for r, rho in
                               zip(fit.radii, fit.rotation_numbers)])
-        ctx["records"][i]["twist"] = td.as_dict()
+        ctx["records"][i]["twist"] = asdict(td)
     return {"stage": "twist", "orbits": results,
             "rotation_samples": rotation_rows}
 
@@ -500,9 +499,9 @@ def _stage_franks(sc, st, ctx):
                      "product_vs_monodromy": prod_defect},
         "constants": constants[0],
         "constants_by_segment": constants,
-        "cota": cota.as_dict(),
-        "surjectivity": surj.as_dict(),
-        "surjectivity_forward": fwd.as_dict(),
+        "cota": asdict(cota),
+        "surjectivity": asdict(surj),
+        "surjectivity_forward": asdict(fwd),
     }
 
 
@@ -553,7 +552,7 @@ def _stage_entropy(sc, st, ctx):
                                     range(1, st["k_max"] + 1), T_ret)
         else:
             rep = EntropyReport({"N": 0, "k": 0, "T_ret": T_ret}, 0.0, "no crossing")
-    return {"stage": "entropy", **rep.as_dict(), "manifold_points": rows,
+    return {"stage": "entropy", **asdict(rep), "manifold_points": rows,
             "intersections": [{"point": list(h.point), "angle": h.angle}
                               for h in trans]}
 
@@ -563,7 +562,7 @@ def _stage_critical_value(sc, st, ctx):
         LagrangianSpec(sc.surface, st["eta"]), k_range=st["k_range"],
         bisection_tol=st["bisection_tol"], seed=sc.random_seed,
         restarts=st["restarts"], maxiter=st["maxiter"], modes=st["modes"])
-    return {"stage": "critical-value", **br.as_dict()}
+    return {"stage": "critical-value", **asdict(br)}
 
 
 # a stage kind: its function, report file, prerequisite kinds, keys with

@@ -246,6 +246,26 @@ def test_numpy_scalar_start_is_bit_neutral(case, unit_sphere, torus, zero_field,
     assert got.end_state() == ref.end_state()
 
 
+def test_flow_solution_counts_the_work_of_every_segment(unit_sphere, monkeypatch):
+    """A flow's one Solution carries the accepted steps, rejections and RHS
+    evaluations of all its integrate calls, and the trajectory reads its
+    counters there: here a flow whose chart switches split it into segments,
+    several of which reject steps."""
+    sols = []
+
+    def spy(*args, **kwargs):
+        sols.append(integrate(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(maglab.dynamics, "integrate", spy)
+    traj = flow(unit_sphere, MagneticField(ConstantField(0.2)),
+                PhasePoint(0, 0.5, 0.0, 1.0, 0.3), 12.0, IntegratorOptions())
+    assert len(sols) > 1 and all(s is not traj.sol for s in sols)
+    for name in ("n_accepted", "n_rejected", "n_fev"):
+        total = sum(getattr(s, name) for s in sols)
+        assert getattr(traj.sol, name) == getattr(traj, name) == total > 0, name
+
+
 def test_numpy_scalar_section_anchor_is_bit_neutral(unit_sphere, zero_field):
     """A section through a numpy float64 anchor returns == coordinates and
     transit time to those of the Python-float anchor (a return that passes

@@ -3,6 +3,7 @@ import copy
 import logging
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -817,7 +818,7 @@ def test_surjectivity_counts_targets_below_the_floor(hyper_setup):
     assert all(d["A_norm"] == 0.0 and d["residual"] == d["dist"]
                for d in sph.details)
     assert all(d["newton_steps"] >= 1 for d in fwd.details)
-    assert sph.as_dict()["below_floor"] == 8
+    assert asdict(sph)["below_floor"] == 8
 
 
 def test_surjectivity_newton_propagates_no_response_twice(hyper_setup,

@@ -86,7 +86,7 @@ def test_resonance_flags_match_eigenvalue_powers():
     td = birkhoff_beta(jet3(TwistMap(0.21, 1.0), fd_scale=5e-3))
     lam = np.exp(2j * math.pi * 0.21)
     for n in (1, 2, 3, 4):
-        assert td.nonresonant[n] == (abs(lam**n - 1.0) >= 1e-8)
+        assert td.nonresonant[str(n)] == (abs(lam**n - 1.0) >= 1e-8)
 
 
 def test_beta_invariant_under_rotated_frame():
