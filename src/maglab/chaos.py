@@ -453,14 +453,6 @@ class SplittingReport:
     lambda_value: float
     power_checks: dict
 
-    def as_dict(self):
-        return {
-            "products": self.products,
-            "certified": self.certified,
-            "lambda": self.lambda_value,
-            "power_checks": {str(k): v for k, v in self.power_checks.items()},
-        }
-
 
 def _restricted_product(XT, e_s, e_u):
     a = np.linalg.norm(XT @ e_s) / np.linalg.norm(e_s)

@@ -23,11 +23,13 @@ A flow is one list of steps in trajectory time, whatever charts it passes
 through: each chart piece is integrated from the time already reached, and
 the trajectory keeps the chart of each step.  It answers one time with
 `state`/`raw` and an array of times with `states`, whose entries are == to
-the scalar lookups: both clamp the time and pick the step by one rule,
-`Solution._index`.
-`VariationalPath` has `matrix` and `matrices` alike, and `magnetic_curvature`
-takes a time or an array of times.  Many times are read with one array call
-(`energies`, `max_energy_drift` and `det_defect` too).
+the scalar lookups: each checks the range once (a NaN time fails it), clamps
+once and picks the step by one rule, `Solution._index`.  Those two single-time
+reads serve per-point loops (a tube's Newton inversion, `end_state`); the
+derived quantities are read over arrays only: `VariationalPath.matrices` (X)
+and `magnetic_curvature` (K_mag) take an array of times, a number being read
+as a 0-d array.  Many times are read with one array call (`energies`,
+`max_energy_drift` and `det_defect` too).
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ class Trajectory:
     def raw(self, t):
         """Raw state tuple at time t (chart-local, unwrapped)."""
         tau = self.sign * t
-        if tau < -1e-12 or tau > abs(self.t_reach) + 1e-9:
+        if not -1e-12 <= tau <= abs(self.t_reach) + 1e-9:
             raise ValueError(f"t={t} outside the integrated range")
         sol = self.sol
         tau = min(max(tau, sol.t0), sol.t_end)
@@ -203,16 +205,17 @@ class Trajectory:
 
         Returns (charts, cols): an int array of charts and a list with one
         float64 array per component in `comps`, each of ts's shape, whose
-        entries are == to those of `raw(t)`: the same range check (ValueError),
-        clamp and step.
+        entries are == to those of `raw(t)`: the same range check (ValueError,
+        NaN included), clamp and step, each made once for the array.
         """
         tau = self.sign * np.asarray(ts, dtype=float)
-        bad = (tau < -1e-12) | (tau > abs(self.t_reach) + 1e-9)
+        bad = ~((tau >= -1e-12) & (tau <= abs(self.t_reach) + 1e-9))
         if bad.any():
             raise ValueError(f"t={self.sign * tau[bad][0]} outside the integrated range")
         sol = self.sol
         tau = clamp(tau, sol.t0, sol.t_end)
-        return self._chart_array[sol._index(tau)], sol.eval_many(tau, comps)
+        i = sol._index(tau)
+        return self._chart_array[i], sol.eval_many(tau, i, comps)
 
     def end_state(self) -> PhasePoint:
         return self.state(self.t_reach)
@@ -246,12 +249,10 @@ class VariationalPath:
             raise ValueError("trajectory carries no variational data")
         self._traj = trajectory
 
-    def matrix(self, t):
-        _, y = self._traj.raw(t)
-        return np.array([[y[4], y[5]], [y[6], y[7]]])
-
     def matrices(self, ts):
-        """X at an array of times, shape ts.shape + (2, 2); each == matrix(t)."""
+        """X at an array of times, shape ts.shape + (2, 2): a number is read
+        as a 0-d array and gives one 2x2 matrix.  Each entry is == to
+        components 4-7 of `Trajectory.raw` at its time."""
         _, cols = self._traj.states(ts, (4, 5, 6, 7))
         return np.stack(cols, axis=-1).reshape(np.shape(ts) + (2, 2))
 
@@ -382,15 +383,13 @@ def flow_with_variation(surface, field, state, t_final, options):
 
 
 def magnetic_curvature(surface, field, trajectory, t):
-    """K_mag = 2cK - <grad f, i v> + f^2 at trajectory time t.
+    """K_mag = 2cK - <grad f, i v> + f^2 at an array t of trajectory times.
 
-    t is a number, or an array of times: then the trajectory is read with one
-    `states` call and each chart's points are evaluated as arrays, with
-    entries == to the number's result.
+    The trajectory is read with one `states` call and each chart's points are
+    evaluated as arrays; the result has t's shape, a number t being read as a
+    0-d array.
     """
     c = trajectory.c
-    if np.ndim(t) == 0:
-        return magnetic_curvature_at(surface, field, trajectory.state(t), c)
     return _by_chart(*trajectory.states(t),
                      lambda chart, *p: _kmag(surface, field, chart, *p, c))
 
@@ -405,13 +404,8 @@ def _by_chart(charts, cols, fn):
     return out
 
 
-def magnetic_curvature_at(surface, field, state, c):
-    return _kmag(surface, field, state.chart, state.x, state.y, state.vx,
-                 state.vy, c)
-
-
 def _kmag(surface, field, chart, x, y, vx, vy, c):
-    """K_mag at chart points: numbers, or arrays of one shape."""
+    """K_mag at chart points, arrays of one shape."""
     xm, ym = surface.wrap_position(x, y)
     md = surface.metric_at(chart, xm, ym)
     f, (fx, fy) = field.eval(chart, xm, ym)

@@ -594,14 +594,13 @@ class FranksKit:
         self._win = None
 
     def kmag_base(self, t):
-        """Base K_mag along the segment at a time, or at an array of times
-        (one trajectory lookup and one field evaluation for the array)."""
+        """Base K_mag along the segment at an array of times (one trajectory
+        lookup and one field evaluation; a number is a 0-d array)."""
         return magnetic_curvature(self.surface, self.field, self.traj, t)
 
     def base_matrix(self, t):
-        """X at a time (2x2), or at an array of times (shape t.shape + (2, 2))."""
-        if np.ndim(t) == 0:
-            return self._vp.matrix(t)
+        """X at an array of times, shape t.shape + (2, 2) (a number gives one
+        2x2 matrix)."""
         return self._vp.matrices(t)
 
     def set_window(self, consts):
@@ -622,11 +621,11 @@ class FranksKit:
         n = self.n_window_steps
         ts = np.linspace(t_a, t_b, 2 * n + 1)
         stages = (2 * np.arange(n)[:, None] + np.arange(3)).ravel()
+        X_a, X_b, X_T = self.base_matrix(np.array([t_a, t_b, self.T]))
         self._win = {
             "h": (t_b - t_a) / n, "k": self.kmag_base(ts)[stages],
             "stage_t": ts[stages], "profiles": (d, D, consts.alpha),
-            "X_a": self.base_matrix(t_a),
-            "X_after": self.base_matrix(self.T) @ np.linalg.inv(self.base_matrix(t_b)),
+            "X_a": X_a, "X_after": X_T @ np.linalg.inv(X_b),
         }
 
     @property
@@ -746,11 +745,11 @@ def compute_constants(kit: FranksKit, eps_c1):
     kmag_c0 = _kmag_c0_norm(surface, field, c)
     bound_k2 = 1.0 / (16.0 * k1**3)
     lip = 1.01 * Cs.max() * k1  # |X'| <= |C| |X|, also bounds (X^{-1})'
+    Xc = kit.base_matrix(k0 / 2.0)
+    Xc_inv = np.linalg.inv(Xc)
 
     def k2_of(lam_):
         """max |X(t) - X(k0/2)| over the window, sampled, inflated 5%."""
-        Xc = kit.base_matrix(k0 / 2.0)
-        Xc_inv = np.linalg.inv(Xc)
         ts = np.linspace(k0 / 2.0 - lam_, k0 / 2.0 + lam_, 129)
         Xs = kit.base_matrix(np.clip(ts, 0.0, T))
         worst = max(0.0, np.linalg.norm(Xs - Xc, 2, axis=(1, 2)).max(),
@@ -944,14 +943,11 @@ def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count, seed):
     """
     rng = np.random.default_rng(seed)
     margins = []
-    worst = math.inf
     for _ in range(sample_count):
         A = PerturbA.random_unit(rng)
         Z = kit.response_derivative(A)
         margin = float(np.linalg.norm(Z, 2) * 2.0 * consts.k1**3 / A.norm())
         margins.append(margin)
-        if margin < worst:
-            worst = margin
         if margin < 1.0:
             raise CotaViolationError(
                 f"response bound violated: margin {margin:.6f}", direction=A)
@@ -960,7 +956,7 @@ def verify_cota(kit: FranksKit, consts: FranksConstants, sample_count, seed):
     Z1 = kit.response_derivative(A)
     Z2 = kit.response_derivative(PerturbA(2 * A.a, 2 * A.b, 2 * A.c))
     lin = float(np.linalg.norm(Z2 - 2.0 * Z1, 2) / max(np.linalg.norm(Z2, 2), 1e-30))
-    return CotaReport(margins, worst, lin, sample_count)
+    return CotaReport(margins, min([math.inf, *margins]), lin, sample_count)
 
 
 def _sl2_exp(M):
@@ -1036,15 +1032,9 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
             targets.append(S0 @ _sl2_exp(0.5 * (lo + hi) * D))
 
     details = []
-    max_res = 0.0
-    max_norm = 0.0
-    solved = 0
-    below_floor = 0
-    gene_ok = True
     hA = 0.1 * consts.delta1
     for it, tgt in enumerate(targets):
         dist = float(np.linalg.norm(tgt - S0, "fro"))
-        below_floor += int(dist <= floor)
         stop = max(1e-3 * dist, floor)
         A = np.zeros(3)
         S = S0  # S at A = 0
@@ -1070,19 +1060,18 @@ def verify_ball_surjectivity(kit: FranksKit, consts: FranksConstants,
         resid = float(np.linalg.norm(S - tgt, "fro"))
         a_norm = PerturbA(*A).norm()
         ok = resid <= 1e-6 and a_norm <= consts.delta1
-        bound = 2.0 * consts.k1**3 * dist * (1.0 + 1e-6) + 1e-30
-        if a_norm > bound:
-            gene_ok = False
-        solved += int(ok)
-        max_res = max(max_res, resid)
-        max_norm = max(max_norm, a_norm)
         det = {"dist": dist, "residual": resid, "A_norm": a_norm, "ok": ok,
                "newton_steps": step_no}
         if known is not None:
             det["recovery_error"] = float(np.linalg.norm(A - known[it]))
         details.append(det)
-    return SurjectivityReport(len(targets), solved, max_res, max_norm,
-                              gene_ok, details, below_floor)
+    return SurjectivityReport(
+        len(targets), sum(int(d["ok"]) for d in details),
+        max([0.0, *(d["residual"] for d in details)]),
+        max([0.0, *(d["A_norm"] for d in details)]),
+        not any(d["A_norm"] > 2.0 * consts.k1**3 * d["dist"] * (1.0 + 1e-6)
+                + 1e-30 for d in details),
+        details, sum(int(d["dist"] <= floor) for d in details))
 
 
 # -- segment decomposition ----------------------------------------------------------

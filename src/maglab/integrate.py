@@ -20,9 +20,9 @@ components (velocity, variational data) are formed by the first `eval` or
 array lookup, from the same expressions, so most steps of a section return
 never form them.  A solution picks the step of a time by one rule
 (`Solution._index`: `first_reaching` on cached step ends, which form no
-rows); `eval_many(ts, comps)` applies `DenseStep.eval`'s operations to that
-step elementwise in float64, from flat per-step arrays built on its first
-call.
+rows); `eval_many(t, i, comps)` applies `DenseStep.eval`'s operations at
+clamped times t in their steps i elementwise in float64, from flat per-step
+arrays built on its first call.
 
 The method is DOP853 (E. Hairer, S. P. Norsett and G. Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., sections II.5-II.6): twelve
@@ -295,28 +295,16 @@ class Solution:
             return np.where((i > 0) & (t >= t_last), last, i)
         return last if i and t >= t_last else i
 
-    def _clamp(self, t):
-        """An array of times clamped into [t0, t_end]; ValueError when an
-        entry lies beyond a 1e-12 relative slack."""
-        if not self.steps:
-            raise ValueError("empty solution")
-        eps = 1e-12 * max(1.0, abs(self.t_end))
-        bad = (t < self.t0 - eps) | (t > self.t_end + eps)
-        if bad.any():
-            raise ValueError(f"t={t[bad][0]} outside [{self.t0}, {self.t_end}]")
-        return clamp(t, self.t0, self.t_end)
+    def eval_many(self, t, i, comps):
+        """Components `comps` of the solution at an array t of clamped times
+        in their steps i = `_index(t)`.
 
-    def eval_many(self, ts, comps):
-        """Components `comps` of the solution at an array of times.
-
-        Returns one float64 array per component, of ts's shape.  Each entry
-        is == to the matching component of `steps[i].eval(t)` at the clamped
-        t and its step i = `_index(t)`: `DenseStep.eval`'s operations, applied
-        elementwise.
+        Returns one float64 array per component, of t's shape.  Each entry
+        is == to the matching component of `steps[i].eval(t)`:
+        `DenseStep.eval`'s operations, applied elementwise.  The caller
+        checks and clamps t (`Trajectory.states`).
         """
-        t = self._clamp(np.asarray(ts, dtype=float))
         t0s, hs, y0, d = self._flat
-        i = self._index(t)
         h = hs[i]
         th = (t - t0s[i]) / h
         u = 1.0 - th

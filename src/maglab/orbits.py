@@ -520,7 +520,7 @@ def find_closed_orbit(surface, field, c, seed_state, tol, options, max_time,
             f"shooting stalled with section residual {resid_map:.3e}")
     state = section.embed(*z)
     traj, vp = flow_with_variation(surface, field, state, T, options)
-    M = vp.matrix(T)
+    M = vp.matrices(T)
     end = traj.end_state()
     residual = phase_distance(surface, state, end)
     cls, eig = classify(M, class_tol)

@@ -9,6 +9,8 @@
   counted point by point in a Python loop.
 * `reference_step_index`: the step a dense solution reads at a time, by a
   plain search.
+* `reference_kmag`: K_mag at one time, formed from the trajectory's
+  single-time state, the field and the chart's curvature.
 * `psi`: a tubular chart's map (t, u) -> gamma(t) + u * i gamma'(t), read
   from the chart's core trajectory.
 """
@@ -245,6 +247,16 @@ def reference_step_index(steps, t):
     if t >= steps[-1].t0:
         return len(steps) - 1
     return next(i for i, s in enumerate(steps) if s.t1 >= t)
+
+
+def reference_kmag(surface, field, traj, t):
+    """K_mag = 2cK + f^2 + f_x v_y - f_y v_x at one time t, from `state(t)`,
+    the field at the wrapped position and the chart's constant curvature."""
+    st = traj.state(t)
+    x, y = surface.wrap_position(st.x, st.y)
+    f, (fx, fy) = field.eval(st.chart, x, y)
+    curvature = surface.charts[st.chart].curvature
+    return 2.0 * traj.c * curvature + f * f + fx * st.vy - fy * st.vx
 
 
 def psi(chart, t, u):

@@ -147,7 +147,7 @@ def test_c04_variational_vs_fd():
     for surf, fld, seed, T in cases:
         _, vp = flow_with_variation(surf, fld, seed, T, TIGHT)
         F = fd_monodromy(surf, fld, seed, T, h=1e-5)
-        worst = max(worst, float(np.abs(F - vp.matrix(T)).max()))
+        worst = max(worst, float(np.abs(F - vp.matrices(T)).max()))
     assert worst <= 1e-4
     _ok(4, "variational vs FD", f"max deviation {worst:.2e} over "
         f"{len(cases)} scenarios (step 1e-5)")
@@ -189,7 +189,7 @@ def test_c06_flat_geodesic_monodromy():
     torus = flat_torus()
     fld = MagneticField(ConstantField(0.0))
     _, vp = flow_with_variation(torus, fld, PhasePoint(0, 0, 0, 1, 0), 1.0, TIGHT)
-    err = float(np.abs(vp.matrix(1.0) - np.array([[1.0, 1.0], [0.0, 1.0]])).max())
+    err = float(np.abs(vp.matrices(1.0) - np.array([[1.0, 1.0], [0.0, 1.0]])).max())
     assert err <= 1e-9
     _ok(6, "flat-geodesic monodromy", f"|X(1) - shear| = {err:.2e}")
 

@@ -474,7 +474,7 @@ def test_dominated_splitting_flow_cocycle(torus, sin_field, tight_options):
     def propagate(entry, t):
         _, vp = flow_with_variation(torus, sin_field, orb.initial_state, t,
                                     tight_options)
-        return vp.matrix(t)
+        return vp.matrices(t)
 
     entries = [{"monodromy": orb.monodromy, "period": orb.period}]
     rep = dominated_splitting_check(entries, T=orb.period, lambda_target=0.5,

@@ -32,7 +32,7 @@ from maglab.integrate import integrate
 from maglab.orbits import Section, first_return, phase_distance, rescale_to_energy
 from maglab.scenarios import Scenario
 
-from oracles import fd_monodromy, reference_step_index
+from oracles import fd_monodromy, reference_kmag, reference_step_index
 from stage_defaults import OPTIONS, ORBITS
 
 
@@ -152,13 +152,13 @@ def test_energy_drift_matches_scalar_loop_on_an_exiting_disk_path(disk, minus_on
 def test_variational_shear(torus, zero_field):
     _, vp = flow_with_variation(torus, zero_field, PhasePoint(0, 0, 0, 1, 0), 1.0,
                                 IntegratorOptions())
-    assert np.abs(vp.matrix(1.0) - np.array([[1.0, 1.0], [0.0, 1.0]])).max() <= 1e-12
+    assert np.abs(vp.matrices(1.0) - np.array([[1.0, 1.0], [0.0, 1.0]])).max() <= 1e-12
 
 
 def test_variational_disk_full_turn(disk, minus_one_field, disk_seed, tight_options):
     _, vp = flow_with_variation(disk, minus_one_field, disk_seed, 2 * math.pi,
                                 tight_options)
-    assert np.abs(vp.matrix(2 * math.pi) - np.eye(2)).max() <= 1e-9
+    assert np.abs(vp.matrices(2 * math.pi) - np.eye(2)).max() <= 1e-9
 
 
 def test_liouville_det(torus, sin_field):
@@ -317,7 +317,7 @@ def test_fd_vs_variational(case, torus, disk, unit_sphere, sin_field,
     opts = IntegratorOptions(rel_tol=1e-12, abs_tol=1e-13)
     _, vp = flow_with_variation(surf, fld, seed, T, opts)
     F = fd_monodromy(surf, fld, seed, T, h=1e-5)
-    assert np.abs(F - vp.matrix(T)).max() <= 1e-4
+    assert np.abs(F - vp.matrices(T)).max() <= 1e-4
 
 
 def test_stiffness_detection():
@@ -339,7 +339,7 @@ def test_dense_output_precision():
     sol = integrate(lambda t, y: (math.cos(t),), 0.0, (0.0,), 10.0,
                     rtol=1e-10, atol=1e-12, max_step=OPTIONS.max_step)
     ts = np.linspace(0, 10, 500)
-    (got,) = sol.eval_many(ts, (0,))
+    (got,) = sol.eval_many(ts, sol._index(ts), (0,))
     assert np.abs(got - np.sin(ts)).max() <= 2e-9
 
 
@@ -514,8 +514,9 @@ cases = st.sampled_from(["torus", "backward", "sphere", "sphere_oracle"])
 @given(cases, st.lists(st.floats(0.0, 1.0), max_size=40))
 def test_states_match_scalar_lookups(lookup_cases, name, fracs):
     """states/energies/matrices/magnetic_curvature over an array are == to
-    raw, energy, matrix and magnetic_curvature at each time, in the array's
-    shape."""
+    the single-time reads at each time, in the array's shape: raw, energy,
+    components 4-7 of raw, and K_mag formed from state, the field and the
+    chart curvature (`reference_kmag`); a number reads as a 0-d array."""
     surface, field, traj, vp = lookup_cases[name]
     ts = _lookup_times(traj, fracs)
     raws = [traj.raw(t) for t in ts.tolist()]
@@ -528,13 +529,16 @@ def test_states_match_scalar_lookups(lookup_cases, name, fracs):
         [energy(surface, traj.state(t)) for t in ts.tolist()]
     mats = vp.matrices(ts)
     assert mats.shape == ts.shape + (2, 2)
-    assert all(np.array_equal(m, vp.matrix(t)) for m, t in zip(mats, ts.tolist()))
-    km = magnetic_curvature(surface, field, traj, ts)
-    assert km.tolist() == [magnetic_curvature(surface, field, traj, t)
-                           for t in ts.tolist()]
+    assert mats.reshape(-1, 4).tolist() == [list(y[4:8]) for _, y in raws]
+    kmags = [reference_kmag(surface, field, traj, t) for t in ts.tolist()]
+    assert magnetic_curvature(surface, field, traj, ts).tolist() == kmags
     early = np.array([0.0, 1e-3]) * traj.t_reach  # within the first chart
     assert magnetic_curvature(surface, field, traj, early).tolist() == \
-        [magnetic_curvature(surface, field, traj, t) for t in early.tolist()]
+        [reference_kmag(surface, field, traj, t) for t in early.tolist()]
+    for t in (ts[0], ts[-1]):
+        km = magnetic_curvature(surface, field, traj, t)
+        assert km.shape == () and km == reference_kmag(surface, field, traj, t)
+        assert vp.matrices(t).ravel().tolist() == list(traj.raw(t)[1][4:8])
     grid = ts[:len(ts) // 2 * 2].reshape(-1, 2)
     _, (vy,) = traj.states(grid, (3,))
     assert vy.shape == grid.shape and vy.ravel().tolist() == cols[3][:grid.size].tolist()
@@ -555,6 +559,7 @@ def test_one_time_base_across_chart_switches(lookup_cases):
 
 
 @given(cases, st.floats(1e-6, 10.0), st.booleans())
+@example("torus", math.nan, True)  # a NaN time fails the range check too
 def test_states_reject_times_outside_range(lookup_cases, name, excess, after):
     _, _, traj, vp = lookup_cases[name]
     s, end = traj.sign, traj.t_reach

@@ -19,7 +19,7 @@ from maglab.dynamics import (
     flow,
     flow_with_variation,
     injectivity_time,
-    magnetic_curvature_at,
+    magnetic_curvature,
 )
 from maglab.orbits import find_closed_orbit, phase_distance
 from maglab.scenarios import Scenario, load_scenario, run_scenario
@@ -41,7 +41,7 @@ from maglab.franks import (
     _smoothstep,
 )
 
-from oracles import psi
+from oracles import psi, reference_kmag
 from stage_defaults import orbit_search
 
 
@@ -340,8 +340,9 @@ def test_window_k_is_base_kmag_at_stage_times(hyper_setup):
     t, km = kit._window["stage_t"], kit._window["k"]
     assert t.shape == km.shape == (n,)
     assert t.dtype == km.dtype == np.float64
-    for i in list(range(0, n, 997)) + [n - 2, n - 1]:
-        assert km[i] == kit.kmag_base(t[i])
+    idx = list(range(0, n, 997)) + [n - 2, n - 1]
+    assert km[idx].tolist() == [reference_kmag(kit.surface, kit.field, kit.traj, s)
+                                for s in t[idx].tolist()]
     lam = consts.lam_window
     assert t[0] == max(0.0, consts.delta_profile.support[0] - 0.02 * lam)
     assert t[-1] == min(kit.T, consts.Delta_profile.support[1] + 0.02 * lam)
@@ -625,7 +626,7 @@ def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
         k = scale * consts.delta1
         A = PerturbA(k * u[0], k * u[1], k * u[2])
     t = _oracle_times(consts, fracs)
-    km = np.array([kit.kmag_base(s) for s in t.tolist()])
+    km = kit.kmag_base(t)
     refs = [_ref_profiles(consts, s) for s in t.tolist()]
     prof = _profiles(consts.delta_profile, consts.Delta_profile, consts.alpha, t)
     got = _beta_A(A, prof, km)
@@ -643,16 +644,20 @@ def test_array_beta_A_matches_scalar_formula(hyper_setup, vec, scale, c_only,
 
 @given(st.lists(st.floats(0.0, 1.0), max_size=64))
 def test_array_kmag_base_matches_scalar(hyper_setup, fracs):
-    """kmag_base over an array of times is == to kmag_base at each time: the
-    orbit's ends, every step boundary of the base orbit and drawn times."""
+    """kmag_base and base_matrix over an array of times are == to the
+    single-time reads at each time (`reference_kmag`, components 4-7 of
+    raw): the orbit's ends, every step boundary of the base orbit and drawn
+    times."""
     _, _, kit, _ = hyper_setup
     ts = np.array([0.0, kit.T] + [s.t0 for s in kit.traj.sol.steps]
                   + [f * kit.T for f in fracs])
     km = kit.kmag_base(ts)
-    assert km.tolist() == [kit.kmag_base(t) for t in ts.tolist()]
+    assert km.tolist() == [reference_kmag(kit.surface, kit.field, kit.traj, t)
+                           for t in ts.tolist()]
     assert kit.kmag_base(ts.reshape(1, -1)).tolist() == [km.tolist()]
     Xs = kit.base_matrix(ts)
-    assert all(np.array_equal(X, kit.base_matrix(t)) for X, t in zip(Xs, ts.tolist()))
+    assert Xs.reshape(-1, 4).tolist() == [list(kit.traj.raw(t)[1][4:8])
+                                          for t in ts.tolist()]
 
 
 def test_kit_and_ledger_read_the_base_orbit_by_arrays(hyper_setup, torus,
@@ -697,7 +702,7 @@ def test_franks_response_matches_variational(hyper_setup, torus, sin_field,
     S0 = kit.response()
     _, vp = flow_with_variation(torus, sin_field, kit.traj.state(0.0), kit.T,
                                 tight_options)
-    assert np.abs(S0 - vp.matrix(kit.T)).max() <= 1e-9
+    assert np.abs(S0 - vp.matrices(kit.T)).max() <= 1e-9
 
 
 def test_response_matches_build_GA_beta(hyper_setup):
@@ -719,11 +724,10 @@ def test_kmag_shift_pointwise(hyper_setup, torus, sin_field):
     f2, _, beta = build_GA(kit, consts, A)
     lo = consts.delta_profile.support[0]
     hi = consts.Delta_profile.support[1]
-    for t in np.linspace(lo, hi, 101):
-        st = kit.traj.state(t)
-        base = magnetic_curvature_at(torus, sin_field, st, 0.5)
-        pert = magnetic_curvature_at(torus, f2, st, 0.5)
-        assert abs(pert - (base - beta(t))) <= 1e-8
+    ts = np.linspace(lo, hi, 101)
+    base = magnetic_curvature(torus, sin_field, kit.traj, ts)
+    pert = magnetic_curvature(torus, f2, kit.traj, ts)
+    assert np.abs(pert - (base - beta(ts))).max() <= 1e-8
 
 
 def test_beta_A_displays(hyper_setup):

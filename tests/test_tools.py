@@ -168,3 +168,22 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     # one points call per box and iterate: 3 boxes x 20 iterates
     assert counts["certify"] == ("(StandardMap(1.5), 3 boxes, k 1..20; "
                                  "86,400 point images, 60 oracle calls)")
+
+
+def test_traffic_cover_lists_the_statements_no_run_reaches():
+    """On the horseshoe-map scenario, manifold growth never runs (the
+    horseshoe map's strips are fixed) and the certifier does: every
+    statement of grow_manifold is listed, and certify_horseshoe's first is
+    not."""
+    mod = _tool("traffic_cover")
+    src = os.path.join(ROOT, "src")
+    path = os.path.join(src, "maglab", "scenarios", "horseshoe_entropy.json")
+    with open(path) as fh:
+        cfg = json.load(fh)
+    missed = mod.unexecuted(src, [("horseshoe_entropy", "run", cfg)])
+    stmts = mod.statements(os.path.join(src, "maglab", "chaos.py"))
+    grow = [r[0] for r in stmts["chaos.grow_manifold"]]
+    assert missed["chaos.grow_manifold"] == grow
+    certify = [r[0] for r in stmts["chaos.certify_horseshoe"]]
+    assert certify[0] not in missed.get("chaos.certify_horseshoe", [])
+    assert len(missed.get("chaos.certify_horseshoe", [])) < len(certify)
