@@ -50,7 +50,15 @@ class BracketError(MaglabError, ValueError):
 
 
 class FixedPointError(MaglabError, ValueError):
-    """A point is not the (hyperbolic, or accurate enough) fixed point needed."""
+    """A point is not the (hyperbolic, elliptic, or accurate enough) fixed point needed."""
+
+
+class EscapeError(MaglabError, ValueError):
+    """Map iterates left the region a computation holds in."""
+
+
+class WorkerError(MaglabError):
+    """A forked worker ended without sending its results."""
 
 
 class SectionDomainError(MaglabError, ValueError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FixedPointError, ResonantJetError
+from .errors import EscapeError, FixedPointError, ResonantJetError
 from .maps import fd_jacobian
 
 __all__ = [
@@ -72,19 +72,24 @@ class Jet3:
         return abs(float(np.linalg.det(self.linear())) - 1.0)
 
 
+def _each(map_fn, fn, tasks):
+    """[fn(t) for t in tasks], by the oracle's `fan_out` where it has one."""
+    fan_out = getattr(map_fn, "fan_out", None)
+    return fan_out(fn, tasks) if fan_out is not None else [fn(t) for t in tasks]
+
+
+def _stencil(center, h):
+    """(offset, point) pairs of the 5x5 stencil of radius 2h about center."""
+    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
+    return [((du, dv), center + np.array([du, dv])) for du in offs for dv in offs]
+
+
 def _fit_cubic(map_fn, center, h):
     """Least-squares cubic fit of the map on a 5x5 stencil of radius 2h."""
-    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-    pts = []
-    vals = []
     center = np.asarray(center, dtype=float)
-    for du in offs:
-        for dv in offs:
-            pts.append((du, dv))
-            w = np.asarray(map_fn(center + np.array([du, dv])), dtype=float)
-            vals.append(w - center)
-    A = np.array([[u**i * v**j for (i, j) in _MONOMIALS] for (u, v) in pts])
-    V = np.array(vals)
+    stencil = _stencil(center, h)
+    A = np.array([[u**i * v**j for (i, j) in _MONOMIALS] for (u, v), _ in stencil])
+    V = np.array([np.asarray(map_fn(z), dtype=float) - center for _, z in stencil])
     sol, *_ = np.linalg.lstsq(A, V, rcond=None)
     return sol.T  # (2, 10)
 
@@ -98,35 +103,31 @@ def jet3(map_fn, center=(0.0, 0.0), *, fd_scale):
     stencil scale.  The map is called once per distinct point: the two
     stencils share the 9 points center + {-fd_scale, 0, fd_scale}^2 (the
     center among them, which the residual check also uses), so a jet costs
-    41 map calls, not 51.
+    41 map calls, not 51.  The 40 after the center's go through `_each`.
     """
     center = np.asarray(center, dtype=float)
-    values = {}
-
-    def once(z):
-        key = z.tobytes()
-        if key not in values:
-            values[key] = map_fn(z)
-        return values[key]
-
-    resid = float(np.linalg.norm(np.asarray(once(center)) - center))
+    values = {center.tobytes(): map_fn(center)}
+    resid = float(np.linalg.norm(np.asarray(values[center.tobytes()]) - center))
     if resid > 1e-3 * fd_scale:
         raise FixedPointError(
             f"fixed-point residual {resid:.3e} too large for stencil scale {fd_scale:.3e}")
-    fine = _fit_cubic(once, center, fd_scale / 2.0)
-    coarse = _fit_cubic(once, center, fd_scale)
+    rest = {z.tobytes(): z for h in (fd_scale / 2.0, fd_scale)
+            for _, z in _stencil(center, h) if z.tobytes() not in values}
+    values.update(zip(rest, _each(map_fn, map_fn, list(rest.values()))))
+    fine, coarse = (_fit_cubic(lambda z: values[z.tobytes()], center, h)
+                    for h in (fd_scale / 2.0, fd_scale))
     return Jet3(fine, np.abs(fine - coarse), fd_scale, resid, coarse)
 
 
 def elliptic_frame(M):
     """(B, phi): det-1 matrix with B^{-1} M B = rotation by phi (radians).
 
-    Raises ValueError when M is not elliptic (|trace| >= 2).
+    Raises FixedPointError when M is not elliptic (|trace| >= 2).
     """
     M = np.asarray(M, dtype=float)
     tr = float(np.trace(M))
     if abs(tr) >= 2.0:
-        raise ValueError(f"linear part is not elliptic (trace {tr:.6f})")
+        raise FixedPointError(f"linear part is not elliptic (trace {tr:.6f})")
     w, V = np.linalg.eig(M)
     i = 0 if w[0].imag > 0 else 1
     v = V[:, i]
@@ -239,16 +240,16 @@ def twist_by_rotation_number(map_fn, radii, n_iter):
     tracked in the det-1 frame where the linear part (`fd_jacobian`) is a
     rotation, so the fit shares coordinates with the jet normalization.  The
     rotation number at a radius is the weighted Birkhoff average
-    (`_birkhoff_weights`) of the n_iter angle increments.
+    (`_birkhoff_weights`) of the n_iter angle increments.  Each radius is one
+    task of `_each`; an iterate past normalized radius _ESCAPE raises.
     """
     center = np.zeros(2)
     B, phi = elliptic_frame(fd_jacobian(map_fn, center))
     Binv = np.linalg.inv(B)
     rot = cmath.exp(1j * phi)
     weights = _birkhoff_weights(n_iter)
-    rhos = []
-    r_eff = []
-    for r in radii:
+
+    def chain(r):  # (rotation number, mean normalized radius) from radius r
         z = center + B @ np.array([r, 0.0])
         p = complex(r, 0.0)
         total = 0.0
@@ -258,13 +259,15 @@ def twist_by_rotation_number(map_fn, radii, n_iter):
             q = Binv @ (z - center)
             pq = complex(q[0], q[1])
             if abs(pq) > _ESCAPE:
-                raise ValueError(f"iterates escaped (radius {abs(pq):.3g})")
+                raise EscapeError(f"iterates escaped (radius {abs(pq):.3g})")
             delta = cmath.phase(pq / (p * rot))
             total += w * (phi + delta)
             radii_seen.append(abs(pq))
             p = pq
-        rhos.append(total / (2.0 * math.pi))
-        r_eff.append(float(np.mean(radii_seen)))
+        return total / (2.0 * math.pi), float(np.mean(radii_seen))
+
+    chains = _each(map_fn, chain, list(radii))
+    rhos, r_eff = map(list, zip(*chains))
     A = np.column_stack([np.ones(len(r_eff)), np.square(r_eff)])
     sol, res, *_ = np.linalg.lstsq(A, np.array(rhos), rcond=None)
     resid = math.sqrt(res[0] / len(rhos)) if len(res) else 0.0

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import fanout
 from .errors import NoReturnError, NewtonDivergenceError, SectionDomainError
 from .geometry import PhasePoint, energy as phase_energy
 from .dynamics import flow, flow_with_variation
@@ -395,7 +396,8 @@ def first_return(section, coords, max_time, options, backward=False):
 
 
 class SectionReturnMap:
-    """The first-return map as a planar map oracle (callable, invertible)."""
+    """The first-return map as a planar map oracle (callable, invertible); a
+    return costs far more than a fork, so `fan_out` is `fanout.run`."""
 
     def __init__(self, section, max_time, options):
         self.section = section
@@ -411,6 +413,9 @@ class SectionReturnMap:
         zc, _, _ = first_return(self.section, tuple(z), self.max_time,
                                 self.options, backward=True)
         return np.asarray(zc)
+
+    def fan_out(self, fn, tasks):
+        return fanout.run(fn, tasks)
 
 
 # -- closed orbits ------------------------------------------------------------

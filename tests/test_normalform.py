@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maglab.errors import ResonantJetError
+from maglab.errors import EscapeError, FixedPointError, MaglabError, ResonantJetError
 from maglab.maps import fd_jacobian
 from maglab.normalform import (
     _MONOMIALS,
@@ -170,6 +170,20 @@ def test_rotation_fit_pure_rotation():
     rot = LinearMap(rotation(0.3))
     fit = twist_by_rotation_number(rot, [0.05, 0.1, 0.15], n_iter=200)
     assert abs(fit.beta) <= 1e-9
+
+
+def test_rotation_fit_failures_are_typed():
+    """Escaping iterates and a linear part that is not elliptic raise errors
+    that are MaglabError, so a twist stage reports them, and ValueError."""
+    c, s = math.cos(0.6 * math.pi), math.sin(0.6 * math.pi)
+    cubic = PolynomialMap({(0, 1, 0): c, (0, 0, 1): -s, (0, 3, 0): 1e5,
+                           (1, 1, 0): s, (1, 0, 1): c, (1, 0, 3): 1e5})
+    with pytest.raises(EscapeError, match=r"^iterates escaped \(radius "):
+        twist_by_rotation_number(cubic, [0.01], n_iter=50)
+    with pytest.raises(FixedPointError, match="not elliptic"):
+        twist_by_rotation_number(LinearMap([[2.0, 0.0], [0.0, 0.5]]), [0.01], n_iter=50)
+    for err in (EscapeError, FixedPointError):
+        assert issubclass(err, MaglabError) and issubclass(err, ValueError)
 
 
 def test_birkhoff_weights_average_fast():

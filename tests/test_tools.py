@@ -76,9 +76,17 @@ def test_cases_run_each_bundled_stage_through_its_subcommand():
     assert cases[sin] == ("critical_sin", "run", mod.CRITICAL_SIN)
     assert [st["stage"] for st in mod.CRITICAL_SIN["pipeline"]] == ["critical-value"]
     assert mod.CRITICAL_SIN["pipeline"][0]["eta"]["kind"] == "sin_primitive"
+    # then the disk example under a polynomial field, the one run of that kind
+    with open(os.path.join(src, "maglab", "scenarios", "disk_example.json")) as fh:
+        disk = json.load(fh)
+    assert cases[sin + 1] == ("polynomial_field", "run", mod.POLYNOMIAL)
+    assert mod.POLYNOMIAL["field"]["kind"] == "polynomial"
+    assert all(mod.POLYNOMIAL[key] == disk[key] for key in ("surface", "seeds", "pipeline"))
+    kinds = [cfg.get("field", {}).get("kind") for _, _, cfg in cases]
+    assert kinds.count("polynomial") == 1
     # they and the benchmark workloads run whole pipelines only
     assert {command for _, command, _ in cases[len(want):]} == {"run"}
-    assert len(cases) - sin - 1 == len(mod.SEEDS) * sum(
+    assert len(cases) - sin - 2 == len(mod.SEEDS) * sum(
         len(make(1)) for make, _ in mod._workloads().values())
 
 
@@ -147,7 +155,7 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     head, *lines = capsys.readouterr().out.splitlines()
     assert head == f"{ROOT}:"
     assert [line.split()[0] for line in lines] == [
-        "rhs", "step", "stage", "DenseStep", "monitor", "return", "torus10",
+        "rhs", "step", "stage", "DenseStep", "monitor", "return", "twist", "torus10",
         "lookup", "window", "loop", "bracket", "certify"]
     counts = {line.split()[0]: line[line.index("("):] for line in lines}
     # the replayed integrate calls take the recorded return's steps
@@ -157,6 +165,9 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
     assert counts["monitor"].endswith(" offset_at calls per return)")
     assert int(counts["monitor"].split()[2].replace(",", "")) > 0
     assert counts["return"].startswith(f"(1 return, {n_steps} steps")
+    # jet3's 41 returns, the fit's 4 for its Jacobian and 50 per radius
+    assert counts["twist"].startswith("(145 returns in-process; ")
+    assert counts["twist"].endswith(f" fanned out over {len(os.sched_getaffinity(0))} CPUs)")
     assert counts["lookup"].startswith("(100 lookups over ")
     assert counts["lookup"].endswith(" ns per time)")
     assert counts["window"].startswith("(4,096 window steps; ")

@@ -15,7 +15,9 @@ src/maglab) or its src directory.  Each tree runs
 * `FLOW_ENTROPY`, two torus configs held here whose entropy stage runs on
   a section return map (no bundled scenario's does), with COMMAND `run`,
 * `CRITICAL_SIN`, a critical-value config held here whose searches at k > 0
-  find witness loops (no other run's do), with COMMAND `run`, and
+  find witness loops (no other run's do), with COMMAND `run`,
+* `POLYNOMIAL`, the disk example under a polynomial field (no other run's
+  field is one), with COMMAND `run`, and
 * the configs of the four benchmark workloads at seeds 1-3, generated by
   perfbench/workloads.py of the repository this script sits in (imported,
   never edited), with COMMAND `run`.
@@ -101,6 +103,25 @@ CRITICAL_SIN = {
 }
 
 
+# disk_example.json's surface, seeds and pipeline under the field -1 + 0.1 x
+POLYNOMIAL = {
+    "surface": {"kind": "planar",
+                "params": {"radius": 3.0, "injectivity_radius": 3.141592653589793}},
+    "field": {"kind": "polynomial", "coeffs": [[-1.0, 0.0], [0.1, 0.0]]},
+    "energy": 0.5,
+    "seed": 0,
+    "integrator": {"rel_tol": 1e-11, "abs_tol": 1e-13},
+    "seeds": [{"chart": 0, "x": -1.0, "y": 0.0, "vx": 1.0, "vy": 0.0},
+              {"chart": 0, "x": -1.0, "y": 0.0, "vx": 0.0, "vy": 1.0}],
+    "pipeline": [
+        {"stage": "simulate", "t_final": 6.283185307179586, "n_samples": 200,
+         "seeds": [1]},
+        {"stage": "orbits", "tol": 1e-10},
+        {"stage": "classify"},
+    ],
+}
+
+
 def source_dir(tree):
     """The directory to put on PYTHONPATH for a tree root or a src directory."""
     tree = os.path.abspath(tree)
@@ -121,8 +142,8 @@ def _workloads():
 def cases(src):
     """(name, maglab subcommand, config dict) of every run, bundled
     scenarios first, each followed by its single-stage runs, then the
-    chart-switch, flow-entropy and sine critical-value configs and the
-    workloads."""
+    chart-switch, flow-entropy, sine critical-value and polynomial-field
+    configs and the workloads."""
     out = []
     for path in sorted(glob.glob(os.path.join(src, "maglab", "scenarios", "*.json"))):
         name = os.path.basename(path)[:-5]
@@ -134,6 +155,7 @@ def cases(src):
     out.append(("chart_switch", "run", CHART_SWITCH))
     out.extend((name, "run", cfg) for name, cfg in FLOW_ENTROPY.items())
     out.append(("critical_sin", "run", CRITICAL_SIN))
+    out.append(("polynomial_field", "run", POLYNOMIAL))
     for name, (make, _) in sorted(_workloads().items()):
         for seed in SEEDS:
             for i, cfg in enumerate(make(seed)):

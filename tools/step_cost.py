@@ -21,7 +21,12 @@ one layer at a time:
 * monitor: one call of the section-crossing monitor, with its work
   counter: the `Section.offset_at` calls of replaying the return's monitor
   calls once;
-* return: one whole `first_return`, in ms.
+* return: one whole `first_return`, in ms;
+* twist: one `jet3` plus one `twist_by_rotation_number` on the orbit's
+  return map at the sphere_twist workload's twist settings, in ms, made
+  in-process (through a plain function in the map's place, which has no
+  `fan_out`) and fanned out across the CPUs (on the map itself), with the
+  in-process section returns as the work counter.
 
 Then torus10 is the time per step of a 10-component `flow_with_variation`
 on the sinusoidal torus (torus_survey's path), and lookup is the dense-output
@@ -77,7 +82,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-from diff_reports import source_dir  # noqa: E402
+from diff_reports import _workloads, source_dir  # noqa: E402
 
 LOOKUPS = 100  # the simulate stage's samples in torus_survey
 
@@ -199,6 +204,7 @@ def measure(reps):
     def one_return():
         orbits.first_return(section, (0.0, 0.0), 30.0, options=options)
 
+    t_twist, n_twist, t_fanned = _twist_cost(orb.return_map, reps)
     n_rhs, n_post = len(rec["rhs"]), len(rec["post"])
     n_dense, n_mon = len(rec["dense"]), len(rec["monitor"])
     t_rhs = best(rhs, reps) / n_rhs
@@ -252,6 +258,8 @@ def measure(reps):
         "monitor_offsets": len(offsets),
         "return_ms": 1e3 * best(one_return, reps), "returns": 1,
         "return_steps": n_dense, "return_rhs_evals": n_rhs,
+        "twist_ms": 1e3 * t_twist, "twist_returns": n_twist,
+        "twist_fanned_ms": 1e3 * t_fanned, "cpus": len(os.sched_getaffinity(0)),
         "torus10_us": 1e6 * t_torus / traj.n_accepted,
         "torus10_steps": traj.n_accepted, "torus10_rhs_evals": traj.n_fev,
         "state_us": 1e6 * t_scalar / LOOKUPS, "states_ns": 1e9 * t_array / LOOKUPS,
@@ -265,6 +273,29 @@ def measure(reps):
         "certify_ms": 1e3 * t_certify, "certify_images": n_images,
         "certify_calls": n_calls,
     }
+
+
+def _twist_cost(rmap, reps):
+    """(s in-process, its section returns, s fanned out) of jet3 plus the
+    rotation-number fit at sphere_twist's twist settings."""
+    from maglab.normalform import jet3, twist_by_rotation_number
+
+    (cfg,) = _workloads()["sphere_twist"][0](1)
+    st = cfg["pipeline"][-1]
+    calls = []
+
+    def plain(z):
+        calls.append(z)
+        return rmap(z)
+
+    def twist(oracle):
+        calls.clear()
+        jet3(oracle, (0.0, 0.0), fd_scale=st["fd_scale"])
+        twist_by_rotation_number(oracle, st["radii"], n_iter=st["n_iter"])
+
+    t_in = best(lambda: twist(plain), reps)
+    n_returns = len(calls)
+    return t_in, n_returns, best(lambda: twist(rmap), reps)
 
 
 def _window_cost(reps):
@@ -407,6 +438,9 @@ def report(m):
         f"  return       {m['return_ms']:8.2f} ms per return       "
         f"({m['returns']} return, {m['return_steps']:,} steps, "
         f"{m['return_rhs_evals']:,} RHS evaluations)",
+        f"  twist        {m['twist_ms']:8.2f} ms per twist        "
+        f"({m['twist_returns']:,} returns in-process; {m['twist_fanned_ms']:.2f} ms "
+        f"fanned out over {m['cpus']} CPUs)",
         f"  torus10      {m['torus10_us']:8.2f} us per step         "
         f"({m['torus10_steps']:,} steps, {m['torus10_rhs_evals']:,} RHS evaluations)",
         f"  lookup       {m['state_us']:8.2f} us per state call   "

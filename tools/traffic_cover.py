@@ -17,7 +17,9 @@ of its own lines (for a compound statement, its header up to its first body
 statement); statements whose lines hold no code (docstrings, `else:`) are
 left out, and so are module and class bodies.  The import of maglab is
 traced too, so a function that only runs at import (the integrator's
-generated code) counts as executed.
+generated code) counts as executed.  `sys.settrace` does not follow a fork,
+so the runs take `maglab.fanout`'s one-CPU path: every fan-out runs its
+tasks in-process, and the lines only a forked run reaches are listed.
 """
 
 from __future__ import annotations
@@ -129,18 +131,26 @@ def unexecuted(src, cases):
         cli = importlib.import_module("maglab.cli")
     if os.path.dirname(os.path.abspath(cli.__file__)) != pkg:
         raise SystemExit(f"this process imports maglab from {cli.__file__}")
-    with tempfile.TemporaryDirectory(prefix="traffic_cover_") as tmp:
-        for name, command, cfg in cases:
-            work = os.path.join(tmp, name)
-            os.makedirs(work)
-            config = os.path.join(work, "config.json")
-            with open(config, "w") as fh:
-                json.dump(cfg, fh)
-            argv = [command, "--config", config, "--out", os.path.join(work, "out")]
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink), traced():
-                cli.main(argv)
+    fanout = sys.modules.get("maglab.fanout")  # absent in older trees
+    cpus = getattr(fanout, "_cpus", None)
+    if fanout is not None:
+        fanout._cpus = lambda: 1
+    try:
+        with tempfile.TemporaryDirectory(prefix="traffic_cover_") as tmp:
+            for name, command, cfg in cases:
+                work = os.path.join(tmp, name)
+                os.makedirs(work)
+                config = os.path.join(work, "config.json")
+                with open(config, "w") as fh:
+                    json.dump(cfg, fh)
+                argv = [command, "--config", config, "--out", os.path.join(work, "out")]
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), \
+                        contextlib.redirect_stderr(sink), traced():
+                    cli.main(argv)
+    finally:
+        if fanout is not None:
+            fanout._cpus = cpus
     out = {}
     for path in files:
         for name, ranges in statements(path).items():
