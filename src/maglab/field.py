@@ -1,10 +1,13 @@
 """Magnetic intensity functions f with Omega = f * (area form).
 
 A MagneticField is a base intensity plus an ordered list of localized
-tubular perturbations added pointwise.  Every field evaluates through
-`value(chart, x, y)` and `eval(chart, x, y) -> (f, (fx, fy))` and bounds
-itself by the closed form `sup_norm(surface)`.  On a closed
-surface, f * Omega_0 is exact iff the total integral of f vanishes; localized
+tubular perturbations added pointwise.  Every field reads through
+`eval(chart, x, y) -> (f, (fx, fy))` and bounds itself by the closed form
+`sup_norm(surface)`.  The base kinds also read f alone, `value(chart, x, y)`
+== to eval's f, for the flow's right-hand side; a MagneticField binds its
+base's `value` when it has no perturbations and takes f from `eval` when it
+has some.  On a closed surface, f * Omega_0 is exact iff the total integral
+of f vanishes, which `is_exact` checks over the whole field; localized
 perturbations are built so their surface integral is exactly zero and they
 vanish identically on the core curve of their tube.
 
@@ -21,7 +24,7 @@ from math for a number and from numpy for an array, where the two agree bit
 for bit.  numpy's `**` does not agree with Python's float pow, so powers go
 through `_pow`, which applies Python's pow to each entry of an array.
 `PerturbationField.eval` loops over the points of an array, since locating
-a point in the tube is a per-point Newton solve, and `value` reads h from it.
+a point in the tube is a per-point Newton solve.
 """
 
 from __future__ import annotations
@@ -272,10 +275,6 @@ class PerturbationField:
         hu = (ap * b - a * b * wu * inv) * inv
         return (h, ht, hu)
 
-    def value(self, chart, x, y):
-        """h, as `eval` gives it."""
-        return self.eval(chart, x, y)[0]
-
     def eval(self, chart, x, y):
         """(h, chart gradient of h)."""
         if isinstance(x, np.ndarray):
@@ -326,10 +325,7 @@ class MagneticField:
             self.eval = base.eval
 
     def value(self, chart, x, y):
-        f = self.base.value(chart, x, y)
-        for p in self.perturbations:
-            f = f + p.value(chart, x, y)
-        return f
+        return self.eval(chart, x, y)[0]
 
     def eval(self, chart, x, y):
         f, (gx, gy) = self.base.eval(chart, x, y)
@@ -372,56 +368,35 @@ def _gl_panels(a, b, panels):
     """Three-point Gauss-Legendre nodes and weights on `panels` equal panels."""
     nodes, weights = np.polynomial.legendre.leggauss(3)
     edges = np.linspace(a, b, panels + 1)
-    xs = []
-    ws = []
-    for i in range(panels):
-        mid = 0.5 * (edges[i] + edges[i + 1])
-        half = 0.5 * (edges[i + 1] - edges[i])
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
 def surface_integral(surface, func, panels=64):
-    """Integral of func(chart, x, y) over the surface w.r.t. the area form."""
+    """Integral of func(chart, x, y) over the surface w.r.t. the area form,
+    with func called once per chart on the arrays of its quadrature points."""
     if surface.kind == "torus":
         xs, wx = _gl_panels(0.0, 1.0, panels)
-        total = 0.0
-        for x, w1 in zip(xs, wx):
-            for y, w2 in zip(xs, wx):
-                lam = surface.charts[0].lam(x, y)
-                total += w1 * w2 * func(0, x, y) * lam * lam
-        return total
-    if surface.kind == "sphere":
+        grids = [(0, *np.meshgrid(xs, xs, indexing="ij"), np.outer(wx, wx))]
+    elif surface.kind == "sphere":
         # each stereographic unit disk covers one closed hemisphere
         rs, wr = _gl_panels(0.0, 1.0, max(8, panels // 4))
         nth = 4 * max(8, panels // 4)
-        ths = np.arange(nth) * (2.0 * math.pi / nth)
-        wth = 2.0 * math.pi / nth
-        total = 0.0
-        for chart in (0, 1):
-            for r, w1 in zip(rs, wr):
-                for th in ths:
-                    x = r * math.cos(th)
-                    y = r * math.sin(th)
-                    lam = surface.charts[chart].lam(x, y)
-                    total += w1 * wth * r * func(chart, x, y) * lam * lam
-        return total
-    raise UnsupportedSurfaceError("surface integral needs a compact surface")
-
-
-def is_exact(field, surface, panels=64, brute=False):
-    """Whether [f Omega_0] = 0, i.e. the total integral of f vanishes (to
-    _EXACT_TOL).
-
-    Tubular perturbations integrate to zero by construction and are skipped
-    unless brute=True, which forces pointwise evaluation of the full field.
-    """
-    if surface.kind == "planar":
-        raise UnsupportedSurfaceError("exactness is defined on compact surfaces")
-    if brute:
-        target = field
+        r, th = np.meshgrid(rs, np.arange(nth) * (2.0 * math.pi / nth), indexing="ij")
+        w = (wr * rs)[:, None] * (2.0 * math.pi / nth)
+        grids = [(chart, r * np.cos(th), r * np.sin(th), w) for chart in (0, 1)]
     else:
-        target = MagneticField(field.base) if isinstance(field, MagneticField) else field
-    integral = surface_integral(surface, target.value, panels=panels)
+        raise UnsupportedSurfaceError("surface integral needs a compact surface")
+    total = 0.0
+    for chart, x, y, w in grids:
+        lam = surface.charts[chart].lam(x, y)
+        total += float(np.sum(w * func(chart, x, y) * lam * lam))
+    return total
+
+
+def is_exact(field, surface, panels=64):
+    """Whether [f Omega_0] = 0 on a compact surface, i.e. the total integral
+    of f, every perturbation included, vanishes (to _EXACT_TOL)."""
+    integral = surface_integral(surface, field.value, panels=panels)
     return ExactnessReport(integral, abs(integral) <= _EXACT_TOL, _EXACT_TOL)

@@ -1,11 +1,13 @@
 """Planar map oracles with known dynamics.
 
 All maps implement the oracle protocol used by the chaos and normal-form
-machinery: `map(z) -> z'`, plus `inverse(z)` and `jacobian(z)` where an
-analytic form exists.  Flows enter through the same protocol via
-SectionReturnMap, so synthetic maps and first-return maps share all code.
-An oracle without `jacobian` is differenced by `fd_jacobian`, the one
-finite-difference Jacobian of the package.
+machinery: `map(z) -> z'`, plus `inverse(z)` and `jacobian(z)` where a
+caller needs them (the standard map, whose manifolds are grown; the
+horseshoe is only certified on its fixed strips, so it has neither).
+Flows enter through the same protocol via SectionReturnMap, so synthetic
+maps and first-return maps share all code.  An oracle without `jacobian`
+is differenced by `fd_jacobian`, the one finite-difference Jacobian of the
+package.
 
 An oracle may also have an array form `points(zs) -> (images, ok)`: the
 images of the rows of an (n, 2) array and a mask of the rows the map is
@@ -109,8 +111,8 @@ class HorseshoeMap:
 
     The bottom strip y < 1/3 maps to the left vertical strip, the top strip
     y > 2/3 folds onto the right vertical strip; the middle third leaves the
-    square (evaluation there raises, which branch growers treat as a
-    truncation).  Invariant set: full shift on two symbols, entropy log 2.
+    square (evaluation there raises, and `points` marks it not ok).
+    Invariant set: full shift on two symbols, entropy log 2.
     """
 
     def __init__(self, stretch):
@@ -137,17 +139,3 @@ class HorseshoeMap:
                           np.column_stack([1.0 - x / s, s - s * y]))
         images[~ok] = np.nan
         return images, ok
-
-    def inverse(self, z):
-        x1, y1 = float(z[0]), float(z[1])
-        s = self.s
-        if x1 <= 0.5:
-            return np.array([s * x1, y1 / s])
-        return np.array([s * (1.0 - x1), 1.0 - y1 / s])
-
-    def jacobian(self, z):
-        x, y = float(z[0]), float(z[1])
-        s = self.s
-        if y <= 1.0 / 3.0 + 1e-15:
-            return np.array([[1.0 / s, 0.0], [0.0, s]])
-        return np.array([[-1.0 / s, 0.0], [0.0, -s]])

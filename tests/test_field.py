@@ -248,7 +248,7 @@ def test_perturbation_zero_integral_brute(torus, torus_kit):
     A = PerturbA(0.6 * consts.delta1, 0.0, 0.0)
     f2, pert, beta = build_GA(kit, consts, A)
     base = is_exact(kit.field, torus, panels=96)
-    pert_rep = is_exact(f2, torus, panels=96, brute=True)
+    pert_rep = is_exact(f2, torus, panels=96)
     # fiberwise zero-mean of a_eps forces the surface integral to stay put
     assert abs(pert_rep.integral - base.integral) <= 1e-9
 
@@ -314,15 +314,26 @@ def test_visible_bump_vanishes_on_core(torus, sin_field, visible_tube):
         assert abs(f2.value(0, x, y) - sin_field.value(0, x, y)) <= 1e-9 * pert.b_c0
     for t in np.linspace(*pert.support_t, 13)[3:-3]:
         for u in (-0.25 * pert.eps0, 0.25 * pert.eps0):
-            assert abs(pert.value(
-                0, *torus.wrap_position(*psi(visible_tube, t, u)))) > 1e-3
+            assert abs(pert.eval(
+                0, *torus.wrap_position(*psi(visible_tube, t, u)))[0]) > 1e-3
 
 
 def test_visible_bump_zero_integral(torus, visible_tube):
     pert = _visible_bump(visible_tube)
-    total, mass = _tube_integral(torus, pert, pert.value)
+    total, mass = _tube_integral(torus, pert, lambda c, x, y: pert.eval(c, x, y)[0])
     assert mass == pytest.approx(pert.eps0**2 / 20.0, rel=1e-3)  # resolved
     assert abs(total) <= 1e-8 * mass
+
+
+def test_visible_bump_within_sup_norm(torus, sin_field, visible_tube):
+    """|h| over a (t, u) grid of the bump stays within the perturbation's
+    closed-form bound, which a perturbed field adds to its base's."""
+    pert = _visible_bump(visible_tube)
+    t = np.linspace(*pert.support_t, 401)[:, None]
+    u = np.linspace(-0.5, 0.5, 201)[None, :] * pert.eps0
+    h = pert.eval_tube(t, u)[0]
+    assert float(np.max(np.abs(h))) <= pert.sup_norm(torus)
+    assert sin_field.with_perturbation(pert).sup_norm(torus) == 1.0 + pert.sup_norm(torus)
 
 
 def test_visible_bump_exactness_preserved(torus, sin_field, visible_tube):
@@ -344,7 +355,7 @@ def test_zero_integral_needs_the_omega_factor(torus, curved_tube):
     flat = copy.copy(curved_tube)
     flat.omega = lambda t, u: (1.0, 0.0, 0.0)
     pert = _visible_bump(flat)
-    total, mass = _tube_integral(torus, pert, pert.value)
+    total, mass = _tube_integral(torus, pert, lambda c, x, y: pert.eval(c, x, y)[0])
     assert abs(total) > 1e-3 * mass
 
 
@@ -387,7 +398,7 @@ def test_array_eval_tube_matches_scalar(torus_pert, draws):
 
 
 def test_perturbation_array_eval_matches_scalar(torus_kit, torus_pert):
-    """The perturbation's value/eval loop over the points of an array."""
+    """The perturbation's eval loops over the points of an array."""
     kit, _ = torus_kit
     pert = torus_pert
     rng = np.random.default_rng(3)
@@ -402,8 +413,8 @@ def test_perturbation_array_eval_matches_scalar(torus_kit, torus_pert):
         assert g.tolist() == [w[0] for w in want]
         assert gx.tolist() == [w[1][0] for w in want]
         assert gy.tolist() == [w[1][1] for w in want]
-        assert pert.value(chart, x, y).tolist() == [w[0] for w in want]
-    assert np.count_nonzero(g) == 0 and np.count_nonzero(pert.value(0, x, y)) > 0
+        assert pert.eval(chart, x, y)[0].tolist() == [w[0] for w in want]
+    assert np.count_nonzero(g) == 0 and np.count_nonzero(pert.eval(0, x, y)[0]) > 0
 
 
 def test_add_perturbation_api(torus, torus_kit):
@@ -451,3 +462,13 @@ def test_magnetic_field_sums_perturbations():
         assert gy == parts[0][1][1] + parts[1][1][1] + parts[2][1][1]
         assert lone.value(0, x, y) == base.value(0, x, y)
         assert lone.eval(0, x, y) == base.eval(0, x, y)
+
+
+def test_is_exact_integrates_the_perturbations(torus):
+    """A perturbation's integral counts: 0.3 x y adds 0.075 to the exact
+    sinusoidal field, and the report holds a bool and a float."""
+    fld = MagneticField(SinusoidalTorusField(1.0, (1, 0), 0.0), (_Ramp(0.3),))
+    rep = is_exact(fld, torus)
+    assert rep.exact is False
+    assert abs(rep.integral - 0.075) <= 1e-12
+    assert type(rep.exact) is bool and type(rep.integral) is float

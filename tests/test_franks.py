@@ -762,12 +762,12 @@ def test_core_preservation(hyper_setup, torus, sin_field, tight_options):
 
 
 def test_exactness_preserved(hyper_setup, torus, sin_field):
-    """The perturbed field, evaluated pointwise with its perturbation
-    (brute=True), is exact and integrates to the base field's integral."""
+    """The perturbed field, evaluated with its perturbation, is exact and
+    integrates to the base field's integral."""
     _, _, kit, consts = hyper_setup
     f2, _, _ = build_GA(kit, consts, PerturbA(0.6 * consts.delta1, 0.0, 0.0))
     base = is_exact(sin_field, torus)
-    pert = is_exact(f2, torus, brute=True)
+    pert = is_exact(f2, torus)
     assert pert.exact
     assert abs(pert.integral - base.integral) <= 1e-9
 

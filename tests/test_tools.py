@@ -181,6 +181,13 @@ def test_step_cost_prints_each_layer_with_its_counters(capsys):
                                  "86,400 point images, 60 oracle calls)")
 
 
+def _horseshoe_case():
+    """The bundled horseshoe-map scenario as traffic_cover's one case."""
+    path = os.path.join(ROOT, "src", "maglab", "scenarios", "horseshoe_entropy.json")
+    with open(path) as fh:
+        return [("horseshoe_entropy", "run", json.load(fh))]
+
+
 def test_traffic_cover_lists_the_statements_no_run_reaches():
     """On the horseshoe-map scenario, manifold growth never runs (the
     horseshoe map's strips are fixed) and the certifier does: every
@@ -188,13 +195,27 @@ def test_traffic_cover_lists_the_statements_no_run_reaches():
     not."""
     mod = _tool("traffic_cover")
     src = os.path.join(ROOT, "src")
-    path = os.path.join(src, "maglab", "scenarios", "horseshoe_entropy.json")
-    with open(path) as fh:
-        cfg = json.load(fh)
-    missed = mod.unexecuted(src, [("horseshoe_entropy", "run", cfg)])
+    missed = mod.unexecuted(src, _horseshoe_case(), None)
     stmts = mod.statements(os.path.join(src, "maglab", "chaos.py"))
     grow = [r[0] for r in stmts["chaos.grow_manifold"]]
     assert missed["chaos.grow_manifold"] == grow
     certify = [r[0] for r in stmts["chaos.certify_horseshoe"]]
     assert certify[0] not in missed.get("chaos.certify_horseshoe", [])
     assert len(missed.get("chaos.certify_horseshoe", [])) < len(certify)
+
+
+def test_traffic_cover_tests_reach_what_the_runs_do_not():
+    """With a pytest selection after the run, a statement only the tests
+    execute is no longer listed and one neither reaches still is: the
+    horseshoe scenario never maps a standard map's points and a test of
+    tests/test_maps.py does, while neither grows a manifold."""
+    mod = _tool("traffic_cover")
+    src = os.path.join(ROOT, "src")
+    runs = mod.unexecuted(src, _horseshoe_case(), None)
+    test = os.path.join(ROOT, "tests", "test_maps.py")
+    both = mod.unexecuted(src, _horseshoe_case(),
+                          [f"{test}::test_standard_map_points_fail_where_sin_raises"])
+    assert "maps.StandardMap.points" in runs
+    assert "maps.StandardMap.points" not in both
+    assert both["chaos.grow_manifold"] == runs["chaos.grow_manifold"]
+    assert set(both) <= set(runs)

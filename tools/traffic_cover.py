@@ -1,6 +1,6 @@
 """Print the statements of maglab that no run of tools/diff_reports.py reaches.
 
-    python3 tools/traffic_cover.py TREE
+    python3 tools/traffic_cover.py [--tests] TREE
 
 TREE is a repository root (holding src/maglab) or its src directory.  In
 one process, every case of diff_reports.py's `cases(src)` (the bundled
@@ -20,6 +20,14 @@ traced too, so a function that only runs at import (the integrator's
 generated code) counts as executed.  `sys.settrace` does not follow a fork,
 so the runs take `maglab.fanout`'s one-CPU path: every fan-out runs its
 tasks in-process, and the lines only a forked run reaches are listed.
+
+With --tests, the Tier-1 suite (pytest on TREE/tests, its output discarded)
+then runs in the same process under the same tracer, and the statements
+listed are those that neither the runs nor the tests reach: dead code, and
+error paths no test takes.  Without it, code that only the tests call (a
+reference such as franks.build_GA) is listed beside the dead code.  The
+suite runs with the CPUs it has, so the forked children of a test's
+fan-out are not traced: the lines only they execute are listed.
 """
 
 from __future__ import annotations
@@ -96,11 +104,13 @@ def statements(path):
     return out
 
 
-def unexecuted(src, cases):
+def unexecuted(src, cases, tests):
     """{qualname: [first lines of the statements no case executed]} over the
     maglab package of a src directory, whose maglab must be the one this
     process imports; each case (name, command, config) runs through
-    `maglab.cli.main` in a fresh directory.  The import is traced too when
+    `maglab.cli.main` in a fresh directory.  Unless `tests` is None, pytest
+    then runs in this process on the argument list `tests`, and a statement
+    a test executes is not listed either.  The import is traced too when
     this process has not imported maglab yet."""
     pkg = os.path.join(os.path.abspath(src), "maglab")
     files = sorted(glob.glob(os.path.join(pkg, "*.py")))
@@ -119,11 +129,14 @@ def unexecuted(src, cases):
 
     @contextlib.contextmanager
     def traced():
+        # a test may trace in turn (this tool's own tests), so hand back
+        # whatever tracer was set before
+        before = sys.gettrace()
         sys.settrace(trace)
         try:
             yield
         finally:
-            sys.settrace(None)
+            sys.settrace(before)
 
     if src not in sys.path:
         sys.path.insert(0, src)
@@ -151,6 +164,14 @@ def unexecuted(src, cases):
     finally:
         if fanout is not None:
             fanout._cpus = cpus
+    if tests is not None:
+        import pytest  # a test extra, needed only here
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink), traced():
+            status = pytest.main([*tests, "-q", "-p", "no:cacheprovider"])
+        if status != 0:
+            print(f"pytest exited with status {int(status)}", file=sys.stderr)
     out = {}
     for path in files:
         for name, ranges in statements(path).items():
@@ -163,16 +184,19 @@ def unexecuted(src, cases):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree")
+    parser.add_argument("--tests", action="store_true",
+                        help="also run the Tier-1 suite, TREE/tests")
     args = parser.parse_args(argv)
     import diff_reports  # beside this script, on sys.path when it runs
     src = diff_reports.source_dir(args.tree)
     cases = diff_reports.cases(src)
-    missed = unexecuted(src, cases)
+    tests = [os.path.join(os.path.dirname(src), "tests")] if args.tests else None
+    missed = unexecuted(src, cases, tests)
     for name, lines in missed.items():
         print(f"{name}: {len(lines)} ({', '.join(map(str, lines))})")
     total = sum(map(len, missed.values()))
     print(f"{total} statements in {len(missed)} functions never executed "
-          f"over {len(cases)} runs")
+          f"over {len(cases)} runs" + (" and the Tier-1 suite" if args.tests else ""))
     return 0
 
 
